@@ -8,8 +8,12 @@ Two layers of evidence:
 * the PR-2 perf gates: at 1,000 registered servers the trie-backed
   catalog index must answer ``servers_overlapping``/``servers_covering``
   at ≥10× the seed's linear-scan throughput with byte-identical results,
-  and the full PR-1 scale-out scenario must run ≥1.5× faster end-to-end
-  than the seed-algorithm baseline (``repro.perf.seed_baseline``).
+  and the full PR-1 scale-out scenario is gated on its *absolute* wall
+  time (``scaleout_runtime_s``, within ``check_regression.py``'s 20% band
+  of the committed value) with reports equal to the seed-algorithm
+  baseline's (``repro.perf.seed_baseline``).  The ratio against that
+  baseline is recorded but no longer gated: the seed path shares the plan
+  codec, so a codec gain speeds up both sides of it.
 
 ``--json`` writes the measurements to ``BENCH_catalog_scalability.json``
 (the perf trajectory's first committed point).  ``REPRO_BENCH_QUICK=1``
@@ -47,7 +51,6 @@ SCALEOUT_SPEC = (
     if QUICK
     else ScaleoutSpec(name="pr1")
 )
-SCALEOUT_GATE_MIN = 1.2 if QUICK else 1.5
 
 
 def _measure(sellers: int, queries_per_run: int = 4):
@@ -254,7 +257,7 @@ def test_index_matches_linear_oracle(gate_catalog):
 
 
 def test_scaleout_runtime_gate():
-    """End-to-end: the PR-1 scale-out config runs ≥1.5× faster than the seed."""
+    """End-to-end: the PR-1 scale-out config, absolute seconds and seed-equal reports."""
     spec = SCALEOUT_SPEC
 
     started = time.perf_counter()
@@ -277,24 +280,17 @@ def test_scaleout_runtime_gate():
     assert optimized_report["traffic"] == baseline_report["traffic"]
 
     context = {"peers": spec.peers, "seed": spec.seed, "workload": spec.workload}
+    # The gate: check_regression.py fails a run more than 20% slower than
+    # the committed value (ROADMAP aim 1 - absolute numbers, not ratios
+    # against a seed-shaped path that gets faster too).
     benchjson.record_metric(
-        BENCH, "scaleout_runtime_s", optimized_s, unit="s", direction="lower", **context
+        BENCH, "scaleout_runtime_s", optimized_s, unit="s", direction="lower", compare=True,
+        **context,
     )
     benchjson.record_metric(
         BENCH, "scaleout_baseline_runtime_s", baseline_s, unit="s", direction="lower", **context
     )
-    benchjson.record_metric(
-        BENCH,
-        "scaleout_speedup_vs_seed",
-        ratio,
-        unit="x",
-        compare=True,
-        gate_min=SCALEOUT_GATE_MIN,
-        **context,
-    )
-    assert ratio >= SCALEOUT_GATE_MIN, (
-        f"end-to-end only {ratio:.2f}x the seed baseline (need >= {SCALEOUT_GATE_MIN}x)"
-    )
+    benchjson.record_metric(BENCH, "scaleout_speedup_vs_seed", ratio, unit="x", **context)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import PlanError
-from ..xmlmodel import XMLElement
+from ..xmlmodel import XMLElement, XMLSpan, parse_xml, serialize_collection, utf8_len
 from .expressions import Expression
 
 __all__ = [
@@ -76,9 +76,11 @@ class PlanNode:
 
     def iter_nodes(self) -> Iterator["PlanNode"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        pending = [self]
+        while pending:
+            node = pending.pop()
+            yield node
+            pending.extend(reversed(node.children))
 
     def replace_child(self, old: "PlanNode", new: "PlanNode") -> None:
         """Replace a direct child (identity comparison) with another node."""
@@ -137,15 +139,27 @@ class VerbatimData(LeafNode):
     ``collection`` is an element whose children are the individual items;
     partial results produced by plan reduction are substituted back into the
     plan as ``VerbatimData`` nodes.
+
+    The leaf owns the collection as a tree, as its wire text (``span``), or
+    both: one that arrived in a plan document starts as a span and is parsed
+    only by whoever reads ``collection`` / ``items`` / ``cardinality()``; a
+    fresh result starts as a tree, serialized once.  Both forms are
+    write-once and shared by copies.
     """
 
     operator = "data"
 
-    def __init__(self, collection: XMLElement, name: str | None = None) -> None:
+    def __init__(self, collection: XMLElement | XMLSpan, name: str | None = None) -> None:
         super().__init__()
-        if not isinstance(collection, XMLElement):
+        self._tree: XMLElement | None = None
+        self._span: XMLSpan | None = None
+        self._items_size: int | None = None
+        if isinstance(collection, XMLSpan):
+            self._span = collection
+        elif isinstance(collection, XMLElement):
+            self._tree = collection
+        else:
             raise PlanError("VerbatimData needs an XMLElement collection")
-        self.collection = collection
         self.name = name
 
     @classmethod
@@ -167,6 +181,22 @@ class VerbatimData(LeafNode):
         return cls(XMLElement(tag, {}, children), name)
 
     @property
+    def collection(self) -> XMLElement:
+        """The collection element (parsed from the span on first use)."""
+        if self._tree is None:
+            assert self._span is not None
+            self._tree = parse_xml(self._span.source)
+        return self._tree
+
+    @property
+    def span(self) -> XMLSpan:
+        """The collection as wire text (serialized on first use)."""
+        if self._span is None:
+            self.items_size()  # one serialization yields both the text and the size
+        assert self._span is not None
+        return self._span
+
+    @property
     def items(self) -> list[XMLElement]:
         """The individual data items of the collection."""
         return list(self.collection.children)
@@ -175,8 +205,22 @@ class VerbatimData(LeafNode):
         """Number of items in the collection."""
         return len(self.collection.children)
 
+    def serialized_size(self) -> int:
+        """UTF-8 bytes of the collection on the wire."""
+        return utf8_len(self.span.source)
+
+    def items_size(self) -> int:
+        """UTF-8 bytes of the items alone (``stats.bytes``), as ``span`` ships them."""
+        if self._items_size is None:
+            text, self._items_size = serialize_collection(self.collection)
+            if self._span is None:
+                self._span = XMLSpan(text)
+        return self._items_size
+
     def _copy_shallow(self, children: list[PlanNode]) -> PlanNode:
-        return VerbatimData(self.collection.copy(), self.name)
+        clone = VerbatimData(self.span if self._tree is None else self._tree, self.name)
+        clone._tree, clone._span, clone._items_size = self._tree, self._span, self._items_size
+        return clone
 
     def _own_signature(self) -> tuple:
         return (self.name, hash(self.collection))

@@ -133,16 +133,14 @@ class QueryPlan:
         subplan: PlanNode,
         items: list[XMLElement],
         name: str | None = None,
-        copy_items: bool = True,
     ) -> VerbatimData:
         """Replace an evaluated sub-plan with its result as verbatim data.
 
         This is the *reduction* step of mutant query processing: "the server
         substitutes the resulting XML fragments as verbatim XML data in the
-        place of the evaluated sub-plans".  ``copy_items=False`` substitutes
-        by reference (see :meth:`VerbatimData.from_items`).
+        place of the evaluated sub-plans".
         """
-        leaf = VerbatimData.from_items(items, name=name, tag="result", copy_items=copy_items)
+        leaf = VerbatimData.from_items(items, name=name, tag="result")
         self.replace_node(subplan, leaf)
         return leaf
 

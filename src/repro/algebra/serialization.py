@@ -10,12 +10,16 @@ with the operator vocabulary.
 ``plan_to_xml``/``plan_from_xml`` convert between :class:`QueryPlan` and
 :class:`XMLElement`; ``serialize_plan``/``parse_plan`` go all the way to
 strings, which is what the network layer ships around.
+
+A ``<collection>`` whose child the parser kept as an ``XMLSpan`` becomes a
+leaf owning that span, and ``plan_to_xml(plan, opaque=True)`` hands it back
+to be written verbatim (the MQP codec's path); without ``opaque`` the pair
+works on plain trees — the reference the span path is tested against.
 """
 
 from __future__ import annotations
 
 from ..errors import PlanSerializationError
-from ..perf import flags
 from ..xmlmodel import XMLElement, parse_xml, serialize_xml
 from .expressions import parse_predicate
 from .operators import (
@@ -49,29 +53,28 @@ _RESERVED_TAGS = {"annotations", "column", "collection"}
 def _annotations_element(node: PlanNode) -> XMLElement | None:
     if not node.annotations:
         return None
+    # Tags, annotations and attributes are strings already: no re-validation.
     children = [
-        XMLElement("annotation", {"key": key, "value": value})
+        XMLElement._trusted("annotation", {"key": key, "value": value}, [], None)
         for key, value in sorted(node.annotations.items())
     ]
-    return XMLElement("annotations", {}, children)
+    return XMLElement._trusted("annotations", {}, children, None)
 
 
-def _node_to_xml(node: PlanNode) -> XMLElement:
-    attributes: dict[str, object] = {}
+def node_to_xml(node: PlanNode, opaque: bool = False) -> XMLElement:
+    """Serialize a bare plan node (also the canonical cache key for nodes)."""
+    attributes: dict[str, str] = {}
     extra_children: list[XMLElement] = []
 
     if isinstance(node, VerbatimData):
         if node.name:
             attributes["name"] = node.name
-        # The serialized tree aliases the plan's constant data rather than
-        # deep-copying it: every caller renders the returned tree to text
-        # immediately, and partial results carried in a thousand-peer run
-        # make this copy the single largest per-hop cost.  Treat the
-        # returned tree as read-only.
-        collection = (
-            node.collection if flags.shared_wire_trees else node.collection.copy()
+        # The wire tree aliases the plan's constant data (tree or span):
+        # every caller renders it to text immediately; it is read-only.
+        collection = node.span if opaque else node.collection
+        extra_children.append(
+            XMLElement._trusted("collection", {}, [collection], None)  # type: ignore[list-item, arg-type]
         )
-        extra_children.append(XMLElement("collection", {}, [collection]))
     elif isinstance(node, URLRef):
         attributes["href"] = node.url
         if node.path:
@@ -83,7 +86,8 @@ def _node_to_xml(node: PlanNode) -> XMLElement:
     elif isinstance(node, Project):
         attributes["item-tag"] = node.item_tag
         extra_children.extend(
-            XMLElement("column", {"path": path, "tag": tag}) for path, tag in node.columns
+            XMLElement._trusted("column", {"path": path, "tag": tag}, [], None)
+            for path, tag in node.columns
         )
     elif isinstance(node, Join):
         attributes.update(
@@ -108,7 +112,7 @@ def _node_to_xml(node: PlanNode) -> XMLElement:
         attributes["path"] = node.path
         attributes["descending"] = str(node.descending).lower()
     elif isinstance(node, TopN):
-        attributes["limit"] = node.limit
+        attributes["limit"] = str(node.limit)
         attributes["path"] = node.path
         attributes["descending"] = str(node.descending).lower()
     elif isinstance(node, Display):
@@ -122,18 +126,15 @@ def _node_to_xml(node: PlanNode) -> XMLElement:
     if annotation_element is not None:
         extra_children.append(annotation_element)
 
-    children = extra_children + [_node_to_xml(child) for child in node.children]
-    return XMLElement(node.operator, attributes, children)
+    children = extra_children + [node_to_xml(child, opaque) for child in node.children]
+    return XMLElement._trusted(node.operator, attributes, children, None)
 
 
-def node_to_xml(node: PlanNode) -> XMLElement:
-    """Serialize a bare plan node (used as a canonical cache key for nodes)."""
-    return _node_to_xml(node)
-
-
-def plan_to_xml(plan: QueryPlan) -> XMLElement:
-    """Serialize a plan to its XML element form, wrapped in ``<mqp>``."""
-    return XMLElement("mqp", {}, [_node_to_xml(plan.root)])
+def plan_to_xml(plan: QueryPlan, opaque: bool = False) -> XMLElement:
+    """Serialize a plan to its XML element form, wrapped in ``<mqp>``.  With
+    ``opaque``, verbatim leaves contribute their span, not their tree, and
+    the result is only good for ``serialize_xml``."""
+    return XMLElement._trusted("mqp", {}, [node_to_xml(plan.root, opaque)], None)
 
 
 def serialize_plan(plan: QueryPlan, indent: int | None = None) -> str:
@@ -173,13 +174,10 @@ def _node_from_xml(element: XMLElement) -> PlanNode:
         collection_wrapper = element.find("collection")
         if collection_wrapper is None or not collection_wrapper.children:
             raise PlanSerializationError("<data> node has no embedded collection")
-        # The plan adopts the parsed subtree instead of deep-copying it;
-        # parsing produces a fresh tree per document, so the only aliasing
-        # is with the input element — callers must not mutate it afterwards.
-        embedded = collection_wrapper.children[0]
-        if not flags.shared_wire_trees:
-            embedded = embedded.copy()
-        node = VerbatimData(embedded, element.get("name"))
+        # The plan adopts the parsed subtree (or the span kept in its
+        # place) instead of deep-copying it; parsing produces a fresh tree
+        # per document — callers must not mutate the input afterwards.
+        node = VerbatimData(collection_wrapper.children[0], element.get("name"))
     elif tag == "url":
         node = URLRef(_require(element, "href"), element.get("path"))
     elif tag == "urn":

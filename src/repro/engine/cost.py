@@ -29,7 +29,6 @@ from ..algebra.operators import (
     URNRef,
     VerbatimData,
 )
-from ..xmlmodel import serialized_size
 from .statistics import CollectionStatistics
 
 __all__ = ["CostEstimate", "CostModel", "DEFAULT_SELECT_SELECTIVITY", "DEFAULT_JOIN_SELECTIVITY"]
@@ -76,7 +75,7 @@ class CostModel:
     def _leaf_estimate(self, node: PlanNode) -> CostEstimate:
         if isinstance(node, VerbatimData):
             cardinality = float(node.cardinality())
-            size = float(serialized_size(node.collection))
+            size = float(node.serialized_size())
             return CostEstimate(cardinality, size, 0.0)
         # URL / URN leaves: use whatever statistics have been annotated onto
         # the node (paper §5.1), otherwise fall back to coarse defaults.

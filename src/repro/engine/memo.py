@@ -31,14 +31,13 @@ class EvaluationMemo:
 
     def __init__(self) -> None:
         self._items: dict[str, tuple[XMLElement, ...]] = {}
-        self._annotations: dict[str, dict[str, str]] = {}
         self.hits = 0
         self.misses = 0
 
     @staticmethod
     def key_for(node: PlanNode) -> str:
         """The canonical serialization of a plan node (structural identity)."""
-        return serialize_xml(node_to_xml(node))
+        return serialize_xml(node_to_xml(node, opaque=True))
 
     def lookup(self, key: str) -> list[XMLElement] | None:
         """Return the memoized items for ``key``, or ``None`` on a miss."""
@@ -52,17 +51,6 @@ class EvaluationMemo:
     def store(self, key: str, items: Sequence[XMLElement]) -> None:
         """Memoize the evaluated items of the sub-plan behind ``key``."""
         self._items[key] = tuple(items)
-
-    # Statistics annotations ride along with the items: collecting them is
-    # as expensive as evaluation for large results, so the batch caches both.
-
-    def annotations_for(self, key: str) -> dict[str, str] | None:
-        """Memoized statistics annotations for ``key``, if any."""
-        return self._annotations.get(key)
-
-    def store_annotations(self, key: str, annotations: dict[str, str]) -> None:
-        """Memoize the statistics annotations computed for ``key``."""
-        self._annotations[key] = dict(annotations)
 
     def __len__(self) -> int:
         return len(self._items)

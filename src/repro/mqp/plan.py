@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ..algebra import QueryPlan, plan_from_xml, plan_to_xml
 from ..errors import PlanError
 from ..perf import flags
-from ..xmlmodel import XMLElement, parse_xml, serialize_xml
+from ..xmlmodel import XMLElement, parse_xml, serialize_xml, utf8_len
 from .provenance import ProvenanceLog
 
 __all__ = ["QueryPreferences", "MutantQueryPlan"]
@@ -180,22 +180,23 @@ class MutantQueryPlan:
 
     # -- wire format --------------------------------------------------------------- #
 
-    def to_xml(self) -> XMLElement:
+    def to_xml(self, opaque: bool = False) -> XMLElement:
         """Serialize the complete MQP (plan, original, provenance, preferences).
 
-        The returned tree aliases the original's carried wire form (and,
-        transitively, any verbatim result data); it is meant to be rendered
-        to text immediately, not mutated.
+        The returned tree aliases any verbatim result data; it is meant to
+        be rendered to text immediately, not mutated.  With ``opaque`` (what
+        :meth:`serialize` writes) it also aliases the original's carried
+        wire form and holds verbatim data as spans, not trees.
         """
         children = [
-            XMLElement("current", {}, [plan_to_xml(self.plan)]),
+            XMLElement("current", {}, [plan_to_xml(self.plan, opaque)]),
             self.preferences.to_xml(),
             self.provenance.to_xml(),
         ]
-        if self._original_xml is not None and flags.lazy_original_plans:
+        if opaque and self._original_xml is not None and flags.lazy_original_plans:
             children.append(XMLElement("original", {}, [self._original_xml]))
         elif self.original is not None:
-            children.append(XMLElement("original", {}, [plan_to_xml(self.original)]))
+            children.append(XMLElement("original", {}, [plan_to_xml(self.original, opaque)]))
         return XMLElement(
             "mutant-query",
             {"id": self.query_id, "issued-at": f"{self.issued_at:.3f}"},
@@ -203,12 +204,13 @@ class MutantQueryPlan:
         )
 
     def serialize(self, indent: int | None = None) -> str:
-        """The XML string shipped between peers."""
-        return serialize_xml(self.to_xml(), indent=indent)
+        """The XML string shipped between peers: verbatim data is written
+        back as the text it arrived as (pretty-printing builds the trees)."""
+        return serialize_xml(self.to_xml(opaque=indent is None), indent=indent)
 
     def wire_size(self) -> int:
         """Size in bytes of the wire encoding (partial results included)."""
-        return len(self.serialize().encode("utf-8"))
+        return utf8_len(self.serialize())
 
     @classmethod
     def from_xml(cls, element: XMLElement) -> "MutantQueryPlan":
@@ -254,8 +256,10 @@ class MutantQueryPlan:
 
     @classmethod
     def deserialize(cls, document: str) -> "MutantQueryPlan":
-        """Parse the XML string form."""
-        return cls.from_xml(parse_xml(document))
+        """Parse the XML string form.  Verbatim data is checked for
+        well-formedness here (``XMLParseError``) but kept as source text:
+        only the server evaluating over a ``<data>`` leaf builds its tree."""
+        return cls.from_xml(parse_xml(document, opaque=("data", "collection")))
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Collection, Sequence
 from ..algebra.operators import Display, LeafNode, PlanNode, Union, URLRef, VerbatimData
 from ..catalog import Binder, Catalog, RoutingCache, ServerRole, canonical_address
 from ..engine import EvaluationMemo, QueryEngine
-from ..engine.statistics import collect_statistics
+from ..engine.statistics import CollectionStatistics
 from ..errors import RoutingError, URNError
 from ..namespace import InterestAreaURN, MultiHierarchicNamespace, NamedURN, parse_urn
 from ..optimizer import Optimizer
@@ -112,13 +112,15 @@ class BatchContext:
     Everything a peer computes during one pipeline pass that depends only
     on the *catalog* and the *plan structure* — not on the individual plan
     instance — is cached here: parsed URNs, named-resource lookups, interest
-    area bindings, routing candidate scans, and evaluated sub-plan results.
+    area bindings, routing candidate scans, and evaluated sub-plan results
+    (``leaves``: one annotated, serialized-once result leaf per memo key).
     At a thousand peers the catalog scans and sub-plan evaluations dominate
     the per-hop cost, so amortizing them across a batch of same-shaped plans
     is where the batched pipeline earns its throughput.
     """
 
     memo: EvaluationMemo = field(default_factory=EvaluationMemo)
+    leaves: dict[str, VerbatimData] = field(default_factory=dict)
     parsed_urns: dict[str, object] = field(default_factory=dict)
     named_entries: dict[str, object] = field(default_factory=dict)
     bindings: dict[str, object] = field(default_factory=dict)
@@ -475,19 +477,15 @@ class MQPProcessor:
         )
         evaluated = 0
         for subplan in decision.evaluate:
-            items, annotations = self._evaluate_subplan(engine, subplan, context)
-            # Batched plans share the memoized items by reference; nothing
-            # downstream mutates them (forwarding serializes, delivery
-            # copies), so the per-plan deep copy is skipped.
-            leaf = mqp.plan.substitute_result(subplan, items, copy_items=context is None)
-            if annotations:
-                for key, value in annotations.items():
-                    leaf.annotate(key, value)
+            # The reduction step: the evaluated sub-plan is replaced by its
+            # result as verbatim data (paper §2).
+            leaf = self._evaluate_subplan(engine, subplan, context)
+            mqp.plan.replace_node(subplan, leaf)
             mqp.provenance.add(
                 self.address,
                 ProvenanceAction.EVALUATED,
                 now,
-                detail=f"{subplan.operator}->{len(items)} items",
+                detail=f"{subplan.operator}->{leaf.cardinality()} items",
             )
             evaluated += 1
         if flags.eager_area_plans and self._is_bare_union_plan(mqp):
@@ -540,31 +538,37 @@ class MQPProcessor:
 
     def _evaluate_subplan(
         self, engine: QueryEngine, subplan: PlanNode, context: BatchContext | None
-    ) -> tuple[list[XMLElement], dict[str, str] | None]:
-        """Evaluate one sub-plan, sharing results and statistics per batch.
+    ) -> VerbatimData:
+        """Reduce one sub-plan to its result leaf, sharing the work per batch.
 
         Structurally identical sub-plans across the plans of a batch reduce
-        to the same items over the same local collections, so both the
-        evaluation and the (equally expensive) statistics collection run
-        once per distinct shape.
+        to the same items over the same local collections, so evaluation,
+        statistics and serialization run once per distinct shape: each plan
+        gets a copy of one prototype leaf, sharing its items and wire text
+        (nothing downstream mutates them).
         """
         if context is None:
-            items = engine.materialize(subplan)
-            if not self.annotate_statistics:
-                return items, None
-            return items, collect_statistics(items).to_annotations()
+            return self._result_leaf(engine.materialize(subplan), copy_items=True)
         key = context.memo.key_for(subplan)
         items = context.memo.lookup(key)
         if items is None:
             items = engine.materialize(subplan)
             context.memo.store(key, items)
-        annotations = None
+        prototype = context.leaves.get(key)
+        if prototype is None:
+            prototype = context.leaves[key] = self._result_leaf(items, copy_items=False)
+        leaf = prototype.copy()
+        assert isinstance(leaf, VerbatimData)
+        return leaf
+
+    def _result_leaf(self, items: list[XMLElement], copy_items: bool) -> VerbatimData:
+        leaf = VerbatimData.from_items(items, tag="result", copy_items=copy_items)
         if self.annotate_statistics:
-            annotations = context.memo.annotations_for(key)
-            if annotations is None:
-                annotations = collect_statistics(items).to_annotations()
-                context.memo.store_annotations(key, annotations)
-        return items, annotations
+            # The size annotated is measured on the text that will be shipped.
+            statistics = CollectionStatistics(len(items), leaf.items_size())
+            for key, value in statistics.to_annotations().items():
+                leaf.annotate(key, value)
+        return leaf
 
     # ------------------------------------------------------------------ #
     # Stage 5: routing candidates for whatever is left
@@ -604,13 +608,11 @@ class MQPProcessor:
         self, candidates: list[str], avoid: Collection[str] = ()
     ) -> list[str]:
         ordered: list[str] = []
+        seen = {self._canonical_address, *avoid}
         for candidate in candidates:
             address = canonical_address(candidate)
-            if (
-                address != self._canonical_address
-                and address not in ordered
-                and address not in avoid
-            ):
+            if address not in seen:
+                seen.add(address)
                 ordered.append(address)
         return ordered
 

@@ -22,7 +22,8 @@ __all__ = ["OptimizationOutcome", "Optimizer"]
 
 @dataclass
 class OptimizationOutcome:
-    """The optimizer's output handed to the policy manager."""
+    """The optimizer's output handed to the policy manager; ``plan`` is the
+    input plan object itself when ``fired_rules`` is empty, else a copy."""
 
     plan: QueryPlan
     rewrites: RewriteResult
@@ -63,9 +64,11 @@ class Optimizer:
     ) -> OptimizationOutcome:
         """Optimize ``plan`` given which leaves are locally available.
 
-        The input plan is not modified; the outcome carries the rewritten
-        copy, the evaluable sub-plans found in it, their cost estimates and
-        the subset the deferment heuristic recommends skipping.
+        The input plan is not modified, and copied only on write: when no
+        rule fires ``outcome.plan`` *is* the input object (mutate one,
+        mutate both), otherwise a rewritten copy.  The outcome also carries
+        that plan's evaluable sub-plans, their cost estimates and the
+        subset the deferment heuristic recommends skipping.
         """
         availability: AvailabilityCheck = available or (lambda leaf: False)
 

@@ -61,23 +61,34 @@ class RewriteEngine:
         self.max_passes = max_passes
 
     def rewrite_plan(self, plan: QueryPlan) -> RewriteResult:
-        """Rewrite a copy of ``plan``; the input plan is left untouched."""
-        working = plan.copy()
-        result = RewriteResult(working)
+        """Rewrite ``plan`` to fixpoint, copy-on-write; the input is never modified.
+
+        The rules first run against the input itself (they may not mutate
+        what they are given): if none fires, ``result.plan is plan``;
+        otherwise the plan is copied once and rewritten on the copy.
+        """
+        result = RewriteResult(plan)
         for _ in range(self.max_passes):
-            if not self._single_pass(working, result):
+            match = self._first_match(result.plan)
+            if match is None:
                 break
+            if result.plan is plan:
+                # A replacement may share nodes with what it replaces, so
+                # the match is taken again on the copy.
+                result.plan = plan.copy()
+                match = self._first_match(result.plan)
+                assert match is not None
+            node, rule, replacement = match
+            result.plan.replace_node(node, replacement)
+            result.applications.append((rule.name, node.operator))
+            result.plan.validate()
         return result
 
-    def _single_pass(self, plan: QueryPlan, result: RewriteResult) -> bool:
-        """Apply the first matching rule anywhere in the plan; True if something fired."""
-        for node in list(plan.iter_nodes()):
+    def _first_match(self, plan: QueryPlan) -> tuple[PlanNode, RewriteRule, PlanNode] | None:
+        """The first (node, rule, replacement) that fires, in pre-order; mutates nothing."""
+        for node in plan.iter_nodes():
             for rule in self.rules:
-                replacement = rule(node)
-                if replacement is None or replacement is node:
-                    continue
-                plan.replace_node(node, replacement)
-                result.applications.append((rule.name, node.operator))
-                plan.validate()
-                return True
-        return False
+                replacement = rule.apply(node)
+                if replacement is not None and replacement is not node:
+                    return node, rule, replacement
+        return None

@@ -104,7 +104,7 @@ from ..mqp import (
 from ..namespace import InterestArea, MultiHierarchicNamespace
 from ..network import Event, Message, NetworkNode
 from ..perf import flags
-from ..xmlmodel import XMLElement, parse_xml, serialize_xml
+from ..xmlmodel import XMLElement, parse_xml, serialize_xml, utf8_len
 from .subscriptions import (
     ArmedSubscription,
     DeltaRecord,
@@ -1029,7 +1029,7 @@ class QueryPeer(NetworkNode):
                 target,
                 "subscribe",
                 dict(envelope),
-                len(state.document),
+                utf8_len(state.document),
                 query_id=state.sub_id,
             )
         if holds_data:
@@ -1152,7 +1152,7 @@ class QueryPeer(NetworkNode):
                 address,
                 "subscribe",
                 dict(forwarded),
-                len(str(envelope["document"])),
+                utf8_len(str(envelope["document"])),
                 query_id=str(envelope["sub"]),
             )
 
@@ -1193,7 +1193,7 @@ class QueryPeer(NetworkNode):
                 entry.address,
                 "subscribe",
                 forwarded,
-                len(str(envelope["document"])),
+                utf8_len(str(envelope["document"])),
                 query_id=sub_id,
             )
 
@@ -1365,8 +1365,6 @@ class QueryPeer(NetworkNode):
         items: list[XMLElement],
     ) -> None:
         out = shape.apply(items)
-        if not flags.shared_wire_trees:
-            out = [item.copy() for item in out]
         document = serialize_xml(
             XMLElement(
                 "delta",
@@ -1398,7 +1396,7 @@ class QueryPeer(NetworkNode):
             armed.subscriber,
             "delta-chunk",
             dict(envelope),
-            len(envelope["document"]),
+            utf8_len(envelope["document"]),
             armed.sub_id,
         )
 
@@ -1554,7 +1552,7 @@ class QueryPeer(NetworkNode):
             self._remember_forward(mqp.query_id, result.next_hop)
             payload = mqp.serialize()
             sent = self._send_query_traffic(
-                result.next_hop, "mqp", payload, len(payload), mqp.query_id
+                result.next_hop, "mqp", payload, utf8_len(payload), mqp.query_id
             )
             trace.messages += 1
             trace.bytes += sent.size_bytes
@@ -1571,10 +1569,7 @@ class QueryPeer(NetworkNode):
             self._stream_result(mqp, items, partial, target)
             return
         # The wrapper shares the items: it exists only to be serialized on
-        # the next line, and serialization never mutates, so the per-item
-        # deep copy the seed made here bought nothing at delivery scale.
-        if not flags.shared_wire_trees:
-            items = [item.copy() for item in items]
+        # the next line, and serialization never mutates.
         collection = XMLElement("result", {"query-id": mqp.query_id}, items)
         payload = serialize_xml(collection)
         kind = "partial-result" if partial else "result"
@@ -1601,7 +1596,9 @@ class QueryPeer(NetworkNode):
             ):
                 self._record_result(envelope)
             return
-        sent = self._send_query_traffic(target, kind, envelope, len(payload), mqp.query_id)
+        sent = self._send_query_traffic(
+            target, kind, envelope, utf8_len(payload), mqp.query_id
+        )
         trace.messages += 1
         trace.bytes += sent.size_bytes
 
@@ -1654,8 +1651,6 @@ class QueryPeer(NetworkNode):
         chunk = list(islice(state.iterator, self.result_chunk_items))
         trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
         if chunk:
-            if not flags.shared_wire_trees:
-                chunk = [item.copy() for item in chunk]
             collection = XMLElement(
                 "result-chunk", {"query-id": query_id, "seq": str(state.seq)}, chunk
             )
@@ -1667,7 +1662,7 @@ class QueryPeer(NetworkNode):
                 "seq": state.seq,
             }
             sent = self._send_query_traffic(
-                state.target, "result-chunk", envelope, len(payload), query_id
+                state.target, "result-chunk", envelope, utf8_len(payload), query_id
             )
             trace.messages += 1
             trace.bytes += sent.size_bytes

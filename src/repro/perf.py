@@ -32,8 +32,6 @@ class _Flags:
     * ``trusted_xml_copies`` — validation-free construction for copies of
       already-validated XML subtrees vs. the seed's re-validating
       constructor.
-    * ``shared_wire_trees`` — plan (de)serialization and result delivery
-      alias write-once subtrees vs. the seed's defensive deep copies.
     * ``lazy_original_plans`` — the immutable original plan carried by an
       MQP is replayed from its wire form and materialized on demand vs. the
       seed's re-encode/re-parse at every hop.
@@ -86,7 +84,6 @@ class _Flags:
     __slots__ = (
         "indexed_catalog",
         "trusted_xml_copies",
-        "shared_wire_trees",
         "lazy_original_plans",
         "cached_predicates",
         "streaming_engine",
@@ -101,7 +98,6 @@ class _Flags:
     def __init__(self) -> None:
         self.indexed_catalog = True
         self.trusted_xml_copies = True
-        self.shared_wire_trees = True
         self.lazy_original_plans = True
         self.cached_predicates = True
         self.streaming_engine = True

@@ -1,16 +1,20 @@
 """XML document model, parser/serializer, and XPath-lite evaluator."""
 
 from .element import XMLElement, element, text_element
-from .parser import parse_xml, serialize_xml, serialized_size
+from .parser import XMLSpan, parse_xml, serialize_collection, serialize_xml
+from .parser import serialized_size, utf8_len
 from .path import PathExpression, evaluate_path, evaluate_path_values, parse_path
 
 __all__ = [
     "XMLElement",
+    "XMLSpan",
     "element",
     "text_element",
     "parse_xml",
+    "serialize_collection",
     "serialize_xml",
     "serialized_size",
+    "utf8_len",
     "PathExpression",
     "parse_path",
     "evaluate_path",

@@ -76,9 +76,10 @@ class XMLElement:
         """Build a node from already-validated parts, skipping all checks.
 
         Only for internal callers that can vouch for every argument —
-        :meth:`copy` (the source tree was validated when built) and the
-        parser (ElementTree guarantees string tags/attributes).  The
-        arguments are adopted, not copied.
+        :meth:`copy` (the source tree was validated when built), the
+        parser (expat guarantees string tags/attributes) and the plan wire
+        format (operator names and typed string fields).  The arguments are
+        adopted, not copied.
         """
         node = cls.__new__(cls)
         node.tag = tag

@@ -1,98 +1,204 @@
-"""Serialization of :class:`~repro.xmlmodel.element.XMLElement` trees.
+"""Parsing and serialization of :class:`~repro.xmlmodel.element.XMLElement` trees.
 
-Mutant query plans travel between peers "encoded in XML" (paper, §2), so
-both directions matter: a server parses an incoming plan into an in-memory
-graph and serializes the mutated plan before forwarding it.  We lean on the
-standard-library ``xml.etree.ElementTree`` for the low-level tokenizing and
-convert to and from our own node type, which keeps the rest of the code base
-independent of ElementTree's quirks (no attribute ordering guarantees, tail
-text, and so on).
+Mutant query plans travel between peers "encoded in XML" (paper, §2): a
+server parses an incoming plan and serializes the mutated plan before
+forwarding it.  The parser builds our node type directly from
+``xml.parsers.expat`` events.  Most of a travelling plan is *cargo* —
+verbatim results only the server evaluating over them looks inside — so
+``parse_xml(document, opaque=...)`` can keep such subtrees as
+:class:`XMLSpan` source text (scanned for well-formedness, no nodes built)
+which :func:`serialize_xml` writes back verbatim.
+
+Canonical form: the serializer strips text content (as the parser does)
+and escapes carriage returns, so ``serialize_xml(parse_xml(s)) == s`` for
+every ``s`` it emits — forwarding a span is byte-identical to parsing and
+re-serializing it.
 """
 
 from __future__ import annotations
 
-import io
-import xml.etree.ElementTree as _ET
+import re
 from functools import lru_cache
+from typing import Callable
+from xml.parsers import expat
 from xml.sax.saxutils import escape as _escape, quoteattr as _quoteattr
-
-# Text content and attribute values repeat heavily (tags, prices, organism
-# names, provenance fields), so the escaping work is memoized.  Bounded
-# caches: plan documents can carry arbitrary user data.
-escape = lru_cache(maxsize=16384)(_escape)
-quoteattr = lru_cache(maxsize=16384)(_quoteattr)
 
 from ..errors import XMLParseError
 from ..perf import flags
 from .element import XMLElement
 
-__all__ = ["parse_xml", "serialize_xml", "serialized_size"]
+__all__ = ["XMLSpan", "parse_xml", "serialize_xml", "serialize_collection", "serialized_size",
+           "utf8_len"]
+
+# Text content and attribute values repeat heavily (tags, prices, organism
+# names, provenance fields), so the escaping work is memoized.  Bounded
+# caches: plan documents can carry arbitrary user data.  A parser turns a
+# literal carriage return into a newline, so it is written as a reference.
+escape = lru_cache(maxsize=16384)(lambda text: _escape(text, {"\r": "&#13;"}))
+quoteattr = lru_cache(maxsize=16384)(_quoteattr)
+
+# From the "<" of a start tag to its closing ">"; attribute values may hold a ">".
+_TAG = re.compile(r"""(?:[^>"']|"[^"]*"|'[^']*')*>""")
 
 
-def parse_xml(document: str) -> XMLElement:
+class XMLSpan:
+    """The source text of one element, standing in for it among its parent's
+    children: scanned by the parser, never built.  Treated as immutable, so
+    plans, their copies and wire trees share one instance."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+
+
+def utf8_len(text: str) -> int:
+    """Size of ``text`` in UTF-8 bytes (what the network is charged for)."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _char_offsets(document: str) -> Callable[[int], int]:
+    """Map expat's (ascending) UTF-8 byte offsets to indices into ``document``."""
+    if document.isascii():
+        return lambda byte_index: byte_index
+    data, seen = document.encode("utf-8"), [0, 0]  # bytes, characters converted so far
+
+    def offset(byte_index: int) -> int:
+        seen[:] = byte_index, seen[1] + len(data[seen[0] : byte_index].decode("utf-8"))
+        return seen[1]
+
+    return offset
+
+
+def parse_xml(document: str, opaque: tuple[str, str] | None = None) -> XMLElement:
     """Parse an XML document string into an :class:`XMLElement` tree.
 
-    Raises
-    ------
-    XMLParseError
-        If the document is not well formed, or mixes text and elements in a
-        single node (mixed content is outside our data model).
+    ``opaque`` names a ``(parent tag, tag)`` pair: the first child element
+    of every ``<tag>`` directly under ``<parent tag>`` is kept as an
+    :class:`XMLSpan` instead of a subtree (and never looked into, so the
+    pair is not matched inside one).
+
+    Raises :class:`XMLParseError` if the document is not well formed (spans
+    included) or mixes text and child elements in one node; text after the
+    last child is ignored.
     """
+    outer, inner = opaque if opaque is not None else (None, None)
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    trusted = flags.trusted_xml_copies
+    build = XMLElement._trusted
+    stack = [build("#document", {}, [], None)]
+    offset = _char_offsets(document)
+    depth = 0  # open elements inside the span being skipped
+    span_start = 0
+
+    def start(tag: str, attributes: dict[str, str]) -> None:
+        nonlocal depth, span_start
+        if depth:
+            depth += 1
+            return
+        parent = stack[-1]
+        if parent.text is not None:
+            if parent.text.strip():
+                raise XMLParseError(
+                    f"element <{parent.tag}> mixes text and child elements; "
+                    "mixed content is not supported"
+                )
+            parent.text = None
+        if parent.tag == inner and not parent.children and stack[-2].tag == outer:
+            depth = 1
+            span_start = offset(parser.CurrentByteIndex)
+            parser.CharacterDataHandler = None
+            return
+        # Expat hands over string tags and a fresh dict; the seed baseline re-validates.
+        node = build(tag, attributes, [], None) if trusted else XMLElement(tag, attributes)
+        parent.children.append(node)
+        stack.append(node)
+
+    def end(tag: str) -> None:
+        nonlocal depth
+        if depth:
+            depth -= 1
+            if not depth:
+                opening = _TAG.match(document, span_start)
+                assert opening is not None  # expat accepted the tag
+                span_end = opening.end()
+                if document[span_end - 2] != "/":  # not <child/>: find </child>
+                    span_end = document.index(">", offset(parser.CurrentByteIndex)) + 1
+                span = XMLSpan(document[span_start:span_end])
+                stack[-1].children.append(span)  # type: ignore[arg-type]
+                parser.CharacterDataHandler = characters
+            return
+        node = stack.pop()
+        if node.text is not None:
+            node.text = node.text.strip() or None
+
+    def characters(data: str) -> None:
+        node = stack[-1]
+        if not node.children:  # text after a child is ignored
+            node.text = data if node.text is None else node.text + data
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = characters
     try:
-        root = _ET.fromstring(document)
-    except _ET.ParseError as exc:
+        parser.Parse(document, True)
+    except expat.ExpatError as exc:
         raise XMLParseError(f"malformed XML: {exc}") from exc
-    return _convert(root)
-
-
-def _convert(node: _ET.Element) -> XMLElement:
-    children = [_convert(child) for child in node]
-    text = node.text.strip() if node.text and node.text.strip() else None
-    if text is not None and children:
-        raise XMLParseError(
-            f"element <{node.tag}> mixes text and child elements; "
-            "mixed content is not supported"
-        )
-    if flags.trusted_xml_copies:
-        # ElementTree already guarantees string tags and attributes, and
-        # every child went through this function — skip re-validation.
-        # Parsing happens per hop per plan, so this is hot at scale.
-        return XMLElement._trusted(node.tag, dict(node.attrib), children, text)
-    return XMLElement(node.tag, dict(node.attrib), children, text)
+    finally:
+        # The handlers reference the parser that references them; cut the
+        # cycle so the document is freed now, not at the next GC pass.
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+    return stack[0].children[0]
 
 
 def serialize_xml(root: XMLElement, indent: int | None = None) -> str:
     """Serialize an element tree to an XML string.
 
-    Parameters
-    ----------
-    root:
-        The tree to serialize.
-    indent:
-        When given, pretty-print using this many spaces per nesting level;
-        otherwise produce a compact single-line document.
+    With ``indent``, pretty-print using that many spaces per nesting level;
+    otherwise produce a compact single-line document.
     """
-    buffer = io.StringIO()
-    _write(buffer, root, indent, 0)
-    return buffer.getvalue()
+    pieces: list[str] = []
+    step, newline = ("", "") if indent is None else (" " * indent, "\n")
+    _write(pieces.append, root, "", step, newline)
+    return "".join(pieces)
 
 
-def _write(buffer: io.StringIO, node: XMLElement, indent: int | None, depth: int) -> None:
-    pad = "" if indent is None else " " * (indent * depth)
-    newline = "" if indent is None else "\n"
-    attrs = "".join(
-        f" {name}={quoteattr(value)}" for name, value in sorted(node.attributes.items())
-    )
-    if not node.children and node.text is None:
-        buffer.write(f"{pad}<{node.tag}{attrs}/>{newline}")
+def _write(
+    write: Callable[[str], object], node: XMLElement | XMLSpan, pad: str, step: str, newline: str
+) -> None:
+    if isinstance(node, XMLSpan):
+        write(f"{pad}{node.source}{newline}")
         return
-    if node.text is not None:
-        buffer.write(f"{pad}<{node.tag}{attrs}>{escape(node.text)}</{node.tag}>{newline}")
-        return
-    buffer.write(f"{pad}<{node.tag}{attrs}>{newline}")
-    for child in node.children:
-        _write(buffer, child, indent, depth + 1)
-    buffer.write(f"{pad}</{node.tag}>{newline}")
+    tag = node.tag
+    head = f"{pad}<{tag}"
+    if node.attributes:
+        head += "".join(
+            [f" {name}={quoteattr(value)}" for name, value in sorted(node.attributes.items())]
+        )
+    text = node.text
+    if text is not None and (text := text.strip()):
+        write(f"{head}>{escape(text)}</{tag}>{newline}")
+    elif node.children:
+        write(f"{head}>{newline}")
+        inner = pad + step
+        for child in node.children:
+            _write(write, child, inner, step, newline)
+        write(f"{pad}</{tag}>{newline}")
+    else:
+        write(f"{head}/>{newline}")
+
+
+def serialize_collection(root: XMLElement) -> tuple[str, int]:
+    """Compact text of ``root`` plus the UTF-8 bytes of its children alone: one
+    serialization says what is shipped and how large the items are (§5.1)."""
+    text = serialize_xml(root)
+    if not root.children or (root.text or "").strip():
+        return text, 0  # written as <tag/> or as text: no child is shipped
+    opening = _TAG.match(text)
+    assert opening is not None
+    wrapper = utf8_len(opening.group()) + utf8_len(root.tag) + len("</>")
+    return text, utf8_len(text) - wrapper
 
 
 def serialized_size(root: XMLElement) -> int:
@@ -102,4 +208,4 @@ def serialized_size(root: XMLElement) -> int:
     size; partial results accumulated inside a mutant query plan are counted
     with this function (paper §2: "their size matters").
     """
-    return len(serialize_xml(root).encode("utf-8"))
+    return utf8_len(serialize_xml(root))

@@ -5,13 +5,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra import (
     PlanBuilder,
+    VerbatimData,
     parse_plan,
     plan_from_xml,
+    plan_to_xml,
     plan_wire_size,
     serialize_plan,
 )
-from repro.errors import PlanSerializationError
-from repro.xmlmodel import parse_xml
+from repro.errors import PlanError, PlanSerializationError
+from repro.xmlmodel import (
+    XMLElement,
+    XMLSpan,
+    parse_xml,
+    serialize_xml,
+    serialized_size,
+    text_element,
+)
 from tests.conftest import make_item
 
 
@@ -133,3 +142,70 @@ class TestPropertyBasedRoundTrip:
         restored = parse_plan(serialize_plan(plan))
         assert restored.root == plan.root
         assert restored.target == plan.target
+
+
+class TestVerbatimSpans:
+    """A data leaf owns its collection as a tree, as wire text, or both."""
+
+    def _span_leaf(self, items):
+        return VerbatimData(XMLSpan(serialize_xml(XMLElement("collection", {}, items))), "cds")
+
+    def test_span_leaf_parses_on_first_use_only(self, cd_items):
+        leaf = self._span_leaf(cd_items)
+        assert leaf._tree is None
+        assert leaf.serialized_size() == len(leaf.span.source)
+        assert leaf._tree is None  # its size is the length of the text
+        assert leaf.cardinality() == len(cd_items)
+        assert leaf.items == cd_items
+        assert leaf.collection is leaf.collection  # parsed once, kept
+
+    def test_tree_leaf_serializes_once(self, cd_items):
+        leaf = VerbatimData.from_items(cd_items, name="cds")
+        assert leaf._span is None
+        first = leaf.span
+        assert first.source == serialize_xml(leaf.collection)
+        assert leaf.span is first
+        assert leaf.items_size() == sum(serialized_size(item) for item in cd_items)
+        assert leaf.serialized_size() == serialized_size(leaf.collection)
+
+    def test_items_size_of_empty_text_and_non_ascii_collections(self):
+        assert VerbatimData.from_items([]).items_size() == 0
+        assert VerbatimData(text_element("note", "é")).items_size() == 0
+        items = [make_item("Café ☕", 3), make_item("Ünïcode", 4)]
+        leaf = VerbatimData(XMLElement("cds", {"lang": "fr ☕"}, items))
+        assert leaf.items_size() == sum(serialized_size(item) for item in items)
+
+    def test_copy_shares_both_forms(self, cd_items):
+        for leaf in (self._span_leaf(cd_items), VerbatimData.from_items(cd_items)):
+            leaf.annotate("stats.cardinality", 5)
+            leaf.span, leaf.collection  # materialize both forms
+            clone = leaf.copy()
+            assert clone is not leaf and clone == leaf
+            assert clone.span is leaf.span and clone.collection is leaf.collection
+            assert clone.annotations == leaf.annotations
+            assert clone.annotations is not leaf.annotations
+
+    def test_opaque_wire_tree_carries_the_span_and_writes_reference_bytes(self, cd_items):
+        plan = build_reference_plan(cd_items)
+        reference = serialize_xml(plan_to_xml(plan))
+        assert serialize_xml(plan_to_xml(plan, opaque=True)) == reference
+        restored = plan_from_xml(parse_xml(reference, opaque=("data", "collection")))
+        (leaf,) = restored.verbatim_leaves()
+        assert leaf._tree is None and leaf.name == "favorites"
+        assert serialize_xml(plan_to_xml(restored, opaque=True)) == reference
+        assert leaf._tree is None
+        # The generic pair builds the tree and agrees.
+        assert serialize_xml(plan_to_xml(restored)) == reference
+        assert restored.root == plan.root
+
+    def test_foreign_span_is_forwarded_as_received_and_equal_after_parsing(self, cd_items):
+        foreign = serialize_xml(XMLElement("collection", {}, cd_items), indent=4).replace('"', "'")
+        document = f"<mqp><data name='cds'><collection>\n{foreign}</collection></data></mqp>"
+        plan = plan_from_xml(parse_xml(document, opaque=("data", "collection")))
+        assert foreign.strip() in serialize_xml(plan_to_xml(plan, opaque=True))
+        assert plan.root == parse_plan(document).root
+        assert serialize_plan(plan) == serialize_plan(parse_plan(document))
+
+    def test_rejects_non_xml_collections(self):
+        with pytest.raises(PlanError):
+            VerbatimData("<collection/>")

@@ -1,6 +1,7 @@
 """Tests for mutant query plans: provenance, wire format, policy, processor."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra import PlanBuilder
 from repro.catalog import (
@@ -10,7 +11,7 @@ from repro.catalog import (
     ServerEntry,
     ServerRole,
 )
-from repro.errors import PlanError
+from repro.errors import PlanError, XMLParseError
 from repro.mqp import (
     MQPProcessor,
     MutantQueryPlan,
@@ -21,6 +22,8 @@ from repro.mqp import (
     QueryPreferences,
 )
 from repro.namespace import InterestAreaURN
+from repro.xmlmodel import XMLElement, parse_xml, serialize_xml
+from tests.conftest import make_item
 
 
 class TestProvenance:
@@ -203,3 +206,167 @@ class TestProcessor:
         processor = _processor_for(namespace, "client:9020")
         processor.learn_from(mqp)
         assert processor.cache.best(area).server == "index-or:9020"
+
+
+# --------------------------------------------------------------------------- #
+# The span codec: deserialize keeps verbatim data opaque, serialize replays it
+# --------------------------------------------------------------------------- #
+
+cargo_text = st.text(alphabet="ab &<>\"'é☕\n", max_size=6)
+
+
+@st.composite
+def cargo_items(draw, depth=2):
+    """User data, including elements that look like plan-level <data><collection>."""
+    tag = draw(st.sampled_from(["item", "data", "collection", "mqp", "urn"]))
+    attributes = draw(st.dictionaries(st.sampled_from(["id", "name"]), cargo_text, max_size=2))
+    if depth == 0 or draw(st.booleans()):
+        return XMLElement(tag, attributes, [], draw(st.one_of(st.none(), cargo_text)))
+    if draw(st.booleans()):
+        nested = XMLElement("collection", {}, [draw(cargo_items(depth=depth - 1))])
+        return XMLElement("data", attributes, [nested])
+    return XMLElement(tag, attributes, draw(st.lists(cargo_items(depth=depth - 1), max_size=3)))
+
+
+@st.composite
+def plans_with_data(draw):
+    """Plans with data leaves at several depths: nested, empty and named ones."""
+
+    def leaf():
+        kind = draw(st.sampled_from(["data", "data", "url", "urn"]))
+        if kind == "url":
+            return PlanBuilder.url("far:9020", "/x")
+        if kind == "urn":
+            return PlanBuilder.urn("urn:ForSale:Somewhere")
+        items = draw(st.lists(cargo_items(), max_size=3))
+        return PlanBuilder.data(items, name=draw(st.sampled_from([None, "kept", "é"])))
+
+    def subplan(depth):
+        if depth == 0:
+            return leaf()
+        shape = draw(st.sampled_from(["leaf", "select", "union", "join"]))
+        if shape == "leaf":
+            return leaf()
+        if shape == "select":
+            return subplan(depth - 1).select("price < 10")
+        if shape == "union":
+            return subplan(depth - 1).union(subplan(depth - 1))
+        return subplan(depth - 1).join(subplan(depth - 1), on=("a", "b"))
+
+    return subplan(3).display("client:9020")
+
+
+def _reference_decode(document):
+    return MutantQueryPlan.from_xml(parse_xml(document))
+
+
+class TestSpanCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(plan=plans_with_data(), pretty=st.booleans())
+    def test_span_decode_equals_reference_decode(self, plan, pretty):
+        mqp = MutantQueryPlan(plan, query_id="q-prop")
+        mqp.provenance.add("a:1", ProvenanceAction.EVALUATED, 1.0, detail="select->3 items")
+        reference_bytes = serialize_xml(mqp.to_xml())
+        document = serialize_xml(mqp.to_xml(), indent=2) if pretty else reference_bytes
+        decoded = MutantQueryPlan.deserialize(document)
+        reference = _reference_decode(document)
+        # No tree was built for any leaf, yet the plans are equal ...
+        assert all(leaf._tree is None for leaf in decoded.plan.verbatim_leaves())
+        assert decoded.plan.root == reference.plan.root
+        assert decoded.original.root == reference.original.root
+        # ... and what goes back on the wire is what the reference path writes.
+        if not pretty:
+            assert MutantQueryPlan.deserialize(document).serialize() == reference_bytes
+        assert serialize_xml(decoded.to_xml()) == reference_bytes
+
+    def _forwarding_hop(self, namespace, document, address):
+        """Receive, run the whole pipeline, forward: one server that cannot evaluate."""
+        mqp = MutantQueryPlan.deserialize(document)
+        (leaf,) = mqp.plan.verbatim_leaves()
+        received = leaf.span
+        result = _processor_for(namespace, address).process(mqp)
+        assert result.action is ProcessingAction.FORWARD
+        display = result.mqp.to_xml(opaque=True).find("current").children[0].children[0]
+        wrapper = display.find("union").find("data").find("collection")
+        # The very same text object goes from the inbound document to the
+        # outbound one: nothing re-serialized it, nothing parsed it.
+        assert wrapper.children[0] is received
+        assert leaf._tree is None
+        return result.mqp.serialize(), received.source
+
+    def _elements_built_over_three_hops(self, namespace, monkeypatch, cargo_size):
+        items = [make_item(f"cd-{index:03d}", 7) for index in range(cargo_size)]
+        plan = (
+            PlanBuilder.data(items, name="carried")
+            .union(PlanBuilder.url("far:9020", "/cds").select("price < 5"))
+            .display("client:9020")
+        )
+        document = MutantQueryPlan(plan, query_id="q-hops").serialize()
+
+        built = []
+        trusted, validating = XMLElement._trusted.__func__, XMLElement.__init__
+
+        def counting_trusted(cls, *args):
+            built.append(1)
+            return trusted(cls, *args)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            validating(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(XMLElement, "_trusted", classmethod(counting_trusted))
+            patch.setattr(XMLElement, "__init__", counting_init)
+            spans = []
+            for hop in ("hop1:9020", "hop2:9020", "hop3:9020"):
+                document, span = self._forwarding_hop(namespace, document, hop)
+                spans.append(span)
+        assert spans[0] == spans[1] == spans[2]
+        assert spans[0] == serialize_xml(XMLElement("collection", {}, items))
+        leaf = MutantQueryPlan.deserialize(document).plan.verbatim_leaves()[0]
+        assert leaf.cardinality() == cargo_size
+        return len(built)
+
+    def test_three_hops_forward_a_span_untouched(self, namespace, monkeypatch):
+        small = self._elements_built_over_three_hops(namespace, monkeypatch, 3)
+        large = self._elements_built_over_three_hops(namespace, monkeypatch, 300)
+        # Every XMLElement construction goes through one of the two counted
+        # entry points; a hundred times the cargo builds not one node more.
+        assert 0 < small == large
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.replace("</title>", "</titel>", 1),       # mis-nested
+            lambda doc: doc.replace("</item></collection>", "</collection>", 1),  # truncated
+            lambda doc: doc.replace("<price>", "<price", 1),          # broken tag
+        ],
+    )
+    def test_damaged_payload_inside_a_span_is_rejected_at_reception(self, cd_items, damage):
+        plan = PlanBuilder.data(cd_items, name="cds").union(PlanBuilder.url("far:1", "/x")).display("c:1")
+        document = MutantQueryPlan(plan).serialize()
+        damaged = damage(document)
+        assert damaged != document
+        with pytest.raises(XMLParseError):
+            MutantQueryPlan.deserialize(damaged)
+
+    def test_fresh_result_is_serialized_once_and_measured_on_that_text(self, namespace, cd_items):
+        processor = _processor_for(namespace, "here:9020", {"/cds": cd_items})
+        plan = (
+            PlanBuilder.url("here:9020", "/cds").select("price < 10")
+            .union(PlanBuilder.url("far:9020", "/cds"))
+            .display("client:9020")
+        )
+        result = processor.process(MutantQueryPlan(plan))
+        (leaf,) = result.mqp.plan.verbatim_leaves()
+        shipped = leaf.span.source
+        assert shipped in result.mqp.serialize()
+        items_text = "".join(serialize_xml(item) for item in leaf.items)
+        assert shipped == f"<result>{items_text}</result>"
+        assert leaf.annotations["stats.bytes"] == str(len(items_text.encode("utf-8")))
+        assert leaf.annotations["stats.cardinality"] == "3"
+
+    def test_wire_size_counts_utf8_bytes(self):
+        item = make_item("Café ☕", 3)
+        mqp = MutantQueryPlan(PlanBuilder.data([item]).display("c:1"))
+        assert mqp.wire_size() == len(mqp.serialize().encode("utf-8")) > len(mqp.serialize())

@@ -9,11 +9,13 @@ from repro.algebra import (
     Union,
     URLRef,
     VerbatimData,
+    serialize_plan,
 )
 from repro.engine import CostModel, QueryEngine
 from repro.optimizer import (
     Optimizer,
     RewriteEngine,
+    RewriteRule,
     absorption_rule,
     consolidation_rule,
     deferrable_nodes,
@@ -203,3 +205,72 @@ class TestDefermentAndOptimizer:
         size_before = plan.size()
         Optimizer().optimize(plan)
         assert plan.size() == size_before
+
+
+class TestCopyOnWriteRewriting:
+    def _snapshot(self, plan):
+        return serialize_plan(plan), [id(node) for node in plan.iter_nodes()]
+
+    def test_no_rule_fires_returns_the_input_plan_object(self, cd_items):
+        plan = (
+            PlanBuilder.data(cd_items, name="carried")
+            .union(PlanBuilder.url("far:9020", "/cds").select("price < 5"))
+            .display("client:9020")
+        )
+        before = self._snapshot(plan)
+        result = RewriteEngine(standard_rules()).rewrite_plan(plan)
+        assert result.fired_rules == []
+        assert result.plan is plan
+        assert self._snapshot(plan) == before
+        outcome = Optimizer().optimize(plan, local_to("here:9020"))
+        assert outcome.fired_rules == [] and outcome.plan is plan
+
+    def test_a_firing_rule_rewrites_a_copy_and_leaves_the_input_alone(self, cd_items):
+        plan = (
+            PlanBuilder.data(cd_items, name="carried")
+            .union(PlanBuilder.url("far:9020", "/cds"))
+            .select("price < 10")
+            .select("price > 3")
+            .display("client:9020")
+        )
+        before = self._snapshot(plan)
+        result = RewriteEngine(standard_rules()).rewrite_plan(plan)
+        assert result.fired_rules == ["merge-adjacent-selects", "push-select-through-union"]
+        assert result.plan is not plan
+        assert self._snapshot(plan) == before
+        # The copy shares no plan node with the input, only write-once cargo.
+        assert not {id(node) for node in result.plan.iter_nodes()} & set(before[1])
+        (old,), (new,) = plan.verbatim_leaves(), result.plan.verbatim_leaves()
+        assert new.collection is old.collection
+
+    def test_rules_that_share_subtrees_with_their_argument_cannot_reach_the_input(self):
+        # A rule may return part of its argument; the engine only ever hands
+        # it nodes of the working copy, so the input plan is still untouched.
+        unwrap = RewriteRule(
+            "unwrap-select", lambda node: node.child if isinstance(node, Select) else None
+        )
+        plan = PlanBuilder.url("a:1", "/x").select("p = 1").select("q = 2").display("c:1")
+        before = self._snapshot(plan)
+        result = RewriteEngine([unwrap]).rewrite_plan(plan)
+        assert result.count("unwrap-select") == 2
+        assert isinstance(result.plan.body, URLRef)
+        assert self._snapshot(plan) == before
+
+    def test_iter_nodes_survives_a_5000_deep_select_chain(self):
+        node = URLRef("deep:9020", "/x")
+        predicate = PlanBuilder.url("a:1").select("p = 1").node.predicate
+        for _ in range(5000):
+            node = Select(node, predicate)
+        nodes = list(node.iter_nodes())
+        assert len(nodes) == 5001
+        assert nodes[0] is node and isinstance(nodes[-1], URLRef)
+
+    def test_iter_nodes_is_pre_order(self):
+        plan = (
+            PlanBuilder.url("a:1", "/x").select("p = 1")
+            .union(PlanBuilder.url("b:1", "/y"), PlanBuilder.url("c:1", "/z"))
+            .display("c:1")
+        )
+        assert [node.operator for node in plan.iter_nodes()] == [
+            "display", "union", "select", "url", "url", "url"
+        ]

@@ -188,3 +188,33 @@ class TestEndToEndQuery:
                 client.issue_query(plan, QueryPreferences())
         client.go_online()
         assert client.submit_plan(plan, QueryPreferences()) is not None
+
+
+class TestChargedBytes:
+    def test_documents_are_charged_in_utf8_bytes_not_code_points(self, small_network):
+        network, namespace, seller1, seller2, index_or, meta, client = small_network
+        seller1.publish_collection("cds", [make_item("Café ☕ Olé", 5)])
+        register_offline([seller1, seller2, index_or, meta, client])
+        seed_with_meta_index([client], [meta])
+        sent = []
+        record = network.metrics.record_send
+        network.metrics.record_send = lambda message: (sent.append(message), record(message))
+
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(area))).select("price < 10").display(client.address)
+        mqp = client.submit_plan(plan, QueryPreferences(), expected_answers=2)
+        network.run_until_idle()
+
+        titles = {item.child_text("title") for item in client.results[mqp.query_id].items}
+        assert titles == {"Café ☕ Olé", "Blue Train"}
+        documents = [
+            (message.payload if message.kind == "mqp" else message.payload["document"], message)
+            for message in sent
+            if message.kind in ("mqp", "result")
+        ]
+        carrying = [(text, message) for text, message in documents if "☕" in text]
+        assert carrying and any(message.kind == "mqp" for _, message in carrying)
+        for text, message in documents:
+            assert message.size_bytes == len(text.encode("utf-8"))
+        for text, message in carrying:
+            assert message.size_bytes > len(text)
