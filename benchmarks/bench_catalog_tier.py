@@ -1,7 +1,7 @@
 """CATALOG TIER — sharded lookup throughput, hot-area caching, outage completeness.
 
 Three claims from the sharded, replicated catalog tier
-(``flags.catalog_tier`` + :mod:`repro.catalogtier`):
+(:mod:`repro.catalogtier`):
 
 * **Sharded lookup throughput** — at the thousand-peer entry population,
   routing each lookup to its owning shard (a quarter of the entries,
@@ -39,7 +39,6 @@ from repro.harness.scaleout import (
     _index_areas,
     run_scaleout,
 )
-from repro.perf import overrides
 from repro.workloads.adversarial import zipf_query_ranks
 from repro.workloads.distributions import make_rng
 
@@ -96,12 +95,11 @@ def lookup_cell(population):
             catalogs[shard].register_server(
                 ServerEntry(entry.address, entry.role, entry.area)
             )
-    with overrides(catalog_tier=True):
-        started = time.perf_counter()
-        for area in lookups:
-            shard = shard_map.shards_for_area(area)[0]
-            catalogs[shard].servers_overlapping(area)
-        sharded_s = time.perf_counter() - started
+    started = time.perf_counter()
+    for area in lookups:
+        shard = shard_map.shards_for_area(area)[0]
+        catalogs[shard].servers_overlapping(area)
+    sharded_s = time.perf_counter() - started
 
     hits = sum(cache.hits for cache in caches.values())
     misses = sum(cache.misses for cache in caches.values())

@@ -15,7 +15,7 @@ Three measurements back the PR 10 gates:
 * ``encoder_reuse_speedup`` — steady-state framing against a fresh encoder
   (and thus a fresh buffer) per frame, isolating the buffer-reuse micro-opt.
 * ``multicore_speedup`` — wall-clock run phase of an N-worker
-  ``flags.multiprocess`` run against the single-process aio run of the same
+  (``ScaleoutSpec.workers``) run against the single-process aio run of the same
   spec+seed, plus the sequence-identity gate (= 1.0) between 1-worker and
   N-worker runs.  The ≥2× speedup gate only attaches at its defining
   configuration — 4 workers, 1,000 peers, ``os.cpu_count() >= 4`` — because

@@ -1,7 +1,6 @@
 """SUBSCRIPTIONS — delta feeds vs snapshot re-query polling.
 
-Two claims from the continuous-query layer (``flags.continuous_queries``),
-both measured in *simulated* milliseconds on the scale-out harness:
+Two claims from the continuous-query layer, both measured in *simulated* milliseconds on the scale-out harness:
 
 * **Publish-to-delta latency** — at the thousand-peer configuration, a
   mutation at a publisher reaches an armed subscriber as a ``delta-chunk``
@@ -83,7 +82,7 @@ def _publish_round(scenario) -> int:
 @pytest.fixture(scope="module")
 def latency_cell():
     """One subscriber inside the big population; measure delta vs re-query."""
-    with overrides(continuous_queries=True, reliable_delivery=True):
+    with overrides(reliable_delivery=True):
         spec = ScaleoutSpec(
             name="sub-latency", topology="small-world", peers=LATENCY_PEERS,
             workload="garage-sale", churn="none", queries=4,
@@ -106,19 +105,13 @@ def latency_cell():
                 assert len(deltas) > seen, "mutation produced no delta"
                 delta_latencies.append(deltas[-1].received_at - published_at)
 
-            # The subscribed plan is the predicate-less area shape; as a
-            # one-shot query it needs ``flags.eager_area_plans`` (leaf
-            # pinning) to complete instead of bouncing to max_hops.  The
-            # poller gets the flag — the comparison should not lean on the
-            # baseline's known worst case.
             subscription = Subscription(session, sub_id)
             snapshot_latencies: list[float] = []
-            with overrides(eager_area_plans=True):
-                for _ in range(LATENCY_ROUNDS):
-                    issued_at = network.now
-                    result = subscription.snapshot()
-                    assert result.count > 0
-                    snapshot_latencies.append(network.now - issued_at)
+            for _ in range(LATENCY_ROUNDS):
+                issued_at = network.now
+                result = subscription.snapshot()
+                assert result.count > 0
+                snapshot_latencies.append(network.now - issued_at)
 
             yield {
                 "delta_ms": sum(delta_latencies) / len(delta_latencies),
@@ -134,7 +127,7 @@ def latency_cell():
 def fanout_cell():
     """Mutation rounds fanned out to the full subscriber population, then
     the same plans drained once as streamed one-shot queries."""
-    with overrides(continuous_queries=True, reliable_delivery=True):
+    with overrides(reliable_delivery=True):
         spec = ScaleoutSpec(
             name="sub-fanout", topology="small-world", peers=FANOUT_PEERS,
             workload="garage-sale", churn="none", queries=4,
@@ -158,10 +151,8 @@ def fanout_cell():
             delta_items = _delivered(scenario) - before
             delta_ms = network.now - started
 
-            # streaming_results: chunked result frames (the baseline under
-            # test); eager_area_plans: lets the predicate-less area shape
-            # complete as a one-shot query (see the latency cell).
-            with overrides(streaming_results=True, eager_area_plans=True):
+            # streaming_results: chunked result frames (the baseline under test).
+            with overrides(streaming_results=True):
                 started = network.now
                 handles = []
                 for address, sub_id in zip(

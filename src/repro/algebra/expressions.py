@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from ..errors import PlanError
-from ..perf import flags
 from ..xmlmodel import XMLElement, evaluate_path_values
 
 __all__ = [
@@ -307,11 +306,9 @@ def parse_predicate(text: str) -> Expression:
     Expression nodes are immutable (frozen dataclasses), so identical
     predicate texts — which recur at every hop of every plan carrying the
     same ``<select>`` — share one memoized AST instead of re-running the
-    tokenizer.  The seed-baseline flag restores per-call parsing.
+    tokenizer.
     """
     stripped = text.strip()
     if not stripped:
         raise PlanError("empty predicate")
-    if flags.cached_predicates:
-        return _parse_predicate_cached(stripped)
-    return _PredicateParser(_tokenize(stripped), stripped).parse()
+    return _parse_predicate_cached(stripped)

@@ -38,8 +38,8 @@ Four classes carry the model:
   :class:`~repro.errors.PeerOffline` /
   :class:`~repro.errors.QueryCancelled` instead of ever returning ``None``.
 
-With ``repro.perf.flags.continuous_queries`` on, a query can *stand*
-instead of answering once: ``session.subscribe(...)`` (or the
+A query can also *stand* instead of answering once:
+``session.subscribe(...)`` (or the
 ``subscribe()`` terminals on :class:`QueryBuilder` / :class:`QueryHandle`)
 returns a :class:`Subscription` whose ``deltas()`` feed the mutation verbs
 ``Session.update`` / ``Session.retract`` drive — see

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from ..catalog import ServerRole
 from ..errors import APIError
 from ..namespace import InterestArea, MultiHierarchicNamespace
-from ..perf import flags
 from ..network import (
     ChurnPlan,
     ChurnProfile,
@@ -75,12 +74,6 @@ class Cluster:
     ) -> None:
         if workers < 0:
             raise APIError("workers must be >= 0 (0 = single-process)")
-        if workers > 0 and not flags.multiprocess:
-            raise APIError(
-                "Cluster(workers=...) needs flags.multiprocess; the harness "
-                "launcher (repro.multicore.run_multicore) scopes the flag — "
-                "or use perf.overrides(multiprocess=True) directly"
-            )
         # Advisory at this layer: the Cluster itself always hosts a full
         # in-process network.  The multicore launcher reads the count to
         # shard the peer population across worker processes.

@@ -312,9 +312,9 @@ class QueryHandle:
         """Promote this one-shot query into a standing query.
 
         Re-registers the handle's plan as a subscription at the issuing
-        session (requires ``repro.perf.flags.continuous_queries``); the
-        snapshot this handle resolves to is the feed's baseline, and
-        subsequent mutations arrive as deltas.  Only handles created by
+        session; the snapshot this handle resolves to is the feed's
+        baseline, and subsequent mutations arrive as deltas.  Only handles
+        created by
         ``Session.submit`` / the query builder carry their plan — a
         late-attached :meth:`Session.handle` cannot be promoted.
         """

@@ -233,9 +233,9 @@ class QueryBuilder:
     def subscribe(self) -> "Subscription":
         """Register the query as a standing query instead of answering once.
 
-        Requires ``repro.perf.flags.continuous_queries`` and a subscribable
-        shape (select/project over one interest-area source); deltas flow
-        to the issuing session as publishers mutate matching data.
+        Requires a subscribable shape (select/project over one
+        interest-area source); deltas flow to the issuing session as
+        publishers mutate matching data.
         """
         return self._session.subscribe(self)
 

@@ -14,12 +14,11 @@ moves the bytes, and its surface groups into three verbs-of-a-kind:
   :class:`~repro.api.handle.QueryHandle`;
 * **standing queries** — ``subscribe()`` turns a plan into a
   :class:`~repro.api.subscription.Subscription` whose delta feed the
-  lifecycle verbs above drive (``repro.perf.flags.continuous_queries``).
+  lifecycle verbs above drive.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Sequence
 
 from ..algebra import QueryPlan
@@ -84,9 +83,9 @@ class Session:
 
         Items are keyed by their ``key_path`` attribute (or child element
         text): a key match replaces the existing item, anything else is
-        appended.  With ``flags.continuous_queries`` on, matching armed
-        subscriptions receive the ``insert`` / ``update`` / ``retract``
-        deltas the mutation implies for *their* predicate.
+        appended.  Matching armed subscriptions receive the ``insert`` /
+        ``update`` / ``retract`` deltas the mutation implies for *their*
+        predicate.
         """
         return self.peer.update_collection(name, items, key_path=key_path)
 
@@ -116,42 +115,19 @@ class Session:
 
     # -- catalog wiring ------------------------------------------------------- #
 
-    def register(self, *targets: "Session | QueryPeer | str") -> None:
+    def register(self, *targets: "Session | str") -> None:
         """Push this peer's registration to index / meta-index servers.
 
-        Targets are sessions or addresses; passing a raw
-        :class:`~repro.peers.peer.QueryPeer` is a deprecated side door
-        around the session surface.
+        Targets are sessions or addresses.
         """
         for target in targets:
-            if isinstance(target, QueryPeer):
-                warnings.warn(
-                    "passing a raw QueryPeer to Session.register is deprecated; "
-                    "pass the peer's Session or its address",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            self.peer.register_with(_address_of(target))
+            address = target.address if isinstance(target, Session) else target
+            self.peer.register_with(address)
 
-    def learn_about(self, other: "Session | QueryPeer | ServerEntry") -> None:
-        """Record another server's entry locally (out-of-band discovery).
-
-        Accepts a session or a :class:`~repro.catalog.ServerEntry`; passing
-        a raw :class:`~repro.peers.peer.QueryPeer` is a deprecated side
-        door around the session surface.
-        """
-        if isinstance(other, ServerEntry):
-            self.peer.learn_about(other)
-            return
-        if isinstance(other, QueryPeer):
-            warnings.warn(
-                "passing a raw QueryPeer to Session.learn_about is deprecated; "
-                "pass the peer's Session or its ServerEntry",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        peer = other.peer if isinstance(other, Session) else other
-        self.peer.learn_about(peer.server_entry())
+    def learn_about(self, other: "Session | ServerEntry") -> None:
+        """Record another server's entry locally (out-of-band discovery)."""
+        entry = other if isinstance(other, ServerEntry) else other.peer.server_entry()
+        self.peer.learn_about(entry)
 
     # -- querying --------------------------------------------------------------- #
 
@@ -195,15 +171,14 @@ class Session:
             self.peer, self.cluster.network, query_id, expected_answers=expected_answers
         )
 
-    # -- standing queries (flags.continuous_queries) ------------------------------ #
+    # -- standing queries -------------------------------------------------------- #
 
     def subscribe(self, query: "QueryBuilder | QueryPlan") -> Subscription:
         """Register a plan as a standing query; deltas flow to this peer.
 
         Accepts a fluent :class:`~repro.api.query.QueryBuilder` or a
         pre-built plan.  The plan must be subscribable — select/project
-        over one interest-area URN — and
-        ``repro.perf.flags.continuous_queries`` must be on.  Returns the
+        over one interest-area URN.  Returns the
         :class:`~repro.api.subscription.Subscription` whose ``deltas()``
         iterator the mutation verbs (:meth:`update` / :meth:`retract` at
         publishing peers) feed.
@@ -230,10 +205,3 @@ class Session:
         status = "online" if self.online else "offline"
         return f"Session({self.address!r}, {status})"
 
-
-def _address_of(target: "Session | QueryPeer | str") -> str:
-    if isinstance(target, Session):
-        return target.address
-    if isinstance(target, QueryPeer):
-        return target.address
-    return target

@@ -4,15 +4,13 @@ A :class:`Subscription` is to a continuous query what
 :class:`~repro.api.handle.QueryHandle` is to a one-shot query: the
 future-like object a program holds while the network does the work.  It is
 created by ``session.subscribe(...)``, ``builder.subscribe()`` or
-``handle.subscribe()`` (all requiring ``repro.perf.flags.continuous_queries``),
-and exposes the feed the peer layer assembles:
+``handle.subscribe()``, and exposes the feed the peer layer assembles:
 
-    with flags.overrides(continuous_queries=True):
-        sub = client.query().area(area).where("price < 10").subscribe()
-        seller.update("cds", changed_items)
-        for delta in sub.deltas(timeout=5_000):
-            print(delta.kind, delta.items)
-        sub.unsubscribe()
+    sub = client.query().area(area).where("price < 10").subscribe()
+    seller.update("cds", changed_items)
+    for delta in sub.deltas(timeout=5_000):
+        print(delta.kind, delta.items)
+    sub.unsubscribe()
 
 ``deltas()`` drives the shared clock exactly like ``QueryHandle.result()``
 — event-driven on the transport's ``stop`` hook, never polling.  Unlike a

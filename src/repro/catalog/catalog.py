@@ -8,9 +8,8 @@ global knowledge — "mutant query plans ... allow query optimization and
 source discovery to work with whatever information is available locally".
 
 Lookups are served by the trie-backed :class:`~repro.catalog.index.CatalogIndex`
-in O(depth + matches); the seed's linear scans survive as private
-``_scan_*`` oracles, selected when :data:`repro.perf.flags` disables the
-index, and are what the equivalence tests diff the index against.
+in O(depth + matches); the linear scans the equivalence tests diff the
+index against live in ``tests/oracles/catalog_scan.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from ..errors import CatalogError
 from ..namespace import InterestArea
-from ..perf import flags
 from .entries import (
     CollectionRef,
     NamedResourceEntry,
@@ -58,12 +56,7 @@ class Catalog:
             self._statement_index.add(sequence, statement)
 
     def attach_answer_cache(self, cache: "AnswerCache") -> None:
-        """Memoize lookup answers in ``cache`` (the sharded tier's hot path).
-
-        Consulted only while :data:`repro.perf.flags.catalog_tier` is on;
-        invalidation runs whenever a cache is attached, so toggling the
-        flag mid-process can never surface a stale answer.
-        """
+        """Memoize lookup answers in ``cache`` (the sharded tier's hot path)."""
         self.answer_cache = cache
 
     # -- registration -------------------------------------------------------- #
@@ -187,10 +180,7 @@ class Catalog:
         cached = self._cached_answer("overlap", area, roles)
         if cached is not None:
             return cached
-        if flags.indexed_catalog:
-            result = self._index.overlapping(area, roles)
-        else:
-            result = self._scan_overlapping(area, roles)
+        result = self._index.overlapping(area, roles)
         self._store_answer("overlap", area, roles, result)
         return result
 
@@ -203,21 +193,13 @@ class Catalog:
         cached = self._cached_answer("cover", area, roles)
         if cached is not None:
             return cached
-        if flags.indexed_catalog:
-            result = self._index.covering(area, roles)
-        else:
-            result = self._scan_covering(area, roles)
+        result = self._index.covering(area, roles)
         self._store_answer("cover", area, roles, result)
         return result
 
     def servers_with_roles(self, roles: tuple[ServerRole, ...]) -> list[ServerEntry]:
         """Every known server holding one of ``roles``, in address order."""
-        if flags.indexed_catalog:
-            return self._index.with_roles(roles)
-        return sorted(
-            (entry for entry in self.servers.values() if entry.role in roles),
-            key=lambda entry: entry.address,
-        )
+        return self._index.with_roles(roles)
 
     def authoritative_servers(self, area: InterestArea) -> list[ServerEntry]:
         """Authoritative index / meta-index servers covering ``area``."""
@@ -238,16 +220,14 @@ class Catalog:
 
     def statements_for(self, level: CatalogLevel, area: InterestArea) -> list[IntensionalStatement]:
         """Intensional statements applicable to a query over ``area``."""
-        if flags.indexed_catalog:
-            return self._statement_index.applicable(level, area)
-        return [statement for statement in self.statements if statement.applies_to(level, area)]
+        return self._statement_index.applicable(level, area)
 
     # -- answer-cache plumbing ---------------------------------------------------- #
     #
-    # Active only with an attached cache *and* flags.catalog_tier on: the
-    # key captures the lookup's full identity (kind, roles, area text), and
-    # every mutation path above invalidates by area overlap, so a cached
-    # answer is always exactly what recomputing would return.
+    # Active only with an attached cache: the key captures the lookup's
+    # full identity (kind, roles, area text), and every mutation path above
+    # invalidates by area overlap, so a cached answer is always exactly
+    # what recomputing would return.
 
     def _cached_answer(
         self,
@@ -255,7 +235,7 @@ class Catalog:
         area: InterestArea,
         roles: tuple[ServerRole, ...] | None,
     ) -> list[ServerEntry] | None:
-        if self.answer_cache is None or not flags.catalog_tier:
+        if self.answer_cache is None:
             return None
         cached = self.answer_cache.get((kind, roles, str(area)))
         return list(cached) if cached is not None else None
@@ -267,44 +247,12 @@ class Catalog:
         roles: tuple[ServerRole, ...] | None,
         result: list[ServerEntry],
     ) -> None:
-        if self.answer_cache is not None and flags.catalog_tier:
+        if self.answer_cache is not None:
             self.answer_cache.put((kind, roles, str(area)), area, tuple(result))
 
     def _invalidate_answers(self, area: InterestArea) -> None:
-        # Unconditional on the flag: a mutation landing while the tier is
-        # toggled off must still evict answers cached while it was on.
         if self.answer_cache is not None:
             self.answer_cache.invalidate_overlapping(area)
-
-    # -- linear-scan oracles ------------------------------------------------------ #
-    #
-    # The seed implementation, kept verbatim: the churn equivalence suite
-    # asserts the trie index returns byte-identical results, and the
-    # benchmarks measure the index against these under `seed_baseline()`.
-
-    def _scan_overlapping(
-        self,
-        area: InterestArea,
-        roles: tuple[ServerRole, ...] | None = None,
-    ) -> list[ServerEntry]:
-        matches = [
-            entry
-            for entry in self.servers.values()
-            if entry.overlaps(area) and (roles is None or entry.role in roles)
-        ]
-        return sorted(matches, key=lambda entry: entry.address)
-
-    def _scan_covering(
-        self,
-        area: InterestArea,
-        roles: tuple[ServerRole, ...] | None = None,
-    ) -> list[ServerEntry]:
-        matches = [
-            entry
-            for entry in self.servers.values()
-            if entry.covers(area) and (roles is None or entry.role in roles)
-        ]
-        return sorted(matches, key=lambda entry: entry.address)
 
     # -- introspection ------------------------------------------------------------ #
 

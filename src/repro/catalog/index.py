@@ -23,10 +23,10 @@ How the tries answer the two relations (paper §3.1):
   test filters the rest.
 
 Both relations therefore return *byte-identical* results to the linear scan
-(the scan survives as the correctness oracle behind
-:data:`repro.perf.flags`), including order: buckets hold unique addresses,
-and result assembly orders the matched addresses only — never the whole
-catalog.
+(the scan survives as the correctness oracle in
+``tests/oracles/catalog_scan.py``), including order: buckets hold unique
+addresses, and result assembly orders the matched addresses only — never
+the whole catalog.
 
 The same machinery indexes intensional statements by (catalog level,
 left-hand area), replacing the full-list filter in ``statements_for``.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from ..algebra.expressions import And, Expression
 from ..algebra.operators import PlanNode, Project, Select, URNRef
 from ..algebra.plan import QueryPlan
-from ..engine.operators import evaluate_project
+from ..engine.operators import stream_project
 from ..errors import PlanError
 from ..namespace import InterestArea
 from ..namespace.urn import InterestAreaURN, parse_urn
@@ -61,7 +61,7 @@ class SubscriptionShape:
         """Run the plan's Project (if any) over already-filtered items."""
         if self.columns is None:
             return items
-        return evaluate_project(items, self.columns, self.item_tag)
+        return list(stream_project(items, self.columns, self.item_tag))
 
 
 def subscribable_shape(plan: QueryPlan | PlanNode) -> SubscriptionShape:

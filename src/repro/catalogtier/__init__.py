@@ -1,4 +1,4 @@
-"""The sharded, replicated catalog tier (gated by ``flags.catalog_tier``).
+"""The sharded, replicated catalog tier (``QueryPeer.join_catalog_tier``).
 
 Partitions catalog ownership across replica groups via consistent hashing
 over interest-area cells, fans registrations out to whole groups, orders

@@ -6,17 +6,17 @@ supplied by a *resolver* callback — the engine itself has no notion of the
 network; the mutant-query-plan processor only hands it sub-plans whose
 leaves are locally available.
 
-Two execution modes share one operator algebra:
+One pull-based pipeline serves both call shapes:
 
-* :meth:`QueryEngine.stream` composes the pull-based ``stream_*`` operators
-  into one iterator — results flow out as they are produced, and blocking
-  operators buffer against a per-evaluation :class:`BufferBudget`
+* :meth:`QueryEngine.stream` composes the ``stream_*`` operators into one
+  iterator — results flow out as they are produced, and blocking operators
+  buffer against a per-evaluation :class:`BufferBudget`
   (``max_buffered_items``) instead of materializing unbounded lists;
-* :meth:`QueryEngine.evaluate` / :meth:`QueryEngine.materialize` return the
-  full item list.  With :data:`repro.perf.flags`\\ ``.streaming_engine`` on
-  (the default) the list is drained from the streaming iterator; with it
-  off the seed's recursive list evaluator runs instead — the correctness
-  oracle the differential suite compares against.
+* :meth:`QueryEngine.evaluate` / :meth:`QueryEngine.materialize` drain that
+  same iterator into a list.
+
+The recursive list evaluator the differential suite compares against lives
+in ``tests/oracles/list_engine.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from ..errors import EvaluationError
-from ..perf import flags
 from ..xmlmodel import XMLElement
 from ..algebra.operators import (
     Aggregate,
@@ -108,18 +107,13 @@ class QueryEngine:
     def evaluate(self, plan: QueryPlan | PlanNode) -> list[XMLElement]:
         """Evaluate a plan (or bare node) and return the result items.
 
-        With ``flags.streaming_engine`` on, the list is drained from the
-        streaming operators (skipping :meth:`stream`'s per-item counting
-        wrapper — the length is known once the drain completes); with it
-        off, the seed's recursive list evaluator runs.  Both produce
-        identical item sequences.
+        The list is drained from the streaming operators, skipping
+        :meth:`stream`'s per-item counting wrapper — the length is known
+        once the drain completes.
         """
         node = plan.root if isinstance(plan, QueryPlan) else plan
-        if flags.streaming_engine:
-            self.budget = BufferBudget(self.max_buffered_items)
-            items = list(self._stream(node, self.budget))
-        else:
-            items = self._evaluate(node)
+        self.budget = BufferBudget(self.max_buffered_items)
+        items = list(self._stream(node, self.budget))
         self.items_produced += len(items)
         return items
 
@@ -138,55 +132,6 @@ class QueryEngine:
     def evaluate_collection(self, plan: QueryPlan | PlanNode, tag: str = "result") -> XMLElement:
         """Evaluate and wrap the result items in a single collection element."""
         return XMLElement(tag, {}, [item.copy() for item in self.evaluate(plan)])
-
-    # -- recursive evaluation -------------------------------------------------- #
-
-    def _evaluate(self, node: PlanNode) -> list[XMLElement]:
-        self.operators_evaluated += 1
-        if isinstance(node, VerbatimData):
-            return node.items
-        if isinstance(node, (URLRef, URNRef)):
-            return self._resolve_leaf(node)
-        if isinstance(node, Select):
-            return physical.evaluate_select(self._evaluate(node.child), node.predicate)
-        if isinstance(node, Project):
-            return physical.evaluate_project(self._evaluate(node.child), node.columns, node.item_tag)
-        if isinstance(node, Join):
-            return physical.evaluate_join(
-                self._evaluate(node.left),
-                self._evaluate(node.right),
-                node.left_path,
-                node.right_path,
-                node.join_type,
-                node.output_tag,
-            )
-        if isinstance(node, Union):
-            return physical.evaluate_union([self._evaluate(child) for child in node.children])
-        if isinstance(node, ConjointOr):
-            # An unrewritten conjoint union falls back to its first branch
-            # (the rewrite rules A | B -> A / A | B -> B make any branch valid).
-            return self._evaluate(node.children[0])
-        if isinstance(node, Difference):
-            return physical.evaluate_difference(
-                self._evaluate(node.left), self._evaluate(node.right), node.key_path
-            )
-        if isinstance(node, Aggregate):
-            return physical.evaluate_aggregate(
-                self._evaluate(node.child),
-                node.function,
-                node.value_path,
-                node.group_path,
-                node.output_tag,
-            )
-        if isinstance(node, OrderBy):
-            return physical.evaluate_order_by(self._evaluate(node.child), node.path, node.descending)
-        if isinstance(node, TopN):
-            return physical.evaluate_top_n(
-                self._evaluate(node.child), node.limit, node.path, node.descending
-            )
-        if isinstance(node, Display):
-            return self._evaluate(node.child)
-        raise EvaluationError(f"cannot evaluate plan node {type(node).__name__}")
 
     # -- streaming composition -------------------------------------------------- #
 
@@ -218,7 +163,8 @@ class QueryEngine:
         if isinstance(node, Union):
             return physical.stream_union([self._stream(child, budget) for child in node.children])
         if isinstance(node, ConjointOr):
-            # Same fallback as the materialized path: take the first branch.
+            # An unrewritten conjoint union falls back to its first branch
+            # (the rewrite rules A | B -> A / A | B -> B make any branch valid).
             return self._stream(node.children[0], budget)
         if isinstance(node, Difference):
             return physical.stream_difference(

@@ -1,17 +1,15 @@
 """Physical operator implementations of the local XML query engine.
 
 The paper uses NIAGARA as its local query engine; this module is the
-reproduction's substitute.  It carries two parallel implementations of the
-physical algebra:
-
-* the ``evaluate_*`` functions — the seed's list-in / list-out operators,
-  kept verbatim as the materialized correctness oracle;
-* the ``stream_*`` functions — pull-based (Volcano-style) iterators that
-  produce the *byte-identical* item sequence while holding at most one
-  in-flight item for the fully streaming operators (Select, Project,
-  Union) and an explicitly budgeted buffer for the pipeline breakers
-  (Join builds its right-hand hash index, Difference its right-hand key
-  set, OrderBy / TopN / Aggregate buffer their whole input).
+reproduction's substitute.  The ``stream_*`` functions are pull-based
+(Volcano-style) iterators that hold at most one in-flight item for the
+fully streaming operators (Select, Project, Union) and an explicitly
+budgeted buffer for the pipeline breakers (Join builds its right-hand hash
+index, Difference its right-hand key set, OrderBy / TopN / Aggregate buffer
+their whole input).  :func:`evaluate_aggregate` is the one list-in /
+list-out operator — ``stream_aggregate`` runs it over its budgeted buffer.
+The list operators the differential suite compares against live in
+``tests/oracles/list_engine.py``.
 
 Pipeline breakers account every buffered item against a shared
 :class:`BufferBudget`; overrunning the budget raises
@@ -36,14 +34,7 @@ from ..xmlmodel import XMLElement, evaluate_path_values, text_element
 from ..algebra.expressions import Expression
 
 __all__ = [
-    "evaluate_select",
-    "evaluate_project",
-    "evaluate_join",
-    "evaluate_union",
-    "evaluate_difference",
     "evaluate_aggregate",
-    "evaluate_order_by",
-    "evaluate_top_n",
     "BufferBudget",
     "stream_select",
     "stream_project",
@@ -117,93 +108,6 @@ def _sort_key(value: str | None) -> tuple[int, float | str]:
         return (1, value)
 
 
-def evaluate_select(items: Sequence[XMLElement], predicate: Expression) -> list[XMLElement]:
-    """Keep the items satisfying ``predicate``."""
-    return [item for item in items if predicate.matches(item)]
-
-
-def evaluate_project(
-    items: Sequence[XMLElement],
-    columns: Sequence[tuple[str, str]],
-    item_tag: str = "item",
-) -> list[XMLElement]:
-    """Build new items containing only the projected fields."""
-    projected: list[XMLElement] = []
-    for item in items:
-        fields: list[XMLElement] = []
-        for path, tag in columns:
-            for value in evaluate_path_values(item, path):
-                fields.append(text_element(tag, value))
-        projected.append(XMLElement(item_tag, {}, fields))
-    return projected
-
-
-def evaluate_join(
-    left: Sequence[XMLElement],
-    right: Sequence[XMLElement],
-    left_path: str,
-    right_path: str,
-    join_type: str = "inner",
-    output_tag: str = "tuple",
-) -> list[XMLElement]:
-    """Equality join; ``left_outer`` keeps unmatched left items.
-
-    Items may have several values at the join path (XML is multi-valued);
-    two items join when their value sets intersect, which matches the
-    favourite-songs / track-listing join of Figure 3.
-    """
-    if join_type not in ("inner", "left_outer"):
-        raise EvaluationError(f"unsupported join type {join_type!r}")
-
-    index: dict[str, list[XMLElement]] = defaultdict(list)
-    for right_item in right:
-        for value in set(evaluate_path_values(right_item, right_path)):
-            index[value].append(right_item)
-
-    joined: list[XMLElement] = []
-    for left_item in left:
-        matches: list[XMLElement] = []
-        seen: set[int] = set()
-        for value in evaluate_path_values(left_item, left_path):
-            for right_item in index.get(value, ()):
-                if id(right_item) not in seen:
-                    seen.add(id(right_item))
-                    matches.append(right_item)
-        if matches:
-            for right_item in matches:
-                joined.append(
-                    XMLElement(output_tag, {}, [left_item.copy(), right_item.copy()])
-                )
-        elif join_type == "left_outer":
-            joined.append(XMLElement(output_tag, {}, [left_item.copy()]))
-    return joined
-
-
-def evaluate_union(collections: Sequence[Sequence[XMLElement]]) -> list[XMLElement]:
-    """Bag union: concatenate the input collections."""
-    merged: list[XMLElement] = []
-    for collection in collections:
-        merged.extend(collection)
-    return merged
-
-
-def evaluate_difference(
-    left: Sequence[XMLElement],
-    right: Sequence[XMLElement],
-    key_path: str | None = None,
-) -> list[XMLElement]:
-    """Items of ``left`` not present in ``right``.
-
-    With ``key_path`` given, membership compares the first value at that
-    path; otherwise it compares whole items structurally.
-    """
-    if key_path is None:
-        right_keys = {hash(item) for item in right}
-        return [item for item in left if hash(item) not in right_keys]
-    right_values = {_first_value(item, key_path) for item in right}
-    return [item for item in left if _first_value(item, key_path) not in right_values]
-
-
 def _aggregate_value(function: str, values: list[float]) -> float:
     if function == "sum":
         return sum(values)
@@ -267,25 +171,6 @@ def evaluate_aggregate(
     return results
 
 
-def evaluate_order_by(
-    items: Sequence[XMLElement], path: str, descending: bool = False
-) -> list[XMLElement]:
-    """Stable sort by the (possibly numeric) value at ``path``."""
-    return sorted(items, key=lambda item: _sort_key(_first_value(item, path)), reverse=descending)
-
-
-def evaluate_top_n(
-    items: Sequence[XMLElement], limit: int, path: str, descending: bool = True
-) -> list[XMLElement]:
-    """The first ``limit`` items when ordered by ``path``."""
-    return evaluate_order_by(items, path, descending)[:limit]
-
-
-# --------------------------------------------------------------------------- #
-# Streaming (pull-based) operators
-# --------------------------------------------------------------------------- #
-
-
 def stream_select(items: Iterable[XMLElement], predicate: Expression) -> Iterator[XMLElement]:
     """Streaming Select: one item in flight, nothing buffered."""
     return filter(predicate.matches, items)
@@ -298,9 +183,8 @@ def stream_project(
 ) -> Iterator[XMLElement]:
     """Streaming Project: each projected item is built as it is pulled.
 
-    ``map`` over a bound builder keeps the per-item driving loop in C —
-    like ``filter`` for Select — so a drained streaming pipeline is never
-    slower than the seed's Python-level list loops.
+    ``map`` over a bound builder keeps the per-item driving loop in C,
+    like ``filter`` for Select.
     """
 
     def build(
@@ -425,8 +309,7 @@ def stream_aggregate(
 ) -> Iterator[XMLElement]:
     """Pipeline-breaking aggregation: buffers its whole input.
 
-    Delegates to the materialized oracle over the budgeted buffer so group
-    ordering and error behaviour stay byte-identical.
+    Runs :func:`evaluate_aggregate` over the budgeted buffer.
     """
     budget = budget if budget is not None else BufferBudget()
     buffered: list[XMLElement] = []

@@ -112,7 +112,7 @@ SCENARIOS: dict[str, ScaleoutSpec] = {
         workload="garage-sale", churn="none", queries=12,
         fault_loss=0.15, fault_duplicate=0.15, fault_reorder=0.2, reliable=True,
     ),
-    # --- continuous queries (flags.continuous_queries) ----------------------- #
+    # --- continuous queries -------------------------------------------------- #
     # Standing queries over a churning marketplace: 40 subscribers, delta
     # feeds driven by publisher mutation rounds, reliable delivery on.
     "subscription-feed": ScaleoutSpec(
@@ -120,7 +120,7 @@ SCENARIOS: dict[str, ScaleoutSpec] = {
         workload="garage-sale", churn="light", queries=8,
         subscribers=40, mutation_rounds=4, reliable=True,
     ),
-    # --- catalog tier (flags.catalog_tier + repro.catalogtier) --------------- #
+    # --- catalog tier (repro.catalogtier) ------------------------------------ #
     # Sharded, replicated catalog under fire: 4 shards x 3 replicas, light
     # churn, 10% link loss with reliable delivery, and one replica of
     # group 0 crashing mid-query then rejoining (reconciliation).
@@ -130,7 +130,7 @@ SCENARIOS: dict[str, ScaleoutSpec] = {
         catalog_shards=4, catalog_replicas=3, catalog_outages=1,
         fault_loss=0.10, reliable=True,
     ),
-    # --- multicore (flags.multiprocess + repro.multicore) -------------------- #
+    # --- multicore (repro.multicore) ----------------------------------------- #
     # The scenario sharded across 4 worker processes: contiguous peer
     # shards, wire-v2 relay frames between them, barrier-coordinated
     # windows.  Gated on sequence identity against the in-process run.
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 0; must leave a survivor)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run the scenario across N worker processes "
-                             "(flags.multiprocess; default: 0, in-process; "
+                             "(default: 0, in-process; "
                              "reports are sequence-identical, not byte-identical)")
     parser.add_argument("--output", default=None,
                         help="JSON report path (default: reports/<name>.json)")

@@ -125,29 +125,29 @@ class ScaleoutSpec:
     fault_delay: float = 0.0
     fault_reorder: float = 0.0
     fault_partition: tuple[float, float] | None = None
-    # Continuous-query knobs (flags.continuous_queries).  ``subscribers``
-    # standing-query clients are armed over the workload's query areas and
-    # ``mutation_rounds`` rounds of publisher mutations drive their delta
-    # feeds.  The zero defaults are elided from the report — flag-off runs
-    # stay byte-identical to pre-subscription builds.
+    # Continuous-query knobs.  ``subscribers`` standing-query clients are
+    # armed over the workload's query areas and ``mutation_rounds`` rounds
+    # of publisher mutations drive their delta feeds.  The zero defaults
+    # are elided from the report — runs without subscribers stay
+    # byte-identical to pre-subscription builds.
     subscribers: int = 0
     mutation_rounds: int = 0
-    # Catalog-tier knobs (flags.catalog_tier + repro.catalogtier).  With
+    # Catalog-tier knobs (repro.catalogtier).  With
     # ``catalog_shards > 0`` the authoritative index layer becomes
     # ``catalog_shards`` replica groups of ``catalog_replicas`` servers
     # each, and ``catalog_outages`` replicas of group 0 crash mid-schedule
     # and rejoin (reconciling on the way back).  The zero defaults are
-    # elided from the report — flag-off runs stay byte-identical to
+    # elided from the report — unsharded runs stay byte-identical to
     # pre-tier builds.
     catalog_shards: int = 0
     catalog_replicas: int = 0
     catalog_outages: int = 0
-    # Multicore knob (flags.multiprocess + repro.multicore).  With
+    # Multicore knob (repro.multicore).  With
     # ``workers > 0`` the run executes as that many worker processes, each
     # hosting a contiguous shard of the data peers; cross-shard frames
     # relay over localhost TCP with HLC stamps and the report grows a
     # ``multicore`` block.  The zero default is elided from the report —
-    # flag-off runs stay byte-identical to pre-multicore builds.
+    # single-process runs stay byte-identical to pre-multicore builds.
     workers: int = 0
 
     def fault_plan(self) -> FaultPlan:
@@ -723,8 +723,7 @@ def _arm_subscribers(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
 
     Each subscriber watches one of the generated query areas (cycled), so
     the delta feeds exercise the same namespace regions the one-shot
-    queries do.  Requires ``flags.continuous_queries`` —
-    :func:`run_scaleout` scopes it on for specs with ``subscribers > 0``.
+    queries do.
     """
     cluster = scenario.cluster
     areas = [query.area for query in scenario.queries]
@@ -868,17 +867,12 @@ def run_scaleout(
         # the launcher itself imports this module for the spec and helpers.
         from ..multicore.launcher import run_multicore
 
-        with overrides(multiprocess=True):
-            return run_multicore(spec, transport=transport)
+        return run_multicore(spec, transport=transport)
     # spec.reliable turns the delivery protocol on for exactly this run:
     # the flag is process-global, so scoping it here keeps grid cells with
     # different reliability settings comparable within one process.
     reliability = overrides(reliable_delivery=True) if spec.reliable else nullcontext()
-    continuous = (
-        overrides(continuous_queries=True) if spec.subscribers > 0 else nullcontext()
-    )
-    tier = overrides(catalog_tier=True) if spec.catalog_shards > 0 else nullcontext()
-    with reliability, continuous, tier:
+    with reliability:
         scenario = build_scaleout_scenario(spec, transport=transport)
         with scenario.cluster as cluster:
             query_ids = schedule_queries(scenario)
@@ -949,7 +943,7 @@ _SUBSCRIPTION_DEFAULTS = {
     "subscribers": 0,
     "mutation_rounds": 0,
 }
-"""Continuous-query spec fields elided at their flag-off defaults — the
+"""Continuous-query spec fields elided at their zero defaults — the
 same byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
 
 _CATALOG_TIER_DEFAULTS = {
@@ -957,13 +951,13 @@ _CATALOG_TIER_DEFAULTS = {
     "catalog_replicas": 0,
     "catalog_outages": 0,
 }
-"""Catalog-tier spec fields elided at their flag-off defaults — the same
+"""Catalog-tier spec fields elided at their zero defaults — the same
 byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
 
 _MULTICORE_DEFAULTS = {
     "workers": 0,
 }
-"""Multicore spec fields elided at their flag-off defaults — the same
+"""Multicore spec fields elided at their zero default — the same
 byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
 
 _ELIDED_DEFAULTS = {

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from ..algebra import QueryPlan, plan_from_xml, plan_to_xml
 from ..errors import PlanError
-from ..perf import flags
 from ..xmlmodel import XMLElement, parse_xml, serialize_xml, utf8_len
 from .provenance import ProvenanceLog
 
@@ -75,9 +74,9 @@ class MutantQueryPlan:
     """Everything a peer receives, mutates, and forwards.
 
     The original plan is immutable once issued (§5.1 keeps it so bindings
-    can be audited or undone), yet the seed re-encoded it into XML at every
-    forward and re-built plan nodes — predicates included — at every
-    receive.  The wire form of the original is therefore carried alongside
+    can be audited or undone), so re-encoding it into XML at every forward
+    and re-building plan nodes — predicates included — at every receive is
+    pure waste.  The wire form of the original is therefore carried alongside
     (``_original_xml``) and replayed verbatim on serialization, and the
     plan-node form is materialized lazily, only for the few consumers that
     need more than its URN strings.
@@ -193,7 +192,7 @@ class MutantQueryPlan:
             self.preferences.to_xml(),
             self.provenance.to_xml(),
         ]
-        if opaque and self._original_xml is not None and flags.lazy_original_plans:
+        if opaque and self._original_xml is not None:
             children.append(XMLElement("original", {}, [self._original_xml]))
         elif self.original is not None:
             children.append(XMLElement("original", {}, [plan_to_xml(self.original, opaque)]))
@@ -239,19 +238,15 @@ class MutantQueryPlan:
             if provenance_element is not None
             else ProvenanceLog()
         )
-        defer = original_xml is not None and flags.lazy_original_plans
         mqp = cls(
             plan=plan,
             query_id=element.get("id", f"q{next(_query_counter)}"),
             provenance=provenance,
-            original=_DEFERRED_ORIGINAL
-            if defer
-            else (plan_from_xml(original_xml) if original_xml is not None else None),
+            original=_DEFERRED_ORIGINAL if original_xml is not None else None,
             preferences=preferences,
             issued_at=float(element.get("issued-at", "0") or 0.0),
         )
-        if defer:
-            mqp._original_xml = original_xml
+        mqp._original_xml = original_xml
         return mqp
 
     @classmethod

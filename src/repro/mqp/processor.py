@@ -29,7 +29,6 @@ from ..engine.statistics import CollectionStatistics
 from ..errors import RoutingError, URNError
 from ..namespace import InterestAreaURN, MultiHierarchicNamespace, NamedURN, parse_urn
 from ..optimizer import Optimizer
-from ..perf import flags
 from ..xmlmodel import XMLElement
 from .plan import MutantQueryPlan
 from .policy import PolicyManager
@@ -164,7 +163,7 @@ class MQPProcessor:
         # peer but never contribute answers: local data stays invisible to
         # plans passing through, and no sub-plan is ever evaluated here.
         self.free_ride = False
-        # The cluster's shard map (flags.catalog_tier), set by
+        # The cluster's shard map (the sharded catalog tier), set by
         # QueryPeer.join_catalog_tier: plan routing then leads with the
         # replica group owning the queried area.
         self.shard_map: ShardMap | None = None
@@ -426,7 +425,7 @@ class MQPProcessor:
             if cached is not None:
                 return cached
         candidates: list[str] = []
-        if flags.catalog_tier and self.shard_map is not None:
+        if self.shard_map is not None:
             # The owning replica group leads the candidate list: the
             # shard's primary first (deterministic rotation), surviving
             # siblings next.  Failover costs nothing extra — the caller's
@@ -488,7 +487,7 @@ class MQPProcessor:
                 detail=f"{subplan.operator}->{leaf.cardinality()} items",
             )
             evaluated += 1
-        if flags.eager_area_plans and self._is_bare_union_plan(mqp):
+        if self._is_bare_union_plan(mqp):
             evaluated += self._pin_local_leaves(mqp, now)
         self.subplans_evaluated += evaluated
         return evaluated
@@ -516,9 +515,7 @@ class MQPProcessor:
         the plan bounces between data holders until ``max_hops``.  Pinning
         each locally available leaf as verbatim XML at the first server
         that holds it lets the union complete at the last holder visited.
-        Gated behind ``flags.eager_area_plans`` (default off) because the
-        extra EVALUATED provenance records change the seed wire bytes, and
-        applied only to the bare-union shape (:meth:`_is_bare_union_plan`).
+        Applied only to the bare-union shape (:meth:`_is_bare_union_plan`).
         """
         pinned = 0
         for ref in list(mqp.plan.url_refs()):

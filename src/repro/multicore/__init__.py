@@ -1,4 +1,4 @@
-"""Multi-process peer execution (``flags.multiprocess``).
+"""Multi-process peer execution (``ScaleoutSpec.workers > 0``).
 
 One scenario, N worker processes: each worker hosts a contiguous shard of
 the data peers behind its own transport, cross-shard traffic travels as
@@ -7,7 +7,7 @@ simulator clock is relaxed to a coordination protocol — hybrid logical
 clocks stamped on every frame (:mod:`.clock`) plus a reduction barrier
 (:mod:`.barrier`) that advances all workers through bounded simulated-time
 windows.  See ``docs/multicore.md`` for the model and why byte-identity
-gates become sequence-identity gates under the flag.
+gates become sequence-identity gates for multi-process runs.
 """
 
 from .barrier import BarrierBroken, BarrierService

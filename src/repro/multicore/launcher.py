@@ -1,6 +1,6 @@
 """The multicore launcher: spawn workers, coordinate windows, merge reports.
 
-:func:`run_multicore` is the parent side of ``flags.multiprocess``: it
+:func:`run_multicore` is the parent side of a multi-process run: it
 spawns ``spec.workers`` processes of :mod:`repro.multicore.worker`, runs
 the ``worker-hello`` / ``shard-map`` handshake over a control socket
 (speaking the same wire-v2 frames as the relay path), then fronts a

@@ -16,7 +16,7 @@ written on worker 0 where the client lives, message and byte counts sum,
 and visited lists concatenate in worker order.
 
 :func:`sequence_identity` is the relaxed gate that replaces byte-identity
-under ``flags.multiprocess``: schema, population, scenario (modulo the
+for multi-process runs: schema, population, scenario (modulo the
 worker count), and the per-query answer sequence must all agree between a
 multicore report and its in-process reference.
 """
@@ -123,7 +123,7 @@ def _merge_trace(trace: QueryTrace, row: dict[str, Any]) -> None:
 
 def _query_rows(metrics: NetworkMetrics, query_ids: list[str]) -> list[dict[str, Any]]:
     # Mirrors the row shape in repro.harness.scaleout._report — positional
-    # labels, rounded derived columns — so flag-on reports keep the schema.
+    # labels, rounded derived columns — so multicore reports keep the schema.
     rows = []
     for position, query_id in enumerate(query_ids):
         trace = metrics.trace(query_id)
@@ -219,7 +219,7 @@ def sequence_identity(left: dict[str, Any], right: dict[str, Any]) -> float:
     parallelism re-draws link latencies in a different first-use order, so
     timing columns legitimately differ — but the *sequence* of results must
     not.  Checks: recursive schema equality (the ``multicore`` block is
-    excluded, since only flag-on reports carry one), the population block,
+    excluded, since only multicore reports carry one), the population block,
     the scenario block modulo the worker count, and per-query answers /
     expectations / recall.
     """
@@ -228,7 +228,7 @@ def sequence_identity(left: dict[str, Any], right: dict[str, Any]) -> float:
 
     def strip(report: dict[str, Any]) -> dict[str, Any]:
         # The multicore block — and the spec's ``workers`` knob, elided at
-        # its flag-off default — exist only on flag-on reports; everything
+        # its zero default — exist only on multicore reports; everything
         # else must line up key for key.
         shallow = {key: value for key, value in report.items() if key != "multicore"}
         scenario = shallow.get("scenario")

@@ -127,7 +127,7 @@ def _run(worker: int, workers: int, spec: ScaleoutSpec, transport_kind: str,
     kill_at = _parse_kill_point(worker)
     reliability = overrides(reliable_delivery=True) if spec.reliable else nullcontext()
 
-    with overrides(multiprocess=True), reliability:
+    with reliability:
         # Defer ALL churn at build time: the plan is still drawn identically
         # (same rng consumption, same summary), but nothing is scheduled yet.
         # Scheduling now would let the bootstrap drain below run departures

@@ -37,9 +37,9 @@ Message kinds understood:
     tears down (streams), or dead-letters (results) — and records the
     failure so issuers can report per-hop delivery provenance.
 ``subscribe`` / ``unsubscribe``
-    The continuous-query protocol (``flags.continuous_queries``): a
-    standing query travels to the index servers covering its area, which
-    record it and fan it out to overlapping base servers; each base
+    The continuous-query protocol: a standing query travels to the index
+    servers covering its area, which record it and fan it out to
+    overlapping base servers; each base
     server arms a publish-time matcher
     (:class:`~repro.catalog.matcher.SubscriptionMatcher`).  ``unsubscribe``
     retraces the same fan-out, disarming matchers and cancelling pending
@@ -59,7 +59,7 @@ Message kinds understood:
     subscription from a *different* authority keeps the original arming
     (never double-delivers) and surfaces the overlap to the subscriber.
 ``recon-request`` / ``recon-reply``
-    Replica reconciliation (``flags.catalog_tier``): a replica rejoining
+    Replica reconciliation (the sharded catalog tier): a replica rejoining
     its group asks the surviving members for the catalog entries covering
     its shard; the reply is merged through
     :func:`repro.catalogtier.reconcile_authoritative`, which adopts what
@@ -69,7 +69,6 @@ Message kinds understood:
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -342,7 +341,7 @@ class QueryPeer(NetworkNode):
         self.duplicates_dropped = 0
         self.acks_sent = 0
         self.delivery_failures: dict[str, list[dict]] = {}
-        # -- continuous queries (flags.continuous_queries) -------------------- #
+        # -- continuous queries --------------------------------------------- #
         self.matcher = SubscriptionMatcher()
         self.armed_subscriptions: dict[str, ArmedSubscription] = {}
         # Authority-side store: sub_id -> {"envelope": wire dict, "shape": parsed}.
@@ -361,7 +360,7 @@ class QueryPeer(NetworkNode):
         self.delta_gaps = 0
         self.authority_conflicts = 0
         self.resubscribes = 0
-        # -- sharded catalog tier (flags.catalog_tier) ------------------------ #
+        # -- sharded catalog tier ------------------------------------------- #
         self.shard_map: ShardMap | None = None
         self.replica_peers: list[str] = []
         self.reconciliations = 0
@@ -412,11 +411,10 @@ class QueryPeer(NetworkNode):
         attribute is absent — the text of its ``key_path`` child element.
         An incoming item whose key matches an existing item replaces it;
         items with no match (or no key) are appended.  Returns the
-        ``(inserted, updated)`` counts.  With ``flags.continuous_queries``
-        on, matching armed subscriptions receive ``insert`` / ``update``
-        deltas — and an update that moves an item across a subscription's
-        predicate boundary is delivered as the ``insert`` or ``retract``
-        the subscriber actually observes.
+        ``(inserted, updated)`` counts.  Matching armed subscriptions
+        receive ``insert`` / ``update`` deltas — and an update that moves
+        an item across a subscription's predicate boundary is delivered as
+        the ``insert`` or ``retract`` the subscriber actually observes.
         """
         path = name if name.startswith("/") else f"/{name}"
         existing = self.collections.get(path)
@@ -454,9 +452,9 @@ class QueryPeer(NetworkNode):
         """Remove items from a local collection and return them.
 
         Selects victims by ``keys`` (values reached through ``key_path``)
-        or by a predicate (an :class:`Expression` or its text form).  With
-        ``flags.continuous_queries`` on, matching armed subscriptions
-        receive ``retract`` deltas carrying the removed items.
+        or by a predicate (an :class:`Expression` or its text form).
+        Matching armed subscriptions receive ``retract`` deltas carrying
+        the removed items.
         """
         path = name if name.startswith("/") else f"/{name}"
         items = self.collections.get(path)
@@ -547,7 +545,7 @@ class QueryPeer(NetworkNode):
             self.cache.remember(entry.area, entry.address, entry.role.value)
 
     # ------------------------------------------------------------------ #
-    # Sharded catalog tier (flags.catalog_tier)
+    # Sharded catalog tier
     # ------------------------------------------------------------------ #
 
     def join_catalog_tier(self, shard_map: ShardMap) -> None:
@@ -575,11 +573,7 @@ class QueryPeer(NetworkNode):
 
     def _note_tier_failover(self, dead: str) -> None:
         """Count a detected replica death: routing falls to a group sibling."""
-        if (
-            flags.catalog_tier
-            and self.shard_map is not None
-            and self.shard_map.group_of(dead) is not None
-        ):
+        if self.shard_map is not None and self.shard_map.group_of(dead) is not None:
             self.tier_failovers += 1
 
     def _request_reconciliation(self) -> None:
@@ -595,8 +589,6 @@ class QueryPeer(NetworkNode):
             )
 
     def _handle_recon_request(self, message: Message) -> None:
-        if not flags.catalog_tier:
-            return  # a straggler from a run that had the flag on
         area: InterestArea = message.payload["area"]
         entries = self.catalog.servers_overlapping(area)
         statements = [
@@ -612,8 +604,6 @@ class QueryPeer(NetworkNode):
         )
 
     def _handle_recon_reply(self, message: Message) -> None:
-        if not flags.catalog_tier:
-            return
         payload: dict = message.payload
         result = reconcile_authoritative(
             self.catalog,
@@ -693,10 +683,9 @@ class QueryPeer(NetworkNode):
         if self.network is not None:
             for target in list(self.registration_targets):
                 self.register_with(target)
-            if flags.continuous_queries:
-                for sub_id in list(self.my_subscriptions):
-                    self.resubscribe(sub_id)
-            if flags.catalog_tier and self.replica_peers:
+            for sub_id in list(self.my_subscriptions):
+                self.resubscribe(sub_id)
+            if self.replica_peers:
                 # The group kept registering and pruning while this replica
                 # was down: reconcile the authoritative set before serving.
                 self._request_reconciliation()
@@ -736,43 +725,6 @@ class QueryPeer(NetworkNode):
         trace.expected_answers = expected_answers
         self._process_and_act(mqp)
         return mqp
-
-    def issue_query(
-        self,
-        plan: QueryPlan,
-        preferences: QueryPreferences | None = None,
-        expected_answers: int | None = None,
-        query_id: str | None = None,
-    ) -> MutantQueryPlan:
-        """Deprecated alias of :meth:`submit_plan`.
-
-        New code should go through :class:`repro.api.Session` (or call
-        :meth:`submit_plan` directly when working at the peer layer).
-        """
-        warnings.warn(
-            "QueryPeer.issue_query is deprecated; use repro.api.Session.query() "
-            "(or QueryPeer.submit_plan at the peer layer)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit_plan(
-            plan, preferences, expected_answers=expected_answers, query_id=query_id
-        )
-
-    def result_for(self, query_id: str) -> QueryResult | None:
-        """Deprecated: return the recorded result for a query, if any.
-
-        New code should hold on to the :class:`repro.api.QueryHandle`
-        returned at issue time and call ``handle.result(...)``, which waits
-        event-driven and raises instead of returning ``None``.
-        """
-        warnings.warn(
-            "QueryPeer.result_for is deprecated; use the repro.api.QueryHandle "
-            "returned by Session.query()/Session.submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.results.get(query_id)
 
     # -- result watching (how repro.api.QueryHandle completes) ---------------- #
 
@@ -899,7 +851,7 @@ class QueryPeer(NetworkNode):
         return list(self._chunk_buffers.get(query_id, ()))
 
     # ------------------------------------------------------------------ #
-    # Continuous queries (flags.continuous_queries)
+    # Continuous queries
     # ------------------------------------------------------------------ #
 
     def subscribe_plan(self, plan: QueryPlan, sub_id: str | None = None) -> str:
@@ -913,10 +865,6 @@ class QueryPeer(NetworkNode):
         flow directly publisher → subscriber.
         """
         self._require_network()
-        if not flags.continuous_queries:
-            raise PeerError(
-                "continuous queries are disabled (enable flags.continuous_queries)"
-            )
         if not self.online:
             raise PeerOffline(f"{self.address} is offline and cannot subscribe")
         subscribable_shape(plan)  # validate before anything is registered
@@ -1107,8 +1055,6 @@ class QueryPeer(NetworkNode):
     # -- authority side -------------------------------------------------------- #
 
     def _handle_subscribe(self, message: Message) -> None:
-        if not flags.continuous_queries:
-            return  # a straggler from a run that had the flag on
         envelope: dict = message.payload
         sub_id = str(envelope["sub"])
         subscriber = str(envelope["subscriber"])
@@ -1328,7 +1274,7 @@ class QueryPeer(NetworkNode):
         an update whose old state matched but whose new state does not is
         that subscriber's ``retract``, and vice versa.
         """
-        if not flags.continuous_queries or not self.armed_subscriptions:
+        if not self.armed_subscriptions:
             return
         if self.network is None or not self.online:
             return
@@ -2071,7 +2017,7 @@ class QueryPeer(NetworkNode):
             message.sender, "register-ack", self.server_entry(), size_bytes=256
         )
         del acknowledgement  # traffic is accounted for by the network metrics
-        if flags.continuous_queries and self.subscription_registry:
+        if self.subscription_registry:
             # A (re)registering server may hold data an armed subscription
             # watches: push the stored subscriptions back to it so its
             # matchers re-arm after churn (or arm for the first time).

@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 from ..catalog import ServerRole
 from ..errors import RegistrationError
-from ..perf import flags
 from .peer import QueryPeer, RegistrationPayload
 
 __all__ = [
@@ -76,7 +75,7 @@ def _expand_replica_groups(
 ) -> list[QueryPeer]:
     """Widen each chosen indexer to its full replica group (catalog tier)."""
     shard_map = peer.shard_map
-    if not flags.catalog_tier or shard_map is None:
+    if shard_map is None:
         return chosen
     by_address = {candidate.address: candidate for candidate in candidates}
     expanded: list[QueryPeer] = []

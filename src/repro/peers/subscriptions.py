@@ -1,4 +1,4 @@
-"""Per-peer state of the continuous-query protocol (``flags.continuous_queries``).
+"""Per-peer state of the continuous-query protocol.
 
 Three parties hold state for one standing query:
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from ..perf import flags
 
 __all__ = ["XMLElement", "element", "text_element"]
 
@@ -109,17 +108,9 @@ class XMLElement:
 
         Deep copies dominate result delivery and plan mutation at scale;
         every node of this subtree was validated when it was built, so the
-        copy takes the trusted path unless the seed-baseline flag asks for
-        the original re-validating constructor.
+        copy skips re-validation.
         """
-        if flags.trusted_xml_copies:
-            return XMLElement._trusted(
-                self.tag,
-                dict(self.attributes),
-                [child.copy() for child in self.children],
-                self.text,
-            )
-        return XMLElement(
+        return XMLElement._trusted(
             self.tag,
             dict(self.attributes),
             [child.copy() for child in self.children],

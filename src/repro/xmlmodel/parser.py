@@ -24,7 +24,6 @@ from xml.parsers import expat
 from xml.sax.saxutils import escape as _escape, quoteattr as _quoteattr
 
 from ..errors import XMLParseError
-from ..perf import flags
 from .element import XMLElement
 
 __all__ = ["XMLSpan", "parse_xml", "serialize_xml", "serialize_collection", "serialized_size",
@@ -85,7 +84,6 @@ def parse_xml(document: str, opaque: tuple[str, str] | None = None) -> XMLElemen
     outer, inner = opaque if opaque is not None else (None, None)
     parser = expat.ParserCreate()
     parser.buffer_text = True
-    trusted = flags.trusted_xml_copies
     build = XMLElement._trusted
     stack = [build("#document", {}, [], None)]
     offset = _char_offsets(document)
@@ -110,8 +108,8 @@ def parse_xml(document: str, opaque: tuple[str, str] | None = None) -> XMLElemen
             span_start = offset(parser.CurrentByteIndex)
             parser.CharacterDataHandler = None
             return
-        # Expat hands over string tags and a fresh dict; the seed baseline re-validates.
-        node = build(tag, attributes, [], None) if trusted else XMLElement(tag, attributes)
+        # Expat hands over string tags and a fresh dict: nothing to validate.
+        node = build(tag, attributes, [], None)
         parent.children.append(node)
         stack.append(node)
 

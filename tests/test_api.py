@@ -7,8 +7,8 @@ Covers the contract ``docs/api.md`` documents:
 * :class:`repro.api.QueryHandle` resolves event-driven on both transport
   backends, with timeout / partial / streaming semantics and loud
   ``QueryTimeout`` / ``PeerOffline`` errors instead of ``None``;
-* the deprecation shims (``QueryPeer.issue_query`` / ``result_for``) still
-  work while warning.
+* a hand-built plan submitted at the peer layer (``QueryPeer.submit_plan``)
+  answers exactly like the session's fluent query.
 """
 
 from __future__ import annotations
@@ -411,24 +411,8 @@ class TestQueryHandleOnBothTransports:
 
 
 class TestDeprecationShims:
-    def test_issue_query_still_works_but_warns(self, namespace):
-        with small_cluster() as cluster:
-            peer = cluster.session("client:9020").peer
-            area = portland_area(cluster)
-            plan = (
-                PlanBuilder.urn(str(InterestAreaURN.for_area(area)))
-                .select("price < 10")
-                .display(peer.address)
-            )
-            with pytest.warns(DeprecationWarning, match="issue_query is deprecated"):
-                mqp = peer.issue_query(plan, QueryPreferences(), expected_answers=2)
-            cluster.run_until_idle()
-            with pytest.warns(DeprecationWarning, match="result_for is deprecated"):
-                result = peer.result_for(mqp.query_id)
-            assert result is not None and result.count == 2
-
     def test_shim_equivalent_to_session_submit(self, namespace):
-        # Same scenario issued both ways answers identically.
+        """``QueryPeer.submit_plan`` and the session builder answer identically."""
         with small_cluster() as first:
             client = first.session("client:9020")
             handle = (
@@ -449,33 +433,12 @@ class TestDeprecationShims:
                 .select("price < 10")
                 .display(peer.address)
             )
-            with pytest.warns(DeprecationWarning):
-                mqp = peer.issue_query(plan, QueryPreferences(), query_id="shim-equiv")
+            mqp = peer.submit_plan(plan, QueryPreferences(), query_id="shim-equiv")
             second.run_until_idle()
             old_titles = {
                 item.child_text("title") for item in peer.results[mqp.query_id].items
             }
         assert new_titles == old_titles
-
-    def test_register_with_raw_peer_warns(self, namespace):
-        with small_cluster() as cluster:
-            seller = cluster.session("seller1:9020")
-            index_peer = cluster.session("index-or:9020").peer
-            with pytest.warns(DeprecationWarning, match="raw QueryPeer"):
-                seller.register(index_peer)
-            # The supported spellings stay silent.
-            seller.register(cluster.session("index-or:9020"))
-            seller.register("index-or:9020")
-            cluster.run_until_idle()
-
-    def test_learn_about_with_raw_peer_warns(self, namespace):
-        with small_cluster() as cluster:
-            client = cluster.session("client:9020")
-            seller_peer = cluster.session("seller1:9020").peer
-            with pytest.warns(DeprecationWarning, match="raw QueryPeer"):
-                client.learn_about(seller_peer)
-            client.learn_about(cluster.session("seller2:9020"))
-            client.learn_about(seller_peer.server_entry())
 
 
 class TestSessionSurface:

@@ -1,7 +1,8 @@
 """The trie-backed catalog index vs. the linear-scan oracle.
 
-The index must be *indistinguishable* from the seed's linear scans — same
-entries, same order, byte for byte — including under churn: randomized
+The index must be *indistinguishable* from the linear scans of
+``tests/oracles/catalog_scan.py`` — same entries, same order, byte for
+byte — including under churn: randomized
 register → forget/prune → rejoin sequences exercise the incremental
 maintenance paths (bucket refcounts, branch pruning, role buckets) that a
 build-once index would never hit.
@@ -23,7 +24,9 @@ from repro.catalog import (
     ServerRole,
     canonical_address,
 )
-from repro.perf import flags, seed_baseline
+from repro import perf
+
+from oracles.catalog_scan import scan_covering, scan_overlapping, scan_statements, scan_with_roles
 
 ROLES = [ServerRole.BASE] * 6 + [ServerRole.INDEX, ServerRole.META_INDEX, ServerRole.CLIENT]
 
@@ -60,30 +63,26 @@ def _assert_equivalent(catalog, namespace, rng, checks=12):
     for _ in range(checks):
         area = _random_area(namespace, rng)
         for roles in role_filters:
-            assert catalog.servers_overlapping(area, roles=roles) == catalog._scan_overlapping(
-                area, roles=roles
+            assert catalog.servers_overlapping(area, roles=roles) == scan_overlapping(
+                catalog, area, roles
             )
-            assert catalog.servers_covering(area, roles=roles) == catalog._scan_covering(
-                area, roles=roles
+            assert catalog.servers_covering(area, roles=roles) == scan_covering(
+                catalog, area, roles
             )
+            if roles is not None:
+                assert catalog.servers_with_roles(roles) == scan_with_roles(catalog, roles)
         assert catalog.authoritative_servers(area) == [
             entry
-            for entry in catalog._scan_covering(
-                area, roles=(ServerRole.INDEX, ServerRole.META_INDEX)
-            )
+            for entry in scan_covering(catalog, area, (ServerRole.INDEX, ServerRole.META_INDEX))
             if entry.authoritative
         ]
         assert catalog.collections_overlapping(area) == sorted(
             collection
-            for entry in catalog._scan_overlapping(area, roles=(ServerRole.BASE,))
+            for entry in scan_overlapping(catalog, area, (ServerRole.BASE,))
             for collection in entry.collections
         )
         for level in (CatalogLevel.BASE, CatalogLevel.INDEX):
-            assert catalog.statements_for(level, area) == [
-                statement
-                for statement in catalog.statements
-                if statement.applies_to(level, area)
-            ]
+            assert catalog.statements_for(level, area) == scan_statements(catalog, level, area)
 
 
 class TestChurnEquivalence:
@@ -122,17 +121,13 @@ class TestChurnEquivalence:
             catalog.register_server(_random_entry(namespace, rng, address))
         _assert_equivalent(catalog, namespace, rng)
 
-    def test_seed_baseline_flag_routes_to_oracle(self, namespace):
-        rng = random.Random(99)
-        catalog = Catalog("flagged")
-        for index in range(20):
-            catalog.register_server(_random_entry(namespace, rng, f"p{index}:1"))
-        area = _random_area(namespace, rng)
-        indexed = catalog.servers_overlapping(area)
-        with seed_baseline():
-            assert not flags.indexed_catalog
-            assert catalog.servers_overlapping(area) == indexed
-        assert flags.indexed_catalog
+    def test_the_index_is_not_switchable(self):
+        """Two wire-protocol switches remain; the index is simply the code."""
+        assert perf._Flags.__slots__ == ("streaming_results", "reliable_delivery")
+        assert not hasattr(perf, "seed_baseline")
+        with pytest.raises(AttributeError, match="indexed_catalog"):
+            with perf.overrides(indexed_catalog=False):
+                pass
 
 
 class TestOrderingUnchangedVsSeed:
@@ -149,7 +144,7 @@ class TestOrderingUnchangedVsSeed:
         area = namespace.top_area()
         result = [entry.address for entry in catalog.servers_overlapping(area)]
         assert result == sorted(result)
-        assert result == [entry.address for entry in catalog._scan_overlapping(area)]
+        assert result == [entry.address for entry in scan_overlapping(catalog, area)]
         covering = [entry.address for entry in catalog.servers_covering(area)]
         assert covering == sorted(covering)
 
@@ -237,4 +232,4 @@ class TestIndexMaintenance:
         for query in (["USA/OR/Portland", "*"], ["USA/WA/Seattle", "*"]):
             found = catalog.servers_overlapping(namespace.area(query))
             assert [entry.address for entry in found] == ["s:1"]
-            assert found == catalog._scan_overlapping(namespace.area(query))
+            assert found == scan_overlapping(catalog, namespace.area(query))

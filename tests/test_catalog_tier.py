@@ -116,32 +116,20 @@ class TestCatalogAnswerCache:
         cache = AnswerCache(capacity=8)
         catalog.attach_answer_cache(cache)
         oregon = namespace.area(["USA/OR", "*"])
-        with overrides(catalog_tier=True):
-            catalog.register_server(
-                ServerEntry("s1:1", ServerRole.BASE, namespace.area(["USA/OR/Portland", "Music/CDs"]))
-            )
-            first = catalog.servers_overlapping(oregon)
-            again = catalog.servers_overlapping(oregon)
-            assert [e.address for e in again] == [e.address for e in first]
-            assert cache.hits == 1
-            # A mutation whose area overlaps the cached answer drops it.
-            catalog.register_server(
-                ServerEntry("s2:1", ServerRole.BASE, namespace.area(["USA/OR/Salem", "Music"]))
-            )
-            refreshed = catalog.servers_overlapping(oregon)
-            assert {e.address for e in refreshed} == {"s1:1", "s2:1"}
-            assert cache.misses == 2
-
-    def test_flag_off_bypasses_the_cache(self, namespace):
-        catalog = Catalog("idx:1")
-        cache = AnswerCache()
-        catalog.attach_answer_cache(cache)
         catalog.register_server(
-            ServerEntry("s1:1", ServerRole.BASE, namespace.area(["USA/OR/Portland", "*"]))
+            ServerEntry("s1:1", ServerRole.BASE, namespace.area(["USA/OR/Portland", "Music/CDs"]))
         )
-        catalog.servers_overlapping(namespace.area(["USA/OR", "*"]))
-        catalog.servers_covering(namespace.area(["USA/OR/Portland", "*"]))
-        assert cache.hits == 0 and cache.misses == 0 and len(cache) == 0
+        first = catalog.servers_overlapping(oregon)
+        again = catalog.servers_overlapping(oregon)
+        assert [e.address for e in again] == [e.address for e in first]
+        assert cache.hits == 1
+        # A mutation whose area overlaps the cached answer drops it.
+        catalog.register_server(
+            ServerEntry("s2:1", ServerRole.BASE, namespace.area(["USA/OR/Salem", "Music"]))
+        )
+        refreshed = catalog.servers_overlapping(oregon)
+        assert {e.address for e in refreshed} == {"s1:1", "s2:1"}
+        assert cache.misses == 2
 
 
 class TestReadPolicies:
@@ -242,11 +230,10 @@ class TestRegistrationFanout:
         chosen_off = covering_indexers(base, indexers)
         assert [peer.address for peer in chosen_off] == ["i0:1"]
 
-        with overrides(catalog_tier=True):
-            base.join_catalog_tier(shard_map)
-            for server in indexers:
-                server.join_catalog_tier(shard_map)
-            chosen_on = covering_indexers(base, indexers)
+        base.join_catalog_tier(shard_map)
+        for server in indexers:
+            server.join_catalog_tier(shard_map)
+        chosen_on = covering_indexers(base, indexers)
         assert [peer.address for peer in chosen_on] == ["i0:1", "i1:1", "i2:1"]
         # Replica members picked up siblings and an answer cache on join.
         assert group0[0].replica_peers == ["i1:1", "i2:1"]
@@ -265,7 +252,7 @@ class TestShardedScenario:
             catalog_shards=2, catalog_replicas=3, catalog_outages=1,
             reliable=True, fault_loss=0.10,
         )
-        with overrides(catalog_tier=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             scenario = build_scaleout_scenario(spec)
             with scenario.cluster as cluster:
                 query_ids = schedule_queries(scenario)

@@ -241,7 +241,7 @@ class TestSequenceIdentity:
         assert sequence_identity(_report_stub(), _report_stub()) == 1.0
 
     def test_multicore_block_and_workers_knob_are_excluded(self):
-        # A flag-on report carries the multicore block and the workers knob;
+        # A multicore report carries the multicore block and the workers knob;
         # neither may count against identity with the in-process reference.
         assert sequence_identity(_report_stub(), _report_stub(workers=4)) == 1.0
 
@@ -280,18 +280,11 @@ class TestSpecValidation:
         with pytest.raises(SimulationError):
             replace(_SPEC, workers=2, catalog_shards=2, catalog_replicas=2).validate()
 
-    def test_cluster_workers_need_the_flag(self):
+    def test_cluster_accepts_a_worker_count(self):
         from repro.api import Cluster
-        from repro.errors import APIError
-        from repro.perf import flags, overrides
 
-        assert not flags.multiprocess
-        with pytest.raises(APIError):
-            Cluster(workers=2)
-        with overrides(multiprocess=True):
-            cluster = Cluster(workers=2)
+        with Cluster(workers=2) as cluster:
             assert cluster.workers == 2
-            cluster.close()
 
     def test_window_is_positive_and_bounded(self):
         window = window_ms_for(_SPEC)

@@ -182,10 +182,6 @@ class TestEndToEndQuery:
         client.go_offline()
         with pytest.raises(PeerOffline):
             client.submit_plan(plan, QueryPreferences())
-        # The deprecated shim goes through the same check.
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(PeerOffline):
-                client.issue_query(plan, QueryPreferences())
         client.go_online()
         assert client.submit_plan(plan, QueryPreferences()) is not None
 

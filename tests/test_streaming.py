@@ -3,8 +3,8 @@
 Covers the streaming contract ``docs/engine.md`` documents:
 
 * the pull-based operators produce byte-identical item sequences (and wire
-  XML) to the seed's materialized evaluator, proven over a randomized
-  differential workload;
+  XML) to the list evaluator of ``tests/oracles/list_engine.py``, proven
+  over a randomized differential workload;
 * pipeline breakers account their buffers against ``max_buffered_items``
   and fail with :class:`~repro.errors.ResourceBudgetExceeded` instead of
   growing without bound, while fully streaming operators buffer nothing;
@@ -16,8 +16,8 @@ Covers the streaming contract ``docs/engine.md`` documents:
   plan's forwarding chain;
 * the result-watcher registry survives reentrant edits from inside a
   watcher callback;
-* the eager-area-plans fix completes predicate-less plans under its flag
-  while preserving the seed ping-pong behaviour without it.
+* predicate-less plans (bare unions of URLs) complete at the last data
+  holder instead of ping-ponging to ``max_hops``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ from repro.engine import BufferBudget, QueryEngine
 from repro.engine import operators as physical
 from repro.errors import QueryCancelled, ResourceBudgetExceeded
 from repro.peers import QueryPeer, QueryResult
-from repro.perf import flags, overrides
+from repro.perf import overrides
 from repro.workloads import GarageSaleConfig, GarageSaleWorkload
 from repro.xmlmodel import XMLElement, serialize_xml, text_element
+from oracles import list_engine
 from tests.test_api import portland_area, small_cluster
 
 TRANSPORTS = ("sim", "aio")
@@ -106,7 +107,7 @@ class TestStreamingOperators:
         items = make_items(5_000)
         predicate = parse_predicate("price < 50")
         streamed = list(physical.stream_select(iter(items), predicate))
-        assert streamed == physical.evaluate_select(items, predicate)
+        assert streamed == list_engine.evaluate_select(items, predicate)
         assert budget.peak == 0  # select never touched a budget
 
     def test_budget_peak_excludes_rejected_charges(self):
@@ -122,7 +123,7 @@ class TestStreamingOperators:
         budget = BufferBudget(limit=100)
         items = make_items(100)
         streamed = list(physical.stream_order_by(iter(items), "price", budget=budget))
-        assert streamed == physical.evaluate_order_by(items, "price")
+        assert streamed == list_engine.evaluate_order_by(items, "price")
         assert budget.peak == 100
         assert budget.buffered == 0  # released on exhaustion
 
@@ -139,7 +140,7 @@ class TestStreamingOperators:
         streamed = list(
             physical.stream_join(iter(left), iter(right), "price", "price", budget=budget)
         )
-        assert streamed == physical.evaluate_join(left, right, "price", "price")
+        assert streamed == list_engine.evaluate_join(left, right, "price", "price")
         assert budget.peak == 10  # the hash index, never the streamed left input
         assert budget.buffered == 0
 
@@ -165,7 +166,7 @@ class TestStreamingOperators:
         streamed = list(
             physical.stream_difference(iter(left), iter(right), "title", budget=budget)
         )
-        assert streamed == physical.evaluate_difference(left, right, "title")
+        assert streamed == list_engine.evaluate_difference(left, right, "title")
         assert budget.peak == 5
 
     def test_budget_rejects_nonpositive_limit(self):
@@ -174,7 +175,7 @@ class TestStreamingOperators:
 
 
 # --------------------------------------------------------------------------- #
-# Randomized differential: streaming vs materialized engine modes
+# Randomized differential: the streaming engine vs the list-engine oracle
 # --------------------------------------------------------------------------- #
 
 
@@ -236,15 +237,17 @@ class TestStreamingDifferential:
         rng = random.Random(1746)
         for round_number in range(60):
             plan = _random_plan(rng, collections)
-            with overrides(streaming_engine=True):
-                streaming = QueryEngine()
-                streamed = [serialize_xml(item) for item in streaming.stream(plan)]
-                streamed_wire = serialize_xml(streaming.evaluate_collection(plan))
-            with overrides(streaming_engine=False):
-                oracle = QueryEngine()
-                materialized = [serialize_xml(item) for item in oracle.evaluate(plan)]
-                oracle_wire = serialize_xml(oracle.evaluate_collection(plan))
+            engine = QueryEngine()
+            streamed = [serialize_xml(item) for item in engine.stream(plan)]
+            evaluated = [serialize_xml(item) for item in engine.evaluate(plan)]
+            streamed_wire = serialize_xml(engine.evaluate_collection(plan))
+            expected = list_engine.evaluate(plan)
+            materialized = [serialize_xml(item) for item in expected]
+            oracle_wire = serialize_xml(
+                XMLElement("result", {}, [item.copy() for item in expected])
+            )
             assert streamed == materialized, f"diverged on round {round_number}"
+            assert evaluated == materialized, f"evaluate() diverged on round {round_number}"
             assert streamed_wire == oracle_wire, f"wire diverged on round {round_number}"
 
     def test_engine_counters_match_across_modes(self, collections):
@@ -252,14 +255,14 @@ class TestStreamingDifferential:
             Union([VerbatimData.from_items(items) for items in collections]),
             parse_predicate("price < 40"),
         )
-        with overrides(streaming_engine=True):
-            streaming = QueryEngine()
-            streaming.evaluate(plan)
-        with overrides(streaming_engine=False):
-            oracle = QueryEngine()
-            oracle.evaluate(plan)
-        assert streaming.operators_evaluated == oracle.operators_evaluated
-        assert streaming.items_produced == oracle.items_produced
+        streaming = QueryEngine()
+        for _ in streaming.stream(plan):
+            pass
+        draining = QueryEngine()
+        draining.evaluate(plan)
+        assert streaming.operators_evaluated == draining.operators_evaluated
+        assert streaming.items_produced == draining.items_produced
+        assert draining.items_produced == len(list_engine.evaluate(plan))
 
     def test_select_over_large_collection_stays_under_budget(self):
         items = make_items(20_000)
@@ -294,8 +297,7 @@ class TestStreamingDifferential:
         tracemalloc.stop()
 
         tracemalloc.start()
-        with overrides(streaming_engine=False):
-            engine.evaluate(plan)
+        engine.evaluate(plan)
         _, materialized_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
@@ -915,37 +917,27 @@ class TestWatcherReentrancy:
 
 
 # --------------------------------------------------------------------------- #
-# Eager area plans (satellite): the PR-4 predicate-less quirk
+# Bare-union plans: local leaves are pinned so the union completes
 # --------------------------------------------------------------------------- #
 
 
 class TestEagerAreaPlans:
-    def test_flag_off_preserves_the_seed_ping_pong(self):
-        assert flags.eager_area_plans is False  # seed byte-identity default
+    def test_flag_on_completes_at_the_data_holders(self):
+        """A predicate-less area query completes, well short of ``max_hops``."""
         with small_cluster("sim") as cluster:
             client = cluster.session("client:9020")
             handle = client.query().area(portland_area(cluster)).submit()
             result = handle.result(timeout=4_000_000)
-            assert result.partial
-            assert result.count == 0
-            assert result.provenance_hops >= 32  # bounced to max_hops
-
-    def test_flag_on_completes_at_the_data_holders(self):
-        with overrides(eager_area_plans=True):
-            with small_cluster("sim") as cluster:
-                client = cluster.session("client:9020")
-                handle = client.query().area(portland_area(cluster)).submit()
-                result = handle.result(timeout=4_000_000)
-                assert not result.partial
-                assert sorted(item.child_text("title") for item in result.items) == [
-                    "Abbey Road",
-                    "Blue Train",
-                    "Kind of Blue",
-                ]
-                assert result.provenance_hops < 32
+            assert not result.partial
+            assert sorted(item.child_text("title") for item in result.items) == [
+                "Abbey Road",
+                "Blue Train",
+                "Kind of Blue",
+            ]
+            assert result.provenance_hops < 32
 
     def test_selective_plans_are_not_pinned(self):
-        """The eager fix targets only the bare-union shape.
+        """Pinning targets only the bare-union shape.
 
         A plan with any real operator above its leaves reduces through
         ``evaluable_subplans`` and ships its (smaller) evaluated results;
@@ -969,7 +961,7 @@ class TestEagerAreaPlans:
         assert MQPProcessor._is_bare_union_plan(MutantQueryPlan(bare))
 
     def test_flag_on_streams_the_completed_answer(self):
-        with overrides(eager_area_plans=True, streaming_results=True):
+        with overrides(streaming_results=True):
             with _chunked_cluster("sim") as cluster:
                 client = cluster.session("client:9020")
                 handle = client.query().area(portland_area(cluster)).submit()

@@ -3,7 +3,7 @@
 The suite covers the full standing-query protocol end-to-end:
 
 * shape validation and the trie matcher (unit level);
-* the ``flags.continuous_queries`` gate (off by default);
+* ``Session.subscribe`` on a fresh cluster, nothing switched on;
 * delta feeds on both transports — insert/update/retract classification
   through each subscription's own predicate, projection applied at the
   publisher, in-order release, duplicate suppression;
@@ -24,7 +24,7 @@ from repro.algebra import PlanBuilder
 from repro.algebra.serialization import serialize_plan
 from repro.api import Cluster, Subscription
 from repro.catalog.matcher import SubscriptionMatcher, subscribable_shape
-from repro.errors import PeerError, PlanError
+from repro.errors import PlanError
 from repro.namespace import InterestAreaURN, garage_sale_namespace
 from repro.network import FaultPlan
 from repro.peers.subscriptions import PublisherFeed, SubscriberState, epoch_counter
@@ -205,34 +205,23 @@ class TestMatcher:
 
 
 # --------------------------------------------------------------------------- #
-# The feature flag gate
+# Standing queries are always available
 # --------------------------------------------------------------------------- #
 
 
-class TestFlagGate:
-    def test_subscribe_requires_flag(self, namespace):
+class TestAlwaysAvailable:
+    def test_subscribe_delivers_a_delta_on_a_fresh_cluster(self, namespace):
+        """``Session.subscribe`` works on a plain ``Cluster``: nothing to switch on."""
         with subscription_cluster("sim", namespace) as cluster:
             client = cluster.session("client:9020")
-            with pytest.raises(PeerError, match="continuous_queries"):
-                client.query().area(portland_area(namespace)).subscribe()
-
-    def test_straggler_subscribe_ignored_when_flag_off(self, namespace):
-        with subscription_cluster("sim", namespace) as cluster:
-            seller = cluster.session("seller1:9020").peer
-            document = serialize_plan(
-                PlanBuilder.urn(area_urn(portland_area(namespace))).display("client:9020")
+            sub = client.subscribe(client.query().area(portland_area(namespace)))
+            cluster.run_until_idle()
+            cluster.session("seller1:9020").update(
+                "cds", [make_item("New CD", 3.0, seller="seller1:9020")]
             )
-            seller._handle_subscribe(_Msg("subscribe", {
-                "document": document,
-                "sub": "client:9020#sub1",
-                "subscriber": "client:9020",
-                "authority": "",
-                "resume": {},
-                "hops": 0,
-            }))
-            assert seller.armed_subscriptions == {}
-            assert seller.subscription_registry == {}
-            assert len(seller.matcher) == 0
+            (delta,) = sub.deltas(timeout=5_000)
+            assert delta.kind == "insert"
+            assert [item.child_text("title") for item in delta.items] == ["New CD"]
 
 
 # --------------------------------------------------------------------------- #
@@ -243,70 +232,68 @@ class TestFlagGate:
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestDeltaFeed:
     def test_mutations_classify_through_the_predicate(self, transport, namespace):
-        with overrides(continuous_queries=True):
-            with subscription_cluster(transport, namespace) as cluster:
-                client = cluster.session("client:9020")
-                seller1 = cluster.session("seller1:9020")
-                seller2 = cluster.session("seller2:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .subscribe()
-                )
-                cluster.run_until_idle()
-                assert sub.active
+        with subscription_cluster(transport, namespace) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            seller2 = cluster.session("seller2:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .subscribe()
+            )
+            cluster.run_until_idle()
+            assert sub.active
 
-                # Insert below the predicate: an insert delta.
-                seller1.update("cds", [make_item("New CD", 3.0, seller="seller1:9020")])
-                # In-place change, still matching: an update delta.
-                seller1.update("cds", [make_item("New CD", 4.0, seller="seller1:9020")])
-                # Price crosses the boundary: *this* subscriber sees a retract.
-                seller1.update("cds", [make_item("New CD", 30.0, seller="seller1:9020")])
-                # A retract at the other seller: a retract delta from there.
-                removed = seller2.retract("cds", predicate="price < 10")
-                assert [item.child_text("title") for item in removed] == ["Blue Train"]
-                cluster.run_until_idle()
+            # Insert below the predicate: an insert delta.
+            seller1.update("cds", [make_item("New CD", 3.0, seller="seller1:9020")])
+            # In-place change, still matching: an update delta.
+            seller1.update("cds", [make_item("New CD", 4.0, seller="seller1:9020")])
+            # Price crosses the boundary: *this* subscriber sees a retract.
+            seller1.update("cds", [make_item("New CD", 30.0, seller="seller1:9020")])
+            # A retract at the other seller: a retract delta from there.
+            removed = seller2.retract("cds", predicate="price < 10")
+            assert [item.child_text("title") for item in removed] == ["Blue Train"]
+            cluster.run_until_idle()
 
-                state = client.peer.my_subscriptions[sub.sub_id]
-                assert [
-                    (d.kind, d.publisher, [i.child_text("title") for i in d.items])
-                    for d in state.deltas
-                ] == [
-                    ("insert", "seller1:9020", ["New CD"]),
-                    ("update", "seller1:9020", ["New CD"]),
-                    ("retract", "seller1:9020", ["New CD"]),
-                    ("retract", "seller2:9020", ["Blue Train"]),
-                ]
-                audit_exactly_once(state)
-                assert sub.lag() == len(state.deltas)
-                assert [d.kind for d in sub.deltas(limit=4)] == [
-                    "insert", "update", "retract", "retract",
-                ]
-                assert sub.lag() == 0
+            state = client.peer.my_subscriptions[sub.sub_id]
+            assert [
+                (d.kind, d.publisher, [i.child_text("title") for i in d.items])
+                for d in state.deltas
+            ] == [
+                ("insert", "seller1:9020", ["New CD"]),
+                ("update", "seller1:9020", ["New CD"]),
+                ("retract", "seller1:9020", ["New CD"]),
+                ("retract", "seller2:9020", ["Blue Train"]),
+            ]
+            audit_exactly_once(state)
+            assert sub.lag() == len(state.deltas)
+            assert [d.kind for d in sub.deltas(limit=4)] == [
+                "insert", "update", "retract", "retract",
+            ]
+            assert sub.lag() == 0
 
     def test_projection_applies_at_the_publisher(self, transport, namespace):
-        with overrides(continuous_queries=True):
-            with subscription_cluster(transport, namespace) as cluster:
-                client = cluster.session("client:9020")
-                seller1 = cluster.session("seller1:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .project([("title", "title")])
-                    .subscribe()
-                )
-                cluster.run_until_idle()
-                seller1.update("cds", [make_item("Slim CD", 2.0, seller="seller1:9020")])
-                cluster.run_until_idle()
-                (delta,) = list(sub.deltas(limit=1))
-                (item,) = delta.items
-                assert item.child_text("title") == "Slim CD"
-                assert item.find("price") is None
+        with subscription_cluster(transport, namespace) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .project([("title", "title")])
+                .subscribe()
+            )
+            cluster.run_until_idle()
+            seller1.update("cds", [make_item("Slim CD", 2.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            (delta,) = list(sub.deltas(limit=1))
+            (item,) = delta.items
+            assert item.child_text("title") == "Slim CD"
+            assert item.find("price") is None
 
     def test_acks_trim_the_replay_log(self, transport, namespace):
-        with overrides(continuous_queries=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             with subscription_cluster(transport, namespace) as cluster:
                 client = cluster.session("client:9020")
                 seller1 = cluster.session("seller1:9020")
@@ -356,71 +343,67 @@ class TestInOrderRelease:
         }
 
     def test_out_of_order_frames_release_in_sequence(self, namespace):
-        with overrides(continuous_queries=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client, state = self._subscriber(cluster, "seller1:9020", namespace)
-                epoch = "seller1:9020/e1"
-                late = self._envelope(state.sub_id, "seller1:9020", epoch, 1, "Second")
-                early = self._envelope(state.sub_id, "seller1:9020", epoch, 0, "First")
-                client._handle_delta_chunk(_Msg("delta-chunk", late, sender="seller1:9020"))
-                assert state.deltas == []  # held until the gap fills
-                client._handle_delta_chunk(_Msg("delta-chunk", early, sender="seller1:9020"))
-                assert [d.seq for d in state.deltas] == [0, 1]
-                assert [d.items[0].child_text("title") for d in state.deltas] == [
-                    "First", "Second",
-                ]
-                audit_exactly_once(state)
+        with subscription_cluster("sim", namespace) as cluster:
+            client, state = self._subscriber(cluster, "seller1:9020", namespace)
+            epoch = "seller1:9020/e1"
+            late = self._envelope(state.sub_id, "seller1:9020", epoch, 1, "Second")
+            early = self._envelope(state.sub_id, "seller1:9020", epoch, 0, "First")
+            client._handle_delta_chunk(_Msg("delta-chunk", late, sender="seller1:9020"))
+            assert state.deltas == []  # held until the gap fills
+            client._handle_delta_chunk(_Msg("delta-chunk", early, sender="seller1:9020"))
+            assert [d.seq for d in state.deltas] == [0, 1]
+            assert [d.items[0].child_text("title") for d in state.deltas] == [
+                "First", "Second",
+            ]
+            audit_exactly_once(state)
 
     def test_duplicate_frames_are_suppressed_and_reacked(self, namespace):
-        with overrides(continuous_queries=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client, state = self._subscriber(cluster, "seller1:9020", namespace)
-                frame = self._envelope(
-                    state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Once"
-                )
-                client._handle_delta_chunk(_Msg("delta-chunk", frame, sender="seller1:9020"))
-                client._handle_delta_chunk(
-                    _Msg("delta-chunk", dict(frame), sender="seller1:9020")
-                )
-                assert len(state.deltas) == 1
-                assert client.delta_duplicates == 1
-                audit_exactly_once(state)
+        with subscription_cluster("sim", namespace) as cluster:
+            client, state = self._subscriber(cluster, "seller1:9020", namespace)
+            frame = self._envelope(
+                state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Once"
+            )
+            client._handle_delta_chunk(_Msg("delta-chunk", frame, sender="seller1:9020"))
+            client._handle_delta_chunk(
+                _Msg("delta-chunk", dict(frame), sender="seller1:9020")
+            )
+            assert len(state.deltas) == 1
+            assert client.delta_duplicates == 1
+            audit_exactly_once(state)
 
     def test_stale_epoch_frames_are_dropped(self, namespace):
-        with overrides(continuous_queries=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client, state = self._subscriber(cluster, "seller1:9020", namespace)
-                state.feeds["seller1:9020"] = PublisherFeed(epoch="seller1:9020/e2")
-                stale = self._envelope(
-                    state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Stale"
-                )
-                client._handle_delta_chunk(_Msg("delta-chunk", stale, sender="seller1:9020"))
-                assert state.deltas == []
-                assert state.feeds["seller1:9020"].epoch == "seller1:9020/e2"
+        with subscription_cluster("sim", namespace) as cluster:
+            client, state = self._subscriber(cluster, "seller1:9020", namespace)
+            state.feeds["seller1:9020"] = PublisherFeed(epoch="seller1:9020/e2")
+            stale = self._envelope(
+                state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Stale"
+            )
+            client._handle_delta_chunk(_Msg("delta-chunk", stale, sender="seller1:9020"))
+            assert state.deltas == []
+            assert state.feeds["seller1:9020"].epoch == "seller1:9020/e2"
 
     def test_straggler_feed_triggers_one_unsubscribe(self, namespace):
-        with overrides(continuous_queries=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client = cluster.session("client:9020")
-                seller1 = cluster.session("seller1:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .subscribe()
-                )
-                cluster.run_until_idle()
-                assert sub.sub_id in seller1.peer.armed_subscriptions
-                # The subscriber loses its state without telling anyone —
-                # the amnesiac-rejoin case a graceful unsubscribe never covers.
-                del client.peer.my_subscriptions[sub.sub_id]
-                seller1.update("cds", [make_item("Orphan", 1.0, seller="seller1:9020")])
-                cluster.run_until_idle()
-                # The straggler delta bounced back as a one-shot unsubscribe
-                # and the publisher tore the feed down.
-                assert sub.sub_id not in seller1.peer.armed_subscriptions
-                assert (sub.sub_id, "seller1:9020") in client.peer._cancel_notified
-                assert client.peer.deltas_delivered == 0
+        with subscription_cluster("sim", namespace) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .subscribe()
+            )
+            cluster.run_until_idle()
+            assert sub.sub_id in seller1.peer.armed_subscriptions
+            # The subscriber loses its state without telling anyone —
+            # the amnesiac-rejoin case a graceful unsubscribe never covers.
+            del client.peer.my_subscriptions[sub.sub_id]
+            seller1.update("cds", [make_item("Orphan", 1.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            # The straggler delta bounced back as a one-shot unsubscribe
+            # and the publisher tore the feed down.
+            assert sub.sub_id not in seller1.peer.armed_subscriptions
+            assert (sub.sub_id, "seller1:9020") in client.peer._cancel_notified
+            assert client.peer.deltas_delivered == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -431,7 +414,7 @@ class TestInOrderRelease:
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestTeardownOnBothTransports:
     def test_unsubscribe_clears_every_hop(self, transport, namespace):
-        with overrides(continuous_queries=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             with subscription_cluster(transport, namespace) as cluster:
                 client = cluster.session("client:9020")
                 sub = (
@@ -464,7 +447,7 @@ class TestTeardownOnBothTransports:
 
 class TestTeardownTimers:
     def test_unsubscribe_cancels_pending_retransmissions(self, namespace):
-        with overrides(continuous_queries=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             with subscription_cluster("sim", namespace) as cluster:
                 client = cluster.session("client:9020")
                 seller1 = cluster.session("seller1:9020")
@@ -505,18 +488,17 @@ class TestTeardownTimers:
                 assert seller1.peer.transfers_failed == 0
 
     def test_unsubscribe_is_idempotent(self, namespace):
-        with overrides(continuous_queries=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client = cluster.session("client:9020")
-                sub = client.query().area(portland_area(namespace)).subscribe()
-                cluster.run_until_idle()
-                sub.unsubscribe()
-                sub.unsubscribe()  # a second teardown is a no-op
-                with sub:  # context exit after manual teardown: still a no-op
-                    pass
-                cluster.run_until_idle()
-                assert not sub.active
-                assert client.peer.my_subscriptions == {}
+        with subscription_cluster("sim", namespace) as cluster:
+            client = cluster.session("client:9020")
+            sub = client.query().area(portland_area(namespace)).subscribe()
+            cluster.run_until_idle()
+            sub.unsubscribe()
+            sub.unsubscribe()  # a second teardown is a no-op
+            with sub:  # context exit after manual teardown: still a no-op
+                pass
+            cluster.run_until_idle()
+            assert not sub.active
+            assert client.peer.my_subscriptions == {}
 
 
 # --------------------------------------------------------------------------- #
@@ -526,7 +508,7 @@ class TestTeardownTimers:
 
 class TestChurn:
     def test_subscriber_crash_and_rejoin_resumes_from_acked(self, namespace):
-        with overrides(continuous_queries=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             with subscription_cluster("sim", namespace) as cluster:
                 client = cluster.session("client:9020")
                 seller1 = cluster.session("seller1:9020")
@@ -568,7 +550,7 @@ class TestChurn:
                 assert not seller1.peer.armed_subscriptions[sub.sub_id].paused
 
     def test_authority_failover_rearms_publishers_fresh_epoch(self, namespace):
-        with overrides(continuous_queries=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             with subscription_cluster("sim", namespace) as cluster:
                 client = cluster.session("client:9020")
                 seller1 = cluster.session("seller1:9020")
@@ -613,7 +595,7 @@ class TestChurn:
     def test_conflicting_authorities_surface_not_double_deliver(self, namespace):
         portland = portland_area(namespace)
         oregon = namespace.area(["USA/OR", "*"])
-        with overrides(continuous_queries=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             with Cluster("sim", namespace=namespace) as cluster:
                 seller1 = cluster.base_server("seller1:9020", portland)
                 seller1.publish(
@@ -653,7 +635,7 @@ class TestChurn:
     def test_flash_crowd_exactly_once_under_loss(self, namespace):
         portland = portland_area(namespace)
         subscribers = [f"c{i:03d}:9020" for i in range(100)]
-        with overrides(continuous_queries=True, reliable_delivery=True):
+        with overrides(reliable_delivery=True):
             with Cluster(
                 "sim", namespace=namespace, faults=FaultPlan(seed=11, loss=0.10)
             ) as cluster:
