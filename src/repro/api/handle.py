@@ -60,9 +60,12 @@ class DegradedResult(QueryResult):
 
     * ``completeness`` — fraction of the expected answer that arrived
       (``None`` when no expectation was declared at submit time);
-    * ``reason`` — ``"deadline"`` (the clock ran out with work still
-      scheduled) or ``"idle"`` (the network drained with the answer still
-      missing: the plan or its result died en route);
+    * ``reason`` — why the answer is partial.  When the pieces that did
+      arrive said so themselves, their gravest reason is passed through
+      (``"time-budget"``, ``"hop-budget"``, ``"stuck"``, ``"unreachable"``);
+      otherwise it is the handle's own: ``"deadline"`` (the clock ran out
+      with work still scheduled) or ``"idle"`` (the network drained with
+      the answer still missing: a plan or its result died en route);
     * ``failures`` — per-hop delivery-failure provenance gathered by the
       reliable-delivery protocol (empty with ``flags.reliable_delivery``
       off): each :class:`DeliveryFailure` names the hop that gave up, the
@@ -70,7 +73,7 @@ class DegradedResult(QueryResult):
     """
 
     completeness: float | None = None
-    reason: str = "deadline"
+    reason: str | None = "deadline"
     failures: List[DeliveryFailure] = field(default_factory=list)
 
 
@@ -156,6 +159,14 @@ class QueryHandle:
         self.close()
         self._peer.cancel_query(self.query_id)
 
+    def _answer_so_far(self) -> QueryResult | None:
+        """The cumulative partial answer the issuing peer has gathered.
+
+        Partial arrivals are per-piece deltas (see :class:`QueryResult`);
+        the peer's record is what a degraded outcome returns.
+        """
+        return self._peer.results.get(self.query_id)
+
     # -- inspection (never advances the clock) ----------------------------- #
 
     def cancelled(self) -> bool:
@@ -167,7 +178,8 @@ class QueryHandle:
         return self._final is not None
 
     def partial_results(self) -> list[QueryResult]:
-        """Every partial answer recorded so far (non-blocking)."""
+        """Every partial arrival so far, one per piece that came home
+        (non-blocking; each holds that piece's items, not a running total)."""
         return [result for result in self._arrivals if result.partial]
 
     def trace(self) -> "QueryTrace":
@@ -191,8 +203,9 @@ class QueryHandle:
 
         * the complete result is recorded — returned;
         * the network goes idle with only partial answers recorded — the
-          latest partial is returned (the system's documented degradation,
-          mirroring the ``STUCK``-plan delivery semantics);
+          answer gathered so far is returned, flagged ``partial`` with its
+          ``reason`` (the system's documented degradation, mirroring the
+          ``STUCK``-plan delivery semantics);
         * the issuing peer is found offline with the answer still pending —
           :class:`~repro.errors.PeerOffline` (any in-flight result will be
           dead-lettered at its sender, never silently lost);
@@ -229,8 +242,9 @@ class QueryHandle:
             )
         if self._idle():
             self.close()  # nothing scheduled: no further arrival is possible
-            if self._arrivals:
-                return self._arrivals[-1]
+            best = self._answer_so_far()
+            if best is not None:
+                return best
             raise QueryTimeout(
                 f"the network is idle and no result will ever arrive for query "
                 f"{self.query_id!r} (the plan died en route — e.g. at a peer "
@@ -332,16 +346,16 @@ class QueryHandle:
         With chunked delivery on (``flags.streaming_results``), items are
         yielded as each ``result-chunk`` frame lands at the issuing peer —
         the first item is available long before the complete answer has
-        crossed the network.  With chunking off, all items arrive together
-        with the result frame and are yielded then.
+        crossed the network.  With chunking off, a piece's items arrive
+        together with its result frame and are yielded then: a scattered
+        query streams piece by piece either way, in arrival order.
 
         The stream ends after the final result's items; when the network
         goes idle with only a partial answer, whatever items arrived are
         yielded and the stream ends (the documented degradation, matching
-        :meth:`result`).  A delivery that supersedes an earlier one (a
-        partial answer from a stuck branch, then the complete answer)
-        resumes positionally: items already yielded are not repeated, the
-        same way single-frame mode resumes from the final result.
+        :meth:`result`).  No item object is yielded twice, however it
+        became visible (chunk, piece, final result); a partial piece later
+        superseded by its complete delivery is a second set of objects.
         ``timeout`` bounds the wait in simulated milliseconds; cancelling
         the handle mid-iteration stops the stream.
         """
@@ -350,41 +364,38 @@ class QueryHandle:
         self._ensure_watching()
         deadline = self._network.now + timeout if timeout is not None else None
         arrived: list[XMLElement] = self._peer.chunk_items(self.query_id)
-        current_stream: str | None = None
+        merged = 0  # arrivals whose items are already in ``arrived``
 
         def on_chunk(chunk: list[XMLElement], stream: str) -> None:
-            nonlocal current_stream
-            if current_stream is None:
-                # First chunk this iterator observes: adopt its delivery.
-                # The peer's arrival buffer mirrors that delivery's full
-                # in-order items (this chunk included).
-                current_stream = stream
-                arrived[:] = self._peer.chunk_items(self.query_id)
-            elif stream == current_stream:
-                arrived.extend(chunk)
-            # Chunks of any other delivery are ignored: chunk-driven yields
-            # follow one delivery's sequence.  A result landing from a
-            # different delivery reconciles positionally at a terminal
-            # boundary (final or idle), the same as single-frame mode.
+            arrived.extend(chunk)
+
+        def merge_arrivals() -> None:
+            nonlocal merged
+            for result in self._arrivals[merged:]:
+                arrived.extend(result.items)
+            merged = len(self._arrivals)
 
         self._peer.watch_chunks(self.query_id, on_chunk)
-        yielded = 0
+        position = 0
+        seen: set[int] = set()
         try:
             while True:
-                while yielded < len(arrived):
-                    item = arrived[yielded]
-                    yielded += 1
+                merge_arrivals()
+                while position < len(arrived):
+                    item = arrived[position]
+                    position += 1
+                    if id(item) in seen:
+                        continue  # came as a chunk, then again with its piece
+                    seen.add(id(item))
                     yield item
                     if self._cancelled:
                         return
+                if len(self._arrivals) > merged:
+                    continue  # a piece landed while suspended at a yield
                 if self._final is not None:
-                    # Single-frame mode (or a final delivery that carried
-                    # items this iterator has not seen as chunks).
-                    for item in self._final.items[yielded:]:
-                        yield item
                     return
                 progressed = self._network.run_until(
-                    lambda: len(arrived) > yielded or self._final is not None,
+                    lambda: len(arrived) > position or len(self._arrivals) > merged,
                     until=deadline,
                 )
                 if self._cancelled:
@@ -401,19 +412,15 @@ class QueryHandle:
                 if self._idle():
                     self.close()
                     if self._arrivals:
-                        # Degraded outcome: drain the latest partial answer
-                        # positionally, like the final-result reconciliation.
-                        for item in self._arrivals[-1].items[yielded:]:
-                            yield item
-                        return
+                        return  # degraded outcome: every arrived piece was drained
                     raise QueryTimeout(
                         f"the network is idle and no result will ever arrive "
-                        f"for query {self.query_id!r} ({yielded} item(s) "
+                        f"for query {self.query_id!r} ({len(seen)} item(s) "
                         "streamed before the plan died en route)"
                     )
                 raise QueryTimeout(
                     f"no further items for query {self.query_id!r} within "
-                    f"{timeout:g} simulated ms ({yielded} item(s) streamed)"
+                    f"{timeout:g} simulated ms ({len(seen)} item(s) streamed)"
                 )
         finally:
             self._peer.unwatch_chunks(self.query_id, on_chunk)
@@ -433,8 +440,10 @@ class QueryHandle:
                 f"query {self.query_id!r} arrived; results addressed to it are "
                 "dead-lettered at their sender"
             )
-        reason = "idle" if self._idle() else "deadline"
-        best = self._arrivals[-1] if self._arrivals else None
+        best = self._answer_so_far()
+        reason = (best.reason if best is not None else None) or (
+            "idle" if self._idle() else "deadline"
+        )
         if best is not None:
             items = list(best.items)
             hops = best.provenance_hops

@@ -3,8 +3,10 @@
 from .plan import MutantQueryPlan, QueryPreferences
 from .policy import PolicyDecision, PolicyManager
 from .processor import (
+    PARTIAL_REASONS,
     BatchContext,
     MQPProcessor,
+    Piece,
     ProcessingAction,
     ProcessingResult,
     RetryPolicy,
@@ -23,5 +25,7 @@ __all__ = [
     "BatchContext",
     "ProcessingAction",
     "ProcessingResult",
+    "Piece",
+    "PARTIAL_REASONS",
     "RetryPolicy",
 ]

@@ -19,15 +19,29 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ..algebra import QueryPlan, plan_from_xml, plan_to_xml
 from ..errors import PlanError
 from ..xmlmodel import XMLElement, parse_xml, serialize_xml, utf8_len
 from .provenance import ProvenanceLog
 
-__all__ = ["QueryPreferences", "MutantQueryPlan"]
+__all__ = ["QueryPreferences", "MutantQueryPlan", "format_branch", "parse_branch"]
 
 _query_counter = itertools.count(1)
+
+
+def format_branch(branch: tuple[int, ...]) -> str:
+    """The wire text of a branch path: ``(2, 17)`` is ``"2.17"``, the root ``""``."""
+    return ".".join(map(str, branch))
+
+
+def parse_branch(text: str) -> tuple[int, ...]:
+    """Inverse of :func:`format_branch`."""
+    try:
+        return tuple(int(part) for part in text.split(".")) if text else ()
+    except ValueError:
+        raise PlanError(f"malformed branch path {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,10 @@ class MutantQueryPlan:
         self.provenance = provenance if provenance is not None else ProvenanceLog()
         self.preferences = preferences if preferences is not None else QueryPreferences()
         self.issued_at = issued_at
+        # Scatter bookkeeping (see :meth:`piece`): which piece of the query
+        # this plan is, and the share of the query's unit credit it carries.
+        self.branch: tuple[int, ...] = ()
+        self.credit = Fraction(1)
         self._original_xml: XMLElement | None = None
         if original is _DEFERRED_ORIGINAL:
             self._original: QueryPlan | None = None
@@ -115,6 +133,27 @@ class MutantQueryPlan:
     def original(self, value: QueryPlan | None) -> None:
         self._original = value
         self._original_xml = None
+
+    def piece(self, plan: QueryPlan, branch: tuple[int, ...], credit: Fraction) -> "MutantQueryPlan":
+        """One independently travelling piece of this query (a scatter).
+
+        A hop that splits a union sends each group of branches as its own
+        MQP: same query id, target, preferences and carried original, its
+        own copy of the provenance so far, plus where the piece sits in the
+        query (``branch``) and the share of this plan's ``credit`` it must
+        return to the target.  ``plan`` is adopted, not copied.
+        """
+        piece = MutantQueryPlan(
+            plan,
+            query_id=self.query_id,
+            provenance=ProvenanceLog(list(self.provenance.records)),
+            original=_DEFERRED_ORIGINAL,
+            preferences=self.preferences,
+            issued_at=self.issued_at,
+        )
+        piece._original, piece._original_xml = self._original, self._original_xml
+        piece.branch, piece.credit = branch, credit
+        return piece
 
     # -- convenience ------------------------------------------------------------ #
 
@@ -196,11 +235,13 @@ class MutantQueryPlan:
             children.append(XMLElement("original", {}, [self._original_xml]))
         elif self.original is not None:
             children.append(XMLElement("original", {}, [plan_to_xml(self.original, opaque)]))
-        return XMLElement(
-            "mutant-query",
-            {"id": self.query_id, "issued-at": f"{self.issued_at:.3f}"},
-            children,
-        )
+        attributes = {"id": self.query_id, "issued-at": f"{self.issued_at:.3f}"}
+        if self.branch:
+            # Only pieces of a scattered query say so; a whole plan (branch
+            # "", credit 1) keeps the wire form it always had.
+            attributes["branch"] = format_branch(self.branch)
+            attributes["credit"] = str(self.credit)
+        return XMLElement("mutant-query", attributes, children)
 
     def serialize(self, indent: int | None = None) -> str:
         """The XML string shipped between peers: verbatim data is written
@@ -247,6 +288,11 @@ class MutantQueryPlan:
             issued_at=float(element.get("issued-at", "0") or 0.0),
         )
         mqp._original_xml = original_xml
+        mqp.branch = parse_branch(element.get("branch", "") or "")
+        try:
+            mqp.credit = Fraction(element.get("credit", "1") or "1")
+        except (ValueError, ZeroDivisionError):
+            raise PlanError(f"malformed credit {element.get('credit')!r}") from None
         return mqp
 
     @classmethod

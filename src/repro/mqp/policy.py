@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algebra.operators import PlanNode
+from ..algebra.operators import PlanNode, Union
 from ..catalog.binding import Binding, BindingAlternative
 from ..optimizer.planner import OptimizationOutcome
 from .plan import QueryPreferences
@@ -45,10 +45,23 @@ class PolicyManager:
     # -- what to evaluate ---------------------------------------------------------- #
 
     def choose_subplans(self, outcome: OptimizationOutcome) -> PolicyDecision:
-        """Split the optimizer's evaluable sub-plans into evaluate-now vs defer."""
+        """Split the optimizer's evaluable sub-plans into evaluate-now vs defer.
+
+        Deferment leaves a result-growing operator for a server that holds
+        more of the surrounding plan, so it only makes sense for a sub-plan
+        that will ride onward *inside* a plan.  The plan's entire body never
+        does (every leaf is here: no server knows more, and a deferred body
+        just comes home stuck without its local answers), nor does a direct
+        branch of a union body (its result is shipped to the target from
+        here, see ``MQPProcessor._scatter``).
+        """
         if not self.enable_deferment:
             return PolicyDecision(list(outcome.evaluable), [])
-        deferred_ids = {id(node) for node in outcome.deferrable}
+        body = outcome.plan.body
+        leaving = {id(body)}
+        if isinstance(body, Union):
+            leaving.update(id(branch) for branch in body.children)
+        deferred_ids = {id(node) for node in outcome.deferrable} - leaving
         evaluate = [node for node in outcome.evaluable if id(node) not in deferred_ids]
         deferred = [node for node in outcome.evaluable if id(node) in deferred_ids]
         return PolicyDecision(evaluate, deferred)

@@ -21,13 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Collection, Sequence
+from zlib import crc32
 
-from ..algebra.operators import Display, LeafNode, PlanNode, Union, URLRef, VerbatimData
+from ..algebra import QueryPlan
+from ..algebra.operators import Display, LeafNode, PlanNode, Union, URLRef, URNRef, VerbatimData
 from ..catalog import Binder, Catalog, RoutingCache, ServerRole, canonical_address
 from ..engine import EvaluationMemo, QueryEngine
 from ..engine.statistics import CollectionStatistics
 from ..errors import RoutingError, URNError
-from ..namespace import InterestAreaURN, MultiHierarchicNamespace, NamedURN, parse_urn
+from ..namespace import (
+    InterestArea,
+    InterestAreaURN,
+    MultiHierarchicNamespace,
+    NamedURN,
+    parse_urn,
+)
 from ..optimizer import Optimizer
 from ..xmlmodel import XMLElement
 from .plan import MutantQueryPlan
@@ -40,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import (avoids a cycle)
 __all__ = [
     "ProcessingAction",
     "ProcessingResult",
+    "Piece",
+    "PARTIAL_REASONS",
     "BatchContext",
     "MQPProcessor",
     "RetryPolicy",
@@ -87,21 +97,58 @@ class ProcessingAction(str, Enum):
     """What the hosting peer should do with the plan after processing."""
 
     DELIVER = "deliver"            # fully evaluated: send result to the target
-    DELIVER_PARTIAL = "partial"    # time budget exhausted: send what we have
-    FORWARD = "forward"            # send the mutated plan to the chosen next hop
+    DELIVER_PARTIAL = "partial"    # time or hop budget exhausted: send what we have
+    FORWARD = "forward"            # send the mutated plan on, as one piece or several
     STUCK = "stuck"                # nothing evaluable and nowhere to route
+
+
+PARTIAL_REASONS = ("time-budget", "hop-budget", "stuck", "unreachable")
+"""Why a partial answer is partial, mildest first: the query's own time
+budget ran out, a plan hit ``max_hops``, no server is left that could
+continue it, or the servers that could are down."""
+
+
+@dataclass
+class Piece:
+    """One outgoing part of a processed plan.
+
+    ``next_hop`` names the server the piece travels to; ``None`` means its
+    journey ends here and whatever it holds is shipped to the target — as a
+    complete result of its branch, or (``reason`` set, one of
+    :data:`PARTIAL_REASONS`) as a partial one.
+    """
+
+    mqp: MutantQueryPlan
+    next_hop: str | None = None
+    reason: str | None = None
 
 
 @dataclass
 class ProcessingResult:
-    """Outcome of one server's processing step."""
+    """Outcome of one server's processing step.
+
+    ``pieces`` is what leaves this server.  A plan that is delivered, stuck
+    or forwarded whole has exactly one piece (``mqp`` itself); a scattered
+    union has one per group of branches, each its own MQP — ``action`` is
+    then ``FORWARD`` although single pieces may end here.
+    """
 
     action: ProcessingAction
     mqp: MutantQueryPlan
-    next_hop: str | None = None
+    pieces: list[Piece] = field(default_factory=list)
     bound_urns: int = 0
     evaluated_subplans: int = 0
     route_candidates: list[str] = field(default_factory=list)
+
+    @property
+    def next_hop(self) -> str | None:
+        """Where a plan forwarded whole goes next (``None`` otherwise)."""
+        return self.pieces[0].next_hop if len(self.pieces) == 1 else None
+
+    @property
+    def reason(self) -> str | None:
+        """Why a plan delivered whole is partial (``None`` when it is not)."""
+        return self.pieces[0].reason if len(self.pieces) == 1 else None
 
 
 @dataclass
@@ -125,6 +172,11 @@ class BatchContext:
     bindings: dict[str, object] = field(default_factory=dict)
     routing_servers: dict[str, list[str]] = field(default_factory=dict)
     indexers: list[str] | None = None
+
+
+_HELD = "="
+_RESIDUAL = "?"
+"""Group keys of :meth:`MQPProcessor._scatter` that are not a holder's address."""
 
 
 class MQPProcessor:
@@ -167,6 +219,10 @@ class MQPProcessor:
         # QueryPeer.join_catalog_tier: plan routing then leads with the
         # replica group owning the queried area.
         self.shard_map: ShardMap | None = None
+        # The area this server answers for authoritatively (set by the
+        # hosting peer): every source overlapping it has registered here
+        # (§3.3), so knowing none for a covered area *is* the answer.
+        self.authority: InterestArea | None = None
 
     # ------------------------------------------------------------------ #
     # Local data availability
@@ -227,46 +283,120 @@ class MQPProcessor:
         bound = self._bind_urns(mqp, now, route_candidates, context)
         evaluated = self._optimize_and_evaluate(mqp, now, context)
 
+        ordered: list[str] = []
         if mqp.is_fully_evaluated():
-            return ProcessingResult(
-                ProcessingAction.DELIVER,
-                mqp,
-                bound_urns=bound,
-                evaluated_subplans=evaluated,
-            )
+            action, pieces = ProcessingAction.DELIVER, [Piece(mqp)]
+        elif mqp.over_budget(now):
+            action, pieces = ProcessingAction.DELIVER_PARTIAL, [Piece(mqp, reason="time-budget")]
+        elif mqp.provenance.hop_count() >= self.max_hops:
+            action, pieces = ProcessingAction.DELIVER_PARTIAL, [Piece(mqp, reason="hop-budget")]
+        else:
+            parts = self._scatter(mqp)
+            pieces = []
+            for part in parts:
+                if part.is_fully_evaluated():
+                    pieces.append(Piece(part))  # what this server holds goes straight home
+                    continue
+                # Candidates gathered while binding lead to whoever can bind
+                # the URNs still left; only a plan that kept some follows them.
+                hints = route_candidates if len(parts) == 1 or part.remaining_urns() else []
+                piece, ordered = self._route(part, hints, now, avoid, context)
+                pieces.append(piece)
+            stuck = len(pieces) == 1 and pieces[0].next_hop is None
+            action = ProcessingAction.STUCK if stuck else ProcessingAction.FORWARD
+        return ProcessingResult(
+            action,
+            mqp,
+            pieces,
+            bound_urns=bound,
+            evaluated_subplans=evaluated,
+            route_candidates=ordered,
+        )
 
-        if mqp.over_budget(now) or mqp.provenance.hop_count() >= self.max_hops:
-            return ProcessingResult(
-                ProcessingAction.DELIVER_PARTIAL,
-                mqp,
-                bound_urns=bound,
-                evaluated_subplans=evaluated,
-            )
-
+    def _route(
+        self,
+        mqp: MutantQueryPlan,
+        hints: list[str],
+        now: float,
+        avoid: Collection[str],
+        context: BatchContext | None,
+    ) -> tuple[Piece, list[str]]:
+        """Pick the next hop of one unfinished plan (or declare it stuck)."""
         urn_candidates, data_candidates = self._candidates_for_remaining(mqp, context)
-        route_candidates.extend(urn_candidates)
-        ordered = self._order_candidates(route_candidates + data_candidates, avoid)
+        candidates = hints + urn_candidates + data_candidates
+        ordered = self._order_candidates(candidates, avoid)
         revisitable = self._order_candidates(data_candidates, avoid)
         next_hop = self.policy.choose_next_hop(
             ordered, mqp.provenance.visited_servers(), revisitable=revisitable
         )
         if next_hop is None:
-            return ProcessingResult(
-                ProcessingAction.STUCK,
-                mqp,
-                bound_urns=bound,
-                evaluated_subplans=evaluated,
-                route_candidates=ordered,
-            )
+            down = any(canonical_address(candidate) in avoid for candidate in candidates)
+            return Piece(mqp, reason="unreachable" if down else "stuck"), ordered
         mqp.provenance.add(self.address, ProvenanceAction.FORWARDED, now, detail=next_hop)
-        return ProcessingResult(
-            ProcessingAction.FORWARD,
-            mqp,
-            next_hop=next_hop,
-            bound_urns=bound,
-            evaluated_subplans=evaluated,
-            route_candidates=ordered,
-        )
+        return Piece(mqp, next_hop), ordered
+
+    # ------------------------------------------------------------------ #
+    # Scatter: a union travels as one piece per server that can reduce it
+    # ------------------------------------------------------------------ #
+
+    def _scatter(self, mqp: MutantQueryPlan) -> list[MutantQueryPlan]:
+        """Split a plan whose body is a union into independent pieces.
+
+        Branches are grouped, in plan order, by the one server that holds
+        every URL a branch reads (verbatim inputs travel with it); branches
+        already reduced to data form a group of their own, and branches
+        that still carry URNs or read from several servers stay together in
+        a residual group, always last.  One group — or a body that is not a
+        union: a join, ``order_by``, ``top_n`` or aggregate on top needs all
+        its input in one place — is no split: the plan goes on whole, path
+        and credit untouched.
+
+        Each of ``k`` pieces extends the branch path by ``(tag, index)``
+        and carries ``1/k`` of the plan's credit.  ``tag`` digests where
+        the pieces go, so two servers that split the same plan differently
+        (a rerouted copy bound against another catalog) mark their pieces
+        as rival lineages; the gathering target keeps one.
+        """
+        body = mqp.plan.body
+        if not isinstance(body, Union):
+            return [mqp]
+        groups: dict[str, list[PlanNode]] = {}
+        stack = list(reversed(body.children))
+        while stack:
+            branch = stack.pop()
+            if isinstance(branch, Union):  # a URN bound to a union inside the union
+                stack.extend(reversed(branch.children))
+            else:
+                groups.setdefault(self._site_of(branch), []).append(branch)
+        if len(groups) == 1:
+            return [mqp]
+        if _RESIDUAL in groups:
+            groups[_RESIDUAL] = groups.pop(_RESIDUAL)
+        tag = crc32("|".join(groups).encode("utf-8"))
+        credit = mqp.credit / len(groups)
+        target = mqp.target
+        pieces = []
+        for index, (site, branches) in enumerate(groups.items()):
+            if site == _HELD and len(branches) > 1:
+                items = [item for leaf in branches for item in leaf.items]  # type: ignore[attr-defined]
+                part: PlanNode = VerbatimData.from_items(items, tag="result", copy_items=False)
+            else:
+                part = branches[0] if len(branches) == 1 else Union(branches)
+            plan = QueryPlan(Display(part, target) if target is not None else part)
+            pieces.append(mqp.piece(plan, mqp.branch + (tag, index), credit))
+        return pieces
+
+    def _site_of(self, branch: PlanNode) -> str:
+        """The group a union branch scatters into (see :meth:`_scatter`)."""
+        if isinstance(branch, VerbatimData):
+            return _HELD
+        holders = set()
+        for node in branch.iter_nodes():
+            if isinstance(node, URLRef):
+                holders.add(canonical_address(node.url))
+            elif isinstance(node, URNRef):
+                return _RESIDUAL
+        return holders.pop() if len(holders) == 1 else _RESIDUAL
 
     def process_batch(
         self,
@@ -388,6 +518,10 @@ class MQPProcessor:
                 context.bindings[area_key] = self.binder.bind_area(urn.area)
             binding = context.bindings[area_key]
         if binding is None:
+            if self._answers_for(urn.area, mqp):
+                # The complete answer is empty: say so, instead of routing a
+                # plan nobody can continue until it comes home stuck.
+                return VerbatimData.from_items([], tag="result"), 0.0
             route_candidates.extend(self._routing_servers_for(urn.area, context))
             return None, 0.0
         alternative = self.policy.choose_alternative(binding, mqp.preferences)
@@ -400,6 +534,23 @@ class MQPProcessor:
             route_candidates.extend(self._routing_servers_for(urn.area, context))
             return None, 0.0
         return alternative.to_plan_node(str(urn)), alternative.max_delay_minutes
+
+    def _answers_for(self, area: InterestArea, mqp: MutantQueryPlan) -> bool:
+        """True when this server's word on ``area`` is final.
+
+        An authority whose area *covers* the query has every overlapping
+        source registered with it; one that merely overlaps does not, and
+        routes on.  Index servers below it (or replicas beside it) that the
+        plan has not asked yet may still know sources, so they are asked
+        first — the plan ends here once none is left.
+        """
+        if self.authority is None or not self.authority.covers(area):
+            return False
+        asked = {self._canonical_address, *mqp.provenance.visited_servers()}
+        return all(
+            entry.address in asked
+            for entry in self.catalog.servers_overlapping(area, roles=(ServerRole.INDEX,))
+        )
 
     def _known_indexers(self, context: BatchContext | None = None) -> list[str]:
         """Every index / meta-index server this catalog knows about."""

@@ -11,9 +11,15 @@ names used by examples and benchmarks.
 Message kinds understood:
 
 ``mqp``
-    A serialized mutant query plan to process and route onward.
+    A serialized mutant query plan to process and route onward — whole,
+    or, where a hop holds a union, scattered: one small plan per server
+    that can reduce a group of its branches, each carrying its branch
+    path and its share of the query's credit.
 ``result`` / ``partial-result``
-    A (possibly partial) query result arriving at its target in one frame.
+    A (possibly partial) result arriving at its target in one frame: the
+    answer of one piece, echoing the piece's branch path and credit.  The
+    target's :class:`~repro.peers.gather.ResultGather` keeps pieces per
+    path and calls the answer final when the credits sum to exactly 1.
 ``result-chunk`` / ``result-end``
     The chunked result protocol (``flags.streaming_results``): the
     answering peer pumps the result out as a sequence of small framed
@@ -21,8 +27,8 @@ Message kinds understood:
     carrying the metadata the single ``result`` frame used to carry.
 ``cancel-query``
     A query was cancelled at its issuer: tear down open result streams,
-    drop the plan if it arrives here, and propagate along the forwarding
-    chain.
+    drop the plan if it arrives here, and propagate to every next hop a
+    piece of it was sent to.
 ``register``
     A server announcing itself (entry + optional intensional statements).
 ``register-ack``
@@ -94,16 +100,18 @@ from ..errors import PeerError, PeerOffline
 from ..mqp import (
     MQPProcessor,
     MutantQueryPlan,
-    ProcessingAction,
     ProcessingResult,
     ProvenanceAction,
     QueryPreferences,
     RetryPolicy,
 )
+from ..mqp.plan import format_branch
 from ..namespace import InterestArea, MultiHierarchicNamespace
 from ..network import Event, Message, NetworkNode
 from ..perf import flags
 from ..xmlmodel import XMLElement, parse_xml, serialize_xml, utf8_len
+from .gather import QueryResult, ResultGather, ResultItems, ResultPiece
+from .gather import insert_capped as _insert_capped
 from .subscriptions import (
     ArmedSubscription,
     DeltaRecord,
@@ -125,33 +133,14 @@ class RegistrationPayload:
 
 
 @dataclass
-class QueryResult:
-    """What a client records when a result (or partial result) arrives."""
-
-    query_id: str
-    items: list[XMLElement]
-    partial: bool = False
-    received_at: float = 0.0
-    provenance_hops: int = 0
-    max_staleness_minutes: float = 0.0
-
-    @property
-    def count(self) -> int:
-        """Number of result items."""
-        return len(self.items)
-
-
-@dataclass
 class _ResultStream:
     """Producer-side state of one chunked result delivery."""
 
     query_id: str
     target: str
     iterator: Iterator[XMLElement]
-    partial: bool
-    hops: int
-    staleness: float
     stream: str
+    closing: dict  # what the result-end frame says once the chunks are out
     seq: int = 0
     sent_items: int = 0
 
@@ -167,29 +156,6 @@ def _item_key(item: XMLElement, key_path: str) -> str | None:
     if value is not None:
         return value
     return item.child_text(key_path)
-
-
-def _insert_capped(
-    entries: dict,
-    key: object,
-    value: object,
-    cap: int,
-    evicted: Callable[[object], None] | None = None,
-) -> None:
-    """(Re)insert into an insertion-ordered dict and bound its size.
-
-    Re-inserting refreshes recency, so actively used keys are never the
-    eviction victim; past ``cap`` the oldest entries go (``evicted`` is
-    called with each evicted key).  The shared idiom for every per-query
-    bookkeeping map a long-running relay must keep bounded.
-    """
-    entries.pop(key, None)
-    entries[key] = value
-    while len(entries) > cap:
-        oldest = next(iter(entries))
-        del entries[oldest]
-        if evicted is not None:
-            evicted(oldest)
 
 
 @dataclass
@@ -298,7 +264,12 @@ class QueryPeer(NetworkNode):
             collections=self.collections,
             cache=self.cache,
         )
+        if authoritative:
+            self.processor.authority = self.interest_area
+        # The answer so far per query (cumulative; see QueryResult), fed by
+        # the gather, which owns the pieces of queries still coming home.
         self.results: dict[str, QueryResult] = {}
+        self.gather = ResultGather()
         self._result_watchers: dict[str, list[Callable[[QueryResult], None]]] = {}
         self._terminal_watchers: dict[str, list[Callable[[QueryResult], None]]] = {}
         self.statements: list[IntensionalStatement] = []
@@ -316,12 +287,17 @@ class QueryPeer(NetworkNode):
         self.forward_memory = 4096
         self.assembly_memory = 1024
         self.plans_cancelled = 0
-        self._open_streams: dict[str, _ResultStream] = {}
+        # Keyed by (query, branch path): a peer may be pumping several
+        # pieces of one scattered query at once.
+        self._open_streams: dict[tuple[str, str], _ResultStream] = {}
         self._stream_counter = 0
         self._chunk_buffers: dict[str, list[XMLElement]] = {}
         self._chunk_assemblies: dict[tuple[str, str], _ChunkAssembly] = {}
         self._chunk_watchers: dict[str, list[Callable[[list[XMLElement], str], None]]] = {}
-        self._forwarded_to: dict[str, str] = {}
+        # Every next hop a query's pieces left for (a scatter has many): the
+        # fan-out a cancel notice must retrace.  Under reliable delivery the
+        # pieces stay here too, in custody (see _resend_pieces).
+        self._forwarded_to: dict[str, dict[str, list[str]]] = {}
         # -- churn awareness ------------------------------------------------ #
         self.registration_targets: list[str] = []
         self.suspected_dead: set[str] = set()
@@ -660,8 +636,8 @@ class QueryPeer(NetworkNode):
         """
         self.plans_lost_in_crash += len(self._mqp_buffer)
         self._mqp_buffer.clear()
-        for query_id in list(self._open_streams):
-            self._teardown_stream(query_id)
+        for key in list(self._open_streams):
+            self._teardown_stream(key)
         # Armed matcher state is in-RAM: a crashed publisher loses it and is
         # re-armed from an authority's registry when it registers again on
         # rejoin (with a fresh epoch).  The subscriber-side intent
@@ -1485,98 +1461,106 @@ class QueryPeer(NetworkNode):
         self._act_on(result)
 
     def _act_on(self, result: ProcessingResult) -> None:
-        mqp = result.mqp
-        trace = self.network.metrics.trace(mqp.query_id)  # type: ignore[union-attr]
-
-        if result.action is ProcessingAction.DELIVER:
-            self._deliver(mqp, partial=False)
-        elif result.action is ProcessingAction.DELIVER_PARTIAL:
-            self._deliver(mqp, partial=True)
-        elif result.action is ProcessingAction.FORWARD:
-            assert result.next_hop is not None
+        """Send every outgoing piece on its way: forwarding is a scatter of one."""
+        trace = self.network.metrics.trace(result.mqp.query_id)  # type: ignore[union-attr]
+        for piece in result.pieces:
+            mqp = piece.mqp
+            if piece.next_hop is None:
+                if piece.reason in ("stuck", "unreachable"):
+                    # Deliver whatever partial answer exists rather than dropping.
+                    self.plans_stuck += 1
+                self._deliver(mqp, piece.reason)
+                continue
             self.plans_forwarded += 1
-            self._remember_forward(mqp.query_id, result.next_hop)
             payload = mqp.serialize()
+            self._remember_forward(mqp.query_id, piece.next_hop, payload)
             sent = self._send_query_traffic(
-                result.next_hop, "mqp", payload, utf8_len(payload), mqp.query_id
+                piece.next_hop, "mqp", payload, utf8_len(payload), mqp.query_id
             )
             trace.messages += 1
             trace.bytes += sent.size_bytes
-        else:  # STUCK: deliver whatever partial answer exists rather than dropping
-            self.plans_stuck += 1
-            self._deliver(mqp, partial=True)
 
-    def _deliver(self, mqp: MutantQueryPlan, partial: bool) -> None:
+    def _deliver(self, mqp: MutantQueryPlan, reason: str | None = None) -> None:
+        """Ship what ``mqp`` holds to its target; ``reason`` marks it partial."""
+        partial = reason is not None
         target = mqp.target or self.address
-        self._forwarded_to.pop(mqp.query_id, None)
         mqp.provenance.add(self.address, ProvenanceAction.DELIVERED, self.now, detail=target)
         items = self._extract_result_items(mqp, partial)
-        if flags.streaming_results and target != self.address:
-            self._stream_result(mqp, items, partial, target)
-            return
-        # The wrapper shares the items: it exists only to be serialized on
-        # the next line, and serialization never mutates.
-        collection = XMLElement("result", {"query-id": mqp.query_id}, items)
-        payload = serialize_xml(collection)
-        kind = "partial-result" if partial else "result"
         envelope = {
-            "document": payload,
             "query_id": mqp.query_id,
             "partial": partial,
             "hops": mqp.provenance.hop_count(),
             "staleness": mqp.provenance.max_staleness(),
+            # Which piece of the query this is and the credit it returns:
+            # what lets the target know when every piece is home.
+            "branch": format_branch(mqp.branch),
+            "credit": str(mqp.credit),
         }
-        failures = self.delivery_failures.get(mqp.query_id)
-        if failures:
-            # Per-hop failure provenance travels with the answer, so the
-            # issuer can annotate a degraded result with *where* delivery
-            # gave up — not just that something is missing.
-            envelope["failures"] = [dict(record) for record in failures]
-        trace = self.network.metrics.trace(mqp.query_id)  # type: ignore[union-attr]
+        if partial:
+            envelope["reason"] = reason
         if target == self.address:
             # Same guards as _handle_result: a duplicate plan copy that goes
             # stuck here must not overwrite a recorded complete answer (and
             # a cancelled query records nothing).
-            if mqp.query_id not in self.cancelled_queries and not self._is_answered(
-                mqp.query_id
-            ):
-                self._record_result(envelope)
+            if mqp.query_id not in self.cancelled_queries:
+                self._attach_failures(envelope)
+                self._record_piece(envelope, items)
             return
+        if flags.streaming_results:
+            self._stream_result(envelope, items, target)
+            return
+        # The wrapper shares the items: it exists only to be serialized on
+        # the next line, and serialization never mutates.
+        payload = serialize_xml(XMLElement("result", {"query-id": mqp.query_id}, items))
+        envelope["document"] = payload
+        envelope["items"] = len(items)  # lets the target count the answer without parsing it
+        self._attach_failures(envelope)
+        trace = self.network.metrics.trace(mqp.query_id)  # type: ignore[union-attr]
         sent = self._send_query_traffic(
-            target, kind, envelope, utf8_len(payload), mqp.query_id
+            target,
+            "partial-result" if partial else "result",
+            envelope,
+            utf8_len(payload),
+            mqp.query_id,
         )
         trace.messages += 1
         trace.bytes += sent.size_bytes
 
+    def _attach_failures(self, envelope: dict) -> None:
+        """Per-hop failure provenance travels with the answer, so the issuer
+        can annotate a degraded result with *where* delivery gave up — not
+        just that something is missing."""
+        failures = self.delivery_failures.get(envelope["query_id"])
+        if failures:
+            envelope["failures"] = [dict(record) for record in failures]
+
     # -- chunked result delivery (flags.streaming_results) --------------------- #
 
-    def _stream_result(
-        self, mqp: MutantQueryPlan, items: Sequence[XMLElement], partial: bool, target: str
-    ) -> None:
+    def _stream_result(self, closing: dict, items: Sequence[XMLElement], target: str) -> None:
         """Open a chunked delivery: the result leaves as framed chunks.
 
-        The stream token distinguishes deliveries when one query is
-        answered more than once (a partial from a stuck branch, then a
-        complete answer): the receiver reassembles per stream, never
-        mixing two deliveries' items.
+        ``closing`` is the metadata the ``result-end`` frame will carry.
+        The stream token distinguishes deliveries when one piece of a query
+        is answered more than once (a partial from a stuck copy, then the
+        complete answer): the receiver reassembles per stream, never mixing
+        two deliveries' items.
         """
+        key = (closing["query_id"], closing["branch"])
         # A newer delivery supersedes any stream still pumping for this
-        # query: close its iterator instead of silently truncating it.
-        self._teardown_stream(mqp.query_id)
+        # piece: close its iterator instead of silently truncating it.
+        self._teardown_stream(key)
         self._stream_counter += 1
         state = _ResultStream(
-            query_id=mqp.query_id,
+            query_id=closing["query_id"],
             target=target,
             iterator=iter(items),
-            partial=partial,
-            hops=mqp.provenance.hop_count(),
-            staleness=mqp.provenance.max_staleness(),
             stream=f"{self.address}/{self._stream_counter}",
+            closing=closing,
         )
-        self._open_streams[mqp.query_id] = state
-        self._pump_stream(mqp.query_id, state.stream)
+        self._open_streams[key] = state
+        self._pump_stream(key, state.stream)
 
-    def _pump_stream(self, query_id: str, stream: str) -> None:
+    def _pump_stream(self, key: tuple[str, str], stream: str) -> None:
         """Send the next chunk of an open stream, or close it with result-end.
 
         Each chunk is its own framed message on the wire, and the next pump
@@ -1585,14 +1569,15 @@ class QueryPeer(NetworkNode):
         cancel notice arriving mid-stream tears the iterator down before
         the remaining chunks are produced.
         """
-        state = self._open_streams.get(query_id)
+        state = self._open_streams.get(key)
         if state is None or state.stream != stream:
             # A stale pump event: its stream was torn down (or superseded
             # by a newer delivery, which drives its own pump chain — one
             # chunk per logical event, never two).
             return
+        query_id = state.query_id
         if not self.online or query_id in self.cancelled_queries:
-            self._teardown_stream(query_id)
+            self._teardown_stream(key)
             return
         chunk = list(islice(state.iterator, self.result_chunk_items))
         trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
@@ -1614,31 +1599,32 @@ class QueryPeer(NetworkNode):
             trace.bytes += sent.size_bytes
             state.seq += 1
             state.sent_items += len(chunk)
-            self.schedule(0.0, lambda: self._pump_stream(query_id, stream))
+            self.schedule(0.0, lambda: self._pump_stream(key, stream))
             return
         envelope = {
-            "query_id": query_id,
+            **state.closing,
             "stream": state.stream,
             "seq": state.seq,
             "items_total": state.sent_items,
-            "partial": state.partial,
-            "hops": state.hops,
-            "staleness": state.staleness,
         }
-        failures = self.delivery_failures.get(query_id)
-        if failures:
-            envelope["failures"] = [dict(record) for record in failures]
+        self._attach_failures(envelope)
         sent = self._send_query_traffic(state.target, "result-end", envelope, 128, query_id)
         trace.messages += 1
         trace.bytes += sent.size_bytes
-        self._open_streams.pop(query_id, None)
+        self._open_streams.pop(key, None)
 
-    def _teardown_stream(self, query_id: str) -> None:
-        state = self._open_streams.pop(query_id, None)
+    def _teardown_stream(self, key: tuple[str, str]) -> None:
+        state = self._open_streams.pop(key, None)
         if state is not None:
             close = getattr(state.iterator, "close", None)
             if close is not None:
                 close()
+
+    def _teardown_streams_of(self, query_id: str, stream: str | None = None) -> None:
+        """Close the query's open streams — all, or the one with this token."""
+        for key, state in list(self._open_streams.items()):
+            if key[0] == query_id and stream in (None, state.stream):
+                self._teardown_stream(key)
 
     @staticmethod
     def _extract_result_items(mqp: MutantQueryPlan, partial: bool) -> list[XMLElement]:
@@ -1652,42 +1638,38 @@ class QueryPeer(NetworkNode):
         return items
 
     def _handle_result(self, message: Message) -> None:
-        query_id = message.payload["query_id"]
+        envelope: dict = message.payload
+        query_id = envelope["query_id"]
         if query_id in self.cancelled_queries:
             return  # the issuer no longer wants this answer
+        # Counted now, parsed when (and if) somebody reads the answer.
+        items = ResultItems.of_document(envelope["document"], envelope.get("items"))
+        self._record_piece(envelope, items)
+
+    def _record_piece(self, envelope: dict, items: Sequence[XMLElement]) -> None:
+        """Hand one arrived result envelope to the gather and record its verdict."""
+        query_id = envelope["query_id"]
         if self._is_answered(query_id):
             # A complete result is terminal: a straggling partial from a
             # slower relay path (or a duplicate) must not overwrite it.
             return
-        self._record_result(message.payload)
-
-    def _record_result(self, envelope: dict) -> None:
         self._absorb_failures(envelope)
-        document = parse_xml(envelope["document"])
-        self._finalize_result(
-            envelope["query_id"],
-            list(document.children),
-            partial=bool(envelope.get("partial", False)),
-            hops=int(envelope.get("hops", 0)),
-            staleness=float(envelope.get("staleness", 0.0)),
+        outcome = self.gather.offer(
+            query_id, ResultPiece.from_envelope(envelope, items), now=self.now
         )
-
-    def _finalize_result(
-        self, query_id: str, items: list[XMLElement], partial: bool, hops: int, staleness: float
-    ) -> None:
-        result = QueryResult(
-            query_id=query_id,
-            items=items,
-            partial=partial,
-            received_at=self.now,
-            provenance_hops=hops,
-            max_staleness_minutes=staleness,
-        )
-        self.results[query_id] = result
+        if outcome is None:
+            return  # malformed, a duplicate, or a branch already accounted for
+        arrival, recorded = outcome
+        self.results[query_id] = recorded
+        if not recorded.partial:
+            # The query is answered: any delivery still reassembling (a
+            # superseded stream the producer tore down) is stale.
+            self._chunk_buffers.pop(query_id, None)
+            self._drop_assemblies(query_id)
         trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
         trace.completed_at = self.now
-        trace.answers = result.count
-        self._dispatch_result(query_id, result)  # handle completion
+        trace.answers = recorded.count
+        self._dispatch_result(query_id, arrival)  # handle completion
 
     # -- chunked result reassembly ------------------------------------------- #
 
@@ -1725,15 +1707,20 @@ class QueryPeer(NetworkNode):
             del self._chunk_assemblies[key]
 
     def _is_answered(self, query_id: str) -> bool:
-        """True once a complete (non-partial) result has been recorded.
+        """True once nothing more may be recorded for the query.
 
+        That is: a complete (non-partial) result is recorded — or a partial
+        one whose gather table is gone (evicted mid-gather: the pieces that
+        were counted are forgotten, so later ones could only double-count).
         A superseded stream's in-flight chunks can straggle in after the
         superseding delivery already closed; replaying them would repopulate
         the arrival buffer with stale items (or strand an orphan assembly),
         so chunk and end frames for an answered query are dropped.
         """
         recorded = self.results.get(query_id)
-        return recorded is not None and not recorded.partial
+        return recorded is not None and (
+            not recorded.partial or query_id not in self.gather
+        )
 
     def _handle_result_chunk(self, message: Message) -> None:
         envelope: dict = message.payload
@@ -1814,7 +1801,6 @@ class QueryPeer(NetworkNode):
     def _close_assembly(self, query_id: str, assembly: _ChunkAssembly) -> None:
         envelope = assembly.end
         assert envelope is not None
-        self._absorb_failures(envelope)
         self._chunk_assemblies.pop((query_id, assembly.stream), None)
         items = assembly.items
         expected_items = int(envelope.get("items_total", len(items)))
@@ -1824,40 +1810,49 @@ class QueryPeer(NetworkNode):
                 f"{assembly.stream!r} with {expected_items} item(s), "
                 f"but {len(items)} arrived"
             )
-        partial = bool(envelope.get("partial", False))
-        if not partial:
-            # The query is answered: any other delivery still reassembling
-            # (a superseded stream the producer tore down) is stale.
-            self._chunk_buffers.pop(query_id, None)
-            self._drop_assemblies(query_id)
-        self._finalize_result(
-            query_id,
-            items,
-            partial=partial,
-            hops=int(envelope.get("hops", 0)),
-            staleness=float(envelope.get("staleness", 0.0)),
-        )
+        self._record_piece(envelope, items)
 
     # -- cancellation --------------------------------------------------------- #
 
-    def _remember_forward(self, query_id: str, next_hop: str) -> None:
-        _insert_capped(self._forwarded_to, query_id, next_hop, self.forward_memory)
+    def _remember_forward(self, query_id: str, next_hop: str, piece: str) -> None:
+        hops = self._forwarded_to.get(query_id, {})
+        custody = hops.setdefault(next_hop, [])
+        if flags.reliable_delivery:
+            custody.append(piece)
+        _insert_capped(self._forwarded_to, query_id, hops, self.forward_memory)
+
+    def _resend_pieces(self, holder: str) -> None:
+        """Send ``holder`` again every piece it was sent for a remembered query.
+
+        A server registers again when it returns from an outage, and a crash
+        takes what it had accepted with it: its ack released the sender, so a
+        piece whose result frame was then lost would be gone for good.  What
+        did come home the first time the target's gather drops (same path,
+        same credit), so the worst case is wasted traffic, never a double
+        count; a cancelled query is no longer remembered here.
+        """
+        for query_id, hops in list(self._forwarded_to.items()):
+            for piece in hops.get(holder, ()):
+                self._send_query_traffic(holder, "mqp", piece, utf8_len(piece), query_id)
 
     def _remember_cancelled(self, query_id: str) -> None:
         _insert_capped(self.cancelled_queries, query_id, None, self.cancel_memory)
 
     def cancel_query(self, query_id: str) -> None:
-        """Cancel a query here and propagate along the forwarding chain.
+        """Cancel a query here and propagate along the forwarding fan-out.
 
         Idempotent.  Open result streams for the query are torn down (their
-        iterators closed), buffered chunks dropped, watchers released, and
-        the plan — should it arrive or still be in flight downstream — is
-        discarded by every peer the cancel notice reaches.
+        iterators closed), buffered chunks and gathered pieces dropped,
+        watchers released, and the plan's pieces — should they arrive or
+        still be in flight downstream — are discarded by every peer the
+        cancel notice reaches: each hop passes it on to every next hop it
+        sent a piece to.
         """
         if query_id in self.cancelled_queries:
             return
         self._remember_cancelled(query_id)
-        self._teardown_stream(query_id)
+        self._teardown_streams_of(query_id)
+        self.gather.discard(query_id)
         self._chunk_buffers.pop(query_id, None)
         self._drop_assemblies(query_id)
         self.unwatch_results(query_id)
@@ -1869,9 +1864,10 @@ class QueryPeer(NetworkNode):
                 del self._pending_transfers[transfer]
                 if state.timer is not None:
                     state.timer.cancel()
-        next_hop = self._forwarded_to.pop(query_id, None)
-        if next_hop is not None and self.network is not None and self.online:
-            self.send(next_hop, "cancel-query", query_id, size_bytes=64)
+        next_hops = self._forwarded_to.pop(query_id, ())
+        if self.network is not None and self.online:
+            for next_hop in next_hops:
+                self.send(next_hop, "cancel-query", query_id, size_bytes=64)
 
     # -- reliable delivery (flags.reliable_delivery) --------------------------- #
 
@@ -1973,9 +1969,7 @@ class QueryPeer(NetworkNode):
             return
         if state.kind in ("result-chunk", "result-end"):
             envelope: dict = state.payload  # type: ignore[assignment]
-            stream_state = self._open_streams.get(state.query_id)
-            if stream_state is not None and stream_state.stream == envelope.get("stream"):
-                self._teardown_stream(state.query_id)
+            self._teardown_streams_of(state.query_id, envelope["stream"])
         if state.kind == "delta-chunk":
             # The subscriber is unreachable: pause the feed (the replay log
             # keeps accumulating) instead of burning retries per delta.
@@ -2017,6 +2011,7 @@ class QueryPeer(NetworkNode):
             message.sender, "register-ack", self.server_entry(), size_bytes=256
         )
         del acknowledgement  # traffic is accounted for by the network metrics
+        self._resend_pieces(entry.address)
         if self.subscription_registry:
             # A (re)registering server may hold data an armed subscription
             # watches: push the stored subscriptions back to it so its
@@ -2073,9 +2068,7 @@ class QueryPeer(NetworkNode):
             # one unreachable bounce at a time.  Matched by stream token —
             # a stale bounce from an already-superseded delivery must not
             # kill the live successor (same hazard _pump_stream guards).
-            state = self._open_streams.get(original.payload["query_id"])
-            if state is not None and state.stream == original.payload.get("stream"):
-                self._teardown_stream(state.query_id)
+            self._teardown_streams_of(original.payload["query_id"], original.payload["stream"])
         if original.kind == "delta-chunk":
             # The subscriber crashed: pause its feed until it resubscribes.
             self._pause_subscription(original.payload["sub"])

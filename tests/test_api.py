@@ -29,6 +29,7 @@ from repro.api import (
 )
 from repro.namespace import InterestAreaURN, garage_sale_namespace
 from repro.peers import BaseServer
+from repro.xmlmodel import XMLElement, text_element
 from tests.conftest import make_item
 
 TRANSPORTS = ("sim", "aio")
@@ -287,14 +288,69 @@ class TestQueryHandleOnBothTransports:
                 .expecting(2)
                 .submit()
             )
-            # The plan reroutes around the dead seller and degrades: the
-            # network idles with a partial answer, which result() returns
-            # (flagged) rather than discarding.
+            # The dead seller's piece bounces and comes home empty-handed,
+            # the live seller's piece answers: the network idles with every
+            # piece home, and result() returns the gathered answer —
+            # flagged, with the reason — rather than discarding it.
             result = handle.result(timeout=120_000)
-            assert result.partial
+            assert result.partial and result.reason == "unreachable"
             assert {item.child_text("title") for item in result.items} == {"Abbey Road"}
-            assert handle.partial_results() == [result]
+            arrivals = handle.partial_results()  # one per piece, not cumulative
+            assert sorted(arrival.count for arrival in arrivals) == [0, 1]
+            assert {arrival.reason for arrival in arrivals} == {None, "unreachable"}
             assert not handle.done()  # no *complete* result ever arrived
+
+    def test_cancel_after_a_scatter_reaches_every_branch(self, transport):
+        with small_cluster(transport) as cluster:
+            client = cluster.session("client:9020")
+            index = cluster.session("index-or:9020").peer
+            handle = (
+                client.query().area(portland_area(cluster)).where("price < 10").submit()
+            )
+            # Stop the clock the moment the index has sent both sellers
+            # their piece, then cancel: the notice must fan out as the plan did.
+            cluster.network.run_until(lambda: index.plans_forwarded >= 2)
+            assert list(index._forwarded_to[handle.query_id]) == [
+                "seller1:9020", "seller2:9020",
+            ]
+            handle.cancel()
+            cluster.run_until_idle()
+            for address in ("meta:9020", "index-or:9020", "seller1:9020", "seller2:9020"):
+                peer = cluster.session(address).peer
+                assert handle.query_id in peer.cancelled_queries, address
+                assert handle.query_id not in peer._forwarded_to
+            assert handle.query_id not in client.peer.results
+            assert handle.query_id not in client.peer.gather
+
+    def test_a_join_and_a_top_n_over_a_union_still_travel_as_one_piece(self, transport):
+        with small_cluster(transport) as cluster:
+            cluster.session("seller2:9020").publish(
+                "listings",
+                [XMLElement("CD", {}, [text_element("title", "Abbey Road"),
+                                       text_element("track", "Come Together")])],
+                urn="urn:CD:TrackListings",
+            )
+            cluster.connect()
+            client = cluster.session("client:9020")
+            cds = lambda: client.query().area(portland_area(cluster)).where("price < 100")
+            cheapest = cds().top_n(2, "price", descending=False).submit()
+            joined = cds().join(
+                client.query().urn("urn:CD:TrackListings"), on=("//title", "//CD/title")
+            ).submit()
+            result = cheapest.result(timeout=120_000)
+            assert [item.child_text("title") for item in result.items] == [
+                "Blue Train", "Abbey Road",
+            ]
+            assert not result.partial
+            tracks = joined.result(timeout=120_000)
+            assert not tracks.partial and tracks.count == 1
+            assert tracks.items[0].find("CD").child_text("track") == "Come Together"
+            # One plan per query walked from holder to holder and came home
+            # whole: one result frame each, no piece arrivals before it.
+            assert cluster.network.metrics.messages_by_kind["result"] == 2
+            assert cheapest.partial_results() == [] and joined.partial_results() == []
+            for handle in (cheapest, joined):
+                assert handle.trace().visited[-2:] == ["seller1:9020", "seller2:9020"]
 
     def test_streaming_iteration(self, transport):
         with small_cluster(transport) as cluster:

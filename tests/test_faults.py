@@ -19,10 +19,15 @@ Covers the resilience contract ``docs/resilience.md`` documents:
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from repro.api import Cluster, DegradedResult
 from repro.errors import SimulationError
+from repro.harness import scaleout
 from repro.harness.report import to_json
 from repro.harness.scaleout import ScaleoutSpec, run_scaleout
 from repro.mqp import RetryPolicy
@@ -34,7 +39,10 @@ from repro.network import (
     Network,
     stable_unit,
 )
+from repro.peers import QueryPeer
+from repro.peers.gather import ResultGather
 from repro.perf import flags, overrides
+from repro.xmlmodel import serialize_xml
 from tests.conftest import make_item
 from tests.test_api import small_cluster
 
@@ -178,6 +186,98 @@ class TestFaultEquivalence:
 
 
 # --------------------------------------------------------------------------- #
+# Scatter/gather under fire: the seeded sweep over the protocol switches
+# --------------------------------------------------------------------------- #
+
+
+SWEEP_BASE = ScaleoutSpec(name="sweep", topology="small-world", peers=60,
+                          workload="gene-expression", churn="none", queries=4, seed=9)
+SWEEP_CELLS = list(product((False, True), (False, True), (0.0, 0.10)))
+
+
+def _run_sweep_cell(spec: ScaleoutSpec, streaming: bool, transport: str):
+    """One run with a holder crashed before the first query; invariants checked at idle."""
+    offers: list[tuple[str, tuple, bool, bool]] = []
+    offer = ResultGather.offer
+
+    def spy(self, query_id, piece, now=0.0):
+        outcome = offer(self, query_id, piece, now)
+        offers.append((query_id, piece.branch, piece.partial, outcome is not None))
+        return outcome
+
+    ResultGather.offer = spy
+    try:
+        with overrides(streaming_results=streaming, reliable_delivery=spec.reliable):
+            scenario = scaleout.build_scaleout_scenario(spec, transport=transport)
+            with scenario.cluster as cluster:
+                wanted = max(scenario.queries, key=lambda query: query.expected).area
+                victim = next(
+                    peer.address for peer in scenario.data_peers
+                    if peer.items and peer.area.overlaps(wanted)
+                )
+                scenario.network.node(victim).go_offline()
+                query_ids = scaleout.schedule_queries(scenario)
+                cluster.run_until_idle()
+                report = scaleout._report(scenario, query_ids)
+                _assert_settled(scenario, spec, query_ids, offers)
+    finally:
+        ResultGather.offer = offer
+    return report
+
+
+def _assert_settled(scenario, spec, query_ids, offers) -> None:
+    network = scenario.network
+    population = Counter(
+        serialize_xml(item) for peer in scenario.data_peers for item in peer.items
+    )
+    # answers ⊆ expected: real items, none twice, never more than the truth.
+    client = scenario.client
+    for position, query_id in enumerate(query_ids):
+        recorded = client.results.get(query_id)
+        if recorded is None:
+            continue
+        answers = Counter(serialize_xml(item) for item in recorded.items)
+        assert not answers - population, f"{query_id}: an item nobody published (or twice)"
+        assert recorded.count <= scenario.queries[position].expected
+        assert recorded.partial == (recorded.reason is not None or query_id in client.gather)
+    # Each branch path is counted once: one complete piece at most, a
+    # partial one only before it, everything else refused by the gather.
+    kept = Counter((query, path, partial) for query, path, partial, taken in offers if taken)
+    assert all(count == 1 for count in kept.values())
+    # Nothing is left running or waiting.
+    assert network.simulator.peek() is None
+    for node in network.nodes():
+        if not isinstance(node, QueryPeer):
+            continue
+        assert not node._pending_transfers and not node._open_streams
+        assert not node._mqp_buffer
+        if spec.reliable or spec.fault_loss == 0.0:
+            # Every piece came home (a bounced one as an "unreachable" partial).
+            assert node.gather.pending() == [] and not node._chunk_assemblies
+        else:
+            # Fire-and-forget under loss: a lost piece never returns its
+            # credit (a lost chunk never closes its stream), so the query's
+            # table and the stream's assembly wait — bounded by their caps.
+            assert len(node.gather) <= spec.queries
+            assert len(node._chunk_assemblies) <= node.assembly_memory
+
+
+class TestScatterGatherSweep:
+    @pytest.mark.parametrize("streaming,reliable,loss", SWEEP_CELLS)
+    def test_invariants_hold_and_backends_agree(self, streaming, reliable, loss):
+        spec = replace(SWEEP_BASE, reliable=reliable, fault_loss=loss)
+        sim_report = _run_sweep_cell(spec, streaming, "sim")
+        aio_report = _run_sweep_cell(spec, streaming, "aio")
+        assert to_json(sim_report) == to_json(aio_report)
+        rows = sim_report["queries"]
+        assert all(row["answers"] <= row["expected"] for row in rows)
+        if loss == 0.0:
+            # Only the crashed holder's branch is missing, and it says why.
+            short = [row for row in rows if row["answers"] < row["expected"]]
+            assert short and len(short) < len(rows)
+
+
+# --------------------------------------------------------------------------- #
 # The reliable-delivery protocol: acks, retries, dedupe, failure handling
 # --------------------------------------------------------------------------- #
 
@@ -249,6 +349,67 @@ class TestReliableDelivery:
                 cluster.run_until_idle()
                 assert sender.transfers_failed == 0
                 assert sender.retries_sent == 0
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_a_piece_lost_with_its_crashed_holder_is_sent_again_on_rejoin(self, streaming):
+        """The window an ack leaves open: the holder accepted its piece (so the
+        scatterer was released), answered, and crashed with the result frame
+        lost.  The scatterer kept the piece and sends it again the moment the
+        holder registers back; what had come home is not counted twice."""
+        with overrides(reliable_delivery=True, streaming_results=streaming):
+            with small_cluster() as cluster:
+                seller2 = cluster.session("seller2:9020")
+                client = cluster.session("client:9020")
+                send = seller2.peer.send
+
+                def lossy(recipient, kind, payload=None, **kwargs):
+                    if recipient == client.address and kind.startswith("result"):
+                        seller2.crash()  # before any retransmission timer fires
+                        return _message(seller2.address, recipient, kind)  # lost on the link
+                    return send(recipient, kind, payload, **kwargs)
+
+                seller2.peer.send = lossy
+                handle = (
+                    client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                    .where("price < 20")
+                    .expecting(3).submit()
+                )
+                short = handle.result(timeout=600_000)
+                assert short.partial and short.reason is None and short.count == 2
+                seller2.peer.send = send
+                seller2.rejoin()
+                result = handle.result(timeout=600_000)
+                assert not result.partial and result.count == 3
+                assert sorted(item.child_text("title") for item in result.items) == [
+                    "Abbey Road", "Blue Train", "Kind of Blue",
+                ]
+                cluster.run_until_idle()
+                assert client.peer.gather.dropped == 0 and len(client.peer.gather) == 0
+                # A second rejoin sends the pieces once more; the answered query ignores them.
+                seller2.crash()
+                seller2.rejoin()
+                cluster.run_until_idle()
+                assert client.peer.results[handle.query_id] is result and result.count == 3
+                for peer in cluster.peers():
+                    assert peer._pending_transfers == {}
+
+    def test_an_unreachable_holders_partial_is_superseded_when_it_comes_back(self):
+        with overrides(reliable_delivery=True):
+            with small_cluster() as cluster:
+                seller2 = cluster.session("seller2:9020")
+                client = cluster.session("client:9020")
+                seller2.crash()
+                handle = (
+                    client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                    .where("price < 20").expecting(3).submit()
+                )
+                short = handle.result(timeout=600_000)
+                assert short.partial and short.reason == "unreachable" and short.count == 2
+                seller2.rejoin()  # registers back: the index sends its piece again
+                result = handle.result(timeout=600_000)
+                assert not result.partial and result.reason is None and result.count == 3
+                cluster.run_until_idle()
+                assert len(client.peer.gather) == 0
 
     def test_receiver_dedupes_and_reacks_every_attempt(self):
         with overrides(reliable_delivery=True):
@@ -349,6 +510,24 @@ class TestDegradedResults:
             with pytest.raises(APIError):
                 handle.result(timeout=1_000, deadline=1_000)
             handle.result(timeout=60_000)
+
+    def test_the_pieces_own_reason_is_passed_through(self):
+        # seller2 is down: its piece bounces and comes home saying so.  The
+        # handle has nothing to add ("idle" would only say the clock stopped).
+        with small_cluster() as cluster:
+            cluster.session("seller2:9020").crash()
+            handle = (
+                cluster.session("client:9020")
+                .query()
+                .area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                    .where("price < 10")
+                .expecting(2)
+                .submit()
+            )
+            degraded = handle.result(deadline=120_000)
+            assert isinstance(degraded, DegradedResult) and degraded.partial
+            assert degraded.reason == "unreachable" and degraded.completeness == 0.5
+            assert [item.child_text("title") for item in degraded.items] == ["Abbey Road"]
 
     def test_idle_network_degrades_with_reason_idle(self):
         # Every frame is (deterministically) lost: the plan dies on its

@@ -1,5 +1,7 @@
 """Tests for mutant query plans: provenance, wire format, policy, processor."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,10 @@ from repro.catalog import (
     ServerEntry,
     ServerRole,
 )
+from repro.engine.cost import CostModel
 from repro.errors import PlanError, XMLParseError
 from repro.mqp import (
+    PARTIAL_REASONS,
     MQPProcessor,
     MutantQueryPlan,
     PolicyManager,
@@ -21,7 +25,9 @@ from repro.mqp import (
     ProvenanceLog,
     QueryPreferences,
 )
+from repro.mqp.plan import format_branch, parse_branch
 from repro.namespace import InterestAreaURN
+from repro.optimizer import Optimizer
 from repro.xmlmodel import XMLElement, parse_xml, serialize_xml
 from tests.conftest import make_item
 
@@ -370,3 +376,284 @@ class TestSpanCodec:
         item = make_item("Café ☕", 3)
         mqp = MutantQueryPlan(PlanBuilder.data([item]).display("c:1"))
         assert mqp.wire_size() == len(mqp.serialize().encode("utf-8")) > len(mqp.serialize())
+
+
+# --------------------------------------------------------------------------- #
+# Scatter: a union body leaves as one piece per server that can reduce it
+# --------------------------------------------------------------------------- #
+
+
+def _catalog_with_sellers(namespace, area, sellers):
+    catalog = Catalog("index")
+    for address, paths in sellers.items():
+        catalog.register_server(
+            ServerEntry(
+                address,
+                ServerRole.BASE,
+                area,
+                collections=[CollectionRef(address, path, path.lstrip("/"), 5) for path in paths],
+            )
+        )
+    return catalog
+
+
+class TestScatter:
+    def test_branch_and_credit_ride_the_wire_only_on_pieces(self):
+        plan = PlanBuilder.url("far:9020", "/cds").display("client:9020")
+        whole = MutantQueryPlan(plan, query_id="q1")
+        assert "branch" not in whole.serialize() and "credit" not in whole.serialize()
+        assert whole.branch == () and whole.credit == 1
+        piece = whole.piece(plan.copy(), (2, 17), Fraction(1, 191))
+        document = piece.serialize()
+        assert 'branch="2.17"' in document and 'credit="1/191"' in document
+        decoded = MutantQueryPlan.deserialize(document)
+        assert decoded.branch == (2, 17) and decoded.credit == Fraction(1, 191)
+        assert decoded.query_id == "q1" and decoded.target == "client:9020"
+        assert format_branch(()) == "" and parse_branch("") == ()
+        with pytest.raises(PlanError):
+            parse_branch("2.x")
+        with pytest.raises(PlanError):
+            MutantQueryPlan.deserialize(document.replace('"1/191"', '"1/0"'))
+
+    def test_a_bound_union_scatters_one_piece_per_holder_in_plan_order(self, namespace):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        sellers = {"s1:9020": ["/cds", "/lps"], "s2:9020": ["/cds"], "s3:9020": ["/cds"]}
+        processor = _processor_for(
+            namespace, "index:9020", catalog=_catalog_with_sellers(namespace, area, sellers)
+        )
+        urn = str(InterestAreaURN.for_area(area))
+        plan = PlanBuilder.urn(urn).select("price < 10").display("client:9020")
+        mqp = MutantQueryPlan(plan, query_id="q1")
+        result = processor.process(mqp, now=3.0)
+        assert result.action is ProcessingAction.FORWARD and result.next_hop is None
+        assert [piece.next_hop for piece in result.pieces] == list(sellers)
+        tags = {piece.mqp.branch[0] for piece in result.pieces}
+        assert len(tags) == 1  # one split, one lineage tag
+        assert [piece.mqp.branch[1] for piece in result.pieces] == [0, 1, 2]
+        assert [piece.mqp.credit for piece in result.pieces] == [Fraction(1, 3)] * 3
+        first = result.pieces[0].mqp
+        # s1's two collections travel together; each piece is a whole MQP.
+        assert [ref.path for ref in first.plan.url_refs()] == ["/cds", "/lps"]
+        assert first.query_id == "q1" and first.target == "client:9020"
+        assert first.original_urn_strings() == [urn]
+        assert first.provenance.hop_count() == 1
+        assert first.provenance.records[-1].detail == "s1:9020"
+        assert mqp.provenance.hop_count() == 0  # each piece logs its own hop
+
+    def test_a_nested_split_divides_the_credit_again(self, namespace, cd_items):
+        plan = (
+            PlanBuilder.url("a:9020", "/cds")
+            .union(PlanBuilder.url("b:9020", "/cds"))
+            .display("client:9020")
+        )
+        parent = MutantQueryPlan(plan, query_id="q1").piece(plan, (9, 4), Fraction(1, 5))
+        result = _processor_for(namespace, "hop:9020").process(parent)
+        assert [piece.mqp.credit for piece in result.pieces] == [Fraction(1, 10)] * 2
+        assert all(piece.mqp.branch[:2] == (9, 4) for piece in result.pieces)
+        assert [piece.mqp.branch[3] for piece in result.pieces] == [0, 1]
+
+    def test_held_data_goes_home_and_unbound_urns_stay_in_one_residual_piece(
+        self, namespace, cd_items
+    ):
+        plan = (
+            PlanBuilder.urn("urn:ForSale:Nowhere")
+            .union(PlanBuilder.url("here:9020", "/cds").select("price < 10"))
+            .union(PlanBuilder.url("far:9020", "/cds"))
+            .union(PlanBuilder.urn("urn:ForSale:Elsewhere"))
+            .display("client:9020")
+        )
+        processor = _processor_for(namespace, "here:9020", {"/cds": cd_items})
+        result = processor.process(MutantQueryPlan(plan))
+        held, far, residual = result.pieces  # plan order, the residual last
+        assert held.next_hop is None and held.reason is None
+        assert held.mqp.is_fully_evaluated() and len(held.mqp.plan.result().children) == 3
+        assert far.next_hop == "far:9020"
+        assert residual.mqp.remaining_urns() == ["urn:ForSale:Nowhere", "urn:ForSale:Elsewhere"]
+        assert residual.next_hop is None and residual.reason == "stuck"  # nobody to ask
+        assert sum(piece.mqp.credit for piece in result.pieces) == 1
+
+    @pytest.mark.parametrize("shape", ["join", "top_n", "order_by", "aggregate"])
+    def test_a_body_that_is_not_a_union_travels_as_one_piece(self, namespace, shape):
+        union = PlanBuilder.url("a:9020", "/cds").union(PlanBuilder.url("b:9020", "/cds"))
+        body = {
+            "join": lambda: union.join(PlanBuilder.url("c:9020", "/tl"), on=("//title", "//title")),
+            "top_n": lambda: union.top_n(3, "price"),
+            "order_by": lambda: union.order_by("price"),
+            "aggregate": lambda: union.aggregate("count"),
+        }[shape]()
+        mqp = MutantQueryPlan(body.display("client:9020"))
+        result = _processor_for(namespace, "hop:9020").process(mqp)
+        assert result.action is ProcessingAction.FORWARD
+        (piece,) = result.pieces
+        assert piece.mqp is mqp and piece.next_hop == "a:9020"
+        assert mqp.branch == () and mqp.credit == 1
+
+    def test_one_group_is_no_split(self, namespace):
+        plan = (
+            PlanBuilder.url("a:9020", "/cds")
+            .union(PlanBuilder.url("a:9020", "/lps"))
+            .display("client:9020")
+        )
+        mqp = MutantQueryPlan(plan)
+        result = _processor_for(namespace, "hop:9020").process(mqp)
+        assert [piece.mqp for piece in result.pieces] == [mqp]
+        assert result.next_hop == "a:9020" and mqp.branch == ()
+
+    def test_two_catalogs_splitting_one_plan_mark_rival_lineages(self, namespace):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        urn = str(InterestAreaURN.for_area(area))
+
+        def split(sellers):
+            catalog = _catalog_with_sellers(namespace, area, {s: ["/cds"] for s in sellers})
+            plan = PlanBuilder.urn(urn).display("client:9020")
+            result = _processor_for(namespace, "index:9020", catalog=catalog).process(
+                MutantQueryPlan(plan)
+            )
+            return {piece.mqp.branch[0] for piece in result.pieces}
+
+        same = split(["s1:9020", "s2:9020", "s3:9020"])
+        assert same == split(["s1:9020", "s2:9020", "s3:9020"])  # same grouping, same tag
+        assert same != split(["s1:9020", "s3:9020", "s4:9020"])  # also 3 pieces, another tag
+
+    def test_a_dead_holder_costs_its_branch_only(self, namespace):
+        plan = (
+            PlanBuilder.url("up:9020", "/cds")
+            .union(PlanBuilder.url("down:9020", "/cds"))
+            .display("client:9020")
+        )
+        result = _processor_for(namespace, "hop:9020").process(
+            MutantQueryPlan(plan), avoid={"down:9020"}
+        )
+        up, down = result.pieces
+        assert up.next_hop == "up:9020" and up.reason is None
+        assert down.next_hop is None and down.reason == "unreachable"
+
+
+class _NothingShrinks(CostModel):
+    """Every evaluable sub-plan looks result-growing: deferment's worst case."""
+
+    def reduces_plan_size(self, node) -> bool:
+        return False
+
+
+class TestDefermentAtTheLastHolder:
+    def test_the_whole_body_is_never_deferred(self, namespace, cd_items):
+        """flash-200, data seed 23, q3: 33 of 36 answers, ``partial=True``.
+
+        The last holder got ``union(data, data, select(url@here))``, the cost
+        estimate of the union came out one rounding error above its inputs,
+        deferment declined the only evaluable sub-plan — the entire body —
+        and the plan came home stuck with just the carried leaves.
+        """
+        carried = [make_item(f"cd-{index}", 5) for index in range(4)]
+        plan = (
+            PlanBuilder.data(carried[:2])
+            .union(PlanBuilder.data(carried[2:]))
+            .union(PlanBuilder.url("here:9020", "/cds").select("price < 10"))
+            .display("client:9020")
+        )
+        processor = MQPProcessor(
+            "here:9020",
+            Catalog("here:9020"),
+            namespace,
+            collections={"/cds": cd_items},
+            optimizer=Optimizer(cost_model=_NothingShrinks()),
+        )
+        result = processor.process(MutantQueryPlan(plan))
+        assert result.action is ProcessingAction.DELIVER
+        assert len(result.mqp.plan.result().children) == 4 + 3
+
+    def test_branches_of_a_union_body_are_shipped_not_deferred(self, namespace, cd_items):
+        plan = (
+            PlanBuilder.url("here:9020", "/cds")
+            .select("price < 10")
+            .union(PlanBuilder.url("far:9020", "/cds"))
+            .display("client:9020")
+        )
+        processor = MQPProcessor(
+            "here:9020",
+            Catalog("here:9020"),
+            namespace,
+            collections={"/cds": cd_items},
+            optimizer=Optimizer(cost_model=_NothingShrinks()),
+        )
+        held, far = processor.process(MutantQueryPlan(plan)).pieces
+        assert held.mqp.is_fully_evaluated() and far.next_hop == "far:9020"
+
+    def test_a_sub_plan_that_rides_on_is_still_deferred(self, namespace, cd_items):
+        plan = (
+            PlanBuilder.url("here:9020", "/cds")
+            .select("price < 10")
+            .join(PlanBuilder.url("far:9020", "/tl"), on=("//title", "//title"))
+            .display("client:9020")
+        )
+        processor = MQPProcessor(
+            "here:9020",
+            Catalog("here:9020"),
+            namespace,
+            collections={"/cds": cd_items},
+            optimizer=Optimizer(cost_model=_NothingShrinks()),
+        )
+        result = processor.process(MutantQueryPlan(plan))
+        assert result.evaluated_subplans == 0 and result.next_hop == "far:9020"
+
+
+class TestAuthorityAnswers:
+    def _index(self, namespace, authority, known=()):
+        catalog = Catalog("index")
+        for address, role, area in known:
+            catalog.register_server(ServerEntry(address, role, area))
+        processor = _processor_for(namespace, "index:9020", catalog=catalog)
+        processor.authority = authority
+        return processor
+
+    def test_a_covering_authority_with_no_source_answers_empty_and_complete(self, namespace):
+        oregon = namespace.area(["USA/OR", "*"])
+        query = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        meta = ("meta:9020", ServerRole.META_INDEX, namespace.top_area())
+        processor = self._index(namespace, oregon, known=[meta])
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(query))).select("price < 5")
+        result = processor.process(MutantQueryPlan(plan.display("client:9020")))
+        assert result.action is ProcessingAction.DELIVER and result.reason is None
+        assert result.mqp.plan.result().children == []
+
+    def test_an_overlapping_index_keeps_routing(self, namespace):
+        portland = namespace.area(["USA/OR/Portland", "*"])
+        query = namespace.area(["USA/OR", "Music/CDs"])  # wider than the authority
+        meta = ("meta:9020", ServerRole.META_INDEX, namespace.top_area())
+        processor = self._index(namespace, portland, known=[meta])
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(query))).display("client:9020")
+        result = processor.process(MutantQueryPlan(plan))
+        assert result.action is ProcessingAction.FORWARD and result.next_hop == "meta:9020"
+
+    def test_an_authority_asks_the_indexes_below_it_first(self, namespace):
+        query = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        below = ("index-or:9020", ServerRole.INDEX, namespace.area(["USA/OR", "*"]))
+        processor = self._index(namespace, namespace.top_area(), known=[below])
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(query))).display("client:9020")
+        mqp = MutantQueryPlan(plan)
+        assert processor.process(mqp).next_hop == "index-or:9020"
+        # Once the plan has been there, nobody is left who could know more.
+        asked = MutantQueryPlan(plan.copy())
+        asked.provenance.add("index-or:9020", ProvenanceAction.FORWARDED, 1.0)
+        assert processor.process(asked).action is ProcessingAction.DELIVER
+
+    def test_without_authority_the_plan_is_stuck_as_before(self, namespace):
+        query = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        processor = self._index(namespace, None)
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(query))).display("client:9020")
+        result = processor.process(MutantQueryPlan(plan))
+        assert result.action is ProcessingAction.STUCK and result.reason == "stuck"
+
+
+class TestPartialReasons:
+    def test_budgets_name_themselves(self, namespace):
+        processor = _processor_for(namespace, "here:9020")
+        plan = PlanBuilder.url("remote:9020", "/cds").display("client:9020")
+        late = MutantQueryPlan(plan, preferences=QueryPreferences(target_time_ms=10))
+        assert processor.process(late, now=100.0).reason == "time-budget"
+        processor.max_hops = 1
+        tired = MutantQueryPlan(plan.copy())
+        tired.provenance.add("peer:1", ProvenanceAction.FORWARDED, 0.0)
+        assert processor.process(tired).reason == "hop-budget"
+        assert PARTIAL_REASONS.index("time-budget") < PARTIAL_REASONS.index("unreachable")

@@ -209,7 +209,8 @@ class TestChargedBytes:
             if message.kind in ("mqp", "result")
         ]
         carrying = [(text, message) for text, message in documents if "☕" in text]
-        assert carrying and any(message.kind == "mqp" for _, message in carrying)
+        # Results go straight to the target, so no plan carries the item on.
+        assert carrying and all(message.kind == "result" for _, message in carrying)
         for text, message in documents:
             assert message.size_bytes == len(text.encode("utf-8"))
         for text, message in carrying:

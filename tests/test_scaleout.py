@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +11,13 @@ from repro.algebra import PlanBuilder
 from repro.catalog import Catalog, CollectionRef, NamedResourceEntry
 from repro.engine import EvaluationMemo, QueryEngine
 from repro.errors import SimulationError
-from repro.harness.cli import main
-from repro.harness.scaleout import ScaleoutSpec, build_scaleout_scenario, run_scaleout
+from repro.harness.cli import SCENARIOS, main
+from repro.harness.scaleout import (
+    ScaleoutSpec,
+    build_scaleout_scenario,
+    run_scaleout,
+    schedule_queries,
+)
 from repro.mqp import MQPProcessor, MutantQueryPlan
 from repro.namespace import garage_sale_namespace
 from repro.network import TOPOLOGY_KINDS, build_topology
@@ -222,6 +228,39 @@ class TestScaleoutScenarios:
         report = run_scaleout(spec)
         assert report["population"]["data_peers"] == 20
         assert report["queries"][0]["expected"] > 0
+
+    def test_thousand_peers_without_churn_answers_every_query_completely(self):
+        """The flagship preset: 0.29 mean recall when the plan walked its
+        ~190 holders one by one into ``max_hops``; every answer now."""
+        spec = replace(SCENARIOS["thousand-peers"], churn="none")
+        report = run_scaleout(spec)
+        rows = report["queries"]
+        assert len(rows) == 12
+        assert [row["answers"] for row in rows] == [row["expected"] for row in rows]
+        assert report["traffic"]["mean_recall"] == 1.0
+        assert report["processing"]["plans_stuck"] == 0
+        # One round of index -> holder -> client, whatever the fan-out.
+        assert max(row["latency_ms"] for row in rows) < 500.0
+
+    def test_an_empty_area_is_answered_complete_by_its_authority(self):
+        """No source registered for a covered area is an answer, not a stuck plan."""
+        spec = ScaleoutSpec(
+            name="t", topology="small-world", peers=40, workload="garage-sale",
+            churn="none", queries=4,
+        )
+        scenario = build_scaleout_scenario(spec)
+        with scenario.cluster as cluster:
+            query_ids = schedule_queries(scenario)
+            cluster.run_until_idle()
+            empty = [
+                query_id for query_id, query in zip(query_ids, scenario.queries)
+                if query.expected == 0
+            ]
+            assert empty  # the seeded query set has such areas
+            for query_id in empty:
+                recorded = scenario.client.results[query_id]
+                assert recorded.count == 0 and not recorded.partial
+            assert sum(peer.plans_stuck for peer in cluster.peers()) == 0
 
     @pytest.mark.parametrize("routing", ["gnutella", "napster", "routing-index"])
     def test_baseline_strategies_run(self, routing):

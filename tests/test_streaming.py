@@ -44,6 +44,7 @@ from repro.engine import BufferBudget, QueryEngine
 from repro.engine import operators as physical
 from repro.errors import QueryCancelled, ResourceBudgetExceeded
 from repro.peers import QueryPeer, QueryResult
+from repro.peers.gather import ResultGather
 from repro.perf import overrides
 from repro.workloads import GarageSaleConfig, GarageSaleWorkload
 from repro.xmlmodel import XMLElement, serialize_xml, text_element
@@ -72,6 +73,7 @@ def _bare_receiver() -> QueryPeer:
     peer._cancel_notified = {}
     peer.cancel_memory = 4096
     peer.results = {}
+    peer.gather = ResultGather()
     peer.assembly_memory = 1024
     peer._chunk_buffers = {}
     peer._chunk_assemblies = {}
@@ -336,7 +338,9 @@ class TestChunkedDelivery:
                 assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
                 result = handle.result(timeout=240_000)
                 assert not result.partial
-                assert [item.child_text("title") for item in result.items] == titles
+                # items() streams the two sellers' pieces as they land; the
+                # final result orders them by branch path.
+                assert sorted(item.child_text("title") for item in result.items) == sorted(titles)
                 # Reassembly state is fully drained after the final result.
                 peer = client.peer
                 assert not peer._chunk_buffers and not peer._chunk_assemblies
@@ -385,8 +389,10 @@ class TestChunkedDelivery:
             QueryPeer._handle_result_chunk = original
         assert seen
         streams = {stream for stream, _ in seen}
-        assert len(streams) == 1  # one delivery, one stream token
-        assert sorted(seq for _, seq in seen) == list(range(len(seen)))
+        assert len(streams) == 2  # one delivery — one stream token — per seller's piece
+        for stream in streams:
+            seqs = sorted(seq for token, seq in seen if token == stream)
+            assert seqs == list(range(len(seqs)))
 
     def test_partial_answers_stream_too(self, transport):
         with overrides(streaming_results=True):
@@ -430,6 +436,36 @@ class TestChunkedDelivery:
             )
             titles = [item.child_text("title") for item in handle.items(timeout=240_000)]
             assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_items_landing_between_next_calls_are_still_yielded(self, transport, streaming):
+        # The caller advances the clock itself while the generator is
+        # suspended at a yield: the other piece and the final result land
+        # behind items()' back and must still be drained.
+        with overrides(streaming_results=streaming):
+            with _chunked_cluster(transport) as cluster:
+                client = cluster.session("client:9020")
+                handle = (
+                    client.query()
+                    .area(portland_area(cluster))
+                    .where("price < 20")
+                    .expecting(3)
+                    .submit()
+                )
+                stream = handle.items(timeout=240_000)
+                titles = [next(stream).child_text("title")]
+                cluster.run_until_idle()
+                assert handle.done()
+                titles.extend(item.child_text("title") for item in stream)
+                assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
+
+    def test_a_malformed_result_envelope_is_dropped_not_raised(self, transport):
+        with small_cluster(transport) as cluster:
+            peer = cluster.session("client:9020").peer
+            for bad in ({"credit": "1/0"}, {"branch": "7.x"}, {"credit": "nope"}):
+                frame = _Frame({"query_id": "q9", "document": "<result><item/></result>", **bad})
+                peer._handle_result(frame)
+            assert peer.gather.dropped == 3 and "q9" not in peer.results
 
     def test_out_of_order_chunks_are_reassembled(self):
         """Chunk 1 delivered before chunk 0: released to watchers in order."""
@@ -566,19 +602,17 @@ class TestChunkedDelivery:
         sent: list[tuple] = []
         peer.send = lambda *args, **kwargs: sent.append(args)
         peer._open_streams = {
-            "q13": _ResultStream(
+            ("q13", ""): _ResultStream(
                 query_id="q13",
                 target="client:9020",
                 iterator=iter(make_items(3)),
-                partial=False,
-                hops=1,
-                staleness=0.0,
                 stream="me/2",
+                closing={"query_id": "q13", "branch": "", "credit": "1"},
             )
         }
-        peer._pump_stream("q13", "me/1")  # event from the superseded stream
+        peer._pump_stream(("q13", ""), "me/1")  # event from the superseded stream
         assert not sent
-        assert peer._open_streams["q13"].seq == 0
+        assert peer._open_streams[("q13", "")].seq == 0
 
     def test_degraded_partial_buffers_are_bounded(self):
         """Kept buffers of partial answers don't grow without bound.
@@ -606,11 +640,17 @@ class TestChunkedDelivery:
             peer._remember_cancelled(f"q{n}")
         assert list(peer.cancelled_queries) == ["q2", "q3", "q4"]
         for n in range(4):
-            peer._remember_forward(f"q{n}", "hop:1")
-        peer._remember_forward("q1", "hop:2")  # re-forwarding refreshes recency
-        peer._remember_forward("q4", "hop:1")
+            peer._remember_forward(f"q{n}", "hop:1", "<piece/>")
+        peer._remember_forward("q1", "hop:2", "<piece/>")  # re-forwarding refreshes recency
+        peer._remember_forward("q4", "hop:1", "<piece/>")
         assert list(peer._forwarded_to) == ["q3", "q1", "q4"]
-        assert peer._forwarded_to["q1"] == "hop:2"
+        # Every next hop is kept: a cancel must reach each piece of a scatter.
+        assert list(peer._forwarded_to["q1"]) == ["hop:1", "hop:2"]
+        # Fire-and-forget keeps no custody of the pieces; reliable delivery does.
+        assert peer._forwarded_to["q1"] == {"hop:1": [], "hop:2": []}
+        with overrides(reliable_delivery=True):
+            peer._remember_forward("q1", "hop:2", "<piece/>")
+        assert peer._forwarded_to["q1"] == {"hop:1": [], "hop:2": ["<piece/>"]}
 
     def test_aio_counts_individually_framed_chunks(self):
         with overrides(streaming_results=True):
@@ -679,14 +719,12 @@ class TestCancellation:
 
             iterator = items_then_mark()
             next(iterator)
-            seller._open_streams["q-dead"] = _ResultStream(
+            seller._open_streams[("q-dead", "")] = _ResultStream(
                 query_id="q-dead",
                 target="client:9020",
                 iterator=iterator,
-                partial=False,
-                hops=1,
-                staleness=0.0,
                 stream="seller1:9020/9",
+                closing={"query_id": "q-dead", "branch": "", "credit": "1"},
             )
 
             class _Msg:
@@ -701,7 +739,7 @@ class TestCancellation:
                 seller.address,
             )
             seller._handle_unreachable(_Msg("peer-unreachable", stale, "client:9020"))
-            assert not closed and "q-dead" in seller._open_streams
+            assert not closed and ("q-dead", "") in seller._open_streams
 
             original = _Msg(
                 "result-chunk",
@@ -710,7 +748,7 @@ class TestCancellation:
             )
             seller._handle_unreachable(_Msg("peer-unreachable", original, "client:9020"))
             assert closed  # the producing iterator was closed
-            assert "q-dead" not in seller._open_streams
+            assert ("q-dead", "") not in seller._open_streams
             assert seller.dead_letters[-1] is original
 
     def test_local_stuck_delivery_does_not_overwrite_the_answer(self):
@@ -735,7 +773,7 @@ class TestCancellation:
                 .display("client:9020")
             )
             duplicate = MutantQueryPlan(plan, query_id=handle.query_id)
-            client.peer._deliver(duplicate, partial=True)
+            client.peer._deliver(duplicate, "stuck")
             recorded = client.peer.results[handle.query_id]
             assert not recorded.partial
             assert recorded.count == final.count
