@@ -207,7 +207,8 @@ class Cluster:
         block carries, exposed for API consumers.
         """
         peers = self.peers()
-        maps = [peer.shard_map for peer in peers if peer.shard_map is not None]
+        replicas = [peer.replicas for peer in peers]
+        maps = [each.shard_map for each in replicas if each.shard_map is not None]
         if not maps:
             return {"enabled": False}
         shard_map = maps[0]
@@ -230,10 +231,10 @@ class Cluster:
                 "invalidations": sum(cache.invalidations for cache in caches),
                 "evictions": sum(cache.evictions for cache in caches),
             },
-            "tier_failovers": sum(peer.tier_failovers for peer in peers),
-            "reconciliations": sum(peer.reconciliations for peer in peers),
-            "recon_entries_adopted": sum(peer.recon_entries_adopted for peer in peers),
-            "recon_conflicts": sum(len(peer.recon_conflicts) for peer in peers),
+            "tier_failovers": sum(each.tier_failovers for each in replicas),
+            "reconciliations": sum(each.reconciliations for each in replicas),
+            "recon_entries_adopted": sum(each.recon_entries_adopted for each in replicas),
+            "recon_conflicts": sum(len(each.recon_conflicts) for each in replicas),
         }
 
     def wire_topology(

@@ -111,8 +111,6 @@ class QueryHandle:
     # -- completion (called by the peer's delivery path) ------------------- #
 
     def _on_result(self, result: QueryResult) -> None:
-        if self._arrivals and self._arrivals[-1] is result:
-            return  # replay of an arrival this handle already recorded
         self._arrivals.append(result)
         if not result.partial:
             self._final = result
@@ -123,6 +121,10 @@ class QueryHandle:
             return
         if not self._watching and self._final is None:
             self._watching = True
+            # Registering replays the answer so far as one arrival, which
+            # stands for every piece this handle saw before it stopped
+            # watching — and those it missed since.
+            self._arrivals.clear()
             self._peer.watch_results(self.query_id, self._on_result)
 
     def close(self) -> None:
@@ -179,17 +181,14 @@ class QueryHandle:
 
     def partial_results(self) -> list[QueryResult]:
         """Every partial arrival so far, one per piece that came home
-        (non-blocking; each holds that piece's items, not a running total)."""
+        (non-blocking; each holds that piece's items, not a running total).
+        A handle attached after pieces came home — :meth:`Session.handle`,
+        or waiting again after :meth:`close` — gets those as one arrival."""
         return [result for result in self._arrivals if result.partial]
 
     def trace(self) -> "QueryTrace":
         """The network's per-query trace (route, messages, latency)."""
         return self._network.metrics.trace(self.query_id)
-
-    @property
-    def peer_address(self) -> str:
-        """Address of the peer this handle's answer is delivered to."""
-        return self._peer.address
 
     # -- waiting (drives the shared clock) ---------------------------------- #
 
@@ -224,22 +223,18 @@ class QueryHandle:
         """
         if self._cancelled:
             raise QueryCancelled(f"query {self.query_id!r} was cancelled")
-        if deadline is not None:
-            if timeout is not None:
-                raise APIError("pass either timeout= or deadline=, not both")
-            return self._result_or_degrade(deadline)
+        if deadline is not None and timeout is not None:
+            raise APIError("pass either timeout= or deadline=, not both")
+        budget = timeout if deadline is None else deadline
         self._ensure_watching()
-        deadline = self._network.now + timeout if timeout is not None else None
-        self._network.run_until(self._has_final, until=deadline)
+        until = self._network.now + budget if budget is not None else None
+        self._network.run_until(self._has_final, until=until)
         if self._final is not None:
             return self._final
         if not self._peer.online:
-            self.close()  # the answer can no longer be delivered here
-            raise PeerOffline(
-                f"peer {self._peer.address} went offline before the result of "
-                f"query {self.query_id!r} arrived; results addressed to it are "
-                "dead-lettered at their sender"
-            )
+            raise self._offline("before the result of {} arrived")
+        if deadline is not None:
+            return self._degraded()
         if self._idle():
             self.close()  # nothing scheduled: no further arrival is possible
             best = self._answer_so_far()
@@ -303,12 +298,7 @@ class QueryHandle:
             if arrived:
                 continue
             if not self._peer.online:
-                self.close()  # fail loudly, matching result() and items()
-                raise PeerOffline(
-                    f"peer {self._peer.address} went offline while streaming "
-                    f"results of query {self.query_id!r}; results addressed to "
-                    "it are dead-lettered at their sender"
-                )
+                raise self._offline("while streaming results of {}")
             if self._idle():
                 self.close()  # idle: the stream can never produce more
                 if yielded:
@@ -403,12 +393,7 @@ class QueryHandle:
                 if progressed:
                     continue
                 if not self._peer.online:
-                    self.close()  # fail loudly, matching result()
-                    raise PeerOffline(
-                        f"peer {self._peer.address} went offline while "
-                        f"streaming items of query {self.query_id!r}; results "
-                        "addressed to it are dead-lettered at their sender"
-                    )
+                    raise self._offline("while streaming items of {}")
                 if self._idle():
                     self.close()
                     if self._arrivals:
@@ -427,19 +412,8 @@ class QueryHandle:
 
     # -- internals ----------------------------------------------------------- #
 
-    def _result_or_degrade(self, budget: float) -> QueryResult:
-        """The ``result(deadline=...)`` path: degrade gracefully, never time out."""
-        self._ensure_watching()
-        self._network.run_until(self._has_final, until=self._network.now + budget)
-        if self._final is not None:
-            return self._final
-        if not self._peer.online:
-            self.close()
-            raise PeerOffline(
-                f"peer {self._peer.address} went offline before the result of "
-                f"query {self.query_id!r} arrived; results addressed to it are "
-                "dead-lettered at their sender"
-            )
+    def _degraded(self) -> QueryResult:
+        """The ``result(deadline=...)`` outcome: degrade gracefully, never time out."""
         best = self._answer_so_far()
         reason = (best.reason if best is not None else None) or (
             "idle" if self._idle() else "deadline"
@@ -483,6 +457,16 @@ class QueryHandle:
             completeness=completeness,
             reason=reason,
             failures=failures,
+        )
+
+    def _offline(self, when: str) -> PeerOffline:
+        """The issuing peer is gone and the answer can no longer be delivered
+        here: stop watching, and fail loudly on every waiting path alike."""
+        self.close()
+        return PeerOffline(
+            f"peer {self._peer.address} went offline "
+            f"{when.format(f'query {self.query_id!r}')}; results addressed to it are "
+            "dead-lettered at their sender"
         )
 
     def _has_final(self) -> bool:

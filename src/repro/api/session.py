@@ -161,11 +161,11 @@ class Session:
     def handle(self, query_id: str, expected_answers: int | None = None) -> QueryHandle:
         """Attach a fresh handle to an already-issued query id.
 
-        A late-attached handle resolves from the *latest* recorded result
-        onward; arrivals recorded before attachment are not replayed (the
-        peer keeps one result per query, not the arrival history).  Hold on
-        to the handle returned at submit time when streamed partials
-        matter.
+        A late-attached handle is told the answer gathered before it
+        attached as one arrival (the peer keeps one record per query, not
+        the arrival history), and every piece after that as it lands.  Hold
+        on to the handle returned at submit time when each streamed partial
+        matters.
         """
         return QueryHandle(
             self.peer, self.cluster.network, query_id, expected_answers=expected_answers

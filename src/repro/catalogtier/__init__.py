@@ -10,6 +10,7 @@ See ``docs/catalog.md`` for the walkthrough.
 """
 
 from .answercache import AnswerCache
+from .membership import ReplicaMembership
 from .reads import first_answer, quorum_answer
 from .reconcile import ReconcileResult, reconcile_authoritative
 from .shardmap import ReplicaGroup, ShardMap, shard_of_cell
@@ -23,4 +24,5 @@ __all__ = [
     "quorum_answer",
     "ReconcileResult",
     "reconcile_authoritative",
+    "ReplicaMembership",
 ]

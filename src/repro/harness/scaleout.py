@@ -977,6 +977,32 @@ def _scenario_dict(spec: ScaleoutSpec) -> dict[str, object]:
     }
 
 
+def _processing_counters(peers: list[QueryPeer]) -> dict[str, int]:
+    """The ``processing`` block of a report: plan-forwarding totals over ``peers``."""
+    forwarding = [peer.forwarding for peer in peers]
+    return {
+        "plans_processed": sum(each.plans_processed for each in forwarding),
+        "plans_forwarded": sum(each.plans_forwarded for each in forwarding),
+        "plans_stuck": sum(each.plans_stuck for each in forwarding),
+        "plans_rerouted": sum(each.plans_rerouted for each in forwarding),
+        "plans_lost_in_crash": sum(each.plans_lost_in_crash for each in forwarding),
+        "dead_letters": sum(len(peer.transfers.dead_letters) for peer in peers),
+        "batches": sum(each.batches_processed for each in forwarding),
+        "eval_memo_hits": sum(peer.processor.eval_memo_hits for peer in peers),
+    }
+
+
+def _delivery_counters(peers: list[QueryPeer]) -> dict[str, int]:
+    """The reliable-transfer totals of a report's ``resilience`` block."""
+    transfers = [peer.transfers for peer in peers]
+    return {
+        "retries_sent": sum(each.retries_sent for each in transfers),
+        "transfers_failed": sum(each.transfers_failed for each in transfers),
+        "duplicates_dropped": sum(each.duplicates_dropped for each in transfers),
+        "acks_sent": sum(each.acks_sent for each in transfers),
+    }
+
+
 def _report(scenario: ScaleoutScenario, query_ids: list[str]) -> dict[str, object]:
     spec = scenario.spec
     network = scenario.network
@@ -1018,87 +1044,54 @@ def _report(scenario: ScaleoutScenario, query_ids: list[str]) -> dict[str, objec
         "queries": query_rows,
     }
 
+    peers = [node for node in network.nodes() if isinstance(node, QueryPeer)]
+
     if spec.routing == "mqp":
-        peers: list[QueryPeer] = [
-            node for node in network.nodes() if isinstance(node, QueryPeer)
-        ]
-        report["processing"] = {
-            "plans_processed": sum(peer.plans_processed for peer in peers),
-            "plans_forwarded": sum(peer.plans_forwarded for peer in peers),
-            "plans_stuck": sum(peer.plans_stuck for peer in peers),
-            "plans_rerouted": sum(peer.plans_rerouted for peer in peers),
-            "plans_lost_in_crash": sum(peer.plans_lost_in_crash for peer in peers),
-            "dead_letters": sum(len(peer.dead_letters) for peer in peers),
-            "batches": sum(peer.batches_processed for peer in peers),
-            "eval_memo_hits": sum(peer.processor.eval_memo_hits for peer in peers),
-        }
+        report["processing"] = _processing_counters(peers)
 
     if spec.reliable or network.faults.active:
-        peers = [node for node in network.nodes() if isinstance(node, QueryPeer)]
-        resilience: dict[str, object] = {
+        report["resilience"] = {
             "reliable": spec.reliable,
             "faults": network.metrics.fault_summary(),
-            "retries_sent": sum(peer.retries_sent for peer in peers),
-            "transfers_failed": sum(peer.transfers_failed for peer in peers),
-            "duplicates_dropped": sum(peer.duplicates_dropped for peer in peers),
-            "acks_sent": sum(peer.acks_sent for peer in peers),
+            **_delivery_counters(peers),
             "dead_letters_by_kind": dict(
                 sorted(network.metrics.dead_letters_by_kind.items())
             ),
         }
-        report["resilience"] = resilience
 
     if spec.subscribers > 0:
-        query_peers: list[QueryPeer] = [
-            node for node in network.nodes() if isinstance(node, QueryPeer)
-        ]
+        feeds = [peer.subscriptions for peer in peers]
         delivered = [
-            scenario.cluster.session(address).peer.deltas_delivered
+            scenario.cluster.session(address).peer.subscriptions.deltas_delivered
             for address in scenario.subscriber_addresses
         ]
         report["subscriptions"] = {
             "subscribers": spec.subscribers,
             "mutation_rounds": spec.mutation_rounds,
             "hot_publishers": len(scenario.hot_publishers),
-            "armed": sum(len(peer.armed_subscriptions) for peer in query_peers),
-            "deltas_published": sum(peer.deltas_published for peer in query_peers),
+            "armed": sum(len(each.armed) for each in feeds),
+            "deltas_published": sum(each.deltas_published for each in feeds),
             "deltas_delivered": sum(delivered),
             "delivery_min": min(delivered) if delivered else 0,
             "delivery_max": max(delivered) if delivered else 0,
-            "delta_duplicates": sum(peer.delta_duplicates for peer in query_peers),
-            "delta_gaps": sum(peer.delta_gaps for peer in query_peers),
-            "authority_conflicts": sum(peer.authority_conflicts for peer in query_peers),
-            "resubscribes": sum(peer.resubscribes for peer in query_peers),
+            "delta_duplicates": sum(each.delta_duplicates for each in feeds),
+            "delta_gaps": sum(each.delta_gaps for each in feeds),
+            "authority_conflicts": sum(each.authority_conflicts for each in feeds),
+            "resubscribes": sum(each.resubscribes for each in feeds),
         }
 
     if spec.catalog_shards > 0 and scenario.shard_map is not None:
-        query_peers = [node for node in network.nodes() if isinstance(node, QueryPeer)]
-        caches = [
-            peer.catalog.answer_cache
-            for peer in scenario.index_servers
-            if peer.catalog.answer_cache is not None
-        ]
-        cache_hits = sum(cache.hits for cache in caches)
-        cache_misses = sum(cache.misses for cache in caches)
-        cache_total = cache_hits + cache_misses
+        tier = scenario.cluster.catalog_tier_stats()
         report["catalog_tier"] = {
             "shards": spec.catalog_shards,
             "replicas": spec.catalog_replicas,
             "replica_servers": len(scenario.index_servers),
             "outages": len(scenario.replica_outages),
-            "answer_cache": {
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": round(cache_hits / cache_total, 4) if cache_total else 0.0,
-                "invalidations": sum(cache.invalidations for cache in caches),
-                "evictions": sum(cache.evictions for cache in caches),
-            },
-            "tier_failovers": sum(peer.tier_failovers for peer in query_peers),
-            "reconciliations": sum(peer.reconciliations for peer in query_peers),
-            "recon_entries_adopted": sum(
-                peer.recon_entries_adopted for peer in query_peers
-            ),
-            "recon_conflicts": sum(len(peer.recon_conflicts) for peer in query_peers),
+            "answer_cache": tier["answer_cache"],
+            "tier_failovers": tier["tier_failovers"],
+            "reconciliations": tier["reconciliations"],
+            "recon_entries_adopted": tier["recon_entries_adopted"],
+            "recon_conflicts": tier["recon_conflicts"],
         }
 
     if (

@@ -170,10 +170,6 @@ class MutantQueryPlan:
         """URN strings still unresolved in the plan."""
         return [ref.urn for ref in self.plan.urn_refs()]
 
-    def remaining_urls(self) -> list[str]:
-        """URLs still unresolved in the plan."""
-        return [ref.url for ref in self.plan.url_refs()]
-
     def original_resources(self) -> list[str]:
         """The resource names the original query referenced (for spoof checks)."""
         assert self.original is not None

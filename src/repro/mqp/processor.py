@@ -28,7 +28,7 @@ from ..algebra.operators import Display, LeafNode, PlanNode, Union, URLRef, URNR
 from ..catalog import Binder, Catalog, RoutingCache, ServerRole, canonical_address
 from ..engine import EvaluationMemo, QueryEngine
 from ..engine.statistics import CollectionStatistics
-from ..errors import RoutingError, URNError
+from ..errors import URNError
 from ..namespace import (
     InterestArea,
     InterestAreaURN,
@@ -783,9 +783,3 @@ class MQPProcessor:
                 if record.action is ProvenanceAction.BOUND and record.detail == urn:
                     if record.server != self.address:
                         self.cache.remember(parsed.area, record.server)
-
-    def require_target(self, mqp: MutantQueryPlan) -> str:
-        """Return the plan's target or raise a routing error."""
-        if mqp.target is None:
-            raise RoutingError(f"plan {mqp.query_id} has no target address")
-        return mqp.target

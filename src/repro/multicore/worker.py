@@ -36,6 +36,8 @@ from dataclasses import replace
 
 from ..harness.scaleout import (
     ScaleoutSpec,
+    _delivery_counters,
+    _processing_counters,
     _report,
     build_scaleout_scenario,
     schedule_queries,
@@ -261,22 +263,8 @@ def _run(worker: int, workers: int, spec: ScaleoutSpec, transport_kind: str,
         fragment: dict[str, object] = {
             "worker": worker,
             "metrics": metrics_fragment(network.metrics, baseline),
-            "processing": {
-                "plans_processed": sum(peer.plans_processed for peer in owned),
-                "plans_forwarded": sum(peer.plans_forwarded for peer in owned),
-                "plans_stuck": sum(peer.plans_stuck for peer in owned),
-                "plans_rerouted": sum(peer.plans_rerouted for peer in owned),
-                "plans_lost_in_crash": sum(peer.plans_lost_in_crash for peer in owned),
-                "dead_letters": sum(len(peer.dead_letters) for peer in owned),
-                "batches": sum(peer.batches_processed for peer in owned),
-                "eval_memo_hits": sum(peer.processor.eval_memo_hits for peer in owned),
-            },
-            "resilience": {
-                "retries_sent": sum(peer.retries_sent for peer in owned),
-                "transfers_failed": sum(peer.transfers_failed for peer in owned),
-                "duplicates_dropped": sum(peer.duplicates_dropped for peer in owned),
-                "acks_sent": sum(peer.acks_sent for peer in owned),
-            },
+            "processing": _processing_counters(owned),
+            "resilience": _delivery_counters(owned),
             "relay": {
                 "frames_sent": hub.frames_sent,
                 "frames_received": hub.frames_received,

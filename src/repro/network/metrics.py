@@ -161,10 +161,6 @@ class NetworkMetrics:
         recalls = [trace.recall for trace in self.traces.values() if trace.recall is not None]
         return sum(recalls) / len(recalls) if recalls else 0.0
 
-    def per_peer_load(self) -> dict[str, int]:
-        """Messages sent per peer — used for the load-skew comparisons."""
-        return dict(self.messages_by_sender)
-
     def summary(self) -> dict[str, float]:
         """A flat summary dictionary used by the report tables."""
         return {

@@ -8,6 +8,7 @@ from ..errors import SimulationError
 from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from .metrics import NetworkMetrics
     from .network import Network
     from .simulator import Event
 
@@ -62,6 +63,22 @@ class NetworkNode:
         """Current simulated time (the transport's logical clock)."""
         self._require_network()
         return self.network.now  # type: ignore[union-attr]
+
+    @property
+    def connected(self) -> bool:
+        """Attached to a network and online: sending is worth trying."""
+        return self.network is not None and self.online
+
+    @property
+    def faulty(self) -> bool:
+        """The fabric injects link faults, so a cloned frame is not a bug."""
+        return self.network is not None and self.network.faults.active
+
+    @property
+    def metrics(self) -> "NetworkMetrics":
+        """The network's ledger: per-query traces and dead-letter tallies."""
+        self._require_network()
+        return self.network.metrics  # type: ignore[union-attr]
 
     def send(
         self,

@@ -1,0 +1,210 @@
+"""Plan forwarding: process an arriving plan, send its pieces on, keep custody.
+
+Message kinds handled here:
+
+``mqp``
+    A serialized mutant query plan to process and route onward — whole,
+    or, where a hop holds a union, scattered: one small plan per server
+    that can reduce a group of its branches, each carrying its branch
+    path and its share of the query's credit.
+``cancel-query``
+    A query was cancelled at its issuer: the peer drops the plan if it
+    arrives here, tears down open result streams, and the notice is passed
+    to every next hop a piece of it was sent to (:meth:`PlanForwarding.cancel`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Collection
+
+from ..mqp import MQPProcessor, MutantQueryPlan, ProcessingResult, ProvenanceAction
+from ..mqp.plan import format_branch
+from ..network.message import Message
+from ..network.node import NetworkNode
+from ..perf import flags
+from ..xmlmodel import XMLElement, serialize_xml, utf8_len
+from .parts import insert_capped
+from .streams import ResultInbox, ResultStreams
+from .transfers import Transfers
+
+__all__ = ["PlanForwarding"]
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class PlanForwarding:
+    """One peer's hop of every plan that passes through it — the paper's loop
+    (Fig. 2): bind, re-optimize, evaluate what can be evaluated here, send the
+    rest on.  ``custody`` (bounded by ``memory`` queries) keeps every next hop a
+    query's pieces left for — the fan-out a cancel notice must retrace — and,
+    under reliable delivery, the pieces too, so they can be sent again."""
+
+    port: NetworkNode
+    processor: MQPProcessor
+    transfers: Transfers
+    streams: ResultStreams
+    inbox: ResultInbox
+    cancelled: Collection[str] = ()
+    suspected_dead: Collection[str] = ()
+    memory: int = 4096
+    batch_window_ms: float | None = None
+    plans_processed: int = 0
+    plans_forwarded: int = 0
+    plans_stuck: int = 0
+    plans_rerouted: int = 0
+    plans_cancelled: int = 0
+    plans_lost_in_crash: int = 0
+    batches_processed: int = 0
+    custody: dict[str, dict[str, list[str]]] = field(default_factory=dict)
+    buffer: list[str] = field(default_factory=list)  # plans awaiting the batch flush
+    _flush_scheduled: bool = field(default=False, init=False)
+
+    # -- arriving plans --------------------------------------------------------- #
+
+    def on_mqp(self, message: Message) -> None:
+        """Process the plan now, or buffer it for the batch window.
+
+        With a window set, plans arriving within ``batch_window_ms`` of the
+        first buffered plan (0 means the same simulated instant) are parsed,
+        bound, optimized and evaluated together, sharing catalog lookups and
+        evaluation results across the batch (the scale-out fast path).
+        """
+        if self.batch_window_ms is None:
+            self.process(MutantQueryPlan.deserialize(message.payload))
+            return
+        self.buffer.append(message.payload)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.port.schedule(self.batch_window_ms, self.flush)
+
+    def flush(self) -> None:
+        """Process every buffered plan as one batch."""
+        self._flush_scheduled = False
+        documents, self.buffer = self.buffer, []
+        mqps = [MutantQueryPlan.deserialize(document) for document in documents]
+        kept = [mqp for mqp in mqps if mqp.query_id not in self.cancelled]
+        self.plans_cancelled += len(mqps) - len(kept)
+        if not kept:
+            return
+        self.batches_processed += 1
+        self.plans_processed += len(kept)
+        for mqp in kept:
+            self.port.metrics.trace(mqp.query_id).visited.append(self.port.address)
+        now = self.port.now
+        for result in self.processor.process_batch(kept, now=now, avoid=self.suspected_dead):
+            self.processor.learn_from(result.mqp)
+            self._act_on(result)
+
+    def crash(self) -> None:
+        """Plans accepted into the batch buffer but not yet processed die
+        with the process (and are counted, so recall degradation under
+        crash churn stays attributable)."""
+        self.plans_lost_in_crash += len(self.buffer)
+        self.buffer.clear()
+
+    def process(self, mqp: MutantQueryPlan, rerouted: bool = False) -> None:
+        """One hop of one plan: bind, optimize, evaluate, send the pieces on."""
+        if mqp.query_id in self.cancelled:
+            self.plans_cancelled += 1
+            return
+        if rerouted:
+            self.plans_rerouted += 1
+        else:
+            self.plans_processed += 1
+        self.port.metrics.trace(mqp.query_id).visited.append(self.port.address)
+        result = self.processor.process(mqp, now=self.port.now, avoid=self.suspected_dead)
+        self.processor.learn_from(mqp)
+        self._act_on(result)
+
+    # -- leaving pieces ----------------------------------------------------------- #
+
+    def _act_on(self, result: ProcessingResult) -> None:
+        """Send every outgoing piece on its way: forwarding is a scatter of one."""
+        for piece in result.pieces:
+            mqp = piece.mqp
+            if piece.next_hop is None:
+                if piece.reason in ("stuck", "unreachable"):
+                    # Deliver whatever partial answer exists rather than dropping.
+                    self.plans_stuck += 1
+                self.deliver(mqp, piece.reason)
+                continue
+            self.plans_forwarded += 1
+            payload = mqp.serialize()
+            self.remember(mqp.query_id, piece.next_hop, payload)
+            self.transfers.send_traced(
+                piece.next_hop, "mqp", payload, utf8_len(payload), mqp.query_id
+            )
+
+    def deliver(self, mqp: MutantQueryPlan, reason: str | None = None) -> None:
+        """Ship what ``mqp`` holds to its target; ``reason`` marks it partial."""
+        me = self.port.address
+        partial = reason is not None
+        target = mqp.target or me
+        mqp.provenance.add(me, ProvenanceAction.DELIVERED, self.port.now, detail=target)
+        items: list[XMLElement] = []
+        if mqp.is_fully_evaluated():
+            items = list(mqp.plan.result().children)
+        elif partial:
+            items = [item for leaf in mqp.plan.verbatim_leaves() for item in leaf.items]
+        envelope = {
+            "query_id": mqp.query_id,
+            "partial": partial,
+            "hops": mqp.provenance.hop_count(),
+            "staleness": mqp.provenance.max_staleness(),
+            # Which piece of the query this is and the credit it returns:
+            # what lets the target know when every piece is home.
+            "branch": format_branch(mqp.branch),
+            "credit": str(mqp.credit),
+        }
+        if partial:
+            envelope["reason"] = reason
+        if target == me:
+            # Same guards as an arriving result frame: a duplicate plan copy
+            # that goes stuck here must not overwrite a recorded complete
+            # answer (and a cancelled query records nothing).
+            if mqp.query_id not in self.cancelled:
+                self.transfers.attach_failures(envelope)
+                self.inbox.record(envelope, items)
+            return
+        if flags.streaming_results:
+            self.streams.start(envelope, items, target)
+            return
+        # The wrapper shares the items: it exists only to be serialized on
+        # the next line, and serialization never mutates.
+        payload = serialize_xml(XMLElement("result", {"query-id": mqp.query_id}, items))
+        envelope["document"] = payload
+        envelope["items"] = len(items)  # lets the target count the answer without parsing it
+        self.transfers.attach_failures(envelope)
+        kind = "partial-result" if partial else "result"
+        self.transfers.send_traced(target, kind, envelope, utf8_len(payload), mqp.query_id)
+
+    # -- custody and cancellation --------------------------------------------------- #
+
+    def remember(self, query_id: str, next_hop: str, piece: str) -> None:
+        """Note where a piece went (and, under reliable delivery, keep it)."""
+        hops = self.custody.get(query_id, {})
+        custody = hops.setdefault(next_hop, [])
+        if flags.reliable_delivery:
+            custody.append(piece)
+        insert_capped(self.custody, query_id, hops, self.memory)
+
+    def resend(self, holder: str) -> None:
+        """Send ``holder`` again every piece it was sent for a remembered query.
+
+        A server registers again when it returns from an outage, and a crash
+        takes what it had accepted with it: its ack released the sender, so a
+        piece whose result frame was then lost would be gone for good.  What
+        did come home the first time the target's gather drops (same path,
+        same credit), so the worst case is wasted traffic, never a double
+        count; a cancelled query is no longer remembered here.
+        """
+        for query_id, hops in list(self.custody.items()):
+            for piece in hops.get(holder, ()):
+                self.transfers.send(holder, "mqp", piece, utf8_len(piece), query_id)
+
+    def cancel(self, query_id: str) -> None:
+        """Forget the query's pieces and pass the notice to every next hop."""
+        next_hops = self.custody.pop(query_id, ())
+        if self.port.connected:
+            for next_hop in next_hops:
+                self.port.send(next_hop, "cancel-query", query_id, size_bytes=64)

@@ -20,13 +20,18 @@ coordinator and nobody has to know how many pieces exist).  The target
 * calls the result final — items in branch-path order, ``partial`` if any
   piece is — the moment the credits of the kept paths sum to exactly 1.
 
+The gather is also where the answer *stays*: ``results`` holds the
+cumulative record per query, and ``watch`` / ``watchers`` register who is
+waiting for it (how :class:`repro.api.QueryHandle` completes) — so "what has
+come home and who is waiting for it" is one object.
+
 Everything here is plain bookkeeping on one peer: no network, no clock
 beyond the ``now`` handed in, which is what lets it be tested on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,35 +39,13 @@ from ..errors import PeerError, PlanError
 from ..mqp.plan import parse_branch
 from ..mqp.processor import PARTIAL_REASONS
 from ..xmlmodel import XMLElement, parse_xml
+from .parts import Watchers, insert_capped
 
 __all__ = [
     "QueryResult", "ResultItems", "ResultPiece", "ResultGather", "insert_capped", "worst_reason",
 ]
 
 Path = tuple[int, ...]
-
-
-def insert_capped(
-    entries: dict,
-    key: object,
-    value: object,
-    cap: int,
-    evicted: Callable[[object], None] | None = None,
-) -> None:
-    """(Re)insert into an insertion-ordered dict and bound its size.
-
-    Re-inserting refreshes recency, so actively used keys are never the
-    eviction victim; past ``cap`` the oldest entries go (``evicted`` is
-    called with each evicted key).  The shared idiom for every per-query
-    bookkeeping map a long-running relay must keep bounded.
-    """
-    entries.pop(key, None)
-    entries[key] = value
-    while len(entries) > cap:
-        oldest = next(iter(entries))
-        del entries[oldest]
-        if evicted is not None:
-            evicted(oldest)
 
 
 def worst_reason(first: str | None, second: str | None) -> str | None:
@@ -261,6 +244,9 @@ class ResultGather:
         self.memory = memory
         self.dropped = 0
         self._queries: dict[str, _Gathering] = {}
+        # The answer so far per query (cumulative; see QueryResult).
+        self.results: dict[str, QueryResult] = {}
+        self.watchers = Watchers()
 
     def __contains__(self, query_id: object) -> bool:
         return query_id in self._queries
@@ -276,6 +262,46 @@ class ResultGather:
         """Queries still owed credit: some piece has not come home yet."""
         return [qid for qid, state in self._queries.items() if state.credit != 1]
 
+    def is_answered(self, query_id: str) -> bool:
+        """True once nothing more may be recorded for the query.
+
+        That is: a complete (non-partial) result is recorded — or a partial
+        one whose piece table is gone (evicted mid-gather: the pieces that
+        were counted are forgotten, so later ones could only double-count).
+        A superseded stream's in-flight chunks can straggle in after the
+        superseding delivery already closed; replaying them would repopulate
+        the arrival buffer with stale items (or strand an orphan assembly),
+        so chunk and end frames for an answered query are dropped.
+        """
+        recorded = self.results.get(query_id)
+        return recorded is not None and (not recorded.partial or query_id not in self._queries)
+
+    # -- who is waiting (how repro.api.QueryHandle completes) ------------------- #
+
+    def watch(self, query_id: str, callback: Callable[[QueryResult], None]) -> None:
+        """Invoke ``callback`` for every arrival announced under ``query_id``.
+
+        If a result is already recorded (delivery beat the watcher), the
+        callback fires immediately — registration can never miss the
+        completion it is waiting for.  A partial record is replayed as a
+        frozen copy of the answer so far: the live record keeps growing as
+        pieces arrive, and the latecomer is told of those separately.
+        Watchers of an already-final query are not retained (a final result
+        is terminal), and a query's watcher list is dropped the moment its
+        final result is announced.  Watchers of a query that never records a
+        final result (the plan died en route, or only partials arrived) stay
+        registered until ``watchers.remove`` — :class:`repro.api.QueryHandle`
+        calls it from its terminal paths (``close()``), so long-running
+        peers do not accumulate entries for dead queries.
+        """
+        existing = self.results.get(query_id)
+        if existing is not None and not existing.partial:
+            callback(existing)  # terminal: replay without registering
+            return
+        self.watchers.add(query_id, callback)
+        if existing is not None:
+            callback(replace(existing, items=ResultItems.joined([existing.items])))
+
     def offer(
         self, query_id: str, piece: ResultPiece | None, now: float = 0.0
     ) -> tuple[QueryResult, QueryResult] | None:
@@ -284,7 +310,7 @@ class ResultGather:
         dropped and counted in ``dropped``).
 
         Otherwise ``(arrival, recorded)``: what to tell the query's result
-        watchers, and the answer so far to keep in ``QueryPeer.results``.
+        watchers, and the answer so far, now kept in ``results``.
         Once every piece is home and complete both are the one final
         result, and the query's table is gone.
         """
@@ -319,6 +345,7 @@ class ResultGather:
             self._fold(record, piece)
         record.received_at = now
         record.partial = state.credit != 1 or state.partial_pieces > 0
+        self.results[query_id] = record
         if not record.partial:
             self._queries.pop(query_id, None)
             return record, record

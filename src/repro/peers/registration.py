@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from ..catalog import ServerRole
 from ..errors import RegistrationError
-from .peer import QueryPeer, RegistrationPayload
+from .peer import QueryPeer
 
 __all__ = [
     "covering_indexers",
@@ -74,7 +74,7 @@ def _expand_replica_groups(
     peer: QueryPeer, chosen: list[QueryPeer], candidates: Sequence[QueryPeer]
 ) -> list[QueryPeer]:
     """Widen each chosen indexer to its full replica group (catalog tier)."""
-    shard_map = peer.shard_map
+    shard_map = peer.replicas.shard_map
     if shard_map is None:
         return chosen
     by_address = {candidate.address: candidate for candidate in candidates}
@@ -119,18 +119,10 @@ def register_offline(peers: Sequence[QueryPeer]) -> int:
     for registering_address, indexer_address in registration_plan(peers):
         registering = by_address[registering_address]
         indexer = indexers[indexer_address]
-        payload = RegistrationPayload(
-            entry=registering.server_entry(),
-            statements=list(registering.statements),
-            named_resources=list(registering.catalog.named_resources.values()),
-        )
+        payload = registering.registration()
         if indexer.roles & {ServerRole.META_INDEX}:
             payload.entry.collections = []
-        indexer.catalog.register_server(payload.entry)
-        for statement in payload.statements:
-            indexer.catalog.register_statement(statement)
-        for named in payload.named_resources:
-            indexer.catalog.register_named_resource(named)
+        indexer.adopt_registration(payload)
         registering.learn_about(indexer.server_entry())
         # Remember where we registered so a rejoin after churn can
         # re-propagate the registration over the network.

@@ -300,6 +300,33 @@ class TestQueryHandleOnBothTransports:
             assert {arrival.reason for arrival in arrivals} == {None, "unreachable"}
             assert not handle.done()  # no *complete* result ever arrived
 
+    def test_a_handle_attached_late_is_told_each_item_once(self, transport):
+        """Registering after the first piece replays a frozen copy of the answer
+        so far — not the live record, which keeps growing as pieces land."""
+        namespace = garage_sale_namespace()
+        with Cluster(transport, namespace=namespace) as cluster:
+            area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+            for seller in range(1, 5):
+                cluster.base_server(f"seller{seller}:9020", area).publish(
+                    "cds", [make_item(f"cd-{seller}-{n}", 5) for n in range(seller)]
+                )
+            cluster.index_server("index-or:9020", namespace.area(["USA/OR", "*"]))
+            cluster.meta_index("meta:9020")
+            client = cluster.client("client:9020")
+            cluster.connect()
+            first = client.query().area(area).where("price < 10").expecting(10).submit()
+            cluster.network.run_until(lambda: first.query_id in client.peer.results)
+            late = client.handle(first.query_id)
+            assert first.result(timeout=120_000).count == 10
+            assert late.result(timeout=1_000).count == 10
+            pieces = [arrival.count for arrival in first.partial_results()]
+            assert pieces == [2, 3, 4]  # the one-item piece came home last and completed it
+            assert [arrival.count for arrival in late.partial_results()] == pieces
+            # Waiting again after close(): the answer so far, once — not appended
+            # to what the handle had already been told.
+            late.close()
+            assert late.result(timeout=1_000).count == 10
+
     def test_cancel_after_a_scatter_reaches_every_branch(self, transport):
         with small_cluster(transport) as cluster:
             client = cluster.session("client:9020")
@@ -309,8 +336,8 @@ class TestQueryHandleOnBothTransports:
             )
             # Stop the clock the moment the index has sent both sellers
             # their piece, then cancel: the notice must fan out as the plan did.
-            cluster.network.run_until(lambda: index.plans_forwarded >= 2)
-            assert list(index._forwarded_to[handle.query_id]) == [
+            cluster.network.run_until(lambda: index.forwarding.plans_forwarded >= 2)
+            assert list(index.forwarding.custody[handle.query_id]) == [
                 "seller1:9020", "seller2:9020",
             ]
             handle.cancel()
@@ -318,7 +345,7 @@ class TestQueryHandleOnBothTransports:
             for address in ("meta:9020", "index-or:9020", "seller1:9020", "seller2:9020"):
                 peer = cluster.session(address).peer
                 assert handle.query_id in peer.cancelled_queries, address
-                assert handle.query_id not in peer._forwarded_to
+                assert handle.query_id not in peer.forwarding.custody
             assert handle.query_id not in client.peer.results
             assert handle.query_id not in client.peer.gather
 
@@ -432,9 +459,9 @@ class TestQueryHandleOnBothTransports:
                 .where("price < 10")
                 .submit()
             )
-            assert peer._result_watchers
+            assert peer.gather.watchers
             done.result(timeout=60_000)
-            assert not peer._result_watchers
+            assert not peer.gather.watchers
             # Partial-only (idle) outcome: the handle unregisters itself.
             cluster.session("seller2:9020").crash()
             degraded = (
@@ -445,7 +472,7 @@ class TestQueryHandleOnBothTransports:
             )
             result = degraded.result(timeout=120_000)
             assert result.partial
-            assert not peer._result_watchers
+            assert not peer.gather.watchers
             # Waiting again re-registers transparently and still answers.
             assert degraded.result(timeout=120_000).partial
 
@@ -466,8 +493,8 @@ class TestQueryHandleOnBothTransports:
                 list(handle.items(timeout=120_000))
 
 
-class TestDeprecationShims:
-    def test_shim_equivalent_to_session_submit(self, namespace):
+class TestPeerSubmitPlan:
+    def test_submit_plan_answers_like_the_session_builder(self, namespace):
         """``QueryPeer.submit_plan`` and the session builder answer identically."""
         with small_cluster() as first:
             client = first.session("client:9020")

@@ -6,6 +6,7 @@ from repro.catalog import Catalog, ServerEntry, ServerRole
 from repro.catalogtier import (
     AnswerCache,
     ReplicaGroup,
+    ReplicaMembership,
     ShardMap,
     first_answer,
     quorum_answer,
@@ -21,8 +22,12 @@ from repro.harness.scaleout import (
     schedule_queries,
 )
 from repro.peers import BaseServer, IndexServer
+from repro.peers.parts import Cancellations
 from repro.peers.registration import covering_indexers
+from repro.peers.subscriptions import Subscriptions
+from repro.peers.transfers import Transfers
 from repro.perf import overrides
+from recording_node import RecordingNode, frame
 
 
 @pytest.fixture()
@@ -217,6 +222,67 @@ class TestReconciliation:
         assert result.adopted == 0 and result.conflicts == []
 
 
+class TestReplicaMembership:
+    """A replica's group duties on a recording node: no network, no peer."""
+
+    def _replica(self, namespace, shard_map, address="i1:1"):
+        node = RecordingNode(address)
+        catalog = Catalog(address)
+        feeds = Subscriptions(node, Transfers(node), Cancellations(), catalog)
+        suspected: set[str] = set()
+        member = ReplicaMembership(
+            node, catalog, namespace.area(["USA/OR", "*"]), feeds, suspected
+        )
+        member.join(shard_map)
+        return member, suspected
+
+    def test_joining_learns_the_siblings_and_attaches_the_answer_cache(self, namespace, shard_map):
+        member, _ = self._replica(namespace, shard_map)
+        assert member.replica_peers == ["i0:1", "i2:1"]
+        assert member.catalog.answer_cache is not None
+        outsider, _ = self._replica(namespace, shard_map, address="seller:1")
+        assert outsider.replica_peers == [] and outsider.catalog.answer_cache is None
+
+    def test_only_a_replicas_death_is_a_tier_failover(self, namespace, shard_map):
+        member, _ = self._replica(namespace, shard_map)
+        member.note_failure("j0:1")
+        member.note_failure("seller:1")
+        assert member.tier_failovers == 1
+
+    def test_rejoin_asks_every_sibling_not_suspected_dead(self, namespace, shard_map):
+        member, suspected = self._replica(namespace, shard_map)
+        suspected.add("i0:1")
+        member.rejoin()
+        [request] = member.port.sent
+        assert (request.kind, request.recipient) == ("recon-request", "i2:1")
+        assert request.payload == {"requester": "i1:1", "area": member.area}
+
+    def test_a_reply_is_merged_and_each_conflict_surfaced_once(self, namespace, shard_map):
+        survivor, _ = self._replica(namespace, shard_map, address="i2:1")
+        oregon = namespace.area(["USA/OR", "*"])
+        survivor.catalog.register_server(
+            ServerEntry("idx:1", ServerRole.INDEX, namespace.area(["USA/WA", "*"]), True)
+        )
+        survivor.catalog.register_server(ServerEntry("s:1", ServerRole.BASE, oregon))
+        survivor.on_request(frame("recon-request", {"requester": "i1:1", "area": oregon}))
+        [reply] = survivor.port.sent
+        assert reply.kind == "recon-reply" and reply.recipient == "them:9020"
+        assert [entry.address for entry in reply.payload["entries"]] == ["s:1"]
+
+        rejoiner, _ = self._replica(namespace, shard_map)
+        rejoiner.catalog.register_server(ServerEntry("idx:1", ServerRole.INDEX, oregon, True))
+        contested = ServerEntry(
+            "idx:1", ServerRole.INDEX, namespace.area(["USA/WA", "*"]), authoritative=True
+        )
+        payload = {"source": "i2:1", "entries": [contested, *reply.payload["entries"]]}
+        rejoiner.on_reply(frame("recon-reply", payload))
+        rejoiner.on_reply(frame("recon-reply", payload))  # a second survivor says the same
+        assert rejoiner.reconciliations == 2 and rejoiner.recon_entries_adopted == 2
+        assert [c["publisher"] for c in rejoiner.recon_conflicts] == ["idx:1"]
+        assert rejoiner.subscriptions.authority_conflicts == 1
+        assert "s:1" in rejoiner.catalog.servers
+
+
 class TestRegistrationFanout:
     def test_covering_indexer_expands_to_its_replica_group(self, namespace):
         state_area = namespace.area(["USA/OR", "*"])
@@ -236,9 +302,9 @@ class TestRegistrationFanout:
         chosen_on = covering_indexers(base, indexers)
         assert [peer.address for peer in chosen_on] == ["i0:1", "i1:1", "i2:1"]
         # Replica members picked up siblings and an answer cache on join.
-        assert group0[0].replica_peers == ["i1:1", "i2:1"]
+        assert group0[0].replicas.replica_peers == ["i1:1", "i2:1"]
         assert group0[0].catalog.answer_cache is not None
-        assert base.replica_peers == []  # the base server is no replica
+        assert base.replicas.replica_peers == []  # the base server is no replica
 
 
 class TestShardedScenario:

@@ -92,7 +92,7 @@ class TestCrashMidForward:
         # The reroute found the meta-index (or the base directly) and the
         # plan still reached the data.
         assert result.count == 2
-        reroutes = sum(p.plans_rerouted for p in (base, index, meta, client))
+        reroutes = sum(p.forwarding.plans_rerouted for p in (base, index, meta, client))
         assert reroutes >= 1
 
     def test_all_routes_dead_degrades_to_partial_not_lost(self, churn_network, namespace):
@@ -214,11 +214,11 @@ class TestPruneIsolation:
 
         document = MutantQueryPlan(plan).serialize()
         client.send(base.address, "mqp", document, size_bytes=len(document))
-        while not base._mqp_buffer and network.simulator.step():
+        while not base.forwarding.buffer and network.simulator.step():
             pass
-        assert base._mqp_buffer
+        assert base.forwarding.buffer
         base.leave()
-        assert base.plans_processed == 1, "leave() must flush buffered plans"
+        assert base.forwarding.plans_processed == 1, "leave() must flush buffered plans"
         network.run_until_idle()
         assert any(result.count for result in client.results.values())
 
@@ -232,15 +232,15 @@ class TestPruneIsolation:
         client.send(base.address, "mqp", document, size_bytes=len(document))
         # Step until the message has arrived (buffered), then crash before
         # the scheduled flush runs.
-        while not base._mqp_buffer and network.simulator.step():
+        while not base.forwarding.buffer and network.simulator.step():
             pass
-        assert base._mqp_buffer, "plan should be buffered awaiting the batch flush"
+        assert base.forwarding.buffer, "plan should be buffered awaiting the batch flush"
         sent_before = base.sent_messages
         base.go_offline()
         network.run_until_idle()
-        assert base.plans_processed == 0
+        assert base.forwarding.plans_processed == 0
         assert base.sent_messages == sent_before, "a crashed peer must not forward"
-        assert base.plans_lost_in_crash == 1, "the loss must be accounted"
+        assert base.forwarding.plans_lost_in_crash == 1, "the loss must be accounted"
 
 
 class TestChurnSchedules:
@@ -327,7 +327,7 @@ class TestDeliveryPathNotices:
         assert result is not None, "in-flight plan was silently dropped"
         assert result.count == 2, "reroute around the mid-delivery crash failed"
         assert index.address in client.suspected_dead
-        assert client.plans_rerouted >= 1
+        assert client.forwarding.plans_rerouted >= 1
 
     def test_notice_carries_the_original_message(self, namespace):
         from repro.network import NetworkNode

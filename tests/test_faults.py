@@ -249,17 +249,18 @@ def _assert_settled(scenario, spec, query_ids, offers) -> None:
     for node in network.nodes():
         if not isinstance(node, QueryPeer):
             continue
-        assert not node._pending_transfers and not node._open_streams
-        assert not node._mqp_buffer
+        # Each component is asked what it still owes.
+        assert not node.transfers.pending and not node.streams.open
+        assert not node.forwarding.buffer
         if spec.reliable or spec.fault_loss == 0.0:
             # Every piece came home (a bounced one as an "unreachable" partial).
-            assert node.gather.pending() == [] and not node._chunk_assemblies
+            assert node.gather.pending() == [] and not node.inbox.assemblies
         else:
             # Fire-and-forget under loss: a lost piece never returns its
             # credit (a lost chunk never closes its stream), so the query's
             # table and the stream's assembly wait — bounded by their caps.
             assert len(node.gather) <= spec.queries
-            assert len(node._chunk_assemblies) <= node.assembly_memory
+            assert len(node.inbox.assemblies) <= node.inbox.memory
 
 
 class TestScatterGatherSweep:
@@ -307,7 +308,7 @@ class TestReliableDelivery:
                 assert result.count == 3
                 cluster.run_until_idle()
                 for peer in cluster.peers():
-                    assert peer._pending_transfers == {}
+                    assert peer.transfers.pending == {}
                 assert sum(peer.acks_sent for peer in cluster.peers()) > 0
                 assert sum(peer.retries_sent for peer in cluster.peers()) == 0
 
@@ -319,18 +320,18 @@ class TestReliableDelivery:
                 sender = cluster.base_server("sender:9020", area).peer
                 receiver = cluster.base_server("receiver:9020", area).peer
                 receiver.go_offline()
-                sender._send_query_traffic(
+                sender.transfers.send(
                     receiver.address, "result", _result_envelope("q-dead"), 64, "q-dead"
                 )
                 cluster.run_until_idle()
-                assert sender.transfers_failed == 1
-                assert sender.retries_sent == sender.retry_policy.budget
+                assert sender.transfers.transfers_failed == 1
+                assert sender.retries_sent == sender.transfers.retry_policy.budget
                 assert receiver.address in sender.suspected_dead
                 assert len(sender.dead_letters) == 1
                 assert sender.dead_letters[-1].kind == "result"
                 [record] = sender.delivery_failures["q-dead"]
                 assert record["peer"] == receiver.address
-                assert record["attempts"] == sender.retry_policy.budget + 1
+                assert record["attempts"] == sender.transfers.retry_policy.budget + 1
                 assert cluster.network.metrics.dead_letters_by_kind["result"] == 1
 
     def test_cancel_stops_pending_retransmissions(self):
@@ -341,13 +342,13 @@ class TestReliableDelivery:
                 sender = cluster.base_server("sender:9020", area).peer
                 receiver = cluster.base_server("receiver:9020", area).peer
                 receiver.go_offline()
-                sender._send_query_traffic(
+                sender.transfers.send(
                     receiver.address, "result", _result_envelope("q-x"), 64, "q-x"
                 )
                 sender.cancel_query("q-x")
-                assert sender._pending_transfers == {}
+                assert sender.transfers.pending == {}
                 cluster.run_until_idle()
-                assert sender.transfers_failed == 0
+                assert sender.transfers.transfers_failed == 0
                 assert sender.retries_sent == 0
 
     @pytest.mark.parametrize("streaming", [False, True])
@@ -391,7 +392,7 @@ class TestReliableDelivery:
                 cluster.run_until_idle()
                 assert client.peer.results[handle.query_id] is result and result.count == 3
                 for peer in cluster.peers():
-                    assert peer._pending_transfers == {}
+                    assert peer.transfers.pending == {}
 
     def test_an_unreachable_holders_partial_is_superseded_when_it_comes_back(self):
         with overrides(reliable_delivery=True):
@@ -416,10 +417,10 @@ class TestReliableDelivery:
             with small_cluster() as cluster:
                 seller = cluster.session("seller1:9020").peer
                 client = cluster.session("client:9020").peer
-                seller._send_query_traffic(
+                seller.transfers.send(
                     client.address, "result", _result_envelope("q-dup"), 64, "q-dup"
                 )
-                transfer = next(iter(seller._pending_transfers))
+                transfer = next(iter(seller.transfers.pending))
                 # Replay the same transfer as a retransmission would.
                 seller.send(
                     client.address, "result", _result_envelope("q-dup"),
@@ -428,7 +429,7 @@ class TestReliableDelivery:
                 cluster.run_until_idle()
                 assert client.duplicates_dropped == 1
                 assert client.acks_sent == 2  # every attempt is acknowledged
-                assert seller._pending_transfers == {}
+                assert seller.transfers.pending == {}
 
     def test_retry_policy_backoff_is_monotone_and_jittered(self):
         policy = RetryPolicy()
@@ -451,8 +452,8 @@ class TestReliableDelivery:
             cluster.run_until_idle()
             for peer in cluster.peers():
                 assert peer.acks_sent == 0
-                assert peer._pending_transfers == {}
-                assert peer._seen_transfers == {}
+                assert peer.transfers.pending == {}
+                assert peer.transfers.seen == {}
 
 
 # --------------------------------------------------------------------------- #
@@ -599,7 +600,7 @@ class TestDeadLetterBuffer:
                 for position in range(5)
             ]
             for message in messages:
-                peer._dead_letter(message)
+                peer.transfers.dead_letter(message)
             assert len(peer.dead_letters) == 5  # exact total, not the window
             assert list(peer.dead_letters) == messages[-3:]  # capped retention
             assert peer.dead_letters[-1] is messages[-1]

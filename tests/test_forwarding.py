@@ -1,0 +1,103 @@
+"""Plan forwarding on its own: a processor over local data, a recording node, no network."""
+
+import pytest
+
+from recording_node import RecordingNode, frame
+from repro.algebra import PlanBuilder
+from repro.catalog import Catalog
+from repro.mqp import MQPProcessor, MutantQueryPlan
+from repro.peers.forwarding import PlanForwarding
+from repro.peers.gather import ResultGather
+from repro.peers.parts import Cancellations
+from repro.peers.streams import ResultInbox, ResultStreams
+from repro.peers.transfers import Transfers
+from repro.perf import overrides
+from tests.conftest import make_item
+
+
+@pytest.fixture()
+def hop(namespace):
+    """A base server's forwarding component, holding one collection."""
+    node = RecordingNode("seller:9020")
+    collections = {"/cds": [make_item("Abbey Road", 8), make_item("Kind of Blue", 12)]}
+    processor = MQPProcessor(node.address, Catalog(node.address), namespace,
+                             collections=collections)
+    cancelled = Cancellations()
+    transfers = Transfers(node, cancelled)
+    inbox = ResultInbox(node, transfers, ResultGather(), cancelled)
+    return PlanForwarding(node, processor, transfers, ResultStreams(node, transfers, cancelled),
+                          inbox, cancelled)
+
+
+def plan_document(target: str = "client:9020", query_id: str = "q1") -> str:
+    plan = PlanBuilder.url("seller:9020", "/cds").select("price < 10").display(target)
+    return MutantQueryPlan(plan, query_id=query_id).serialize()
+
+
+class TestOneHop:
+    def test_a_plan_answered_here_leaves_as_one_traced_result_frame(self, hop):
+        hop.on_mqp(frame("mqp", plan_document()))
+        [sent] = hop.port.sent
+        assert (sent.kind, sent.recipient) == ("result", "client:9020")
+        assert sent.payload["items"] == 1 and sent.payload["credit"] == "1"
+        assert "Abbey Road" in sent.payload["document"]
+        trace = hop.port.metrics.trace("q1")
+        assert trace.visited == ["seller:9020"] and trace.messages == 1
+        assert (hop.plans_processed, hop.plans_forwarded, hop.plans_stuck) == (1, 0, 0)
+
+    def test_an_answer_for_this_peer_is_recorded_not_sent(self, hop):
+        hop.on_mqp(frame("mqp", plan_document(target="seller:9020")))
+        assert not hop.port.sent and hop.inbox.gather.results["q1"].count == 1
+
+    def test_with_streaming_on_the_answer_opens_a_stream(self, hop):
+        with overrides(streaming_results=True):
+            hop.on_mqp(frame("mqp", plan_document()))
+        assert hop.port.kinds() == ["result-chunk"] and ("q1", "") in hop.streams.open
+
+    def test_a_plan_of_a_cancelled_query_is_dropped_on_arrival_and_at_the_flush(self, hop):
+        hop.cancelled.add("q1")
+        hop.on_mqp(frame("mqp", plan_document()))
+        hop.batch_window_ms = 5.0
+        hop.on_mqp(frame("mqp", plan_document()))
+        hop.on_mqp(frame("mqp", plan_document(query_id="q2")))
+        assert len(hop.buffer) == 2 and len(hop.port.timers) == 1  # one flush per window
+        hop.port.fire()
+        assert hop.plans_cancelled == 2 and hop.plans_processed == 1 and hop.batches_processed == 1
+        assert [m.payload["query_id"] for m in hop.port.sent] == ["q2"] and not hop.buffer
+
+    def test_a_crash_loses_the_buffer_and_counts_it(self, hop):
+        hop.batch_window_ms = 5.0
+        hop.on_mqp(frame("mqp", plan_document()))
+        hop.crash()
+        hop.port.fire()  # the flush that was scheduled finds nothing
+        assert hop.plans_lost_in_crash == 1 and hop.plans_processed == 0 and not hop.port.sent
+
+
+class TestCustody:
+    def test_cancel_retraces_the_fan_out_and_forgets_the_pieces(self, hop):
+        hop.remember("q1", "a:1", "<piece/>")
+        hop.remember("q1", "b:1", "<piece/>")
+        hop.cancel("q1")
+        hop.cancel("q1")  # nothing left to retrace
+        assert [(m.recipient, m.kind, m.payload) for m in hop.port.sent] == [
+            ("a:1", "cancel-query", "q1"), ("b:1", "cancel-query", "q1"),
+        ]
+        assert "q1" not in hop.custody
+
+    def test_an_offline_peer_forgets_without_sending(self, hop):
+        hop.remember("q1", "a:1", "<piece/>")
+        hop.port.online = False
+        hop.cancel("q1")
+        assert not hop.port.sent and not hop.custody
+
+    def test_a_returning_holder_is_sent_its_pieces_again_untraced(self, hop):
+        with overrides(reliable_delivery=True):
+            hop.remember("q1", "a:1", "<first/>")
+            hop.remember("q1", "b:1", "<other/>")
+            hop.remember("q2", "a:1", "<second/>")
+            hop.resend("a:1")
+        assert [(m.recipient, m.payload) for m in hop.port.sent] == [
+            ("a:1", "<first/>"), ("a:1", "<second/>"),
+        ]
+        assert all(m.transfer is not None for m in hop.port.sent)
+        assert hop.port.metrics.traces == {}  # wasted traffic at worst: not charged to the query

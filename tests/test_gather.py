@@ -253,3 +253,35 @@ def test_work_per_piece_does_not_depend_on_pieces_held(fanout):
         assert arrival.items is each.items
     final, _ = gather.offer("q", pieces[-1])
     assert final.count == fanout and not final.partial
+
+
+class TestWatching:
+    def test_a_latecomer_is_replayed_a_frozen_copy_of_the_answer_so_far(self):
+        gather = ResultGather()
+        first, second, third = nested_split()[:3]
+        gather.offer("q", first, now=1.0)
+        seen = []
+        gather.watch("q", seen.append)
+        [replayed] = seen
+        assert replayed.partial and titles(replayed) == ["a0", "a1"]
+        assert replayed is not gather.results["q"]
+        _, record = gather.offer("q", second, now=2.0)
+        assert titles(record) == ["a0", "a1", "b0"]  # the live record grew ...
+        assert titles(replayed) == ["a0", "a1"] and replayed.received_at == 1.0  # ... the copy not
+        assert "q" in gather.watchers  # still registered: the query is not answered
+
+    def test_a_final_result_is_replayed_without_registering(self):
+        gather = ResultGather()
+        for each in nested_split():
+            gather.offer("q", each)
+        seen = []
+        gather.watch("q", seen.append)
+        assert seen == [gather.results["q"]] and not gather.watchers
+        assert gather.is_answered("q") and not gather.is_answered("other")
+
+    def test_a_partial_record_whose_table_was_evicted_counts_as_answered(self):
+        gather = ResultGather(memory=1)
+        gather.offer("q1", nested_split()[0])
+        gather.offer("q2", nested_split()[0])  # evicts q1's piece table
+        assert gather.results["q1"].partial and gather.is_answered("q1")
+        assert not gather.is_answered("q2")

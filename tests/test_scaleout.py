@@ -260,7 +260,7 @@ class TestScaleoutScenarios:
             for query_id in empty:
                 recorded = scenario.client.results[query_id]
                 assert recorded.count == 0 and not recorded.partial
-            assert sum(peer.plans_stuck for peer in cluster.peers()) == 0
+            assert sum(peer.forwarding.plans_stuck for peer in cluster.peers()) == 0
 
     @pytest.mark.parametrize("routing", ["gnutella", "napster", "routing-index"])
     def test_baseline_strategies_run(self, routing):

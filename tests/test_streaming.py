@@ -43,12 +43,17 @@ from repro.algebra.operators import (
 from repro.engine import BufferBudget, QueryEngine
 from repro.engine import operators as physical
 from repro.errors import QueryCancelled, ResourceBudgetExceeded
-from repro.peers import QueryPeer, QueryResult
+from repro.peers import QueryResult
+from repro.peers.forwarding import PlanForwarding
 from repro.peers.gather import ResultGather
+from repro.peers.parts import Cancellations
+from repro.peers.streams import ResultInbox, ResultStream, ResultStreams
+from repro.peers.transfers import Transfers
 from repro.perf import overrides
 from repro.workloads import GarageSaleConfig, GarageSaleWorkload
 from repro.xmlmodel import XMLElement, serialize_xml, text_element
 from oracles import list_engine
+from recording_node import RecordingNode, frame
 from tests.test_api import portland_area, small_cluster
 
 TRANSPORTS = ("sim", "aio")
@@ -65,33 +70,18 @@ def make_items(count: int, price_of=lambda i: i % 97, tag: str = "item") -> list
     ]
 
 
-def _bare_receiver() -> QueryPeer:
-    """A QueryPeer carrying only the chunk-reassembly state."""
-    peer = QueryPeer.__new__(QueryPeer)
-    peer.address = "client:9020"
-    peer.cancelled_queries = {}
-    peer._cancel_notified = {}
-    peer.cancel_memory = 4096
-    peer.results = {}
-    peer.gather = ResultGather()
-    peer.assembly_memory = 1024
-    peer._chunk_buffers = {}
-    peer._chunk_assemblies = {}
-    peer._chunk_watchers = {}
-    return peer
+def _bare_receiver(memory: int = 1024) -> ResultInbox:
+    """The receiving half of the chunked-result protocol, on a node with no network."""
+    node = RecordingNode("client:9020")
+    return ResultInbox(node, Transfers(node), ResultGather(), Cancellations(), memory=memory)
 
 
-class _Frame:
-    def __init__(self, payload):
-        self.payload = payload
-        self.sender = "seller:9020"
-
-
-def _chunk_frame(query_id: str, stream: str, seq: int, title: str) -> _Frame:
+def _chunk_frame(query_id: str, stream: str, seq: int, title: str):
     document = serialize_xml(
         XMLElement("result-chunk", {}, [XMLElement("item", {}, [text_element("title", title)])])
     )
-    return _Frame({"document": document, "query_id": query_id, "stream": stream, "seq": seq})
+    envelope = {"document": document, "query_id": query_id, "stream": stream, "seq": seq}
+    return frame("result-chunk", envelope, sender="seller:9020")
 
 
 def _titles(items) -> list[str]:
@@ -314,7 +304,7 @@ class TestStreamingDifferential:
 def _chunked_cluster(transport: str, chunk_items: int = 1):
     cluster = small_cluster(transport)
     for session in cluster.sessions():
-        session.peer.result_chunk_items = chunk_items
+        session.peer.streams.chunk_items = chunk_items
     return cluster
 
 
@@ -342,8 +332,8 @@ class TestChunkedDelivery:
                 # final result orders them by branch path.
                 assert sorted(item.child_text("title") for item in result.items) == sorted(titles)
                 # Reassembly state is fully drained after the final result.
-                peer = client.peer
-                assert not peer._chunk_buffers and not peer._chunk_assemblies
+                inbox = client.peer.inbox
+                assert not inbox.buffers and not inbox.assemblies
 
     def test_chunked_answer_equals_single_frame_answer(self, transport):
         def answer(streaming: bool) -> list[str]:
@@ -365,28 +355,25 @@ class TestChunkedDelivery:
 
     def test_sequence_numbers_frame_every_chunk(self, transport):
         seen: list[tuple[str, int]] = []
-        original = QueryPeer._handle_result_chunk
+        with overrides(streaming_results=True):
+            with _chunked_cluster(transport) as cluster:
+                client = cluster.session("client:9020")
+                receive = client.peer.receive
 
-        def spy(self, message):
-            envelope = message.payload
-            seen.append((envelope["stream"], envelope["seq"]))
-            return original(self, message)
+                def spy(message):
+                    if message.kind == "result-chunk":
+                        seen.append((message.payload["stream"], message.payload["seq"]))
+                    receive(message)
 
-        QueryPeer._handle_result_chunk = spy
-        try:
-            with overrides(streaming_results=True):
-                with _chunked_cluster(transport) as cluster:
-                    client = cluster.session("client:9020")
-                    handle = (
-                        client.query()
-                        .area(portland_area(cluster))
-                        .where("price < 20")
-                        .expecting(3)
-                        .submit()
-                    )
-                    handle.result(timeout=240_000)
-        finally:
-            QueryPeer._handle_result_chunk = original
+                client.peer.receive = spy  # this one client's arrivals, not the class
+                handle = (
+                    client.query()
+                    .area(portland_area(cluster))
+                    .where("price < 20")
+                    .expecting(3)
+                    .submit()
+                )
+                handle.result(timeout=240_000)
         assert seen
         streams = {stream for stream, _ in seen}
         assert len(streams) == 2  # one delivery — one stream token — per seller's piece
@@ -463,21 +450,21 @@ class TestChunkedDelivery:
         with small_cluster(transport) as cluster:
             peer = cluster.session("client:9020").peer
             for bad in ({"credit": "1/0"}, {"branch": "7.x"}, {"credit": "nope"}):
-                frame = _Frame({"query_id": "q9", "document": "<result><item/></result>", **bad})
-                peer._handle_result(frame)
+                envelope = {"query_id": "q9", "document": "<result><item/></result>", **bad}
+                peer.handle_message(frame("result", envelope, sender="seller:9020"))
             assert peer.gather.dropped == 3 and "q9" not in peer.results
 
     def test_out_of_order_chunks_are_reassembled(self):
         """Chunk 1 delivered before chunk 0: released to watchers in order."""
-        peer = _bare_receiver()
+        inbox = _bare_receiver()
         batches: list[list[str]] = []
-        peer.watch_chunks("q7", lambda items, stream: batches.append(_titles(items)))
+        inbox.watchers.add("q7", lambda items, stream: batches.append(_titles(items)))
 
-        peer._handle_result_chunk(_chunk_frame("q7", "s/1", 1, "second"))
+        inbox.on_frame(_chunk_frame("q7", "s/1", 1, "second"))
         assert batches == []  # out of order: held back
-        peer._handle_result_chunk(_chunk_frame("q7", "s/1", 0, "first"))
+        inbox.on_frame(_chunk_frame("q7", "s/1", 0, "first"))
         assert batches == [["first"], ["second"]]
-        assert _titles(peer.chunk_items("q7")) == ["first", "second"]
+        assert _titles(inbox.items("q7")) == ["first", "second"]
 
     def test_interleaved_streams_reassemble_independently(self):
         """Two deliveries for one query (partial, then complete) never mix.
@@ -486,22 +473,22 @@ class TestChunkedDelivery:
         so a chunk from a second delivery arriving mid-reassembly neither
         clobbers nor inherits the first delivery's state.
         """
-        peer = _bare_receiver()
+        inbox = _bare_receiver()
         batches: list[list[str]] = []
-        peer.watch_chunks("q8", lambda items, stream: batches.append(_titles(items)))
+        inbox.watchers.add("q8", lambda items, stream: batches.append(_titles(items)))
 
         # Stream s/1 releases seq 0, then s/2 opens with its own seq 0 while
         # s/1 is still mid-delivery, then s/1 finishes with seq 1.
-        peer._handle_result_chunk(_chunk_frame("q8", "s/1", 0, "partial-a"))
-        peer._handle_result_chunk(_chunk_frame("q8", "s/2", 0, "full-a"))
-        peer._handle_result_chunk(_chunk_frame("q8", "s/1", 1, "partial-b"))
+        inbox.on_frame(_chunk_frame("q8", "s/1", 0, "partial-a"))
+        inbox.on_frame(_chunk_frame("q8", "s/2", 0, "full-a"))
+        inbox.on_frame(_chunk_frame("q8", "s/1", 1, "partial-b"))
         assert batches == [["partial-a"], ["full-a"], ["partial-b"]]
-        by_stream = {key[1]: assembly for key, assembly in peer._chunk_assemblies.items()}
+        by_stream = {key[1]: assembly for key, assembly in inbox.assemblies.items()}
         assert _titles(by_stream["s/1"].items) == ["partial-a", "partial-b"]
         assert _titles(by_stream["s/2"].items) == ["full-a"]
         # The arrival buffer mirrors the delivery that released last —
         # one stream's in-order items, never the interleaved union.
-        assert _titles(peer.chunk_items("q8")) == ["partial-a", "partial-b"]
+        assert _titles(inbox.items("q8")) == ["partial-a", "partial-b"]
 
     def test_new_delivery_supersedes_a_closed_partials_buffer(self):
         """The arrival buffer mirrors the latest delivery, not their union.
@@ -512,35 +499,34 @@ class TestChunkedDelivery:
         partial's items must not prefix the new delivery's — that double
         count is exactly what ``QueryHandle.items()`` would re-yield.
         """
-        peer = _bare_receiver()
+        inbox = _bare_receiver()
         streams: list[str] = []
-        peer.watch_chunks("q9", lambda items, stream: streams.append(stream))
+        inbox.watchers.add("q9", lambda items, stream: streams.append(stream))
 
-        peer._handle_result_chunk(_chunk_frame("q9", "s/1", 0, "partial-a"))
+        inbox.on_frame(_chunk_frame("q9", "s/1", 0, "partial-a"))
         # A partial result-end keeps the buffer but retires the assembly.
-        peer._chunk_assemblies.pop(("q9", "s/1"))
-        assert _titles(peer.chunk_items("q9")) == ["partial-a"]
+        inbox.assemblies.pop(("q9", "s/1"))
+        assert _titles(inbox.items("q9")) == ["partial-a"]
 
-        peer._handle_result_chunk(_chunk_frame("q9", "s/2", 0, "full-a"))
-        peer._handle_result_chunk(_chunk_frame("q9", "s/2", 1, "full-b"))
-        assert _titles(peer.chunk_items("q9")) == ["full-a", "full-b"]
+        inbox.on_frame(_chunk_frame("q9", "s/2", 0, "full-a"))
+        inbox.on_frame(_chunk_frame("q9", "s/2", 1, "full-b"))
+        assert _titles(inbox.items("q9")) == ["full-a", "full-b"]
         assert streams == ["s/1", "s/2", "s/2"]  # watchers can spot the switch
 
     def test_assembly_memory_evicts_oldest_incomplete_delivery(self):
         """Reassembly state from producers that died mid-stream is bounded."""
-        peer = _bare_receiver()
-        peer.assembly_memory = 2
+        inbox = _bare_receiver(memory=2)
         for n in range(4):
-            peer._handle_result_chunk(_chunk_frame(f"q{n}", "s/1", 0, f"item-{n}"))
-        assert [key[0] for key in peer._chunk_assemblies] == ["q2", "q3"]
+            inbox.on_frame(_chunk_frame(f"q{n}", "s/1", 0, f"item-{n}"))
+        assert [key[0] for key in inbox.assemblies] == ["q2", "q3"]
         # The evicted queries' arrival buffers went with their assemblies.
-        assert set(peer._chunk_buffers) == {"q2", "q3"}
+        assert set(inbox.buffers) == {"q2", "q3"}
         # A chunk arrival refreshes recency: the actively reassembling q2
         # survives the next eviction, the now-stalest q3 goes instead.
-        peer._handle_result_chunk(_chunk_frame("q2", "s/1", 1, "item-2b"))
-        peer._handle_result_chunk(_chunk_frame("q4", "s/1", 0, "item-4"))
-        assert [key[0] for key in peer._chunk_assemblies] == ["q2", "q4"]
-        assert _titles(peer.chunk_items("q2")) == ["item-2", "item-2b"]
+        inbox.on_frame(_chunk_frame("q2", "s/1", 1, "item-2b"))
+        inbox.on_frame(_chunk_frame("q4", "s/1", 0, "item-4"))
+        assert [key[0] for key in inbox.assemblies] == ["q2", "q4"]
+        assert _titles(inbox.items("q2")) == ["item-2", "item-2b"]
 
     def test_straggler_chunks_after_the_answer_are_dropped(self):
         """A superseded stream's in-flight chunk can't corrupt an answered query.
@@ -549,8 +535,8 @@ class TestChunkedDelivery:
         torn-down delivery must neither repopulate the arrival buffer with
         stale items nor strand an orphan assembly.
         """
-        peer = _bare_receiver()
-        peer.results["q10"] = QueryResult(
+        inbox = _bare_receiver()
+        inbox.gather.results["q10"] = QueryResult(
             query_id="q10",
             items=make_items(2),
             partial=False,
@@ -558,14 +544,14 @@ class TestChunkedDelivery:
             provenance_hops=3,
             max_staleness_minutes=0.0,
         )
-        peer._handle_result_chunk(_chunk_frame("q10", "s/1", 0, "stale"))
-        assert not peer._chunk_assemblies and not peer._chunk_buffers
-        peer._handle_result_end(_Frame({"query_id": "q10", "stream": "s/1", "seq": 1}))
-        assert not peer._chunk_assemblies
+        inbox.on_frame(_chunk_frame("q10", "s/1", 0, "stale"))
+        assert not inbox.assemblies and not inbox.buffers
+        inbox.on_frame(frame("result-end", {"query_id": "q10", "stream": "s/1", "seq": 1}))
+        assert not inbox.assemblies
 
     def test_straggling_partial_result_frame_does_not_overwrite_the_answer(self):
         """Single-frame path: a late partial can't clobber the complete result."""
-        peer = _bare_receiver()
+        inbox = _bare_receiver()
         final = QueryResult(
             query_id="q11",
             items=make_items(2),
@@ -574,19 +560,20 @@ class TestChunkedDelivery:
             provenance_hops=2,
             max_staleness_minutes=0.0,
         )
-        peer.results["q11"] = final
-        peer._handle_result(_Frame({"query_id": "q11", "partial": True, "document": "<result/>"}))
-        assert peer.results["q11"] is final
+        inbox.gather.results["q11"] = final
+        late = {"query_id": "q11", "partial": True, "document": "<result/>"}
+        inbox.on_result(frame("partial-result", late))
+        assert inbox.gather.results["q11"] is final
 
     def test_cancel_notice_sent_once_per_producer(self):
         """Straggler frames of a cancelled query don't each re-notify."""
-        peer = _bare_receiver()
-        peer.cancelled_queries = {"q12": None}
-        sent: list[tuple[str, str]] = []
-        peer.send = lambda target, kind, payload, size_bytes=0: sent.append((target, kind))
+        inbox = _bare_receiver()
+        inbox.cancelled.add("q12")
         for _ in range(3):
-            peer._handle_result_chunk(_chunk_frame("q12", "s/1", 0, "late"))
-        assert sent == [("seller:9020", "cancel-query")]
+            inbox.on_frame(_chunk_frame("q12", "s/1", 0, "late"))
+        assert [(m.recipient, m.kind) for m in inbox.port.sent] == [
+            ("seller:9020", "cancel-query")
+        ]
 
     def test_stale_pump_event_does_not_drive_a_superseding_stream(self):
         """A torn-down stream's scheduled pump must not pump its successor.
@@ -596,23 +583,18 @@ class TestChunkedDelivery:
         inboxes rely on — even when a newer delivery superseded the stream
         that scheduled the event.
         """
-        from repro.peers.peer import _ResultStream
-
-        peer = _bare_receiver()
-        sent: list[tuple] = []
-        peer.send = lambda *args, **kwargs: sent.append(args)
-        peer._open_streams = {
-            ("q13", ""): _ResultStream(
-                query_id="q13",
-                target="client:9020",
-                iterator=iter(make_items(3)),
-                stream="me/2",
-                closing={"query_id": "q13", "branch": "", "credit": "1"},
-            )
-        }
-        peer._pump_stream(("q13", ""), "me/1")  # event from the superseded stream
-        assert not sent
-        assert peer._open_streams[("q13", "")].seq == 0
+        node = RecordingNode()
+        streams = ResultStreams(node, Transfers(node))
+        streams.open[("q13", "")] = ResultStream(
+            query_id="q13",
+            target="client:9020",
+            iterator=iter(make_items(3)),
+            stream="me/2",
+            closing={"query_id": "q13", "branch": "", "credit": "1"},
+        )
+        streams.pump(("q13", ""), "me/1")  # event from the superseded stream
+        assert not node.sent
+        assert streams.open[("q13", "")].seq == 0
 
     def test_degraded_partial_buffers_are_bounded(self):
         """Kept buffers of partial answers don't grow without bound.
@@ -621,36 +603,35 @@ class TestChunkedDelivery:
         while retiring the assembly; an issuer whose queries keep degrading
         to partials must not retain every such item list forever.
         """
-        peer = _bare_receiver()
-        peer.assembly_memory = 2
+        inbox = _bare_receiver(memory=2)
         for n in range(5):
-            peer._handle_result_chunk(_chunk_frame(f"q{n}", "s/1", 0, f"item-{n}"))
-            peer._chunk_assemblies.pop((f"q{n}", "s/1"))  # as a partial close does
-        assert set(peer._chunk_buffers) == {"q3", "q4"}
-        assert _titles(peer.chunk_items("q4")) == ["item-4"]
+            inbox.on_frame(_chunk_frame(f"q{n}", "s/1", 0, f"item-{n}"))
+            inbox.assemblies.pop((f"q{n}", "s/1"))  # as a partial close does
+        assert set(inbox.buffers) == {"q3", "q4"}
+        assert _titles(inbox.items("q4")) == ["item-4"]
 
     def test_cancel_and_forward_memory_are_bounded(self):
         """Per-query bookkeeping on a long-running relay evicts oldest-first."""
-        peer = QueryPeer.__new__(QueryPeer)
-        peer.cancelled_queries = {}
-        peer.cancel_memory = 3
-        peer._forwarded_to = {}
-        peer.forward_memory = 3
+        cancelled = Cancellations(memory=3)
         for n in range(5):
-            peer._remember_cancelled(f"q{n}")
-        assert list(peer.cancelled_queries) == ["q2", "q3", "q4"]
+            cancelled.add(f"q{n}")
+        assert list(cancelled) == ["q2", "q3", "q4"]
+        assert [cancelled.first_notice(f"q{n}", "hop:1") for n in (1, 1, 2, 3, 4, 1)] == [
+            True, False, True, True, True, True,  # the oldest "told" entry was evicted too
+        ]
+        forwarding = PlanForwarding(RecordingNode(), None, None, None, None, memory=3)
         for n in range(4):
-            peer._remember_forward(f"q{n}", "hop:1", "<piece/>")
-        peer._remember_forward("q1", "hop:2", "<piece/>")  # re-forwarding refreshes recency
-        peer._remember_forward("q4", "hop:1", "<piece/>")
-        assert list(peer._forwarded_to) == ["q3", "q1", "q4"]
+            forwarding.remember(f"q{n}", "hop:1", "<piece/>")
+        forwarding.remember("q1", "hop:2", "<piece/>")  # re-forwarding refreshes recency
+        forwarding.remember("q4", "hop:1", "<piece/>")
+        assert list(forwarding.custody) == ["q3", "q1", "q4"]
         # Every next hop is kept: a cancel must reach each piece of a scatter.
-        assert list(peer._forwarded_to["q1"]) == ["hop:1", "hop:2"]
+        assert list(forwarding.custody["q1"]) == ["hop:1", "hop:2"]
         # Fire-and-forget keeps no custody of the pieces; reliable delivery does.
-        assert peer._forwarded_to["q1"] == {"hop:1": [], "hop:2": []}
+        assert forwarding.custody["q1"] == {"hop:1": [], "hop:2": []}
         with overrides(reliable_delivery=True):
-            peer._remember_forward("q1", "hop:2", "<piece/>")
-        assert peer._forwarded_to["q1"] == {"hop:1": [], "hop:2": ["<piece/>"]}
+            forwarding.remember("q1", "hop:2", "<piece/>")
+        assert forwarding.custody["q1"] == {"hop:1": [], "hop:2": ["<piece/>"]}
 
     def test_aio_counts_individually_framed_chunks(self):
         with overrides(streaming_results=True):
@@ -695,7 +676,7 @@ class TestCancellation:
                     list(handle)  # __iter__ refuses too, not a quiet empty stream
                 cluster.network.run_until_idle()
                 for session in cluster.sessions():
-                    assert not session.peer._open_streams
+                    assert not session.peer.streams.open
 
     def test_unreachable_chunk_frame_tears_down_the_open_stream(self):
         """A bounced chunk closes the producer's stream for the dead target.
@@ -705,8 +686,6 @@ class TestCancellation:
         iterator instead of letting later pumps keep producing for a
         consumer that no longer exists.
         """
-        from repro.peers.peer import _ResultStream
-
         with small_cluster("sim") as cluster:
             seller = cluster.session("seller1:9020").peer
             closed: list[bool] = []
@@ -719,7 +698,7 @@ class TestCancellation:
 
             iterator = items_then_mark()
             next(iterator)
-            seller._open_streams[("q-dead", "")] = _ResultStream(
+            seller.streams.open[("q-dead", "")] = ResultStream(
                 query_id="q-dead",
                 target="client:9020",
                 iterator=iterator,
@@ -727,28 +706,20 @@ class TestCancellation:
                 closing={"query_id": "q-dead", "branch": "", "credit": "1"},
             )
 
-            class _Msg:
-                def __init__(self, kind, payload, sender):
-                    self.kind, self.payload, self.sender = kind, payload, sender
+            def bounce_of(stream: str, seq: int):
+                envelope = {"query_id": "q-dead", "stream": stream, "seq": seq}
+                original = frame("result-chunk", envelope, sender=seller.address)
+                seller.handle_message(frame("peer-unreachable", original, sender="client:9020"))
+                return original
 
             # A stale bounce from a superseded delivery leaves the live
-            # stream alone (token mismatch — _pump_stream's same hazard).
-            stale = _Msg(
-                "result-chunk",
-                {"query_id": "q-dead", "stream": "seller1:9020/8", "seq": 3},
-                seller.address,
-            )
-            seller._handle_unreachable(_Msg("peer-unreachable", stale, "client:9020"))
-            assert not closed and ("q-dead", "") in seller._open_streams
+            # stream alone (token mismatch — the hazard pump() guards too).
+            bounce_of("seller1:9020/8", 3)
+            assert not closed and ("q-dead", "") in seller.streams.open
 
-            original = _Msg(
-                "result-chunk",
-                {"query_id": "q-dead", "stream": "seller1:9020/9", "seq": 1},
-                seller.address,
-            )
-            seller._handle_unreachable(_Msg("peer-unreachable", original, "client:9020"))
+            original = bounce_of("seller1:9020/9", 1)
             assert closed  # the producing iterator was closed
-            assert ("q-dead", "") not in seller._open_streams
+            assert ("q-dead", "") not in seller.streams.open
             assert seller.dead_letters[-1] is original
 
     def test_local_stuck_delivery_does_not_overwrite_the_answer(self):
@@ -773,7 +744,7 @@ class TestCancellation:
                 .display("client:9020")
             )
             duplicate = MutantQueryPlan(plan, query_id=handle.query_id)
-            client.peer._deliver(duplicate, "stuck")
+            client.peer.forwarding.deliver(duplicate, "stuck")
             recorded = client.peer.results[handle.query_id]
             assert not recorded.partial
             assert recorded.count == final.count
@@ -813,7 +784,7 @@ class TestCancellation:
             ]
             # The notice walked the chain beyond the issuing client.
             assert len(cancelled_at) > 1
-            dropped = sum(session.peer.plans_cancelled for session in cluster.sessions())
+            dropped = sum(session.peer.forwarding.plans_cancelled for session in cluster.sessions())
             del dropped  # plan may already have finished a hop; drop count is best-effort
 
     def test_cancelled_peer_drops_arriving_plan(self):
@@ -827,9 +798,9 @@ class TestCancellation:
                 "client:9020"
             )
             mqp = MutantQueryPlan(plan, query_id="q-dead")
-            before = seller.plans_cancelled
-            seller._process_and_act(mqp)
-            assert seller.plans_cancelled == before + 1
+            before = seller.forwarding.plans_cancelled
+            seller.forwarding.process(mqp)
+            assert seller.forwarding.plans_cancelled == before + 1
             assert "q-dead" not in seller.results
 
 
@@ -842,26 +813,32 @@ def _result(query_id: str, partial: bool = False) -> QueryResult:
     return QueryResult(query_id=query_id, items=[], partial=partial)
 
 
+def _announce(gather: ResultGather, result: QueryResult) -> None:
+    """What the inbox does once the gather has taken a piece."""
+    gather.watchers.notify(result.query_id, result, last=not result.partial)
+
+
 class TestWatcherReentrancy:
+    """The gather's watcher registry, no peer and no network around it."""
+
     @pytest.fixture()
-    def peer(self, namespace):
-        return QueryPeer("watcher:9020", namespace)
+    def peer(self):
+        return ResultGather()
 
     def test_self_unregistering_watcher_does_not_skip_siblings(self, peer):
         fired: list[str] = []
 
         def selfish(result: QueryResult) -> None:
             fired.append("selfish")
-            peer.unwatch_results("q1", selfish)
+            peer.watchers.remove("q1", selfish)
 
-        peer._result_watchers["q1"] = []
-        peer._result_watchers["q1"].append(selfish)
-        peer._result_watchers["q1"].append(lambda result: fired.append("sibling-a"))
-        peer._result_watchers["q1"].append(lambda result: fired.append("sibling-b"))
-        peer._dispatch_result("q1", _result("q1", partial=True))
+        peer.watch("q1", selfish)
+        peer.watch("q1", lambda result: fired.append("sibling-a"))
+        peer.watch("q1", lambda result: fired.append("sibling-b"))
+        _announce(peer, _result("q1", partial=True))
         assert fired == ["selfish", "sibling-a", "sibling-b"]
         # A second partial only reaches the still-registered siblings.
-        peer._dispatch_result("q1", _result("q1", partial=True))
+        _announce(peer, _result("q1", partial=True))
         assert fired == ["selfish", "sibling-a", "sibling-b", "sibling-a", "sibling-b"]
 
     def test_watcher_unwatching_a_sibling_mid_dispatch_skips_it(self, peer):
@@ -872,10 +849,11 @@ class TestWatcherReentrancy:
 
         def assassin(result: QueryResult) -> None:
             fired.append("assassin")
-            peer.unwatch_results("q2", victim)
+            peer.watchers.remove("q2", victim)
 
-        peer._result_watchers["q2"] = [assassin, victim]
-        peer._dispatch_result("q2", _result("q2", partial=True))
+        peer.watch("q2", assassin)
+        peer.watch("q2", victim)
+        _announce(peer, _result("q2", partial=True))
         assert fired == ["assassin"]
 
     def test_unwatch_during_terminal_dispatch_works(self, peer):
@@ -883,16 +861,16 @@ class TestWatcherReentrancy:
 
         def first(result: QueryResult) -> None:
             fired.append("first")
-            peer.unwatch_results("q3", second)
+            peer.watchers.remove("q3", second)
 
         def second(result: QueryResult) -> None:
             fired.append("second")
 
-        peer._result_watchers["q3"] = [first, second]
-        peer._dispatch_result("q3", _result("q3", partial=False))
+        peer.watch("q3", first)
+        peer.watch("q3", second)
+        _announce(peer, _result("q3", partial=False))
         assert fired == ["first"]
-        assert "q3" not in peer._result_watchers
-        assert "q3" not in peer._terminal_watchers
+        assert "q3" not in peer.watchers and not peer.watchers._closing
 
     def test_watcher_issuing_a_new_query_mid_dispatch(self):
         """A watcher that starts a brand-new query — whose own delivery can
@@ -919,10 +897,9 @@ class TestWatcherReentrancy:
             peer.watch_results(handle.query_id, chained)
             handle.result(timeout=240_000)
             assert any(entry.startswith("second:") for entry in outcomes)
-            # The registry survived the recursion intact.
-            assert handle.query_id not in peer._result_watchers or peer._result_watchers[
-                handle.query_id
-            ]
+            # The registry survived the recursion intact: nothing is left
+            # registered for the answered queries.
+            assert not peer.gather.watchers
 
     def test_reentrant_partial_during_terminal_dispatch_keeps_siblings(self, peer):
         """A watcherless partial dispatched from inside a final dispatch
@@ -932,23 +909,24 @@ class TestWatcherReentrancy:
 
         def meddler(result: QueryResult) -> None:
             fired.append("meddler")
-            peer._dispatch_result("q5", _result("q5", partial=True))
+            _announce(peer, _result("q5", partial=True))
 
-        peer._result_watchers["q5"] = [meddler, lambda result: fired.append("sibling")]
-        peer._dispatch_result("q5", _result("q5", partial=False))
+        peer.watch("q5", meddler)
+        peer.watch("q5", lambda result: fired.append("sibling"))
+        _announce(peer, _result("q5", partial=False))
         assert fired == ["meddler", "sibling"]
-        assert "q5" not in peer._terminal_watchers
+        assert not peer.watchers._closing
 
     def test_watcher_registering_new_watcher_mid_dispatch(self, peer):
         fired: list[str] = []
 
         def registrar(result: QueryResult) -> None:
             fired.append("registrar")
-            peer.watch_results("q4", lambda r: fired.append("late"))
+            peer.watch("q4", lambda r: fired.append("late"))
 
+        peer.watch("q4", registrar)
         peer.results["q4"] = _result("q4", partial=True)  # replayed to the newcomer
-        peer._result_watchers["q4"] = [registrar]
-        peer._dispatch_result("q4", _result("q4", partial=True))
+        _announce(peer, _result("q4", partial=True))
         # The newcomer saw the replay immediately but not the in-flight
         # dispatch (its snapshot predates the registration).
         assert fired == ["registrar", "late"]
@@ -960,7 +938,7 @@ class TestWatcherReentrancy:
 
 
 class TestEagerAreaPlans:
-    def test_flag_on_completes_at_the_data_holders(self):
+    def test_a_bare_union_completes_at_the_data_holders(self):
         """A predicate-less area query completes, well short of ``max_hops``."""
         with small_cluster("sim") as cluster:
             client = cluster.session("client:9020")
@@ -998,7 +976,7 @@ class TestEagerAreaPlans:
         )
         assert MQPProcessor._is_bare_union_plan(MutantQueryPlan(bare))
 
-    def test_flag_on_streams_the_completed_answer(self):
+    def test_a_bare_union_streams_the_completed_answer(self):
         with overrides(streaming_results=True):
             with _chunked_cluster("sim") as cluster:
                 client = cluster.session("client:9020")

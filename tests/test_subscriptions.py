@@ -22,14 +22,24 @@ import pytest
 
 from repro.algebra import PlanBuilder
 from repro.algebra.serialization import serialize_plan
-from repro.api import Cluster, Subscription
+from repro.api import Cluster
+from repro.catalog import Catalog, ServerRole
 from repro.catalog.matcher import SubscriptionMatcher, subscribable_shape
 from repro.errors import PlanError
-from repro.namespace import InterestAreaURN, garage_sale_namespace
+from repro.namespace import InterestAreaURN
 from repro.network import FaultPlan
-from repro.peers.subscriptions import PublisherFeed, SubscriberState, epoch_counter
+from repro.peers.parts import Cancellations
+from repro.peers.subscriptions import (
+    ArmedSubscription,
+    PublisherFeed,
+    SubscriberState,
+    Subscriptions,
+    epoch_counter,
+)
+from repro.peers.transfers import Transfers
 from repro.perf import overrides
 from repro.xmlmodel import XMLElement, serialize_xml
+from recording_node import RecordingNode, frame
 from tests.conftest import make_item
 
 TRANSPORTS = ("sim", "aio")
@@ -83,16 +93,6 @@ def audit_exactly_once(state: SubscriberState) -> dict:
         expected = list(range(seqs[0], seqs[0] + len(seqs)))
         assert seqs == expected, f"feed {publisher}/{epoch}: released {seqs}"
     return per_feed
-
-
-class _Msg:
-    """A fake in-flight message, enough for direct handler invocation."""
-
-    def __init__(self, kind: str, payload, sender: str = "elsewhere:9020"):
-        self.kind = kind
-        self.payload = payload
-        self.sender = sender
-        self.transfer = None
 
 
 # --------------------------------------------------------------------------- #
@@ -310,21 +310,23 @@ class TestDeltaFeed:
                         [make_item(f"CD {round_}", 1.0 + round_, seller="seller1:9020")],
                     )
                 cluster.run_until_idle()
-                armed = seller1.peer.armed_subscriptions[sub.sub_id]
+                armed = seller1.peer.subscriptions.armed[sub.sub_id]
                 assert armed.next_seq == 3
                 assert armed.acked_seq == 2
                 assert armed.log == {}
-                assert seller1.peer._pending_transfers == {}
+                assert seller1.peer.transfers.pending == {}
 
 
 class TestInOrderRelease:
     """Frame-level behaviour of the subscriber's release path."""
 
-    def _subscriber(self, cluster, publisher: str, namespace):
-        client = cluster.session("client:9020").peer
+    def _subscriber(self, namespace):
+        """The subscriber side alone: a recording node, no network."""
+        node = RecordingNode("client:9020")
+        client = Subscriptions(node, Transfers(node), Cancellations(), Catalog(node.address))
         plan = PlanBuilder.urn(area_urn(portland_area(namespace))).display("client:9020")
         state = SubscriberState(sub_id="client:9020#subX", document=serialize_plan(plan))
-        client.my_subscriptions[state.sub_id] = state
+        client.mine[state.sub_id] = state
         return client, state
 
     def _envelope(self, sub_id: str, publisher: str, epoch: str, seq: int, title: str):
@@ -343,44 +345,47 @@ class TestInOrderRelease:
         }
 
     def test_out_of_order_frames_release_in_sequence(self, namespace):
-        with subscription_cluster("sim", namespace) as cluster:
-            client, state = self._subscriber(cluster, "seller1:9020", namespace)
-            epoch = "seller1:9020/e1"
-            late = self._envelope(state.sub_id, "seller1:9020", epoch, 1, "Second")
-            early = self._envelope(state.sub_id, "seller1:9020", epoch, 0, "First")
-            client._handle_delta_chunk(_Msg("delta-chunk", late, sender="seller1:9020"))
-            assert state.deltas == []  # held until the gap fills
-            client._handle_delta_chunk(_Msg("delta-chunk", early, sender="seller1:9020"))
-            assert [d.seq for d in state.deltas] == [0, 1]
-            assert [d.items[0].child_text("title") for d in state.deltas] == [
-                "First", "Second",
-            ]
-            audit_exactly_once(state)
+        client, state = self._subscriber(namespace)
+        epoch = "seller1:9020/e1"
+        late = self._envelope(state.sub_id, "seller1:9020", epoch, 1, "Second")
+        early = self._envelope(state.sub_id, "seller1:9020", epoch, 0, "First")
+        client.on_delta_chunk(frame("delta-chunk", late, sender="seller1:9020"))
+        assert state.deltas == []  # held until the gap fills
+        client.on_delta_chunk(frame("delta-chunk", early, sender="seller1:9020"))
+        assert [d.seq for d in state.deltas] == [0, 1]
+        assert [d.items[0].child_text("title") for d in state.deltas] == ["First", "Second"]
+        # Acknowledged cumulatively: nothing while the gap was open, then both.
+        assert [m.payload["seq"] for m in client.port.sent if m.kind == "delta-ack"] == [-1, 1]
+        audit_exactly_once(state)
 
     def test_duplicate_frames_are_suppressed_and_reacked(self, namespace):
-        with subscription_cluster("sim", namespace) as cluster:
-            client, state = self._subscriber(cluster, "seller1:9020", namespace)
-            frame = self._envelope(
-                state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Once"
-            )
-            client._handle_delta_chunk(_Msg("delta-chunk", frame, sender="seller1:9020"))
-            client._handle_delta_chunk(
-                _Msg("delta-chunk", dict(frame), sender="seller1:9020")
-            )
-            assert len(state.deltas) == 1
-            assert client.delta_duplicates == 1
-            audit_exactly_once(state)
+        client, state = self._subscriber(namespace)
+        once = self._envelope(state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Once")
+        client.on_delta_chunk(frame("delta-chunk", once, sender="seller1:9020"))
+        client.on_delta_chunk(frame("delta-chunk", dict(once), sender="seller1:9020"))
+        assert len(state.deltas) == 1
+        assert client.delta_duplicates == 1
+        assert client.port.kinds() == ["delta-ack", "delta-ack"]  # re-acked, not re-released
+        audit_exactly_once(state)
 
     def test_stale_epoch_frames_are_dropped(self, namespace):
-        with subscription_cluster("sim", namespace) as cluster:
-            client, state = self._subscriber(cluster, "seller1:9020", namespace)
-            state.feeds["seller1:9020"] = PublisherFeed(epoch="seller1:9020/e2")
-            stale = self._envelope(
-                state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Stale"
-            )
-            client._handle_delta_chunk(_Msg("delta-chunk", stale, sender="seller1:9020"))
-            assert state.deltas == []
-            assert state.feeds["seller1:9020"].epoch == "seller1:9020/e2"
+        client, state = self._subscriber(namespace)
+        state.feeds["seller1:9020"] = PublisherFeed(epoch="seller1:9020/e2")
+        stale = self._envelope(state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Stale")
+        client.on_delta_chunk(frame("delta-chunk", stale, sender="seller1:9020"))
+        assert state.deltas == [] and not client.port.sent
+        assert state.feeds["seller1:9020"].epoch == "seller1:9020/e2"
+
+    def test_a_newer_epoch_resets_the_feed(self, namespace):
+        """A publisher that re-armed starts again at 0 under a fresh epoch."""
+        client, state = self._subscriber(namespace)
+        for epoch, title in (("seller1:9020/e1", "Before"), ("seller1:9020/e2", "After")):
+            envelope = self._envelope(state.sub_id, "seller1:9020", epoch, 0, title)
+            client.on_delta_chunk(frame("delta-chunk", envelope, sender="seller1:9020"))
+        assert [(d.epoch, d.seq) for d in state.deltas] == [
+            ("seller1:9020/e1", 0), ("seller1:9020/e2", 0),
+        ]
+        assert client.delta_duplicates == 0 and state.feeds["seller1:9020"].next_seq == 1
 
     def test_straggler_feed_triggers_one_unsubscribe(self, namespace):
         with subscription_cluster("sim", namespace) as cluster:
@@ -393,7 +398,7 @@ class TestInOrderRelease:
                 .subscribe()
             )
             cluster.run_until_idle()
-            assert sub.sub_id in seller1.peer.armed_subscriptions
+            assert sub.sub_id in seller1.peer.subscriptions.armed
             # The subscriber loses its state without telling anyone —
             # the amnesiac-rejoin case a graceful unsubscribe never covers.
             del client.peer.my_subscriptions[sub.sub_id]
@@ -401,9 +406,86 @@ class TestInOrderRelease:
             cluster.run_until_idle()
             # The straggler delta bounced back as a one-shot unsubscribe
             # and the publisher tore the feed down.
-            assert sub.sub_id not in seller1.peer.armed_subscriptions
-            assert (sub.sub_id, "seller1:9020") in client.peer._cancel_notified
-            assert client.peer.deltas_delivered == 0
+            assert sub.sub_id not in seller1.peer.subscriptions.armed
+            assert not client.peer.cancelled_queries.first_notice(sub.sub_id, "seller1:9020")
+            assert client.peer.subscriptions.deltas_delivered == 0
+
+
+class TestPublisherAndAuthorityWithoutANetwork:
+    """The publisher's replay log and the authority's registry, on a recording node."""
+
+    def _side(self, namespace, roles, address="seller1:9020"):
+        node = RecordingNode(address)
+        areas = {"/cds": portland_area(namespace)} if ServerRole.BASE in roles else {}
+        return Subscriptions(
+            node, Transfers(node), Cancellations(), Catalog(address), roles,
+            collection_areas=areas,
+        )
+
+    def _subscribe(self, namespace, sub_id="client:9020#sub1", resume=None, hops=1):
+        plan = PlanBuilder.urn(area_urn(portland_area(namespace))).display("client:9020")
+        envelope = {
+            "document": serialize_plan(plan), "sub": sub_id, "subscriber": "client:9020",
+            "authority": "index-or:9020", "resume": resume or {}, "hops": hops,
+        }
+        return frame("subscribe", envelope, sender="index-or:9020")
+
+    def _deltas(self, side):
+        return [m.payload for m in side.port.sent if m.kind == "delta-chunk"]
+
+    def test_a_resume_token_replays_only_what_the_subscriber_missed(self, namespace):
+        publisher = self._side(namespace, {ServerRole.BASE})
+        publisher.on_subscribe(self._subscribe(namespace))
+        for n in range(3):
+            publisher.mutated("/cds", [(None, make_item(f"cd-{n}", 5.0))])
+        epoch = publisher.armed["client:9020#sub1"].epoch
+        assert [(d["epoch"], d["seq"]) for d in self._deltas(publisher)] == [
+            (epoch, 0), (epoch, 1), (epoch, 2),
+        ]
+        publisher.pause("client:9020#sub1")  # the subscriber went away ...
+        publisher.mutated("/cds", [(None, make_item("while-away", 5.0))])
+        assert len(self._deltas(publisher)) == 3  # ... logged, not sent
+        publisher.port.sent.clear()
+        resume = {"seller1:9020": [epoch, 1]}  # ... and comes back having released 0 and 1
+        publisher.on_subscribe(self._subscribe(namespace, resume=resume))
+        assert [d["seq"] for d in self._deltas(publisher)] == [2, 3]
+        assert publisher.delta_gaps == 0 and publisher.armed["client:9020#sub1"].epoch == epoch
+
+    def test_a_hole_in_the_bounded_replay_log_starts_a_fresh_epoch(self, namespace, monkeypatch):
+        monkeypatch.setattr(Subscriptions, "DELTA_LOG_MEMORY", 2)
+        publisher = self._side(namespace, {ServerRole.BASE})
+        publisher.on_subscribe(self._subscribe(namespace))
+        for n in range(4):  # none acknowledged: the log keeps only the last two
+            publisher.mutated("/cds", [(None, make_item(f"cd-{n}", 5.0))])
+        armed = publisher.armed["client:9020#sub1"]
+        assert sorted(armed.log) == [2, 3] and armed.epoch == "seller1:9020/e1"
+        publisher.port.sent.clear()
+        publisher.on_subscribe(self._subscribe(namespace))  # re-armed with nothing to resume
+        assert publisher.delta_gaps == 1 and self._deltas(publisher) == []
+        assert (armed.epoch, armed.next_seq, armed.log) == ("seller1:9020/e2", 0, {})
+
+    def test_a_cumulative_ack_trims_the_log_and_an_old_one_is_ignored(self, namespace):
+        publisher = self._side(namespace, {ServerRole.BASE})
+        publisher.on_subscribe(self._subscribe(namespace))
+        for n in range(3):
+            publisher.mutated("/cds", [(None, make_item(f"cd-{n}", 5.0))])
+        armed: ArmedSubscription = publisher.armed["client:9020#sub1"]
+        publisher.on_delta_ack(frame("delta-ack", {"sub": armed.sub_id, "seq": 1}))
+        publisher.on_delta_ack(frame("delta-ack", {"sub": armed.sub_id, "seq": 0}))
+        publisher.on_delta_ack(frame("delta-ack", {"sub": "nobody#sub9", "seq": 7}))
+        assert armed.acked_seq == 1 and sorted(armed.log) == [2]
+
+    def test_the_authoritys_registry_is_bounded_and_hop_limited(self, namespace, monkeypatch):
+        monkeypatch.setattr(Subscriptions, "SUBSCRIPTION_MEMORY", 2)
+        authority = self._side(namespace, {ServerRole.INDEX}, address="index-or:9020")
+        for n in range(3):
+            authority.on_subscribe(self._subscribe(namespace, sub_id=f"client:9020#sub{n}"))
+        assert list(authority.registry) == ["client:9020#sub1", "client:9020#sub2"]
+        tired = self._subscribe(namespace, sub_id="client:9020#sub9",
+                                hops=Subscriptions.MAX_SUBSCRIBE_HOPS)
+        authority.on_subscribe(tired)
+        assert "client:9020#sub9" not in authority.registry
+        assert not authority.armed  # an index holds no data: nothing to arm
 
 
 # --------------------------------------------------------------------------- #
@@ -425,9 +507,9 @@ class TestTeardownOnBothTransports:
                 )
                 cluster.run_until_idle()
                 for seller in ("seller1:9020", "seller2:9020"):
-                    assert sub.sub_id in cluster.session(seller).peer.armed_subscriptions
+                    assert sub.sub_id in cluster.session(seller).peer.subscriptions.armed
                 for authority in ("index-or:9020", "meta:9020"):
-                    registry = cluster.session(authority).peer.subscription_registry
+                    registry = cluster.session(authority).peer.subscriptions.registry
                     assert sub.sub_id in registry
 
                 sub.unsubscribe()
@@ -439,10 +521,10 @@ class TestTeardownOnBothTransports:
                     "seller1:9020", "seller2:9020", "index-or:9020", "meta:9020",
                 ):
                     peer = cluster.session(address).peer
-                    assert peer.armed_subscriptions == {}, address
-                    assert peer.subscription_registry == {}, address
-                    assert len(peer.matcher) == 0, address
-                    assert peer._pending_transfers == {}, address
+                    assert peer.subscriptions.armed == {}, address
+                    assert peer.subscriptions.registry == {}, address
+                    assert len(peer.subscriptions.matcher) == 0, address
+                    assert peer.transfers.pending == {}, address
 
 
 class TestTeardownTimers:
@@ -463,29 +545,27 @@ class TestTeardownTimers:
                 # in the retransmit queue with a live backoff timer.
                 client.crash()
                 seller1.update("cds", [make_item("Doomed", 1.0, seller="seller1:9020")])
-                pending = [
-                    state for state in seller1.peer._pending_transfers.values()
-                    if state.query_id == sub.sub_id
+                timers = [
+                    state.timer for state in seller1.peer.transfers.pending.values()
+                    if state.key == sub.sub_id
                 ]
-                assert pending, "the delta transfer should be awaiting its ack"
-                timers = [state.timer for state in pending if state.timer is not None]
-                assert timers, "a retransmission timer should be armed"
+                assert timers, "the delta transfer should be awaiting its ack, timer armed"
                 dead_letters_before = len(seller1.peer.dead_letters)
 
                 # An unsubscribe notice arriving at the publisher sweeps the
                 # queue and cancels every timer for that subscription.
-                seller1.peer._handle_unsubscribe(
-                    _Msg("unsubscribe", {"sub": sub.sub_id, "hops": 0})
+                seller1.peer.handle_message(
+                    frame("unsubscribe", {"sub": sub.sub_id, "hops": 0}, sender="elsewhere:9020")
                 )
-                assert seller1.peer._pending_transfers == {}
+                assert seller1.peer.transfers.pending == {}
                 assert all(timer.cancelled for timer in timers)
-                assert sub.sub_id not in seller1.peer.armed_subscriptions
+                assert sub.sub_id not in seller1.peer.subscriptions.armed
 
                 # And with no timer left to fire, no retry burns out into a
                 # dead letter afterwards.
                 cluster.run_until_idle()
                 assert len(seller1.peer.dead_letters) == dead_letters_before
-                assert seller1.peer.transfers_failed == 0
+                assert seller1.peer.transfers.transfers_failed == 0
 
     def test_unsubscribe_is_idempotent(self, namespace):
         with subscription_cluster("sim", namespace) as cluster:
@@ -528,7 +608,7 @@ class TestChurn:
                 client.crash()
                 seller1.update("cds", [make_item("CD 1", 2.0, seller="seller1:9020")])
                 cluster.run_until_idle()
-                armed = seller1.peer.armed_subscriptions[sub.sub_id]
+                armed = seller1.peer.subscriptions.armed[sub.sub_id]
                 assert armed.paused
                 seller1.update("cds", [make_item("CD 2", 3.0, seller="seller1:9020")])
                 assert set(armed.log) == {1, 2}
@@ -544,10 +624,10 @@ class TestChurn:
                 per_feed = audit_exactly_once(state)
                 (seqs,) = per_feed.values()  # one publisher, one epoch throughout
                 assert seqs == [0, 1, 2]
-                assert client.peer.resubscribes >= 1
-                assert client.peer.delta_duplicates == 0
-                assert client.peer.delta_gaps == 0
-                assert not seller1.peer.armed_subscriptions[sub.sub_id].paused
+                assert client.peer.subscriptions.resubscribes >= 1
+                assert client.peer.subscriptions.delta_duplicates == 0
+                assert client.peer.subscriptions.delta_gaps == 0
+                assert not seller1.peer.subscriptions.armed[sub.sub_id].paused
 
     def test_authority_failover_rearms_publishers_fresh_epoch(self, namespace):
         with overrides(reliable_delivery=True):
@@ -576,7 +656,7 @@ class TestChurn:
 
                 # Re-registration re-armed the publisher from the registry,
                 # under a fresh epoch (its in-RAM feed state is gone).
-                armed = seller1.peer.armed_subscriptions[sub.sub_id]
+                armed = seller1.peer.subscriptions.armed[sub.sub_id]
                 assert armed.authority == "index-or:9020"
                 assert epoch_counter(armed.epoch) > 1
 
@@ -590,7 +670,7 @@ class TestChurn:
                 assert len(epochs) == 2 and epochs[0] < epochs[1]
                 # The subscriber never churned: the re-arm came from the
                 # authority's registry, not from a client re-subscription.
-                assert client.peer.resubscribes == 0
+                assert client.peer.subscriptions.resubscribes == 0
 
     def test_conflicting_authorities_surface_not_double_deliver(self, namespace):
         portland = portland_area(namespace)
@@ -617,9 +697,9 @@ class TestChurn:
 
                 # One authority won the arming; the other's claim was
                 # surfaced to the subscriber instead of arming twice.
-                armed = seller1.peer.armed_subscriptions[sub.sub_id]
+                armed = seller1.peer.subscriptions.armed[sub.sub_id]
                 assert armed.authority in ("index-a:9020", "index-b:9020")
-                assert seller1.peer.authority_conflicts >= 1
+                assert seller1.peer.subscriptions.authority_conflicts >= 1
                 conflicts = sub.conflicts()
                 assert conflicts, "the authority overlap should reach the subscriber"
                 assert conflicts[0]["publisher"] == "seller1:9020"
@@ -658,7 +738,7 @@ class TestChurn:
                     for address in subscribers
                 }
                 cluster.run_until_idle()
-                assert len(seller.peer.armed_subscriptions) == len(subscribers)
+                assert len(seller.peer.subscriptions.armed) == len(subscribers)
 
                 # Three mutation rounds on the one hot collection.
                 seller.update("cds", [make_item("Flash CD", 3.0, seller="seller:9020")])
@@ -680,4 +760,4 @@ class TestChurn:
                     per_feed = audit_exactly_once(state)
                     (seqs,) = per_feed.values()
                     assert seqs == [0, 1, 2], address
-                    assert peer.delta_gaps == 0, address
+                    assert peer.subscriptions.delta_gaps == 0, address
