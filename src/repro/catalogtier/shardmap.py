@@ -1,15 +1,19 @@
-"""Consistent-hash partitioning of catalog ownership (the sharded tier).
+"""Ownership of the catalog by replica group (the sharded tier).
 
 At "millions of users" scale the index servers are both the routing
 bottleneck and the single point of failure.  The tier splits catalog
-ownership by interest-area cell: every :class:`InterestCell` hashes to a
-shard, every shard is owned by a :class:`ReplicaGroup` of N index servers,
-and registrations/lookups for an area route to the owning group(s).
+ownership across :class:`ReplicaGroup` s of N index servers: each group is
+authoritative over an interest area, and a registration or a lookup goes
+to the group(s) whose area *contains or overlaps* it — the paper's rule
+(§3.2–3.3: a server registers with "an authoritative server that covers"
+it, and a query is routed the same way), so the two agree by construction.
 
-Hashing uses BLAKE2b over the cell's canonical text.  Python's builtin
-``hash()`` is salted per process and would break the repo's determinism
-contract (byte-identical reports across runs and transports); the digest
-is stable across processes, platforms, and Python versions.
+*Placement* — which index area a group is given — is the builder's choice;
+:func:`shard_of_cell` is the one the harness uses: BLAKE2b over the index
+cell's canonical text.  Python's builtin ``hash()`` is salted per process
+and would break the repo's determinism contract (byte-identical reports
+across runs and transports); the digest is stable across processes,
+platforms, and Python versions.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ __all__ = ["ReplicaGroup", "ShardMap", "shard_of_cell"]
 
 
 def shard_of_cell(cell: InterestCell, shards: int) -> int:
-    """Map a cell to a shard id via a stable hash of its canonical text.
+    """Place an *index* cell on a shard via a stable hash of its canonical text.
 
-    ``str(cell)`` is the cell's interned textual form (the same key the
-    routing cache and batch contexts use), so equal cells always land on
-    the same shard regardless of which peer computes the mapping.
+    This decides which group is handed an index area when the tier is
+    built; it is never how a query finds its group (:meth:`ShardMap.owners`
+    goes by the areas the groups were handed).  ``str(cell)`` is the cell's
+    interned textual form, so equal cells land on the same shard whoever
+    computes the placement.
     """
     if shards < 1:
         raise CatalogError("shard count must be positive")
@@ -44,10 +50,13 @@ class ReplicaGroup:
     deterministic rotation of the member list so distinct shards spread
     load across the same physical servers), then fall through to the
     surviving members when the preferred replica is suspected dead.
+    ``area`` is what the group is authoritative over; a group standing by
+    with nothing placed on it (``None``) owns nothing and answers for nothing.
     """
 
     shard_id: int
     members: tuple[str, ...]
+    area: InterestArea | None = None
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -68,7 +77,7 @@ class ReplicaGroup:
 
 
 class ShardMap:
-    """The cluster-wide assignment of interest-area cells to replica groups.
+    """The cluster-wide assignment of interest areas to replica groups.
 
     Built once by the harness (or an operator) and shared by reference
     across peers — the map is immutable after construction, so there is no
@@ -83,14 +92,18 @@ class ShardMap:
             raise CatalogError(
                 f"shard ids must be contiguous from 0, got {sorted(groups)}"
             )
-        self._groups: dict[int, ReplicaGroup] = dict(groups)
+        self._groups = {shard_id: groups[shard_id] for shard_id in sorted(groups)}
 
     @classmethod
-    def build(cls, members_by_shard: list[list[str]]) -> "ShardMap":
-        """Build a map from an ordered list of member-address lists."""
+    def build(
+        cls, members_by_shard: list[list[str]], areas: list[InterestArea | None]
+    ) -> "ShardMap":
+        """Build a map from each shard's member addresses and owned area, in shard order."""
+        if len(areas) != len(members_by_shard):
+            raise CatalogError("a shard map needs one owned area (or None) per replica group")
         groups = {
-            shard_id: ReplicaGroup(shard_id, tuple(members))
-            for shard_id, members in enumerate(members_by_shard)
+            shard_id: ReplicaGroup(shard_id, tuple(members), area)
+            for shard_id, (members, area) in enumerate(zip(members_by_shard, areas))
         }
         return cls(groups)
 
@@ -104,7 +117,7 @@ class ShardMap:
     @property
     def groups(self) -> tuple[ReplicaGroup, ...]:
         """All replica groups, in shard order."""
-        return tuple(self._groups[shard_id] for shard_id in sorted(self._groups))
+        return tuple(self._groups.values())
 
     def group(self, shard_id: int) -> ReplicaGroup:
         """The replica group owning ``shard_id``."""
@@ -122,36 +135,22 @@ class ShardMap:
 
     # -- routing --------------------------------------------------------- #
 
-    def shard_for_cell(self, cell: InterestCell) -> int:
-        """The shard owning ``cell``."""
-        return shard_of_cell(cell, self.shards)
-
-    def shards_for_area(self, area: InterestArea) -> list[int]:
-        """Every shard owning some cell of ``area``, in ascending order.
-
-        An area spanning several cells may hash across shards; such an
-        area's registrations and lookups fan out to every owning group.
-        """
-        return sorted({self.shard_for_cell(cell) for cell in area})
-
     def owners(
         self, area: InterestArea, suspected: frozenset[str] | set[str] = frozenset()
     ) -> list[str]:
         """Replica addresses responsible for ``area``, failover-ordered.
 
-        For each owning shard (ascending) the group's preferred order is
-        appended, skipping suspected-dead members and duplicates — the
-        result is the exact candidate ordering shard-aware routing wants:
-        primary first, surviving siblings next, other shards' groups after.
+        Ownership is containment: every group whose area overlaps ``area``
+        (ascending shard id) contributes its preferred order, skipping
+        suspected-dead members — primary first, surviving siblings next,
+        other owning groups after.  An area nobody owns returns ``[]``, and
+        routing goes by cache, catalog and meta-index as without a tier.
         """
-        ordered: list[str] = []
-        seen: set[str] = set()
-        for shard_id in self.shards_for_area(area):
-            for member in self._groups[shard_id].alive_members(suspected):
-                if member not in seen:
-                    seen.add(member)
-                    ordered.append(member)
-        return ordered
+        ordered: dict[str, None] = {}
+        for group in self._groups.values():
+            if group.area is not None and group.area.overlaps(area):
+                ordered.update(dict.fromkeys(group.alive_members(suspected)))
+        return list(ordered)
 
     def __repr__(self) -> str:
         sizes = [len(group.members) for group in self.groups]

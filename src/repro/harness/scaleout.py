@@ -461,44 +461,45 @@ def _build_mqp_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
     )
 
 
+def _place_index_areas(areas: list[InterestArea], shards: int) -> list[InterestArea | None]:
+    """What each shard owns: the union of the index areas hashed onto it
+    (``None`` where nothing landed)."""
+    owned: list[InterestArea | None] = [None] * shards
+    for area in areas:
+        shard = shard_of_cell(next(iter(area)), shards)  # index areas are single-cell
+        placed = owned[shard]
+        owned[shard] = area if placed is None else placed.union(area)
+    return owned
+
+
 def _build_catalog_tier(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> ShardMap:
     """Stand up the sharded index layer: one replica group per shard.
 
-    Each populated second-level index area (see :func:`_index_areas`)
-    hashes to a shard by its single cell; a shard's replicas are
-    authoritative over the union of its areas.  A shard no area hashed to
-    still gets its replica servers — covering the namespace top
+    Each populated second-level index area (see :func:`_index_areas`) is
+    placed on a shard by hashing its single cell; a shard's replicas are
+    authoritative over the union of the areas placed on it, and the shard
+    map records that union as what the group owns.  A shard nothing was
+    placed on still gets its replica servers — covering the namespace top
     non-authoritatively, so they participate in routing without claiming
-    authority they cannot back (and without MOAS-style overlap conflicts).
+    authority they cannot back (and without MOAS-style overlap conflicts) —
+    and owns nothing in the map.
     """
     cluster = scenario.cluster
-    areas_by_shard: dict[int, list[InterestArea]] = {
-        shard: [] for shard in range(spec.catalog_shards)
-    }
-    for area in _index_areas(scenario.namespace, scenario.data_peers):
-        cell = next(iter(area))  # index areas are single-cell by construction
-        areas_by_shard[shard_of_cell(cell, spec.catalog_shards)].append(area)
-
+    owned_by_shard = _place_index_areas(
+        _index_areas(scenario.namespace, scenario.data_peers), spec.catalog_shards
+    )
     members_by_shard: list[list[str]] = []
-    for shard in range(spec.catalog_shards):
+    for shard, owned in enumerate(owned_by_shard):
         members = [
             f"index-s{shard}r{replica}:9020" for replica in range(spec.catalog_replicas)
         ]
-        owned = areas_by_shard[shard]
-        if owned:
-            shard_area = owned[0]
-            for extra in owned[1:]:
-                shard_area = shard_area.union(extra)
-            authoritative = True
-        else:
-            shard_area = scenario.namespace.top_area()
-            authoritative = False
+        shard_area = owned if owned is not None else scenario.namespace.top_area()
         for member in members:
             scenario.index_servers.append(
-                cluster.index_server(member, shard_area, authoritative=authoritative).peer
+                cluster.index_server(member, shard_area, authoritative=owned is not None).peer
             )
         members_by_shard.append(members)
-    return ShardMap.build(members_by_shard)
+    return ShardMap.build(members_by_shard, owned_by_shard)
 
 
 def _build_overlay_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:

@@ -66,12 +66,20 @@ class RetryPolicy:
     forwards carries a transfer id the receiver acknowledges; this policy
     decides when the sender gives up waiting and retransmits.
 
+    ``timeout_ms`` is the retransmission timeout (RTO) of a first contact
+    and the ceiling of the one the sender then measures for the recipient
+    (:class:`repro.peers.transfers.Transfers`); each further attempt waits
+    ``backoff`` times longer; ``jitter_ms`` is the width of the jitter at
+    an RTO of ``timeout_ms`` and shrinks with it.  ``budget`` sets the
+    give-up *horizon* — the time ``budget`` retransmissions of a first
+    contact span, not a count: a short RTO spends its doublings early, and
+    a peer cut off for a second must not fail sooner for being close.  Past
+    it the transfer fails: the peer records per-hop failure provenance and
+    falls back to rerouting (plans) or dead-lettering (results).
+
     Timeouts live on the *logical* clock and the jitter draw is a stable
     hash of (transfer, attempt) — never wall-clock or ``random`` — so the
-    retransmit schedule is identical on every transport backend.  After
-    ``budget`` retransmissions without an ack the transfer fails: the peer
-    records per-hop failure provenance and falls back to rerouting (plans)
-    or dead-lettering (results).
+    retransmit schedule is identical on every transport backend.
     """
 
     timeout_ms: float = 160.0
@@ -79,18 +87,21 @@ class RetryPolicy:
     jitter_ms: float = 24.0
     budget: int = 4
 
-    def delay_for(self, transfer: str, attempt: int) -> float:
-        """Simulated ms to wait for the ack of ``attempt`` before retrying."""
+    def delay_for(self, transfer: str, attempt: int, rto: float | None = None) -> float:
+        """Simulated ms to wait for the ack of ``attempt`` before retrying;
+        ``rto`` is the sender's measured timeout (``None``: none yet)."""
         from ..network.faults import stable_unit
 
+        rto = self.timeout_ms if rto is None else min(rto, self.timeout_ms)
         return (
-            self.timeout_ms * (self.backoff ** attempt)
-            + self.jitter_ms * stable_unit("retry", transfer, attempt)
+            rto * (self.backoff ** attempt)
+            + self.jitter_ms * (rto / self.timeout_ms) * stable_unit("retry", transfer, attempt)
         )
 
-    def exhausted(self, attempts: int) -> bool:
-        """True once ``attempts`` retransmissions have already been spent."""
-        return attempts >= self.budget
+    @property
+    def horizon_ms(self) -> float:
+        """How long after its first attempt an unacknowledged transfer fails."""
+        return sum(self.timeout_ms * self.backoff ** attempt for attempt in range(self.budget + 1))
 
 
 class ProcessingAction(str, Enum):

@@ -74,6 +74,11 @@ class NetworkNode:
         """The fabric injects link faults, so a cloned frame is not a bug."""
         return self.network is not None and self.network.faults.active
 
+    def transfer_time(self, size_bytes: int) -> float:
+        """Modelled ms this node's link takes to put ``size_bytes`` on the wire."""
+        self._require_network()
+        return self.network.latency.transfer_time(size_bytes)  # type: ignore[union-attr]
+
     @property
     def metrics(self) -> "NetworkMetrics":
         """The network's ledger: per-query traces and dead-letter tallies."""

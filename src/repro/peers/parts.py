@@ -5,7 +5,8 @@ per wire protocol.  A component owns its tables, timers and counters and
 never sees the network: it is handed the node as its *port* and uses only
 what every :class:`~repro.network.node.NetworkNode` has — ``send``,
 ``schedule``, ``now``, and the facts ``address`` / ``connected`` /
-``faulty`` / ``metrics`` — so a unit test hands it a recording node instead.
+``faulty`` / ``transfer_time`` / ``metrics`` — so a unit test hands it a
+recording node instead.
 
 The helpers below are the idioms the components would otherwise each
 re-implement.

@@ -296,10 +296,15 @@ class QueryPeer(NetworkNode):
     # ------------------------------------------------------------------ #
 
     def register_with(self, server_address: str) -> None:
-        """Push this peer's existence to an index / meta-index server."""
+        """Push this peer's existence to an index / meta-index server.
+
+        Reliably under ``flags.reliable_delivery``: registration fan-out is
+        all the replication a replica group has, so a member that misses one
+        ``register`` would answer for its area without this server.
+        """
         if server_address not in self.registration_targets:
             self.registration_targets.append(server_address)
-        self.send(server_address, "register", self.registration(), size_bytes=512)
+        self.transfers.send(server_address, "register", self.registration(), 512, self.address)
 
     def registration(self) -> RegistrationPayload:
         """What this peer tells an indexer about itself."""
@@ -343,7 +348,10 @@ class QueryPeer(NetworkNode):
         leaver finishes the work it already accepted (only a *crash* loses
         buffered plans).  The unregister messages are queued before the
         peer goes offline, so indexers drop this peer's entries promptly
-        instead of discovering the departure through failed forwards.
+        instead of discovering the departure through failed forwards.  They
+        stay best-effort even under reliable delivery — an offline peer's
+        retransmissions are dropped, not sent — and a lost ``unregister``
+        is made good by exactly that discovery.
         """
         if self.network is not None:
             self.forwarding.flush()
@@ -472,7 +480,7 @@ class QueryPeer(NetworkNode):
         "result-chunk": lambda peer, message: peer.inbox.on_frame(message),
         "result-end": lambda peer, message: peer.inbox.on_frame(message),
         "cancel-query": lambda peer, message: peer.cancel_query(message.payload),
-        "delivery-ack": lambda peer, message: peer.transfers.stand_down(message.payload),
+        "delivery-ack": lambda peer, message: peer.transfers.acknowledged(message.payload),
         "subscribe": lambda peer, message: peer.subscriptions.on_subscribe(message),
         "unsubscribe": lambda peer, message: peer.subscriptions.on_unsubscribe(message),
         "delta-chunk": lambda peer, message: peer.subscriptions.on_delta_chunk(message),

@@ -6,21 +6,30 @@ Message kind handled here:
     The reliable-delivery protocol (``flags.reliable_delivery``): the
     receiver of a transfer-stamped message acknowledges the transfer id,
     letting the sender cancel its retransmission timer.  Unacknowledged
-    transfers are retransmitted with exponential backoff until the retry
-    budget is exhausted, at which point the owner is told the recipient
+    transfers are retransmitted with exponential backoff until the give-up
+    horizon has passed, at which point the owner is told the recipient
     failed (it reroutes plans, tears down streams, pauses feeds, and
     dead-letters the rest) — and the failure is recorded so issuers can
     report per-hop delivery provenance.
 
-Query traffic — plans, results, chunks — and subscription control
-(subscribe / unsubscribe / deltas, keyed by subscription id the way query
-traffic is keyed by query id) ride the protocol; registration stays
-fire-and-forget, matching the paper's best-effort catalog.  With the flag
-off :meth:`Transfers.send` is a plain send and the wire bytes are
-unchanged.
+Query traffic — plans, results, chunks — subscription control (subscribe /
+unsubscribe / deltas, keyed by subscription id the way query traffic is
+keyed by query id) and ``register`` (keyed by the registering server: one
+replica that misses it would answer for its area without that server) ride
+the protocol.  With the flag off :meth:`Transfers.send` is a plain send and
+the wire bytes are unchanged.
 
-Timers are armed on the port's logical clock, so the retransmit schedule is
-identical on every transport backend (and a unit test can drive it by hand).
+The first retransmission waits for the recipient's measured round trip
+(RFC 6298), ``RetryPolicy.timeout_ms`` until there is one and at most that
+afterwards.  An ack of a *first* attempt is a sample — the ack of a
+retransmitted transfer could answer either copy (Karn's rule), a bounce is
+no ack at all — taken net of the frame's own time on the sender's link,
+which the timeout adds back: a round trip learned on small frames must not
+retransmit a large one that is still being sent.
+
+Timers are armed, and samples taken, on the port's logical clock, so the
+retransmit schedule is identical on every transport backend (and a unit
+test can drive it by hand).
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ class PendingTransfer:
     message: Message
     key: str  # the query or subscription the traffic belongs to
     timer: Any  # whatever ``schedule`` returned: it can ``cancel()``
+    started: float  # when attempt 0 left: samples and the horizon count from here
+    final: bool  # the timer runs out at the horizon: no attempt follows it
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -89,13 +100,15 @@ class Transfers:
 
     ``cancelled`` is the peer's cancelled-query table (a retry for a query
     nobody wants any more is dropped, not sent); ``failed(recipient,
-    message)`` is called when a retry budget runs out, after the failure
+    message)`` is called when a transfer is given up, after the failure
     has been counted and recorded here.
     """
 
     DEDUPE_MEMORY = 4096  # transfer ids remembered for duplicate detection
     FAILURE_MEMORY = 1024  # queries whose delivery failures are remembered
     FAILURES_PER_QUERY = 32
+    RTT_MEMORY = 1024  # recipients whose round trip is remembered
+    RTT_MARGIN = 0.25  # the timeout clears the smoothed round trip by this share at least
 
     port: NetworkNode
     cancelled: Container[str] = ()
@@ -109,6 +122,7 @@ class Transfers:
     delivery_failures: dict[str, list[dict]] = field(default_factory=dict)
     pending: dict[str, PendingTransfer] = field(default_factory=dict)  # each holds a live timer
     seen: dict[str, None] = field(default_factory=dict)  # transfer ids already processed
+    round_trips: dict[str, tuple[float, float]] = field(default_factory=dict)  # (SRTT, RTTVAR) ms
     _counter: int = field(default=0, init=False)
 
     # -- sending ---------------------------------------------------------------- #
@@ -127,7 +141,7 @@ class Transfers:
             return self.port.send(recipient, kind, payload, size_bytes=size_bytes)
         self._counter += 1
         transfer = f"{self.port.address}#{self._counter}"
-        return self._attempt(key, transfer, 0, recipient, kind, payload, size_bytes)
+        return self._attempt(key, transfer, 0, recipient, kind, payload, size_bytes, self.port.now)
 
     def send_traced(
         self, recipient: str, kind: str, payload: object, size_bytes: int, query_id: str
@@ -141,17 +155,30 @@ class Transfers:
 
     def _attempt(
         self, key: str, transfer: str, attempt: int,
-        recipient: str, kind: str, payload: object, size_bytes: int,
+        recipient: str, kind: str, payload: object, size_bytes: int, started: float,
     ) -> Message:
-        """(Re)send one transfer and arm its retransmission timer."""
+        """(Re)send one transfer and arm its retransmission timer, which
+        never outlasts the give-up horizon counted from attempt 0."""
         message = self.port.send(
             recipient, kind, payload, size_bytes=size_bytes, transfer=transfer, attempt=attempt
         )
-        timer = self.port.schedule(
-            self.retry_policy.delay_for(transfer, attempt), lambda: self._retry(transfer)
-        )
-        self.pending[transfer] = PendingTransfer(message, key, timer)
+        policy = self.retry_policy
+        wait = policy.delay_for(transfer, attempt, self._rto(recipient, size_bytes))
+        left = started + policy.horizon_ms - self.port.now
+        timer = self.port.schedule(min(wait, left), lambda: self._retry(transfer))
+        self.pending[transfer] = PendingTransfer(message, key, timer, started, wait >= left)
         return message
+
+    def _rto(self, recipient: str, size_bytes: int) -> float | None:
+        """RFC 6298's SRTT + 4 RTTVAR for ``recipient`` plus the frame's time
+        on the link, ``None`` before the first sample.  A steady link's
+        variance decays to nothing, so the margin has a floor."""
+        measured = self.round_trips.get(recipient)
+        if measured is None:
+            return None
+        srtt, rttvar = measured
+        margin = max(4.0 * rttvar, self.RTT_MARGIN * srtt)
+        return srtt + margin + self.port.transfer_time(size_bytes)
 
     def _retry(self, transfer: str) -> None:
         state = self.pending.get(transfer)
@@ -160,14 +187,14 @@ class Transfers:
         last = state.message
         if not self.port.connected or state.key in self.cancelled:
             del self.pending[transfer]
-        elif not self.retry_policy.exhausted(last.attempt):
+        elif not state.final:
             self.retries_sent += 1
             self._attempt(
                 state.key, transfer, last.attempt + 1,
-                last.recipient, last.kind, last.payload, last.size_bytes,
+                last.recipient, last.kind, last.payload, last.size_bytes, state.started,
             )
         else:
-            # The retry budget is spent: degrade instead of waiting forever.
+            # The horizon has passed: degrade instead of waiting forever.
             # The record travels with the (partial) answer so the issuer can
             # report where delivery gave up.
             del self.pending[transfer]
@@ -206,11 +233,28 @@ class Transfers:
             self.duplicates_dropped += 1
         return not duplicate
 
+    def acknowledged(self, transfer: str) -> None:
+        """``transfer`` (the payload of a ``delivery-ack``) arrived: learn the
+        recipient's round trip from it, and stop retransmitting."""
+        state = self.pending.get(transfer)
+        if state is not None and state.message.attempt == 0:  # Karn's rule
+            sent = state.message
+            sample = self.port.now - state.started - self.port.transfer_time(sent.size_bytes)
+            measured = self.round_trips.get(sent.recipient)
+            if measured is None:
+                srtt, rttvar = sample, sample / 2.0
+            else:
+                srtt, rttvar = measured
+                rttvar = 0.75 * rttvar + 0.25 * abs(srtt - sample)
+                srtt = 0.875 * srtt + 0.125 * sample
+            insert_capped(self.round_trips, sent.recipient, (srtt, rttvar), self.RTT_MEMORY)
+        self.stand_down(transfer)
+
     def stand_down(self, transfer: str | None) -> None:
-        """Stop retransmitting ``transfer``: acknowledged (the payload of a
-        ``delivery-ack``), or known undeliverable.  A late ack — after
-        failure or cancellation — finds no state and is simply ignored: the
-        protocol is idempotent on both ends."""
+        """Stop retransmitting ``transfer``: acknowledged, or known
+        undeliverable (a bounce — which says nothing about the round trip).
+        A late ack — after failure or cancellation — finds no state and is
+        simply ignored: the protocol is idempotent on both ends."""
         state = self.pending.pop(transfer, None) if transfer is not None else None
         if state is not None:
             state.timer.cancel()

@@ -1,7 +1,8 @@
 """A node with no network: the port the peer components are unit-tested against.
 
 ``send`` records the message instead of routing it, ``schedule`` keeps the
-timer for the test to fire by hand, ``now`` is a settable number.  Import as
+timer for the test to fire by hand, ``now`` is a settable number, the link
+rate is :class:`~repro.network.latency.LatencyModel`'s default.  Import as
 ``from recording_node import RecordingNode`` (pytest puts ``tests/`` on
 ``sys.path``).
 """
@@ -41,6 +42,9 @@ class RecordingNode(NetworkNode):
                           transfer=transfer, attempt=attempt)
         self.sent.append(message)
         return message
+
+    def transfer_time(self, size_bytes):
+        return size_bytes / 1_000.0
 
     def schedule(self, delay, callback):
         self.timers.append(Timer(delay, callback))

@@ -1,5 +1,7 @@
 """Tests for the sharded, replicated catalog tier (repro.catalogtier)."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.catalog import Catalog, ServerEntry, ServerRole
@@ -31,8 +33,11 @@ from recording_node import RecordingNode, frame
 
 
 @pytest.fixture()
-def shard_map():
-    return ShardMap.build([["i0:1", "i1:1", "i2:1"], ["j0:1", "j1:1", "j2:1"]])
+def shard_map(namespace):
+    return ShardMap.build(
+        [["i0:1", "i1:1", "i2:1"], ["j0:1", "j1:1", "j2:1"]],
+        [namespace.area(["USA/OR", "*"]), namespace.area(["USA/WA", "*"])],
+    )
 
 
 class TestShardMap:
@@ -62,19 +67,32 @@ class TestShardMap:
         assert shard_map.group(0).siblings_of("i1:1") == ["i0:1", "i2:1"]
 
     def test_owners_are_failover_ordered(self, shard_map, namespace):
-        area = namespace.area(["USA/OR", "*"])
-        shard = shard_map.shards_for_area(area)[0]
-        owners = shard_map.owners(area)
-        assert owners == list(shard_map.group(shard).preferred_order())
-        primary = owners[0]
-        assert shard_map.owners(area, suspected={primary}) == owners[1:]
+        oregon = namespace.area(["USA/OR", "*"])
+        owners = shard_map.owners(oregon)
+        assert owners == list(shard_map.group(0).preferred_order())
+        assert shard_map.owners(oregon, suspected={owners[0]}) == owners[1:]
+        # Ownership is containment: a cell deep inside the owned area is the
+        # group's too, whatever its own text would hash to.
+        assert shard_map.owners(namespace.area(["USA/OR/Portland", "Music/CDs"])) == owners
+        assert shard_map.owners(namespace.area(["USA/WA/Seattle", "*"])) == ["j1:1", "j2:1", "j0:1"]
 
     def test_multi_cell_area_fans_to_every_owning_shard(self, shard_map, namespace):
-        area = namespace.top_area().union(namespace.area(["USA/OR", "*"]))
-        shards = shard_map.shards_for_area(area)
-        owners = shard_map.owners(area)
-        for shard in shards:
-            assert set(shard_map.group(shard).members) <= set(owners)
+        area = namespace.area(["USA/WA/Seattle", "Music"]).union(
+            namespace.area(["USA/OR/Portland", "Music/CDs"])
+        )
+        assert shard_map.owners(area) == [  # ascending shard id, each in its preferred order
+            *shard_map.group(0).preferred_order(), *shard_map.group(1).preferred_order()
+        ]
+
+    def test_a_group_that_owns_nothing_is_never_an_owner(self, namespace):
+        oregon = namespace.area(["USA/OR", "*"])
+        tier = ShardMap.build([["i0:1"], ["spare:1"]], [oregon, None])
+        assert tier.owners(namespace.top_area()) == ["i0:1"]
+        # An area nobody owns has no owners: routing goes on by cache,
+        # catalog and meta-index, exactly as without a tier.
+        assert tier.owners(namespace.area(["USA/CA", "*"])) == []
+        with pytest.raises(CatalogError):
+            ShardMap.build([["i0:1"], ["spare:1"]], [oregon])
 
 
 class TestAnswerCache:
@@ -290,7 +308,9 @@ class TestRegistrationFanout:
         group0 = [IndexServer(f"i{n}:1", namespace, state_area, authoritative=True) for n in range(3)]
         group1 = [IndexServer(f"j{n}:1", namespace, other_area, authoritative=True) for n in range(3)]
         base = BaseServer("seller:1", namespace, namespace.area(["USA/OR/Portland", "Music/CDs"]))
-        shard_map = ShardMap.build([[s.address for s in group0], [s.address for s in group1]])
+        shard_map = ShardMap.build(
+            [[s.address for s in group0], [s.address for s in group1]], [state_area, other_area]
+        )
         indexers = [*group0, *group1]
 
         chosen_off = covering_indexers(base, indexers)
@@ -307,6 +327,94 @@ class TestRegistrationFanout:
         assert base.replicas.replica_peers == []  # the base server is no replica
 
 
+    def test_a_lost_register_still_reaches_every_replica(self, namespace):
+        """Registration fan-out is the group's only replication: a replica
+        that misses a ``register`` answers for its area without that server."""
+        from repro.api import Cluster
+
+        oregon = namespace.area(["USA/OR", "*"])
+        with overrides(reliable_delivery=True), Cluster("sim", namespace=namespace) as cluster:
+            replicas = [
+                cluster.index_server(f"i{n}:1", oregon, authoritative=True).peer for n in range(3)
+            ]
+            seller = cluster.base_server(
+                "seller:1", namespace.area(["USA/OR/Portland", "Music/CDs"])
+            ).peer
+            cluster.join_catalog_tier(ShardMap.build([[r.address for r in replicas]], [oregon]))
+            dispatch, lost = cluster.network._dispatch, []
+
+            def lossy(message, delay):
+                route = (message.kind, message.sender, message.recipient)
+                if route == ("register", "seller:1", "i1:1") and not lost:
+                    lost.append(message)  # silently, as the fault injector loses a frame
+                else:
+                    dispatch(message, delay)
+
+            cluster.network._dispatch = lossy
+            cluster.connect(online=True)
+            assert len(lost) == 1 and seller.retries_sent == 1
+            assert all("seller:1" in replica.catalog.servers for replica in replicas)
+            assert not seller.transfers.pending
+
+
+class TestPlacementAndLookupAgree:
+    """Registration goes by covering authority and so does lookup: one rule."""
+
+    @pytest.mark.parametrize("workload", ["garage-sale", "gene-expression"])
+    def test_owners_of_a_query_are_where_its_sources_registered(self, workload):
+        spec = ScaleoutSpec(
+            name="agree", topology="small-world", peers=80, workload=workload,
+            churn="none", queries=25, seed=11, catalog_shards=4, catalog_replicas=2,
+        )
+        scenario = build_scaleout_scenario(spec)
+        with scenario.cluster as cluster:
+            tier = scenario.shard_map
+            checked = 0
+            for query in scenario.queries:
+                owning = {tier.group_of(owner).shard_id for owner in tier.owners(query.area)}
+                for data_peer in scenario.data_peers:
+                    if not data_peer.area.overlaps(query.area):
+                        continue
+                    targets = cluster.session(data_peer.address).peer.registration_targets
+                    groups = [tier.group_of(target) for target in targets]
+                    owning_groups = [g for g in groups if g is not None and g.area is not None]
+                    registered = {group.shard_id for group in owning_groups}
+                    assert registered and registered <= owning, (query.area, data_peer.address)
+                    checked += 1
+            assert checked > 50
+
+    def test_a_deep_query_cell_maps_to_the_group_owning_its_state(self):
+        spec = ScaleoutSpec(
+            name="deep", topology="small-world", peers=80, workload="garage-sale",
+            churn="none", queries=1, seed=11, catalog_shards=4, catalog_replicas=2,
+        )
+        scenario = build_scaleout_scenario(spec)
+        with scenario.cluster:
+            tier, namespace = scenario.shard_map, scenario.namespace
+            [owner] = [g for g in tier.groups if g.area is not None
+                       and g.area.covers(namespace.area(["USA/OR", "*"]))]
+            deep = namespace.area(["USA/OR/Portland", "Music/CDs"])
+            assert tier.owners(deep) == list(owner.preferred_order())
+
+
+@contextmanager
+def _tier_run(spec):
+    """Run ``spec`` with its replica outage to idle; the cluster stays open inside."""
+    with overrides(reliable_delivery=True):
+        scenario = build_scaleout_scenario(spec)
+        with scenario.cluster as cluster:
+            query_ids = schedule_queries(scenario)
+            _schedule_replica_outage(scenario)
+            cluster.run_until_idle()
+            traces = [cluster.metrics.trace(query_id) for query_id in query_ids]
+            yield scenario, cluster, traces
+
+
+def _index_tier(scenario) -> set[str]:
+    """Every address a plan can visit that is not the client or a data holder."""
+    return {peer.address for peer in scenario.index_servers} | {scenario.meta_index.address}
+
+
 class TestShardedScenario:
     """Replica crash mid-query, failover, rejoin reconciliation (tentpole)."""
 
@@ -318,21 +426,36 @@ class TestShardedScenario:
             catalog_shards=2, catalog_replicas=3, catalog_outages=1,
             reliable=True, fault_loss=0.10,
         )
-        with overrides(reliable_delivery=True):
-            scenario = build_scaleout_scenario(spec)
-            with scenario.cluster as cluster:
-                query_ids = schedule_queries(scenario)
-                _schedule_replica_outage(scenario)
-                cluster.run_until_idle()
-                stats = cluster.catalog_tier_stats()
-                peers = cluster.peers()
-                traces = [cluster.metrics.trace(query_id) for query_id in query_ids]
-                yield scenario, peers, stats, traces
+        with _tier_run(spec) as (scenario, cluster, traces):
+            yield scenario, cluster.peers(), cluster.catalog_tier_stats(), traces
 
     def test_outage_victims_are_preferred_members(self, outcome):
         scenario, _, _, _ = outcome
         group = scenario.shard_map.group(0)
         assert scenario.replica_outages == [group.preferred_order()[0]]
+        assert group.area is not None  # else nothing is routed to the victim
+
+    def test_first_hop_is_an_owner_and_the_tier_is_crossed_once(self, outcome):
+        scenario, _, _, traces = outcome
+        tier = scenario.shard_map
+        client = scenario.client.address
+        indexers = _index_tier(scenario)
+        span = len(scenario.queries) * scenario.spec.query_interval_ms
+        start = traces[0].issued_at
+        for query, trace in zip(scenario.queries, traces):
+            owners = tier.owners(query.area)
+            assert trace.visited[0] == client
+            assert next(address for address in trace.visited if address != client) in owners
+            if start + span / 3.0 <= trace.issued_at <= start + 2.0 * span / 3.0:
+                continue  # a replica is down: failover may ask around
+            asked = [address for address in trace.visited if address in indexers]
+            assert set(asked) <= set(owners)  # no wrong group, no meta-index
+            if set(trace.visited) - indexers - {client}:
+                assert len(asked) == 1  # the owner bound the area and scattered it
+            else:
+                # Nothing to scatter: each replica of the group confirms the
+                # empty answer (MQPProcessor._answers_for), none twice.
+                assert len(asked) == len(set(asked)) <= scenario.spec.catalog_replicas
 
     def test_queries_complete_despite_the_crash(self, outcome):
         _, _, _, traces = outcome
@@ -357,6 +480,29 @@ class TestShardedScenario:
         _, _, stats, _ = outcome
         cache = stats["answer_cache"]
         assert cache["hits"] + cache["misses"] > 0
+
+
+class TestFirstHopAtBenchmarkScale:
+    def test_scattered_queries_reached_an_owning_group_first(self):
+        """The ``sharded-catalog`` preset at ``sharded-lossy``'s size (300 peers,
+        160 queries, a replica outage, churn, 10% loss): a query's first hop
+        is a replica that owns its area — 23 of the 133 that scatter when
+        the shard was picked by hashing the query's own cell."""
+        from dataclasses import replace
+
+        from repro.harness.cli import SCENARIOS
+
+        spec = replace(SCENARIOS["sharded-catalog"], peers=300, queries=160)
+        with _tier_run(spec) as (scenario, _, traces):
+            client, indexers = scenario.client.address, _index_tier(scenario)
+            scattered = owner_first = 0
+            for query, trace in zip(scenario.queries, traces):
+                if not set(trace.visited) - indexers - {client}:
+                    continue  # no holder was reached: nothing scattered
+                scattered += 1
+                first = next(address for address in trace.visited if address != client)
+                owner_first += first in scenario.shard_map.owners(query.area)
+        assert scattered >= 100 and owner_first >= 0.95 * scattered, (owner_first, scattered)
 
 
 class TestSpecSurface:

@@ -155,6 +155,17 @@ class TestFaultEquivalence:
         assert resilience["retries_sent"] > 0
         assert report["traffic"]["mean_recall"] == 1.0
 
+    def test_a_partition_longer_than_a_learned_timers_doublings_fails_no_transfer(self):
+        """``partition-heal`` cuts the network for 1.6 s; a 50 ms RTO spends
+        ``budget`` doublings in 1.55 s.  The give-up horizon is time, so a
+        sender that knows its peer to be close waits the cut out all the same."""
+        from repro.harness.cli import SCENARIOS
+
+        report = run_scaleout(SCENARIOS["partition-heal"])
+        assert report["resilience"]["faults"]["partitioned"] > 0
+        assert report["resilience"]["transfers_failed"] == 0
+        assert [row["recall"] for row in report["queries"]] == [1.0] * 12
+
     def test_duplicates_are_deduped_not_double_counted(self):
         report = run_scaleout(FAULT_SPECS[1])
         resilience = report["resilience"]
@@ -436,8 +447,12 @@ class TestReliableDelivery:
         delays = [policy.delay_for("t#1", attempt) for attempt in range(policy.budget)]
         assert delays == sorted(delays)
         assert delays != [policy.delay_for("t#2", attempt) for attempt in range(policy.budget)]
-        assert policy.exhausted(policy.budget)
-        assert not policy.exhausted(policy.budget - 1)
+        # A measured RTO shortens a wait, jitter and all; a longer one changes nothing.
+        assert policy.delay_for("t#1", 0, rto=policy.timeout_ms / 4) == pytest.approx(delays[0] / 4)
+        assert policy.delay_for("t#1", 0, rto=10 * policy.timeout_ms) == delays[0]
+        # The horizon is what the unlearned schedule spans: 160 * (1 + 2 + 4 + 8 + 16).
+        assert policy.horizon_ms == policy.timeout_ms * 31 == 4960.0
+        assert list(vars(policy)) == ["timeout_ms", "backoff", "jitter_ms", "budget"]
 
     def test_fire_and_forget_sends_no_protocol_traffic_when_flag_off(self):
         with small_cluster() as cluster:

@@ -37,7 +37,8 @@ class TestSending:
                 assert node.sent[-1].transfer == first.transfer
             delays.append(node.timers[0].delay)
             node.fire()  # the budget is spent: no further send
-        assert delays == sorted(delays) and len(set(delays)) == len(delays)
+        assert delays[:-1] == sorted(delays[:-1]) and len(set(delays)) == len(delays)
+        assert node.clock == pytest.approx(transfers.retry_policy.horizon_ms)  # last wait clipped
         assert transfers.retries_sent == budget and len(node.sent) == budget + 1
         assert transfers.transfers_failed == 1 and not transfers.pending and not node.timers
         [(dead, undelivered)] = failures
@@ -85,6 +86,114 @@ class TestSending:
             node.fire()  # the retransmission is not charged again
         trace = node.metrics.trace("q1")
         assert (trace.messages, trace.bytes) == (1, 70)
+
+
+class TestRetransmissionTimer:
+    """RFC 6298 on the logical clock: the first retransmission waits for the
+    recipient's measured round trip, the give-up horizon stays where it was."""
+
+    RTT = 50.0
+
+    @staticmethod
+    def wait(node) -> float:
+        """What the newest timer was armed with."""
+        return node.timers[-1].delay
+
+    def acked(self, node, transfers, rtt=RTT, size=1_000, recipient="them:9020") -> float:
+        """One transfer acknowledged ``rtt`` (+ its own time on the link) after
+        its first attempt; returns the wait it had been given."""
+        sent = transfers.send(recipient, "mqp", "<plan/>", size, "q1")
+        waited = self.wait(node)
+        node.clock += rtt + node.transfer_time(size)
+        transfers.acknowledged(sent.transfer)
+        return waited
+
+    def test_first_contact_waits_the_policys_timeout(self, node):
+        transfers = reliable(node)
+        policy = transfers.retry_policy
+        with overrides(reliable_delivery=True):
+            first = self.acked(node, transfers)
+            other = self.acked(node, transfers, recipient="stranger:9020")
+        for waited in (first, other):  # a round trip learned for one peer says nothing of another
+            assert policy.timeout_ms <= waited < policy.timeout_ms + policy.jitter_ms
+
+    def test_the_timeout_converges_on_the_round_trip_from_above(self, node):
+        transfers = reliable(node)
+        policy = transfers.retry_policy
+        widest = 1.0 + policy.jitter_ms / policy.timeout_ms  # jitter scales with the RTO
+        with overrides(reliable_delivery=True):
+            waits = [self.acked(node, transfers) for _ in range(24)][1:]
+        on_link = node.transfer_time(1_000)
+        # One sample: SRTT = R, RTTVAR = R/2, so RTO = 3R; a steady link's
+        # variance then decays and the RTO settles a margin above R.
+        assert 3 * self.RTT + on_link <= waits[0] < (3 * self.RTT + on_link) * widest
+        floors = [waited / widest for waited in waits]
+        assert all(floor > self.RTT + on_link for floor in floors)  # never inside the round trip
+        assert waits[-1] < 1.5 * self.RTT and waits[-1] < waits[0] / 2
+        assert max(waits) < policy.timeout_ms + policy.jitter_ms
+
+    def test_a_slow_peer_never_waits_longer_than_the_policys_timeout(self, node):
+        transfers = reliable(node)
+        policy = transfers.retry_policy
+        with overrides(reliable_delivery=True):
+            waits = [self.acked(node, transfers, rtt=10 * policy.timeout_ms) for _ in range(4)]
+        assert all(waited < policy.timeout_ms + policy.jitter_ms for waited in waits)
+
+    def test_the_ack_of_a_retransmitted_transfer_is_no_sample(self, node):
+        transfers = reliable(node)
+        with overrides(reliable_delivery=True):
+            sent = transfers.send("them:9020", "mqp", "<plan/>", 1_000, "q1")
+            node.fire()  # attempt 1 leaves: the ack may answer either copy (Karn)
+            node.clock += 10.0
+            transfers.acknowledged(sent.transfer)
+        assert not transfers.pending and transfers.round_trips == {}
+
+    def test_a_bounce_is_no_sample(self, node):
+        transfers = reliable(node)
+        with overrides(reliable_delivery=True):
+            sent = transfers.send("them:9020", "mqp", "<plan/>", 1_000, "q1")
+            node.clock += 5.0  # the network's unreachable notice, not an ack
+            transfers.stand_down(sent.transfer)
+        assert not transfers.pending and transfers.round_trips == {}
+
+    def test_a_large_frame_is_given_its_own_time_on_the_link(self, node):
+        transfers = reliable(node)
+        with overrides(reliable_delivery=True):
+            small = [self.acked(node, transfers, size=1_000) for _ in range(24)][-1]
+            large = self.acked(node, transfers, size=64_000)
+            after = self.acked(node, transfers, size=1_000)
+        # The ack of 64 KB cannot be back before the frame is out (64 ms at
+        # the modelled link rate) and the round trip has passed.
+        assert large > node.transfer_time(64_000) + self.RTT > small
+        assert after == pytest.approx(small, rel=0.2)  # and its sample was taken net of that
+
+    def test_the_horizon_is_time_not_a_count(self, node):
+        failures = []
+        transfers = reliable(node, failed=lambda dead, message: failures.append(dead))
+        policy = transfers.retry_policy
+        with overrides(reliable_delivery=True):
+            for _ in range(24):
+                self.acked(node, transfers)
+            started = node.clock
+            transfers.send("them:9020", "result", {"query_id": "q1"}, 1_000, "q1")
+            while transfers.pending:
+                node.fire()
+                if node.clock - started < 4_900.0:  # silent for 4.9 s: still being retried
+                    assert transfers.pending and not failures
+        # Silent for 5.1 s: failed, once, with nothing left armed.
+        silent_for = node.clock - started
+        assert silent_for == pytest.approx(policy.horizon_ms) and 4_900.0 < silent_for < 5_100.0
+        assert failures == ["them:9020"] and transfers.transfers_failed == 1
+        assert all(timer.cancelled for timer in node.timers)
+        assert node.sent[-1].attempt > policy.budget  # a short RTO: more attempts, not less time
+
+    def test_the_round_trip_table_is_capped(self, node, monkeypatch):
+        monkeypatch.setattr(Transfers, "RTT_MEMORY", 2)
+        transfers = reliable(node)
+        with overrides(reliable_delivery=True):
+            for recipient in ("a:1", "b:1", "a:1", "c:1"):
+                self.acked(node, transfers, recipient=recipient)
+        assert list(transfers.round_trips) == ["a:1", "c:1"]  # b:1, the least recently heard, went
 
 
 class TestReceiving:
