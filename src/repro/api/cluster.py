@@ -21,7 +21,7 @@ transport (sockets, loops) exactly once, on every backend.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..catalog import ServerRole
 from ..errors import APIError
@@ -70,14 +70,7 @@ class Cluster:
         unreachable_delay_ms: float = 5.0,
         topology: Topology | None = None,
         faults: FaultPlan | None = None,
-        workers: int = 0,
     ) -> None:
-        if workers < 0:
-            raise APIError("workers must be >= 0 (0 = single-process)")
-        # Advisory at this layer: the Cluster itself always hosts a full
-        # in-process network.  The multicore launcher reads the count to
-        # shard the peer population across worker processes.
-        self.workers = workers
         if transport is None:
             transport = build_transport("sim")
         elif isinstance(transport, str):
@@ -285,23 +278,18 @@ class Cluster:
         window_ms: tuple[float, float] = (100.0, 4_000.0),
         seed: int = 13,
         regions: dict[str, str] | None = None,
-        only: "Callable[[str], bool] | None" = None,
     ) -> ChurnPlan:
         """Schedule a churn plan (leaves, crashes, rejoins) on the clock.
 
         ``addresses`` defaults to every joined peer.  ``regions`` (address →
         region key) enables correlated profiles to fail whole regions at
-        once.  ``only`` restricts which drawn events get scheduled (multicore
-        workers pass their shard predicate); the plan itself — and therefore
-        the report's churn summary — is computed over all addresses either
-        way.  The plan is recorded on :attr:`churn_plans` for reporting.
+        once.  The plan is recorded on :attr:`churn_plans` for reporting.
         """
         if addresses is None:
             addresses = list(self._join_order)
         injector = FailureInjector(self.network)
         plan = injector.schedule_churn(
-            list(addresses), profile, window_ms=window_ms, seed=seed, regions=regions,
-            only=only,
+            list(addresses), profile, window_ms=window_ms, seed=seed, regions=regions
         )
         self.churn_plans.append(plan)
         return plan

@@ -130,14 +130,6 @@ SCENARIOS: dict[str, ScaleoutSpec] = {
         catalog_shards=4, catalog_replicas=3, catalog_outages=1,
         fault_loss=0.10, reliable=True,
     ),
-    # --- multicore (repro.multicore) ----------------------------------------- #
-    # The scenario sharded across 4 worker processes: contiguous peer
-    # shards, wire-v2 relay frames between them, barrier-coordinated
-    # windows.  Gated on sequence identity against the in-process run.
-    "multicore": ScaleoutSpec(
-        name="multicore", topology="small-world", peers=120,
-        workload="garage-sale", churn="light", queries=12, workers=4,
-    ),
 }
 
 
@@ -207,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--catalog-outages", type=int, default=None, metavar="N",
                         help="replicas of group 0 to crash mid-query and rejoin "
                              "(default: 0; must leave a survivor)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="run the scenario across N worker processes "
-                             "(default: 0, in-process; "
-                             "reports are sequence-identical, not byte-identical)")
     parser.add_argument("--output", default=None,
                         help="JSON report path (default: reports/<name>.json)")
     parser.add_argument("--list", action="store_true", dest="list_options",
@@ -245,7 +233,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScaleoutSpec:
             "catalog_shards": args.catalog_shards,
             "catalog_replicas": args.catalog_replicas,
             "catalog_outages": args.catalog_outages,
-            "workers": args.workers,
         }.items()
         if value is not None
     }
@@ -325,10 +312,6 @@ def main(argv: list[str] | None = None) -> int:
         cache = tier.pop("answer_cache", {})
         print(format_summary(tier, title="catalog tier"))
         print(format_summary(cache, title="answer cache"))
-    if "multicore" in report:
-        multicore = dict(report["multicore"])
-        multicore.pop("hlc", None)
-        print(format_summary(multicore, title="multicore"))
     print(f"report written to {path} ({elapsed:.1f}s wall clock)")
     return 0
 

@@ -142,13 +142,6 @@ class ScaleoutSpec:
     catalog_shards: int = 0
     catalog_replicas: int = 0
     catalog_outages: int = 0
-    # Multicore knob (repro.multicore).  With
-    # ``workers > 0`` the run executes as that many worker processes, each
-    # hosting a contiguous shard of the data peers; cross-shard frames
-    # relay over localhost TCP with HLC stamps and the report grows a
-    # ``multicore`` block.  The zero default is elided from the report —
-    # single-process runs stay byte-identical to pre-multicore builds.
-    workers: int = 0
 
     def fault_plan(self) -> FaultPlan:
         """The seeded link-fault plan this spec describes.
@@ -225,21 +218,6 @@ class ScaleoutSpec:
             if self.catalog_outages >= self.catalog_replicas:
                 raise SimulationError(
                     "catalog_outages must leave at least one surviving replica per group"
-                )
-        if self.workers < 0:
-            raise SimulationError("workers must be non-negative (0 = single-process)")
-        if self.workers > 0:
-            if self.routing != "mqp":
-                raise SimulationError(
-                    "multicore execution shards the MQP stack; baselines run single-process"
-                )
-            if self.subscribers > 0:
-                raise SimulationError(
-                    "multicore v1 does not shard continuous-query subscribers"
-                )
-            if self.catalog_shards > 0:
-                raise SimulationError(
-                    "multicore v1 does not shard the replicated catalog tier"
                 )
 
 
@@ -570,8 +548,6 @@ def _cell_for_item(
 def build_scaleout_scenario(
     spec: ScaleoutSpec,
     transport: "Transport | str | None" = None,
-    churn_only: "Callable[[list[str]], Callable[[str], bool]] | None" = None,
-    stable_latency: bool = False,
 ) -> ScaleoutScenario:
     """Stand up the full scenario: population, overlay, strategy, churn.
 
@@ -579,17 +555,6 @@ def build_scaleout_scenario(
     instance) — it is a *run* parameter, deliberately not part of the spec:
     the same spec must produce a byte-identical report on every backend, so
     the report's scenario block cannot mention the transport.
-
-    ``churn_only`` is the multicore seam: a factory that, given the churned
-    address list (population order), returns a predicate for which drawn
-    churn events this process actually schedules.  The plan itself is
-    always computed over every address, so each worker reports the same
-    churn summary while executing only its own shard's departures.
-
-    ``stable_latency`` is the other multicore seam: it puts the latency
-    model in hash-keyed mode so every worker assigns each link the same
-    jitter regardless of first-use order.  Single-process runs keep the
-    draw-order default, preserving byte identity with existing reports.
     """
     spec.validate()
     namespace, data_peers, queries = _POPULATIONS[spec.workload](spec)
@@ -603,7 +568,7 @@ def build_scaleout_scenario(
     cluster = Cluster(
         transport if transport is not None else "sim",
         namespace=namespace,
-        latency=LatencyModel(seed=spec.seed, stable=stable_latency),
+        latency=LatencyModel(seed=spec.seed),
         notify_unreachable=(spec.routing == "mqp"),
         topology=topology,
         faults=fault_plan if fault_plan.active else None,
@@ -639,7 +604,6 @@ def build_scaleout_scenario(
             window_ms=spec.churn_window_ms,
             seed=spec.seed + 2,
             regions=_regions_of(scenario) if profile.correlated else None,
-            only=churn_only(churned) if churn_only is not None else None,
         )
     return scenario
 
@@ -861,14 +825,6 @@ def run_scaleout(
     coordination authority, so the ``aio`` backend's real sockets change
     wall-clock cost but not the report).
     """
-    if spec.workers > 0:
-        # Multicore dispatch: the launcher spawns worker processes, each of
-        # which re-enters this module with workers=0 semantics over its own
-        # shard.  Imported here (not at module top) to avoid the cycle —
-        # the launcher itself imports this module for the spec and helpers.
-        from ..multicore.launcher import run_multicore
-
-        return run_multicore(spec, transport=transport)
     # spec.reliable turns the delivery protocol on for exactly this run:
     # the flag is process-global, so scoping it here keeps grid cells with
     # different reliability settings comparable within one process.
@@ -955,18 +911,11 @@ _CATALOG_TIER_DEFAULTS = {
 """Catalog-tier spec fields elided at their zero defaults — the same
 byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
 
-_MULTICORE_DEFAULTS = {
-    "workers": 0,
-}
-"""Multicore spec fields elided at their zero default — the same
-byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
-
 _ELIDED_DEFAULTS = {
     **_ADVERSARY_DEFAULTS,
     **_RESILIENCE_DEFAULTS,
     **_SUBSCRIPTION_DEFAULTS,
     **_CATALOG_TIER_DEFAULTS,
-    **_MULTICORE_DEFAULTS,
 }
 
 
@@ -975,32 +924,6 @@ def _scenario_dict(spec: ScaleoutSpec) -> dict[str, object]:
         key: value
         for key, value in asdict(spec).items()
         if key not in _ELIDED_DEFAULTS or value != _ELIDED_DEFAULTS[key]
-    }
-
-
-def _processing_counters(peers: list[QueryPeer]) -> dict[str, int]:
-    """The ``processing`` block of a report: plan-forwarding totals over ``peers``."""
-    forwarding = [peer.forwarding for peer in peers]
-    return {
-        "plans_processed": sum(each.plans_processed for each in forwarding),
-        "plans_forwarded": sum(each.plans_forwarded for each in forwarding),
-        "plans_stuck": sum(each.plans_stuck for each in forwarding),
-        "plans_rerouted": sum(each.plans_rerouted for each in forwarding),
-        "plans_lost_in_crash": sum(each.plans_lost_in_crash for each in forwarding),
-        "dead_letters": sum(len(peer.transfers.dead_letters) for peer in peers),
-        "batches": sum(each.batches_processed for each in forwarding),
-        "eval_memo_hits": sum(peer.processor.eval_memo_hits for peer in peers),
-    }
-
-
-def _delivery_counters(peers: list[QueryPeer]) -> dict[str, int]:
-    """The reliable-transfer totals of a report's ``resilience`` block."""
-    transfers = [peer.transfers for peer in peers]
-    return {
-        "retries_sent": sum(each.retries_sent for each in transfers),
-        "transfers_failed": sum(each.transfers_failed for each in transfers),
-        "duplicates_dropped": sum(each.duplicates_dropped for each in transfers),
-        "acks_sent": sum(each.acks_sent for each in transfers),
     }
 
 
@@ -1048,13 +971,27 @@ def _report(scenario: ScaleoutScenario, query_ids: list[str]) -> dict[str, objec
     peers = [node for node in network.nodes() if isinstance(node, QueryPeer)]
 
     if spec.routing == "mqp":
-        report["processing"] = _processing_counters(peers)
+        forwarding = [peer.forwarding for peer in peers]
+        report["processing"] = {
+            "plans_processed": sum(each.plans_processed for each in forwarding),
+            "plans_forwarded": sum(each.plans_forwarded for each in forwarding),
+            "plans_stuck": sum(each.plans_stuck for each in forwarding),
+            "plans_rerouted": sum(each.plans_rerouted for each in forwarding),
+            "plans_lost_in_crash": sum(each.plans_lost_in_crash for each in forwarding),
+            "dead_letters": sum(len(peer.transfers.dead_letters) for peer in peers),
+            "batches": sum(each.batches_processed for each in forwarding),
+            "eval_memo_hits": sum(peer.processor.eval_memo_hits for peer in peers),
+        }
 
     if spec.reliable or network.faults.active:
+        transfers = [peer.transfers for peer in peers]
         report["resilience"] = {
             "reliable": spec.reliable,
             "faults": network.metrics.fault_summary(),
-            **_delivery_counters(peers),
+            "retries_sent": sum(each.retries_sent for each in transfers),
+            "transfers_failed": sum(each.transfers_failed for each in transfers),
+            "duplicates_dropped": sum(each.duplicates_dropped for each in transfers),
+            "acks_sent": sum(each.acks_sent for each in transfers),
             "dead_letters_by_kind": dict(
                 sorted(network.metrics.dead_letters_by_kind.items())
             ),

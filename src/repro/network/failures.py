@@ -10,7 +10,6 @@ latency under churn.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -92,7 +91,6 @@ class FailureInjector:
         window_ms: tuple[float, float] = (100.0, 4_000.0),
         seed: int = 13,
         regions: "dict[str, str] | None" = None,
-        only: "Callable[[str], bool] | None" = None,
     ) -> "ChurnPlan":
         """Schedule a full churn plan over ``addresses``.
 
@@ -135,13 +133,8 @@ class FailureInjector:
                     ChurnEvent(address, "leave" if graceful else "crash", fail_at, recover_at)
                 )
         plan = ChurnPlan(profile=profile, events=events)
-        # ``only`` filters which events are *scheduled*, never which are
-        # *drawn*: a multicore worker passes its shard-ownership predicate
-        # so every worker computes the identical plan (same rng consumption,
-        # same summary) but executes only its own peers' departures.
         for event in plan.events:
-            if only is None or only(event.address):
-                self._schedule_churn_event(event)
+            self._schedule_churn_event(event)
         return plan
 
     def _correlated_events(

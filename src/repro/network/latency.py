@@ -10,13 +10,9 @@ see consistent delays and every experiment is reproducible.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 __all__ = ["LatencyModel"]
-
-_CRC_SPAN = 4294967296.0  # 2**32 — crc32 output range, for mapping to [0, 1)
 
 
 class LatencyModel:
@@ -35,15 +31,6 @@ class LatencyModel:
         Delay applied when a peer "sends" to itself (loopback work).
     seed:
         Seed for the per-link jitter.
-    stable:
-        When True, each link's jitter is a pure function of
-        ``(seed, sender, recipient)`` instead of a draw from a shared
-        generator.  The default draw-order mode is kept for backward
-        byte-identity with existing reports; the stable mode exists for
-        sharded multi-process runs, where workers touch links in
-        different first-use orders but must still agree on every link's
-        delay (otherwise query timing — and, under churn, query *results*
-        — would depend on the worker count).
     """
 
     def __init__(
@@ -53,14 +40,11 @@ class LatencyModel:
         bandwidth_bytes_per_ms: float = 1_000.0,
         local_latency_ms: float = 0.1,
         seed: int = 7,
-        stable: bool = False,
     ) -> None:
         self.base_latency_ms = float(base_latency_ms)
         self.jitter_ms = float(jitter_ms)
         self.bandwidth_bytes_per_ms = float(bandwidth_bytes_per_ms)
         self.local_latency_ms = float(local_latency_ms)
-        self.stable = bool(stable)
-        self._seed = int(seed)
         self._rng = np.random.default_rng(seed)
         self._link_latency: dict[tuple[str, str], float] = {}
 
@@ -70,11 +54,7 @@ class LatencyModel:
             return self.local_latency_ms
         key = (sender, recipient)
         if key not in self._link_latency:
-            if self.stable:
-                digest = zlib.crc32(f"{self._seed}|{sender}|{recipient}".encode())
-                jitter = (2.0 * (digest / _CRC_SPAN) - 1.0) * self.jitter_ms
-            else:
-                jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
+            jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
             self._link_latency[key] = max(0.5, self.base_latency_ms + jitter)
         return self._link_latency[key]
 

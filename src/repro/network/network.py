@@ -59,10 +59,6 @@ class Network:
         # across transport backends) without decisions bleeding between them.
         self._fault_injector = FaultInjector(self.faults) if self.faults.active else None
         self._nodes: dict[str, "NetworkNode"] = {}
-        # Multicore seam (repro.multicore): when a router is attached,
-        # messages whose recipient lives on another worker's shard leave
-        # through it as relay frames instead of the local transport.
-        self._router = None
 
     # -- clock ---------------------------------------------------------------- #
 
@@ -124,17 +120,6 @@ class Network:
 
     # -- delivery -------------------------------------------------------------- #
 
-    def attach_router(self, router) -> None:
-        """Divert remotely-owned recipients through ``router`` (multicore).
-
-        ``router`` answers ``owns(address)`` and carries non-owned messages
-        with ``forward(message, deliver_at)``.  Attached only by the
-        multicore worker, *after* the replicated bootstrap has drained —
-        bootstrap traffic must run identically in every worker, run-phase
-        traffic must cross shards exactly once.
-        """
-        self._router = router
-
     def send(self, message: Message) -> None:
         """Queue a message for delivery after the modelled network delay.
 
@@ -159,19 +144,19 @@ class Network:
             message.sender, message.recipient, message.size_bytes
         )
         if self._fault_injector is None:
-            self._dispatch(message, delay)
+            self.transport.send(message, delay)
             return
         outcome = self._fault_injector.intercept(message, delay, self.now)
         self.metrics.record_fault(message, outcome)
         for position, fault_delay in enumerate(outcome.delays):
             if position == 0:
-                self._dispatch(message, fault_delay)
+                self.transport.send(message, fault_delay)
             else:
                 # A duplicated copy is a distinct frame on the wire: it gets
                 # its own message id so real transports pair each logical
                 # delivery with its own physical frame.  The payload is
                 # shared — receivers treat payloads as read-only.
-                self._dispatch(
+                self.transport.send(
                     Message(
                         sender=message.sender,
                         recipient=message.recipient,
@@ -185,19 +170,6 @@ class Network:
                     ),
                     fault_delay,
                 )
-
-    def _dispatch(self, message: Message, delay: float) -> None:
-        """Hand a post-fault-injection message to its delivery mechanism.
-
-        Single-process (the default): straight to the transport.  Under a
-        multicore router, a message for a peer another worker owns leaves
-        as a relay frame carrying its absolute delivery time; the owning
-        worker injects it into its own schedule at that time.
-        """
-        if self._router is not None and not self._router.owns(message.recipient):
-            self._router.forward(message, self.now + delay)
-            return
-        self.transport.send(message, delay)
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.recipient)
@@ -245,11 +217,6 @@ class Network:
         )
         # Notices bypass the transport's wire: they model the *sender's*
         # local timeout detection, not a message from the dead peer.
-        if self._router is not None and not self._router.owns(notice.recipient):
-            # ... but the sender may live on another worker's shard, and
-            # the timeout must fire where the sender's routing state lives.
-            self._router.forward(notice, self.now + self.unreachable_delay_ms)
-            return
         self.schedule(self.unreachable_delay_ms, lambda: self._deliver(notice))
 
     # -- convenience ------------------------------------------------------------- #

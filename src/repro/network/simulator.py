@@ -83,10 +83,6 @@ class Simulator:
         self._sequence = itertools.count()
         self._processed = 0
         self._cancelled_pending = 0
-        # Multicore seam: an optional hybrid logical clock that must track
-        # every advance of simulated time.  None on single-process runs, so
-        # the hot loop pays one attribute load and a falsy branch.
-        self.clock = None
 
     # -- clock ------------------------------------------------------------- #
 
@@ -159,8 +155,6 @@ class Simulator:
         """
         if time > self._now:
             self._now = time
-            if self.clock is not None:
-                self.clock.tick(self._now)
 
     def step(self) -> bool:
         """Run the next pending event; return False when the queue is empty."""
@@ -171,8 +165,6 @@ class Simulator:
                     self._cancelled_pending -= 1
                 continue
             self._now = event.time
-            if self.clock is not None:
-                self.clock.tick(self._now)
             event.callback()
             self._processed += 1
             return True

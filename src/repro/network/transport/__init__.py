@@ -3,7 +3,7 @@
 from .aio import AsyncioTransport
 from .base import TRANSPORT_KINDS, Transport, TransportError, build_transport
 from .sim import SimTransport
-from .wire import decode_body, encode_frame
+from .wire import decode_frame, encode_frame
 
 __all__ = [
     "Transport",
@@ -13,5 +13,5 @@ __all__ = [
     "SimTransport",
     "AsyncioTransport",
     "encode_frame",
-    "decode_body",
+    "decode_frame",
 ]

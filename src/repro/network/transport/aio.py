@@ -197,8 +197,7 @@ class AsyncioTransport(Transport):
         if message.kind in ("result-chunk", "result-end", "delta-chunk"):
             self._counters["chunk_frames"] += 1
         link = self._link_for(message.sender, message.recipient)
-        stamp = None if self._clock is None else self._clock.tick(self.simulator.now)
-        link.queue.append(self._encoder.encode(message, stamp))
+        link.queue.append(self._encoder.encode(message))
         self._kick(link)
 
     def run(
@@ -368,10 +367,7 @@ class AsyncioTransport(Transport):
                         f"oversized frame ({length} bytes) on {address!r}'s socket"
                     )
                 body = await reader.readexactly(length)
-                message, stamp = decode_frame(body)
-                if self._clock is not None and stamp is not None:
-                    self._clock.observe(stamp, self.simulator.now)
-                inbox.put(message)
+                inbox.put(decode_frame(body))
                 self._counters["frames_received"] += 1
                 await inbox.wait_for_room()
         except (ConnectionResetError, asyncio.CancelledError):

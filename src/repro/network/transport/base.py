@@ -61,7 +61,6 @@ class Transport(ABC):
     def __init__(self) -> None:
         self.simulator = Simulator()
         self._network: "Network | None" = None
-        self._clock = None
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------- #
@@ -71,19 +70,6 @@ class Transport(ABC):
         if self._network is not None and self._network is not network:
             raise SimulationError(f"{self.name} transport is already bound to a network")
         self._network = network
-
-    def attach_clock(self, clock) -> None:
-        """Attach a hybrid logical clock (multicore runs only).
-
-        Wire backends stamp every outgoing frame with ``clock.tick(now)``
-        and merge received stamps with ``clock.observe(stamp, now)``; the
-        clock also rides the simulator so local events advance it.  The
-        default single-process configuration never calls this, and the
-        ``sim`` backend ignores stamps entirely — frames there never leave
-        the process.
-        """
-        self._clock = clock
-        self.simulator.clock = clock
 
     @property
     def closed(self) -> bool:

@@ -1,4 +1,4 @@
-"""Tagged binary value codec for wire v2 control payloads.
+"""Tagged binary value codec for the wire's control payloads.
 
 Every control payload that crosses a socket — registration envelopes,
 catalog reconciliation, subscription bookkeeping, the baseline strategies'
@@ -197,7 +197,6 @@ def _build_registry() -> None:
     from ...routing.napster import _FetchRequest, _IndexRecord
     from ...routing.routing_index import _RIQuery
     from ...xmlmodel import XMLElement, parse_xml, serialize_xml
-    from ..message import Message
 
     # Namespace geometry ships structurally (segment tuples), not as the
     # human text form: the textual encoding normalizes cell order, and the
@@ -246,18 +245,7 @@ def _build_registry() -> None:
     # XML subtrees cross in the paper's own wire form.
     _register(10, XMLElement, serialize_xml, parse_xml)
 
-    _register(
-        11,
-        Message,
-        lambda m: (
-            m.sender, m.recipient, m.kind, m.payload, m.size_bytes,
-            m.message_id, m.sent_at, m.hop, m.transfer, m.attempt,
-        ),
-        lambda v: Message(
-            sender=v[0], recipient=v[1], kind=v[2], payload=v[3], size_bytes=v[4],
-            message_id=v[5], sent_at=v[6], hop=v[7], transfer=v[8], attempt=v[9],
-        ),
-    )
+    # Ids are never reused: 11 and 20 are retired and decode as unknown.
     _register(12, Counter, dict, lambda v: Counter(v))
 
     # Baseline routing strategies.
@@ -301,15 +289,6 @@ def _build_registry() -> None:
         RegistrationPayload,
         lambda p: (p.entry, p.statements, p.named_resources),
         lambda v: RegistrationPayload(entry=v[0], statements=v[1], named_resources=v[2]),
-    )
-
-    from ...multicore.clock import HLCStamp
-
-    _register(
-        20,
-        HLCStamp,
-        lambda s: (s.physical, s.logical, s.worker),
-        lambda v: HLCStamp(v[0], v[1], v[2]),
     )
     _REGISTRY_BUILT = True
 

@@ -1,15 +1,12 @@
-"""Length-prefixed wire framing for real-socket transports (version 2).
+"""Length-prefixed wire framing for real-socket transports (version 3).
 
 A frame is a 4-byte big-endian length followed by a binary body::
 
-    body    := version(u8=2) | envelope | stamp | payload
+    body    := version(u8=3) | envelope | payload
     envelope:= sender | recipient | kind        (u16 length + UTF-8 each)
                message_id(u64) | size_bytes(u64) | sent_at(f64)
                hop(u32) | attempt(u32) | transfer (u16 length + UTF-8,
                0xFFFF = none)
-    stamp   := absent(u8=0) | present(u8=1) physical(f64) logical(u32)
-               worker(u32)   — a hybrid-logical-clock stamp
-               (:mod:`repro.multicore.clock`); in-process backends send 0.
     payload := TEXT(u8=0)     raw UTF-8 to end of frame
              | VALUE(u8=1)    one tagged value (:mod:`.codec`)
              | DOCUMENT(u8=2) tagged metadata value, then the document as
@@ -22,12 +19,13 @@ carrying a ``document`` string) ship their metadata as one tagged value
 plus the document as raw UTF-8; the frame length bounds both, so neither
 needs its own length prefix.  Everything else is a tagged codec value.
 
-Version negotiation is rejection: the decoder accepts exactly version 2
-and raises :class:`TransportError` otherwise.  A v1 (pickled) body began
-with pickle's ``0x80`` opcode, so a stale peer is told apart from stream
-corruption by the error message, not by guessing.  There is no pickle
-anywhere on this path — see :mod:`.codec` for why that is a security
-property, not just a performance one.
+Version negotiation is rejection: the decoder accepts exactly version 3
+and raises :class:`TransportError` otherwise — a v2 body (one more slot
+between envelope and payload) is refused at its first byte, never
+half-read.  A v1 (pickled) body began with pickle's ``0x80`` opcode, so a
+stale peer is told apart from stream corruption by the error message, not
+by guessing.  There is no pickle anywhere on this path — see :mod:`.codec`
+for why that is a security property, not just a performance one.
 
 Encoding reuses one persistent buffer per :class:`FrameEncoder` (the
 module-level :func:`encode_frame` owns one for the transport thread):
@@ -37,16 +35,11 @@ steady-state framing does zero per-frame header allocations.
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING
 
 from ...errors import SimulationError
+from ..message import Message
 from .base import TransportError
 from .codec import CodecWriter, _guarded_read, _Reader, write_value
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from ...multicore.clock import HLCStamp
-
-from ..message import Message
 
 __all__ = [
     "HEADER",
@@ -54,7 +47,6 @@ __all__ = [
     "WIRE_VERSION",
     "FrameEncoder",
     "encode_frame",
-    "decode_body",
     "decode_frame",
 ]
 
@@ -64,7 +56,7 @@ HEADER = struct.Struct("!I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 """Sanity cap on a single frame; a larger one indicates stream corruption."""
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 """The one body version this build speaks.  Anything else is rejected."""
 
 _TEXT = 0
@@ -74,22 +66,19 @@ _DOCUMENT = 2
 _U16 = struct.Struct("!H")
 _NO_TRANSFER = 0xFFFF
 
-# The fixed-width envelope tail and the HLC stamp, packed in one struct call
-# each — the frame path is hot enough that per-field pack/unpack calls were
-# the dominant cost, not the byte shuffling itself.
+# The fixed-width envelope tail, packed in one struct call — the frame path
+# is hot enough that per-field pack/unpack calls were the dominant cost, not
+# the byte shuffling itself.
 _FIXED = struct.Struct("!qqdII")
-_STAMP = struct.Struct("!BdII")
-_STAMP_BODY = struct.Struct("!dII")
 _ENVELOPE = "!IBH%dsH%dsH%dsqqdII"
 """Length placeholder, version, the three length-prefixed texts, then the
 fixed tail — one ``pack_into`` per frame (``%d`` slots are the text lengths;
 the struct module caches compiled formats, and address/kind lengths are
 near-constant within a scenario)."""
 
-# Fully specialized whole-frame formats for the dominant frame shape — a raw
-# UTF-8 text payload with no transfer id — without and with an HLC stamp.
-_TEXT_FRAME = _ENVELOPE + "HBB"
-_TEXT_FRAME_STAMPED = _ENVELOPE + "HBdIIB"
+# The fully specialized whole-frame format for the dominant frame shape — a
+# raw UTF-8 text payload with no transfer id.
+_TEXT_FRAME = _ENVELOPE + "HB"
 
 
 def _is_document_envelope(payload: object) -> bool:
@@ -100,7 +89,7 @@ class FrameEncoder:
     """Reusable frame encoder: one growing buffer, zero per-frame headers.
 
     Not thread-safe — the asyncio transport encodes from its drive thread
-    and owns one; the multicore relay hub threads each own their own.
+    and owns one.
     """
 
     __slots__ = ("_writer",)
@@ -108,12 +97,12 @@ class FrameEncoder:
     def __init__(self) -> None:
         self._writer = CodecWriter()
 
-    def encode(self, message: Message, stamp: "HLCStamp | None" = None) -> bytes:
-        """Render ``message`` (optionally HLC-stamped) as one framed blob."""
-        end = self._encode(message, stamp)
+    def encode(self, message: Message) -> bytes:
+        """Render ``message`` as one framed blob."""
+        end = self._encode(message)
         return bytes(memoryview(self._writer.buf)[:end])
 
-    def encode_view(self, message: Message, stamp: "HLCStamp | None" = None) -> memoryview:
+    def encode_view(self, message: Message) -> memoryview:
         """Render into the reused buffer and return a view — zero copy out.
 
         The view aliases the encoder's buffer and is only valid until the
@@ -122,10 +111,10 @@ class FrameEncoder:
         """
         # Encode strictly before taking the view: a live export blocks the
         # bytearray from growing mid-encode (BufferError).
-        end = self._encode(message, stamp)
+        end = self._encode(message)
         return memoryview(self._writer.buf)[:end]
 
-    def _encode(self, message: Message, stamp: "HLCStamp | None") -> int:
+    def _encode(self, message: Message) -> int:
         writer = self._writer
         writer.reset()
         sender = message.sender.encode("utf-8")
@@ -155,51 +144,25 @@ class FrameEncoder:
             # length prefix computed up front, no backfill.
             raw = payload.encode("utf-8")
             payload_length = len(raw)
-            if stamp is None:
-                envelope_format = _TEXT_FRAME % (
-                    sender_length, recipient_length, kind_length,
+            envelope_format = _TEXT_FRAME % (sender_length, recipient_length, kind_length)
+            envelope_size = 46 + sender_length + recipient_length + kind_length
+            body_length = envelope_size - 4 + payload_length
+            if body_length > MAX_FRAME_BYTES:
+                raise SimulationError(
+                    f"frame for message #{message.message_id} exceeds "
+                    f"{MAX_FRAME_BYTES} bytes"
                 )
-                envelope_size = 47 + sender_length + recipient_length + kind_length
-                body_length = envelope_size - 4 + payload_length
-                if body_length > MAX_FRAME_BYTES:
-                    raise SimulationError(
-                        f"frame for message #{message.message_id} exceeds "
-                        f"{MAX_FRAME_BYTES} bytes"
-                    )
-                writer.reserve(envelope_size + payload_length)
-                buf = writer.buf
-                struct.pack_into(
-                    envelope_format, buf, 0,
-                    body_length, WIRE_VERSION,
-                    sender_length, sender, recipient_length, recipient,
-                    kind_length, kind,
-                    message.message_id, message.size_bytes, message.sent_at,
-                    message.hop, message.attempt,
-                    _NO_TRANSFER, 0, _TEXT,
-                )
-            else:
-                envelope_format = _TEXT_FRAME_STAMPED % (
-                    sender_length, recipient_length, kind_length,
-                )
-                envelope_size = 63 + sender_length + recipient_length + kind_length
-                body_length = envelope_size - 4 + payload_length
-                if body_length > MAX_FRAME_BYTES:
-                    raise SimulationError(
-                        f"frame for message #{message.message_id} exceeds "
-                        f"{MAX_FRAME_BYTES} bytes"
-                    )
-                writer.reserve(envelope_size + payload_length)
-                buf = writer.buf
-                struct.pack_into(
-                    envelope_format, buf, 0,
-                    body_length, WIRE_VERSION,
-                    sender_length, sender, recipient_length, recipient,
-                    kind_length, kind,
-                    message.message_id, message.size_bytes, message.sent_at,
-                    message.hop, message.attempt,
-                    _NO_TRANSFER, 1, stamp.physical, stamp.logical, stamp.worker,
-                    _TEXT,
-                )
+            writer.reserve(envelope_size + payload_length)
+            buf = writer.buf
+            struct.pack_into(
+                envelope_format, buf, 0,
+                body_length, WIRE_VERSION,
+                sender_length, sender, recipient_length, recipient,
+                kind_length, kind,
+                message.message_id, message.size_bytes, message.sent_at,
+                message.hop, message.attempt,
+                _NO_TRANSFER, _TEXT,
+            )
             buf[envelope_size : envelope_size + payload_length] = raw
             return envelope_size + payload_length
         if transfer is None:
@@ -216,23 +179,14 @@ class FrameEncoder:
             transfer_format = "H%ds" % transfer_length
             transfer_size = 2 + transfer_length
             transfer_args = (transfer_length, transfer_raw)
-        if stamp is None:
-            stamp_format = "B"
-            stamp_size = 1
-            stamp_args: tuple = (0,)
-        else:
-            stamp_format = "BdII"
-            stamp_size = 17
-            stamp_args = (1, stamp.physical, stamp.logical, stamp.worker)
         envelope_format = (
             _ENVELOPE % (sender_length, recipient_length, kind_length)
-            + transfer_format + stamp_format + "B"
+            + transfer_format + "B"
         )
         # prefix 4 + version 1 + three u16 length prefixes (6) + fixed tail 32
         # + payload tag 1 = 44 bytes of fixed framing.
         envelope_size = (
-            44 + sender_length + recipient_length + kind_length
-            + transfer_size + stamp_size
+            44 + sender_length + recipient_length + kind_length + transfer_size
         )
         if type(payload) is str:
             # The common case — a document as raw UTF-8 — knows its length up
@@ -254,7 +208,7 @@ class FrameEncoder:
                 kind_length, kind,
                 message.message_id, message.size_bytes, message.sent_at,
                 message.hop, message.attempt,
-                *transfer_args, *stamp_args, _TEXT,
+                *transfer_args, _TEXT,
             )
             buf[envelope_size : envelope_size + payload_length] = raw
             return envelope_size + payload_length
@@ -267,7 +221,7 @@ class FrameEncoder:
             kind_length, kind,
             message.message_id, message.size_bytes, message.sent_at,
             message.hop, message.attempt,
-            *transfer_args, *stamp_args,
+            *transfer_args,
             _DOCUMENT if _is_document_envelope(payload) else _VALUE,
         )
         if _is_document_envelope(payload):
@@ -288,13 +242,13 @@ class FrameEncoder:
 _DEFAULT_ENCODER = FrameEncoder()
 
 
-def encode_frame(message: Message, stamp: "HLCStamp | None" = None) -> bytes:
+def encode_frame(message: Message) -> bytes:
     """Render ``message`` as one length-prefixed frame (shared encoder)."""
-    return _DEFAULT_ENCODER.encode(message, stamp)
+    return _DEFAULT_ENCODER.encode(message)
 
 
-def decode_frame(body: "bytes | memoryview") -> "tuple[Message, HLCStamp | None]":
-    """Rebuild a :class:`Message` (and its HLC stamp) from one frame body.
+def decode_frame(body: "bytes | memoryview") -> Message:
+    """Rebuild a :class:`Message` from one frame body (sans length prefix).
 
     The original ``message_id`` is preserved — it is the delivery key the
     receiving transport matches logical events against — and the global
@@ -353,24 +307,6 @@ def decode_frame(body: "bytes | memoryview") -> "tuple[Message, HLCStamp | None]
                 raise TransportError("truncated frame envelope")
             transfer = str(data[pos:end], "utf-8")
             pos = end
-        flag = data[pos]
-        pos += 1
-        if flag == 0:
-            stamp = None
-        elif flag == 1:
-            if pos + _STAMP_BODY.size > total:
-                raise TransportError("truncated frame stamp")
-            stamp_class = _STAMP_CLASS
-            if stamp_class is None:
-                stamp_class = _load_stamp_class()
-            physical, logical, worker = _STAMP_BODY.unpack_from(data, pos)
-            # __new__ plus a state dict, as pickle restores frozen instances —
-            # skipping three object.__setattr__ calls per stamped frame.
-            stamp = stamp_class.__new__(stamp_class)
-            stamp.__dict__.update(physical=physical, logical=logical, worker=worker)
-            pos += _STAMP_BODY.size
-        else:
-            raise TransportError(f"malformed stamp flag {flag}")
         payload_kind = data[pos]
         pos += 1
         if payload_kind == _TEXT:
@@ -412,12 +348,7 @@ def decode_frame(body: "bytes | memoryview") -> "tuple[Message, HLCStamp | None]
         "transfer": transfer,
         "attempt": attempt,
     }
-    return message, stamp
-
-
-def decode_body(body: "bytes | memoryview") -> Message:
-    """Rebuild just the :class:`Message` from a frame body (sans prefix)."""
-    return decode_frame(body)[0]
+    return message
 
 
 def _decode_text(raw: memoryview) -> str:
@@ -425,18 +356,3 @@ def _decode_text(raw: memoryview) -> str:
         return str(raw, "utf-8")
     except UnicodeDecodeError as error:
         raise TransportError(f"malformed UTF-8 in frame: {error}") from None
-
-
-_STAMP_CLASS = None
-"""Cached :class:`~repro.multicore.clock.HLCStamp`.  The import is deferred
-(the multicore package imports this module back through its launcher) and
-cached because import machinery per stamped frame is measurable."""
-
-
-def _load_stamp_class() -> type:
-    global _STAMP_CLASS
-    from ...multicore.clock import HLCStamp
-
-    _STAMP_CLASS = HLCStamp
-    return HLCStamp
-

@@ -360,12 +360,30 @@ class QueryPeer(NetworkNode):
         self.go_offline(graceful=True)
 
     def go_offline(self, graceful: bool = False) -> None:
-        """Crash: in-RAM state dies with the process.
+        """Crash: *some* in-RAM state dies with the process — not all of it.
 
-        Buffered plans are lost (and counted), open result streams closed,
-        armed matchers dropped.  Graceful departures call :meth:`leave`,
-        which drains the buffer first and lets real transports flush the
-        goodbye traffic before recycling the peer's connections.
+        Dropped: the batch buffer's plans (lost, and counted in
+        ``plans_lost_in_crash``), the open result streams this peer was
+        producing, and the armed matchers with their conflict memo.
+
+        **Not** dropped, though a real crash would lose them: the gather
+        table and delivered results (``gather``), the scatter custody
+        table and the pending transfers with their live retry timers
+        (``forwarding.custody``, ``transfers.pending`` — an offline peer's
+        retransmissions are dropped on send, the entries stay), the
+        round-trip estimates (``transfers.round_trips``), the dedupe
+        window (``transfers.seen``), the half-reassembled deliveries
+        (``inbox``), and ``suspected_dead``.  Clearing them moves the
+        ``churn-storm`` and ``sharded-catalog`` reports, so it is its own
+        change (ROADMAP, the harness item, "filed separately").
+
+        Kept on purpose — :meth:`go_online` rebuilds from them:
+        collections, statements, ``registration_targets`` and the
+        subscriber's own ``subscriptions.mine``.
+
+        Graceful departures call :meth:`leave`, which drains the buffer
+        first and lets real transports flush the goodbye traffic before
+        recycling the peer's connections.
         """
         self.forwarding.crash()
         self.streams.close_all()

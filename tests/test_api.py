@@ -181,6 +181,10 @@ class TestClusterLifecycle:
             assert isinstance(session, Session)
             assert session.peer is peer
 
+    def test_a_cluster_is_one_process(self):
+        with pytest.raises(TypeError, match="workers"):
+            Cluster(workers=2)
+
     def test_namespace_required_for_convenience_constructors(self):
         with Cluster() as cluster:
             with pytest.raises(APIError):

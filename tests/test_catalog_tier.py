@@ -341,7 +341,7 @@ class TestRegistrationFanout:
                 "seller:1", namespace.area(["USA/OR/Portland", "Music/CDs"])
             ).peer
             cluster.join_catalog_tier(ShardMap.build([[r.address for r in replicas]], [oregon]))
-            dispatch, lost = cluster.network._dispatch, []
+            dispatch, lost = cluster.network.transport.send, []
 
             def lossy(message, delay):
                 route = (message.kind, message.sender, message.recipient)
@@ -350,7 +350,7 @@ class TestRegistrationFanout:
                 else:
                     dispatch(message, delay)
 
-            cluster.network._dispatch = lossy
+            cluster.network.transport.send = lossy
             cluster.connect(online=True)
             assert len(lost) == 1 and seller.retries_sent == 1
             assert all("seller:1" in replica.catalog.servers for replica in replicas)

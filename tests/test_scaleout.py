@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.algebra import PlanBuilder
 from repro.catalog import Catalog, CollectionRef, NamedResourceEntry
 from repro.engine import EvaluationMemo, QueryEngine
 from repro.errors import SimulationError
-from repro.harness.cli import SCENARIOS, main
+from repro.harness.cli import SCENARIOS, build_parser, main
 from repro.harness.scaleout import (
     ScaleoutSpec,
     build_scaleout_scenario,
@@ -203,6 +203,20 @@ class TestScaleoutScenarios:
         with pytest.raises(SimulationError):
             ScaleoutSpec(peers=2).validate()
 
+    def test_the_spec_has_exactly_these_fields(self):
+        """Every field is an option the test matrix must cover: a new one
+        (or a returning one) is a reviewed decision, not a drive-by."""
+        assert [each.name for each in fields(ScaleoutSpec)] == [
+            "name", "topology", "peers", "workload", "churn", "routing", "queries",
+            "seed", "batch", "batch_window_ms", "churn_window_ms", "query_interval_ms",
+            "prefer", "max_hops",
+            "query_mix", "free_rider_fraction", "catalog_mode",
+            "reliable", "fault_loss", "fault_duplicate", "fault_delay", "fault_reorder",
+            "fault_partition",
+            "subscribers", "mutation_rounds",
+            "catalog_shards", "catalog_replicas", "catalog_outages",
+        ]
+
     def test_build_populates_all_roles(self):
         spec = ScaleoutSpec(
             name="t", topology="small-world", peers=30, workload="garage-sale",
@@ -298,6 +312,13 @@ class TestCLI:
             ]) == 0
             outputs.append(output.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_one_process_runs_a_spec(self, capsys):
+        """There is no second way to execute a spec, so no option to pick one."""
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(["--workers", "2"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_named_scenario_and_list(self, tmp_path, capsys):
         assert main(["--list"]) == 0

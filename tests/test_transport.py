@@ -33,7 +33,7 @@ from repro.network import (
     build_transport,
 )
 from repro.network.transport.aio import _GatedDelivery, _Inbox
-from repro.network.transport.wire import HEADER, decode_body, encode_frame
+from repro.network.transport.wire import HEADER, decode_frame, encode_frame
 from repro.peers import RegistrationPayload
 
 
@@ -61,7 +61,7 @@ class TestWireCodec:
         frame = encode_frame(message)
         (length,) = HEADER.unpack(frame[: HEADER.size])
         assert length == len(frame) - HEADER.size
-        return decode_body(frame[HEADER.size :])
+        return decode_frame(frame[HEADER.size :])
 
     def test_text_payload_ships_as_wire_form(self):
         document = "<mutant-query id='q1'><current/></mutant-query>"
@@ -102,7 +102,7 @@ class TestWireCodec:
     def test_decoding_preserves_global_counter(self):
         message = Message("a:1", "b:1", "ping")
         before = Message("x:1", "y:1", "probe").message_id
-        decode_body(encode_frame(message)[HEADER.size :])
+        decode_frame(encode_frame(message)[HEADER.size :])
         after = Message("x:1", "y:1", "probe").message_id
         assert after == before + 1  # decode did not consume fresh ids
 

@@ -1,8 +1,9 @@
-"""Wire v2: tagged codec round-trips, strict decoding, malformed-frame fuzz."""
+"""Wire v3: tagged codec round-trips, strict decoding, malformed-frame fuzz."""
 
 from __future__ import annotations
 
 import pathlib
+import struct
 from collections import Counter
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.catalog.entries import CollectionRef, NamedResourceEntry, ServerEntry, ServerRole
 from repro.catalog.intensional import CatalogLevel, IntensionalStatement, Relation, ServerHolding
-from repro.multicore.clock import HLCStamp
 from repro.namespace import CategoryPath, InterestArea, InterestCell
 from repro.network.message import Message
 from repro.network.transport.base import TransportError
@@ -40,8 +40,8 @@ def _body(frame: bytes) -> bytes:
     return frame[HEADER.size :]
 
 
-def _roundtrip(message: Message, stamp: HLCStamp | None = None) -> tuple[Message, HLCStamp | None]:
-    return decode_frame(_body(encode_frame(message, stamp)))
+def _roundtrip(message: Message) -> Message:
+    return decode_frame(_body(encode_frame(message)))
 
 
 # --------------------------------------------------------------------------- #
@@ -160,25 +160,10 @@ class TestDomainExtensions:
         assert isinstance(decoded, XMLElement)
         assert serialize_xml(decoded) == serialize_xml(element)
 
-    def test_recursive_message_extension(self):
-        # The multicore relay wraps whole messages inside relay envelopes.
-        inner = Message(sender="a:1", recipient="b:2", kind="mqp", payload="<p/>")
-        envelope = Message(
-            sender="mc:0", recipient="mc:1", kind="mc-relay",
-            payload={"at": 12.5, "message": inner},
-        )
-        decoded = self._assert_roundtrip(envelope)
-        carried = decoded.payload["message"]
-        assert carried.message_id == inner.message_id
-        assert carried.payload == "<p/>"
-
     def test_baseline_routing_payloads(self):
         area = InterestArea((InterestCell.of("USA/CA", "Books"),))
         self._assert_roundtrip(GnutellaQuery("q1", "peer0:9020", area, 5))
         self._assert_roundtrip(GnutellaHit("q1", "peer1:9020", 3))
-
-    def test_hlc_stamp(self):
-        self._assert_roundtrip(HLCStamp(12.5, 3, 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -192,8 +177,7 @@ class TestFrameRoundtrip:
         frame = encode_frame(message)
         # The document crosses the socket in the paper's own wire form.
         assert "<plan attr='ü'/>".encode() in frame
-        decoded, stamp = decode_frame(_body(frame))
-        assert stamp is None
+        decoded = decode_frame(_body(frame))
         assert decoded.payload == message.payload
         assert decoded.message_id == message.message_id
 
@@ -202,7 +186,7 @@ class TestFrameRoundtrip:
             sender="a:1", recipient="b:2", kind="result",
             payload={"query_id": "q7", "document": "<answers count='2'/>", "hop": 3},
         )
-        decoded, _ = _roundtrip(message)
+        decoded = _roundtrip(message)
         assert decoded.payload == message.payload
 
     def test_envelope_fields_survive(self):
@@ -210,22 +194,16 @@ class TestFrameRoundtrip:
             sender="s:1", recipient="r:2", kind="ack", payload=None,
             size_bytes=777, sent_at=12.25, hop=4, transfer="t-99", attempt=2,
         )
-        decoded, _ = _roundtrip(message)
+        decoded = _roundtrip(message)
         for field in ("sender", "recipient", "kind", "size_bytes", "message_id",
                       "sent_at", "hop", "transfer", "attempt"):
             assert getattr(decoded, field) == getattr(message, field), field
-
-    def test_hlc_stamp_travels_with_the_frame(self):
-        message = Message(sender="a:1", recipient="b:2", kind="mqp", payload="<p/>")
-        decoded, stamp = _roundtrip(message, HLCStamp(99.5, 7, 3))
-        assert stamp == HLCStamp(99.5, 7, 3)
-        assert decoded.kind == "mqp"
 
     @derandomized
     @given(_values)
     def test_any_vocabulary_payload_frames(self, payload):
         message = Message(sender="a:1", recipient="b:2", kind="ctl", payload=payload)
-        decoded, _ = _roundtrip(message)
+        decoded = _roundtrip(message)
         if isinstance(payload, dict) and isinstance(payload.get("document"), str):
             # Document envelopes are a distinct wire form with equal content.
             assert decoded.payload == payload
@@ -245,6 +223,18 @@ class TestStrictDecoding:
         body[0] = WIRE_VERSION + 1
         with pytest.raises(TransportError, match="unsupported wire version"):
             decode_frame(bytes(body))
+
+    @pytest.mark.parametrize(
+        "stamp", [b"\x00", b"\x01" + struct.pack("!dII", 5.0, 1, 0)], ids=["flag-0", "flag-1"]
+    )
+    def test_version_2_body_is_rejected_not_half_read(self, stamp):
+        # A well-formed v2 body: the v3 layout plus a clock-stamp slot (flag
+        # 0, or flag 1 and a 16-byte stamp) between envelope and payload tag.
+        current = _body(encode_frame(Message("a", "b", "k", payload="<p/>")))
+        payload_at = len(current) - len(b"<p/>") - 1
+        body = b"\x02" + current[1:payload_at] + stamp + current[payload_at:]
+        with pytest.raises(TransportError, match="unsupported wire version 2"):
+            decode_frame(body)
 
     def test_pickled_v1_frame_is_called_out(self):
         # A v1 body began with pickle's 0x80 opcode; the error says so
@@ -281,7 +271,7 @@ class TestStrictDecoding:
             sender="peer0001:9020", recipient="index-00:9020", kind="register",
             payload={"entries": [1, 2.5, "three", (4, None)], "area": b"\x00\x01"},
         )
-        body = _body(encode_frame(message, HLCStamp(5.0, 1, 0)))
+        body = _body(encode_frame(message))
         cut = data.draw(st.integers(min_value=0, max_value=len(body) - 1))
         try:
             decode_frame(body[:cut])
@@ -309,7 +299,7 @@ class TestStrictDecoding:
         for position, value in flips:
             body[position] = value
         try:
-            decoded, _ = decode_frame(bytes(body))
+            decoded = decode_frame(bytes(body))
         except TransportError:
             return  # strict rejection
         assert isinstance(decoded, Message)  # or a still-well-formed frame
@@ -335,10 +325,10 @@ class TestEncoderReuse:
         encoder = FrameEncoder()
         small = Message(sender="a:1", recipient="b:2", kind="k", payload="x")
         big = Message(sender="a:1", recipient="b:2", kind="k", payload="y" * (1 << 18))
-        reference_small = _roundtrip(small)[0].payload
-        assert decode_frame(_body(encoder.encode(big)))[0].payload == big.payload
+        reference_small = _roundtrip(small).payload
+        assert decode_frame(_body(encoder.encode(big))).payload == big.payload
         # After growing for the big frame, small frames still encode cleanly.
-        assert decode_frame(_body(encoder.encode(small)))[0].payload == reference_small
+        assert decode_frame(_body(encoder.encode(small))).payload == reference_small
 
     def test_encode_view_survives_buffer_growth(self):
         """Regression: the view must be taken *after* encoding.
@@ -357,13 +347,13 @@ class TestEncoderReuse:
             payload={"blob": list(range(40_000))},
         )
         view = encoder.encode_view(big)
-        assert decode_frame(view[4:])[0].payload == big.payload
+        assert decode_frame(view[4:]).payload == big.payload
         view.release()
         # And a second growth-forcing frame right after, to be sure the
         # released view no longer pins the buffer.
         bigger = Message(sender="a:1", recipient="b:2", kind="k", payload="z" * (1 << 19))
         view = encoder.encode_view(bigger)
-        assert decode_frame(view[4:])[0].payload == bigger.payload
+        assert decode_frame(view[4:]).payload == bigger.payload
         view.release()
 
     def test_writer_reserve_backfill(self):
