@@ -48,7 +48,7 @@ def hot_collection():
     """The busiest index server's item union inside the big population."""
     spec = ScaleoutSpec(
         name="bench", topology="scale-free", peers=PEERS, workload="garage-sale",
-        churn="none", queries=1, batch=False,
+        churn="none", queries=1,
     )
     scenario = build_scaleout_scenario(spec)
     index = max(

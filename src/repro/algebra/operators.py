@@ -172,10 +172,10 @@ class VerbatimData(LeafNode):
     ) -> "VerbatimData":
         """Wrap a list of item elements into a collection leaf.
 
-        ``copy_items=False`` embeds the items by reference — used by the
-        batched processing path, where many plans at one peer share the
-        memoized result of the same sub-plan and nothing downstream
-        mutates items in place (forwarding serializes, delivery copies).
+        ``copy_items=False`` embeds the items by reference — used where
+        a sub-plan is reduced: many plans at one peer share the cached
+        result of the same sub-plan and nothing downstream mutates items
+        in place (forwarding serializes, delivery copies).
         """
         children = [item.copy() for item in items] if copy_items else list(items)
         return cls(XMLElement(tag, {}, children), name)

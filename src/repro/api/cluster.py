@@ -257,17 +257,10 @@ class Cluster:
                 by_address[first].learn_about(by_address[second].server_entry())
                 by_address[second].learn_about(by_address[first].server_entry())
 
-    def configure_peers(
-        self,
-        max_hops: int | None = None,
-        batch_window_ms: float | None = None,
-    ) -> None:
+    def configure_peers(self, max_hops: int) -> None:
         """Apply processing policy uniformly across every joined peer."""
         for peer in self.peers():
-            if max_hops is not None:
-                peer.processor.max_hops = max_hops
-            if batch_window_ms is not None:
-                peer.enable_batching(batch_window_ms)
+            peer.processor.max_hops = max_hops
 
     # -- churn ------------------------------------------------------------------ #
 

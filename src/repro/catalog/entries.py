@@ -115,6 +115,13 @@ class ServerEntry:
         """True when this server's interest area covers all of ``area``."""
         return self.area.covers(area)
 
+    @property
+    def is_authority(self) -> bool:
+        """True for an authoritative index / meta-index: every source under
+        its area has registered there (§3.3), so a query for an area it
+        covers loses nothing by starting at this server."""
+        return self.authoritative and self.role in (ServerRole.INDEX, ServerRole.META_INDEX)
+
     def __repr__(self) -> str:
         flag = ", authoritative" if self.authoritative else ""
         return f"ServerEntry({self.address!r}, {self.role.value}, {self.area}{flag})"

@@ -67,9 +67,9 @@ class QueryEngine:
         would buffer more raises
         :class:`~repro.errors.ResourceBudgetExceeded`.
 
-    Cross-plan result caching lives one level up: the batched MQP pipeline
-    keys sub-plans with :class:`~repro.engine.memo.EvaluationMemo` and only
-    calls the engine on memo misses.
+    Cross-plan result caching lives one level up: the MQP pipeline keys
+    sub-plans with :class:`~repro.engine.memo.EvaluationMemo` and only calls
+    the engine on a miss.
     """
 
     def __init__(
@@ -120,8 +120,8 @@ class QueryEngine:
     def materialize(self, plan: QueryPlan | PlanNode) -> list[XMLElement]:
         """Alias of :meth:`evaluate` — the list-shaped shim consumed where a
         complete result set is required at once: the MQP sub-plan pipeline
-        (batched or not, so :class:`~repro.engine.memo.EvaluationMemo` stores
-        lists) and the centralized coordinator baseline."""
+        (whose :class:`~repro.engine.memo.EvaluationMemo` keeps the result
+        leaf built from it) and the centralized coordinator baseline."""
         return self.evaluate(plan)
 
     @property

@@ -159,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of queries to issue (default: 12)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed for the whole scenario (default: 11)")
-    batching = parser.add_mutually_exclusive_group()
-    batching.add_argument("--batch", dest="batch", action="store_true", default=None,
-                          help="batched MQP processing (default)")
-    batching.add_argument("--no-batch", dest="batch", action="store_false",
-                          help="per-plan MQP processing (the pre-scale-out path)")
     parser.add_argument("--prefer", choices=("complete", "current", "fast"), default=None,
                         help="query preference of paper §4.3 (default: complete)")
     reliability = parser.add_mutually_exclusive_group()
@@ -218,7 +213,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScaleoutSpec:
             "routing": args.routing,
             "queries": args.queries,
             "seed": args.seed,
-            "batch": args.batch,
             "prefer": args.prefer,
             "reliable": args.reliable,
             "fault_loss": args.fault_loss,

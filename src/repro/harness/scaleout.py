@@ -4,10 +4,10 @@ The original harness (:mod:`repro.harness.experiment`) stands up tens of
 peers on hand-built populations.  This module composes the parametric
 pieces added for scale-out — topology generators
 (:mod:`repro.network.topology`), churn profiles
-(:mod:`repro.network.failures`), the batched MQP pipeline
-(:meth:`repro.mqp.processor.MQPProcessor.process_batch`) — into named,
-seeded scenarios of 1,000+ peers, runs them on the deterministic simulator,
-and reduces the outcome to a JSON-ready report.
+(:mod:`repro.network.failures`), the MQP pipeline with its evaluation cache
+(:class:`repro.mqp.processor.MQPProcessor`) — into named, seeded scenarios
+of 1,000+ peers, runs them on the deterministic simulator, and reduces the
+outcome to a JSON-ready report.
 
 A scenario is fully described by a :class:`ScaleoutSpec`; the CLI
 (:mod:`repro.harness.cli`) is a thin argument parser over this module.
@@ -103,8 +103,6 @@ class ScaleoutSpec:
     routing: str = "mqp"
     queries: int = 12
     seed: int = 11
-    batch: bool = True
-    batch_window_ms: float = 5.0
     churn_window_ms: tuple[float, float] = (200.0, 4_000.0)
     query_interval_ms: float = 400.0
     prefer: str = "complete"
@@ -433,10 +431,7 @@ def _build_mqp_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
     # handful of random neighbours would masquerade as a complete answer.
     cluster.wire_topology(scenario.topology, exclude=(client.address,))
 
-    cluster.configure_peers(
-        max_hops=spec.max_hops,
-        batch_window_ms=spec.batch_window_ms if spec.batch else None,
-    )
+    cluster.configure_peers(max_hops=spec.max_hops)
 
 
 def _place_index_areas(areas: list[InterestArea], shards: int) -> list[InterestArea | None]:
@@ -977,10 +972,8 @@ def _report(scenario: ScaleoutScenario, query_ids: list[str]) -> dict[str, objec
             "plans_forwarded": sum(each.plans_forwarded for each in forwarding),
             "plans_stuck": sum(each.plans_stuck for each in forwarding),
             "plans_rerouted": sum(each.plans_rerouted for each in forwarding),
-            "plans_lost_in_crash": sum(each.plans_lost_in_crash for each in forwarding),
             "dead_letters": sum(len(peer.transfers.dead_letters) for peer in peers),
-            "batches": sum(each.batches_processed for each in forwarding),
-            "eval_memo_hits": sum(peer.processor.eval_memo_hits for peer in peers),
+            "eval_memo_hits": sum(peer.processor.evaluations.hits for peer in peers),
         }
 
     if spec.reliable or network.faults.active:

@@ -4,7 +4,6 @@ from .plan import MutantQueryPlan, QueryPreferences
 from .policy import PolicyDecision, PolicyManager
 from .processor import (
     PARTIAL_REASONS,
-    BatchContext,
     MQPProcessor,
     Piece,
     ProcessingAction,
@@ -22,7 +21,6 @@ __all__ = [
     "PolicyManager",
     "PolicyDecision",
     "MQPProcessor",
-    "BatchContext",
     "ProcessingAction",
     "ProcessingResult",
     "Piece",

@@ -50,7 +50,6 @@ __all__ = [
     "ProcessingResult",
     "Piece",
     "PARTIAL_REASONS",
-    "BatchContext",
     "MQPProcessor",
     "RetryPolicy",
 ]
@@ -162,29 +161,6 @@ class ProcessingResult:
         return self.pieces[0].reason if len(self.pieces) == 1 else None
 
 
-@dataclass
-class BatchContext:
-    """Work shared across the plans of one batch (the scale-out fast path).
-
-    Everything a peer computes during one pipeline pass that depends only
-    on the *catalog* and the *plan structure* — not on the individual plan
-    instance — is cached here: parsed URNs, named-resource lookups, interest
-    area bindings, routing candidate scans, and evaluated sub-plan results
-    (``leaves``: one annotated, serialized-once result leaf per memo key).
-    At a thousand peers the catalog scans and sub-plan evaluations dominate
-    the per-hop cost, so amortizing them across a batch of same-shaped plans
-    is where the batched pipeline earns its throughput.
-    """
-
-    memo: EvaluationMemo = field(default_factory=EvaluationMemo)
-    leaves: dict[str, VerbatimData] = field(default_factory=dict)
-    parsed_urns: dict[str, object] = field(default_factory=dict)
-    named_entries: dict[str, object] = field(default_factory=dict)
-    bindings: dict[str, object] = field(default_factory=dict)
-    routing_servers: dict[str, list[str]] = field(default_factory=dict)
-    indexers: list[str] | None = None
-
-
 _HELD = "="
 _RESIDUAL = "?"
 """Group keys of :meth:`MQPProcessor._scatter` that are not a holder's address."""
@@ -211,7 +187,10 @@ class MQPProcessor:
         self.catalog = catalog
         self.namespace = namespace
         self.collections = collections if collections is not None else {}
-        self.cache = cache or RoutingCache()
+        # ``is not None``: an empty cache is falsy, and the peer's own cache
+        # — the one registration fills and failure detection purges — must
+        # be the one routing reads.
+        self.cache = cache if cache is not None else RoutingCache()
         self.optimizer = optimizer or Optimizer()
         self.policy = policy or PolicyManager()
         self.annotate_statistics = annotate_statistics
@@ -219,9 +198,10 @@ class MQPProcessor:
         self.max_buffered_items = max_buffered_items
         self.binder = Binder(catalog)
         self.processed_plans = 0
-        self.batches_processed = 0
-        self.eval_memo_hits = 0
         self.subplans_evaluated = 0
+        # What this server has already reduced.  Whoever writes
+        # ``collections`` clears it: no result outlives a local write.
+        self.evaluations = EvaluationMemo()
         # Free riders (adversarial workloads) route and forward like any
         # peer but never contribute answers: local data stays invisible to
         # plans passing through, and no sub-plan is ever evaluated here.
@@ -246,6 +226,7 @@ class MQPProcessor:
     def add_collection(self, path: str, items: Sequence[XMLElement]) -> None:
         """Store (or replace) a local collection."""
         self.collections[path] = list(items)
+        self.evaluations.clear()
 
     def _is_local_url(self, leaf: URLRef) -> bool:
         if self.free_ride:
@@ -280,19 +261,17 @@ class MQPProcessor:
         mqp: MutantQueryPlan,
         now: float = 0.0,
         avoid: Collection[str] = (),
-        context: BatchContext | None = None,
     ) -> ProcessingResult:
         """Run the full Figure-2 pipeline once and decide what happens next.
 
         ``avoid`` lists servers the hosting peer currently believes dead
-        (churn); they are excluded from routing.  ``context`` shares cached
-        catalog lookups and evaluation results across the plans of a batch.
+        (churn); they are excluded from routing.
         """
         self.processed_plans += 1
         route_candidates: list[str] = []
 
-        bound = self._bind_urns(mqp, now, route_candidates, context)
-        evaluated = self._optimize_and_evaluate(mqp, now, context)
+        bound = self._bind_urns(mqp, now, route_candidates)
+        evaluated = self._optimize_and_evaluate(mqp, now)
 
         ordered: list[str] = []
         if mqp.is_fully_evaluated():
@@ -311,7 +290,7 @@ class MQPProcessor:
                 # Candidates gathered while binding lead to whoever can bind
                 # the URNs still left; only a plan that kept some follows them.
                 hints = route_candidates if len(parts) == 1 or part.remaining_urns() else []
-                piece, ordered = self._route(part, hints, now, avoid, context)
+                piece, ordered = self._route(part, hints, now, avoid)
                 pieces.append(piece)
             stuck = len(pieces) == 1 and pieces[0].next_hop is None
             action = ProcessingAction.STUCK if stuck else ProcessingAction.FORWARD
@@ -330,10 +309,9 @@ class MQPProcessor:
         hints: list[str],
         now: float,
         avoid: Collection[str],
-        context: BatchContext | None,
     ) -> tuple[Piece, list[str]]:
         """Pick the next hop of one unfinished plan (or declare it stuck)."""
-        urn_candidates, data_candidates = self._candidates_for_remaining(mqp, context)
+        urn_candidates, data_candidates = self._candidates_for_remaining(mqp)
         candidates = hints + urn_candidates + data_candidates
         ordered = self._order_candidates(candidates, avoid)
         revisitable = self._order_candidates(data_candidates, avoid)
@@ -414,63 +392,41 @@ class MQPProcessor:
         mqps: Sequence[MutantQueryPlan],
         now: float = 0.0,
         avoid: Collection[str] = (),
-        context: BatchContext | None = None,
     ) -> list[ProcessingResult]:
-        """Run the pipeline over a batch of plans, amortizing shared work.
-
-        All plans are assumed to have arrived at this peer within one
-        simulated tick and are processed against the catalog state at the
-        *start* of the batch: URN parses, named-resource lookups, area
-        bindings, routing-candidate scans and sub-plan evaluations are each
-        performed once per distinct input and reused across the batch.
-        Results come back in input order.  (Strictly sequential processing
-        could interleave :meth:`learn_from` feedback between plans; the
-        batch treats the tick as one instant, so that feedback — applied by
-        the peer after the batch — lands before the *next* tick instead.)
-        """
-        context = context if context is not None else BatchContext()
-        hits_before = context.memo.hits
-        results = [self.process(mqp, now=now, avoid=avoid, context=context) for mqp in mqps]
-        self.batches_processed += 1
-        self.eval_memo_hits += context.memo.hits - hits_before
-        return results
+        """:meth:`process` over ``mqps``, in order.  No caller in ``src/``:
+        the benchmark tracer patches this name (``benchmarks/e2e/trace.py``),
+        and the next change to the benchmark deletes both."""
+        return [self.process(mqp, now=now, avoid=avoid) for mqp in mqps]
 
     # ------------------------------------------------------------------ #
     # Stage 1: URN binding via the catalog
     # ------------------------------------------------------------------ #
 
-    def _parse_urn(self, urn: str, context: BatchContext | None):
-        """Parse a URN string, memoizing per batch (``None`` = unparseable)."""
-        if context is None:
-            try:
-                return parse_urn(urn)
-            except URNError:
-                return None
-        if urn not in context.parsed_urns:
-            try:
-                context.parsed_urns[urn] = parse_urn(urn)
-            except URNError:
-                context.parsed_urns[urn] = None
-        return context.parsed_urns[urn]
+    @staticmethod
+    def _parse_urn(urn: str):
+        """Parse a URN string (``None`` = unparseable)."""
+        try:
+            return parse_urn(urn)
+        except URNError:
+            return None
 
     def _bind_urns(
         self,
         mqp: MutantQueryPlan,
         now: float,
         route_candidates: list[str],
-        context: BatchContext | None = None,
     ) -> int:
         bound = 0
         for ref in list(mqp.plan.urn_refs()):
-            parsed = self._parse_urn(ref.urn, context)
+            parsed = self._parse_urn(ref.urn)
             if parsed is None:
                 continue
             replacement: PlanNode | None = None
             staleness = 0.0
             if isinstance(parsed, NamedURN):
-                replacement = self._bind_named(parsed, route_candidates, context)
+                replacement = self._bind_named(parsed, route_candidates)
             elif isinstance(parsed, InterestAreaURN):
-                replacement, staleness = self._bind_area(parsed, mqp, route_candidates, context)
+                replacement, staleness = self._bind_area(parsed, mqp, route_candidates)
             if replacement is None:
                 continue
             mqp.plan.replace_node(ref, replacement)
@@ -484,23 +440,14 @@ class MQPProcessor:
             bound += 1
         return bound
 
-    def _lookup_named(self, urn: NamedURN, context: BatchContext | None = None):
+    def _lookup_named(self, urn: NamedURN):
         """Look a named URN up under both its full form and its bare name."""
-        if context is None:
-            return self.catalog.lookup_named(str(urn)) or self.catalog.lookup_named(urn.name)
-        key = str(urn)
-        if key not in context.named_entries:
-            context.named_entries[key] = self.catalog.lookup_named(key) or self.catalog.lookup_named(
-                urn.name
-            )
-        return context.named_entries[key]
+        return self.catalog.lookup_named(str(urn)) or self.catalog.lookup_named(urn.name)
 
-    def _bind_named(
-        self, urn: NamedURN, route_candidates: list[str], context: BatchContext | None = None
-    ) -> PlanNode | None:
-        entry = self._lookup_named(urn, context)
+    def _bind_named(self, urn: NamedURN, route_candidates: list[str]) -> PlanNode | None:
+        entry = self._lookup_named(urn)
         if entry is None:
-            route_candidates.extend(self._known_indexers(context))
+            route_candidates.extend(self._known_indexers())
             return None
         route_candidates.extend(entry.resolver_servers)
         if not entry.collections:
@@ -519,21 +466,14 @@ class MQPProcessor:
         urn: InterestAreaURN,
         mqp: MutantQueryPlan,
         route_candidates: list[str],
-        context: BatchContext | None = None,
     ) -> tuple[PlanNode | None, float]:
-        if context is None:
-            binding = self.binder.bind_area(urn.area)
-        else:
-            area_key = str(urn.area)
-            if area_key not in context.bindings:
-                context.bindings[area_key] = self.binder.bind_area(urn.area)
-            binding = context.bindings[area_key]
+        binding = self.binder.bind_area(urn.area)
         if binding is None:
             if self._answers_for(urn.area, mqp):
                 # The complete answer is empty: say so, instead of routing a
                 # plan nobody can continue until it comes home stuck.
                 return VerbatimData.from_items([], tag="result"), 0.0
-            route_candidates.extend(self._routing_servers_for(urn.area, context))
+            route_candidates.extend(self._routing_servers_for(urn.area))
             return None, 0.0
         alternative = self.policy.choose_alternative(binding, mqp.preferences)
         for source in alternative.sources:
@@ -542,7 +482,7 @@ class MQPProcessor:
         if not alternative.is_concrete:
             # Partially routable alternative: keep the URN so a downstream
             # server can finish the binding, but remember where to go.
-            route_candidates.extend(self._routing_servers_for(urn.area, context))
+            route_candidates.extend(self._routing_servers_for(urn.area))
             return None, 0.0
         return alternative.to_plan_node(str(urn)), alternative.max_delay_minutes
 
@@ -563,29 +503,19 @@ class MQPProcessor:
             for entry in self.catalog.servers_overlapping(area, roles=(ServerRole.INDEX,))
         )
 
-    def _known_indexers(self, context: BatchContext | None = None) -> list[str]:
+    def _known_indexers(self) -> list[str]:
         """Every index / meta-index server this catalog knows about."""
-        if context is not None and context.indexers is not None:
-            return context.indexers
         # Role buckets in the catalog index make this O(indexers), not
         # O(catalog) — the seed scanned every server entry per stuck URN.
-        entries = [
+        return [
             entry.address
             for entry in self.catalog.servers_with_roles(
                 (ServerRole.INDEX, ServerRole.META_INDEX)
             )
             if entry.address != self.address
         ]
-        if context is not None:
-            context.indexers = entries
-        return entries
 
-    def _routing_servers_for(self, area, context: BatchContext | None = None) -> list[str]:
-        if context is not None:
-            area_key = str(area)
-            cached = context.routing_servers.get(area_key)
-            if cached is not None:
-                return cached
+    def _routing_servers_for(self, area: InterestArea) -> list[str]:
         candidates: list[str] = []
         if self.shard_map is not None:
             # The owning replica group leads the candidate list: the
@@ -602,20 +532,13 @@ class MQPProcessor:
             area, roles=(ServerRole.INDEX, ServerRole.META_INDEX)
         ):
             candidates.append(entry.address)
-        result = [
-            address for address in candidates if address != self._canonical_address
-        ]
-        if context is not None:
-            context.routing_servers[str(area)] = result
-        return result
+        return [address for address in candidates if address != self._canonical_address]
 
     # ------------------------------------------------------------------ #
     # Stages 2-4: optimize, policy, evaluate, reduce
     # ------------------------------------------------------------------ #
 
-    def _optimize_and_evaluate(
-        self, mqp: MutantQueryPlan, now: float, context: BatchContext | None = None
-    ) -> int:
+    def _optimize_and_evaluate(self, mqp: MutantQueryPlan, now: float) -> int:
         if self.free_ride:
             # Forward-only peers skip the whole optimize/evaluate stage:
             # nothing is reduced, no provenance is added, the plan moves on
@@ -640,7 +563,7 @@ class MQPProcessor:
         for subplan in decision.evaluate:
             # The reduction step: the evaluated sub-plan is replaced by its
             # result as verbatim data (paper §2).
-            leaf = self._evaluate_subplan(engine, subplan, context)
+            leaf = self._evaluate_subplan(engine, subplan)
             mqp.plan.replace_node(subplan, leaf)
             mqp.provenance.add(
                 self.address,
@@ -695,33 +618,23 @@ class MQPProcessor:
             pinned += 1
         return pinned
 
-    def _evaluate_subplan(
-        self, engine: QueryEngine, subplan: PlanNode, context: BatchContext | None
-    ) -> VerbatimData:
-        """Reduce one sub-plan to its result leaf, sharing the work per batch.
+    def _evaluate_subplan(self, engine: QueryEngine, subplan: PlanNode) -> VerbatimData:
+        """Reduce one sub-plan to its result leaf, evaluating each shape once.
 
-        Structurally identical sub-plans across the plans of a batch reduce
-        to the same items over the same local collections, so evaluation,
-        statistics and serialization run once per distinct shape: each plan
-        gets a copy of one prototype leaf, sharing its items and wire text
+        Structurally identical sub-plans reduce to the same items over the
+        same local collections, so evaluation, statistics and serialization
+        run once per distinct shape between two local writes: each plan
+        gets a copy of the one cached leaf, sharing its items and wire text
         (nothing downstream mutates them).
         """
-        if context is None:
-            return self._result_leaf(engine.materialize(subplan), copy_items=True)
-        key = context.memo.key_for(subplan)
-        items = context.memo.lookup(key)
-        if items is None:
-            items = engine.materialize(subplan)
-            context.memo.store(key, items)
-        prototype = context.leaves.get(key)
-        if prototype is None:
-            prototype = context.leaves[key] = self._result_leaf(items, copy_items=False)
-        leaf = prototype.copy()
-        assert isinstance(leaf, VerbatimData)
+        key = EvaluationMemo.key_for(subplan)
+        leaf = self.evaluations.lookup(key)
+        if leaf is None:
+            leaf = self.evaluations.store(key, self._result_leaf(engine.materialize(subplan)))
         return leaf
 
-    def _result_leaf(self, items: list[XMLElement], copy_items: bool) -> VerbatimData:
-        leaf = VerbatimData.from_items(items, tag="result", copy_items=copy_items)
+    def _result_leaf(self, items: list[XMLElement]) -> VerbatimData:
+        leaf = VerbatimData.from_items(items, tag="result", copy_items=False)
         if self.annotate_statistics:
             # The size annotated is measured on the text that will be shipped.
             statistics = CollectionStatistics(len(items), leaf.items_size())
@@ -733,9 +646,7 @@ class MQPProcessor:
     # Stage 5: routing candidates for whatever is left
     # ------------------------------------------------------------------ #
 
-    def _candidates_for_remaining(
-        self, mqp: MutantQueryPlan, context: BatchContext | None = None
-    ) -> tuple[list[str], list[str]]:
+    def _candidates_for_remaining(self, mqp: MutantQueryPlan) -> tuple[list[str], list[str]]:
         """Candidates split into (URN-routing servers, data-holding servers).
 
         Data-holding servers may be revisited: a leaf that was not reducible
@@ -749,18 +660,18 @@ class MQPProcessor:
             if not self._is_local_url(ref):
                 data_candidates.append(canonical_address(ref.url))
         for ref in mqp.plan.urn_refs():
-            parsed = self._parse_urn(ref.urn, context)
+            parsed = self._parse_urn(ref.urn)
             if parsed is None:
                 continue
             if isinstance(parsed, InterestAreaURN):
-                urn_candidates.extend(self._routing_servers_for(parsed.area, context))
+                urn_candidates.extend(self._routing_servers_for(parsed.area))
             elif isinstance(parsed, NamedURN):
-                entry = self._lookup_named(parsed, context)
+                entry = self._lookup_named(parsed)
                 if entry is not None:
                     urn_candidates.extend(entry.resolver_servers)
                     data_candidates.extend(collection.url for collection in entry.collections)
                 else:
-                    urn_candidates.extend(self._known_indexers(context))
+                    urn_candidates.extend(self._known_indexers())
         return urn_candidates, data_candidates
 
     def _order_candidates(

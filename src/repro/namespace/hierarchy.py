@@ -161,8 +161,8 @@ class CategoryPath:
         return self.depth - ancestor.depth
 
     def __str__(self) -> str:
-        # str(path) keys routing caches and batch contexts on the hot path,
-        # so the rendered form is computed once per path object.
+        # str(path) keys routing caches on the hot path, so the rendered
+        # form is computed once per path object.
         text = self.__dict__.get("_text")
         if text is None:
             text = "/".join(self.segments) if self.segments else "*"

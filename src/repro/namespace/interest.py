@@ -113,8 +113,7 @@ class InterestCell:
             )
 
     def __str__(self) -> str:
-        # Cached: str(cell) feeds str(area), which keys the routing cache
-        # and the batched-processing contexts.
+        # Cached: str(cell) feeds str(area), which keys the routing cache.
         text = self.__dict__.get("_text")
         if text is None:
             text = "[" + ", ".join(str(coord) for coord in self.coordinates) + "]"

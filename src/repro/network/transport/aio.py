@@ -21,8 +21,8 @@ logically-earlier one — a deadlock, not a model).
 
 Churn mapping: ``go_offline``/``leave`` recycle the departing peer's pooled
 connections (drain, close; later frames reconnect), modelling session loss.
-Process-state loss stays at the peer layer (``QueryPeer.go_offline`` drops
-its batch buffer), and drop/notice *policy* stays in the network — which is
+Process-state loss stays at the peer layer (``QueryPeer.go_offline`` says
+what it drops), and drop/notice *policy* stays in the network — which is
 what keeps the two backends' reports identical under churn schedules.
 """
 

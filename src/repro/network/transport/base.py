@@ -50,7 +50,7 @@ class Transport(ABC):
 
     Subclasses own a :class:`Simulator` instance (``self.simulator``) that
     provides the logical clock and the schedule for everything that is not
-    a message — timers, churn events, batch-window flushes.  The network
+    a message — timers, churn events, scheduled queries.  The network
     reaches the clock through :attr:`simulator`, so peer code never needs
     to know which backend is running.
     """

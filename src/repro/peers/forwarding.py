@@ -7,6 +7,10 @@ Message kinds handled here:
     or, where a hop holds a union, scattered: one small plan per server
     that can reduce a group of its branches, each carrying its branch
     path and its share of the query's credit.
+``referral`` (sent here, handled by the peer)
+    The entry of the authoritative index a client's plan was sent on to, so
+    the client's next query under that area skips this hop
+    (:meth:`PlanForwarding._refer`).
 ``cancel-query``
     A query was cancelled at its issuer: the peer drops the plan if it
     arrives here, tears down open result streams, and the notice is passed
@@ -18,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection
 
+from ..errors import URNError
 from ..mqp import MQPProcessor, MutantQueryPlan, ProcessingResult, ProvenanceAction
 from ..mqp.plan import format_branch
+from ..namespace import InterestAreaURN, parse_urn
 from ..network.message import Message
 from ..network.node import NetworkNode
 from ..perf import flags
@@ -47,66 +53,28 @@ class PlanForwarding:
     cancelled: Collection[str] = ()
     suspected_dead: Collection[str] = ()
     memory: int = 4096
-    batch_window_ms: float | None = None
     plans_processed: int = 0
     plans_forwarded: int = 0
     plans_stuck: int = 0
     plans_rerouted: int = 0
     plans_cancelled: int = 0
-    plans_lost_in_crash: int = 0
-    batches_processed: int = 0
     custody: dict[str, dict[str, list[str]]] = field(default_factory=dict)
-    buffer: list[str] = field(default_factory=list)  # plans awaiting the batch flush
-    _flush_scheduled: bool = field(default=False, init=False)
 
     # -- arriving plans --------------------------------------------------------- #
 
     def on_mqp(self, message: Message) -> None:
-        """Process the plan now, or buffer it for the batch window.
+        """A plan arrived: process it now — no timer sits on a query's path."""
+        mqp = MutantQueryPlan.deserialize(message.payload)
+        result = self.process(mqp)
+        if result is not None and result.next_hop is not None and message.sender == mqp.target:
+            self._refer(mqp, message.sender, result.next_hop)
 
-        With a window set, plans arriving within ``batch_window_ms`` of the
-        first buffered plan (0 means the same simulated instant) are parsed,
-        bound, optimized and evaluated together, sharing catalog lookups and
-        evaluation results across the batch (the scale-out fast path).
-        """
-        if self.batch_window_ms is None:
-            self.process(MutantQueryPlan.deserialize(message.payload))
-            return
-        self.buffer.append(message.payload)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.port.schedule(self.batch_window_ms, self.flush)
-
-    def flush(self) -> None:
-        """Process every buffered plan as one batch."""
-        self._flush_scheduled = False
-        documents, self.buffer = self.buffer, []
-        mqps = [MutantQueryPlan.deserialize(document) for document in documents]
-        kept = [mqp for mqp in mqps if mqp.query_id not in self.cancelled]
-        self.plans_cancelled += len(mqps) - len(kept)
-        if not kept:
-            return
-        self.batches_processed += 1
-        self.plans_processed += len(kept)
-        for mqp in kept:
-            self.port.metrics.trace(mqp.query_id).visited.append(self.port.address)
-        now = self.port.now
-        for result in self.processor.process_batch(kept, now=now, avoid=self.suspected_dead):
-            self.processor.learn_from(result.mqp)
-            self._act_on(result)
-
-    def crash(self) -> None:
-        """Plans accepted into the batch buffer but not yet processed die
-        with the process (and are counted, so recall degradation under
-        crash churn stays attributable)."""
-        self.plans_lost_in_crash += len(self.buffer)
-        self.buffer.clear()
-
-    def process(self, mqp: MutantQueryPlan, rerouted: bool = False) -> None:
-        """One hop of one plan: bind, optimize, evaluate, send the pieces on."""
+    def process(self, mqp: MutantQueryPlan, rerouted: bool = False) -> ProcessingResult | None:
+        """One hop of one plan: bind, optimize, evaluate, send the pieces on
+        (``None``: the query was cancelled, the plan is dropped)."""
         if mqp.query_id in self.cancelled:
             self.plans_cancelled += 1
-            return
+            return None
         if rerouted:
             self.plans_rerouted += 1
         else:
@@ -115,6 +83,31 @@ class PlanForwarding:
         result = self.processor.process(mqp, now=self.port.now, avoid=self.suspected_dead)
         self.processor.learn_from(mqp)
         self._act_on(result)
+        return result
+
+    def _refer(self, mqp: MutantQueryPlan, target: str, next_hop: str) -> None:
+        """Tell a client whose plan goes on whole where its area is answered.
+
+        ``mqp`` reached this hop straight from its ``target`` and leaves, whole,
+        for ``next_hop``.  Where this catalog lists that server as an
+        authoritative index covering every area the plan still asks for, the
+        target is sent its entry and takes the next such query there itself
+        (the paper's routing cache, §3.2).  Nobody keeps a "told" table: a
+        client that has learned no longer arrives here first.  Not on the
+        sharded tier — the shard map already names the owner, and a plan
+        passes between two replicas only on failover or an empty-answer walk.
+        """
+        entry = self.processor.catalog.servers.get(next_hop)
+        if entry is None or not entry.is_authority or self.processor.shard_map is not None:
+            return
+        try:
+            asked = [parse_urn(urn) for urn in mqp.remaining_urns()]
+        except URNError:
+            return
+        if asked and all(
+            isinstance(urn, InterestAreaURN) and entry.covers(urn.area) for urn in asked
+        ):
+            self.port.send(target, "referral", entry, size_bytes=256)
 
     # -- leaving pieces ----------------------------------------------------------- #
 

@@ -163,9 +163,14 @@ class QueryPeer(NetworkNode):
         path = slashed(name)
         self.collections[path] = list(items)
         self.collection_areas[path] = area or self.interest_area
-        reference = CollectionRef(url=self.address, path=path, name=name, cardinality=len(items))
+        self._collections_changed()
+        return CollectionRef(url=self.address, path=path, name=name, cardinality=len(items))
+
+    def _collections_changed(self) -> None:
+        """After every local write: no cached evaluation outlives it, and the
+        catalog entry describes the collections as they now are."""
+        self.processor.evaluations.clear()
         self.catalog.register_server(self.server_entry())
-        return reference
 
     def collection_items(self, name: str) -> list[XMLElement]:
         """Return the items of a local collection."""
@@ -210,7 +215,7 @@ class QueryPeer(NetworkNode):
             else:
                 updates.append((existing[position], item))
                 existing[position] = item
-        self.catalog.register_server(self.server_entry())
+        self._collections_changed()
         self.subscriptions.mutated(path, [(None, item) for item in inserts] + updates)
         return len(inserts), len(updates)
 
@@ -243,7 +248,7 @@ class QueryPeer(NetworkNode):
             return []
         victims = {id(item) for item in removed}
         self.collections[path] = [item for item in items if id(item) not in victims]
-        self.catalog.register_server(self.server_entry())
+        self._collections_changed()
         self.subscriptions.mutated(path, [(item, None) for item in removed])
         return removed
 
@@ -342,19 +347,16 @@ class QueryPeer(NetworkNode):
     # ------------------------------------------------------------------ #
 
     def leave(self) -> None:
-        """Depart gracefully: drain pending work, unregister, go offline.
+        """Depart gracefully: unregister, go offline.
 
-        Plans buffered for the batch window are flushed first — a graceful
-        leaver finishes the work it already accepted (only a *crash* loses
-        buffered plans).  The unregister messages are queued before the
-        peer goes offline, so indexers drop this peer's entries promptly
-        instead of discovering the departure through failed forwards.  They
-        stay best-effort even under reliable delivery — an offline peer's
-        retransmissions are dropped, not sent — and a lost ``unregister``
-        is made good by exactly that discovery.
+        The unregister messages are queued before the peer goes offline, so
+        indexers drop this peer's entries promptly instead of discovering
+        the departure through failed forwards.  They stay best-effort even
+        under reliable delivery — an offline peer's retransmissions are
+        dropped, not sent — and a lost ``unregister`` is made good by
+        exactly that discovery.
         """
         if self.network is not None:
-            self.forwarding.flush()
             for target in self.registration_targets:
                 self.send(target, "unregister", self.address, size_bytes=64)
         self.go_offline(graceful=True)
@@ -362,11 +364,12 @@ class QueryPeer(NetworkNode):
     def go_offline(self, graceful: bool = False) -> None:
         """Crash: *some* in-RAM state dies with the process — not all of it.
 
-        Dropped: the batch buffer's plans (lost, and counted in
-        ``plans_lost_in_crash``), the open result streams this peer was
-        producing, and the armed matchers with their conflict memo.
+        Dropped: the evaluation cache (free to drop: a replay is
+        byte-identical to a re-evaluation), the open result streams this
+        peer was producing, and the armed matchers with their conflict memo.
 
-        **Not** dropped, though a real crash would lose them: the gather
+        **Not** dropped, though a real crash would lose them: the routing
+        cache and the catalog entries learned from others, the gather
         table and delivered results (``gather``), the scatter custody
         table and the pending transfers with their live retry timers
         (``forwarding.custody``, ``transfers.pending`` — an offline peer's
@@ -381,11 +384,10 @@ class QueryPeer(NetworkNode):
         collections, statements, ``registration_targets`` and the
         subscriber's own ``subscriptions.mine``.
 
-        Graceful departures call :meth:`leave`, which drains the buffer
-        first and lets real transports flush the goodbye traffic before
-        recycling the peer's connections.
+        Graceful departures call :meth:`leave`, which lets real transports
+        flush the goodbye traffic before recycling the peer's connections.
         """
-        self.forwarding.crash()
+        self.processor.evaluations.clear()
         self.streams.close_all()
         self.subscriptions.crash()
         super().go_offline(graceful=graceful)
@@ -442,11 +444,6 @@ class QueryPeer(NetworkNode):
         trace.expected_answers = expected_answers
         self.forwarding.process(mqp)
         return mqp
-
-    def enable_batching(self, window_ms: float = 0.0) -> None:
-        """Buffer incoming plans and process them through the batched
-        pipeline (see :meth:`PlanForwarding.on_mqp`)."""
-        self.forwarding.batch_window_ms = window_ms
 
     def cancel_query(self, query_id: str) -> None:
         """Cancel a query here and propagate along the forwarding fan-out.
@@ -508,10 +505,13 @@ class QueryPeer(NetworkNode):
         "recon-reply": lambda peer, message: peer.replicas.on_reply(message),
         # Handled here.  ``register``: a server announcing itself — late-bound,
         # so a subclass override (MetaIndexServer) is what runs; ``register-ack``:
-        # the indexer's reply, carrying its own entry; ``unregister``: a graceful
-        # departure; ``peer-unreachable``: failure detection bouncing a message.
+        # the indexer's reply, carrying its own entry; ``referral``: the entry of
+        # the authoritative index a hop sent this peer's plan on to (see
+        # PlanForwarding._refer); ``unregister``: a graceful departure;
+        # ``peer-unreachable``: failure detection bouncing a message.
         "register": lambda peer, message: peer._handle_register(message),
         "register-ack": lambda peer, message: peer.learn_about(message.payload),
+        "referral": lambda peer, message: peer._handle_referral(message),
         "unregister": lambda peer, message: peer._handle_unregister(message),
         "peer-unreachable": lambda peer, message: peer._handle_unreachable(message),
     }
@@ -531,6 +531,17 @@ class QueryPeer(NetworkNode):
         # again, and push the subscriptions to it so its matchers (re-)arm.
         self.forwarding.resend(entry.address)
         self.subscriptions.rearm(entry)
+
+    def _handle_referral(self, message: Message) -> None:
+        """Learn the index a plan of ours was referred to — if it can be one.
+
+        Only an authoritative index / meta-index entry is taken: every
+        source under its area has registered with it (§3.3), so routing a
+        covered query there first loses nothing; anything else is dropped.
+        """
+        entry = message.payload
+        if isinstance(entry, ServerEntry) and entry.is_authority:
+            self.learn_about(entry)
 
     def _handle_unregister(self, message: Message) -> None:
         """A peer announced a graceful departure: drop its routing state."""

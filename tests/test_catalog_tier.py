@@ -505,6 +505,47 @@ class TestFirstHopAtBenchmarkScale:
         assert scattered >= 100 and owner_first >= 0.95 * scattered, (owner_first, scattered)
 
 
+class TestCriticalPathAtBenchmarkScale:
+    def test_a_referred_client_skips_the_meta_index_and_no_hop_waits(self):
+        """``flash-crowd`` at 200 peers x 60 queries: client -> index -> holders
+        -> client.  At the parent every query entered through the meta-index
+        and each hop held a plan for a 5 ms batch window."""
+        from dataclasses import replace
+
+        from repro.harness.cli import SCENARIOS
+        from repro.peers.forwarding import PlanForwarding
+
+        scenario = build_scaleout_scenario(replace(SCENARIOS["flash-crowd"], queries=60))
+        client, meta = scenario.client, scenario.meta_index.address
+        learned = []  # (when a referral landed, the area it is good for)
+        timers = []  # every callback the run put on the clock
+        learn_about, schedule = client.learn_about, scenario.network.schedule
+        with scenario.cluster as cluster:
+
+            def learn(entry):
+                learned.append((cluster.now, entry.area))
+                learn_about(entry)
+
+            def record(delay, callback):
+                timers.append(callback)
+                return schedule(delay, callback)
+
+            client.learn_about, scenario.network.schedule = learn, record
+            query_ids = schedule_queries(scenario)
+            cluster.run_until_idle()
+            covered = direct = 0
+            for query, query_id in zip(scenario.queries, query_ids):
+                trace = cluster.metrics.trace(query_id)
+                if any(at <= trace.issued_at and area.covers(query.area) for at, area in learned):
+                    covered += 1
+                    direct += trace.visited[1] != meta
+            answered = [client.results[query_id].count for query_id in query_ids]
+        assert answered == [query.expected for query in scenario.queries]
+        assert covered >= 40 and direct >= 0.95 * covered, (direct, covered)
+        assert 1 <= len(learned) <= 10  # told once per authority, give or take a burst in flight
+        assert not any(isinstance(getattr(timer, "__self__", None), PlanForwarding) for timer in timers)
+
+
 class TestSpecSurface:
     def test_tier_knobs_elided_at_defaults(self):
         block = _scenario_dict(ScaleoutSpec(name="plain"))

@@ -17,7 +17,7 @@ import pytest
 from repro.algebra import PlanBuilder
 from repro.catalog import ServerRole
 from repro.mqp import QueryPreferences
-from repro.network import CHURN_PROFILES, FailureInjector, Network
+from repro.network import CHURN_PROFILES, FailureInjector, Message, Network
 from repro.peers import (
     BaseServer,
     ClientPeer,
@@ -178,6 +178,18 @@ class TestRoutingCacheInvalidation:
         assert not any(entry.server == index.address for entry in client.cache.lookup(area))
         assert index.address not in client.catalog.servers
 
+    def test_the_cache_that_forgets_is_the_cache_that_routes(self, churn_network, namespace):
+        """One object: an empty ``RoutingCache`` is falsy, and ``cache or
+        RoutingCache()`` once gave the processor a private one nothing purged."""
+        network, base, index, meta, client = churn_network
+        assert all(peer.processor.cache is peer.cache for peer in (base, index, meta, client))
+        area = namespace.area(["USA/OR/Portland", "Music"])
+        assert index.address in [entry.server for entry in client.processor.cache.lookup(area)]
+        client._peer_failed(index.address, Message(client.address, index.address, "register"))
+        assert index.address not in [
+            entry.server for entry in client.processor.cache.lookup(area)
+        ]
+
     def test_graceful_leave_unregisters_immediately(self, churn_network, namespace):
         network, base, index, meta, client = churn_network
         assert base.address in index.catalog.servers
@@ -204,43 +216,6 @@ class TestPruneIsolation:
         assert index.catalog.lookup_named("urn:ForSale:Shared") is None
         origin = base.catalog.lookup_named("urn:ForSale:Shared")
         assert origin is not None and origin.collections, "origin's entry was gutted"
-
-    def test_graceful_leave_drains_buffered_batch(self, churn_network, namespace):
-        """A leaver finishes accepted work; only crashes lose buffered plans."""
-        network, base, index, meta, client = churn_network
-        base.enable_batching(10.0)
-        plan = _portland_query(client, namespace)
-        from repro.mqp import MutantQueryPlan
-
-        document = MutantQueryPlan(plan).serialize()
-        client.send(base.address, "mqp", document, size_bytes=len(document))
-        while not base.forwarding.buffer and network.simulator.step():
-            pass
-        assert base.forwarding.buffer
-        base.leave()
-        assert base.forwarding.plans_processed == 1, "leave() must flush buffered plans"
-        network.run_until_idle()
-        assert any(result.count for result in client.results.values())
-
-    def test_crashed_peer_does_not_flush_buffered_batch(self, churn_network, namespace):
-        network, base, index, meta, client = churn_network
-        base.enable_batching(10.0)
-        plan = _portland_query(client, namespace)
-        from repro.mqp import MutantQueryPlan
-
-        document = MutantQueryPlan(plan).serialize()
-        client.send(base.address, "mqp", document, size_bytes=len(document))
-        # Step until the message has arrived (buffered), then crash before
-        # the scheduled flush runs.
-        while not base.forwarding.buffer and network.simulator.step():
-            pass
-        assert base.forwarding.buffer, "plan should be buffered awaiting the batch flush"
-        sent_before = base.sent_messages
-        base.go_offline()
-        network.run_until_idle()
-        assert base.forwarding.plans_processed == 0
-        assert base.sent_messages == sent_before, "a crashed peer must not forward"
-        assert base.forwarding.plans_lost_in_crash == 1, "the loss must be accounted"
 
 
 class TestChurnSchedules:

@@ -135,7 +135,7 @@ FAULT_SPECS = [
 
 PRE_RESILIENCE_SCENARIO_KEYS = {
     "name", "topology", "peers", "workload", "churn", "routing", "queries",
-    "seed", "batch", "batch_window_ms", "churn_window_ms", "query_interval_ms",
+    "seed", "churn_window_ms", "query_interval_ms",
     "prefer", "max_hops",
 }
 
@@ -262,7 +262,6 @@ def _assert_settled(scenario, spec, query_ids, offers) -> None:
             continue
         # Each component is asked what it still owes.
         assert not node.transfers.pending and not node.streams.open
-        assert not node.forwarding.buffer
         if spec.reliable or spec.fault_loss == 0.0:
             # Every piece came home (a bounced one as an "unreachable" partial).
             assert node.gather.pending() == [] and not node.inbox.assemblies

@@ -4,8 +4,10 @@ import pytest
 
 from recording_node import RecordingNode, frame
 from repro.algebra import PlanBuilder
-from repro.catalog import Catalog
+from repro.catalog import Catalog, ServerEntry, ServerRole
+from repro.catalogtier import ShardMap
 from repro.mqp import MQPProcessor, MutantQueryPlan
+from repro.namespace import InterestAreaURN
 from repro.peers.forwarding import PlanForwarding
 from repro.peers.gather import ResultGather
 from repro.peers.parts import Cancellations
@@ -54,23 +56,75 @@ class TestOneHop:
             hop.on_mqp(frame("mqp", plan_document()))
         assert hop.port.kinds() == ["result-chunk"] and ("q1", "") in hop.streams.open
 
-    def test_a_plan_of_a_cancelled_query_is_dropped_on_arrival_and_at_the_flush(self, hop):
+    def test_a_plan_of_a_cancelled_query_is_dropped_on_arrival(self, hop):
         hop.cancelled.add("q1")
         hop.on_mqp(frame("mqp", plan_document()))
-        hop.batch_window_ms = 5.0
-        hop.on_mqp(frame("mqp", plan_document()))
         hop.on_mqp(frame("mqp", plan_document(query_id="q2")))
-        assert len(hop.buffer) == 2 and len(hop.port.timers) == 1  # one flush per window
-        hop.port.fire()
-        assert hop.plans_cancelled == 2 and hop.plans_processed == 1 and hop.batches_processed == 1
-        assert [m.payload["query_id"] for m in hop.port.sent] == ["q2"] and not hop.buffer
+        assert hop.plans_cancelled == 1 and hop.plans_processed == 1
+        assert [m.payload["query_id"] for m in hop.port.sent] == ["q2"]
+        assert not hop.port.timers  # processed on arrival: nothing waits for a timer
 
-    def test_a_crash_loses_the_buffer_and_counts_it(self, hop):
-        hop.batch_window_ms = 5.0
-        hop.on_mqp(frame("mqp", plan_document()))
-        hop.crash()
-        hop.port.fire()  # the flush that was scheduled finds nothing
-        assert hop.plans_lost_in_crash == 1 and hop.plans_processed == 0 and not hop.port.sent
+
+PORTLAND_CDS = ["USA/OR/Portland", "Music/CDs"]
+
+
+def area_plan(namespace, cell=PORTLAND_CDS, target: str = "client:9020") -> str:
+    urn = str(InterestAreaURN.for_area(namespace.area(cell)))
+    plan = PlanBuilder.urn(urn).select("price < 10").display(target)
+    return MutantQueryPlan(plan, query_id="q1").serialize()
+
+
+def index_entry(namespace, cell=("USA/OR", "*"), authoritative=True, role=ServerRole.INDEX):
+    return ServerEntry("index-or:9020", role, namespace.area(list(cell)), authoritative)
+
+
+@pytest.fixture()
+def meta(hop, namespace):
+    """The same component on a server that holds no data and knows one index."""
+    hop.processor.collections.clear()
+    hop.processor.catalog.register_server(index_entry(namespace))
+    return hop
+
+
+def referrals(hop) -> list:
+    return [m for m in hop.port.sent if m.kind == "referral"]
+
+
+class TestReferral:
+    def test_a_client_whose_plan_goes_on_to_the_covering_authority_is_told_once(
+        self, meta, namespace
+    ):
+        meta.on_mqp(frame("mqp", area_plan(namespace), sender="client:9020"))
+        forwarded, [told] = [m for m in meta.port.sent if m.kind == "mqp"], referrals(meta)
+        assert [m.recipient for m in forwarded] == ["index-or:9020"]
+        assert told.recipient == "client:9020" and told.size_bytes == 256
+        assert told.payload == index_entry(namespace) and told.transfer is None
+
+    def test_a_plan_that_came_through_another_hop_refers_nobody(self, meta, namespace):
+        meta.on_mqp(frame("mqp", area_plan(namespace), sender="them:9020"))
+        assert meta.port.kinds() == ["mqp"]
+
+    @pytest.mark.parametrize("asked,entry", [
+        (PORTLAND_CDS, dict(authoritative=False)),
+        (["USA/OR", "Music/CDs"], dict(cell=("USA/OR/Portland", "*"))),  # covers only a part
+        (PORTLAND_CDS, dict(role=ServerRole.BASE)),
+    ], ids=["not-authoritative", "overlapping", "not-an-index"])
+    def test_only_an_authoritative_index_covering_the_area_is_referred_to(
+        self, hop, namespace, asked, entry
+    ):
+        hop.processor.collections.clear()
+        hop.processor.catalog.register_server(index_entry(namespace, **entry))
+        hop.on_mqp(frame("mqp", area_plan(namespace, asked), sender="client:9020"))
+        assert [(m.kind, m.recipient) for m in hop.port.sent] == [("mqp", "index-or:9020")]
+
+    def test_on_the_sharded_tier_the_shard_map_already_names_the_owner(self, meta, namespace):
+        meta.processor.shard_map = ShardMap.build([["index-or:9020"]], [namespace.area(["USA/OR", "*"])])
+        meta.on_mqp(frame("mqp", area_plan(namespace), sender="client:9020"))
+        assert meta.port.kinds() == ["mqp"]
+
+    def test_a_plan_answered_or_scattered_here_refers_nobody(self, hop):
+        hop.on_mqp(frame("mqp", plan_document(), sender="client:9020"))
+        assert hop.port.kinds() == ["result"]
 
 
 class TestCustody:

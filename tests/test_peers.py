@@ -7,7 +7,7 @@ from repro.catalog import IntensionalStatement, ServerRole
 from repro.errors import PeerOffline
 from repro.mqp import QueryPreferences
 from repro.namespace import InterestAreaURN
-from repro.network import Network
+from repro.network import Message, Network
 from repro.peers import (
     BaseServer,
     ClientPeer,
@@ -107,6 +107,37 @@ class TestRegistration:
         seller1.announce_statement(statement)
         register_offline([seller1, seller2, index_or, meta, client])
         assert statement in index_or.catalog.statements
+
+
+class TestReferralHandling:
+    """What a client takes from a ``referral`` frame (``PlanForwarding._refer`` sends it)."""
+
+    def _cached(self, client, area) -> list[str]:
+        return [entry.server for entry in client.processor.cache.lookup(area)]
+
+    def test_an_authoritative_index_is_learned_by_the_cache_that_routes(self, small_network):
+        _, namespace, _, _, index, _, client = small_network
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        assert client.processor.cache is client.cache and not self._cached(client, area)
+        client.receive(Message(index.address, client.address, "referral", index.server_entry()))
+        assert self._cached(client, area) == [index.address]
+        assert index.address in client.catalog.servers
+
+    @pytest.mark.parametrize("payload", [
+        None, "index-or:9020", {"address": "index-or:9020"},
+        "a base server's entry", "an index without authority",
+    ])
+    def test_anything_else_is_dropped_not_raised(self, small_network, payload):
+        _, namespace, seller1, _, _, _, client = small_network
+        if payload == "a base server's entry":
+            payload = seller1.server_entry()
+        elif payload == "an index without authority":
+            payload = IndexServer(
+                "index-x:9020", namespace, namespace.area(["USA/OR", "*"]), authoritative=False
+            ).server_entry()
+        before = (len(client.cache), set(client.catalog.servers))
+        client.receive(Message("meta:9020", client.address, "referral", payload))
+        assert (len(client.cache), set(client.catalog.servers)) == before
 
 
 class TestEndToEndQuery:

@@ -8,8 +8,12 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.algebra import PlanBuilder
+from repro.algebra.operators import VerbatimData
+from repro.algebra.serialization import plan_to_xml
+from repro.api import Cluster
 from repro.catalog import Catalog, CollectionRef, NamedResourceEntry
 from repro.engine import EvaluationMemo, QueryEngine
+from repro.engine import memo as memo_caps
 from repro.errors import SimulationError
 from repro.harness.cli import SCENARIOS, build_parser, main
 from repro.harness.scaleout import (
@@ -21,7 +25,8 @@ from repro.harness.scaleout import (
 from repro.mqp import MQPProcessor, MutantQueryPlan
 from repro.namespace import garage_sale_namespace
 from repro.network import TOPOLOGY_KINDS, build_topology
-from repro.xmlmodel import element, text_element
+from repro.peers import QueryPeer
+from repro.xmlmodel import element, serialize_xml, text_element
 
 
 def _addresses(count: int) -> list[str]:
@@ -113,13 +118,20 @@ def _documents(count: int) -> list[str]:
     ]
 
 
+def _process_all(processor, documents, uncached=False):
+    """One ``process`` per document; ``uncached`` forgets before each."""
+    results = []
+    for document in documents:
+        if uncached:
+            processor.evaluations.clear()
+        results.append(processor.process(MutantQueryPlan.deserialize(document)))
+    return results
+
+
 class TestBatchedProcessing:
     def test_batch_matches_sequential(self, data_processor):
         documents = _documents(6)
-        sequential = [
-            data_processor.process(MutantQueryPlan.deserialize(document))
-            for document in documents
-        ]
+        sequential = _process_all(data_processor, documents, uncached=True)
         batched = data_processor.process_batch(
             [MutantQueryPlan.deserialize(document) for document in documents]
         )
@@ -133,25 +145,26 @@ class TestBatchedProcessing:
             )
 
     def test_batch_amortizes_evaluation(self, data_processor):
-        data_processor.process_batch(
-            [MutantQueryPlan.deserialize(document) for document in _documents(8)]
-        )
-        # 8 identical plans, 1 evaluation, 7 memo hits.
-        assert data_processor.eval_memo_hits == 7
-        assert data_processor.batches_processed == 1
+        documents = _documents(8)
+        uncached = _process_all(data_processor, documents, uncached=True)
+        before = (data_processor.evaluations.hits, data_processor.evaluations.misses)
+        assert before == (0, 8)
+        data_processor.evaluations.clear()
+        cached = _process_all(data_processor, documents)
+        # 8 identical plans, 1 evaluation, 7 cache hits — and not a byte of difference.
+        assert (data_processor.evaluations.hits, data_processor.evaluations.misses) == (7, 9)
+        assert data_processor.subplans_evaluated == 16  # a replay still reduces the plan
+        assert [serialize_xml(plan_to_xml(result.mqp.plan)) for result in cached] == [
+            serialize_xml(plan_to_xml(result.mqp.plan)) for result in uncached
+        ]
 
     def test_reused_context_counts_hit_deltas(self, data_processor):
-        from repro.mqp import BatchContext
-
-        context = BatchContext()
-        data_processor.process_batch(
-            [MutantQueryPlan.deserialize(d) for d in _documents(8)], context=context
-        )
-        data_processor.process_batch(
-            [MutantQueryPlan.deserialize(d) for d in _documents(8)], context=context
-        )
-        # 7 hits in the first batch, all 8 in the second — not 7 + (7+8).
-        assert data_processor.eval_memo_hits == 15
+        for _ in range(2):
+            data_processor.process_batch(
+                [MutantQueryPlan.deserialize(d) for d in _documents(8)]
+            )
+        # 7 hits in the first round, all 8 in the second: one cache, kept between them.
+        assert data_processor.evaluations.hits == 15
 
     def test_category_path_rejects_bare_string(self):
         from repro.errors import NamespaceError
@@ -161,12 +174,10 @@ class TestBatchedProcessing:
             CategoryPath("usa")
 
     def test_batched_results_serialize_identically(self, data_processor):
-        documents = _documents(2)
-        solo = data_processor.process(MutantQueryPlan.deserialize(documents[0]))
-        [grouped] = data_processor.process_batch([MutantQueryPlan.deserialize(documents[1])])
-        solo_xml = solo.mqp.plan.result()
-        grouped_xml = grouped.mqp.plan.result()
-        assert len(solo_xml.children) == len(grouped_xml.children)
+        fresh, replayed = _process_all(data_processor, _documents(2))
+        assert data_processor.evaluations.hits == 1
+        assert serialize_xml(replayed.mqp.plan.result()) == serialize_xml(fresh.mqp.plan.result())
+        assert len(fresh.mqp.plan.result().children) == 15
 
 
 class TestEvaluationMemo:
@@ -174,13 +185,14 @@ class TestEvaluationMemo:
         items = [_make_item(f"cd{position}", 10.0) for position in range(5)]
         memo = EvaluationMemo()
         plan = PlanBuilder.data(items, name="cds").select("price < 20").build()
-        engine = QueryEngine()
         key = memo.key_for(plan)
         assert memo.lookup(key) is None
-        memo.store(key, engine.evaluate(plan))
+        result = VerbatimData.from_items(QueryEngine().evaluate(plan), tag="result")
+        handed_out = memo.store(key, result)
         replayed = memo.lookup(memo.key_for(plan.copy()))
-        assert replayed is not None
-        assert [item.get("id") for item in replayed] == [f"cd{p}" for p in range(5)]
+        assert replayed is not None and replayed is not result and handed_out is not result
+        assert [item.get("id") for item in replayed.items] == [f"cd{p}" for p in range(5)]
+        assert replayed.span is result.span  # serialized once, shared by every copy
         assert memo.hits == 1 and memo.misses == 1
         assert memo.hit_rate == 0.5
 
@@ -190,6 +202,84 @@ class TestEvaluationMemo:
         third = PlanBuilder.urn("urn:X").select("price < 10").build()
         assert EvaluationMemo.key_for(first) == EvaluationMemo.key_for(second)
         assert EvaluationMemo.key_for(first) != EvaluationMemo.key_for(third)
+
+    def test_the_cap_evicts_the_oldest_by_entries_and_by_bytes(self):
+        memo = EvaluationMemo()
+        for position in range(memo_caps.MAX_ENTRIES + 1):
+            memo.store(f"k{position}", VerbatimData.from_items([], tag="result"))
+        assert len(memo) == memo_caps.MAX_ENTRIES
+        assert memo.lookup("k0") is None and memo.lookup("k1") is not None
+        big = text_element("blob", "x" * (memo_caps.MAX_BYTES // 2))
+        memo.store("big-1", VerbatimData.from_items([big], tag="result"))
+        memo.store("big-2", VerbatimData.from_items([big], tag="result"))
+        memo.store("big-3", VerbatimData.from_items([big, big], tag="result"))  # alone over the bound
+        assert memo.bytes <= memo_caps.MAX_BYTES
+        assert memo.lookup("big-1") is None and memo.lookup("big-3") is None
+        assert memo.lookup("big-2") is not None
+        memo.clear()
+        assert len(memo) == 0 and memo.bytes == 0 and memo.hits == 2  # counters keep counting
+
+
+def _titles(result) -> list[str]:
+    return [item.get("id") for item in result.mqp.plan.result().children]
+
+
+class TestEvaluationCacheInvalidation:
+    """No stale hit: every local write drops what the server had reduced."""
+
+    @pytest.fixture()
+    def seller(self):
+        peer = QueryPeer("server:9020", garage_sale_namespace())
+        peer.publish_collection("items", [_make_item(f"cd{n}", 5.0 + n) for n in range(3)])
+        peer.catalog.register_named_resource(
+            NamedResourceEntry("urn:ForSale:Test", [CollectionRef("server:9020", "/items")])
+        )
+        return peer
+
+    def _ask(self, peer):
+        [document] = _documents(1)
+        return _titles(peer.processor.process(MutantQueryPlan.deserialize(document)))
+
+    def test_an_update_between_two_identical_plans_shows_in_the_second(self, seller):
+        assert self._ask(seller) == ["cd0", "cd1", "cd2"]
+        seller.update_collection("items", [_make_item("cd9", 1.0)])
+        assert self._ask(seller) == ["cd0", "cd1", "cd2", "cd9"]
+        assert seller.processor.evaluations.hits == 0
+
+    def test_a_retraction_between_two_identical_plans_shows_in_the_second(self, seller):
+        assert self._ask(seller) == ["cd0", "cd1", "cd2"]
+        seller.retract_from_collection("items", keys=["cd1"])
+        assert self._ask(seller) == ["cd0", "cd2"]
+
+    def test_a_republication_between_two_identical_plans_shows_in_the_second(self, seller):
+        assert self._ask(seller) == ["cd0", "cd1", "cd2"]
+        seller.publish_collection("items", [_make_item("cd7", 2.0)])
+        assert self._ask(seller) == ["cd7"]
+        seller.processor.add_collection("/items", [_make_item("cd8", 2.0)])
+        assert self._ask(seller) == ["cd8"]
+
+    def test_without_a_write_the_second_is_a_replay(self, seller):
+        assert self._ask(seller) == self._ask(seller) == ["cd0", "cd1", "cd2"]
+        assert seller.processor.evaluations.hits == 1
+
+    def test_a_free_rider_neither_fills_nor_reads(self, seller):
+        seller.processor.free_ride = True
+        [document] = _documents(1)
+        seller.processor.process(MutantQueryPlan.deserialize(document))
+        assert len(seller.processor.evaluations) == 0  # nothing evaluated, nothing kept
+        seller.processor.free_ride = False
+        self._ask(seller)
+        seller.processor.free_ride = True
+        ridden = seller.processor.process(MutantQueryPlan.deserialize(document))
+        assert not ridden.mqp.is_fully_evaluated() and ridden.evaluated_subplans == 0
+        evaluations = seller.processor.evaluations
+        assert (evaluations.hits, evaluations.misses, len(evaluations)) == (0, 1, 1)
+
+    def test_a_crash_clears_the_cache(self, seller):
+        self._ask(seller)
+        assert len(seller.processor.evaluations) == 1
+        seller.go_offline()
+        assert len(seller.processor.evaluations) == 0
 
 
 class TestScaleoutScenarios:
@@ -208,8 +298,7 @@ class TestScaleoutScenarios:
         (or a returning one) is a reviewed decision, not a drive-by."""
         assert [each.name for each in fields(ScaleoutSpec)] == [
             "name", "topology", "peers", "workload", "churn", "routing", "queries",
-            "seed", "batch", "batch_window_ms", "churn_window_ms", "query_interval_ms",
-            "prefer", "max_hops",
+            "seed", "churn_window_ms", "query_interval_ms", "prefer", "max_hops",
             "query_mix", "free_rider_fraction", "catalog_mode",
             "reliable", "fault_loss", "fault_duplicate", "fault_delay", "fault_reorder",
             "fault_partition",
@@ -319,6 +408,18 @@ class TestCLI:
             build_parser().parse_args(["--workers", "2"])
         assert usage.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--batch", "--no-batch"])
+    def test_there_is_one_way_through_a_hop(self, flag, capsys):
+        """A plan is processed when it arrives: no window to set, here or on a cluster."""
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args([flag])
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        with Cluster(namespace=garage_sale_namespace()) as cluster:
+            with pytest.raises(TypeError):
+                cluster.configure_peers(batch_window_ms=5)
+            assert not hasattr(cluster.client("c:1").peer, "enable_batching")
 
     def test_named_scenario_and_list(self, tmp_path, capsys):
         assert main(["--list"]) == 0
