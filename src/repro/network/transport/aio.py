@@ -1,21 +1,32 @@
 """Real-socket transport: every payload crosses a localhost TCP connection.
 
-Each registered peer is served by its own asyncio server task; senders pool
-one connection per directed link and push length-prefixed frames
+Each registered peer listens on its own socket; senders pool one connection
+per directed link and push length-prefixed frames
 (:mod:`~repro.network.transport.wire`) through it.  What stays deterministic
 is the *logical* schedule: delivery callbacks run in the shared clock's
 (time, sequence) order, exactly as on the simulator backend — but a
-delivery callback only fires once the recipient's reader task has actually
-pulled the frame off its socket and decoded it.  The delivered message is
+delivery callback only fires once the frame has actually come off the
+recipient's socket and been decoded.  The delivered message is
 the decoded copy, so serialization cost, framing, connection management and
 socket backpressure are all real, while scenario reports stay byte-identical
 with the ``sim`` backend (the property ``tests/test_transport.py`` gates).
 
+A frame's work is done where the frame is.  Receiving: each inbound
+connection is an :class:`asyncio.Protocol` that splits what ``data_received``
+hands it on the length prefix and decodes every whole frame on the spot — no
+task, no await per frame.  Sending: a frame for a connected, idle link is
+written from :meth:`AsyncioTransport.send` itself; only a link that must
+connect, is mid-write or is being recycled queues behind its writer task.
+Waiting: the drive loop awaits a frame's future bare, under one watchdog
+timer for the whole run.  A frame the receiver refuses fails the run at once,
+with the decoder's words — never as a socket that went quiet.
+
 Backpressure: each peer owns a bounded inbox.  When it fills, the peer's
-reader tasks stop reading, the kernel socket buffers fill, and senders'
+connections stop reading (``pause_reading``; what they had already read stays
+unparsed in their buffers), the kernel socket buffers fill, and senders'
 ``drain()`` calls block — a real end-to-end backpressure chain.  The bound
 is soft in exactly one direction: when the drive loop is *waiting* for a
-specific frame, readers may run past the limit until it arrives (otherwise
+specific frame, connections read past the limit until it arrives (otherwise
 a large early frame parked in a full inbox could starve a smaller,
 logically-earlier one — a deadlock, not a model).
 
@@ -30,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Callable
@@ -71,14 +81,14 @@ class _GatedDelivery:
 class _Inbox:
     """Bounded arrival buffer for one peer, keyed by message id."""
 
-    __slots__ = ("limit", "stored", "waiters", "_room", "high_water")
+    __slots__ = ("limit", "stored", "waiters", "connections", "paused", "high_water")
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.stored: dict[int, "Message"] = {}
         self.waiters: dict[int, asyncio.Future] = {}
-        self._room = asyncio.Event()
-        self._room.set()
+        self.connections: set["_Receiver"] = set()
+        self.paused = False
         self.high_water = 0
 
     def put(self, message: "Message") -> None:
@@ -91,25 +101,95 @@ class _Inbox:
         if len(self.stored) > self.high_water:
             self.high_water = len(self.stored)
         if len(self.stored) >= self.limit and not self.waiters:
-            self._room.clear()
-
-    async def wait_for_room(self) -> None:
-        """Reader-side backpressure: block while the inbox is full."""
-        await self._room.wait()
+            # Receiver-side backpressure: nobody reads while the inbox is full.
+            self.paused = True
+            for connection in self.connections:
+                connection.transport.pause_reading()
 
     def take(self, message_id: int) -> "Message | None":
         """Consume a stored frame; reopens the inbox when it drains."""
         message = self.stored.pop(message_id, None)
-        if len(self.stored) < self.limit:
-            self._room.set()
+        if self.paused and len(self.stored) < self.limit:
+            self.resume()
         return message
 
     def demand(self, message_id: int, loop: asyncio.AbstractEventLoop) -> asyncio.Future:
         """The drive loop needs this frame now: bypass the bound until it lands."""
         future = loop.create_future()
         self.waiters[message_id] = future
-        self._room.set()
+        if self.paused:
+            self.resume()
         return future
+
+    def resume(self) -> None:
+        """Room again: first what each connection had already read, in order —
+        and only if that does not refill the inbox, its socket."""
+        self.paused = False
+        for connection in list(self.connections):
+            connection.parse()
+            if self.paused:
+                return
+        for connection in self.connections:
+            connection.transport.resume_reading()
+
+
+class _Receiver(asyncio.Protocol):
+    """One inbound connection of one peer: bytes in, decoded frames out."""
+
+    __slots__ = ("owner", "address", "inbox", "transport", "buffer", "parsed", "need")
+
+    def __init__(self, owner: "AsyncioTransport", address: str) -> None:
+        self.owner = owner
+        self.address = address
+        self.inbox = owner._inboxes[address]
+        self.buffer = bytearray()
+        self.parsed = 0  # offset of the first byte not yet decoded
+        self.need = HEADER.size  # bytes from there before the head frame is whole
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.inbox.connections.add(self)
+        if self.inbox.paused:
+            transport.pause_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.inbox.connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if len(self.buffer) - self.parsed >= self.need:  # else: a large frame, still arriving
+            self.parse()
+
+    def parse(self) -> None:
+        """Decode, in order, every whole frame read so far — until the inbox
+        fills; the rest stays in the buffer for :meth:`_Inbox.resume`."""
+        inbox, buffer, position = self.inbox, self.buffer, self.parsed
+        end = len(buffer)
+        self.need = HEADER.size
+        try:
+            while end - position >= HEADER.size and not inbox.paused:
+                (length,) = HEADER.unpack_from(buffer, position)
+                if length > MAX_FRAME_BYTES:
+                    raise TransportError(
+                        f"oversized frame ({length} bytes) on {self.address!r}'s socket"
+                    )
+                start = position + HEADER.size
+                if start + length > end:
+                    self.need = HEADER.size + length
+                    break
+                inbox.put(decode_frame(bytes(buffer[start : start + length])))
+                self.owner._counters["frames_received"] += 1
+                position = start + length
+        except TransportError as error:
+            # Nothing after a refused frame can be trusted to be a frame.
+            position = end
+            self.transport.close()
+            self.owner._wire_failed(error)
+        if position * 2 >= end:  # amortized: a byte is moved at most once per byte parsed
+            del buffer[:position]
+            position = 0
+        self.parsed = position
 
 
 class _Link:
@@ -170,7 +250,10 @@ class AsyncioTransport(Transport):
         # drive thread, so the encoder's scratch bytearray is never shared.
         self._encoder = FrameEncoder()
         self._closed = False
-        self._last_wire_error: TransportError | None = None
+        self._wire_error: TransportError | None = None
+        # The one frame the drive loop is waiting for: (future, message, since).
+        self._awaited: tuple[asyncio.Future, "Message", float] | None = None
+        self._watchdog: asyncio.TimerHandle  # armed while the drive loop runs
         self._counters = {
             "frames_sent": 0,
             "frames_received": 0,
@@ -197,8 +280,19 @@ class AsyncioTransport(Transport):
         if message.kind in ("result-chunk", "result-end", "delta-chunk"):
             self._counters["chunk_frames"] += 1
         link = self._link_for(message.sender, message.recipient)
-        link.queue.append(self._encoder.encode(message))
-        self._kick(link)
+        frame = self._encoder.encode(message)
+        writer = link.writer
+        if (
+            writer is None or link.queue or link.writing or link.close_when_idle
+            or writer.is_closing() or writer.transport.get_write_buffer_size()
+        ):
+            link.queue.append(frame)
+            self._kick(link)
+        else:
+            # Connected and idle, everything earlier already with the kernel:
+            # the writer task would do exactly this, one wake-up later.
+            writer.write(frame)
+            self._sent(frame)
 
     def run(
         self,
@@ -282,30 +376,36 @@ class AsyncioTransport(Transport):
         if stop is not None and stop():
             return
         executed = 0
-        while True:
-            event = simulator.peek()
-            if event is None:
-                break
-            if until is not None and event.time > until:
-                simulator.advance_to(until)
-                return
-            callback = event.callback
-            if isinstance(callback, _GatedDelivery) and callback.decoded is None:
-                # Nothing that runs while awaiting (reader/writer tasks)
-                # schedules logical events, so the peeked event is still
-                # the head of the queue when we step it below.
-                callback.decoded = await self._await_arrival(callback.message)
-            if not simulator.step():
-                break
-            executed += 1
-            if stop is not None and stop():
-                return
-            if executed >= max_events:
-                raise SimulationError(f"simulation exceeded {max_events} events")
+        loop = asyncio.get_running_loop()
+        self._watchdog = loop.call_later(self.arrival_timeout_s, self._watch, loop)
+        try:
+            while True:
+                event = simulator.peek()
+                if event is None:
+                    break
+                if until is not None and event.time > until:
+                    break
+                callback = event.callback
+                if isinstance(callback, _GatedDelivery) and callback.decoded is None:
+                    # Nothing that runs while awaiting (connections, writer
+                    # tasks) schedules logical events, so the peeked event is
+                    # still the head of the queue when we step it below.
+                    callback.decoded = await self._await_arrival(callback.message, loop)
+                if not simulator.step():
+                    break
+                executed += 1
+                if stop is not None and stop():
+                    return
+                if executed >= max_events:
+                    raise SimulationError(f"simulation exceeded {max_events} events")
+        finally:
+            self._watchdog.cancel()
         if until is not None:
             simulator.advance_to(until)
 
-    async def _await_arrival(self, message: "Message") -> "Message":
+    async def _await_arrival(
+        self, message: "Message", loop: asyncio.AbstractEventLoop
+    ) -> "Message":
         inbox = self._inboxes.get(message.recipient)
         if inbox is None:
             raise TransportError(
@@ -315,32 +415,54 @@ class AsyncioTransport(Transport):
         stored = inbox.take(message.message_id)
         if stored is not None:
             return stored
-        future = inbox.demand(message.message_id, asyncio.get_running_loop())
+        if self._wire_error is not None:
+            raise self._wire_error  # the frame may be the one that was lost
+        future = inbox.demand(message.message_id, loop)
+        self._awaited = (future, message, loop.time())
         try:
-            return await asyncio.wait_for(future, self.arrival_timeout_s)
-        except asyncio.TimeoutError:
-            detail = f" (writer reported: {self._last_wire_error})" if self._last_wire_error else ""
-            raise TransportError(
-                f"frame for message #{message.message_id} "
-                f"({message.sender} -> {message.recipient}, {message.kind!r}) "
-                f"did not arrive within {self.arrival_timeout_s:.0f}s wall clock "
-                f"— a hung or severed socket{detail}"
-            ) from None
+            return await future
         finally:
+            self._awaited = None
             inbox.waiters.pop(message.message_id, None)
 
+    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """The drive loop's one arrival watchdog: fail the wait that has lasted
+        ``arrival_timeout_s``, then sleep until the current one would have."""
+        due = loop.time() + self.arrival_timeout_s
+        if self._awaited is not None:
+            future, message, since = self._awaited
+            if since + self.arrival_timeout_s > loop.time():
+                due = since + self.arrival_timeout_s
+            elif not future.done():
+                future.set_exception(TransportError(
+                    f"frame for message #{message.message_id} "
+                    f"({message.sender} -> {message.recipient}, {message.kind!r}) "
+                    f"did not arrive within {self.arrival_timeout_s:.0f}s wall clock "
+                    f"— a hung or severed socket"
+                ))
+        self._watchdog = loop.call_at(due, self._watch, loop)
+
+    def _wire_failed(self, error: TransportError) -> None:
+        """A frame was refused by its receiver or lost by its writer: its
+        delivery can never happen, so the wait in progress (or the next)
+        fails now, with the reason, instead of timing out without one."""
+        self._wire_error = error
+        if self._awaited is not None and not self._awaited[0].done():
+            self._awaited[0].set_exception(error)
+
     # ------------------------------------------------------------------ #
-    # Servers and readers (one listening task per peer)
+    # Servers (one listening socket per peer, one _Receiver per connection)
     # ------------------------------------------------------------------ #
 
     async def _ensure_started(self) -> None:
         assert self._network is not None, "transport is not bound to a network"
+        loop = asyncio.get_running_loop()
         for address in self._network.addresses():
             if address in self._servers:
                 continue
             self._inboxes.setdefault(address, _Inbox(self.inbox_limit))
-            server = await asyncio.start_server(
-                functools.partial(self._serve_peer, address), self.host, 0
+            server = await loop.create_server(
+                lambda address=address: _Receiver(self, address), self.host, 0
             )
             self._servers[address] = server
             self._ports[address] = server.sockets[0].getsockname()[1]
@@ -350,30 +472,6 @@ class AsyncioTransport(Transport):
         for link in self._links.values():
             if link.queue:
                 self._kick(link)
-
-    async def _serve_peer(
-        self, address: str, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        inbox = self._inboxes[address]
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(HEADER.size)
-                except asyncio.IncompleteReadError:
-                    break  # clean EOF: the sender closed its end
-                (length,) = HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    raise TransportError(
-                        f"oversized frame ({length} bytes) on {address!r}'s socket"
-                    )
-                body = await reader.readexactly(length)
-                inbox.put(decode_frame(body))
-                self._counters["frames_received"] += 1
-                await inbox.wait_for_room()
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
 
     # ------------------------------------------------------------------ #
     # Links and writers (pooled, ordered, lazily connected)
@@ -416,13 +514,16 @@ class AsyncioTransport(Transport):
                     continue
                 frame = link.queue.popleft()
                 await self._write_frame(link, frame)
-                self._counters["frames_sent"] += 1
-                self._counters["bytes_on_wire"] += len(frame)
+                self._sent(frame)
         except asyncio.CancelledError:
             raise
         finally:
             self._close_link_writer(link)
             link.task = None
+
+    def _sent(self, frame: bytes) -> None:
+        self._counters["frames_sent"] += 1
+        self._counters["bytes_on_wire"] += len(frame)
 
     async def _write_frame(self, link: _Link, frame: bytes) -> None:
         """Push one frame, reconnecting once if the connection was reset.
@@ -449,7 +550,7 @@ class AsyncioTransport(Transport):
                         f"link {link.sender} -> {link.recipient} failed "
                         f"twice while writing one frame ({error})"
                     )
-                    self._last_wire_error = failure
+                    self._wire_failed(failure)
                     raise failure from None
             finally:
                 link.writing = False
@@ -504,6 +605,9 @@ class AsyncioTransport(Transport):
             self._close_link_writer(link)
         for server in self._servers.values():
             server.close()
+        for inbox in self._inboxes.values():
+            for connection in list(inbox.connections):
+                connection.transport.close()
         for server in self._servers.values():
             await server.wait_closed()
         current = asyncio.current_task()

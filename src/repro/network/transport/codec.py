@@ -15,6 +15,11 @@ built lazily on first use — the domain modules import the network layer, so
 importing them here at module load would be a cycle; by the time a frame is
 encoded the application is fully imported and the lookup is a dict hit.
 
+A value costs one call each way: the encoder packs a value's head (tag and
+length, or tag and scalar) in one ``pack`` and joins the pieces once, the
+decoder bounds-checks a head and unpacks it in place — no cursor object per
+field, no slice but the one that becomes the value.
+
 The decoder is strict: an unknown tag, an unknown extension id, a
 truncated buffer, or trailing bytes raise
 :class:`~repro.network.transport.base.TransportError` — never a crash and
@@ -36,7 +41,6 @@ __all__ = [
     "encode_value",
     "decode_value",
     "read_value",
-    "write_value",
 ]
 
 # Value tags.  One byte each; unknown tags are a decode error.
@@ -56,20 +60,20 @@ _BIGINT = 0x0B
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-_U8 = struct.Struct("!B")
 _U32 = struct.Struct("!I")
-_I64 = struct.Struct("!q")
-_F64 = struct.Struct("!d")
+# A value's head is packed and unpacked in one call: tag + length for the
+# length-delimited tags, tag + body for the fixed-width ones.
+_TAG_LEN = struct.Struct("!BI")
+_TAG_I64 = struct.Struct("!Bq")
+_TAG_F64 = struct.Struct("!Bd")
 
 
 class CodecWriter:
     """A growable byte sink with an explicit write position.
 
     The backing ``bytearray`` only ever grows, so steady-state encoding
-    reuses the same allocation frame after frame; fixed-width fields are
-    packed in place with ``struct.pack_into`` instead of materializing
-    per-frame ``bytes`` garbage.  Writers are cheap but not thread-safe —
-    each encoding thread owns its own.
+    reuses the same allocation frame after frame.  Writers are cheap but
+    not thread-safe — each encoding thread owns its own.
     """
 
     __slots__ = ("buf", "pos")
@@ -90,18 +94,6 @@ class CodecWriter:
         self.pos = needed
         return offset
 
-    def u8(self, value: int) -> None:
-        _U8.pack_into(self.buf, self.reserve(1), value)
-
-    def u32(self, value: int) -> None:
-        _U32.pack_into(self.buf, self.reserve(4), value)
-
-    def i64(self, value: int) -> None:
-        _I64.pack_into(self.buf, self.reserve(8), value)
-
-    def f64(self, value: float) -> None:
-        _F64.pack_into(self.buf, self.reserve(8), value)
-
     def raw(self, data: bytes) -> None:
         offset = self.reserve(len(data))
         self.buf[offset : offset + len(data)] = data
@@ -113,42 +105,6 @@ class CodecWriter:
     def getvalue(self) -> bytes:
         """One copy out; the backing buffer stays allocated for reuse."""
         return bytes(memoryview(self.buf)[: self.pos])
-
-
-class _Reader:
-    """Bounds-checked cursor over one frame body."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: "bytes | memoryview") -> None:
-        self.data = memoryview(data)
-        self.pos = 0
-
-    def take(self, count: int) -> memoryview:
-        end = self.pos + count
-        if end > len(self.data):
-            raise TransportError(
-                f"truncated frame: wanted {count} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self.take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
 
 
 class _Ext(NamedTuple):
@@ -293,8 +249,9 @@ def _build_registry() -> None:
     _REGISTRY_BUILT = True
 
 
-def write_value(writer: CodecWriter, obj: Any) -> None:
-    """Append one tagged value to ``writer``.
+def _emit_value(obj: Any, emit: Callable[[bytes], None]) -> None:
+    """Hand ``emit`` the pieces of ``obj``'s encoding, each head packed in one
+    call; the caller joins them, once.
 
     Dispatch is on *exact* type: subclasses do not silently decay to their
     base representation (a ``Counter`` is an extension, not a dict), and an
@@ -302,47 +259,35 @@ def write_value(writer: CodecWriter, obj: Any) -> None:
     sender finds out, not the peer's decoder.
     """
     kind = type(obj)
-    if obj is None:
-        writer.u8(_NONE)
-    elif kind is bool:
-        writer.u8(_TRUE if obj else _FALSE)
+    if kind is str:
+        raw = obj.encode("utf-8")
+        emit(_TAG_LEN.pack(_STR, len(raw)))
+        emit(raw)
     elif kind is int:
         if _INT64_MIN <= obj <= _INT64_MAX:
-            writer.u8(_INT64)
-            writer.i64(obj)
+            emit(_TAG_I64.pack(_INT64, obj))
         else:
             raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
-            writer.u8(_BIGINT)
-            writer.u32(len(raw))
-            writer.raw(raw)
+            emit(_TAG_LEN.pack(_BIGINT, len(raw)))
+            emit(raw)
+    elif obj is None:
+        emit(b"\x00")
+    elif kind is bool:
+        emit(b"\x01" if obj else b"\x02")
     elif kind is float:
-        writer.u8(_FLOAT64)
-        writer.f64(obj)
-    elif kind is str:
-        raw = obj.encode("utf-8")
-        writer.u8(_STR)
-        writer.u32(len(raw))
-        writer.raw(raw)
+        emit(_TAG_F64.pack(_FLOAT64, obj))
     elif kind is bytes:
-        writer.u8(_BYTES)
-        writer.u32(len(obj))
-        writer.raw(obj)
-    elif kind is list:
-        writer.u8(_LIST)
-        writer.u32(len(obj))
+        emit(_TAG_LEN.pack(_BYTES, len(obj)))
+        emit(obj)
+    elif kind is list or kind is tuple:
+        emit(_TAG_LEN.pack(_LIST if kind is list else _TUPLE, len(obj)))
         for item in obj:
-            write_value(writer, item)
-    elif kind is tuple:
-        writer.u8(_TUPLE)
-        writer.u32(len(obj))
-        for item in obj:
-            write_value(writer, item)
+            _emit_value(item, emit)
     elif kind is dict:
-        writer.u8(_DICT)
-        writer.u32(len(obj))
+        emit(_TAG_LEN.pack(_DICT, len(obj)))
         for key, value in obj.items():
-            write_value(writer, key)
-            write_value(writer, value)
+            _emit_value(key, emit)
+            _emit_value(value, emit)
     else:
         if not _REGISTRY_BUILT:
             _build_registry()
@@ -351,100 +296,104 @@ def write_value(writer: CodecWriter, obj: Any) -> None:
             raise TransportError(
                 f"no wire encoding for payload type {kind.__module__}.{kind.__qualname__}"
             )
-        writer.u8(_EXT)
-        writer.u8(ext.ext_id)
-        write_value(writer, ext.pack(obj))
+        emit(bytes((_EXT, ext.ext_id)))
+        _emit_value(ext.pack(obj), emit)
 
 
-def read_value(reader: _Reader) -> Any:
-    """Decode one tagged value; strict about tags, ids and bounds."""
-    tag = reader.u8()
-    if tag == _NONE:
-        return None
-    if tag == _TRUE:
-        return True
-    if tag == _FALSE:
-        return False
-    if tag == _INT64:
-        return reader.i64()
-    if tag == _FLOAT64:
-        return reader.f64()
-    if tag == _STR:
-        raw = reader.take(reader.u32())
-        try:
-            return str(raw, "utf-8")
-        except UnicodeDecodeError as error:
-            raise TransportError(f"malformed UTF-8 in string value: {error}") from None
-    if tag == _BYTES:
-        return bytes(reader.take(reader.u32()))
-    if tag == _LIST:
-        return [read_value(reader) for _ in range(_sane_count(reader))]
-    if tag == _TUPLE:
-        return tuple(read_value(reader) for _ in range(_sane_count(reader)))
-    if tag == _DICT:
-        count = _sane_count(reader)
-        result = {}
+def _truncated(wanted: int, pos: int, end: int) -> TransportError:
+    return TransportError(
+        f"truncated frame: wanted {wanted} bytes at offset {pos}, have {end - pos}"
+    )
+
+
+def read_value(data: bytes, pos: int, end: int) -> tuple[Any, int]:
+    """Decode the tagged value that starts at ``pos``; return it and where the
+    next one starts.  Strict about tags, ids and bounds: a head is checked
+    whole, then unpacked in place — no slice, no cursor object."""
+    if pos >= end:
+        raise _truncated(1, pos, end)
+    tag = data[pos]
+    if tag == _STR or tag == _BYTES or tag == _BIGINT:
+        start = pos + 5
+        if start > end:
+            raise _truncated(5, pos, end)
+        stop = start + _U32.unpack_from(data, pos + 1)[0]
+        if stop > end:
+            raise _truncated(stop - start, start, end)
+        if tag == _STR:
+            try:
+                return data[start:stop].decode("utf-8"), stop
+            except UnicodeDecodeError as error:
+                raise TransportError(f"malformed UTF-8 in string value: {error}") from None
+        if tag == _BYTES:
+            return data[start:stop], stop
+        return int.from_bytes(data[start:stop], "big", signed=True), stop
+    if tag == _INT64 or tag == _FLOAT64:
+        if pos + 9 > end:
+            raise _truncated(9, pos, end)
+        return (_TAG_I64 if tag == _INT64 else _TAG_F64).unpack_from(data, pos)[1], pos + 9
+    if tag <= _FALSE:
+        return (None if tag == _NONE else tag == _TRUE), pos + 1
+    if _LIST <= tag <= _DICT:
+        # A container length claim cannot exceed the bytes left in the frame:
+        # every element costs at least one tag byte, so a larger claim is
+        # corruption — rejecting it here keeps a hostile length prefix from
+        # pre-allocating gigabytes.
+        if pos + 5 > end:
+            raise _truncated(5, pos, end)
+        count = _U32.unpack_from(data, pos + 1)[0]
+        pos += 5
+        if count > end - pos:
+            raise TransportError(
+                f"corrupt container length {count} with {end - pos} bytes left"
+            )
+        if tag == _DICT:
+            result = {}
+            for _ in range(count):
+                key, pos = read_value(data, pos, end)
+                result[key], pos = read_value(data, pos, end)
+            return result, pos
+        items = []
         for _ in range(count):
-            key = read_value(reader)
-            result[key] = read_value(reader)
-        return result
+            item, pos = read_value(data, pos, end)
+            items.append(item)
+        return (items if tag == _LIST else tuple(items)), pos
     if tag == _EXT:
-        ext_id = reader.u8()
+        if pos + 2 > end:
+            raise _truncated(2, pos, end)
+        ext_id = data[pos + 1]
         if not _REGISTRY_BUILT:
             _build_registry()
         ext = _EXT_BY_ID.get(ext_id)
         if ext is None:
             raise TransportError(f"unknown wire extension id {ext_id}")
-        body = read_value(reader)
+        body, pos = read_value(data, pos + 2, end)
         try:
-            return ext.unpack(body)
+            return ext.unpack(body), pos
         except TransportError:
             raise
         except Exception as error:
             raise TransportError(
                 f"malformed extension value (id {ext_id}): {error}"
             ) from None
-    if tag == _BIGINT:
-        return int.from_bytes(reader.take(reader.u32()), "big", signed=True)
     raise TransportError(f"unknown wire value tag 0x{tag:02x}")
-
-
-def _sane_count(reader: _Reader) -> int:
-    """A container length claim cannot exceed the bytes left in the frame.
-
-    Every element costs at least one tag byte, so a larger claim is
-    corruption — rejecting it here keeps a hostile length prefix from
-    pre-allocating gigabytes.
-    """
-    count = reader.u32()
-    if count > reader.remaining():
-        raise TransportError(
-            f"corrupt container length {count} with {reader.remaining()} bytes left"
-        )
-    return count
 
 
 def encode_value(obj: Any) -> bytes:
     """Encode one value standalone (tests and benchmarks)."""
-    writer = CodecWriter()
-    write_value(writer, obj)
-    return writer.getvalue()
+    pieces: list[bytes] = []
+    _emit_value(obj, pieces.append)
+    return b"".join(pieces)
 
 
 def decode_value(data: bytes) -> Any:
-    """Decode one standalone value, rejecting trailing bytes."""
-    reader = _Reader(data)
-    value = _guarded_read(reader)
-    if reader.remaining():
-        raise TransportError(f"{reader.remaining()} trailing bytes after value")
-    return value
-
-
-def _guarded_read(reader: _Reader) -> Any:
-    """Read one value, converting low-level decode faults to TransportError."""
+    """Decode one standalone value, rejecting trailing bytes and converting
+    low-level decode faults to :class:`TransportError`."""
+    data = bytes(data)
     try:
-        return read_value(reader)
-    except TransportError:
-        raise
+        value, pos = read_value(data, 0, len(data))
     except (struct.error, ValueError, OverflowError, RecursionError) as error:
         raise TransportError(f"malformed frame: {error}") from None
+    if pos != len(data):
+        raise TransportError(f"{len(data) - pos} trailing bytes after value")
+    return value

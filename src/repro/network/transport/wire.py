@@ -28,8 +28,9 @@ by guessing.  There is no pickle anywhere on this path — see :mod:`.codec`
 for why that is a security property, not just a performance one.
 
 Encoding reuses one persistent buffer per :class:`FrameEncoder` (the
-module-level :func:`encode_frame` owns one for the transport thread):
-steady-state framing does zero per-frame header allocations.
+module-level :func:`encode_frame` owns one for the transport thread): the
+payload is rendered first, so the whole envelope — length prefix included —
+is one ``pack_into`` with a layout compiled once per set of text lengths.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import struct
 from ...errors import SimulationError
 from ..message import Message
 from .base import TransportError
-from .codec import CodecWriter, _guarded_read, _Reader, write_value
+from .codec import CodecWriter, encode_value, read_value
 
 __all__ = [
     "HEADER",
@@ -63,22 +64,17 @@ _TEXT = 0
 _VALUE = 1
 _DOCUMENT = 2
 
-_U16 = struct.Struct("!H")
 _NO_TRANSFER = 0xFFFF
 
-# The fixed-width envelope tail, packed in one struct call — the frame path
+# The fixed-width envelope tail, unpacked in one struct call — the frame path
 # is hot enough that per-field pack/unpack calls were the dominant cost, not
 # the byte shuffling itself.
 _FIXED = struct.Struct("!qqdII")
-_ENVELOPE = "!IBH%dsH%dsH%dsqqdII"
-"""Length placeholder, version, the three length-prefixed texts, then the
-fixed tail — one ``pack_into`` per frame (``%d`` slots are the text lengths;
-the struct module caches compiled formats, and address/kind lengths are
-near-constant within a scenario)."""
-
-# The fully specialized whole-frame format for the dominant frame shape — a
-# raw UTF-8 text payload with no transfer id.
-_TEXT_FRAME = _ENVELOPE + "HB"
+_ENVELOPE = "!IBH%dsH%dsH%dsqqdIIH%dsB"
+"""Length prefix, version, the three length-prefixed texts, the fixed tail,
+the transfer id and the payload tag — one ``pack_into`` per frame (``%d``
+slots are the text lengths: near-constant within a scenario, so an encoder
+keeps the compiled layouts)."""
 
 
 def _is_document_envelope(payload: object) -> bool:
@@ -92,10 +88,13 @@ class FrameEncoder:
     and owns one.
     """
 
-    __slots__ = ("_writer",)
+    LAYOUT_MEMORY = 1024  # compiled envelope layouts kept; dropped whole when full
+
+    __slots__ = ("_writer", "_layouts")
 
     def __init__(self) -> None:
         self._writer = CodecWriter()
+        self._layouts: dict[tuple[int, int, int, int], struct.Struct] = {}
 
     def encode(self, message: Message) -> bytes:
         """Render ``message`` as one framed blob."""
@@ -115,128 +114,49 @@ class FrameEncoder:
         return memoryview(self._writer.buf)[:end]
 
     def _encode(self, message: Message) -> int:
-        writer = self._writer
-        writer.reset()
         sender = message.sender.encode("utf-8")
         recipient = message.recipient.encode("utf-8")
         kind = message.kind.encode("utf-8")
-        sender_length = len(sender)
-        recipient_length = len(recipient)
-        kind_length = len(kind)
-        if (
-            sender_length >= _NO_TRANSFER
-            or recipient_length >= _NO_TRANSFER
-            or kind_length >= _NO_TRANSFER
-        ):
-            longest = max(sender_length, recipient_length, kind_length)
-            raise SimulationError(f"envelope field too long for the wire ({longest} bytes)")
-        # Everything up to the payload tag is packed in one struct call — the
-        # frame path is hot enough that per-field pack calls were the dominant
-        # cost.  The ``%d`` slots are text lengths, so the compiled formats
-        # stay in the struct module's cache (address/kind lengths are
-        # near-constant within a scenario; the payload, whose length is not,
-        # is copied separately below).
-        transfer = message.transfer
+        transfer = b"" if message.transfer is None else message.transfer.encode("utf-8")
+        lengths = (len(sender), len(recipient), len(kind), len(transfer))
+        if max(lengths) >= _NO_TRANSFER:
+            raise SimulationError(f"envelope field too long for the wire ({max(lengths)} bytes)")
+        # The payload first: its length is the one part of the prefix that is
+        # not known up front, and knowing it means no backfill.
         payload = message.payload
-        if type(payload) is str and transfer is None:
-            # The overwhelmingly common frame — a document as raw UTF-8, no
-            # transfer id — gets a fully specialized single pack with the
-            # length prefix computed up front, no backfill.
-            raw = payload.encode("utf-8")
-            payload_length = len(raw)
-            envelope_format = _TEXT_FRAME % (sender_length, recipient_length, kind_length)
-            envelope_size = 46 + sender_length + recipient_length + kind_length
-            body_length = envelope_size - 4 + payload_length
-            if body_length > MAX_FRAME_BYTES:
-                raise SimulationError(
-                    f"frame for message #{message.message_id} exceeds "
-                    f"{MAX_FRAME_BYTES} bytes"
-                )
-            writer.reserve(envelope_size + payload_length)
-            buf = writer.buf
-            struct.pack_into(
-                envelope_format, buf, 0,
-                body_length, WIRE_VERSION,
-                sender_length, sender, recipient_length, recipient,
-                kind_length, kind,
-                message.message_id, message.size_bytes, message.sent_at,
-                message.hop, message.attempt,
-                _NO_TRANSFER, _TEXT,
-            )
-            buf[envelope_size : envelope_size + payload_length] = raw
-            return envelope_size + payload_length
-        if transfer is None:
-            transfer_format = "H"
-            transfer_size = 2
-            transfer_args: tuple = (_NO_TRANSFER,)
-        else:
-            transfer_raw = transfer.encode("utf-8")
-            transfer_length = len(transfer_raw)
-            if transfer_length >= _NO_TRANSFER:
-                raise SimulationError(
-                    f"envelope field too long for the wire ({transfer_length} bytes)"
-                )
-            transfer_format = "H%ds" % transfer_length
-            transfer_size = 2 + transfer_length
-            transfer_args = (transfer_length, transfer_raw)
-        envelope_format = (
-            _ENVELOPE % (sender_length, recipient_length, kind_length)
-            + transfer_format + "B"
-        )
-        # prefix 4 + version 1 + three u16 length prefixes (6) + fixed tail 32
-        # + payload tag 1 = 44 bytes of fixed framing.
-        envelope_size = (
-            44 + sender_length + recipient_length + kind_length + transfer_size
-        )
         if type(payload) is str:
-            # The common case — a document as raw UTF-8 — knows its length up
-            # front, so the length prefix is packed directly, no backfill.
-            raw = payload.encode("utf-8")
-            payload_length = len(raw)
-            body_length = envelope_size - 4 + payload_length
-            if body_length > MAX_FRAME_BYTES:
-                raise SimulationError(
-                    f"frame for message #{message.message_id} exceeds "
-                    f"{MAX_FRAME_BYTES} bytes"
-                )
-            writer.reserve(envelope_size + payload_length)
-            buf = writer.buf
-            struct.pack_into(
-                envelope_format, buf, 0,
-                body_length, WIRE_VERSION,
-                sender_length, sender, recipient_length, recipient,
-                kind_length, kind,
-                message.message_id, message.size_bytes, message.sent_at,
-                message.hop, message.attempt,
-                *transfer_args, _TEXT,
-            )
-            buf[envelope_size : envelope_size + payload_length] = raw
-            return envelope_size + payload_length
-        writer.reserve(envelope_size)
-        struct.pack_into(
-            envelope_format, writer.buf, 0,
-            0,  # the length prefix, backfilled below
-            WIRE_VERSION,
-            sender_length, sender, recipient_length, recipient,
-            kind_length, kind,
-            message.message_id, message.size_bytes, message.sent_at,
-            message.hop, message.attempt,
-            *transfer_args,
-            _DOCUMENT if _is_document_envelope(payload) else _VALUE,
-        )
-        if _is_document_envelope(payload):
+            # The common case — a document as raw UTF-8.
+            tag, body = _TEXT, payload.encode("utf-8")
+        elif _is_document_envelope(payload):
             meta = {key: value for key, value in payload.items() if key != "document"}
-            write_value(writer, meta)
-            writer.raw(payload["document"].encode("utf-8"))
+            tag, body = _DOCUMENT, encode_value(meta) + payload["document"].encode("utf-8")
         else:
-            write_value(writer, payload)
-        body_length = writer.pos - 4
-        if body_length > MAX_FRAME_BYTES:
+            tag, body = _VALUE, encode_value(payload)
+        layout = self._layouts.get(lengths)
+        if layout is None:
+            if len(self._layouts) >= self.LAYOUT_MEMORY:
+                self._layouts.clear()
+            layout = self._layouts[lengths] = struct.Struct(_ENVELOPE % lengths)
+        end = layout.size + len(body)
+        if end - HEADER.size > MAX_FRAME_BYTES:
             raise SimulationError(
                 f"frame for message #{message.message_id} exceeds {MAX_FRAME_BYTES} bytes"
             )
-        writer.u32_at(0, body_length)
-        return writer.pos
+        writer = self._writer
+        writer.reset()
+        writer.reserve(layout.size)
+        # Everything up to the payload in one struct call.  An absent transfer
+        # id is the length 0xFFFF over no bytes — the slot an empty one packs.
+        layout.pack_into(
+            writer.buf, 0,
+            end - HEADER.size, WIRE_VERSION,
+            lengths[0], sender, lengths[1], recipient, lengths[2], kind,
+            message.message_id, message.size_bytes, message.sent_at,
+            message.hop, message.attempt,
+            _NO_TRANSFER if message.transfer is None else lengths[3], transfer, tag,
+        )
+        writer.raw(body)
+        return end
 
 
 _DEFAULT_ENCODER = FrameEncoder()
@@ -255,7 +175,7 @@ def decode_frame(body: "bytes | memoryview") -> Message:
     message counter is left untouched.  Every malformation raises
     :class:`TransportError`.
     """
-    data = memoryview(body) if type(body) is bytes else body
+    data = body if type(body) is bytes else bytes(body)
     total = len(data)
     try:
         version = data[0]
@@ -275,21 +195,21 @@ def decode_frame(body: "bytes | memoryview") -> Message:
         end = pos + ((data[1] << 8) | data[2])
         if end > total:
             raise TransportError("truncated frame envelope")
-        sender = str(data[pos:end], "utf-8")
+        sender = data[pos:end].decode("utf-8")
         pos = end + 2
         if pos > total:
             raise TransportError("truncated frame envelope")
         end = pos + ((data[end] << 8) | data[end + 1])
         if end > total:
             raise TransportError("truncated frame envelope")
-        recipient = str(data[pos:end], "utf-8")
+        recipient = data[pos:end].decode("utf-8")
         pos = end + 2
         if pos > total:
             raise TransportError("truncated frame envelope")
         end = pos + ((data[end] << 8) | data[end + 1])
         if end > total:
             raise TransportError("truncated frame envelope")
-        kind = str(data[pos:end], "utf-8")
+        kind = data[pos:end].decode("utf-8")
         pos = end
         if pos + _FIXED.size > total:
             raise TransportError("truncated frame envelope")
@@ -305,31 +225,26 @@ def decode_frame(body: "bytes | memoryview") -> Message:
             end = pos + length
             if end > total:
                 raise TransportError("truncated frame envelope")
-            transfer = str(data[pos:end], "utf-8")
+            transfer = data[pos:end].decode("utf-8")
             pos = end
         payload_kind = data[pos]
         pos += 1
         if payload_kind == _TEXT:
-            payload: object = _decode_text(data[pos:total])
+            payload: object = _decode_text(data[pos:])
         elif payload_kind == _VALUE:
-            reader = _Reader(data[pos:total])
-            payload = _guarded_read(reader)
-            if reader.remaining():
-                raise TransportError(
-                    f"{reader.remaining()} trailing bytes after frame payload"
-                )
+            payload, pos = read_value(data, pos, total)
+            if pos != total:
+                raise TransportError(f"{total - pos} trailing bytes after frame payload")
         elif payload_kind == _DOCUMENT:
-            reader = _Reader(data[pos:total])
-            meta = _guarded_read(reader)
-            if type(meta) is not dict:
+            payload, pos = read_value(data, pos, total)
+            if type(payload) is not dict:
                 raise TransportError("document frame metadata is not a mapping")
-            meta["document"] = _decode_text(reader.take(reader.remaining()))
-            payload = meta
+            payload["document"] = _decode_text(data[pos:])
         else:
             raise TransportError(f"unknown payload encoding {payload_kind}")
     except TransportError:
         raise
-    except (struct.error, ValueError, OverflowError, IndexError) as error:
+    except (struct.error, ValueError, OverflowError, IndexError, RecursionError) as error:
         raise TransportError(f"malformed frame body: {error}") from None
     # Restore the message the way pickle restores any instance — __new__ plus
     # a state dict, skipping __init__.  __post_init__'s only job (clamping
@@ -351,8 +266,8 @@ def decode_frame(body: "bytes | memoryview") -> Message:
     return message
 
 
-def _decode_text(raw: memoryview) -> str:
+def _decode_text(raw: bytes) -> str:
     try:
-        return str(raw, "utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as error:
         raise TransportError(f"malformed UTF-8 in frame: {error}") from None

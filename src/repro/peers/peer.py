@@ -481,8 +481,17 @@ class QueryPeer(NetworkNode):
         if kind != "peer-unreachable":
             # Any delivered message proves its sender is alive again.
             self.suspected_dead.discard(message.sender)
-        if message.transfer is not None and not self.transfers.accept(message):
-            return  # a retransmitted copy: acknowledged again, processed once
+        if message.transfer is not None:
+            noted = self._ACK_NOTES.get(kind)
+            if noted is not None:
+                # The ack says what the handler left behind, so it follows it —
+                # on every copy: a lost ack loses the note with it.
+                if self.transfers.first_copy(message):
+                    self._HANDLERS[kind](self, message)
+                self.transfers.acknowledge(message, noted(self, message))
+                return
+            if not self.transfers.accept(message):
+                return  # a retransmitted copy: acknowledged again, processed once
         handler = self._HANDLERS.get(kind)
         if handler is None:
             raise PeerError(f"{self.address}: unknown message kind {kind!r}")
@@ -495,7 +504,7 @@ class QueryPeer(NetworkNode):
         "result-chunk": lambda peer, message: peer.inbox.on_frame(message),
         "result-end": lambda peer, message: peer.inbox.on_frame(message),
         "cancel-query": lambda peer, message: peer.cancel_query(message.payload),
-        "delivery-ack": lambda peer, message: peer.transfers.acknowledged(message.payload),
+        "delivery-ack": lambda peer, message: peer._handle_delivery_ack(message),
         "subscribe": lambda peer, message: peer.subscriptions.on_subscribe(message),
         "unsubscribe": lambda peer, message: peer.subscriptions.on_unsubscribe(message),
         "delta-chunk": lambda peer, message: peer.subscriptions.on_delta_chunk(message),
@@ -515,6 +524,16 @@ class QueryPeer(NetworkNode):
         "unregister": lambda peer, message: peer._handle_unregister(message),
         "peer-unreachable": lambda peer, message: peer._handle_unreachable(message),
     }
+
+    # Kinds whose ``delivery-ack`` carries a note from their own protocol.
+    _ACK_NOTES: ClassVar[dict[str, Callable[["QueryPeer", Message], tuple]]] = {
+        "delta-chunk": lambda peer, message: peer.subscriptions.feed_position(message),
+    }
+
+    def _handle_delivery_ack(self, message: Message) -> None:
+        position = self.transfers.acknowledged(message.payload)
+        if position:  # the ack of a delta-chunk: what ``delta-ack`` says
+            self.subscriptions.acked(*position)
 
     # -- registration handling --------------------------------------------------- #
 

@@ -16,8 +16,9 @@ Message kinds handled here:
     sequence number and epoch token, riding the same wire path — and the
     same reliable-delivery machinery — as ``result-chunk``.  The
     subscriber releases deltas strictly in sequence and acknowledges
-    cumulatively with ``delta-ack`` so the publisher can trim its replay
-    log.
+    cumulatively so the publisher can trim its replay log: the position
+    rides the chunk's ``delivery-ack`` (one acknowledgement per delta), and
+    only a chunk sent fire-and-forget is answered with a ``delta-ack``.
 ``sub-conflict``
     Conflicting-authority detection (the MOAS analogy): a publisher armed
     for a subscription by one authority that receives the same
@@ -288,6 +289,9 @@ class Subscriptions:
             self._arm(state.sub_id, me, shape, "", resume)
 
     def on_delta_chunk(self, message: Message) -> None:
+        """Release what the chunk completes.  Its arrival is acknowledged
+        once: by :meth:`feed_position` on the chunk's ``delivery-ack``, or —
+        a chunk sent fire-and-forget has none — by a ``delta-ack`` here."""
         envelope: dict = message.payload
         sub_id = envelope["sub"]
         publisher = str(envelope.get("publisher", message.sender))
@@ -324,9 +328,23 @@ class Subscriptions:
                     )
                 )
                 self.deltas_delivered += 1
-        self.port.send(
-            publisher, "delta-ack", {"sub": sub_id, "seq": feed.next_seq - 1}, size_bytes=32
-        )
+        if message.transfer is None:
+            self.port.send(
+                publisher, "delta-ack", {"sub": sub_id, "seq": feed.next_seq - 1}, size_bytes=32
+            )
+
+    def feed_position(self, message: Message) -> tuple:
+        """What the ack of a ``delta-chunk`` tells its publisher: ``(sub, last
+        sequence released)`` of the feed as it now stands — so the ack of a
+        retransmitted copy says it again — and nothing for a dead
+        subscription or an epoch the feed is not in."""
+        envelope: dict = message.payload
+        state = self.mine.get(envelope["sub"])
+        feeds = state.feeds if state is not None and state.active else {}
+        feed = feeds.get(str(envelope.get("publisher", message.sender)))
+        if feed is None or feed.epoch != str(envelope["epoch"]):
+            return ()
+        return envelope["sub"], feed.next_seq - 1
 
     def on_conflict(self, message: Message) -> None:
         envelope: dict = message.payload
@@ -554,12 +572,12 @@ class Subscriptions:
         self.transfers.send(armed.subscriber, "delta-chunk", dict(envelope), size, armed.sub_id)
 
     def on_delta_ack(self, message: Message) -> None:
-        envelope: dict = message.payload
-        armed = self.armed.get(envelope["sub"])
-        if armed is None:
-            return
-        seq = int(envelope["seq"])
-        if seq > armed.acked_seq:
+        self.acked(message.payload["sub"], int(message.payload["seq"]))
+
+    def acked(self, sub_id: str, seq: int) -> None:
+        """The subscriber has released everything up to ``seq``: trim the log."""
+        armed = self.armed.get(sub_id)
+        if armed is not None and seq > armed.acked_seq:
             armed.acked_seq = seq
             for logged in [s for s in armed.log if s <= seq]:
                 del armed.log[logged]

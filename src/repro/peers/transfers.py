@@ -5,7 +5,10 @@ Message kind handled here:
 ``delivery-ack``
     The reliable-delivery protocol (``flags.reliable_delivery``): the
     receiver of a transfer-stamped message acknowledges the transfer id,
-    letting the sender cancel its retransmission timer.  Unacknowledged
+    letting the sender cancel its retransmission timer.  The ack of a kind
+    with a protocol of its own may carry that protocol's *note* after the
+    id (a ``delta-chunk``'s: the feed's released position) — on every
+    attempt's ack, since a lost ack loses the note with it.  Unacknowledged
     transfers are retransmitted with exponential backoff until the give-up
     horizon has passed, at which point the owner is told the recipient
     failed (it reroutes plans, tears down streams, pauses feeds, and
@@ -215,27 +218,37 @@ class Transfers:
     # -- receiving -------------------------------------------------------------- #
 
     def accept(self, message: Message) -> bool:
-        """Acknowledge a transfer-stamped message; False for a repeated copy.
-
-        At-least-once delivery: *every* attempt is acknowledged (the ack
-        for an earlier attempt may itself have been lost), but only the
-        first copy is processed — a retransmitted plan must not be
-        evaluated twice, a retransmitted chunk not counted twice.
-        """
-        transfer = message.transfer
-        if transfer is None:
+        """Acknowledge a transfer-stamped message; False for a repeated copy."""
+        if message.transfer is None:
             return True
+        self.acknowledge(message)
+        return self.first_copy(message)
+
+    def acknowledge(self, message: Message, note: tuple = ()) -> None:
+        """At-least-once delivery: *every* attempt is acknowledged (the ack
+        for an earlier attempt may itself have been lost).  ``note`` is what
+        the message's own protocol tells the sender about the arrival — a
+        feed's released position; it rides the ack instead of a frame of its
+        own and is charged for: 16 B on top of the ack's 32."""
         self.acks_sent += 1
-        self.port.send(message.sender, "delivery-ack", transfer, size_bytes=32)
-        duplicate = transfer in self.seen
-        insert_capped(self.seen, transfer, None, self.DEDUPE_MEMORY)
+        payload = (message.transfer, *note) if note else message.transfer
+        self.port.send(message.sender, "delivery-ack", payload, size_bytes=48 if note else 32)
+
+    def first_copy(self, message: Message) -> bool:
+        """Only the first copy of a transfer is processed — a retransmitted
+        plan must not be evaluated twice, a retransmitted chunk not counted
+        twice."""
+        duplicate = message.transfer in self.seen
+        insert_capped(self.seen, message.transfer, None, self.DEDUPE_MEMORY)
         if duplicate:
             self.duplicates_dropped += 1
         return not duplicate
 
-    def acknowledged(self, transfer: str) -> None:
-        """``transfer`` (the payload of a ``delivery-ack``) arrived: learn the
-        recipient's round trip from it, and stop retransmitting."""
+    def acknowledged(self, payload: "str | tuple") -> list:
+        """The payload of a ``delivery-ack`` arrived — the transfer id, alone or
+        leading the receiver's note, which is returned: learn the recipient's
+        round trip from it, and stop retransmitting."""
+        transfer, *note = (payload,) if type(payload) is str else payload
         state = self.pending.get(transfer)
         if state is not None and state.message.attempt == 0:  # Karn's rule
             sent = state.message
@@ -249,6 +262,7 @@ class Transfers:
                 srtt = 0.875 * srtt + 0.125 * sample
             insert_capped(self.round_trips, sent.recipient, (srtt, rttvar), self.RTT_MEMORY)
         self.stand_down(transfer)
+        return note
 
     def stand_down(self, transfer: str | None) -> None:
         """Stop retransmitting ``transfer``: acknowledged, or known

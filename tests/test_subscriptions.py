@@ -18,6 +18,8 @@ The suite covers the full standing-query protocol end-to-end:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.algebra import PlanBuilder
@@ -26,8 +28,12 @@ from repro.api import Cluster
 from repro.catalog import Catalog, ServerRole
 from repro.catalog.matcher import SubscriptionMatcher, subscribable_shape
 from repro.errors import PlanError
+from repro.harness.cli import SCENARIOS
+from repro.harness.scaleout import build_scaleout_scenario, schedule_mutations
 from repro.namespace import InterestAreaURN
 from repro.network import FaultPlan
+from repro.network.metrics import NetworkMetrics
+from repro.peers import QueryPeer
 from repro.peers.parts import Cancellations
 from repro.peers.subscriptions import (
     ArmedSubscription,
@@ -409,6 +415,154 @@ class TestInOrderRelease:
             assert sub.sub_id not in seller1.peer.subscriptions.armed
             assert not client.peer.cancelled_queries.first_notice(sub.sub_id, "seller1:9020")
             assert client.peer.subscriptions.deltas_delivered == 0
+
+
+class RecordingPeer(RecordingNode, QueryPeer):
+    """A whole peer — ``handle_message`` included — whose port records."""
+
+    def __init__(self, address, namespace):
+        QueryPeer.__init__(self, address, namespace)
+        self.clock, self.sent, self.timers = 0.0, [], []
+        self.injecting_faults, self.ledger = False, NetworkMetrics()
+
+    def take_sent(self, kind):
+        """The one frame of ``kind`` sent since the last call, as it arrives."""
+        (message,) = [m for m in self.sent if m.kind == kind]
+        self.sent.clear()
+        return message
+
+
+class TestOneAcknowledgementPerDelta:
+    """The ``delivery-ack`` of a ``delta-chunk`` carries the feed's position."""
+
+    def _pair(self, namespace):
+        publisher = RecordingPeer("seller1:9020", namespace)
+        publisher.publish_collection("cds", [], portland_area(namespace))
+        client = RecordingPeer("client:9020", namespace)
+        plan = PlanBuilder.urn(area_urn(portland_area(namespace))).display(client.address)
+        state = SubscriberState(sub_id="client:9020#sub1", document=serialize_plan(plan))
+        client.subscriptions.mine[state.sub_id] = state
+        publisher.handle_message(frame("subscribe", {
+            "document": state.document, "sub": state.sub_id, "subscriber": client.address,
+            "authority": "index-or:9020", "resume": {}, "hops": 1,
+        }, sender="index-or:9020"))
+        return publisher, client, state
+
+    def test_a_retransmitted_delta_reacknowledges_its_feed(self, namespace):
+        with overrides(reliable_delivery=True):
+            publisher, client, state = self._pair(namespace)
+            publisher.update_collection("cds", [make_item("Only", 5.0)])
+            armed = publisher.subscriptions.armed[state.sub_id]
+            chunk = publisher.take_sent("delta-chunk")
+            client.handle_message(chunk)
+            lost = client.take_sent("delivery-ack")  # ... and never arrives
+            assert lost.payload == (chunk.transfer, state.sub_id, 0) and lost.size_bytes == 48
+            publisher.fire()  # the retransmission timer
+            again = publisher.take_sent("delta-chunk")
+            assert (again.transfer, again.attempt) == (chunk.transfer, 1)
+            client.handle_message(again)
+            second = client.take_sent("delivery-ack")  # no delta-ack beside it
+            assert second.payload == lost.payload  # the same position, said again
+            assert [d.seq for d in state.deltas] == [0]  # nothing released twice
+            assert client.subscriptions.deltas_delivered == 1
+            assert client.transfers.acks_sent == 2 and client.transfers.duplicates_dropped == 1
+            assert sorted(armed.log) == [0]
+            publisher.handle_message(second)
+            assert armed.log == {} and armed.acked_seq == 0
+            assert publisher.transfers.pending == {}
+
+    def test_a_chunk_for_a_dead_subscription_gets_a_bare_ack(self, namespace):
+        with overrides(reliable_delivery=True):
+            publisher, client, state = self._pair(namespace)
+            publisher.update_collection("cds", [make_item("Orphan", 5.0)])
+            chunk = publisher.take_sent("delta-chunk")
+            del client.subscriptions.mine[state.sub_id]
+            client.handle_message(chunk)
+            assert [(m.kind, m.payload) for m in client.sent] == [
+                ("unsubscribe", {"sub": state.sub_id, "hops": 0}),
+                ("delivery-ack", chunk.transfer),
+            ]
+            client.sent.clear()
+            client.handle_message(dataclasses.replace(chunk, attempt=1))  # told once
+            assert [(m.kind, m.payload) for m in client.sent] == [("delivery-ack", chunk.transfer)]
+
+    def test_a_stale_epoch_is_acknowledged_without_a_position(self, namespace):
+        with overrides(reliable_delivery=True):
+            publisher, client, state = self._pair(namespace)
+            publisher.update_collection("cds", [make_item("Stale", 5.0)])
+            chunk = publisher.take_sent("delta-chunk")
+            state.feeds[publisher.address] = PublisherFeed(epoch="seller1:9020/e9")
+            client.handle_message(chunk)
+            assert client.take_sent("delivery-ack").payload == chunk.transfer
+            assert state.deltas == []
+
+    def test_every_other_kind_is_acknowledged_before_it_is_handled(self, namespace):
+        with overrides(reliable_delivery=True):
+            _, client, state = self._pair(namespace)
+            client.handle_message(frame(
+                "sub-conflict", {"sub": state.sub_id}, sender="seller1:9020", transfer="t#1",
+            ))
+            assert client.kinds() == ["delivery-ack"] and state.conflicts
+            index = RecordingPeer("index-or:9020", namespace)
+            index.roles.add(ServerRole.INDEX)
+            seller = RecordingPeer("seller1:9020", namespace)
+            index.handle_message(frame(
+                "register", seller.registration(), sender=seller.address, transfer="t#2",
+            ))
+            assert index.kinds()[:2] == ["delivery-ack", "register-ack"]
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestFeedUnderAckLoss:
+    """``subscription-feed`` at tier-1 size: whatever the links lose, a
+    reliable feed ends delivered, trimmed and quiet."""
+
+    def _run(self, transport, loss):
+        spec = dataclasses.replace(
+            SCENARIOS["subscription-feed"], name="feed", peers=30, subscribers=8,
+            mutation_rounds=3, churn="none", fault_loss=loss,
+        )
+        scenario = build_scaleout_scenario(spec, transport=transport)
+        with scenario.cluster as cluster:
+            cluster.run_until_idle()
+            before = cluster.metrics.messages_sent
+            schedule_mutations(scenario)
+            cluster.run_until_idle()
+            peers = list(cluster.peers())
+            kinds = dict(cluster.metrics.messages_by_kind)
+            return peers, kinds, cluster.metrics.messages_sent - before
+
+    @pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
+    def test_reliable_feed_is_exactly_once_trimmed_and_quiet(self, transport, loss):
+        with overrides(reliable_delivery=True):
+            peers, kinds, frames = self._run(transport, loss)
+        published = sum(peer.subscriptions.deltas_published for peer in peers)
+        released = 0
+        for peer in peers:
+            assert peer.subscriptions.delta_gaps == 0
+            assert peer.transfers.pending == {}, peer.address
+            assert peer.transfers.transfers_failed == 0
+            for armed in peer.subscriptions.armed.values():
+                assert armed.log == {} and armed.acked_seq == armed.next_seq - 1, peer.address
+            for state in peer.my_subscriptions.values():
+                for seqs in audit_exactly_once(state).values():
+                    assert seqs[0] == 0  # from the start, in ``seq`` order
+                released += len(state.deltas)
+        assert released == published > 0
+        assert "delta-ack" not in kinds  # the position rode the delivery-ack
+        if loss == 0.0:
+            # Two frames a delta: the chunk and its one acknowledgement.
+            assert kinds["delta-chunk"] == published and frames == 2 * published
+
+    def test_fire_and_forget_feed_still_acknowledges_and_trims(self, transport):
+        with overrides(reliable_delivery=False):
+            peers, kinds, frames = self._run(transport, 0.0)
+        published = sum(peer.subscriptions.deltas_published for peer in peers)
+        assert kinds["delta-ack"] == kinds["delta-chunk"] == published > 0
+        assert "delivery-ack" not in kinds and frames == 2 * published
+        for peer in peers:
+            for armed in peer.subscriptions.armed.values():
+                assert armed.log == {}
 
 
 class TestPublisherAndAuthorityWithoutANetwork:

@@ -15,7 +15,9 @@ timeout (pytest-timeout) so a hung socket can never wedge the suite.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import time
 
 import pytest
 
@@ -32,8 +34,8 @@ from repro.network import (
     TransportError,
     build_transport,
 )
-from repro.network.transport.aio import _GatedDelivery, _Inbox
-from repro.network.transport.wire import HEADER, decode_frame, encode_frame
+from repro.network.transport.aio import _GatedDelivery, _Inbox, _Receiver
+from repro.network.transport.wire import HEADER, FrameEncoder, decode_frame, encode_frame
 from repro.peers import RegistrationPayload
 
 
@@ -245,59 +247,131 @@ class TestAsyncioTransport:
             AsyncioTransport(inbox_limit=0)
 
 
+class _Socket(asyncio.Transport):
+    """What a :class:`_Receiver` asks of its asyncio transport, recorded."""
+
+    def __init__(self):
+        super().__init__()
+        self.reading, self.closed = True, False
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def close(self):
+        self.closed = True
+
+
 class TestInboxBackpressure:
-    """The bounded-inbox semantics, exercised directly (no sockets)."""
+    """The bounded-inbox semantics, exercised directly (no sockets): bytes
+    are handed to the connection's protocol as a socket would hand them."""
 
     @pytest.fixture()
     def loop(self):
-        import asyncio
-
         loop = asyncio.new_event_loop()
         yield loop
         loop.close()
 
-    def test_fills_then_blocks_then_drains(self, loop):
-        import asyncio
+    @staticmethod
+    def _connection(limit):
+        """One inbound connection of ``b:1`` on a transport that never ran."""
+        transport = AsyncioTransport(inbox_limit=limit)
+        inbox = transport._inboxes["b:1"] = _Inbox(limit)
+        connection = _Receiver(transport, "b:1")
+        connection.connection_made(_Socket())
+        return transport, inbox, connection
 
-        async def scenario():
-            inbox = _Inbox(limit=2)
-            first = Message("a:1", "b:1", "m1")
-            second = Message("a:1", "b:1", "m2")
-            inbox.put(first)
-            inbox.put(second)
-            assert inbox.high_water == 2
-            # Full: a reader polling for room must block.
-            waiter = asyncio.ensure_future(inbox.wait_for_room())
-            await asyncio.sleep(0)
-            assert not waiter.done()
-            # Consuming reopens the inbox.
-            assert inbox.take(first.message_id) is first
-            await asyncio.sleep(0)
-            assert waiter.done()
-            assert inbox.take(second.message_id) is second
-            assert inbox.take(second.message_id) is None
-
-        loop.run_until_complete(scenario())
+    def test_fills_then_blocks_then_drains(self):
+        transport, inbox, connection = self._connection(limit=2)
+        messages = [Message("a:1", "b:1", f"m{n}") for n in range(5)]
+        frames = [encode_frame(message) for message in messages]
+        # Two frames in one TCP segment both decode, and fill the inbox.
+        connection.data_received(frames[0] + frames[1])
+        assert inbox.high_water == 2 and sorted(inbox.stored) == [
+            messages[0].message_id, messages[1].message_id
+        ]
+        # Full: the connection stops reading ...
+        assert inbox.paused and not connection.transport.reading
+        # ... and what the socket had already handed over stays unparsed.
+        connection.data_received(frames[2] + frames[3] + frames[4][:7])
+        assert len(inbox.stored) == 2 and transport.stats()["frames_received"] == 2
+        # Consuming reopens the inbox: the backlog is parsed, in order, up to the bound.
+        assert inbox.take(messages[0].message_id).kind == "m0"
+        assert list(inbox.stored) == [messages[1].message_id, messages[2].message_id]
+        assert inbox.paused and not connection.transport.reading
+        assert inbox.take(messages[1].message_id).kind == "m1"
+        assert inbox.take(messages[2].message_id).kind == "m2"
+        assert list(inbox.stored) == [messages[3].message_id]
+        # Drained below the bound: reading again, the split frame awaits its tail.
+        assert not inbox.paused and connection.transport.reading
+        connection.data_received(frames[4][7:])
+        assert inbox.take(messages[4].message_id).kind == "m4"
+        assert inbox.take(messages[4].message_id) is None
+        assert transport.stats()["frames_received"] == 5 and not connection.buffer
 
     def test_demand_bypasses_the_bound(self, loop):
-        import asyncio
-
         async def scenario():
-            inbox = _Inbox(limit=1)
+            transport, inbox, connection = self._connection(limit=1)
             parked = Message("a:1", "b:1", "big-early-frame")
-            inbox.put(parked)  # inbox now full
             wanted = Message("c:1", "b:1", "logically-next")
+            between = Message("a:1", "b:1", "in-between")
+            connection.data_received(encode_frame(parked))  # inbox now full
+            connection.data_received(encode_frame(between) + encode_frame(wanted))
+            assert inbox.paused and list(inbox.stored) == [parked.message_id]
+            # Demand reopens the inbox so the connection runs past the limit...
             future = inbox.demand(wanted.message_id, asyncio.get_running_loop())
-            # Demand reopens the inbox so readers can run past the limit...
-            waiter = asyncio.ensure_future(inbox.wait_for_room())
-            await asyncio.sleep(0)
-            assert waiter.done()
+            assert connection.transport.reading and len(inbox.stored) == 2
             # ...and the demanded frame resolves the future directly.
-            inbox.put(wanted)
-            assert await future is wanted
+            assert (await future).kind == "logically-next"
             assert wanted.message_id not in inbox.stored
+            # With the demand met the bound holds again: the next frame parks the reader.
+            inbox.waiters.clear()
+            connection.data_received(encode_frame(Message("a:1", "b:1", "later")))
+            assert inbox.paused and not connection.transport.reading
 
         loop.run_until_complete(scenario())
+
+    def test_a_connection_opened_on_a_full_inbox_starts_paused(self):
+        _, inbox, first = self._connection(limit=1)
+        first.data_received(encode_frame(Message("a:1", "b:1", "fills-it")))
+        second = _Receiver(first.owner, "b:1")
+        second.connection_made(_Socket())
+        assert not second.transport.reading
+        second.connection_lost(None)
+        assert inbox.connections == {first}
+
+
+class TestRefusedFrames:
+    """A frame the receiver cannot take fails the run at once, in the
+    decoder's words — not after ``arrival_timeout_s`` as a quiet socket."""
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda frame: frame[:4] + b"\x02" + frame[5:], "unsupported wire version 2"),
+        (lambda frame: b"\xff\xff\xff\xff" + frame[4:], "oversized frame"),
+    ], ids=["undecodable-body", "oversized-length-prefix"])
+    def test_a_refused_frame_fails_the_wait_at_once(self, damage, reason):
+        class Damaging(FrameEncoder):
+            def encode(self, message):
+                return damage(super().encode(message))
+
+        transport = AsyncioTransport(arrival_timeout_s=30)
+        with Network(transport=transport) as network:
+            alice, bob = Recorder("alice:1"), Recorder("bob:1")
+            network.register(alice)
+            network.register(bob)
+            alice.send("bob:1", "ping")
+            network.run_until_idle()  # the link is up: the bad frame takes the direct write
+            transport._encoder = Damaging()
+            alice.send("bob:1", "ping")
+            started = time.perf_counter()
+            with pytest.raises(TransportError, match=reason):
+                network.run_until_idle()
+            assert time.perf_counter() - started < 1.0
+            with pytest.raises(TransportError, match=reason):
+                network.run_until_idle()  # and again at once: the frame is still owed
+            assert time.perf_counter() - started < 1.0
 
 
 # --------------------------------------------------------------------------- #

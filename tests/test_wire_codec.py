@@ -103,6 +103,80 @@ class TestValueCodec:
             encode_value(Mystery())
 
 
+# One value per tag, and one that nests containers and extensions.  The hex is
+# what the parent of the one-call packer wrote for them: wire v3 did not move.
+_GOLDEN = {
+    "none": (None, "00"),
+    "true": (True, "01"),
+    "false": (False, "02"),
+    "int64": (-1234567890123, "03fffffee08e04fb35"),
+    "float64": (2.5, "044004000000000000"),
+    "str": ("naïve ✓", "050000000a6e61c3af766520e29c93"),
+    "bytes": (b"\x00\xff\x10", "060000000300ff10"),
+    "list": ([1, "two"], "0700000002030000000000000001050000000374776f"),
+    "tuple": ((1, "two"), "0800000002030000000000000001050000000374776f"),
+    "dict": ({"k": 1.5}, "090000000105000000016b043ff8000000000000"),
+    "ext": (Counter({"mqp": 3}), "0a0c090000000105000000036d7170030000000000000003"),
+    "bigint": (1 << 64, "0b00000009010000000000000000"),
+    "nested": (
+        {
+            "sub": "c:1#sub1",
+            "path": CategoryPath(("USA", "OR")),
+            "rows": [(1, None, [True, False]), {"x": (b"\x01", 2.0)}],
+            "item": XMLElement("cd", {"id": "7"}, []),
+        },
+        "090000000405000000037375620500000008633a3123737562310500000004706174680a0108000000"
+        "02050000000355534105000000024f520500000004726f777307000000020800000003030000000000"
+        "00000100070000000201020900000001050000000178080000000206000000010104400000000000"
+        "000005000000046974656d0a0a050000000c3c63642069643d2237222f3e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _GOLDEN)
+class TestGoldenEncodings:
+    def test_the_bytes_on_the_wire_are_unchanged(self, name):
+        value, golden = _GOLDEN[name]
+        assert encode_value(value).hex() == golden
+        decoded = decode_value(bytes.fromhex(golden))
+        assert type(decoded) is type(value) and encode_value(decoded).hex() == golden
+
+    def test_every_strict_prefix_is_refused_as_a_transport_error(self, name):
+        encoded = bytes.fromhex(_GOLDEN[name][1])
+        for cut in range(len(encoded)):
+            with pytest.raises(TransportError):
+                decode_value(encoded[:cut])
+
+
+def test_whole_frames_are_byte_identical_to_the_parents():
+    """One frame per payload encoding (text, document + metadata, value), with
+    the transfer id absent, present and empty: captured before the encoder's
+    three branches became one."""
+    def message(kind, payload, transfer):
+        built = Message("a:1", "b:2", kind, payload, size_bytes=48, hop=2,
+                        transfer=transfer, attempt=1)
+        built.message_id, built.sent_at = 7, 1.5
+        return built
+
+    head = "030003613a310003623a32"
+    tail = "000000000000000700000000000000303ff800000000000000000002000000"
+    golden = {
+        ("mqp", "<p/>", None): "00000037" + head + "00036d7170" + tail + "01ffff003c702f3e",
+        ("delta-chunk", ("document", "<d/>", "seq", 3), "a:1#4"):
+            "0000005a" + head + "000b64656c74612d6368756e6b" + tail
+            + "010005613a31233402090000000105000000037365710300000000000000033c642f3e",
+        ("delivery-ack", ("a:1#4", "s", 3), ""):
+            "0000005a" + head + "000c64656c69766572792d61636b" + tail
+            + "0100000108000000030500000005613a312334050000000173030000000000000003",
+    }
+    for (kind, payload, transfer), frame in golden.items():
+        if kind == "delta-chunk":
+            payload = dict(zip(payload[::2], payload[1::2]))
+        assert encode_frame(message(kind, payload, transfer)).hex() == frame
+        decoded = decode_frame(bytes.fromhex(frame)[HEADER.size:])
+        assert (decoded.payload, decoded.transfer) == (payload, transfer)
+
+
 class TestDomainExtensions:
     """Every domain payload type that crosses a socket survives the codec."""
 
