@@ -5,7 +5,9 @@ binds a competitor's resource to the empty set; the provenance log shows
 the plan never visited any server for that resource, which triggers a
 verification count query that exposes the discrepancy.  The second
 benchmark measures how much carrying provenance and the original plan
-inflates the MQP wire size — the cost §5.1 accepts for those benefits.
+inflates the MQP wire size — the cost §5.1 accepts for those benefits on a
+plan that still has a URN to bind.  (A leaf piece of a scatter has none and
+leaves the original behind, as ``bare`` does here; its provenance travels.)
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ A :class:`MutantQueryPlan` packages everything that travels between peers:
 * the provenance log (§5.1),
 * a copy of the original, unevaluated plan (§5.1: "maintaining the original
   query along with the partially evaluated query also allows a server to
-  improve or enhance bindings, or even undo them"),
+  improve or enhance bindings, or even undo them") — while there is a URN
+  left to bind: a scattered piece that holds none leaves it behind
+  (:meth:`MutantQueryPlan.piece`), and a plan that arrives without one has
+  none (``original is None``),
 * the query preferences of §4.3 (time budget plus a binary preference for
   complete versus current answers).
 
@@ -92,8 +95,7 @@ class MutantQueryPlan:
     and re-building plan nodes — predicates included — at every receive is
     pure waste.  The wire form of the original is therefore carried alongside
     (``_original_xml``) and replayed verbatim on serialization, and the
-    plan-node form is materialized lazily, only for the few consumers that
-    need more than its URN strings.
+    plan-node form is materialized lazily, for the few consumers that read it.
     """
 
     def __init__(
@@ -138,10 +140,12 @@ class MutantQueryPlan:
         """One independently travelling piece of this query (a scatter).
 
         A hop that splits a union sends each group of branches as its own
-        MQP: same query id, target, preferences and carried original, its
-        own copy of the provenance so far, plus where the piece sits in the
-        query (``branch``) and the share of this plan's ``credit`` it must
-        return to the target.  ``plan`` is adopted, not copied.
+        MQP: same query id, target and preferences, its own copy of the
+        provenance so far, plus where the piece sits in the query
+        (``branch``) and the share of this plan's ``credit`` it must return
+        to the target.  The carried original goes along only while ``plan``
+        holds a URN: nothing at a holder can improve or undo a binding of
+        a piece that has none.  ``plan`` is adopted, not copied.
         """
         piece = MutantQueryPlan(
             plan,
@@ -151,7 +155,8 @@ class MutantQueryPlan:
             preferences=self.preferences,
             issued_at=self.issued_at,
         )
-        piece._original, piece._original_xml = self._original, self._original_xml
+        if plan.urn_refs():
+            piece._original, piece._original_xml = self._original, self._original_xml
         piece.branch, piece.credit = branch, credit
         return piece
 
@@ -176,32 +181,6 @@ class MutantQueryPlan:
         resources = [ref.urn for ref in self.original.urn_refs()]
         resources.extend(ref.url for ref in self.original.url_refs())
         return resources
-
-    def original_urn_strings(self) -> list[str]:
-        """URN strings of the original plan, without materializing it.
-
-        The meta-index learning step (§5.1) inspects the original's URNs at
-        every hop; reading them straight off the carried wire form skips
-        rebuilding plan nodes (and re-parsing predicates) per hop.
-        ``<collection>`` subtrees are skipped — they hold verbatim user
-        data, where a ``<urn>`` tag would be payload, not a plan leaf.
-        """
-        if self._original is not None:
-            return [ref.urn for ref in self._original.urn_refs()]
-        if self._original_xml is None:
-            return []
-        found: list[str] = []
-        stack = [self._original_xml]
-        while stack:
-            node = stack.pop()
-            if node.tag == "collection":
-                continue
-            if node.tag == "urn":
-                name = node.get("name")
-                if name is not None:
-                    found.append(name)
-            stack.extend(reversed(node.children))
-        return found
 
     def elapsed_ms(self, now: float) -> float:
         """Simulated time since the query was issued."""
@@ -279,7 +258,7 @@ class MutantQueryPlan:
             plan=plan,
             query_id=element.get("id", f"q{next(_query_counter)}"),
             provenance=provenance,
-            original=_DEFERRED_ORIGINAL if original_xml is not None else None,
+            original=_DEFERRED_ORIGINAL,  # absent stays absent: nothing is made up here
             preferences=preferences,
             issued_at=float(element.get("issued-at", "0") or 0.0),
         )

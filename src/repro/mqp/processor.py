@@ -692,16 +692,10 @@ class MQPProcessor:
 
     def learn_from(self, mqp: MutantQueryPlan) -> None:
         """Cache which servers successfully handled which interest areas."""
-        # Reading URN strings off the carried wire form avoids materializing
-        # the original plan (node building + predicate parsing) per hop.
-        for urn in mqp.original_urn_strings():
-            try:
-                parsed = parse_urn(urn)
-            except URNError:
-                continue
-            if not isinstance(parsed, InterestAreaURN):
-                continue
-            for record in mqp.provenance.records:
-                if record.action is ProvenanceAction.BOUND and record.detail == urn:
-                    if record.server != self.address:
-                        self.cache.remember(parsed.area, record.server)
+        # Read off the ``bound`` records, which every piece carries: their
+        # detail is the URN that was bound, as the original plan spelt it.
+        for record in mqp.provenance.records:
+            if record.action is ProvenanceAction.BOUND and record.server != self.address:
+                parsed = self._parse_urn(record.detail)
+                if isinstance(parsed, InterestAreaURN):
+                    self.cache.remember(parsed.area, record.server)

@@ -107,6 +107,7 @@ def consolidation_rule(available: AvailabilityCheck) -> RewriteRule:
         "consolidation",
         apply,
         "(A union X) join B -> (A join B) union (X join B) when B is local",
+        Join,
     )
 
 
@@ -168,6 +169,7 @@ def absorption_rule(available: AvailabilityCheck, cost_model: CostModel | None =
         "absorption",
         apply,
         "(A join X) join B -> (A join B) join X when |A join B| <= |A| and A, B are local",
+        Join,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..algebra.operators import PlanNode
 from ..algebra.plan import QueryPlan
 from ..engine.cost import CostEstimate, CostModel
-from .mqp_rules import AvailabilityCheck, deferrable_nodes, mqp_rules
+from .mqp_rules import AvailabilityCheck, mqp_rules
 from .rewrite import RewriteEngine, RewriteResult
 from .rules import standard_rules
 
@@ -80,7 +80,8 @@ class Optimizer:
 
         evaluable = rewritten.plan.evaluable_subplans(availability)
         estimates = {node.node_id: self.cost_model.estimate(node) for node in evaluable}
-        deferred = deferrable_nodes(rewritten.plan, availability, self.cost_model)
+        # Deferment (see ``deferrable_nodes``), off the list just computed.
+        deferred = [node for node in evaluable if not self.cost_model.reduces_plan_size(node)]
 
         return OptimizationOutcome(
             plan=rewritten.plan,

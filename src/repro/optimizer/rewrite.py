@@ -5,7 +5,8 @@ subtree or ``None``.  The :class:`RewriteEngine` applies a list of rules to
 every node of a plan repeatedly until a fixpoint (or an iteration cap) is
 reached.  Both the classical relational rules and the MQP-specific rules of
 the paper (consolidation, absorption, deferment) are expressed in this
-framework, which keeps each rule small and independently testable.
+framework, which keeps each rule small and independently testable.  A rule
+names the operator it can fire on and is offered only nodes of that type.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ class RewriteRule:
 
     ``apply`` returns the replacement node (a new subtree) when the rule
     fires, or ``None`` when it does not apply.  Rules must not mutate the
-    node they are given; the engine performs the substitution.
+    node they are given; the engine performs the substitution.  ``operator``
+    is the node type the rule can fire on (default: any).
     """
 
     name: str
     apply: Callable[[PlanNode], PlanNode | None]
     description: str = ""
+    operator: type[PlanNode] = PlanNode
 
     def __call__(self, node: PlanNode) -> PlanNode | None:
         return self.apply(node)
@@ -59,6 +62,7 @@ class RewriteEngine:
     def __init__(self, rules: Sequence[RewriteRule], max_passes: int = 10) -> None:
         self.rules = list(rules)
         self.max_passes = max_passes
+        self._offered: dict[type[PlanNode], list[RewriteRule]] = {}  # node type -> its rules
 
     def rewrite_plan(self, plan: QueryPlan) -> RewriteResult:
         """Rewrite ``plan`` to fixpoint, copy-on-write; the input is never modified.
@@ -86,8 +90,12 @@ class RewriteEngine:
 
     def _first_match(self, plan: QueryPlan) -> tuple[PlanNode, RewriteRule, PlanNode] | None:
         """The first (node, rule, replacement) that fires, in pre-order; mutates nothing."""
+        offered = self._offered
         for node in plan.iter_nodes():
-            for rule in self.rules:
+            kind = type(node)
+            if kind not in offered:
+                offered[kind] = [rule for rule in self.rules if issubclass(kind, rule.operator)]
+            for rule in offered[kind]:
                 replacement = rule.apply(node)
                 if replacement is not None and replacement is not node:
                     return node, rule, replacement

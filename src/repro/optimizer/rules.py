@@ -36,6 +36,7 @@ push_select_through_union = RewriteRule(
     "push-select-through-union",
     _push_select_through_union,
     "sigma(A union B) -> sigma(A) union sigma(B); enables per-seller evaluation (Fig. 4a)",
+    Select,
 )
 
 
@@ -51,6 +52,7 @@ push_select_through_or = RewriteRule(
     "push-select-through-or",
     _push_select_through_or,
     "sigma(A | B) -> sigma(A) | sigma(B); keeps conjoint-union choices open",
+    Select,
 )
 
 
@@ -65,6 +67,7 @@ merge_adjacent_selects = RewriteRule(
     "merge-adjacent-selects",
     _merge_adjacent_selects,
     "sigma_p(sigma_q(A)) -> sigma_{p and q}(A)",
+    Select,
 )
 
 
@@ -78,6 +81,7 @@ collapse_singleton_union = RewriteRule(
     "collapse-singleton-union",
     _collapse_singleton_union,
     "union(A) -> A",
+    Union,
 )
 
 
@@ -94,6 +98,7 @@ merge_orderby_into_topn = RewriteRule(
     "merge-orderby-into-topn",
     _merge_orderby_into_topn,
     "topn(orderby(A)) -> topn(A) when ordering on the same path",
+    TopN,
 )
 
 

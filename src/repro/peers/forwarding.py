@@ -6,7 +6,9 @@ Message kinds handled here:
     A serialized mutant query plan to process and route onward — whole,
     or, where a hop holds a union, scattered: one small plan per server
     that can reduce a group of its branches, each carrying its branch
-    path and its share of the query's credit.
+    path and its share of the query's credit (and the original plan only
+    while it holds a URN).  A complete answer leaves as the text it already
+    is, under a new ``<result>`` root (:meth:`PlanForwarding.deliver`).
 ``referral`` (sent here, handled by the peer)
     The entry of the authoritative index a client's plan was sent on to, so
     the client's next query under that area skips this hop
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection
 
+from ..algebra.operators import VerbatimData
 from ..errors import URNError
 from ..mqp import MQPProcessor, MutantQueryPlan, ProcessingResult, ProvenanceAction
 from ..mqp.plan import format_branch
@@ -29,7 +32,7 @@ from ..namespace import InterestAreaURN, parse_urn
 from ..network.message import Message
 from ..network.node import NetworkNode
 from ..perf import flags
-from ..xmlmodel import XMLElement, serialize_xml, utf8_len
+from ..xmlmodel import XMLElement, children_text, quoteattr, serialize_xml, utf8_len
 from .parts import insert_capped
 from .streams import ResultInbox, ResultStreams
 from .transfers import Transfers
@@ -135,8 +138,10 @@ class PlanForwarding:
         target = mqp.target or me
         mqp.provenance.add(me, ProvenanceAction.DELIVERED, self.port.now, detail=target)
         items: list[XMLElement] = []
-        if mqp.is_fully_evaluated():
-            items = list(mqp.plan.result().children)
+        body = mqp.plan.body
+        answer = body if isinstance(body, VerbatimData) else None  # fully evaluated
+        if answer is not None:
+            items = answer.items
         elif partial:
             items = [item for leaf in mqp.plan.verbatim_leaves() for item in leaf.items]
         envelope = {
@@ -162,9 +167,15 @@ class PlanForwarding:
         if flags.streaming_results:
             self.streams.start(envelope, items, target)
             return
-        # The wrapper shares the items: it exists only to be serialized on
-        # the next line, and serialization never mutates.
-        payload = serialize_xml(XMLElement("result", {"query-id": mqp.query_id}, items))
+        if answer is not None and items and not partial:
+            # A complete answer is text already (the evaluation cache's, or
+            # the span it arrived as): its children, wrapped again.
+            inner = children_text(answer.span.source)
+            payload = f"<result query-id={quoteattr(mqp.query_id)}>{inner}</result>"
+        else:
+            # The wrapper shares the items: it exists only to be serialized
+            # here, and serialization never mutates.
+            payload = serialize_xml(XMLElement("result", {"query-id": mqp.query_id}, items))
         envelope["document"] = payload
         envelope["items"] = len(items)  # lets the target count the answer without parsing it
         self.transfers.attach_failures(envelope)

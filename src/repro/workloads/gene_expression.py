@@ -144,15 +144,17 @@ class GeneExpressionWorkload:
 
     def matching_records(self, area: InterestArea) -> list[XMLElement]:
         """Ground truth: records whose (organism, cellType) cell is covered by the area."""
+        organisms, cell_types = self.namespace.dimensions
+        covered: dict[tuple[str, str], bool] = {}  # records repeat a few dozen distinct cells
         matches: list[XMLElement] = []
         for repository in self.repositories:
             for record in repository.records:
-                cell = InterestCell(
-                    (
-                        self.namespace.dimensions[0].approximate(record.child_text("organism") or "*"),
-                        self.namespace.dimensions[1].approximate(record.child_text("cellType") or "*"),
+                pair = (record.child_text("organism") or "*", record.child_text("cellType") or "*")
+                if pair not in covered:
+                    cell = InterestCell(
+                        (organisms.approximate(pair[0]), cell_types.approximate(pair[1]))
                     )
-                )
-                if area.covers_cell(cell):
+                    covered[pair] = area.covers_cell(cell)
+                if covered[pair]:
                     matches.append(record)
         return matches

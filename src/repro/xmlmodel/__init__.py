@@ -1,8 +1,8 @@
 """XML document model, parser/serializer, and XPath-lite evaluator."""
 
 from .element import XMLElement, element, text_element
-from .parser import XMLSpan, parse_xml, serialize_collection, serialize_xml
-from .parser import serialized_size, utf8_len
+from .parser import XMLSpan, children_text, parse_xml, serialize_collection, serialize_xml
+from .parser import quoteattr, serialized_size, utf8_len
 from .path import PathExpression, evaluate_path, evaluate_path_values, parse_path
 
 __all__ = [
@@ -11,6 +11,8 @@ __all__ = [
     "element",
     "text_element",
     "parse_xml",
+    "children_text",
+    "quoteattr",
     "serialize_collection",
     "serialize_xml",
     "serialized_size",

@@ -26,8 +26,8 @@ from xml.sax.saxutils import escape as _escape, quoteattr as _quoteattr
 from ..errors import XMLParseError
 from .element import XMLElement
 
-__all__ = ["XMLSpan", "parse_xml", "serialize_xml", "serialize_collection", "serialized_size",
-           "utf8_len"]
+__all__ = ["XMLSpan", "parse_xml", "serialize_xml", "serialize_collection", "children_text",
+           "quoteattr", "serialized_size", "utf8_len"]
 
 # Text content and attribute values repeat heavily (tags, prices, organism
 # names, provenance fields), so the escaping work is memoized.  Bounded
@@ -187,16 +187,21 @@ def _write(
         write(f"{head}/>{newline}")
 
 
+def children_text(text: str) -> str:
+    """What lies between the start and the end tag of ``text``, the compact
+    text of an element that has child elements: its children, serialized."""
+    opening = _TAG.match(text)
+    assert opening is not None
+    return text[opening.end() : text.rindex("</")]
+
+
 def serialize_collection(root: XMLElement) -> tuple[str, int]:
     """Compact text of ``root`` plus the UTF-8 bytes of its children alone: one
     serialization says what is shipped and how large the items are (§5.1)."""
     text = serialize_xml(root)
     if not root.children or (root.text or "").strip():
         return text, 0  # written as <tag/> or as text: no child is shipped
-    opening = _TAG.match(text)
-    assert opening is not None
-    wrapper = utf8_len(opening.group()) + utf8_len(root.tag) + len("</>")
-    return text, utf8_len(text) - wrapper
+    return text, utf8_len(children_text(text))
 
 
 def serialized_size(root: XMLElement) -> int:

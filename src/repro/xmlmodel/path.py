@@ -15,12 +15,19 @@ module implements the subset those uses need:
   predicates ``[2]``.
 
 Evaluation returns elements in document order without duplicates.
+
+A path is compiled once: a predicate hands ``evaluate_path_values`` the same
+string for every item it tests, so :func:`parse_path` keeps a bounded memo of
+what it has parsed.  The compiled form is immutable (frozen dataclasses over
+tuples), which is what makes sharing it safe; a string that does not parse
+is never remembered — it raises :class:`PathSyntaxError` on every call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from ..errors import PathSyntaxError
@@ -123,8 +130,9 @@ def _parse_predicates(chunk: str, source: str) -> tuple[str, tuple[Predicate, ..
     return chunk, tuple(predicates)
 
 
+@lru_cache(maxsize=4096)
 def parse_path(expression: str) -> PathExpression:
-    """Parse an XPath-lite string into a :class:`PathExpression`.
+    """Parse an XPath-lite string into a :class:`PathExpression` (memoized).
 
     Raises
     ------

@@ -165,6 +165,33 @@ class TestWorkloads:
         assert irrelevant == {"Fly neural lab"}
         assert len(workload.matching_records(query)) > 0
 
+    def test_gene_expression_ground_truth_is_the_record_by_record_cover_test(self):
+        """The oracle tests a cell once per distinct (organism, cellType) text:
+        same records, same order, as asking the namespace about every record."""
+        from repro.namespace import InterestCell
+
+        workload = GeneExpressionWorkload(
+            GeneExpressionConfig(records_per_cell=2, extra_repositories=12, seed=5)
+        )
+        organisms, cell_types = workload.namespace.dimensions
+        for area in (
+            workload.mammalian_cardiac_query_area(),
+            workload.namespace.top_area(),
+            workload.repositories[-1].area,
+        ):
+            reference = [
+                record
+                for repository in workload.repositories
+                for record in repository.records
+                if area.covers_cell(InterestCell((
+                    organisms.approximate(record.child_text("organism")),
+                    cell_types.approximate(record.child_text("cellType")),
+                )))
+            ]
+            matched = workload.matching_records(area)
+            assert len(matched) == len(reference) > 0
+            assert all(a is b for a, b in zip(matched, reference))
+
     def test_cd_workload_has_answerable_query(self):
         workload = CDWorkload(CDWorkloadConfig(sellers=2, seed=5))
         assert len(workload.expected_matches()) >= 1

@@ -40,6 +40,7 @@ from repro.network import (
     stable_unit,
 )
 from repro.peers import QueryPeer
+from repro.peers.forwarding import PlanForwarding
 from repro.peers.gather import ResultGather
 from repro.perf import flags, overrides
 from repro.xmlmodel import serialize_xml
@@ -403,6 +404,40 @@ class TestReliableDelivery:
                 assert client.peer.results[handle.query_id] is result and result.count == 3
                 for peer in cluster.peers():
                     assert peer.transfers.pending == {}
+
+    @pytest.mark.parametrize("transport", ["sim", "aio"])
+    def test_a_slim_piece_outlives_its_holder_going_offline_after_the_scatter(
+        self, transport, monkeypatch
+    ):
+        """A leaf piece travels without the original: the bounce is rerouted
+        from its text alone, and the same text is sent again on rejoin."""
+        with overrides(reliable_delivery=True):
+            with small_cluster(transport) as cluster:
+                seller2 = cluster.session("seller2:9020")
+                client = cluster.session("client:9020")
+                index = cluster.session("index-or:9020").peer
+                act_on = PlanForwarding._act_on
+
+                def crash_after_scatter(forwarding, result):
+                    act_on(forwarding, result)
+                    if len(result.pieces) > 1:
+                        seller2.crash()  # its piece is on the wire
+
+                monkeypatch.setattr(PlanForwarding, "_act_on", crash_after_scatter)
+                handle = (
+                    client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                    .where("price < 20").expecting(3).submit()
+                )
+                short = handle.result(timeout=600_000)
+                assert short.partial and short.reason == "unreachable" and short.count == 2
+                assert index.forwarding.plans_rerouted == 1
+                [piece] = index.forwarding.custody[handle.query_id][seller2.address]
+                assert "<original>" not in piece
+                seller2.rejoin()
+                result = handle.result(timeout=600_000)
+                assert not result.partial and result.reason is None and result.count == 3
+                cluster.run_until_idle()
+                assert len(client.peer.gather) == 0
 
     def test_an_unreachable_holders_partial_is_superseded_when_it_comes_back(self):
         with overrides(reliable_delivery=True):

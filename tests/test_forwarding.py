@@ -3,8 +3,9 @@
 import pytest
 
 from recording_node import RecordingNode, frame
-from repro.algebra import PlanBuilder
-from repro.catalog import Catalog, ServerEntry, ServerRole
+from repro.algebra import PlanBuilder, QueryPlan
+from repro.algebra.operators import Display, VerbatimData
+from repro.catalog import Catalog, CollectionRef, ServerEntry, ServerRole
 from repro.catalogtier import ShardMap
 from repro.mqp import MQPProcessor, MutantQueryPlan
 from repro.namespace import InterestAreaURN
@@ -14,6 +15,7 @@ from repro.peers.parts import Cancellations
 from repro.peers.streams import ResultInbox, ResultStreams
 from repro.peers.transfers import Transfers
 from repro.perf import overrides
+from repro.xmlmodel import XMLElement, serialize_xml
 from tests.conftest import make_item
 
 
@@ -63,6 +65,47 @@ class TestOneHop:
         assert hop.plans_cancelled == 1 and hop.plans_processed == 1
         assert [m.payload["query_id"] for m in hop.port.sent] == ["q2"]
         assert not hop.port.timers  # processed on arrival: nothing waits for a timer
+
+
+ITEM_SETS = {
+    "empty": [],
+    "single": [make_item("Abbey Road", 8)],
+    "non-ascii": [make_item("Café ☕ Olé", 5), make_item("Ænima", 9, seller="søren:9020")],
+    "markup": [make_item('Rock & "Roll" <live> \'77', 7, seller='a&b<"c">\':9020'),
+               XMLElement("item", {"note": 'say "hi" & <bye>', "apos": "it's"})],
+}
+
+
+class TestTextInSameTextOut:
+    """A complete answer leaves as the text it already is, re-wrapped: the
+    document must be the one the serializer writes over the same items."""
+
+    @pytest.mark.parametrize("query_id", ["q1", 'q"1\'&<'], ids=["plain-id", "quoted-id"])
+    @pytest.mark.parametrize("arrival", ["fresh", "result-span", "collection-span"])
+    @pytest.mark.parametrize("items", ITEM_SETS.values(), ids=ITEM_SETS)
+    def test_the_result_document_is_the_serializers(self, hop, items, arrival, query_id):
+        tag = "collection" if arrival == "collection-span" else "result"
+        leaf = VerbatimData.from_items(items, tag=tag)
+        mqp = MutantQueryPlan(QueryPlan(Display(leaf, "client:9020")), query_id=query_id)
+        if arrival == "fresh":
+            hop.deliver(mqp)
+        else:  # over the wire: the leaf arrives as a span, never built into a tree
+            hop.on_mqp(frame("mqp", mqp.serialize()))
+        [sent] = hop.port.sent
+        expected = serialize_xml(XMLElement("result", {"query-id": query_id}, items))
+        assert sent.kind == "result" and sent.payload["document"] == expected
+        assert sent.payload["items"] == len(items)
+        assert sent.size_bytes == len(expected.encode("utf-8"))
+
+    def test_a_partial_answer_keeps_the_item_path(self, hop):
+        items = ITEM_SETS["single"]
+        plan = PlanBuilder.data(items).union(PlanBuilder.url("far:9020", "/cds"))
+        hop.deliver(MutantQueryPlan(plan.display("client:9020"), query_id="q1"), "stuck")
+        [sent] = hop.port.sent
+        assert sent.kind == "partial-result" and sent.payload["items"] == 1
+        assert sent.payload["document"] == serialize_xml(
+            XMLElement("result", {"query-id": "q1"}, items)
+        )
 
 
 PORTLAND_CDS = ["USA/OR/Portland", "Music/CDs"]
@@ -155,3 +198,22 @@ class TestCustody:
         ]
         assert all(m.transfer is not None for m in hop.port.sent)
         assert hop.port.metrics.traces == {}  # wasted traffic at worst: not charged to the query
+
+    def test_a_returning_holder_is_sent_the_slim_text_it_was_sent_before(self, meta, namespace):
+        area = namespace.area(PORTLAND_CDS)
+        for seller in ("seller1:9020", "seller2:9020"):
+            meta.processor.catalog.register_server(ServerEntry(
+                seller, ServerRole.BASE, area, collections=[CollectionRef(seller, "/cds", "cds", 5)]
+            ))
+        with overrides(reliable_delivery=True):
+            meta.on_mqp(frame("mqp", area_plan(namespace), sender="client:9020"))
+            first = {m.recipient: m.payload for m in meta.port.sent if m.kind == "mqp"}
+            assert list(first) == ["seller1:9020", "seller2:9020"]
+            del meta.port.sent[:]
+            meta.resend("seller2:9020")  # seller2 went offline and has registered again
+        [again] = meta.port.sent
+        assert (again.recipient, again.kind) == ("seller2:9020", "mqp")
+        assert again.payload == first["seller2:9020"] and "<original>" not in again.payload
+        assert again.size_bytes == len(again.payload)
+        piece = MutantQueryPlan.deserialize(again.payload)
+        assert piece.original is None and piece.remaining_urns() == []

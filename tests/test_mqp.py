@@ -92,6 +92,17 @@ class TestPreferencesAndWireFormat:
         assert restored.issued_at == pytest.approx(12.5)
         assert len(restored.provenance) == 1
 
+    def test_a_plan_that_arrives_without_an_original_leaves_without_one(self, cd_items):
+        """Regression: an absent ``<original>`` was read as "a new query" and
+        the next hop shipped a copy of the mutated plan, results included."""
+        mqp = MutantQueryPlan(PlanBuilder.data(cd_items, name="cds").display("client:9020"))
+        mqp.original = None  # what a leaf piece (and bench_provenance) sends
+        first = mqp.serialize()
+        arrived = MutantQueryPlan.deserialize(first)
+        assert arrived.original is None
+        assert arrived.serialize() == first and "<original>" not in first
+        assert first.count("<title>Abbey Road</title>") == 1  # no result shipped twice
+
     def test_wire_size_includes_partial_results(self, cd_items):
         empty = MutantQueryPlan(PlanBuilder.urn("urn:A:b").display("c:1"))
         loaded = MutantQueryPlan(PlanBuilder.data(cd_items, name="cds").display("c:1"))
@@ -435,10 +446,58 @@ class TestScatter:
         # s1's two collections travel together; each piece is a whole MQP.
         assert [ref.path for ref in first.plan.url_refs()] == ["/cds", "/lps"]
         assert first.query_id == "q1" and first.target == "client:9020"
-        assert first.original_urn_strings() == [urn]
+        # No URN left to bind, improve or undo at a holder: the original stays
+        # behind, and what arrives there has none (nothing is made up for it).
+        assert first.original is None and mqp.original is not None
+        assert "<original>" not in first.serialize() and "<original>" in mqp.serialize()
+        assert MutantQueryPlan.deserialize(first.serialize()).original is None
         assert first.provenance.hop_count() == 1
         assert first.provenance.records[-1].detail == "s1:9020"
         assert mqp.provenance.hop_count() == 0  # each piece logs its own hop
+
+    def test_the_original_travels_only_with_the_piece_that_has_a_urn_left(self, namespace):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        sellers = {"s1:9020": ["/cds"], "s2:9020": ["/cds"]}
+        processor = _processor_for(
+            namespace, "index:9020", catalog=_catalog_with_sellers(namespace, area, sellers)
+        )
+        urn, unbound = str(InterestAreaURN.for_area(area)), "urn:ForSale:Nowhere"
+        plan = PlanBuilder.urn(urn).union(PlanBuilder.urn(unbound)).display("client:9020")
+        result = processor.process(MutantQueryPlan(plan, query_id="q1"), now=3.0)
+        *holders, residual = result.pieces
+        assert [piece.next_hop for piece in holders] == list(sellers)
+        for piece in holders:
+            document = piece.mqp.serialize()
+            assert piece.mqp.original is None and "<original>" not in document
+            decoded = MutantQueryPlan.deserialize(document)
+            assert decoded.original is None and "<original>" not in decoded.serialize()
+            # The history still travels whole: it is what a holder learns from.
+            assert [r.detail for r in decoded.provenance.records][:1] == [urn]
+        assert residual.mqp.remaining_urns() == [unbound]
+        carried = MutantQueryPlan.deserialize(residual.mqp.serialize()).original
+        assert [ref.urn for ref in carried.urn_refs()] == [urn, unbound]
+        assert carried.root == result.mqp.original.root
+
+    def test_a_holder_learns_the_same_routes_from_a_slim_piece_as_from_a_fat_one(self, namespace):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        sellers = {"s1:9020": ["/cds"], "s2:9020": ["/cds"]}
+        index = _processor_for(
+            namespace, "index:9020", catalog=_catalog_with_sellers(namespace, area, sellers)
+        )
+        urn = str(InterestAreaURN.for_area(area))
+        whole = MutantQueryPlan(PlanBuilder.urn(urn).select("price < 10").display("client:9020"))
+        slim = index.process(whole, now=1.0).pieces[0].mqp
+        fat = MutantQueryPlan.deserialize(slim.serialize())
+        fat.original = whole.original
+        assert "<original>" in fat.serialize() and "<original>" not in slim.serialize()
+        learned = []
+        for document in (slim.serialize(), fat.serialize()):
+            holder = _processor_for(namespace, "s1:9020", {"/cds": [make_item("A", 5)]})
+            arrived = MutantQueryPlan.deserialize(document)
+            assert holder.process(arrived, now=2.0).action is ProcessingAction.DELIVER
+            holder.learn_from(arrived)
+            learned.append(list(holder.cache._entries))
+        assert learned[0] == learned[1] == [(str(area), "index:9020")]
 
     def test_a_nested_split_divides_the_credit_again(self, namespace, cd_items):
         plan = (

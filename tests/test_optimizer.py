@@ -6,6 +6,7 @@ from repro.algebra import (
     Join,
     PlanBuilder,
     Select,
+    TopN,
     Union,
     URLRef,
     VerbatimData,
@@ -20,6 +21,7 @@ from repro.optimizer import (
     consolidation_rule,
     deferrable_nodes,
     merge_adjacent_selects,
+    mqp_rules,
     standard_rules,
 )
 from repro.xmlmodel import element, text_element
@@ -274,3 +276,69 @@ class TestCopyOnWriteRewriting:
         assert [node.operator for node in plan.iter_nodes()] == [
             "display", "union", "select", "url", "url", "url"
         ]
+
+
+class _EveryRuleToEveryNode(RewriteEngine):
+    """The reference: the engine as it was before a rule named its operator."""
+
+    def _first_match(self, plan):
+        for node in plan.iter_nodes():
+            for rule in self.rules:
+                replacement = rule.apply(node)
+                if replacement is not None and replacement is not node:
+                    return node, rule, replacement
+        return None
+
+
+class TestRuleDispatch:
+    def _plans(self, cd_items):
+        """The plan shapes of this file, one of each."""
+        url, data = PlanBuilder.url, PlanBuilder.data
+        listings = [element("CD", {}, text_element("title", "A"))]
+        a_items = [make_item(f"t{i}", 5, seller=f"s{i}") for i in range(6)]
+        on = ("//title", "//title")
+        return [
+            url("seller1:9020", "/cds").union(url("seller2:9020", "/cds")).select("price < 10")
+            .display("client:9020"),
+            url("r:9020", "/a").conjoint_or(url("s:9020", "/a")).select("price < 10").plan(),
+            data(cd_items).select("price < 10").select("price > 3").plan(),
+            data(cd_items, name="carried").union(url("far:9020", "/cds")).select("price < 10")
+            .select("price > 3").display("client:9020"),
+            url("local:9020", "/cds").union(url("remote:9020", "/cds"))
+            .join(data(listings, name="tl"), on=on).plan(),
+            url("remote1:9020", "/cds").union(url("remote2:9020", "/cds"))
+            .join(data(listings), on=on).plan(),
+            data(a_items, name="A").join(url("remote:9020", "/x"), on=("//seller", "//seller"))
+            .join(data([make_item("t0", 5)], name="B"), on=on).plan(),
+            url("local:9020", "/cds").select("price < 10")
+            .join(PlanBuilder.urn("urn:CD:TrackListings"), on=on).display("client:9020"),
+            data(cd_items, name="carried").union(url("far:9020", "/cds").select("price < 5"))
+            .display("client:9020"),
+            url("local:9020", "/cds").order_by("price").top_n(3, "price").display("client:9020"),
+            PlanBuilder(Union([url("local:9020", "/cds").select("a = 1").select("b = 2").node]))
+            .display("client:9020"),
+        ]
+
+    def test_dispatch_by_operator_fires_what_offering_every_rule_fires(self, cd_items):
+        def available(leaf):
+            return isinstance(leaf, VerbatimData) or local_to("local:9020")(leaf)
+
+        unwrap = RewriteRule(  # names no operator: offered every node
+            "unwrap-topn", lambda node: node.child if isinstance(node, TopN) else None
+        )
+        fired = set()
+        for plan in self._plans(cd_items):
+            rules = standard_rules() + mqp_rules(available, CostModel()) + [unwrap]
+            result = RewriteEngine(rules).rewrite_plan(plan)
+            reference = _EveryRuleToEveryNode(rules).rewrite_plan(plan)
+            assert result.applications == reference.applications
+            assert serialize_plan(result.plan) == serialize_plan(reference.plan)
+            fired.update(result.fired_rules)
+        assert fired == {rule.name for rule in rules}  # every rule had its turn
+
+    def test_a_rule_is_not_offered_another_operator(self):
+        offered = []
+        probe = RewriteRule("probe", lambda node: offered.append(node.operator), operator=Select)
+        plan = PlanBuilder.url("a:1", "/x").select("p = 1").union(PlanBuilder.url("b:1", "/y"))
+        RewriteEngine([probe]).rewrite_plan(plan.display("c:1"))
+        assert offered == ["select"]

@@ -7,8 +7,10 @@ from repro.errors import XMLParseError
 from repro.xmlmodel import (
     XMLElement,
     XMLSpan,
+    children_text,
     element,
     parse_xml,
+    serialize_collection,
     serialize_xml,
     serialized_size,
     text_element,
@@ -115,6 +117,17 @@ class TestCanonicalForm:
         assert serialize_xml(parse_xml(document)) == document
         # Pretty-printing changes the bytes, never the parsed tree.
         assert serialize_xml(parse_xml(serialize_xml(tree, indent=2))) == document
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=xml_trees())
+    def test_an_element_cut_down_to_its_children_is_its_children_serialized(self, tree):
+        text, size = serialize_collection(tree)
+        assert text == serialize_xml(tree)
+        if not tree.children or (tree.text or "").strip():
+            assert size == 0
+        else:
+            inner = "".join(serialize_xml(child) for child in tree.children)
+            assert children_text(text) == inner and size == len(inner.encode("utf-8"))
 
     def test_text_after_a_child_is_ignored_and_before_one_is_rejected(self):
         assert parse_xml("<a><b/>tail</a>") == element("a", {}, element("b", {}))

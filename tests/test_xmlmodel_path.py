@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra.expressions import parse_predicate
 from repro.errors import PathSyntaxError
 from repro.xmlmodel import (
     element,
@@ -56,6 +57,27 @@ class TestParsing:
 
     def test_parse_records_source(self):
         assert parse_path(" item/price ").source == "item/price"
+
+
+class TestCompiledOnce:
+    def test_an_invalid_path_raises_on_every_call(self):
+        for _ in range(3):  # a failure is never remembered
+            with pytest.raises(PathSyntaxError):
+                parse_path("cd[price <")
+            with pytest.raises(PathSyntaxError):
+                evaluate_path_values(element("item", {}), "a/text()/b")
+
+    def test_a_predicate_over_many_items_parses_each_of_its_paths_once(self):
+        predicate = parse_predicate("cost-once < 10 and maker-once = 'x'")
+        items = [
+            element("item", {}, text_element("cost-once", n), text_element("maker-once", "x"))
+            for n in range(40)
+        ]
+        before = parse_path.cache_info()
+        assert sum(predicate.evaluate(item) for item in items) == 10
+        after = parse_path.cache_info()
+        assert after.misses - before.misses == 2  # the two paths, not 2 x 40
+        assert after.hits - before.hits == 40 + 10 - 2  # `and` asks the maker of ten
 
 
 class TestChildSteps:
