@@ -29,10 +29,11 @@ import pytest
 
 import benchjson
 from repro.catalog import Catalog, CollectionRef, IntensionalStatement, ServerEntry, ServerRole
-from repro.harness import build_mqp_scenario, format_table, run_mqp_queries
-from repro.harness.scaleout import ScaleoutSpec, run_scaleout
+from repro.harness import (
+    ScaleoutSpec, build_scaleout_scenario, format_table, run_scaleout, run_scenario,
+)
 from repro.namespace.builtin import garage_sale_namespace
-from repro.workloads import GarageSaleConfig, GarageSaleWorkload, QueryWorkload
+from repro.peers import BaseServer, IndexServer
 from conftest import emit
 
 QUICK = benchjson.quick_mode()
@@ -49,29 +50,25 @@ SCALEOUT_SPEC = (
 )
 
 
-def _measure(sellers: int, queries_per_run: int = 4):
-    workload = GarageSaleWorkload(
-        GarageSaleConfig(sellers=sellers, mean_items_per_seller=6, seed=41)
-    )
-    scenario = build_mqp_scenario(workload, online_registration=True)
-    registration_messages = scenario.network.metrics.messages_by_kind.get("register", 0)
-    queries = QueryWorkload(workload.namespace, seed=43).batch(queries_per_run)
-    summary = run_mqp_queries(scenario, queries)
-    catalog_sizes = [peer.catalog.size() for peer in scenario.peers]
-    hops = [
-        trace.distinct_peers
-        for trace in scenario.network.metrics.traces.values()
-        if trace.completed_at is not None
-    ]
+def _sweep_spec(peers: int, seed: int) -> ScaleoutSpec:
+    return ScaleoutSpec(name="exp-scale", topology="random", peers=peers,
+                        workload="garage-sale", queries=4, seed=seed)
+
+
+def _measure(sellers: int):
+    scenario, report = run_scenario(_sweep_spec(sellers, seed=41))
+    catalog_sizes = [peer.catalog.size() for peer in scenario.cluster.peers()]
+    hops = [row["peers_visited"] for row in report["queries"]]
+    traffic = report["traffic"]
     return {
-        "peers": len(scenario.peers),
-        "registration_msgs": registration_messages,
+        "peers": len(catalog_sizes),
+        "registration_msgs": scenario.registrations,
         "max_catalog_size": max(catalog_sizes),
         "mean_catalog_size": sum(catalog_sizes) / len(catalog_sizes),
-        "mean_peers_per_query": summary["mean_peers_per_query"],
-        "mean_messages_per_query": summary["mean_messages_per_query"],
-        "mean_recall": summary["mean_recall"],
-        "resolution_hops": (sum(hops) / len(hops)) if hops else 0.0,
+        "mean_peers_per_query": traffic["mean_peers_per_query"],
+        "mean_messages_per_query": traffic["mean_messages_per_query"],
+        "mean_recall": traffic["mean_recall"],
+        "resolution_hops": sum(hops) / len(hops),
     }
 
 
@@ -96,30 +93,29 @@ def test_catalog_scalability_sweep(benchmark):
 
 
 def test_per_peer_catalog_stays_local(benchmark):
-    workload = GarageSaleWorkload(GarageSaleConfig(sellers=40, mean_items_per_seller=4, seed=47))
-
-    def build():
-        scenario = build_mqp_scenario(workload)
-        return scenario
-
-    scenario = benchmark.pedantic(build, rounds=1, iterations=1)
-    base_catalogs = [peer.catalog.size() for peer in scenario.base_servers]
-    index_catalogs = [peer.catalog.size() for peer in scenario.index_servers]
-    meta_catalog = scenario.meta_index.catalog.size()
+    spec = _sweep_spec(40, seed=47)
+    scenario = benchmark.pedantic(build_scaleout_scenario, args=(spec,), rounds=1, iterations=1)
+    with scenario.cluster as cluster:
+        peers = cluster.peers()
+    base_servers = [peer for peer in peers if isinstance(peer, BaseServer)]
+    base_catalogs = [peer.catalog.size() for peer in base_servers]
+    index_catalogs = [peer.catalog.size() for peer in peers if isinstance(peer, IndexServer)]
     emit(
         "EXP-SCALE  Catalog footprint by role (40 sellers)",
         format_table(
             [
                 {"role": "base server (max)", "catalog_entries": max(base_catalogs)},
                 {"role": "index server (max)", "catalog_entries": max(index_catalogs)},
-                {"role": "meta-index", "catalog_entries": meta_catalog},
+                {"role": "meta-index", "catalog_entries": scenario.meta_index.catalog.size()},
             ]
         ),
     )
-    # Base servers know only themselves plus their indexer; index servers know
-    # the servers of their own state; only the meta-index sees every indexer.
-    assert max(base_catalogs) <= 3
-    assert max(index_catalogs) <= len(workload.sellers) + 2
+    # A base server knows itself, its indexer and its overlay neighbours;
+    # an index server the servers of its own state; only the meta-index
+    # sees every indexer.
+    for peer in base_servers:
+        assert peer.catalog.size() <= 2 + scenario.topology.degree(peer.address)
+    assert max(index_catalogs) <= spec.peers + 2
 
 
 # --------------------------------------------------------------------------- #

@@ -8,8 +8,8 @@ Opens with the public client API (``repro.api``): a small marketplace
 cluster where one seller crashes mid-deployment, showing how a
 :class:`~repro.api.QueryHandle` degrades loudly to a *partial* answer
 instead of silently losing results.  Then generates a synthetic
-marketplace (sellers with Zipf-skewed city and category specialties), runs
-the same query batch under catalog-routed mutant query plans,
+marketplace (sellers with Zipf-skewed city and category specialties) as
+one scenario spec, runs it under catalog-routed mutant query plans,
 Gnutella-style broadcast, a Napster-style central index, and routing
 indices, and prints the comparison table.  Finally it shows the §4.3
 completeness/currency/latency tradeoff for a replicated deployment under
@@ -27,9 +27,9 @@ from repro.catalog import (
     ServerEntry,
     ServerRole,
 )
-from repro.harness import compare_routing_strategies, format_table
+from repro.harness import ScaleoutSpec, compare_routing_strategies, format_table
 from repro.qos import TradeoffPlanner
-from repro.workloads import GarageSaleConfig, GarageSaleWorkload, QueryWorkload
+from repro.workloads import GarageSaleConfig, GarageSaleWorkload
 
 
 def fluent_api_with_partial_answers() -> None:
@@ -72,10 +72,12 @@ def fluent_api_with_partial_answers() -> None:
 
 
 def strategy_comparison() -> None:
-    workload = GarageSaleWorkload(GarageSaleConfig(sellers=20, mean_items_per_seller=8, seed=7))
-    queries = QueryWorkload(workload.namespace, seed=19).batch(5)
-    print(f"Marketplace: {len(workload.sellers)} sellers, {len(workload.all_items())} items, 5 queries\n")
-    rows = compare_routing_strategies(workload, queries, gnutella_horizon=3)
+    # One spec, run once per routing strategy: the same sellers, overlay,
+    # link latencies and query schedule under all four.
+    spec = ScaleoutSpec(name="marketplace", topology="random", peers=20,
+                        workload="garage-sale", queries=5, seed=7)
+    print(f"Marketplace: {spec.peers} sellers on a {spec.topology} overlay, {spec.queries} queries\n")
+    rows = compare_routing_strategies(spec)
     print(
         format_table(
             rows,

@@ -1,21 +1,10 @@
-"""Experiment harness: scenario builders, strategy runners, and report formatting."""
+"""Experiment harness: the spec-driven scenario runner, the paper's comparisons, report formatting."""
 
 from .cli import main as cli_main
 from .experiment import (
-    MQPScenario,
-    build_gnutella_scenario,
-    build_mqp_scenario,
-    build_napster_scenario,
-    build_routing_index_scenario,
     compare_routing_strategies,
-    item_cell,
-    query_plan_for,
     run_cd_query_coordinator,
     run_cd_query_mqp,
-    run_gnutella_queries,
-    run_mqp_queries,
-    run_napster_queries,
-    run_routing_index_queries,
 )
 from .report import format_series, format_summary, format_table, to_json, write_json_report
 from .scaleout import (
@@ -25,6 +14,7 @@ from .scaleout import (
     WORKLOAD_KINDS,
     build_scaleout_scenario,
     run_scaleout,
+    run_scenario,
 )
 
 __all__ = [
@@ -35,22 +25,12 @@ __all__ = [
     "ROUTING_KINDS",
     "build_scaleout_scenario",
     "run_scaleout",
+    "run_scenario",
     "to_json",
     "write_json_report",
-    "MQPScenario",
-    "build_mqp_scenario",
-    "run_mqp_queries",
-    "build_gnutella_scenario",
-    "run_gnutella_queries",
-    "build_napster_scenario",
-    "run_napster_queries",
-    "build_routing_index_scenario",
-    "run_routing_index_queries",
     "compare_routing_strategies",
     "run_cd_query_mqp",
     "run_cd_query_coordinator",
-    "item_cell",
-    "query_plan_for",
     "format_table",
     "format_series",
     "format_summary",

@@ -1,372 +1,40 @@
-"""Experiment harness: builds simulated scenarios and runs query batches.
+"""The paper's two comparisons: four routing strategies, and Figure 3.
 
-The harness knows how to stand up the same garage-sale population under each
-of the competing architectures — the paper's catalog-routed MQP network,
-Gnutella-style broadcast, a Napster-style central index, and routing
-indices — plus the coordinator-based execution baseline for the Figure 3
-CD query.  Benchmarks call these functions and print the resulting metric
-rows; tests use them with small populations to check end-to-end behaviour.
+The strategy comparison (§1/§3: catalog-routed MQPs against Gnutella-style
+broadcast, a Napster-style central index and routing indices) is one
+:class:`~repro.harness.scaleout.ScaleoutSpec` run once per ``routing`` —
+the same population, overlay, latency seed, clock and query schedule under
+every strategy, built and run by the one harness.  The Figure 3 CD query
+(mutant query plans against coordinator-based execution) joins three
+hand-placed sources and has no spec to ride, so its two runners live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 
-from ..algebra import PlanBuilder, QueryPlan
+from ..algebra import PlanBuilder
 from ..api import Cluster
 from ..distributed import CoordinatorClient, CoordinatorServer, SubordinateServer
 from ..errors import QueryTimeout
 from ..mqp import QueryPreferences
-from ..namespace import (
-    CategoryPath,
-    InterestArea,
-    InterestAreaURN,
-    InterestCell,
-    MultiHierarchicNamespace,
-)
-from ..network import LatencyModel, Network, Topology, random_topology
-from ..peers import BaseServer, ClientPeer, IndexServer, MetaIndexServer, QueryPeer
-from ..routing import GnutellaPeer, NapsterIndexServer, NapsterPeer, RoutingIndexPeer
-from ..workloads import CDWorkload, FORSALE_URN, GarageSaleWorkload, QuerySpec, TRACKLIST_URN
-from ..xmlmodel import XMLElement
+from ..network import LatencyModel, Network, Transport
+from ..workloads import CDWorkload, FORSALE_URN, TRACKLIST_URN
+from .scaleout import GNUTELLA_HORIZON, ROUTING_KINDS, ScaleoutSpec, run_scenario
 
 __all__ = [
-    "MQPScenario",
-    "build_mqp_scenario",
-    "run_mqp_queries",
-    "build_gnutella_scenario",
-    "run_gnutella_queries",
-    "build_napster_scenario",
-    "run_napster_queries",
-    "build_routing_index_scenario",
-    "run_routing_index_queries",
     "compare_routing_strategies",
     "run_cd_query_mqp",
     "run_cd_query_coordinator",
-    "item_cell",
-    "query_plan_for",
 ]
 
-
-# --------------------------------------------------------------------------- #
-# Shared helpers
-# --------------------------------------------------------------------------- #
-
-
-def item_cell(namespace: MultiHierarchicNamespace, item: XMLElement) -> InterestCell:
-    """The item-level interest cell of a garage-sale item (city x category)."""
-    city = CategoryPath.parse(item.child_text("city") or "*")
-    category = CategoryPath.parse(item.child_text("category") or "*")
-    return InterestCell((city, category))
-
-
-def query_plan_for(
-    query: QuerySpec, target: str, include_price: bool = True
-) -> QueryPlan:
-    """Build the MQP for a garage-sale query: URN + area/price selection."""
-    urn = str(InterestAreaURN.for_area(query.area))
-    predicates: list[str] = []
-    for cell in query.area:
-        conjuncts = []
-        city, category = cell.coordinates
-        if not city.is_top:
-            conjuncts.append(f"city contains '{city}'")
-        if not category.is_top:
-            conjuncts.append(f"category contains '{category}'")
-        if conjuncts:
-            predicates.append("(" + " and ".join(conjuncts) + ")")
-    builder = PlanBuilder.urn(urn)
-    clauses = []
-    if predicates:
-        clauses.append(" or ".join(predicates))
-    if include_price and query.max_price is not None:
-        clauses.append(f"price < {query.max_price:g}")
-    if clauses:
-        builder = builder.select(" and ".join(f"({clause})" for clause in clauses))
-    return builder.display(target)
-
-
-# --------------------------------------------------------------------------- #
-# MQP / distributed-catalog scenario
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class MQPScenario:
-    """Handles of a built catalog-routed network.
-
-    ``cluster`` owns the network/transport lifecycle and hands out the
-    :class:`~repro.api.Session` objects queries are issued through;
-    ``network`` stays as a direct alias for metric-reading code.
-    """
-
-    cluster: Cluster
-    network: Network
-    namespace: MultiHierarchicNamespace
-    workload: GarageSaleWorkload
-    client: ClientPeer
-    base_servers: list[BaseServer] = field(default_factory=list)
-    index_servers: list[IndexServer] = field(default_factory=list)
-    meta_index: MetaIndexServer | None = None
-    registrations: int = 0
-
-    @property
-    def peers(self) -> list[QueryPeer]:
-        """Every peer of the scenario."""
-        peers: list[QueryPeer] = [*self.base_servers, *self.index_servers]
-        if self.meta_index is not None:
-            peers.append(self.meta_index)
-        peers.append(self.client)
-        return peers
-
-
-def build_mqp_scenario(
-    workload: GarageSaleWorkload,
-    latency: LatencyModel | None = None,
-    online_registration: bool = False,
-    seed: int | None = None,
-) -> MQPScenario:
-    """Stand up the paper's architecture over a garage-sale workload.
-
-    One base server per seller, one authoritative index server per state
-    (``[country/state, *]``), one meta-index server covering everything,
-    and one client seeded with the meta-index server only.
-
-    ``seed``, when given, seeds the latency model's per-link jitter (unless
-    an explicit ``latency`` already carries its own seed), making two
-    same-seed builds bit-identical end to end.
-    """
-    namespace = workload.namespace
-    if latency is None and seed is not None:
-        latency = LatencyModel(seed=seed)
-    cluster = Cluster(namespace=namespace, latency=latency)
-
-    base_servers = []
-    for seller in workload.sellers:
-        session = cluster.base_server(seller.address, seller.area)
-        session.publish("items", seller.items)
-        base_servers.append(session.peer)
-
-    states = sorted({tuple(seller.city.segments[:2]) for seller in workload.sellers})
-    index_servers = []
-    for state in states:
-        area = InterestArea([InterestCell((CategoryPath(state), CategoryPath()))])
-        address = f"index-{'-'.join(state).lower()}:9020"
-        index_servers.append(cluster.index_server(address, area).peer)
-
-    meta_index = cluster.meta_index("meta-index:9020").peer
-    client = cluster.client("client:9020").peer
-
-    scenario = MQPScenario(
-        cluster=cluster,
-        network=cluster.network,
-        namespace=namespace,
-        workload=workload,
-        client=client,
-        base_servers=base_servers,
-        index_servers=index_servers,
-        meta_index=meta_index,
-    )
-    scenario.registrations = cluster.connect(online=online_registration)
-    return scenario
-
-
-def run_mqp_queries(
-    scenario: MQPScenario,
-    queries: list[QuerySpec],
-    preferences: QueryPreferences | None = None,
-    include_price: bool = False,
-    seed: int | None = None,
-) -> dict[str, float]:
-    """Issue a batch of queries from the scenario's client and summarize metrics.
-
-    ``seed``, when given, assigns explicit deterministic query ids
-    (``q<seed>-<index>``).  Without it, ids come from a process-global
-    counter, whose width depends on how many queries ran earlier in the
-    process — and id width leaks into serialized plan sizes, hence into
-    byte counts and transfer latencies.  Seeded batches are therefore
-    bit-identical run to run; unseeded batches are not.
-    """
-    session = scenario.cluster.session(scenario.client.address)
-    for index, query in enumerate(queries):
-        expected = scenario.workload.ground_truth_count(
-            query.area, query.max_price if include_price else None
-        )
-        plan = query_plan_for(query, session.address, include_price=include_price)
-        query_id = f"q{seed}-{index:03d}" if seed is not None else None
-        session.submit(
-            plan,
-            preferences or QueryPreferences(),
-            expected_answers=expected,
-            query_id=query_id,
-        )
-        scenario.cluster.run_until_idle()
-    return scenario.network.metrics.summary()
-
-
-# --------------------------------------------------------------------------- #
-# Gnutella broadcast scenario
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class GnutellaScenario:
-    """Handles of a built broadcast overlay."""
-
-    network: Network
-    namespace: MultiHierarchicNamespace
-    workload: GarageSaleWorkload
-    client: GnutellaPeer
-    peers: list[GnutellaPeer]
-    topology: Topology
-
-
-def build_gnutella_scenario(
-    workload: GarageSaleWorkload,
-    degree: int = 4,
-    latency: LatencyModel | None = None,
-    seed: int = 11,
-) -> GnutellaScenario:
-    """One Gnutella peer per seller plus a data-less client, on a random overlay."""
-    namespace = workload.namespace
-    network = Network(latency=latency)
-    addresses = [seller.address for seller in workload.sellers] + ["client:9020"]
-    topology = random_topology(addresses, degree=degree, seed=seed)
-
-    peers = []
-    for seller in workload.sellers:
-        peer = GnutellaPeer(seller.address, topology)
-        network.register(peer)
-        for item in seller.items:
-            peer.add_items(item_cell(namespace, item), [item])
-        peers.append(peer)
-    client = GnutellaPeer("client:9020", topology)
-    network.register(client)
-    return GnutellaScenario(network, namespace, workload, client, peers, topology)
-
-
-def run_gnutella_queries(
-    scenario: GnutellaScenario, queries: list[QuerySpec], horizon: int = 3
-) -> dict[str, float]:
-    """Broadcast each query from the client with the given horizon."""
-    for query in queries:
-        expected = scenario.workload.ground_truth_count(query.area, None)
-        query_id = scenario.client.issue_query(query.area, horizon)
-        scenario.network.metrics.trace(query_id).expected_answers = expected
-        scenario.network.run_until_idle()
-        trace = scenario.network.metrics.trace(query_id)
-        if trace.completed_at is None:
-            trace.completed_at = scenario.network.now
-    return scenario.network.metrics.summary()
-
-
-# --------------------------------------------------------------------------- #
-# Napster central-index scenario
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class NapsterScenario:
-    """Handles of a built central-index deployment."""
-
-    network: Network
-    namespace: MultiHierarchicNamespace
-    workload: GarageSaleWorkload
-    index: NapsterIndexServer
-    client: NapsterPeer
-    peers: list[NapsterPeer]
-
-
-def build_napster_scenario(
-    workload: GarageSaleWorkload, latency: LatencyModel | None = None
-) -> NapsterScenario:
-    """One Napster peer per seller, one central index, one client."""
-    namespace = workload.namespace
-    network = Network(latency=latency)
-    index = NapsterIndexServer("central-index:9020")
-    network.register(index)
-    peers = []
-    for seller in workload.sellers:
-        peer = NapsterPeer(seller.address, index.address)
-        network.register(peer)
-        for item in seller.items:
-            peer.publish(item_cell(namespace, item), [item])
-        peers.append(peer)
-    client = NapsterPeer("client:9020", index.address)
-    network.register(client)
-    network.run_until_idle()  # flush the publish traffic before measuring queries
-    return NapsterScenario(network, namespace, workload, index, client, peers)
-
-
-def run_napster_queries(scenario: NapsterScenario, queries: list[QuerySpec]) -> dict[str, float]:
-    """Run each query through the central index."""
-    for query in queries:
-        expected = scenario.workload.ground_truth_count(query.area, None)
-        query_id = scenario.client.issue_query(query.area)
-        scenario.network.metrics.trace(query_id).expected_answers = expected
-        scenario.network.run_until_idle()
-        trace = scenario.network.metrics.trace(query_id)
-        if trace.completed_at is None:
-            trace.completed_at = scenario.network.now
-    return scenario.network.metrics.summary()
-
-
-# --------------------------------------------------------------------------- #
-# Routing-index scenario
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class RoutingIndexScenario:
-    """Handles of a built routing-index overlay."""
-
-    network: Network
-    namespace: MultiHierarchicNamespace
-    workload: GarageSaleWorkload
-    client: RoutingIndexPeer
-    peers: list[RoutingIndexPeer]
-    topology: Topology
-
-
-def build_routing_index_scenario(
-    workload: GarageSaleWorkload,
-    degree: int = 4,
-    latency: LatencyModel | None = None,
-    seed: int = 11,
-) -> RoutingIndexScenario:
-    """One routing-index peer per seller plus a client, with indices advertised."""
-    namespace = workload.namespace
-    network = Network(latency=latency)
-    addresses = [seller.address for seller in workload.sellers] + ["client:9020"]
-    topology = random_topology(addresses, degree=degree, seed=seed)
-    peers = []
-    for seller in workload.sellers:
-        peer = RoutingIndexPeer(seller.address, namespace, topology)
-        network.register(peer)
-        for item in seller.items:
-            peer.add_items(item_cell(namespace, item), [item])
-        peers.append(peer)
-    client = RoutingIndexPeer("client:9020", namespace, topology)
-    network.register(client)
-    for peer in [*peers, client]:
-        peer.advertise()
-    network.run_until_idle()
-    return RoutingIndexScenario(network, namespace, workload, client, peers, topology)
-
-
-def run_routing_index_queries(
-    scenario: RoutingIndexScenario, queries: list[QuerySpec], wanted: int = 10
-) -> dict[str, float]:
-    """Run each query with routing-index-guided forwarding."""
-    for query in queries:
-        expected = scenario.workload.ground_truth_count(query.area, None)
-        query_id = scenario.client.issue_query(query.area, wanted=max(wanted, expected))
-        scenario.network.metrics.trace(query_id).expected_answers = expected
-        scenario.network.run_until_idle()
-        trace = scenario.network.metrics.trace(query_id)
-        if trace.completed_at is None:
-            trace.completed_at = scenario.network.now
-    return scenario.network.metrics.summary()
+_STRATEGY_LABELS = {
+    "mqp": "mqp-catalog",
+    "gnutella": f"gnutella(h={GNUTELLA_HORIZON})",
+    "napster": "napster-central",
+    "routing-index": "routing-index",
+}
+"""Row label of each ``routing`` kind in the comparison table."""
 
 
 # --------------------------------------------------------------------------- #
@@ -375,37 +43,30 @@ def run_routing_index_queries(
 
 
 def compare_routing_strategies(
-    workload: GarageSaleWorkload,
-    queries: list[QuerySpec],
-    gnutella_horizon: int = 3,
-    overlay_degree: int = 4,
+    spec: ScaleoutSpec, transport: "Transport | str | None" = None
 ) -> list[dict[str, object]]:
-    """Run the same query batch under every strategy; one summary row each."""
+    """Run ``spec`` under every routing strategy; one ``traffic`` row each.
+
+    ``spec.routing`` is overridden per row; everything else — churn, link
+    faults, topology, workload, seed — applies to all four alike.  The
+    Napster row also carries the load on its central server (frames it
+    sent plus queries that visited it), the bottleneck the paper argues
+    against.
+    """
     rows: list[dict[str, object]] = []
-
-    mqp_scenario = build_mqp_scenario(workload)
-    mqp_summary = run_mqp_queries(mqp_scenario, queries)
-    rows.append({"strategy": "mqp-catalog", **mqp_summary})
-
-    gnutella_scenario = build_gnutella_scenario(workload, degree=overlay_degree)
-    gnutella_summary = run_gnutella_queries(gnutella_scenario, queries, horizon=gnutella_horizon)
-    rows.append({"strategy": f"gnutella(h={gnutella_horizon})", **gnutella_summary})
-
-    napster_scenario = build_napster_scenario(workload)
-    napster_summary = run_napster_queries(napster_scenario, queries)
-    napster_summary["central_server_messages"] = float(
-        napster_scenario.network.metrics.messages_by_sender.get(napster_scenario.index.address, 0)
-        + sum(
-            1
-            for trace in napster_scenario.network.metrics.traces.values()
-            if napster_scenario.index.address in trace.visited
-        )
-    )
-    rows.append({"strategy": "napster-central", **napster_summary})
-
-    ri_scenario = build_routing_index_scenario(workload, degree=overlay_degree)
-    ri_summary = run_routing_index_queries(ri_scenario, queries)
-    rows.append({"strategy": "routing-index", **ri_summary})
+    for routing in ROUTING_KINDS:
+        scenario, report = run_scenario(replace(spec, routing=routing), transport)
+        traffic = report["traffic"]
+        assert isinstance(traffic, dict)
+        row: dict[str, object] = {"strategy": _STRATEGY_LABELS[routing], **traffic}
+        if scenario.napster_index is not None:
+            central = scenario.napster_index.address
+            metrics = scenario.network.metrics
+            row["central_server_messages"] = float(
+                metrics.messages_by_sender.get(central, 0)
+                + sum(1 for trace in metrics.traces.values() if central in trace.visited)
+            )
+        rows.append(row)
     return rows
 
 

@@ -1,13 +1,13 @@
-"""Thousand-peer scale-out scenarios: topology × workload × churn × routing.
+"""The harness: topology × workload × churn × routing, one spec per run.
 
-The original harness (:mod:`repro.harness.experiment`) stands up tens of
-peers on hand-built populations.  This module composes the parametric
-pieces added for scale-out — topology generators
+This module composes the parametric pieces — topology generators
 (:mod:`repro.network.topology`), churn profiles
 (:mod:`repro.network.failures`), the MQP pipeline with its evaluation cache
 (:class:`repro.mqp.processor.MQPProcessor`) — into named, seeded scenarios
-of 1,000+ peers, runs them on the deterministic simulator, and reduces the
-outcome to a JSON-ready report.
+of ten to 1,000+ peers, runs them on the deterministic simulator, and
+reduces the outcome to a JSON-ready report.  The paper's strategy
+comparison (:func:`repro.harness.experiment.compare_routing_strategies`) is
+four such specs differing only in ``routing``.
 
 A scenario is fully described by a :class:`ScaleoutSpec`; the CLI
 (:mod:`repro.harness.cli`) is a thin argument parser over this module.
@@ -20,11 +20,9 @@ consumer of the same surface external callers use.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
-from ..algebra import PlanBuilder, QueryPlan
+from ..algebra import PlanBuilder
 from ..api import Cluster
 from ..catalogtier import ShardMap, shard_of_cell
 from ..errors import SimulationError
@@ -55,6 +53,8 @@ from ..workloads import (
     GeneExpressionConfig,
     GeneExpressionWorkload,
     QueryWorkload,
+    item_cell,
+    query_plan_for,
 )
 from ..workloads.adversarial import (
     CATALOG_MODES,
@@ -69,7 +69,6 @@ from ..workloads.adversarial import (
 )
 from ..workloads.distributions import make_rng
 from ..xmlmodel import XMLElement
-from .experiment import item_cell, query_plan_for
 
 __all__ = [
     "ScaleoutSpec",
@@ -80,10 +79,25 @@ __all__ = [
     "schedule_queries",
     "schedule_mutations",
     "run_scaleout",
+    "run_scenario",
+    "GNUTELLA_HORIZON",
+    "ROUTING_INDEX_WANTED",
 ]
 
 WORKLOAD_KINDS = ("garage-sale", "gene-expression")
 ROUTING_KINDS = ("mqp", "gnutella", "napster", "routing-index")
+
+GNUTELLA_HORIZON = 3
+"""Hops a Gnutella baseline query floods before its TTL runs out."""
+
+ROUTING_INDEX_WANTED = 10
+"""Answers a routing-index baseline query asks for at least (more when the
+ground truth holds more, so the stop condition never caps recall)."""
+
+_CELL_FIELDS = {
+    "garage-sale": GarageSaleWorkload.CELL_FIELDS,
+    "gene-expression": GeneExpressionWorkload.CELL_FIELDS,
+}
 
 
 @dataclass(frozen=True)
@@ -230,15 +244,10 @@ class _DataPeer:
 
 @dataclass
 class _Query:
-    """One generated query with its ground truth.
-
-    ``plan_for`` maps a target address to the MQP :class:`QueryPlan`
-    (baseline strategies query by area and ignore it).
-    """
+    """One generated query with its ground truth."""
 
     area: InterestArea
     expected: int
-    plan_for: Callable[[str], QueryPlan]
 
 
 @dataclass
@@ -258,7 +267,7 @@ class ScaleoutScenario:
     queries: list[_Query]
     churn_plan: ChurnPlan | None = None
     # Strategy-specific handles:
-    client: object | None = None
+    client: QueryPeer | GnutellaPeer | NapsterPeer | RoutingIndexPeer | None = None
     index_servers: list[QueryPeer] = field(default_factory=list)
     meta_index: QueryPeer | None = None
     napster_index: NapsterIndexServer | None = None
@@ -299,36 +308,11 @@ def _garage_sale_population(spec: ScaleoutSpec) -> tuple[
         for seller in workload.sellers
     ]
     generator = QueryWorkload(namespace, seed=spec.seed + 1, price_ceiling_range=None)
-    queries: list[_Query] = []
-    for query_spec in generator.batch(spec.queries):
-        expected = workload.ground_truth_count(query_spec.area, None)
-        queries.append(
-            _Query(
-                area=query_spec.area,
-                expected=expected,
-                plan_for=(lambda target, q=query_spec: query_plan_for(q, target, include_price=False)),
-            )
-        )
+    queries = [
+        _Query(query_spec.area, workload.ground_truth_count(query_spec.area, None))
+        for query_spec in generator.batch(spec.queries)
+    ]
     return namespace, peers, queries
-
-
-def _gene_query_plan(area: InterestArea, target: str) -> QueryPlan:
-    """An MQP for a gene-expression area query: URN plus organism/cellType filter."""
-    urn = str(InterestAreaURN.for_area(area))
-    predicates: list[str] = []
-    for cell in area:
-        organism, cell_type = cell.coordinates
-        conjuncts = []
-        if not organism.is_top:
-            conjuncts.append(f"organism contains '{organism}'")
-        if not cell_type.is_top:
-            conjuncts.append(f"cellType contains '{cell_type}'")
-        if conjuncts:
-            predicates.append("(" + " and ".join(conjuncts) + ")")
-    builder = PlanBuilder.urn(urn)
-    if predicates:
-        builder = builder.select(" or ".join(predicates))
-    return builder.display(target)
 
 
 def _gene_expression_population(spec: ScaleoutSpec) -> tuple[
@@ -346,22 +330,13 @@ def _gene_expression_population(spec: ScaleoutSpec) -> tuple[
         _DataPeer(repository.address, repository.area, list(repository.records))
         for repository in workload.repositories
     ]
-    queries: list[_Query] = []
     # The canonical Figure 1 query always leads the batch.
     areas = [workload.mammalian_cardiac_query_area()]
     generator = QueryWorkload(
         namespace, location_level=3, category_level=1, seed=spec.seed + 1, price_ceiling_range=None
     )
     areas.extend(query_spec.area for query_spec in generator.batch(max(0, spec.queries - 1)))
-    for area in areas:
-        expected = len(workload.matching_records(area))
-        queries.append(
-            _Query(
-                area=area,
-                expected=expected,
-                plan_for=(lambda target, a=area: _gene_query_plan(a, target)),
-            )
-        )
+    queries = [_Query(area, len(workload.matching_records(area))) for area in areas]
     return namespace, peers, queries
 
 
@@ -483,6 +458,7 @@ def _build_overlay_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> No
     """
     cluster = scenario.cluster
     namespace = scenario.namespace
+    fields = _CELL_FIELDS[spec.workload]
     peers = []
     for data_peer in scenario.data_peers:
         if spec.routing == "gnutella":
@@ -491,7 +467,7 @@ def _build_overlay_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> No
             peer = RoutingIndexPeer(data_peer.address, namespace, scenario.topology)
         cluster.add(peer)
         for item in data_peer.items:
-            peer.add_items(_cell_for_item(namespace, spec.workload, item), [item])
+            peer.add_items(item_cell(item, fields), [item])
         peers.append(peer)
     if spec.routing == "gnutella":
         client = GnutellaPeer("client:9020", scenario.topology)
@@ -507,7 +483,7 @@ def _build_overlay_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> No
 
 def _build_napster_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
     cluster = scenario.cluster
-    namespace = scenario.namespace
+    fields = _CELL_FIELDS[spec.workload]
     index = NapsterIndexServer("central-index:9020")
     cluster.add(index)
     scenario.napster_index = index
@@ -515,24 +491,11 @@ def _build_napster_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> No
         peer = NapsterPeer(data_peer.address, index.address)
         cluster.add(peer)
         for item in data_peer.items:
-            peer.publish(_cell_for_item(namespace, spec.workload, item), [item])
+            peer.publish(item_cell(item, fields), [item])
     client = NapsterPeer("client:9020", index.address)
     cluster.add(client)
     scenario.client = client
     cluster.run_until_idle()  # flush publish traffic before measuring queries
-
-
-def _cell_for_item(
-    namespace: MultiHierarchicNamespace, workload: str, item: XMLElement
-) -> InterestCell:
-    if workload == "garage-sale":
-        return item_cell(namespace, item)
-    return InterestCell(
-        (
-            namespace.dimensions[0].approximate(item.child_text("organism") or "*"),
-            namespace.dimensions[1].approximate(item.child_text("cellType") or "*"),
-        )
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -777,8 +740,9 @@ def _schedule_replica_outage(scenario: ScaleoutScenario) -> None:
 
 
 def _issue_mqp_query(scenario: ScaleoutScenario, query: _Query, label: str) -> str:
-    session = scenario.cluster.session(scenario.client.address)  # type: ignore[union-attr]
-    plan = query.plan_for(session.address)
+    assert isinstance(scenario.client, QueryPeer)
+    session = scenario.cluster.session(scenario.client.address)
+    plan = query_plan_for(query.area, session.address, _CELL_FIELDS[scenario.spec.workload])
     # Explicit id: the default ids come from a process-global counter, and
     # their width leaks into serialized plan sizes (and thus transfer
     # times), breaking run-to-run determinism within one process.
@@ -794,13 +758,14 @@ def _issue_mqp_query(scenario: ScaleoutScenario, query: _Query, label: str) -> s
 
 def _issue_baseline_query(scenario: ScaleoutScenario, query: _Query, label: str) -> str:
     client = scenario.client
-    if scenario.spec.routing == "gnutella":
-        query_id = client.issue_query(query.area, horizon=3, query_id=label)
-    elif scenario.spec.routing == "routing-index":
+    if isinstance(client, GnutellaPeer):
+        query_id = client.issue_query(query.area, horizon=GNUTELLA_HORIZON, query_id=label)
+    elif isinstance(client, RoutingIndexPeer):
         query_id = client.issue_query(
-            query.area, wanted=max(10, query.expected), query_id=label
+            query.area, wanted=max(ROUTING_INDEX_WANTED, query.expected), query_id=label
         )
     else:
+        assert isinstance(client, NapsterPeer)
         query_id = client.issue_query(query.area, query_id=label)
     scenario.network.metrics.trace(query_id).expected_answers = query.expected
     return query_id
@@ -820,11 +785,17 @@ def run_scaleout(
     coordination authority, so the ``aio`` backend's real sockets change
     wall-clock cost but not the report).
     """
-    # spec.reliable turns the delivery protocol on for exactly this run:
-    # the flag is process-global, so scoping it here keeps grid cells with
-    # different reliability settings comparable within one process.
-    reliability = overrides(reliable_delivery=True) if spec.reliable else nullcontext()
-    with reliability:
+    return run_scenario(spec, transport)[1]
+
+
+def run_scenario(
+    spec: ScaleoutSpec, transport: "Transport | str | None" = None
+) -> tuple[ScaleoutScenario, dict[str, object]]:
+    """:func:`run_scaleout`, handing back the scenario it ran beside the report
+    (its peers, catalogs and raw network metrics outlive the run)."""
+    # The wire-protocol flags are process-global; the spec, not whatever the
+    # caller happens to have switched on, decides what this run sends.
+    with overrides(reliable_delivery=spec.reliable, streaming_results=False):
         scenario = build_scaleout_scenario(spec, transport=transport)
         with scenario.cluster as cluster:
             query_ids = schedule_queries(scenario)
@@ -837,7 +808,7 @@ def run_scaleout(
                 if trace.completed_at is None:
                     trace.completed_at = cluster.now
 
-            return _report(scenario, query_ids)
+            return scenario, _report(scenario, query_ids)
 
 
 def schedule_queries(scenario: ScaleoutScenario) -> list[str]:

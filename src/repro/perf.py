@@ -35,8 +35,11 @@ class _Flags:
       (exponential backoff + deterministic jitter on the logical clock,
       bounded retry budgets, receiver-side dedupe) for MQP and result
       traffic vs. fire-and-forget forwarding.  Off by default: acks and
-      retries are extra wire traffic.  ``run_scaleout`` scopes it on for
-      specs with ``reliable=True``.
+      retries are extra wire traffic.
+
+    ``run_scaleout`` pins both to its spec for the run (``reliable``
+    follows ``spec.reliable``, streaming stays off), so a report never
+    depends on what the caller had switched on.
     """
 
     __slots__ = ("streaming_results", "reliable_delivery")

@@ -4,7 +4,7 @@ from .cds import CDSeller, CDWorkload, CDWorkloadConfig, FORSALE_URN, TRACKLIST_
 from .distributions import make_rng, zipf_choice, zipf_weights
 from .garage_sale import GarageSaleConfig, GarageSaleWorkload, SellerData
 from .gene_expression import GeneExpressionConfig, GeneExpressionWorkload, Repository
-from .queries import QuerySpec, QueryWorkload
+from .queries import QuerySpec, QueryWorkload, item_cell, query_plan_for
 
 __all__ = [
     "make_rng",
@@ -23,4 +23,6 @@ __all__ = [
     "TRACKLIST_URN",
     "QuerySpec",
     "QueryWorkload",
+    "item_cell",
+    "query_plan_for",
 ]

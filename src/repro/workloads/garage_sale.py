@@ -70,6 +70,9 @@ class SellerData:
 class GarageSaleWorkload:
     """Generates sellers, items and ground-truth answers for the garage sale."""
 
+    CELL_FIELDS = ("city", "category")
+    """The item fields that carry its interest cell, one per namespace dimension."""
+
     def __init__(
         self,
         config: GarageSaleConfig | None = None,

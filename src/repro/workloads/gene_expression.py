@@ -50,6 +50,9 @@ class Repository:
 class GeneExpressionWorkload:
     """Generates the Figure 1 repositories and their expression records."""
 
+    CELL_FIELDS = ("organism", "cellType")
+    """The record fields that carry its interest cell, one per namespace dimension."""
+
     def __init__(
         self,
         config: GeneExpressionConfig | None = None,

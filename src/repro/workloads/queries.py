@@ -5,16 +5,64 @@ price predicate).  The generator draws query cells with the same Zipf-skewed
 popularity the data generator uses — the locality assumption of §3.1: "If
 this address is in USA/OR/Portland, most prospective buyers will come from
 Portland, or locations close to Portland in the location hierarchy."
+
+Both synthetic populations describe an item by one text field per namespace
+dimension (``GarageSaleWorkload.CELL_FIELDS``,
+``GeneExpressionWorkload.CELL_FIELDS``); :func:`item_cell` reads an item's
+cell off those fields and :func:`query_plan_for` writes the area query that
+selects on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..namespace import CategoryPath, InterestArea, InterestCell, MultiHierarchicNamespace
+from ..algebra import PlanBuilder, QueryPlan
+from ..namespace import (
+    CategoryPath,
+    InterestArea,
+    InterestAreaURN,
+    InterestCell,
+    MultiHierarchicNamespace,
+)
+from ..xmlmodel import XMLElement
 from .distributions import make_rng, zipf_choice
 
-__all__ = ["QuerySpec", "QueryWorkload"]
+__all__ = ["QuerySpec", "QueryWorkload", "item_cell", "query_plan_for"]
+
+
+def item_cell(item: XMLElement, fields: tuple[str, str]) -> InterestCell:
+    """The item-level interest cell of a record: one coordinate per cell field."""
+    return InterestCell(
+        tuple(CategoryPath.parse(item.child_text(name) or "*") for name in fields)
+    )
+
+
+def query_plan_for(
+    area: InterestArea,
+    target: str,
+    fields: tuple[str, str],
+    max_price: float | None = None,
+) -> QueryPlan:
+    """The MQP for an area query: the area's URN, a selection on the cell
+    fields of every cell that is not the namespace top, and an optional
+    price ceiling."""
+    predicates: list[str] = []
+    for cell in area:
+        conjuncts = [
+            f"{name} contains '{coordinate}'"
+            for name, coordinate in zip(fields, cell.coordinates)
+            if not coordinate.is_top
+        ]
+        if conjuncts:
+            predicates.append("(" + " and ".join(conjuncts) + ")")
+    clauses = [" or ".join(predicates)] if predicates else []
+    if max_price is not None:
+        clauses.append(f"price < {max_price:g}")
+    builder = PlanBuilder.urn(str(InterestAreaURN.for_area(area)))
+    if clauses:
+        builder = builder.select(" and ".join(f"({clause})" for clause in clauses))
+    return builder.display(target)
 
 
 @dataclass(frozen=True)

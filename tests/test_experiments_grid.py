@@ -9,10 +9,9 @@ import pytest
 from repro.experiments import Experiment, ExperimentSpec, ROW_COLUMNS
 from repro.experiments.cli import main as experiment_main
 from repro.harness.cli import SCENARIOS, main as cli_main
-from repro.harness.experiment import build_mqp_scenario, run_mqp_queries
 from repro.harness.report import to_json
 from repro.harness.scaleout import ScaleoutSpec, run_scaleout
-from repro.workloads import GarageSaleConfig, GarageSaleWorkload, QueryWorkload
+from repro.perf import overrides
 
 
 def _tiny_grid() -> ExperimentSpec:
@@ -109,38 +108,22 @@ class TestExperimentCLI:
 class TestSeedThreading:
     """Satellite regressions: explicit seeds make repeated runs bit-identical."""
 
-    def _workload(self):
-        return GarageSaleWorkload(GarageSaleConfig(sellers=12, mean_items_per_seller=3.0, seed=23))
-
-    def _queries(self, workload, seed):
-        return QueryWorkload(workload.namespace, seed=seed).batch(6)
-
-    def test_mqp_harness_same_seed_is_bit_identical_in_process(self):
-        # Without explicit seeding the global query-id counter leaks id width
-        # into serialized plan sizes, so back-to-back runs diverge.  With a
-        # seed the whole summary must be identical, run after run.
-        summaries = []
-        for _ in range(2):
-            workload = self._workload()
-            scenario = build_mqp_scenario(workload, seed=41)
-            summaries.append(
-                run_mqp_queries(scenario, self._queries(workload, 41), seed=41)
-            )
-        assert summaries[0] == summaries[1]
-
-    def test_mqp_harness_seed_controls_latency_jitter(self):
-        workload_a, workload_b = self._workload(), self._workload()
-        scenario_a = build_mqp_scenario(workload_a, seed=41)
-        scenario_b = build_mqp_scenario(workload_b, seed=42)
-        summary_a = run_mqp_queries(scenario_a, self._queries(workload_a, 41), seed=41)
-        summary_b = run_mqp_queries(scenario_b, self._queries(workload_b, 41), seed=42)
-        assert summary_a != summary_b
-
     def test_scaleout_same_seed_is_bit_identical_in_process(self):
         spec = ScaleoutSpec(name="seeded", topology="small-world", peers=30,
                             workload="garage-sale", queries=4, seed=19,
                             free_rider_fraction=0.2)
         assert to_json(run_scaleout(spec)) == to_json(run_scaleout(spec))
+
+    @pytest.mark.parametrize("ambient", ["reliable_delivery", "streaming_results"])
+    def test_ambient_wire_flag_does_not_reach_the_report(self, ambient):
+        # The wire-protocol flags are process-global; a caller that left one
+        # on used to get acks (21 messages for 11) or chunked results in a
+        # report whose scenario block said neither.
+        spec = ScaleoutSpec(name="seeded", topology="small-world", peers=30,
+                            workload="garage-sale", queries=4, seed=19)
+        bare = to_json(run_scaleout(spec))
+        with overrides(**{ambient: True}):
+            assert to_json(run_scaleout(spec)) == bare
 
     def test_scaleout_adversarial_report_identical_across_transports(self):
         spec = ScaleoutSpec(name="seeded-aio", topology="small-world", peers=20,

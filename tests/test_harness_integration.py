@@ -1,83 +1,109 @@
 """Integration tests for the experiment harness (cross-strategy comparisons)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.algebra import serialize_plan
 from repro.harness import (
-    build_mqp_scenario,
+    ScaleoutSpec,
+    build_scaleout_scenario,
     compare_routing_strategies,
     format_series,
     format_summary,
     format_table,
-    query_plan_for,
     run_cd_query_coordinator,
     run_cd_query_mqp,
-    run_mqp_queries,
+    run_scaleout,
 )
+from repro.namespace import garage_sale_namespace, gene_expression_namespace
+from repro.peers import BaseServer
 from repro.workloads import (
     CDWorkload,
     CDWorkloadConfig,
-    GarageSaleConfig,
     GarageSaleWorkload,
-    QuerySpec,
-    QueryWorkload,
+    GeneExpressionWorkload,
+    query_plan_for,
 )
 
-
-@pytest.fixture(scope="module")
-def workload():
-    return GarageSaleWorkload(GarageSaleConfig(sellers=10, seed=2))
+SPEC = ScaleoutSpec(name="strategies", topology="random", peers=10, workload="garage-sale",
+                    queries=3, seed=2)
 
 
-@pytest.fixture(scope="module")
-def queries(workload):
-    return QueryWorkload(workload.namespace, seed=7).batch(3)
-
-
-class TestMQPScenario:
-    def test_scenario_structure(self, workload):
-        scenario = build_mqp_scenario(workload)
-        assert len(scenario.base_servers) == len(workload.sellers)
+class TestScenarioStructure:
+    def test_scenario_structure(self):
+        scenario = build_scaleout_scenario(SPEC)
+        with scenario.cluster as cluster:
+            base_servers = [peer for peer in cluster.peers() if isinstance(peer, BaseServer)]
+        assert len(base_servers) == len(scenario.data_peers) == SPEC.peers
         assert scenario.meta_index is not None
-        assert scenario.registrations >= len(workload.sellers)
+        assert scenario.registrations >= SPEC.peers
 
-    def test_query_plan_for_builds_selection(self, workload):
-        query = QuerySpec(workload.namespace.area(["USA/OR/Portland", "Furniture"]), max_price=50)
-        plan = query_plan_for(query, "client:9020")
-        assert plan.target == "client:9020"
-        assert len(plan.urn_refs()) == 1
-        assert "price" in plan.explain()
-
-    def test_run_mqp_queries_achieves_full_recall(self, workload, queries):
-        scenario = build_mqp_scenario(workload)
-        summary = run_mqp_queries(scenario, queries)
-        assert summary["queries"] == len(queries)
-        assert summary["mean_recall"] == pytest.approx(1.0)
-        assert summary["messages"] > 0
+    def test_query_plan_for_writes_what_the_two_builders_it_replaced_wrote(self):
+        # Pinned from the commit that still had query_plan_for(QuerySpec, ...)
+        # in the harness and _gene_query_plan in scaleout.py.
+        garage = garage_sale_namespace()
+        area = garage.area(["USA/OR/Portland", "Furniture"], ["USA/WA", "*"])
+        fields = GarageSaleWorkload.CELL_FIELDS
+        select = (
+            "((city contains 'USA/OR/Portland') and (category contains 'Furniture'))"
+            " or (city contains 'USA/WA')"
+        )
+        urn = '<urn name="urn:InterestArea:(USA.OR.Portland,Furniture)+(USA.WA,*)"/>'
+        wrap = '<mqp><display target="client:9020">{}</display></mqp>'.format
+        assert serialize_plan(query_plan_for(area, "client:9020", fields)) == wrap(
+            f'<select predicate="{select}">{urn}</select>'
+        )
+        priced = query_plan_for(area, "client:9020", fields, max_price=50)
+        assert priced.target == "client:9020" and len(priced.urn_refs()) == 1
+        assert serialize_plan(priced) == wrap(
+            f'<select predicate="({select}) and (price &lt; 50)">{urn}</select>'
+        )
+        assert serialize_plan(query_plan_for(garage.top_area(), "client:9020", fields)) == wrap(
+            '<urn name="urn:InterestArea:(*,*)"/>'
+        )
+        genes = gene_expression_namespace()
+        area = genes.area(["Coelomata/Deuterostomia/Mammalia", "Muscle/Cardiac"], ["*", "Neural"])
+        plan = query_plan_for(area, "client:9020", GeneExpressionWorkload.CELL_FIELDS)
+        assert serialize_plan(plan) == wrap(
+            '<select predicate="(cellType contains \'Neural\') or ((organism contains '
+            "'Coelomata/Deuterostomia/Mammalia') and (cellType contains 'Muscle/Cardiac'))\">"
+            '<urn name="urn:InterestArea:(*,Neural)+(Coelomata.Deuterostomia.Mammalia,Muscle.Cardiac)"/>'
+            "</select>"
+        )
 
 
 class TestStrategyComparison:
     @pytest.fixture(scope="class")
-    def rows(self, workload, queries):
-        return compare_routing_strategies(workload, queries, gnutella_horizon=3)
+    def by_strategy(self):
+        return {row["strategy"]: row for row in compare_routing_strategies(SPEC)}
 
-    def test_all_strategies_present(self, rows):
-        strategies = {row["strategy"] for row in rows}
-        assert strategies == {"mqp-catalog", "gnutella(h=3)", "napster-central", "routing-index"}
+    def test_all_strategies_present(self, by_strategy):
+        assert set(by_strategy) == {
+            "mqp-catalog", "gnutella(h=3)", "napster-central", "routing-index"
+        }
+        assert by_strategy["napster-central"]["central_server_messages"] > 0
+        assert all(row["queries"] == SPEC.queries for row in by_strategy.values())
 
-    def test_catalog_routing_uses_fewer_messages_than_broadcast(self, rows):
-        by_strategy = {row["strategy"]: row for row in rows}
-        assert by_strategy["mqp-catalog"]["messages"] < by_strategy["gnutella(h=3)"]["messages"]
+    def test_catalog_routing_uses_fewer_messages_than_broadcast(self, by_strategy):
+        assert 0 < by_strategy["mqp-catalog"]["messages"] < by_strategy["gnutella(h=3)"]["messages"]
 
-    def test_catalog_routing_contacts_fewer_peers_than_broadcast(self, rows):
-        by_strategy = {row["strategy"]: row for row in rows}
+    def test_catalog_routing_contacts_fewer_peers_than_broadcast(self, by_strategy):
         assert (
             by_strategy["mqp-catalog"]["mean_peers_per_query"]
             < by_strategy["gnutella(h=3)"]["mean_peers_per_query"]
         )
 
-    def test_catalog_routing_recall_is_complete(self, rows):
-        by_strategy = {row["strategy"]: row for row in rows}
+    def test_catalog_routing_recall_is_complete(self, by_strategy):
         assert by_strategy["mqp-catalog"]["mean_recall"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("transport", ["sim", "aio"])
+    def test_mqp_row_is_the_traffic_block_of_the_same_spec(self, transport):
+        # One harness: the comparison's row is run_scaleout's report, not a
+        # second way of running the same network.
+        row = compare_routing_strategies(replace(SPEC, churn="light"), transport)[0]
+        traffic = run_scaleout(replace(SPEC, churn="light", routing="mqp"), transport)["traffic"]
+        assert row == {"strategy": "mqp-catalog", **traffic}
 
 
 class TestCDComparison:

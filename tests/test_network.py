@@ -90,6 +90,7 @@ class TestLatencyModel:
         first = model.propagation_delay("a", "b")
         assert model.propagation_delay("a", "b") == first
         assert model.propagation_delay("a", "a") == model.local_latency_ms
+        assert LatencyModel(seed=4).propagation_delay("a", "b") != first  # the seed is the jitter
 
     def test_transfer_time_scales_with_size(self):
         model = LatencyModel(bandwidth_bytes_per_ms=100)
