@@ -1,53 +1,20 @@
 """EXP-SCALE — the distributed catalog scales with the number of peers (§1, §3).
 
-Two layers of evidence:
-
-* the original sweep: registration messages, per-peer catalog footprint,
-  resolution hops and recall as the population grows (no peer holds a
-  global catalog);
-* the perf gates, both absolute (within ``check_regression.py``'s 20% band
-  of the committed value): the lookup throughput of the trie-backed
-  catalog index at 1,000 registered servers
-  (``indexed_lookup_ops_per_sec``) and the wall time of the full scale-out
-  scenario (``scaleout_runtime_s``).  That the index returns what a linear
-  scan would is tier-1's job (``tests/test_catalog_index.py`` against
-  ``tests/oracles/catalog_scan.py``).
-
-``--json`` writes the measurements to ``BENCH_catalog_scalability.json``
-(the perf trajectory's first committed point).  ``REPRO_BENCH_QUICK=1``
-shrinks query counts and the end-to-end population for CI smoke runs —
-the 1,000-server lookup gate keeps its full size (building the catalog is
-cheap; the gate scale is the point).
+The sweep: registration messages, per-peer catalog footprint, resolution
+hops and recall as the population grows (no peer holds a global
+catalog).  What a lookup costs is ``catalog.lookup_s`` of the end-to-end
+driver (``benchmarks/e2e/README.md``); that the index returns what a
+linear scan would is tier-1's job (``tests/test_catalog_index.py``
+against ``tests/oracles/catalog_scan.py``).
 """
 
 from __future__ import annotations
 
-import random
-import time
-
 import pytest
 
-import benchjson
-from repro.catalog import Catalog, CollectionRef, IntensionalStatement, ServerEntry, ServerRole
-from repro.harness import (
-    ScaleoutSpec, build_scaleout_scenario, format_table, run_scaleout, run_scenario,
-)
-from repro.namespace.builtin import garage_sale_namespace
+from repro.harness import ScaleoutSpec, build_scaleout_scenario, format_table, run_scenario
 from repro.peers import BaseServer, IndexServer
 from conftest import emit
-
-QUICK = benchjson.quick_mode()
-BENCH = "catalog_scalability"
-
-GATE_SERVERS = 1000
-GATE_SEED = 7
-GATE_QUERIES = 150 if QUICK else 400
-
-SCALEOUT_SPEC = (
-    ScaleoutSpec(name="pr1-smoke", peers=200, queries=6)
-    if QUICK
-    else ScaleoutSpec(name="pr1")
-)
 
 
 def _sweep_spec(peers: int, seed: int) -> ScaleoutSpec:
@@ -116,102 +83,3 @@ def test_per_peer_catalog_stays_local(benchmark):
     for peer in base_servers:
         assert peer.catalog.size() <= 2 + scenario.topology.degree(peer.address)
     assert max(index_catalogs) <= spec.peers + 2
-
-
-# --------------------------------------------------------------------------- #
-# Gates: indexed lookup throughput and end-to-end scenario wall time
-# --------------------------------------------------------------------------- #
-
-
-def _gate_catalog(servers: int = GATE_SERVERS, seed: int = GATE_SEED):
-    """A realistic 1,000-server catalog plus a seeded query battery."""
-    namespace = garage_sale_namespace()
-    rng = random.Random(seed)
-    locations = namespace.dimensions[0].categories()
-    merchandise = namespace.dimensions[1].categories()
-    catalog = Catalog("gate")
-    addresses = []
-    for position in range(servers):
-        address = f"peer-{position:04d}:9020"
-        addresses.append(address)
-        area = namespace.area([rng.choice(locations), rng.choice(merchandise)])
-        role = rng.choice([ServerRole.BASE] * 8 + [ServerRole.INDEX, ServerRole.META_INDEX])
-        catalog.register_server(
-            ServerEntry(
-                address,
-                role,
-                area,
-                authoritative=(role is not ServerRole.BASE),
-                collections=[CollectionRef(address, "/items")],
-            )
-        )
-    for position in range(0, servers, 50):
-        left, right = addresses[position], addresses[(position + 1) % servers]
-        area_text = "(USA.OR,*)" if position % 100 else "(USA.WA,*)"
-        catalog.register_statement(
-            IntensionalStatement.parse(f"base[{area_text}]@{left} >= base[{area_text}]@{right}")
-        )
-    queries = [
-        namespace.area([rng.choice(locations), rng.choice(merchandise)])
-        for _ in range(GATE_QUERIES)
-    ]
-    return catalog, queries
-
-
-@pytest.fixture(scope="module")
-def gate_catalog():
-    return _gate_catalog()
-
-
-def test_indexed_lookup_gate(gate_catalog):
-    """Lookup throughput of the catalog index at 1,000 servers."""
-    catalog, queries = gate_catalog
-
-    operations = []
-    for area in queries:
-        operations.append(lambda a=area: catalog.servers_overlapping(a))
-        operations.append(lambda a=area: catalog.servers_covering(a))
-
-    indexed = benchjson.latency_stats(benchjson.sample_latencies(operations, repeats=3))
-
-    emit(
-        f"EXP-SCALE  Indexed catalog lookups ({len(catalog.servers)} servers)",
-        f"indexed={indexed['ops_per_sec']:,.0f} ops/s "
-        f"(p50={indexed['p50_us']:.1f}us p99={indexed['p99_us']:.1f}us)",
-    )
-
-    context = {"peers": len(catalog.servers), "seed": GATE_SEED, "queries": len(queries)}
-    benchjson.record_metric(
-        BENCH, "indexed_lookup_ops_per_sec", indexed["ops_per_sec"], unit="ops/s",
-        compare=True, **context,
-    )
-    benchjson.record_metric(
-        BENCH, "indexed_lookup_p50_us", indexed["p50_us"], unit="us", direction="lower", **context
-    )
-    benchjson.record_metric(
-        BENCH, "indexed_lookup_p99_us", indexed["p99_us"], unit="us", direction="lower", **context
-    )
-
-
-def test_scaleout_runtime_gate():
-    """End-to-end: the scale-out config in absolute seconds."""
-    spec = SCALEOUT_SPEC
-
-    started = time.perf_counter()
-    run_scaleout(spec)
-    elapsed_s = time.perf_counter() - started
-
-    emit(
-        f"EXP-SCALE  End-to-end scenario runtime ({spec.peers} peers, {spec.workload})",
-        f"{elapsed_s:.2f}s",
-    )
-    # The gate: check_regression.py fails a run more than 20% slower than
-    # the committed value (ROADMAP aim 1 - absolute numbers, not ratios).
-    benchjson.record_metric(
-        BENCH, "scaleout_runtime_s", elapsed_s, unit="s", direction="lower", compare=True,
-        peers=spec.peers, seed=spec.seed, workload=spec.workload,
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(benchjson.run_as_script(__file__))

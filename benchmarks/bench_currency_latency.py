@@ -111,9 +111,3 @@ def test_latency_grows_with_servers_visited(benchmark, binding):
     )
     latencies = [option.predicted_latency_ms for option in options]
     assert latencies == sorted(latencies)
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

@@ -81,9 +81,3 @@ def test_figure1_pruning_scales_with_population(benchmark):
         f"repositories={len(workload.repositories)} contacted={contacted} skipped={skipped}",
     )
     assert contacted < len(workload.repositories)
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

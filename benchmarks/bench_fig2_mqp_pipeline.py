@@ -80,9 +80,3 @@ def test_pipeline_stage_breakdown(benchmark):
         f"evaluated_plan_bytes={len(evaluated_document)} roundtrip_bytes={len(round_tripped)}",
     )
     assert len(round_tripped) == len(evaluated_document)
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

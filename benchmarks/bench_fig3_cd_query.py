@@ -91,9 +91,3 @@ def test_figure4_resolution_and_reduction_steps(benchmark):
     assert bindings == 2
     assert reductions >= 2
     assert final.is_fully_evaluated()
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

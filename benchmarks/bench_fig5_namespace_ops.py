@@ -81,9 +81,3 @@ def test_urn_codec_throughput(benchmark):
     total_cells = benchmark(roundtrip_all)
     emit("FIG-5  URN codec", f"areas={len(areas)} total_cells_roundtripped={total_cells}")
     assert total_cells >= len(areas)
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

@@ -106,9 +106,3 @@ def test_redundancy_example1(benchmark):
         "\n".join(f"{alt.description}: servers={alt.servers}" for alt in binding.alternatives),
     )
     assert binding.fewest_servers().server_count == 1
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

@@ -161,9 +161,3 @@ def test_deferment_avoids_exploding_results(benchmark):
         ),
     )
     assert deferred < eager
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

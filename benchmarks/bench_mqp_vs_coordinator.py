@@ -67,9 +67,3 @@ def test_two_site_shipping_comparison(benchmark):
     ]
     emit("EXP-MQP-VS-COORD  Two-site shipping comparison", format_table(rows))
     assert semijoin.total_bytes < estimate_full_ship(listings)
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

@@ -91,9 +91,3 @@ def test_provenance_wire_overhead(benchmark):
         ),
     )
     assert full_size > bare_size
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

@@ -70,9 +70,3 @@ def test_gnutella_horizon_sweep(benchmark):
         assert narrower["messages"] <= wider["messages"]
         assert narrower["mean_recall"] <= wider["mean_recall"] + 1e-9
     assert rows[0]["messages"] < rows[-1]["messages"]
-
-
-if __name__ == "__main__":
-    import benchjson
-
-    raise SystemExit(benchjson.run_as_script(__file__))

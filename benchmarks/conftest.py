@@ -1,70 +1,16 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark prints the table or series it reproduces (the measurable
-version of one of the paper's figures or qualitative claims) and uses
-``pytest-benchmark`` to time the core operation involved.  Workload sizes
-are kept small enough that the whole suite runs in a couple of minutes.
-
-With ``--json`` (or ``REPRO_BENCH_JSON=1``) each benchmark module writes a
-machine-readable ``BENCH_<name>.json`` report — see :mod:`benchjson` for
-the schema — turning the suite into the repo's perf trajectory.
+Every benchmark reproduces one of the paper's figures or qualitative
+claims: it prints the table or series it reproduces and asserts the
+claim.  ``pytest-benchmark`` times the core operation when timing is on;
+``--benchmark-disable`` runs the suite as plain, untimed checks.  What a
+change costs is measured by the end-to-end driver instead
+(``benchmarks/e2e/README.md``).
 """
 
 from __future__ import annotations
 
-import os
-import sys
-
-import pytest
-
-import benchjson
-
-
-def pytest_addoption(parser):
-    group = parser.getgroup("bench-json")
-    group.addoption(
-        "--json",
-        action="store_true",
-        default=False,
-        help="write BENCH_<name>.json reports for the benchmarks that ran",
-    )
-    group.addoption(
-        "--json-dir",
-        default=None,
-        help="directory for BENCH_*.json files (default: repository root)",
-    )
-
-
-def pytest_configure(config):
-    if config.getoption("--json"):
-        os.environ[benchjson.ENV_ENABLE] = "1"
-    json_dir = config.getoption("--json-dir")
-    if json_dir:
-        os.environ[benchjson.ENV_DIR] = str(json_dir)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if benchjson.enabled():
-        for path in benchjson.write_reports():
-            print(f"\nBENCH report written to {path}")
-
 
 def emit(title: str, body: str) -> None:
-    """Print a reproduced table/series under a recognizable banner.
-
-    In ``--json`` mode the table also lands in the calling benchmark's
-    BENCH report as a note, so the human-readable evidence travels with
-    the metrics.
-    """
+    """Print a reproduced table/series under a recognizable banner."""
     print(f"\n=== {title} ===\n{body}\n")
-    if benchjson.enabled():
-        caller = sys._getframe(1).f_globals.get("__name__", "unknown")
-        benchjson.record_note(benchjson.bench_name(caller), title, body)
-
-
-@pytest.fixture(scope="session")
-def garage_sale_small():
-    """A small, deterministic garage-sale population shared across benches."""
-    from repro.workloads import GarageSaleConfig, GarageSaleWorkload
-
-    return GarageSaleWorkload(GarageSaleConfig(sellers=16, mean_items_per_seller=8, seed=11))

@@ -23,12 +23,15 @@ from repro.harness.scaleout import (
     build_scaleout_scenario,
     schedule_queries,
 )
+from repro.namespace import InterestArea
 from repro.peers import BaseServer, IndexServer
 from repro.peers.parts import Cancellations
 from repro.peers.registration import covering_indexers
 from repro.peers.subscriptions import Subscriptions
 from repro.peers.transfers import Transfers
 from repro.perf import overrides
+from repro.workloads.adversarial import zipf_query_ranks
+from repro.workloads.distributions import make_rng
 from recording_node import RecordingNode, frame
 
 
@@ -480,6 +483,28 @@ class TestShardedScenario:
         _, _, stats, _ = outcome
         cache = stats["answer_cache"]
         assert cache["hits"] + cache["misses"] > 0
+
+
+class TestAnswerCacheUnderZipf:
+    def test_the_owning_replicas_serve_hot_areas_from_their_caches(self):
+        """600 Zipf-ranked lookups over the owned index areas of a 200-peer,
+        4-shard tier, each asked of the area's first owner: >= 80% are
+        answered by the replicas' answer caches."""
+        spec = ScaleoutSpec(name="zipf", topology="small-world", peers=200,
+                            workload="garage-sale", churn="none", queries=1, seed=11,
+                            catalog_shards=4, catalog_replicas=1)
+        scenario = build_scaleout_scenario(spec)
+        with scenario.cluster:
+            tier = scenario.shard_map
+            hot = [InterestArea([cell]) for group in tier.groups if group.area is not None
+                   for cell in group.area]
+            replicas = {peer.address: peer.catalog for peer in scenario.index_servers}
+            for rank in zipf_query_ranks(make_rng(spec.seed + 4), len(hot), 600):
+                replicas[tier.owners(hot[rank])[0]].servers_overlapping(hot[rank])
+            caches = [catalog.answer_cache for catalog in replicas.values()]
+            hits = sum(cache.hits for cache in caches)
+            assert hits + sum(cache.misses for cache in caches) == 600
+        assert hits / 600 >= 0.8
 
 
 class TestFirstHopAtBenchmarkScale:

@@ -67,6 +67,34 @@ class TestGridOnRealScenarios:
         riders = result.cell("riders")["completeness"]["proportion"]
         assert riders < coop
 
+    def test_completeness_holds_up_under_churn_and_free_riders(self):
+        """Cooperative peers under light churn against the same population
+        with a quarter free-riding: the baseline stays >= 0.85 complete and
+        the adversarial cell keeps >= 70% of that."""
+        seeds, repeats, queries = (11,), 2, 6
+        spec = ExperimentSpec(
+            name="answer-quality",
+            scenarios=tuple(
+                ScaleoutSpec(name=name, topology="small-world", peers=60,
+                             workload="garage-sale", churn="light", queries=queries,
+                             free_rider_fraction=riders)
+                for name, riders in (("coop-churn", 0.0), ("riders-churn", 0.25))
+            ),
+            seeds=seeds,
+            repeats=repeats,
+        )
+        result = Experiment(spec).run()
+        baseline = result.cell("coop-churn")["completeness"]["proportion"]
+        adversary = result.cell("riders-churn")["completeness"]["proportion"]
+        assert baseline >= 0.85
+        assert adversary / baseline >= 0.70
+        for cell in result.cells:
+            interval = cell["completeness"]
+            assert interval["trials"] == len(seeds) * repeats * queries
+            assert 0.0 < interval["ci_high"] - interval["ci_low"] < 1.0
+        assert 0.0 <= result.cell("riders-churn")["vs_baseline"]["p_value"] <= 1.0
+        assert len(result.rows) == spec.runs
+
 
 class TestExperimentCLI:
     def test_end_to_end(self, tmp_path, capsys):

@@ -11,6 +11,8 @@ Covers the resilience contract ``docs/resilience.md`` documents:
 * the reliable-delivery protocol (``flags.reliable_delivery``) acks,
   retransmits with backoff, dedupes at the receiver, and degrades —
   reroute / teardown / dead-letter — when the retry budget is exhausted;
+* at 10% seeded link loss the protocol keeps a grid's completeness at
+  >= 0.9, where fire-and-forget loses a quarter of its answers;
 * ``QueryHandle.result(deadline=...)`` returns a :class:`DegradedResult`
   instead of raising :class:`QueryTimeout`;
 * the ``peer-unreachable`` notice is a guarded no-op once the transport
@@ -27,6 +29,7 @@ import pytest
 
 from repro.api import Cluster, DegradedResult
 from repro.errors import SimulationError
+from repro.experiments import Experiment, ExperimentSpec
 from repro.harness import scaleout
 from repro.harness.report import to_json
 from repro.harness.scaleout import ScaleoutSpec, run_scaleout
@@ -195,6 +198,31 @@ class TestFaultEquivalence:
     def test_flags_are_off_by_default(self):
         assert flags.reliable_delivery is False
         assert FaultPlan.none() == ScaleoutSpec().fault_plan().__class__.none()
+
+
+class TestCompletenessUnderLoss:
+    def test_retries_recover_what_fire_and_forget_loses(self):
+        """The same grid at 10% link loss, ack/retry on and off: retries
+        bring completeness back to >= 0.9, and the loss costs the
+        unprotected cell at least a quarter of its answers (else the
+        injection stopped biting and on == off)."""
+        cells = [
+            ScaleoutSpec(name=f"loss-retries-{mode}", topology="small-world", peers=100,
+                         workload="garage-sale", churn="none", queries=6,
+                         fault_loss=0.10, reliable=(mode == "on"))
+            for mode in ("on", "off")
+        ]
+        spec = ExperimentSpec(name="resilience", scenarios=tuple(cells), seeds=(11,),
+                              repeats=2, baseline="loss-retries-on")
+        result = Experiment(spec).run()
+        assert len(result.rows) == spec.runs
+        on = result.cell("loss-retries-on")["completeness"]["proportion"]
+        off_cell = result.cell("loss-retries-off")
+        off = off_cell["completeness"]["proportion"]
+        assert on >= 0.90
+        assert 1.0 - off >= 0.25
+        assert on > off
+        assert 0.0 <= off_cell["vs_baseline"]["p_value"] <= 1.0
 
 
 # --------------------------------------------------------------------------- #

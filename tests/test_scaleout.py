@@ -132,9 +132,7 @@ class TestBatchedProcessing:
     def test_batch_matches_sequential(self, data_processor):
         documents = _documents(6)
         sequential = _process_all(data_processor, documents, uncached=True)
-        batched = data_processor.process_batch(
-            [MutantQueryPlan.deserialize(document) for document in documents]
-        )
+        batched = _process_all(data_processor, documents)
         assert len(batched) == 6
         for lone, grouped in zip(sequential, batched):
             assert lone.action == grouped.action
@@ -160,9 +158,7 @@ class TestBatchedProcessing:
 
     def test_reused_context_counts_hit_deltas(self, data_processor):
         for _ in range(2):
-            data_processor.process_batch(
-                [MutantQueryPlan.deserialize(d) for d in _documents(8)]
-            )
+            _process_all(data_processor, _documents(8))
         # 7 hits in the first round, all 8 in the second: one cache, kept between them.
         assert data_processor.evaluations.hits == 15
 

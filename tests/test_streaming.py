@@ -272,6 +272,13 @@ class TestStreamingDifferential:
         with pytest.raises(ResourceBudgetExceeded):
             list(engine.stream(plan))
 
+    def test_breaker_at_its_engine_budget_completes(self):
+        items = make_items(256)
+        plan = OrderBy(VerbatimData.from_items(items, copy_items=False), "price")
+        engine = QueryEngine(max_buffered_items=len(items))
+        assert sum(1 for _ in engine.stream(plan)) == len(items)
+        assert engine.peak_buffered_items == len(items)
+
     def test_streaming_peak_memory_below_materialized(self):
         """Consuming a projection one item at a time allocates far less than
         materializing every projected item first."""

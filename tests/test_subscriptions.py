@@ -13,7 +13,9 @@ The suite covers the full standing-query protocol end-to-end:
   sequence, a failed-over authority re-arms publishers from its durable
   registry, conflicting authorities surface (MOAS-style) instead of
   double-delivering, and a flash crowd of 100 subscribers under seeded
-  loss still sees exactly-once delivery.
+  loss still sees exactly-once delivery;
+* at 200 peers a delta reaches its subscriber >= 5x sooner than snapshot
+  polling would.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import pytest
 
 from repro.algebra import PlanBuilder
 from repro.algebra.serialization import serialize_plan
-from repro.api import Cluster
+from repro.api import Cluster, Subscription
 from repro.catalog import Catalog, ServerRole
 from repro.catalog.matcher import SubscriptionMatcher, subscribable_shape
 from repro.errors import PlanError
 from repro.harness.cli import SCENARIOS
-from repro.harness.scaleout import build_scaleout_scenario, schedule_mutations
+from repro.harness.scaleout import ScaleoutSpec, build_scaleout_scenario, schedule_mutations
 from repro.namespace import InterestAreaURN
 from repro.network import FaultPlan
 from repro.network.metrics import NetworkMetrics
@@ -915,3 +917,41 @@ class TestChurn:
                     (seqs,) = per_feed.values()
                     assert seqs == [0, 1, 2], address
                     assert peer.subscriptions.delta_gaps == 0, address
+
+
+class TestDeltasBeatPolling:
+    def test_a_change_arrives_as_a_delta_five_times_sooner_than_a_poller_sees_it(self):
+        """One subscriber among 200 peers: each mutation round reaches it as a
+        delta, >= 5x sooner than a poller at the harness's query cadence
+        would hold the change (half the interval stale, plus the snapshot
+        re-query's round trip)."""
+        spec = ScaleoutSpec(name="sub-latency", topology="small-world", peers=200,
+                            workload="garage-sale", churn="none", queries=4,
+                            subscribers=1, reliable=True)
+        rounds = 3
+        with overrides(reliable_delivery=True):
+            scenario = build_scaleout_scenario(spec)
+            with scenario.cluster as cluster:
+                session = cluster.session(scenario.subscriber_addresses[0])
+                sub_id = scenario.subscription_ids[0]
+                items = {peer.address: peer.items for peer in scenario.data_peers}
+                publishers = [address for address in scenario.hot_publishers if items[address]]
+                assert publishers, "no data peer overlaps the subscribed area"
+                delta_ms = []
+                for _ in range(rounds):
+                    seen = len(session.peer.subscription_state(sub_id).deltas)
+                    published_at = cluster.now
+                    for address in publishers:
+                        cluster.session(address).update("items", [items[address][0].copy()])
+                    cluster.run_until_idle()
+                    deltas = session.peer.subscription_state(sub_id).deltas
+                    assert len(deltas) > seen, "mutation produced no delta"
+                    delta_ms.append(deltas[-1].received_at - published_at)
+                subscription = Subscription(session, sub_id)
+                snapshot_ms = []
+                for _ in range(rounds):
+                    issued_at = cluster.now
+                    assert subscription.snapshot().count > 0
+                    snapshot_ms.append(cluster.now - issued_at)
+        poll_ms = spec.query_interval_ms / 2.0 + sum(snapshot_ms) / rounds
+        assert poll_ms / (sum(delta_ms) / rounds) >= 5.0

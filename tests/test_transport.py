@@ -172,6 +172,18 @@ class TestAsyncioTransport:
             assert stats["frames_received"] == 2
             assert stats["bytes_on_wire"] > 0
 
+    def test_a_burst_past_the_inbox_bound_arrives_whole(self):
+        transport = AsyncioTransport(inbox_limit=8)
+        with Network(transport=transport) as network:
+            source, sink = Recorder("source:1"), Recorder("sink:1")
+            network.register(source)
+            network.register(sink)
+            for _ in range(500):
+                source.send("sink:1", "blob", "x" * 256, size_bytes=256)
+            network.run_until_idle()
+            assert len(sink.received) == 500
+            assert transport.stats()["inbox_high_water"] <= transport.inbox_limit
+
     def test_logical_order_matches_sim(self):
         def exchange(transport):
             order = []
