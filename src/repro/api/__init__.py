@@ -32,8 +32,8 @@ Four classes carry the model:
   :class:`DegradedResult` carrying the best partial answer, a completeness
   annotation, and per-hop delivery-failure provenance),
   ``partial_results()``, ``done()``, iteration over streamed partials,
-  per-item streaming via ``items()`` (chunk-by-chunk when
-  ``repro.perf.flags.streaming_results`` is on), and ``cancel()`` —
+  per-item streaming via ``items()`` (piece by piece, as each result
+  frame lands), and ``cancel()`` —
   raising :class:`~repro.errors.QueryTimeout` /
   :class:`~repro.errors.PeerOffline` /
   :class:`~repro.errors.QueryCancelled` instead of ever returning ``None``.

@@ -58,7 +58,14 @@ __all__ = ["Cluster"]
 
 
 class Cluster:
-    """Context-managed owner of a network, its transport, and its wiring."""
+    """Context-managed owner of a network, its transport, and its wiring.
+
+    ``faults`` and ``reliable`` configure the fabric every peer of this
+    cluster shares: a :class:`~repro.network.faults.FaultPlan` to inject
+    link faults, and whether query traffic is acknowledged and retransmitted
+    (``reliable=True``) or sent fire-and-forget, as in the paper.  Two
+    clusters in one process never see each other's choice.
+    """
 
     def __init__(
         self,
@@ -70,6 +77,7 @@ class Cluster:
         unreachable_delay_ms: float = 5.0,
         topology: Topology | None = None,
         faults: FaultPlan | None = None,
+        reliable: bool = False,
     ) -> None:
         if transport is None:
             transport = build_transport("sim")
@@ -81,6 +89,7 @@ class Cluster:
             unreachable_delay_ms=unreachable_delay_ms,
             transport=transport,
             faults=faults,
+            reliable=reliable,
         )
         self.namespace = namespace
         self.topology = topology

@@ -55,7 +55,7 @@ class DegradedResult(QueryResult):
 
     Returned by ``QueryHandle.result(deadline=...)`` instead of raising
     :class:`~repro.errors.QueryTimeout`: the items are whatever partial
-    answer (or streamed chunk prefix) had arrived by the deadline, and the
+    answer had arrived by the deadline, and the
     annotations say how complete it is and where delivery gave up.
 
     * ``completeness`` — fraction of the expected answer that arrived
@@ -67,9 +67,10 @@ class DegradedResult(QueryResult):
       with work still scheduled) or ``"idle"`` (the network drained with
       the answer still missing: a plan or its result died en route);
     * ``failures`` — per-hop delivery-failure provenance gathered by the
-      reliable-delivery protocol (empty with ``flags.reliable_delivery``
-      off): each :class:`DeliveryFailure` names the hop that gave up, the
-      unresponsive peer, the message kind, and the attempts spent.
+      reliable-delivery protocol (empty unless the cluster is
+      ``Cluster(reliable=True)``): each :class:`DeliveryFailure` names the
+      hop that gave up, the unresponsive peer, the message kind, and the
+      attempts spent.
     """
 
     completeness: float | None = None
@@ -142,11 +143,10 @@ class QueryHandle:
     def cancel(self) -> None:
         """Cancel the query (idempotent).
 
-        The issuing peer marks the query dead — open chunked-result streams
-        are torn down at their producers, buffered chunks are dropped, and
-        a cancel notice propagates along the plan's forwarding chain so
-        in-flight copies are discarded instead of processed.  Waiting on a
-        cancelled handle raises :class:`~repro.errors.QueryCancelled`.
+        The issuing peer marks the query dead and a cancel notice propagates
+        along the plan's forwarding chain, so in-flight copies are discarded
+        instead of processed.  Waiting on a cancelled handle raises
+        :class:`~repro.errors.QueryCancelled`.
 
         Cancelling a handle whose complete result is already recorded is a
         no-op (standard future semantics): the answer stays retrievable and
@@ -333,82 +333,57 @@ class QueryHandle:
     def items(self, timeout: float | None = None) -> Iterator[XMLElement]:
         """Stream individual result items as they arrive.
 
-        With chunked delivery on (``flags.streaming_results``), items are
-        yielded as each ``result-chunk`` frame lands at the issuing peer —
-        the first item is available long before the complete answer has
-        crossed the network.  With chunking off, a piece's items arrive
-        together with its result frame and are yielded then: a scattered
-        query streams piece by piece either way, in arrival order.
-
-        The stream ends after the final result's items; when the network
-        goes idle with only a partial answer, whatever items arrived are
-        yielded and the stream ends (the documented degradation, matching
-        :meth:`result`).  No item object is yielded twice, however it
-        became visible (chunk, piece, final result); a partial piece later
-        superseded by its complete delivery is a second set of objects.
-        ``timeout`` bounds the wait in simulated milliseconds; cancelling
-        the handle mid-iteration stops the stream.
+        A piece's items arrive together with its result frame and are
+        yielded then: a scattered query streams piece by piece, in arrival
+        order.  The stream ends after the final result's items; when the
+        network goes idle with only a partial answer, whatever items arrived
+        are yielded and the stream ends (the documented degradation,
+        matching :meth:`result`).  No item object is yielded twice; a
+        partial piece later superseded by its complete delivery is a second
+        set of objects.  ``timeout`` bounds the wait in simulated
+        milliseconds; cancelling the handle mid-iteration stops the stream.
         """
         if self._cancelled:
             raise QueryCancelled(f"query {self.query_id!r} was cancelled")
         self._ensure_watching()
         deadline = self._network.now + timeout if timeout is not None else None
-        arrived: list[XMLElement] = self._peer.chunk_items(self.query_id)
-        merged = 0  # arrivals whose items are already in ``arrived``
-
-        def on_chunk(chunk: list[XMLElement], stream: str) -> None:
-            arrived.extend(chunk)
-
-        def merge_arrivals() -> None:
-            nonlocal merged
-            for result in self._arrivals[merged:]:
-                arrived.extend(result.items)
-            merged = len(self._arrivals)
-
-        self._peer.watch_chunks(self.query_id, on_chunk)
-        position = 0
+        drained = 0  # arrivals whose items were yielded
         seen: set[int] = set()
-        try:
-            while True:
-                merge_arrivals()
-                while position < len(arrived):
-                    item = arrived[position]
-                    position += 1
+        while True:
+            while drained < len(self._arrivals):
+                result = self._arrivals[drained]
+                drained += 1
+                for item in result.items:
                     if id(item) in seen:
-                        continue  # came as a chunk, then again with its piece
+                        continue
                     seen.add(id(item))
                     yield item
                     if self._cancelled:
                         return
-                if len(self._arrivals) > merged:
-                    continue  # a piece landed while suspended at a yield
-                if self._final is not None:
-                    return
-                progressed = self._network.run_until(
-                    lambda: len(arrived) > position or len(self._arrivals) > merged,
-                    until=deadline,
-                )
-                if self._cancelled:
-                    return
-                if progressed:
-                    continue
-                if not self._peer.online:
-                    raise self._offline("while streaming items of {}")
-                if self._idle():
-                    self.close()
-                    if self._arrivals:
-                        return  # degraded outcome: every arrived piece was drained
-                    raise QueryTimeout(
-                        f"the network is idle and no result will ever arrive "
-                        f"for query {self.query_id!r} ({len(seen)} item(s) "
-                        "streamed before the plan died en route)"
-                    )
+            if self._final is not None:
+                return
+            progressed = self._network.run_until(
+                lambda: len(self._arrivals) > drained, until=deadline
+            )
+            if self._cancelled:
+                return
+            if progressed:
+                continue
+            if not self._peer.online:
+                raise self._offline("while streaming items of {}")
+            if self._idle():
+                self.close()
+                if self._arrivals:
+                    return  # degraded outcome: every arrived piece was drained
                 raise QueryTimeout(
-                    f"no further items for query {self.query_id!r} within "
-                    f"{timeout:g} simulated ms ({len(seen)} item(s) streamed)"
+                    f"the network is idle and no result will ever arrive "
+                    f"for query {self.query_id!r} ({len(seen)} item(s) "
+                    "streamed before the plan died en route)"
                 )
-        finally:
-            self._peer.unwatch_chunks(self.query_id, on_chunk)
+            raise QueryTimeout(
+                f"no further items for query {self.query_id!r} within "
+                f"{timeout:g} simulated ms ({len(seen)} item(s) streamed)"
+            )
 
     # -- internals ----------------------------------------------------------- #
 
@@ -423,11 +398,7 @@ class QueryHandle:
             hops = best.provenance_hops
             staleness = best.max_staleness_minutes
         else:
-            # No full partial frame landed, but streamed chunks may have:
-            # an in-flight chunked delivery's prefix is still an answer.
-            items = self._peer.chunk_items(self.query_id)
-            hops = 0
-            staleness = 0.0
+            items, hops, staleness = [], 0, 0.0
         failures = [
             DeliveryFailure(
                 hop=str(record.get("hop", "")),
@@ -442,10 +413,9 @@ class QueryHandle:
         completeness = min(1.0, len(items) / expected) if expected else None
         self.close()
         # Stop the upstream work: the deadline consumed this query's value,
-        # so in-flight plan copies, open result streams, and pending
-        # retransmissions are torn down along the forwarding chain.  The
-        # handle itself is not marked cancelled — the degraded answer stays
-        # inspectable.
+        # so in-flight plan copies and pending retransmissions are torn down
+        # along the forwarding chain.  The handle itself is not marked
+        # cancelled — the degraded answer stays inspectable.
         self._peer.cancel_query(self.query_id)
         return DegradedResult(
             query_id=self.query_id,

@@ -44,7 +44,6 @@ from ..network import (
     Transport,
     build_topology,
 )
-from ..perf import overrides
 from ..peers import QueryPeer
 from ..routing import GnutellaPeer, NapsterIndexServer, NapsterPeer, RoutingIndexPeer
 from ..workloads import (
@@ -128,7 +127,7 @@ class ScaleoutSpec:
     query_mix: str = "steady"
     free_rider_fraction: float = 0.0
     catalog_mode: str = "honest"
-    # Resilience knobs (repro.network.faults + flags.reliable_delivery).
+    # Resilience knobs (repro.network.faults + Cluster(reliable=...)).
     # Defaults keep the network fault-free and fire-and-forget — and are
     # elided from the report, preserving pre-resilience byte-identity.
     reliable: bool = False
@@ -530,6 +529,7 @@ def build_scaleout_scenario(
         notify_unreachable=(spec.routing == "mqp"),
         topology=topology,
         faults=fault_plan if fault_plan.active else None,
+        reliable=spec.reliable,
     )
     scenario = ScaleoutScenario(
         spec=spec,
@@ -793,22 +793,19 @@ def run_scenario(
 ) -> tuple[ScaleoutScenario, dict[str, object]]:
     """:func:`run_scaleout`, handing back the scenario it ran beside the report
     (its peers, catalogs and raw network metrics outlive the run)."""
-    # The wire-protocol flags are process-global; the spec, not whatever the
-    # caller happens to have switched on, decides what this run sends.
-    with overrides(reliable_delivery=spec.reliable, streaming_results=False):
-        scenario = build_scaleout_scenario(spec, transport=transport)
-        with scenario.cluster as cluster:
-            query_ids = schedule_queries(scenario)
-            schedule_mutations(scenario)
-            _schedule_replica_outage(scenario)
-            cluster.run_until_idle()
+    scenario = build_scaleout_scenario(spec, transport=transport)
+    with scenario.cluster as cluster:
+        query_ids = schedule_queries(scenario)
+        schedule_mutations(scenario)
+        _schedule_replica_outage(scenario)
+        cluster.run_until_idle()
 
-            for query_id in query_ids:
-                trace = cluster.metrics.trace(query_id)
-                if trace.completed_at is None:
-                    trace.completed_at = cluster.now
+        for query_id in query_ids:
+            trace = cluster.metrics.trace(query_id)
+            if trace.completed_at is None:
+                trace.completed_at = cluster.now
 
-            return scenario, _report(scenario, query_ids)
+        return scenario, _report(scenario, query_ids)
 
 
 def schedule_queries(scenario: ScaleoutScenario) -> list[str]:

@@ -57,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a peer retransmits unacknowledged forwards (``flags.reliable_delivery``).
+    """How a peer retransmits unacknowledged forwards (``Cluster(reliable=True)``).
 
     The paper's forwarding step is fire-and-forget; under injected link
     faults (:mod:`repro.network.faults`) a lost MQP silently kills the

@@ -21,10 +21,10 @@ class Message:
     ``size_bytes`` is what the latency model charges for the transfer.
 
     ``transfer`` and ``attempt`` are the reliable-delivery envelope
-    (``flags.reliable_delivery``): a non-``None`` transfer id asks the
+    (``Cluster(reliable=True)``): a non-``None`` transfer id asks the
     receiver to acknowledge the delivery and to deduplicate retransmitted
     attempts of the same transfer.  Both stay at their defaults on every
-    fire-and-forget message, so the flag-off wire behaviour is unchanged.
+    fire-and-forget message, so a fire-and-forget cluster's wire is unchanged.
     """
 
     sender: str

@@ -41,6 +41,7 @@ class Network:
         unreachable_delay_ms: float = 5.0,
         transport: Transport | None = None,
         faults: FaultPlan | None = None,
+        reliable: bool = False,
     ) -> None:
         if transport is None:
             transport = SimTransport(simulator)
@@ -54,6 +55,10 @@ class Network:
         self.unreachable_delay_ms = unreachable_delay_ms
         self.faults = faults or FaultPlan.none()
         self.faults.validate()
+        # Whether peers send query traffic with per-hop acks and retries
+        # (repro.peers.transfers) or fire-and-forget: a protocol choice, so it
+        # belongs to the fabric every peer of one cluster shares.
+        self.reliable = reliable
         # The injector holds the per-link ordinals the seeded draws key on;
         # it is per-network, so a FaultPlan can be shared across runs (and
         # across transport backends) without decisions bleeding between them.
@@ -133,7 +138,7 @@ class Network:
         byte-equivalent under active faults.  An injected loss is *silent*
         (no ``peer-unreachable`` notice): unlike a dead peer, a lossy link
         gives the sender nothing to detect — recovery is the reliable
-        delivery protocol's job (``flags.reliable_delivery``).
+        delivery protocol's job (``Cluster(reliable=True)``).
         """
         message.sent_at = self.now
         self.metrics.record_send(message)

@@ -70,9 +70,9 @@ class NetworkNode:
         return self.network is not None and self.online
 
     @property
-    def faulty(self) -> bool:
-        """The fabric injects link faults, so a cloned frame is not a bug."""
-        return self.network is not None and self.network.faults.active
+    def reliable(self) -> bool:
+        """Query traffic on this fabric is acknowledged and retransmitted."""
+        return self.network is not None and self.network.reliable
 
     def transfer_time(self, size_bytes: int) -> float:
         """Modelled ms this node's link takes to put ``size_bytes`` on the wire."""

@@ -258,7 +258,6 @@ class AsyncioTransport(Transport):
             "frames_sent": 0,
             "frames_received": 0,
             "bytes_on_wire": 0,
-            "chunk_frames": 0,
             "connections_opened": 0,
             "reconnects": 0,
             "links_recycled": 0,
@@ -275,10 +274,6 @@ class AsyncioTransport(Transport):
         # Logical half: a gated delivery event on the shared clock.
         self.simulator.schedule(delay, _GatedDelivery(self._network, message))
         # Physical half: the frame enters the link's ordered outbound queue.
-        # A chunked result is many small frames here (one per chunk), each
-        # subject to the recipient's bounded-inbox backpressure.
-        if message.kind in ("result-chunk", "result-end", "delta-chunk"):
-            self._counters["chunk_frames"] += 1
         link = self._link_for(message.sender, message.recipient)
         frame = self._encoder.encode(message)
         writer = link.writer

@@ -15,8 +15,8 @@ Message kinds handled here:
     (:meth:`PlanForwarding._refer`).
 ``cancel-query``
     A query was cancelled at its issuer: the peer drops the plan if it
-    arrives here, tears down open result streams, and the notice is passed
-    to every next hop a piece of it was sent to (:meth:`PlanForwarding.cancel`).
+    arrives here, and the notice is passed to every next hop a piece of it
+    was sent to (:meth:`PlanForwarding.cancel`).
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from ..mqp.plan import format_branch
 from ..namespace import InterestAreaURN, parse_urn
 from ..network.message import Message
 from ..network.node import NetworkNode
-from ..perf import flags
 from ..xmlmodel import XMLElement, children_text, quoteattr, serialize_xml, utf8_len
 from .parts import insert_capped
-from .streams import ResultInbox, ResultStreams
+from .inbox import ResultInbox
 from .transfers import Transfers
 
 __all__ = ["PlanForwarding"]
@@ -51,7 +50,6 @@ class PlanForwarding:
     port: NetworkNode
     processor: MQPProcessor
     transfers: Transfers
-    streams: ResultStreams
     inbox: ResultInbox
     cancelled: Collection[str] = ()
     suspected_dead: Collection[str] = ()
@@ -164,9 +162,6 @@ class PlanForwarding:
                 self.transfers.attach_failures(envelope)
                 self.inbox.record(envelope, items)
             return
-        if flags.streaming_results:
-            self.streams.start(envelope, items, target)
-            return
         if answer is not None and items and not partial:
             # A complete answer is text already (the evaluation cache's, or
             # the span it arrived as): its children, wrapped again.
@@ -188,7 +183,7 @@ class PlanForwarding:
         """Note where a piece went (and, under reliable delivery, keep it)."""
         hops = self.custody.get(query_id, {})
         custody = hops.setdefault(next_hop, [])
-        if flags.reliable_delivery:
+        if self.port.reliable:
             custody.append(piece)
         insert_capped(self.custody, query_id, hops, self.memory)
 

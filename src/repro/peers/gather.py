@@ -268,10 +268,6 @@ class ResultGather:
         That is: a complete (non-partial) result is recorded — or a partial
         one whose piece table is gone (evicted mid-gather: the pieces that
         were counted are forgotten, so later ones could only double-count).
-        A superseded stream's in-flight chunks can straggle in after the
-        superseding delivery already closed; replaying them would repopulate
-        the arrival buffer with stale items (or strand an orphan assembly),
-        so chunk and end frames for an answered query are dropped.
         """
         recorded = self.results.get(query_id)
         return recorded is not None and (not recorded.partial or query_id not in self._queries)

@@ -5,7 +5,7 @@ per wire protocol.  A component owns its tables, timers and counters and
 never sees the network: it is handed the node as its *port* and uses only
 what every :class:`~repro.network.node.NetworkNode` has — ``send``,
 ``schedule``, ``now``, and the facts ``address`` / ``connected`` /
-``faulty`` / ``transfer_time`` / ``metrics`` — so a unit test hands it a
+``reliable`` / ``transfer_time`` / ``metrics`` — so a unit test hands it a
 recording node instead.
 
 The helpers below are the idioms the components would otherwise each
@@ -21,27 +21,18 @@ __all__ = ["insert_capped", "slashed", "Watchers", "InOrder", "Cancellations"]
 T = TypeVar("T")
 
 
-def insert_capped(
-    entries: dict,
-    key: object,
-    value: object,
-    cap: int,
-    evicted: Callable[[Any], None] | None = None,
-) -> None:
+def insert_capped(entries: dict, key: object, value: object, cap: int) -> None:
     """(Re)insert into an insertion-ordered dict and bound its size.
 
     Re-inserting refreshes recency, so actively used keys are never the
-    eviction victim; past ``cap`` the oldest entries go (``evicted`` is
-    called with each evicted key).  The shared idiom for every per-query
-    bookkeeping map a long-running relay must keep bounded.
+    eviction victim; past ``cap`` the oldest entries go.  The shared idiom
+    for every per-query bookkeeping map a long-running relay must keep
+    bounded.
     """
     entries.pop(key, None)
     entries[key] = value
     while len(entries) > cap:
-        oldest = next(iter(entries))
-        del entries[oldest]
-        if evicted is not None:
-            evicted(oldest)
+        del entries[next(iter(entries))]
 
 
 def slashed(name: str) -> str:
@@ -109,9 +100,9 @@ class Watchers:
 class InOrder(Generic[T]):
     """Numbered arrivals, released strictly in sequence.
 
-    Each chunk of a result stream and each delta of a feed is its own
-    message, so the network may deliver them out of order: what came early
-    is held until the numbers before it have arrived.
+    Each delta of a feed is its own message, so the network may deliver
+    them out of order: what came early is held until the numbers before it
+    have arrived.
     """
 
     __slots__ = ("next_seq", "_held")

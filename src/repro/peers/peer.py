@@ -45,7 +45,7 @@ from ..xmlmodel import XMLElement
 from .forwarding import PlanForwarding
 from .gather import QueryResult, ResultGather
 from .parts import Cancellations, slashed
-from .streams import ResultInbox, ResultStreams
+from .inbox import ResultInbox
 from .subscriptions import DeltaRecord, Subscriptions
 from .transfers import Transfers
 
@@ -115,10 +115,9 @@ class QueryPeer(NetworkNode):
         self.cancelled_queries = Cancellations()
         self.transfers = Transfers(self, self.cancelled_queries, self._peer_failed)
         self.gather = ResultGather()
-        self.streams = ResultStreams(self, self.transfers, self.cancelled_queries)
         self.inbox = ResultInbox(self, self.transfers, self.gather, self.cancelled_queries)
         self.forwarding = PlanForwarding(
-            self, self.processor, self.transfers, self.streams, self.inbox,
+            self, self.processor, self.transfers, self.inbox,
             self.cancelled_queries, self.suspected_dead,
         )
         self.subscriptions = Subscriptions(
@@ -134,9 +133,6 @@ class QueryPeer(NetworkNode):
     results = _part("gather.results")
     watch_results = _part("gather.watch")
     unwatch_results = _part("gather.watchers.remove")
-    watch_chunks = _part("inbox.watchers.add")
-    unwatch_chunks = _part("inbox.watchers.remove")
-    chunk_items = _part("inbox.items")
     retries_sent = _part("transfers.retries_sent")
     duplicates_dropped = _part("transfers.duplicates_dropped")
     acks_sent = _part("transfers.acks_sent")
@@ -303,7 +299,7 @@ class QueryPeer(NetworkNode):
     def register_with(self, server_address: str) -> None:
         """Push this peer's existence to an index / meta-index server.
 
-        Reliably under ``flags.reliable_delivery``: registration fan-out is
+        Reliably on a ``Cluster(reliable=True)``: registration fan-out is
         all the replication a replica group has, so a member that misses one
         ``register`` would answer for its area without this server.
         """
@@ -365,8 +361,8 @@ class QueryPeer(NetworkNode):
         """Crash: *some* in-RAM state dies with the process — not all of it.
 
         Dropped: the evaluation cache (free to drop: a replay is
-        byte-identical to a re-evaluation), the open result streams this
-        peer was producing, and the armed matchers with their conflict memo.
+        byte-identical to a re-evaluation) and the armed matchers with their
+        conflict memo.
 
         **Not** dropped, though a real crash would lose them: the routing
         cache and the catalog entries learned from others, the gather
@@ -375,10 +371,9 @@ class QueryPeer(NetworkNode):
         (``forwarding.custody``, ``transfers.pending`` — an offline peer's
         retransmissions are dropped on send, the entries stay), the
         round-trip estimates (``transfers.round_trips``), the dedupe
-        window (``transfers.seen``), the half-reassembled deliveries
-        (``inbox``), and ``suspected_dead``.  Clearing them moves the
-        ``churn-storm`` and ``sharded-catalog`` reports, so it is its own
-        change (ROADMAP, the harness item, "filed separately").
+        window (``transfers.seen``) and ``suspected_dead``.  Clearing them
+        moves the ``churn-storm`` and ``sharded-catalog`` reports, so it is
+        its own change (ROADMAP, the harness item, "filed separately").
 
         Kept on purpose — :meth:`go_online` rebuilds from them:
         collections, statements, ``registration_targets`` and the
@@ -388,7 +383,6 @@ class QueryPeer(NetworkNode):
         flush the goodbye traffic before recycling the peer's connections.
         """
         self.processor.evaluations.clear()
-        self.streams.close_all()
         self.subscriptions.crash()
         super().go_offline(graceful=graceful)
 
@@ -448,21 +442,17 @@ class QueryPeer(NetworkNode):
     def cancel_query(self, query_id: str) -> None:
         """Cancel a query here and propagate along the forwarding fan-out.
 
-        Idempotent.  Open result streams for the query are torn down (their
-        iterators closed), buffered chunks and gathered pieces dropped,
-        watchers released, retransmissions stopped, and the plan's pieces —
-        should they arrive or still be in flight downstream — are discarded
-        by every peer the cancel notice reaches: each hop passes it on to
-        every next hop it sent a piece to.
+        Idempotent.  Gathered pieces are dropped, watchers released,
+        retransmissions stopped, and the plan's pieces — should they arrive
+        or still be in flight downstream — are discarded by every peer the
+        cancel notice reaches: each hop passes it on to every next hop it
+        sent a piece to.
         """
         if query_id in self.cancelled_queries:
             return
         self.cancelled_queries.add(query_id)
-        self.streams.close_all(query_id)
         self.gather.discard(query_id)
-        self.inbox.drop(query_id)
         self.gather.watchers.remove(query_id)
-        self.inbox.watchers.remove(query_id)
         self.transfers.cancel(query_id)
         self.forwarding.cancel(query_id)
 
@@ -501,8 +491,6 @@ class QueryPeer(NetworkNode):
         "mqp": lambda peer, message: peer.forwarding.on_mqp(message),
         "result": lambda peer, message: peer.inbox.on_result(message),
         "partial-result": lambda peer, message: peer.inbox.on_result(message),
-        "result-chunk": lambda peer, message: peer.inbox.on_frame(message),
-        "result-end": lambda peer, message: peer.inbox.on_frame(message),
         "cancel-query": lambda peer, message: peer.cancel_query(message.payload),
         "delivery-ack": lambda peer, message: peer._handle_delivery_ack(message),
         "subscribe": lambda peer, message: peer.subscriptions.on_subscribe(message),
@@ -588,11 +576,9 @@ class QueryPeer(NetworkNode):
         The peer is purged from the routing state, and the payload gets its
         last-resort handling: a *plan* is reprocessed here so it reroutes
         around the failure (or degrades to a partial answer) — never
-        silently dropped; a stream to a dead consumer is closed instead of
-        pumping its remaining chunks into the dead-letter queue (by stream
-        token: a stale bounce must not kill the live successor); a feed to
-        a dead subscriber pauses until it resubscribes.  Everything but a
-        plan is then dead-lettered, so failure accounting never undercounts.
+        silently dropped; a feed to a dead subscriber pauses until it
+        resubscribes.  Everything but a plan is then dead-lettered, so
+        failure accounting never undercounts.
         """
         self.suspected_dead.add(dead)
         self.cache.forget_server(dead)
@@ -602,9 +588,7 @@ class QueryPeer(NetworkNode):
         if kind == "mqp":
             self.forwarding.process(MutantQueryPlan.deserialize(payload), rerouted=True)
             return
-        if kind in ("result-chunk", "result-end"):
-            self.streams.close_all(payload["query_id"], payload["stream"])
-        elif kind == "delta-chunk":
+        if kind == "delta-chunk":
             self.subscriptions.pause(payload["sub"])
         self.transfers.dead_letter(undelivered)
 

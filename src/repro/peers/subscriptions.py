@@ -14,7 +14,7 @@ Message kinds handled here:
     collection leaves the publisher as a ``delta-chunk`` envelope
     (``insert`` / ``update`` / ``retract``) with a per-subscription
     sequence number and epoch token, riding the same wire path — and the
-    same reliable-delivery machinery — as ``result-chunk``.  The
+    same reliable-delivery machinery — as a ``result``.  The
     subscriber releases deltas strictly in sequence and acknowledges
     cumulatively so the publisher can trim its replay log: the position
     rides the chunk's ``delivery-ack`` (one acknowledgement per delta), and
@@ -298,7 +298,7 @@ class Subscriptions:
         state = self.mine.get(sub_id)
         if state is None or not state.active:
             # A straggler feed for a dead subscription: tell the publisher
-            # to tear down (the tell-once idiom of cancelled-query chunks).
+            # to tear down, once per publisher.
             if self.cancelled.first_notice(sub_id, publisher):
                 self.port.send(publisher, "unsubscribe", {"sub": sub_id, "hops": 0}, size_bytes=64)
             return

@@ -3,7 +3,7 @@
 Message kind handled here:
 
 ``delivery-ack``
-    The reliable-delivery protocol (``flags.reliable_delivery``): the
+    The reliable-delivery protocol (``Cluster(reliable=True)``): the
     receiver of a transfer-stamped message acknowledges the transfer id,
     letting the sender cancel its retransmission timer.  The ack of a kind
     with a protocol of its own may carry that protocol's *note* after the
@@ -11,16 +11,16 @@ Message kind handled here:
     attempt's ack, since a lost ack loses the note with it.  Unacknowledged
     transfers are retransmitted with exponential backoff until the give-up
     horizon has passed, at which point the owner is told the recipient
-    failed (it reroutes plans, tears down streams, pauses feeds, and
-    dead-letters the rest) — and the failure is recorded so issuers can
-    report per-hop delivery provenance.
+    failed (it reroutes plans, pauses feeds, and dead-letters the rest) —
+    and the failure is recorded so issuers can report per-hop delivery
+    provenance.
 
-Query traffic — plans, results, chunks — subscription control (subscribe /
+Query traffic — plans and results — subscription control (subscribe /
 unsubscribe / deltas, keyed by subscription id the way query traffic is
 keyed by query id) and ``register`` (keyed by the registering server: one
 replica that misses it would answer for its area without that server) ride
-the protocol.  With the flag off :meth:`Transfers.send` is a plain send and
-the wire bytes are unchanged.
+the protocol.  On a fire-and-forget network :meth:`Transfers.send` is a
+plain send and the wire bytes are unchanged.
 
 The first retransmission waits for the recipient's measured round trip
 (RFC 6298), ``RetryPolicy.timeout_ms`` until there is one and at most that
@@ -44,7 +44,6 @@ from typing import Any, Callable, Container, Iterator
 from ..mqp import RetryPolicy
 from ..network.message import Message
 from ..network.node import NetworkNode
-from ..perf import flags
 from .parts import insert_capped
 
 __all__ = ["PendingTransfer", "DeadLetters", "Transfers"]
@@ -133,14 +132,14 @@ class Transfers:
     def send(
         self, recipient: str, kind: str, payload: object, size_bytes: int, key: str
     ) -> Message:
-        """Send query traffic, reliably when ``flags.reliable_delivery`` is on.
+        """Send query traffic, reliably when the port's network is reliable.
 
         The reliable path stamps the message with a transfer id, remembers
         it until acknowledged, and arms a backoff timer on the logical
         clock.  ``key`` names the query or subscription the traffic belongs
         to: :meth:`cancel` stops retransmitting everything sent under it.
         """
-        if not flags.reliable_delivery:
+        if not self.port.reliable:
             return self.port.send(recipient, kind, payload, size_bytes=size_bytes)
         self._counter += 1
         transfer = f"{self.port.address}#{self._counter}"

@@ -2,7 +2,9 @@
 
 ``send`` records the message instead of routing it, ``schedule`` keeps the
 timer for the test to fire by hand, ``now`` is a settable number, the link
-rate is :class:`~repro.network.latency.LatencyModel`'s default.  Import as
+rate is :class:`~repro.network.latency.LatencyModel`'s default, and
+``reliable`` says whether the fabric it stands in for acknowledges and
+retransmits query traffic.  Import as
 ``from recording_node import RecordingNode`` (pytest puts ``tests/`` on
 ``sys.path``).
 """
@@ -23,17 +25,18 @@ class Timer:
 
 
 class RecordingNode(NetworkNode):
-    def __init__(self, address: str = "me:9020") -> None:
+    reliable = False  # a plain attribute here, settable per node
+
+    def __init__(self, address: str = "me:9020", reliable: bool = False) -> None:
         super().__init__(address)
         self.clock = 0.0
         self.sent: list[Message] = []
         self.timers: list[Timer] = []
-        self.injecting_faults = False
+        self.reliable = reliable
         self.ledger = NetworkMetrics()
 
     now = property(lambda self: self.clock)
     connected = property(lambda self: self.online)
-    faulty = property(lambda self: self.injecting_faults)
     metrics = property(lambda self: self.ledger)
 
     def send(self, recipient, kind, payload=None, size_bytes=256, hop=0, transfer=None,

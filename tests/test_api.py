@@ -36,11 +36,14 @@ from tests.conftest import make_item
 TRANSPORTS = ("sim", "aio")
 
 
-def small_cluster(transport: str = "sim", notify_unreachable: bool = True) -> Cluster:
+def small_cluster(
+    transport: str = "sim", notify_unreachable: bool = True, reliable: bool = False
+) -> Cluster:
     """Two Portland CD sellers, an Oregon index, a meta-index, and a client."""
     namespace = garage_sale_namespace()
     cluster = Cluster(
-        transport, namespace=namespace, notify_unreachable=notify_unreachable
+        transport, namespace=namespace, notify_unreachable=notify_unreachable,
+        reliable=reliable,
     )
     portland_cds = namespace.area(["USA/OR/Portland", "Music/CDs"])
     seller1 = cluster.base_server("seller1:9020", portland_cds)

@@ -24,7 +24,6 @@ from repro.catalog import (
     ServerRole,
     canonical_address,
 )
-from repro import perf
 
 from oracles.catalog_scan import scan_covering, scan_overlapping, scan_statements, scan_with_roles
 
@@ -120,15 +119,6 @@ class TestChurnEquivalence:
         for address in addresses:
             catalog.register_server(_random_entry(namespace, rng, address))
         _assert_equivalent(catalog, namespace, rng)
-
-    def test_the_index_is_not_switchable(self):
-        """Two wire-protocol switches remain; the index is simply the code."""
-        assert perf._Flags.__slots__ == ("streaming_results", "reliable_delivery")
-        assert not hasattr(perf, "seed_baseline")
-        with pytest.raises(AttributeError, match="indexed_catalog"):
-            with perf.overrides(indexed_catalog=False):
-                pass
-
 
 class TestOrderingUnchangedVsSeed:
     def test_results_in_address_order(self, namespace):

@@ -29,7 +29,6 @@ from repro.peers.parts import Cancellations
 from repro.peers.registration import covering_indexers
 from repro.peers.subscriptions import Subscriptions
 from repro.peers.transfers import Transfers
-from repro.perf import overrides
 from repro.workloads.adversarial import zipf_query_ranks
 from repro.workloads.distributions import make_rng
 from recording_node import RecordingNode, frame
@@ -336,7 +335,7 @@ class TestRegistrationFanout:
         from repro.api import Cluster
 
         oregon = namespace.area(["USA/OR", "*"])
-        with overrides(reliable_delivery=True), Cluster("sim", namespace=namespace) as cluster:
+        with Cluster("sim", namespace=namespace, reliable=True) as cluster:
             replicas = [
                 cluster.index_server(f"i{n}:1", oregon, authoritative=True).peer for n in range(3)
             ]
@@ -403,14 +402,13 @@ class TestPlacementAndLookupAgree:
 @contextmanager
 def _tier_run(spec):
     """Run ``spec`` with its replica outage to idle; the cluster stays open inside."""
-    with overrides(reliable_delivery=True):
-        scenario = build_scaleout_scenario(spec)
-        with scenario.cluster as cluster:
-            query_ids = schedule_queries(scenario)
-            _schedule_replica_outage(scenario)
-            cluster.run_until_idle()
-            traces = [cluster.metrics.trace(query_id) for query_id in query_ids]
-            yield scenario, cluster, traces
+    scenario = build_scaleout_scenario(spec)
+    with scenario.cluster as cluster:
+        query_ids = schedule_queries(scenario)
+        _schedule_replica_outage(scenario)
+        cluster.run_until_idle()
+        traces = [cluster.metrics.trace(query_id) for query_id in query_ids]
+        yield scenario, cluster, traces
 
 
 def _index_tier(scenario) -> set[str]:

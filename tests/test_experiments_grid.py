@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +11,8 @@ from repro.experiments import Experiment, ExperimentSpec, ROW_COLUMNS
 from repro.experiments.cli import main as experiment_main
 from repro.harness.cli import SCENARIOS, main as cli_main
 from repro.harness.report import to_json
+from repro.harness import scaleout
 from repro.harness.scaleout import ScaleoutSpec, run_scaleout
-from repro.perf import overrides
 
 
 def _tiny_grid() -> ExperimentSpec:
@@ -26,6 +27,30 @@ def _tiny_grid() -> ExperimentSpec:
         seeds=(11, 17),
         repeats=2,
     )
+
+
+def _assert_interleaved_reports_as_if_alone(specs: list[ScaleoutSpec]) -> None:
+    """Step the specs' clusters one event each in turn, to idle, and check
+    that every one writes the report it writes when run by itself."""
+    solo = [to_json(run_scaleout(spec)) for spec in specs]
+    assert len(set(solo)) == len(solo)
+
+    runs = []
+    for spec in specs:
+        scenario = scaleout.build_scaleout_scenario(spec)
+        query_ids = scaleout.schedule_queries(scenario)
+        scaleout.schedule_mutations(scenario)
+        runs.append((scenario, query_ids))
+    clocks = [scenario.network.simulator for scenario, _ in runs]
+    while any([clock.step() for clock in clocks]):  # a list: all step every round
+        pass
+    for (scenario, query_ids), alone in zip(runs, solo):
+        with scenario.cluster as cluster:
+            for query_id in query_ids:
+                trace = cluster.metrics.trace(query_id)
+                if trace.completed_at is None:
+                    trace.completed_at = cluster.now
+            assert to_json(scaleout._report(scenario, query_ids)) == alone
 
 
 class TestGridOnRealScenarios:
@@ -142,16 +167,27 @@ class TestSeedThreading:
                             free_rider_fraction=0.2)
         assert to_json(run_scaleout(spec)) == to_json(run_scaleout(spec))
 
-    @pytest.mark.parametrize("ambient", ["reliable_delivery", "streaming_results"])
-    def test_ambient_wire_flag_does_not_reach_the_report(self, ambient):
-        # The wire-protocol flags are process-global; a caller that left one
-        # on used to get acks (21 messages for 11) or chunked results in a
-        # report whose scenario block said neither.
-        spec = ScaleoutSpec(name="seeded", topology="small-world", peers=30,
-                            workload="garage-sale", queries=4, seed=19)
-        bare = to_json(run_scaleout(spec))
-        with overrides(**{ambient: True}):
-            assert to_json(run_scaleout(spec)) == bare
+    def test_a_reliable_and_a_fire_and_forget_cluster_interleaved_report_as_if_alone(self):
+        # Delivery is cluster configuration: two clusters stepped event by
+        # event in turn, one acknowledging and retransmitting, one not, each
+        # write the report they write when run by themselves.
+        lossy = ScaleoutSpec(name="seeded", topology="small-world", peers=30,
+                             workload="garage-sale", queries=4, seed=19, fault_loss=0.10)
+        _assert_interleaved_reports_as_if_alone([replace(lossy, reliable=True), lossy])
+
+    def test_the_fire_and_forget_cluster_stepping_first_changes_no_report(self):
+        lossy = ScaleoutSpec(name="seeded", topology="small-world", peers=30,
+                             workload="garage-sale", queries=4, seed=19, fault_loss=0.10)
+        _assert_interleaved_reports_as_if_alone([lossy, replace(lossy, reliable=True)])
+
+    def test_a_reliable_feed_beside_a_fire_and_forget_one_reports_as_if_alone(self):
+        # Subscription deltas ride the same per-cluster protocol choice.
+        feed = ScaleoutSpec(name="feed", topology="small-world", peers=60,
+                            workload="garage-sale", churn="light", queries=4, seed=7,
+                            subscribers=20, mutation_rounds=3)
+        reliable_feed = replace(feed, reliable=True)
+        assert run_scaleout(reliable_feed)["subscriptions"]["deltas_delivered"] > 0
+        _assert_interleaved_reports_as_if_alone([reliable_feed, feed])
 
     def test_scaleout_adversarial_report_identical_across_transports(self):
         spec = ScaleoutSpec(name="seeded-aio", topology="small-world", peers=20,

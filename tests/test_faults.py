@@ -8,7 +8,7 @@ Covers the resilience contract ``docs/resilience.md`` documents:
   backends *under active faults* (loss, duplication, partition-heal);
 * with every knob at its default, reports keep the pre-resilience schema
   byte-for-byte (no new keys, no elided-field drift);
-* the reliable-delivery protocol (``flags.reliable_delivery``) acks,
+* the reliable-delivery protocol (``Cluster(reliable=True)``) acks,
   retransmits with backoff, dedupes at the receiver, and degrades —
   reroute / teardown / dead-letter — when the retry budget is exhausted;
 * at 10% seeded link loss the protocol keeps a grid's completeness at
@@ -45,7 +45,6 @@ from repro.network import (
 from repro.peers import QueryPeer
 from repro.peers.forwarding import PlanForwarding
 from repro.peers.gather import ResultGather
-from repro.perf import flags, overrides
 from repro.xmlmodel import serialize_xml
 from tests.conftest import make_item
 from tests.test_api import small_cluster
@@ -195,8 +194,9 @@ class TestFaultEquivalence:
         assert to_json(run_scaleout(explicit)) == to_json(report)
         assert "failures" not in to_json(report)
 
-    def test_flags_are_off_by_default(self):
-        assert flags.reliable_delivery is False
+    def test_delivery_is_fire_and_forget_by_default(self):
+        with Cluster() as cluster:
+            assert cluster.network.reliable is False
         assert FaultPlan.none() == ScaleoutSpec().fault_plan().__class__.none()
 
 
@@ -226,16 +226,16 @@ class TestCompletenessUnderLoss:
 
 
 # --------------------------------------------------------------------------- #
-# Scatter/gather under fire: the seeded sweep over the protocol switches
+# Scatter/gather under fire: the seeded sweep over delivery and loss
 # --------------------------------------------------------------------------- #
 
 
 SWEEP_BASE = ScaleoutSpec(name="sweep", topology="small-world", peers=60,
                           workload="gene-expression", churn="none", queries=4, seed=9)
-SWEEP_CELLS = list(product((False, True), (False, True), (0.0, 0.10)))
+SWEEP_CELLS = list(product((False, True), (0.0, 0.10)))
 
 
-def _run_sweep_cell(spec: ScaleoutSpec, streaming: bool, transport: str):
+def _run_sweep_cell(spec: ScaleoutSpec, transport: str):
     """One run with a holder crashed before the first query; invariants checked at idle."""
     offers: list[tuple[str, tuple, bool, bool]] = []
     offer = ResultGather.offer
@@ -247,19 +247,18 @@ def _run_sweep_cell(spec: ScaleoutSpec, streaming: bool, transport: str):
 
     ResultGather.offer = spy
     try:
-        with overrides(streaming_results=streaming, reliable_delivery=spec.reliable):
-            scenario = scaleout.build_scaleout_scenario(spec, transport=transport)
-            with scenario.cluster as cluster:
-                wanted = max(scenario.queries, key=lambda query: query.expected).area
-                victim = next(
-                    peer.address for peer in scenario.data_peers
-                    if peer.items and peer.area.overlaps(wanted)
-                )
-                scenario.network.node(victim).go_offline()
-                query_ids = scaleout.schedule_queries(scenario)
-                cluster.run_until_idle()
-                report = scaleout._report(scenario, query_ids)
-                _assert_settled(scenario, spec, query_ids, offers)
+        scenario = scaleout.build_scaleout_scenario(spec, transport=transport)
+        with scenario.cluster as cluster:
+            wanted = max(scenario.queries, key=lambda query: query.expected).area
+            victim = next(
+                peer.address for peer in scenario.data_peers
+                if peer.items and peer.area.overlaps(wanted)
+            )
+            scenario.network.node(victim).go_offline()
+            query_ids = scaleout.schedule_queries(scenario)
+            cluster.run_until_idle()
+            report = scaleout._report(scenario, query_ids)
+            _assert_settled(scenario, spec, query_ids, offers)
     finally:
         ResultGather.offer = offer
     return report
@@ -290,24 +289,22 @@ def _assert_settled(scenario, spec, query_ids, offers) -> None:
         if not isinstance(node, QueryPeer):
             continue
         # Each component is asked what it still owes.
-        assert not node.transfers.pending and not node.streams.open
+        assert not node.transfers.pending
         if spec.reliable or spec.fault_loss == 0.0:
             # Every piece came home (a bounced one as an "unreachable" partial).
-            assert node.gather.pending() == [] and not node.inbox.assemblies
+            assert node.gather.pending() == []
         else:
             # Fire-and-forget under loss: a lost piece never returns its
-            # credit (a lost chunk never closes its stream), so the query's
-            # table and the stream's assembly wait — bounded by their caps.
+            # credit, so the query's table waits — bounded by its cap.
             assert len(node.gather) <= spec.queries
-            assert len(node.inbox.assemblies) <= node.inbox.memory
 
 
 class TestScatterGatherSweep:
-    @pytest.mark.parametrize("streaming,reliable,loss", SWEEP_CELLS)
-    def test_invariants_hold_and_backends_agree(self, streaming, reliable, loss):
+    @pytest.mark.parametrize("reliable,loss", SWEEP_CELLS)
+    def test_invariants_hold_and_backends_agree(self, reliable, loss):
         spec = replace(SWEEP_BASE, reliable=reliable, fault_loss=loss)
-        sim_report = _run_sweep_cell(spec, streaming, "sim")
-        aio_report = _run_sweep_cell(spec, streaming, "aio")
+        sim_report = _run_sweep_cell(spec, "sim")
+        aio_report = _run_sweep_cell(spec, "aio")
         assert to_json(sim_report) == to_json(aio_report)
         rows = sim_report["queries"]
         assert all(row["answers"] <= row["expected"] for row in rows)
@@ -334,104 +331,101 @@ def _result_envelope(query_id: str) -> dict:
 
 class TestReliableDelivery:
     def test_acks_clear_the_retransmit_queue(self):
-        with overrides(reliable_delivery=True):
-            with small_cluster() as cluster:
-                handle = (
-                    cluster.session("client:9020")
-                    .query()
-                    .area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 100")
-                    .submit()
-                )
-                result = handle.result(timeout=60_000)
-                assert result.count == 3
-                cluster.run_until_idle()
-                for peer in cluster.peers():
-                    assert peer.transfers.pending == {}
-                assert sum(peer.acks_sent for peer in cluster.peers()) > 0
-                assert sum(peer.retries_sent for peer in cluster.peers()) == 0
+        with small_cluster(reliable=True) as cluster:
+            handle = (
+                cluster.session("client:9020")
+                .query()
+                .area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                .where("price < 100")
+                .submit()
+            )
+            result = handle.result(timeout=60_000)
+            assert result.count == 3
+            cluster.run_until_idle()
+            for peer in cluster.peers():
+                assert peer.transfers.pending == {}
+            assert sum(peer.acks_sent for peer in cluster.peers()) > 0
+            assert sum(peer.retries_sent for peer in cluster.peers()) == 0
 
     def test_exhausted_budget_dead_letters_results(self):
-        with overrides(reliable_delivery=True):
-            namespace = garage_sale_namespace()
-            with Cluster("sim", namespace=namespace, notify_unreachable=False) as cluster:
-                area = namespace.area(["USA/OR/Portland", "Music/CDs"])
-                sender = cluster.base_server("sender:9020", area).peer
-                receiver = cluster.base_server("receiver:9020", area).peer
-                receiver.go_offline()
-                sender.transfers.send(
-                    receiver.address, "result", _result_envelope("q-dead"), 64, "q-dead"
-                )
-                cluster.run_until_idle()
-                assert sender.transfers.transfers_failed == 1
-                assert sender.retries_sent == sender.transfers.retry_policy.budget
-                assert receiver.address in sender.suspected_dead
-                assert len(sender.dead_letters) == 1
-                assert sender.dead_letters[-1].kind == "result"
-                [record] = sender.delivery_failures["q-dead"]
-                assert record["peer"] == receiver.address
-                assert record["attempts"] == sender.transfers.retry_policy.budget + 1
-                assert cluster.network.metrics.dead_letters_by_kind["result"] == 1
+        namespace = garage_sale_namespace()
+        with Cluster("sim", namespace=namespace, notify_unreachable=False,
+                     reliable=True) as cluster:
+            area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+            sender = cluster.base_server("sender:9020", area).peer
+            receiver = cluster.base_server("receiver:9020", area).peer
+            receiver.go_offline()
+            sender.transfers.send(
+                receiver.address, "result", _result_envelope("q-dead"), 64, "q-dead"
+            )
+            cluster.run_until_idle()
+            assert sender.transfers.transfers_failed == 1
+            assert sender.retries_sent == sender.transfers.retry_policy.budget
+            assert receiver.address in sender.suspected_dead
+            assert len(sender.dead_letters) == 1
+            assert sender.dead_letters[-1].kind == "result"
+            [record] = sender.delivery_failures["q-dead"]
+            assert record["peer"] == receiver.address
+            assert record["attempts"] == sender.transfers.retry_policy.budget + 1
+            assert cluster.network.metrics.dead_letters_by_kind["result"] == 1
 
     def test_cancel_stops_pending_retransmissions(self):
-        with overrides(reliable_delivery=True):
-            namespace = garage_sale_namespace()
-            with Cluster("sim", namespace=namespace, notify_unreachable=False) as cluster:
-                area = namespace.area(["USA/OR/Portland", "Music/CDs"])
-                sender = cluster.base_server("sender:9020", area).peer
-                receiver = cluster.base_server("receiver:9020", area).peer
-                receiver.go_offline()
-                sender.transfers.send(
-                    receiver.address, "result", _result_envelope("q-x"), 64, "q-x"
-                )
-                sender.cancel_query("q-x")
-                assert sender.transfers.pending == {}
-                cluster.run_until_idle()
-                assert sender.transfers.transfers_failed == 0
-                assert sender.retries_sent == 0
+        namespace = garage_sale_namespace()
+        with Cluster("sim", namespace=namespace, notify_unreachable=False,
+                     reliable=True) as cluster:
+            area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+            sender = cluster.base_server("sender:9020", area).peer
+            receiver = cluster.base_server("receiver:9020", area).peer
+            receiver.go_offline()
+            sender.transfers.send(
+                receiver.address, "result", _result_envelope("q-x"), 64, "q-x"
+            )
+            sender.cancel_query("q-x")
+            assert sender.transfers.pending == {}
+            cluster.run_until_idle()
+            assert sender.transfers.transfers_failed == 0
+            assert sender.retries_sent == 0
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_a_piece_lost_with_its_crashed_holder_is_sent_again_on_rejoin(self, streaming):
+    def test_a_piece_lost_with_its_crashed_holder_is_sent_again_on_rejoin(self):
         """The window an ack leaves open: the holder accepted its piece (so the
         scatterer was released), answered, and crashed with the result frame
         lost.  The scatterer kept the piece and sends it again the moment the
         holder registers back; what had come home is not counted twice."""
-        with overrides(reliable_delivery=True, streaming_results=streaming):
-            with small_cluster() as cluster:
-                seller2 = cluster.session("seller2:9020")
-                client = cluster.session("client:9020")
-                send = seller2.peer.send
+        with small_cluster(reliable=True) as cluster:
+            seller2 = cluster.session("seller2:9020")
+            client = cluster.session("client:9020")
+            send = seller2.peer.send
 
-                def lossy(recipient, kind, payload=None, **kwargs):
-                    if recipient == client.address and kind.startswith("result"):
-                        seller2.crash()  # before any retransmission timer fires
-                        return _message(seller2.address, recipient, kind)  # lost on the link
-                    return send(recipient, kind, payload, **kwargs)
+            def lossy(recipient, kind, payload=None, **kwargs):
+                if recipient == client.address and kind == "result":
+                    seller2.crash()  # before any retransmission timer fires
+                    return _message(seller2.address, recipient, kind)  # lost on the link
+                return send(recipient, kind, payload, **kwargs)
 
-                seller2.peer.send = lossy
-                handle = (
-                    client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 20")
-                    .expecting(3).submit()
-                )
-                short = handle.result(timeout=600_000)
-                assert short.partial and short.reason is None and short.count == 2
-                seller2.peer.send = send
-                seller2.rejoin()
-                result = handle.result(timeout=600_000)
-                assert not result.partial and result.count == 3
-                assert sorted(item.child_text("title") for item in result.items) == [
-                    "Abbey Road", "Blue Train", "Kind of Blue",
-                ]
-                cluster.run_until_idle()
-                assert client.peer.gather.dropped == 0 and len(client.peer.gather) == 0
-                # A second rejoin sends the pieces once more; the answered query ignores them.
-                seller2.crash()
-                seller2.rejoin()
-                cluster.run_until_idle()
-                assert client.peer.results[handle.query_id] is result and result.count == 3
-                for peer in cluster.peers():
-                    assert peer.transfers.pending == {}
+            seller2.peer.send = lossy
+            handle = (
+                client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                .where("price < 20")
+                .expecting(3).submit()
+            )
+            short = handle.result(timeout=600_000)
+            assert short.partial and short.reason is None and short.count == 2
+            seller2.peer.send = send
+            seller2.rejoin()
+            result = handle.result(timeout=600_000)
+            assert not result.partial and result.count == 3
+            assert sorted(item.child_text("title") for item in result.items) == [
+                "Abbey Road", "Blue Train", "Kind of Blue",
+            ]
+            cluster.run_until_idle()
+            assert client.peer.gather.dropped == 0 and len(client.peer.gather) == 0
+            # A second rejoin sends the pieces once more; the answered query ignores them.
+            seller2.crash()
+            seller2.rejoin()
+            cluster.run_until_idle()
+            assert client.peer.results[handle.query_id] is result and result.count == 3
+            for peer in cluster.peers():
+                assert peer.transfers.pending == {}
 
     @pytest.mark.parametrize("transport", ["sim", "aio"])
     def test_a_slim_piece_outlives_its_holder_going_offline_after_the_scatter(
@@ -439,70 +433,67 @@ class TestReliableDelivery:
     ):
         """A leaf piece travels without the original: the bounce is rerouted
         from its text alone, and the same text is sent again on rejoin."""
-        with overrides(reliable_delivery=True):
-            with small_cluster(transport) as cluster:
-                seller2 = cluster.session("seller2:9020")
-                client = cluster.session("client:9020")
-                index = cluster.session("index-or:9020").peer
-                act_on = PlanForwarding._act_on
+        with small_cluster(transport, reliable=True) as cluster:
+            seller2 = cluster.session("seller2:9020")
+            client = cluster.session("client:9020")
+            index = cluster.session("index-or:9020").peer
+            act_on = PlanForwarding._act_on
 
-                def crash_after_scatter(forwarding, result):
-                    act_on(forwarding, result)
-                    if len(result.pieces) > 1:
-                        seller2.crash()  # its piece is on the wire
+            def crash_after_scatter(forwarding, result):
+                act_on(forwarding, result)
+                if len(result.pieces) > 1:
+                    seller2.crash()  # its piece is on the wire
 
-                monkeypatch.setattr(PlanForwarding, "_act_on", crash_after_scatter)
-                handle = (
-                    client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 20").expecting(3).submit()
-                )
-                short = handle.result(timeout=600_000)
-                assert short.partial and short.reason == "unreachable" and short.count == 2
-                assert index.forwarding.plans_rerouted == 1
-                [piece] = index.forwarding.custody[handle.query_id][seller2.address]
-                assert "<original>" not in piece
-                seller2.rejoin()
-                result = handle.result(timeout=600_000)
-                assert not result.partial and result.reason is None and result.count == 3
-                cluster.run_until_idle()
-                assert len(client.peer.gather) == 0
+            monkeypatch.setattr(PlanForwarding, "_act_on", crash_after_scatter)
+            handle = (
+                client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                .where("price < 20").expecting(3).submit()
+            )
+            short = handle.result(timeout=600_000)
+            assert short.partial and short.reason == "unreachable" and short.count == 2
+            assert index.forwarding.plans_rerouted == 1
+            [piece] = index.forwarding.custody[handle.query_id][seller2.address]
+            assert "<original>" not in piece
+            seller2.rejoin()
+            result = handle.result(timeout=600_000)
+            assert not result.partial and result.reason is None and result.count == 3
+            cluster.run_until_idle()
+            assert len(client.peer.gather) == 0
 
     def test_an_unreachable_holders_partial_is_superseded_when_it_comes_back(self):
-        with overrides(reliable_delivery=True):
-            with small_cluster() as cluster:
-                seller2 = cluster.session("seller2:9020")
-                client = cluster.session("client:9020")
-                seller2.crash()
-                handle = (
-                    client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 20").expecting(3).submit()
-                )
-                short = handle.result(timeout=600_000)
-                assert short.partial and short.reason == "unreachable" and short.count == 2
-                seller2.rejoin()  # registers back: the index sends its piece again
-                result = handle.result(timeout=600_000)
-                assert not result.partial and result.reason is None and result.count == 3
-                cluster.run_until_idle()
-                assert len(client.peer.gather) == 0
+        with small_cluster(reliable=True) as cluster:
+            seller2 = cluster.session("seller2:9020")
+            client = cluster.session("client:9020")
+            seller2.crash()
+            handle = (
+                client.query().area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
+                .where("price < 20").expecting(3).submit()
+            )
+            short = handle.result(timeout=600_000)
+            assert short.partial and short.reason == "unreachable" and short.count == 2
+            seller2.rejoin()  # registers back: the index sends its piece again
+            result = handle.result(timeout=600_000)
+            assert not result.partial and result.reason is None and result.count == 3
+            cluster.run_until_idle()
+            assert len(client.peer.gather) == 0
 
     def test_receiver_dedupes_and_reacks_every_attempt(self):
-        with overrides(reliable_delivery=True):
-            with small_cluster() as cluster:
-                seller = cluster.session("seller1:9020").peer
-                client = cluster.session("client:9020").peer
-                seller.transfers.send(
-                    client.address, "result", _result_envelope("q-dup"), 64, "q-dup"
-                )
-                transfer = next(iter(seller.transfers.pending))
-                # Replay the same transfer as a retransmission would.
-                seller.send(
-                    client.address, "result", _result_envelope("q-dup"),
-                    size_bytes=64, transfer=transfer, attempt=1,
-                )
-                cluster.run_until_idle()
-                assert client.duplicates_dropped == 1
-                assert client.acks_sent == 2  # every attempt is acknowledged
-                assert seller.transfers.pending == {}
+        with small_cluster(reliable=True) as cluster:
+            seller = cluster.session("seller1:9020").peer
+            client = cluster.session("client:9020").peer
+            seller.transfers.send(
+                client.address, "result", _result_envelope("q-dup"), 64, "q-dup"
+            )
+            transfer = next(iter(seller.transfers.pending))
+            # Replay the same transfer as a retransmission would.
+            seller.send(
+                client.address, "result", _result_envelope("q-dup"),
+                size_bytes=64, transfer=transfer, attempt=1,
+            )
+            cluster.run_until_idle()
+            assert client.duplicates_dropped == 1
+            assert client.acks_sent == 2  # every attempt is acknowledged
+            assert seller.transfers.pending == {}
 
     def test_retry_policy_backoff_is_monotone_and_jittered(self):
         policy = RetryPolicy()
@@ -516,13 +507,13 @@ class TestReliableDelivery:
         assert policy.horizon_ms == policy.timeout_ms * 31 == 4960.0
         assert list(vars(policy)) == ["timeout_ms", "backoff", "jitter_ms", "budget"]
 
-    def test_fire_and_forget_sends_no_protocol_traffic_when_flag_off(self):
+    def test_fire_and_forget_sends_no_protocol_traffic(self):
         with small_cluster() as cluster:
             handle = (
                 cluster.session("client:9020")
                 .query()
                 .area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 100")
+                .where("price < 100")
                 .submit()
             )
             handle.result(timeout=60_000)
@@ -545,7 +536,7 @@ class TestDegradedResults:
                 cluster.session("client:9020")
                 .query()
                 .area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 100")
+                .where("price < 100")
                 .expecting(3)
                 .submit()
             )
@@ -567,7 +558,7 @@ class TestDegradedResults:
                 cluster.session("client:9020")
                 .query()
                 .area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 100")
+                .where("price < 100")
                 .submit()
             )
             result = handle.result(deadline=60_000)
@@ -582,7 +573,7 @@ class TestDegradedResults:
                 cluster.session("client:9020")
                 .query()
                 .area(cluster.namespace.area(["USA/OR/Portland", "Music/CDs"]))
-                    .where("price < 100")
+                .where("price < 100")
                 .submit()
             )
             with pytest.raises(APIError):

@@ -12,9 +12,8 @@ from repro.namespace import InterestAreaURN
 from repro.peers.forwarding import PlanForwarding
 from repro.peers.gather import ResultGather
 from repro.peers.parts import Cancellations
-from repro.peers.streams import ResultInbox, ResultStreams
+from repro.peers.inbox import ResultInbox
 from repro.peers.transfers import Transfers
-from repro.perf import overrides
 from repro.xmlmodel import XMLElement, serialize_xml
 from tests.conftest import make_item
 
@@ -29,8 +28,7 @@ def hop(namespace):
     cancelled = Cancellations()
     transfers = Transfers(node, cancelled)
     inbox = ResultInbox(node, transfers, ResultGather(), cancelled)
-    return PlanForwarding(node, processor, transfers, ResultStreams(node, transfers, cancelled),
-                          inbox, cancelled)
+    return PlanForwarding(node, processor, transfers, inbox, cancelled)
 
 
 def plan_document(target: str = "client:9020", query_id: str = "q1") -> str:
@@ -52,11 +50,6 @@ class TestOneHop:
     def test_an_answer_for_this_peer_is_recorded_not_sent(self, hop):
         hop.on_mqp(frame("mqp", plan_document(target="seller:9020")))
         assert not hop.port.sent and hop.inbox.gather.results["q1"].count == 1
-
-    def test_with_streaming_on_the_answer_opens_a_stream(self, hop):
-        with overrides(streaming_results=True):
-            hop.on_mqp(frame("mqp", plan_document()))
-        assert hop.port.kinds() == ["result-chunk"] and ("q1", "") in hop.streams.open
 
     def test_a_plan_of_a_cancelled_query_is_dropped_on_arrival(self, hop):
         hop.cancelled.add("q1")
@@ -174,6 +167,7 @@ class TestCustody:
     def test_cancel_retraces_the_fan_out_and_forgets_the_pieces(self, hop):
         hop.remember("q1", "a:1", "<piece/>")
         hop.remember("q1", "b:1", "<piece/>")
+        assert hop.custody["q1"] == {"a:1": [], "b:1": []}  # fire-and-forget: no piece kept
         hop.cancel("q1")
         hop.cancel("q1")  # nothing left to retrace
         assert [(m.recipient, m.kind, m.payload) for m in hop.port.sent] == [
@@ -188,11 +182,11 @@ class TestCustody:
         assert not hop.port.sent and not hop.custody
 
     def test_a_returning_holder_is_sent_its_pieces_again_untraced(self, hop):
-        with overrides(reliable_delivery=True):
-            hop.remember("q1", "a:1", "<first/>")
-            hop.remember("q1", "b:1", "<other/>")
-            hop.remember("q2", "a:1", "<second/>")
-            hop.resend("a:1")
+        hop.port.reliable = True
+        hop.remember("q1", "a:1", "<first/>")
+        hop.remember("q1", "b:1", "<other/>")
+        hop.remember("q2", "a:1", "<second/>")
+        hop.resend("a:1")
         assert [(m.recipient, m.payload) for m in hop.port.sent] == [
             ("a:1", "<first/>"), ("a:1", "<second/>"),
         ]
@@ -205,12 +199,12 @@ class TestCustody:
             meta.processor.catalog.register_server(ServerEntry(
                 seller, ServerRole.BASE, area, collections=[CollectionRef(seller, "/cds", "cds", 5)]
             ))
-        with overrides(reliable_delivery=True):
-            meta.on_mqp(frame("mqp", area_plan(namespace), sender="client:9020"))
-            first = {m.recipient: m.payload for m in meta.port.sent if m.kind == "mqp"}
-            assert list(first) == ["seller1:9020", "seller2:9020"]
-            del meta.port.sent[:]
-            meta.resend("seller2:9020")  # seller2 went offline and has registered again
+        meta.port.reliable = True
+        meta.on_mqp(frame("mqp", area_plan(namespace), sender="client:9020"))
+        first = {m.recipient: m.payload for m in meta.port.sent if m.kind == "mqp"}
+        assert list(first) == ["seller1:9020", "seller2:9020"]
+        del meta.port.sent[:]
+        meta.resend("seller2:9020")  # seller2 went offline and has registered again
         [again] = meta.port.sent
         assert (again.recipient, again.kind) == ("seller2:9020", "mqp")
         assert again.payload == first["seller2:9020"] and "<original>" not in again.payload

@@ -1,4 +1,4 @@
-"""Streaming execution end-to-end: iterator engine, chunked delivery, cancel.
+"""Streaming execution end-to-end: iterator engine, per-piece items, cancel.
 
 Covers the streaming contract ``docs/engine.md`` documents:
 
@@ -8,12 +8,10 @@ Covers the streaming contract ``docs/engine.md`` documents:
 * pipeline breakers account their buffers against ``max_buffered_items``
   and fail with :class:`~repro.errors.ResourceBudgetExceeded` instead of
   growing without bound, while fully streaming operators buffer nothing;
-* the chunked result protocol (``result-chunk`` / ``result-end``) delivers
-  the same answers as the single-frame seed protocol on both transports,
-  reassembles out-of-order chunks by sequence number, and streams items
-  into :meth:`repro.api.QueryHandle.items` as chunks arrive;
-* cancellation tears down open producer streams and propagates along the
-  plan's forwarding chain;
+* :meth:`repro.api.QueryHandle.items` streams a scattered query's items
+  piece by piece as each ``result`` frame lands, on both transports;
+* cancellation stops the stream and propagates along the plan's
+  forwarding chain;
 * the result-watcher registry survives reentrant edits from inside a
   watcher callback;
 * predicate-less plans (bare unions of URLs) complete at the last data
@@ -47,9 +45,8 @@ from repro.peers import QueryResult
 from repro.peers.forwarding import PlanForwarding
 from repro.peers.gather import ResultGather
 from repro.peers.parts import Cancellations
-from repro.peers.streams import ResultInbox, ResultStream, ResultStreams
+from repro.peers.inbox import ResultInbox
 from repro.peers.transfers import Transfers
-from repro.perf import overrides
 from repro.workloads import GarageSaleConfig, GarageSaleWorkload
 from repro.xmlmodel import XMLElement, serialize_xml, text_element
 from oracles import list_engine
@@ -70,22 +67,10 @@ def make_items(count: int, price_of=lambda i: i % 97, tag: str = "item") -> list
     ]
 
 
-def _bare_receiver(memory: int = 1024) -> ResultInbox:
-    """The receiving half of the chunked-result protocol, on a node with no network."""
+def _bare_receiver() -> ResultInbox:
+    """The receiving half of result delivery, on a node with no network."""
     node = RecordingNode("client:9020")
-    return ResultInbox(node, Transfers(node), ResultGather(), Cancellations(), memory=memory)
-
-
-def _chunk_frame(query_id: str, stream: str, seq: int, title: str):
-    document = serialize_xml(
-        XMLElement("result-chunk", {}, [XMLElement("item", {}, [text_element("title", title)])])
-    )
-    envelope = {"document": document, "query_id": query_id, "stream": stream, "seq": seq}
-    return frame("result-chunk", envelope, sender="seller:9020")
-
-
-def _titles(items) -> list[str]:
-    return [item.child_text("title") for item in items]
+    return ResultInbox(node, Transfers(node), ResultGather(), Cancellations())
 
 
 # --------------------------------------------------------------------------- #
@@ -304,122 +289,18 @@ class TestStreamingDifferential:
 
 
 # --------------------------------------------------------------------------- #
-# Chunked result delivery
+# Result delivery: one frame a piece, streamed piece by piece
 # --------------------------------------------------------------------------- #
 
 
-def _chunked_cluster(transport: str, chunk_items: int = 1):
-    cluster = small_cluster(transport)
-    for session in cluster.sessions():
-        session.peer.streams.chunk_items = chunk_items
-    return cluster
-
-
-class TestChunkedDelivery:
+class TestResultDelivery:
     @pytest.fixture(params=TRANSPORTS)
     def transport(self, request):
         return request.param
 
-    def test_items_stream_as_chunks_arrive(self, transport):
-        with overrides(streaming_results=True):
-            with _chunked_cluster(transport) as cluster:
-                client = cluster.session("client:9020")
-                handle = (
-                    client.query()
-                    .area(portland_area(cluster))
-                    .where("price < 20")
-                    .expecting(3)
-                    .submit()
-                )
-                titles = [item.child_text("title") for item in handle.items(timeout=240_000)]
-                assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
-                result = handle.result(timeout=240_000)
-                assert not result.partial
-                # items() streams the two sellers' pieces as they land; the
-                # final result orders them by branch path.
-                assert sorted(item.child_text("title") for item in result.items) == sorted(titles)
-                # Reassembly state is fully drained after the final result.
-                inbox = client.peer.inbox
-                assert not inbox.buffers and not inbox.assemblies
-
-    def test_chunked_answer_equals_single_frame_answer(self, transport):
-        def answer(streaming: bool) -> list[str]:
-            with overrides(streaming_results=streaming):
-                with _chunked_cluster(transport, chunk_items=2) as cluster:
-                    client = cluster.session("client:9020")
-                    handle = (
-                        client.query()
-                        .area(portland_area(cluster))
-                        .where("price < 20")
-                        .expecting(3)
-                        .submit()
-                    )
-                    result = handle.result(timeout=240_000)
-                    assert not result.partial
-                    return [serialize_xml(item) for item in result.items]
-
-        assert answer(streaming=True) == answer(streaming=False)
-
-    def test_sequence_numbers_frame_every_chunk(self, transport):
-        seen: list[tuple[str, int]] = []
-        with overrides(streaming_results=True):
-            with _chunked_cluster(transport) as cluster:
-                client = cluster.session("client:9020")
-                receive = client.peer.receive
-
-                def spy(message):
-                    if message.kind == "result-chunk":
-                        seen.append((message.payload["stream"], message.payload["seq"]))
-                    receive(message)
-
-                client.peer.receive = spy  # this one client's arrivals, not the class
-                handle = (
-                    client.query()
-                    .area(portland_area(cluster))
-                    .where("price < 20")
-                    .expecting(3)
-                    .submit()
-                )
-                handle.result(timeout=240_000)
-        assert seen
-        streams = {stream for stream, _ in seen}
-        assert len(streams) == 2  # one delivery — one stream token — per seller's piece
-        for stream in streams:
-            seqs = sorted(seq for token, seq in seen if token == stream)
-            assert seqs == list(range(len(seqs)))
-
-    def test_partial_answers_stream_too(self, transport):
-        with overrides(streaming_results=True):
-            with _chunked_cluster(transport) as cluster:
-                cluster.session("seller2:9020").crash()
-                client = cluster.session("client:9020")
-                handle = (
-                    client.query()
-                    .area(portland_area(cluster))
-                    .where("price < 10")
-                    .expecting(2)
-                    .submit()
-                )
-                result = handle.result(timeout=240_000)
-                assert result.partial
-                assert {item.child_text("title") for item in result.items} == {"Abbey Road"}
-
-    def test_empty_result_streams_as_bare_end_frame(self, transport):
-        with overrides(streaming_results=True):
-            with _chunked_cluster(transport) as cluster:
-                client = cluster.session("client:9020")
-                handle = (
-                    client.query()
-                    .area(portland_area(cluster))
-                    .where("price < 1")
-                    .submit()
-                )
-                result = handle.result(timeout=240_000)
-                assert result.count == 0
-
     def test_items_falls_back_to_the_single_frame(self, transport):
-        # Chunking off: items() still yields every item, from the result frame.
-        with _chunked_cluster(transport) as cluster:
+        # items() yields every item, from the pieces' result frames.
+        with small_cluster(transport) as cluster:
             client = cluster.session("client:9020")
             handle = (
                 client.query()
@@ -431,27 +312,46 @@ class TestChunkedDelivery:
             titles = [item.child_text("title") for item in handle.items(timeout=240_000)]
             assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_items_landing_between_next_calls_are_still_yielded(self, transport, streaming):
+    def test_items_landing_between_next_calls_are_still_yielded(self, transport):
         # The caller advances the clock itself while the generator is
         # suspended at a yield: the other piece and the final result land
         # behind items()' back and must still be drained.
-        with overrides(streaming_results=streaming):
-            with _chunked_cluster(transport) as cluster:
-                client = cluster.session("client:9020")
-                handle = (
-                    client.query()
-                    .area(portland_area(cluster))
-                    .where("price < 20")
-                    .expecting(3)
-                    .submit()
-                )
-                stream = handle.items(timeout=240_000)
-                titles = [next(stream).child_text("title")]
-                cluster.run_until_idle()
-                assert handle.done()
-                titles.extend(item.child_text("title") for item in stream)
-                assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
+        with small_cluster(transport) as cluster:
+            client = cluster.session("client:9020")
+            handle = (
+                client.query()
+                .area(portland_area(cluster))
+                .where("price < 20")
+                .expecting(3)
+                .submit()
+            )
+            stream = handle.items(timeout=240_000)
+            titles = [next(stream).child_text("title")]
+            cluster.run_until_idle()
+            assert handle.done()
+            titles.extend(item.child_text("title") for item in stream)
+            assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
+
+    def test_items_stream_over_acknowledged_result_frames(self, transport):
+        # On a reliable cluster each result frame rides a transfer the client
+        # acknowledges; items() streams the same pieces, and nothing is left
+        # waiting for an ack once the stream ends.
+        with small_cluster(transport, reliable=True) as cluster:
+            client = cluster.session("client:9020")
+            handle = (
+                client.query()
+                .area(portland_area(cluster))
+                .where("price < 20")
+                .expecting(3)
+                .submit()
+            )
+            stream = handle.items(timeout=240_000)
+            titles = [next(stream).child_text("title")]
+            cluster.run_until_idle()
+            titles.extend(item.child_text("title") for item in stream)
+            assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
+            assert client.peer.transfers.acks_sent > 0
+            assert not any(session.peer.transfers.pending for session in cluster.sessions())
 
     def test_a_malformed_result_envelope_is_dropped_not_raised(self, transport):
         with small_cluster(transport) as cluster:
@@ -460,101 +360,6 @@ class TestChunkedDelivery:
                 envelope = {"query_id": "q9", "document": "<result><item/></result>", **bad}
                 peer.handle_message(frame("result", envelope, sender="seller:9020"))
             assert peer.gather.dropped == 3 and "q9" not in peer.results
-
-    def test_out_of_order_chunks_are_reassembled(self):
-        """Chunk 1 delivered before chunk 0: released to watchers in order."""
-        inbox = _bare_receiver()
-        batches: list[list[str]] = []
-        inbox.watchers.add("q7", lambda items, stream: batches.append(_titles(items)))
-
-        inbox.on_frame(_chunk_frame("q7", "s/1", 1, "second"))
-        assert batches == []  # out of order: held back
-        inbox.on_frame(_chunk_frame("q7", "s/1", 0, "first"))
-        assert batches == [["first"], ["second"]]
-        assert _titles(inbox.items("q7")) == ["first", "second"]
-
-    def test_interleaved_streams_reassemble_independently(self):
-        """Two deliveries for one query (partial, then complete) never mix.
-
-        Chunks carry a stream token; assemblies are keyed by (query, stream),
-        so a chunk from a second delivery arriving mid-reassembly neither
-        clobbers nor inherits the first delivery's state.
-        """
-        inbox = _bare_receiver()
-        batches: list[list[str]] = []
-        inbox.watchers.add("q8", lambda items, stream: batches.append(_titles(items)))
-
-        # Stream s/1 releases seq 0, then s/2 opens with its own seq 0 while
-        # s/1 is still mid-delivery, then s/1 finishes with seq 1.
-        inbox.on_frame(_chunk_frame("q8", "s/1", 0, "partial-a"))
-        inbox.on_frame(_chunk_frame("q8", "s/2", 0, "full-a"))
-        inbox.on_frame(_chunk_frame("q8", "s/1", 1, "partial-b"))
-        assert batches == [["partial-a"], ["full-a"], ["partial-b"]]
-        by_stream = {key[1]: assembly for key, assembly in inbox.assemblies.items()}
-        assert _titles(by_stream["s/1"].items) == ["partial-a", "partial-b"]
-        assert _titles(by_stream["s/2"].items) == ["full-a"]
-        # The arrival buffer mirrors the delivery that released last —
-        # one stream's in-order items, never the interleaved union.
-        assert _titles(inbox.items("q8")) == ["partial-a", "partial-b"]
-
-    def test_new_delivery_supersedes_a_closed_partials_buffer(self):
-        """The arrival buffer mirrors the latest delivery, not their union.
-
-        A stuck branch streams a partial answer; its close keeps the buffer
-        (so ``chunk_items`` serves the degraded outcome) but retires the
-        assembly.  When the complete answer then opens a fresh stream, the
-        partial's items must not prefix the new delivery's — that double
-        count is exactly what ``QueryHandle.items()`` would re-yield.
-        """
-        inbox = _bare_receiver()
-        streams: list[str] = []
-        inbox.watchers.add("q9", lambda items, stream: streams.append(stream))
-
-        inbox.on_frame(_chunk_frame("q9", "s/1", 0, "partial-a"))
-        # A partial result-end keeps the buffer but retires the assembly.
-        inbox.assemblies.pop(("q9", "s/1"))
-        assert _titles(inbox.items("q9")) == ["partial-a"]
-
-        inbox.on_frame(_chunk_frame("q9", "s/2", 0, "full-a"))
-        inbox.on_frame(_chunk_frame("q9", "s/2", 1, "full-b"))
-        assert _titles(inbox.items("q9")) == ["full-a", "full-b"]
-        assert streams == ["s/1", "s/2", "s/2"]  # watchers can spot the switch
-
-    def test_assembly_memory_evicts_oldest_incomplete_delivery(self):
-        """Reassembly state from producers that died mid-stream is bounded."""
-        inbox = _bare_receiver(memory=2)
-        for n in range(4):
-            inbox.on_frame(_chunk_frame(f"q{n}", "s/1", 0, f"item-{n}"))
-        assert [key[0] for key in inbox.assemblies] == ["q2", "q3"]
-        # The evicted queries' arrival buffers went with their assemblies.
-        assert set(inbox.buffers) == {"q2", "q3"}
-        # A chunk arrival refreshes recency: the actively reassembling q2
-        # survives the next eviction, the now-stalest q3 goes instead.
-        inbox.on_frame(_chunk_frame("q2", "s/1", 1, "item-2b"))
-        inbox.on_frame(_chunk_frame("q4", "s/1", 0, "item-4"))
-        assert [key[0] for key in inbox.assemblies] == ["q2", "q4"]
-        assert _titles(inbox.items("q2")) == ["item-2", "item-2b"]
-
-    def test_straggler_chunks_after_the_answer_are_dropped(self):
-        """A superseded stream's in-flight chunk can't corrupt an answered query.
-
-        Once the complete result is recorded, late chunk/end frames from a
-        torn-down delivery must neither repopulate the arrival buffer with
-        stale items nor strand an orphan assembly.
-        """
-        inbox = _bare_receiver()
-        inbox.gather.results["q10"] = QueryResult(
-            query_id="q10",
-            items=make_items(2),
-            partial=False,
-            received_at=1.0,
-            provenance_hops=3,
-            max_staleness_minutes=0.0,
-        )
-        inbox.on_frame(_chunk_frame("q10", "s/1", 0, "stale"))
-        assert not inbox.assemblies and not inbox.buffers
-        inbox.on_frame(frame("result-end", {"query_id": "q10", "stream": "s/1", "seq": 1}))
-        assert not inbox.assemblies
 
     def test_straggling_partial_result_frame_does_not_overwrite_the_answer(self):
         """Single-frame path: a late partial can't clobber the complete result."""
@@ -572,51 +377,6 @@ class TestChunkedDelivery:
         inbox.on_result(frame("partial-result", late))
         assert inbox.gather.results["q11"] is final
 
-    def test_cancel_notice_sent_once_per_producer(self):
-        """Straggler frames of a cancelled query don't each re-notify."""
-        inbox = _bare_receiver()
-        inbox.cancelled.add("q12")
-        for _ in range(3):
-            inbox.on_frame(_chunk_frame("q12", "s/1", 0, "late"))
-        assert [(m.recipient, m.kind) for m in inbox.port.sent] == [
-            ("seller:9020", "cancel-query")
-        ]
-
-    def test_stale_pump_event_does_not_drive_a_superseding_stream(self):
-        """A torn-down stream's scheduled pump must not pump its successor.
-
-        Pump events carry their stream token; one delivery pumps one chunk
-        per logical event — the backpressure invariant the aio bounded
-        inboxes rely on — even when a newer delivery superseded the stream
-        that scheduled the event.
-        """
-        node = RecordingNode()
-        streams = ResultStreams(node, Transfers(node))
-        streams.open[("q13", "")] = ResultStream(
-            query_id="q13",
-            target="client:9020",
-            iterator=iter(make_items(3)),
-            stream="me/2",
-            closing={"query_id": "q13", "branch": "", "credit": "1"},
-        )
-        streams.pump(("q13", ""), "me/1")  # event from the superseded stream
-        assert not node.sent
-        assert streams.open[("q13", "")].seq == 0
-
-    def test_degraded_partial_buffers_are_bounded(self):
-        """Kept buffers of partial answers don't grow without bound.
-
-        A partial close keeps the arrival buffer (serving ``chunk_items``)
-        while retiring the assembly; an issuer whose queries keep degrading
-        to partials must not retain every such item list forever.
-        """
-        inbox = _bare_receiver(memory=2)
-        for n in range(5):
-            inbox.on_frame(_chunk_frame(f"q{n}", "s/1", 0, f"item-{n}"))
-            inbox.assemblies.pop((f"q{n}", "s/1"))  # as a partial close does
-        assert set(inbox.buffers) == {"q3", "q4"}
-        assert _titles(inbox.items("q4")) == ["item-4"]
-
     def test_cancel_and_forward_memory_are_bounded(self):
         """Per-query bookkeeping on a long-running relay evicts oldest-first."""
         cancelled = Cancellations(memory=3)
@@ -626,7 +386,7 @@ class TestChunkedDelivery:
         assert [cancelled.first_notice(f"q{n}", "hop:1") for n in (1, 1, 2, 3, 4, 1)] == [
             True, False, True, True, True, True,  # the oldest "told" entry was evicted too
         ]
-        forwarding = PlanForwarding(RecordingNode(), None, None, None, None, memory=3)
+        forwarding = PlanForwarding(RecordingNode(), None, None, None, memory=3)
         for n in range(4):
             forwarding.remember(f"q{n}", "hop:1", "<piece/>")
         forwarding.remember("q1", "hop:2", "<piece/>")  # re-forwarding refreshes recency
@@ -636,98 +396,56 @@ class TestChunkedDelivery:
         assert list(forwarding.custody["q1"]) == ["hop:1", "hop:2"]
         # Fire-and-forget keeps no custody of the pieces; reliable delivery does.
         assert forwarding.custody["q1"] == {"hop:1": [], "hop:2": []}
-        with overrides(reliable_delivery=True):
-            forwarding.remember("q1", "hop:2", "<piece/>")
+        forwarding.port.reliable = True
+        forwarding.remember("q1", "hop:2", "<piece/>")
         assert forwarding.custody["q1"] == {"hop:1": [], "hop:2": ["<piece/>"]}
 
-    def test_aio_counts_individually_framed_chunks(self):
-        with overrides(streaming_results=True):
-            with _chunked_cluster("aio") as cluster:
-                client = cluster.session("client:9020")
-                handle = (
-                    client.query()
-                    .area(portland_area(cluster))
-                    .where("price < 20")
-                    .expecting(3)
-                    .submit()
-                )
-                handle.result(timeout=240_000)
-                stats = cluster.network.transport.stats()
-                # 3 items at 1 item/chunk: at least 3 chunk frames + 1 end frame.
-                assert stats["chunk_frames"] >= 4
-
-
 class TestCancellation:
-    def test_cancel_mid_stream_tears_down_producers(self):
-        with overrides(streaming_results=True):
-            with _chunked_cluster("sim") as cluster:
-                client = cluster.session("client:9020")
-                handle = (
-                    client.query()
-                    .area(portland_area(cluster))
-                    .where("price < 20")
-                    .expecting(3)
-                    .submit()
-                )
-                first = None
-                for item in handle.items(timeout=240_000):
-                    first = item.child_text("title")
-                    handle.cancel()
-                assert first is not None
-                assert handle.cancelled()
-                with pytest.raises(QueryCancelled):
-                    handle.result(timeout=1_000)
-                with pytest.raises(QueryCancelled):
-                    list(handle.items())
-                with pytest.raises(QueryCancelled):
-                    list(handle)  # __iter__ refuses too, not a quiet empty stream
-                cluster.network.run_until_idle()
-                for session in cluster.sessions():
-                    assert not session.peer.streams.open
-
-    def test_unreachable_chunk_frame_tears_down_the_open_stream(self):
-        """A bounced chunk closes the producer's stream for the dead target.
-
-        A stream can still be open when the bounce returns (the producer
-        parked mid-delivery); the unreachable notice must close its
-        iterator instead of letting later pumps keep producing for a
-        consumer that no longer exists.
-        """
+    def test_cancel_mid_stream_stops_the_items(self):
         with small_cluster("sim") as cluster:
-            seller = cluster.session("seller1:9020").peer
-            closed: list[bool] = []
-
-            def items_then_mark():
-                try:
-                    yield from make_items(5)
-                finally:
-                    closed.append(True)
-
-            iterator = items_then_mark()
-            next(iterator)
-            seller.streams.open[("q-dead", "")] = ResultStream(
-                query_id="q-dead",
-                target="client:9020",
-                iterator=iterator,
-                stream="seller1:9020/9",
-                closing={"query_id": "q-dead", "branch": "", "credit": "1"},
+            client = cluster.session("client:9020")
+            handle = (
+                client.query()
+                .area(portland_area(cluster))
+                .where("price < 20")
+                .expecting(3)
+                .submit()
             )
+            first = None
+            for item in handle.items(timeout=240_000):
+                first = item.child_text("title")
+                handle.cancel()
+            assert first is not None  # one piece's first item, then no more
+            assert handle.cancelled()
+            with pytest.raises(QueryCancelled):
+                handle.result(timeout=1_000)
+            with pytest.raises(QueryCancelled):
+                list(handle.items())
+            with pytest.raises(QueryCancelled):
+                list(handle)  # __iter__ refuses too, not a quiet empty stream
 
-            def bounce_of(stream: str, seq: int):
-                envelope = {"query_id": "q-dead", "stream": stream, "seq": seq}
-                original = frame("result-chunk", envelope, sender=seller.address)
-                seller.handle_message(frame("peer-unreachable", original, sender="client:9020"))
-                return original
-
-            # A stale bounce from a superseded delivery leaves the live
-            # stream alone (token mismatch — the hazard pump() guards too).
-            bounce_of("seller1:9020/8", 3)
-            assert not closed and ("q-dead", "") in seller.streams.open
-
-            original = bounce_of("seller1:9020/9", 1)
-            assert closed  # the producing iterator was closed
-            assert ("q-dead", "") not in seller.streams.open
-            assert seller.dead_letters[-1] is original
+    def test_cancel_mid_stream_on_a_reliable_cluster_stops_retransmitting(self):
+        with small_cluster("sim", reliable=True) as cluster:
+            client = cluster.session("client:9020")
+            handle = (
+                client.query()
+                .area(portland_area(cluster))
+                .where("price < 20")
+                .expecting(3)
+                .submit()
+            )
+            for _ in handle.items(timeout=240_000):
+                handle.cancel()
+            cluster.run_until_idle()
+            assert handle.cancelled()
+            left = [
+                pending.key
+                for session in cluster.sessions()
+                for pending in session.peer.transfers.pending.values()
+            ]
+            assert handle.query_id not in left
+            with pytest.raises(QueryCancelled):
+                list(handle.items())
 
     def test_local_stuck_delivery_does_not_overwrite_the_answer(self):
         """A duplicate plan going stuck at the issuer can't clobber the result."""
@@ -984,9 +702,8 @@ class TestEagerAreaPlans:
         assert MQPProcessor._is_bare_union_plan(MutantQueryPlan(bare))
 
     def test_a_bare_union_streams_the_completed_answer(self):
-        with overrides(streaming_results=True):
-            with _chunked_cluster("sim") as cluster:
-                client = cluster.session("client:9020")
-                handle = client.query().area(portland_area(cluster)).submit()
-                titles = [item.child_text("title") for item in handle.items(timeout=4_000_000)]
-                assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]
+        with small_cluster("sim") as cluster:
+            client = cluster.session("client:9020")
+            handle = client.query().area(portland_area(cluster)).submit()
+            titles = [item.child_text("title") for item in handle.items(timeout=4_000_000)]
+            assert sorted(titles) == ["Abbey Road", "Blue Train", "Kind of Blue"]

@@ -45,7 +45,6 @@ from repro.peers.subscriptions import (
     epoch_counter,
 )
 from repro.peers.transfers import Transfers
-from repro.perf import overrides
 from repro.xmlmodel import XMLElement, serialize_xml
 from recording_node import RecordingNode, frame
 from tests.conftest import make_item
@@ -61,9 +60,9 @@ def area_urn(area) -> str:
     return str(InterestAreaURN.for_area(area))
 
 
-def subscription_cluster(transport, namespace, faults=None):
+def subscription_cluster(transport, namespace, faults=None, reliable=False):
     """Two Portland sellers, an authoritative Oregon index, a meta, a client."""
-    cluster = Cluster(transport, namespace=namespace, faults=faults)
+    cluster = Cluster(transport, namespace=namespace, faults=faults, reliable=reliable)
     portland = portland_area(namespace)
     seller1 = cluster.base_server("seller1:9020", portland)
     seller1.publish(
@@ -301,28 +300,27 @@ class TestDeltaFeed:
             assert item.find("price") is None
 
     def test_acks_trim_the_replay_log(self, transport, namespace):
-        with overrides(reliable_delivery=True):
-            with subscription_cluster(transport, namespace) as cluster:
-                client = cluster.session("client:9020")
-                seller1 = cluster.session("seller1:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .subscribe()
+        with subscription_cluster(transport, namespace, reliable=True) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .subscribe()
+            )
+            cluster.run_until_idle()
+            for round_ in range(3):
+                seller1.update(
+                    "cds",
+                    [make_item(f"CD {round_}", 1.0 + round_, seller="seller1:9020")],
                 )
-                cluster.run_until_idle()
-                for round_ in range(3):
-                    seller1.update(
-                        "cds",
-                        [make_item(f"CD {round_}", 1.0 + round_, seller="seller1:9020")],
-                    )
-                cluster.run_until_idle()
-                armed = seller1.peer.subscriptions.armed[sub.sub_id]
-                assert armed.next_seq == 3
-                assert armed.acked_seq == 2
-                assert armed.log == {}
-                assert seller1.peer.transfers.pending == {}
+            cluster.run_until_idle()
+            armed = seller1.peer.subscriptions.armed[sub.sub_id]
+            assert armed.next_seq == 3
+            assert armed.acked_seq == 2
+            assert armed.log == {}
+            assert seller1.peer.transfers.pending == {}
 
 
 class TestInOrderRelease:
@@ -420,12 +418,13 @@ class TestInOrderRelease:
 
 
 class RecordingPeer(RecordingNode, QueryPeer):
-    """A whole peer — ``handle_message`` included — whose port records."""
+    """A whole peer — ``handle_message`` included — whose port records and
+    whose fabric is reliable."""
 
     def __init__(self, address, namespace):
         QueryPeer.__init__(self, address, namespace)
         self.clock, self.sent, self.timers = 0.0, [], []
-        self.injecting_faults, self.ledger = False, NetworkMetrics()
+        self.reliable, self.ledger = True, NetworkMetrics()
 
     def take_sent(self, kind):
         """The one frame of ``kind`` sent since the last call, as it arrives."""
@@ -451,67 +450,63 @@ class TestOneAcknowledgementPerDelta:
         return publisher, client, state
 
     def test_a_retransmitted_delta_reacknowledges_its_feed(self, namespace):
-        with overrides(reliable_delivery=True):
-            publisher, client, state = self._pair(namespace)
-            publisher.update_collection("cds", [make_item("Only", 5.0)])
-            armed = publisher.subscriptions.armed[state.sub_id]
-            chunk = publisher.take_sent("delta-chunk")
-            client.handle_message(chunk)
-            lost = client.take_sent("delivery-ack")  # ... and never arrives
-            assert lost.payload == (chunk.transfer, state.sub_id, 0) and lost.size_bytes == 48
-            publisher.fire()  # the retransmission timer
-            again = publisher.take_sent("delta-chunk")
-            assert (again.transfer, again.attempt) == (chunk.transfer, 1)
-            client.handle_message(again)
-            second = client.take_sent("delivery-ack")  # no delta-ack beside it
-            assert second.payload == lost.payload  # the same position, said again
-            assert [d.seq for d in state.deltas] == [0]  # nothing released twice
-            assert client.subscriptions.deltas_delivered == 1
-            assert client.transfers.acks_sent == 2 and client.transfers.duplicates_dropped == 1
-            assert sorted(armed.log) == [0]
-            publisher.handle_message(second)
-            assert armed.log == {} and armed.acked_seq == 0
-            assert publisher.transfers.pending == {}
+        publisher, client, state = self._pair(namespace)
+        publisher.update_collection("cds", [make_item("Only", 5.0)])
+        armed = publisher.subscriptions.armed[state.sub_id]
+        chunk = publisher.take_sent("delta-chunk")
+        client.handle_message(chunk)
+        lost = client.take_sent("delivery-ack")  # ... and never arrives
+        assert lost.payload == (chunk.transfer, state.sub_id, 0) and lost.size_bytes == 48
+        publisher.fire()  # the retransmission timer
+        again = publisher.take_sent("delta-chunk")
+        assert (again.transfer, again.attempt) == (chunk.transfer, 1)
+        client.handle_message(again)
+        second = client.take_sent("delivery-ack")  # no delta-ack beside it
+        assert second.payload == lost.payload  # the same position, said again
+        assert [d.seq for d in state.deltas] == [0]  # nothing released twice
+        assert client.subscriptions.deltas_delivered == 1
+        assert client.transfers.acks_sent == 2 and client.transfers.duplicates_dropped == 1
+        assert sorted(armed.log) == [0]
+        publisher.handle_message(second)
+        assert armed.log == {} and armed.acked_seq == 0
+        assert publisher.transfers.pending == {}
 
     def test_a_chunk_for_a_dead_subscription_gets_a_bare_ack(self, namespace):
-        with overrides(reliable_delivery=True):
-            publisher, client, state = self._pair(namespace)
-            publisher.update_collection("cds", [make_item("Orphan", 5.0)])
-            chunk = publisher.take_sent("delta-chunk")
-            del client.subscriptions.mine[state.sub_id]
-            client.handle_message(chunk)
-            assert [(m.kind, m.payload) for m in client.sent] == [
-                ("unsubscribe", {"sub": state.sub_id, "hops": 0}),
-                ("delivery-ack", chunk.transfer),
-            ]
-            client.sent.clear()
-            client.handle_message(dataclasses.replace(chunk, attempt=1))  # told once
-            assert [(m.kind, m.payload) for m in client.sent] == [("delivery-ack", chunk.transfer)]
+        publisher, client, state = self._pair(namespace)
+        publisher.update_collection("cds", [make_item("Orphan", 5.0)])
+        chunk = publisher.take_sent("delta-chunk")
+        del client.subscriptions.mine[state.sub_id]
+        client.handle_message(chunk)
+        assert [(m.kind, m.payload) for m in client.sent] == [
+            ("unsubscribe", {"sub": state.sub_id, "hops": 0}),
+            ("delivery-ack", chunk.transfer),
+        ]
+        client.sent.clear()
+        client.handle_message(dataclasses.replace(chunk, attempt=1))  # told once
+        assert [(m.kind, m.payload) for m in client.sent] == [("delivery-ack", chunk.transfer)]
 
     def test_a_stale_epoch_is_acknowledged_without_a_position(self, namespace):
-        with overrides(reliable_delivery=True):
-            publisher, client, state = self._pair(namespace)
-            publisher.update_collection("cds", [make_item("Stale", 5.0)])
-            chunk = publisher.take_sent("delta-chunk")
-            state.feeds[publisher.address] = PublisherFeed(epoch="seller1:9020/e9")
-            client.handle_message(chunk)
-            assert client.take_sent("delivery-ack").payload == chunk.transfer
-            assert state.deltas == []
+        publisher, client, state = self._pair(namespace)
+        publisher.update_collection("cds", [make_item("Stale", 5.0)])
+        chunk = publisher.take_sent("delta-chunk")
+        state.feeds[publisher.address] = PublisherFeed(epoch="seller1:9020/e9")
+        client.handle_message(chunk)
+        assert client.take_sent("delivery-ack").payload == chunk.transfer
+        assert state.deltas == []
 
     def test_every_other_kind_is_acknowledged_before_it_is_handled(self, namespace):
-        with overrides(reliable_delivery=True):
-            _, client, state = self._pair(namespace)
-            client.handle_message(frame(
-                "sub-conflict", {"sub": state.sub_id}, sender="seller1:9020", transfer="t#1",
-            ))
-            assert client.kinds() == ["delivery-ack"] and state.conflicts
-            index = RecordingPeer("index-or:9020", namespace)
-            index.roles.add(ServerRole.INDEX)
-            seller = RecordingPeer("seller1:9020", namespace)
-            index.handle_message(frame(
-                "register", seller.registration(), sender=seller.address, transfer="t#2",
-            ))
-            assert index.kinds()[:2] == ["delivery-ack", "register-ack"]
+        _, client, state = self._pair(namespace)
+        client.handle_message(frame(
+            "sub-conflict", {"sub": state.sub_id}, sender="seller1:9020", transfer="t#1",
+        ))
+        assert client.kinds() == ["delivery-ack"] and state.conflicts
+        index = RecordingPeer("index-or:9020", namespace)
+        index.roles.add(ServerRole.INDEX)
+        seller = RecordingPeer("seller1:9020", namespace)
+        index.handle_message(frame(
+            "register", seller.registration(), sender=seller.address, transfer="t#2",
+        ))
+        assert index.kinds()[:2] == ["delivery-ack", "register-ack"]
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -519,10 +514,10 @@ class TestFeedUnderAckLoss:
     """``subscription-feed`` at tier-1 size: whatever the links lose, a
     reliable feed ends delivered, trimmed and quiet."""
 
-    def _run(self, transport, loss):
+    def _run(self, transport, loss, reliable=True):
         spec = dataclasses.replace(
             SCENARIOS["subscription-feed"], name="feed", peers=30, subscribers=8,
-            mutation_rounds=3, churn="none", fault_loss=loss,
+            mutation_rounds=3, churn="none", fault_loss=loss, reliable=reliable,
         )
         scenario = build_scaleout_scenario(spec, transport=transport)
         with scenario.cluster as cluster:
@@ -536,8 +531,7 @@ class TestFeedUnderAckLoss:
 
     @pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
     def test_reliable_feed_is_exactly_once_trimmed_and_quiet(self, transport, loss):
-        with overrides(reliable_delivery=True):
-            peers, kinds, frames = self._run(transport, loss)
+        peers, kinds, frames = self._run(transport, loss)
         published = sum(peer.subscriptions.deltas_published for peer in peers)
         released = 0
         for peer in peers:
@@ -557,8 +551,7 @@ class TestFeedUnderAckLoss:
             assert kinds["delta-chunk"] == published and frames == 2 * published
 
     def test_fire_and_forget_feed_still_acknowledges_and_trims(self, transport):
-        with overrides(reliable_delivery=False):
-            peers, kinds, frames = self._run(transport, 0.0)
+        peers, kinds, frames = self._run(transport, 0.0, reliable=False)
         published = sum(peer.subscriptions.deltas_published for peer in peers)
         assert kinds["delta-ack"] == kinds["delta-chunk"] == published > 0
         assert "delivery-ack" not in kinds and frames == 2 * published
@@ -652,76 +645,74 @@ class TestPublisherAndAuthorityWithoutANetwork:
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestTeardownOnBothTransports:
     def test_unsubscribe_clears_every_hop(self, transport, namespace):
-        with overrides(reliable_delivery=True):
-            with subscription_cluster(transport, namespace) as cluster:
-                client = cluster.session("client:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .subscribe()
-                )
-                cluster.run_until_idle()
-                for seller in ("seller1:9020", "seller2:9020"):
-                    assert sub.sub_id in cluster.session(seller).peer.subscriptions.armed
-                for authority in ("index-or:9020", "meta:9020"):
-                    registry = cluster.session(authority).peer.subscriptions.registry
-                    assert sub.sub_id in registry
+        with subscription_cluster(transport, namespace, reliable=True) as cluster:
+            client = cluster.session("client:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .subscribe()
+            )
+            cluster.run_until_idle()
+            for seller in ("seller1:9020", "seller2:9020"):
+                assert sub.sub_id in cluster.session(seller).peer.subscriptions.armed
+            for authority in ("index-or:9020", "meta:9020"):
+                registry = cluster.session(authority).peer.subscriptions.registry
+                assert sub.sub_id in registry
 
-                sub.unsubscribe()
-                cluster.run_until_idle()
+            sub.unsubscribe()
+            cluster.run_until_idle()
 
-                assert not sub.active
-                assert client.peer.my_subscriptions == {}
-                for address in (
-                    "seller1:9020", "seller2:9020", "index-or:9020", "meta:9020",
-                ):
-                    peer = cluster.session(address).peer
-                    assert peer.subscriptions.armed == {}, address
-                    assert peer.subscriptions.registry == {}, address
-                    assert len(peer.subscriptions.matcher) == 0, address
-                    assert peer.transfers.pending == {}, address
+            assert not sub.active
+            assert client.peer.my_subscriptions == {}
+            for address in (
+                "seller1:9020", "seller2:9020", "index-or:9020", "meta:9020",
+            ):
+                peer = cluster.session(address).peer
+                assert peer.subscriptions.armed == {}, address
+                assert peer.subscriptions.registry == {}, address
+                assert len(peer.subscriptions.matcher) == 0, address
+                assert peer.transfers.pending == {}, address
 
 
 class TestTeardownTimers:
     def test_unsubscribe_cancels_pending_retransmissions(self, namespace):
-        with overrides(reliable_delivery=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client = cluster.session("client:9020")
-                seller1 = cluster.session("seller1:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .subscribe()
-                )
-                cluster.run_until_idle()
+        with subscription_cluster("sim", namespace, reliable=True) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .subscribe()
+            )
+            cluster.run_until_idle()
 
-                # Crash the subscriber, then mutate: the delta transfer sits
-                # in the retransmit queue with a live backoff timer.
-                client.crash()
-                seller1.update("cds", [make_item("Doomed", 1.0, seller="seller1:9020")])
-                timers = [
-                    state.timer for state in seller1.peer.transfers.pending.values()
-                    if state.key == sub.sub_id
-                ]
-                assert timers, "the delta transfer should be awaiting its ack, timer armed"
-                dead_letters_before = len(seller1.peer.dead_letters)
+            # Crash the subscriber, then mutate: the delta transfer sits
+            # in the retransmit queue with a live backoff timer.
+            client.crash()
+            seller1.update("cds", [make_item("Doomed", 1.0, seller="seller1:9020")])
+            timers = [
+                state.timer for state in seller1.peer.transfers.pending.values()
+                if state.key == sub.sub_id
+            ]
+            assert timers, "the delta transfer should be awaiting its ack, timer armed"
+            dead_letters_before = len(seller1.peer.dead_letters)
 
-                # An unsubscribe notice arriving at the publisher sweeps the
-                # queue and cancels every timer for that subscription.
-                seller1.peer.handle_message(
-                    frame("unsubscribe", {"sub": sub.sub_id, "hops": 0}, sender="elsewhere:9020")
-                )
-                assert seller1.peer.transfers.pending == {}
-                assert all(timer.cancelled for timer in timers)
-                assert sub.sub_id not in seller1.peer.subscriptions.armed
+            # An unsubscribe notice arriving at the publisher sweeps the
+            # queue and cancels every timer for that subscription.
+            seller1.peer.handle_message(
+                frame("unsubscribe", {"sub": sub.sub_id, "hops": 0}, sender="elsewhere:9020")
+            )
+            assert seller1.peer.transfers.pending == {}
+            assert all(timer.cancelled for timer in timers)
+            assert sub.sub_id not in seller1.peer.subscriptions.armed
 
-                # And with no timer left to fire, no retry burns out into a
-                # dead letter afterwards.
-                cluster.run_until_idle()
-                assert len(seller1.peer.dead_letters) == dead_letters_before
-                assert seller1.peer.transfers.transfers_failed == 0
+            # And with no timer left to fire, no retry burns out into a
+            # dead letter afterwards.
+            cluster.run_until_idle()
+            assert len(seller1.peer.dead_letters) == dead_letters_before
+            assert seller1.peer.transfers.transfers_failed == 0
 
     def test_unsubscribe_is_idempotent(self, namespace):
         with subscription_cluster("sim", namespace) as cluster:
@@ -744,179 +735,175 @@ class TestTeardownTimers:
 
 class TestChurn:
     def test_subscriber_crash_and_rejoin_resumes_from_acked(self, namespace):
-        with overrides(reliable_delivery=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client = cluster.session("client:9020")
-                seller1 = cluster.session("seller1:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .subscribe()
-                )
-                cluster.run_until_idle()
-                seller1.update("cds", [make_item("CD 0", 1.0, seller="seller1:9020")])
-                cluster.run_until_idle()
-                assert len(client.peer.my_subscriptions[sub.sub_id].deltas) == 1
+        with subscription_cluster("sim", namespace, reliable=True) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .subscribe()
+            )
+            cluster.run_until_idle()
+            seller1.update("cds", [make_item("CD 0", 1.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            assert len(client.peer.my_subscriptions[sub.sub_id].deltas) == 1
 
-                # The subscriber crashes; the publisher's delivery fails and
-                # the feed pauses, logging deltas it cannot transmit.
-                client.crash()
-                seller1.update("cds", [make_item("CD 1", 2.0, seller="seller1:9020")])
-                cluster.run_until_idle()
-                armed = seller1.peer.subscriptions.armed[sub.sub_id]
-                assert armed.paused
-                seller1.update("cds", [make_item("CD 2", 3.0, seller="seller1:9020")])
-                assert set(armed.log) == {1, 2}
+            # The subscriber crashes; the publisher's delivery fails and
+            # the feed pauses, logging deltas it cannot transmit.
+            client.crash()
+            seller1.update("cds", [make_item("CD 1", 2.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            armed = seller1.peer.subscriptions.armed[sub.sub_id]
+            assert armed.paused
+            seller1.update("cds", [make_item("CD 2", 3.0, seller="seller1:9020")])
+            assert set(armed.log) == {1, 2}
 
-                # Rejoining re-subscribes with resume tokens: the publisher
-                # replays exactly the unseen suffix — no gaps, no duplicates.
-                client.rejoin()
-                cluster.run_until_idle()
-                state = client.peer.my_subscriptions[sub.sub_id]
-                assert [d.items[0].child_text("title") for d in state.deltas] == [
-                    "CD 0", "CD 1", "CD 2",
-                ]
-                per_feed = audit_exactly_once(state)
-                (seqs,) = per_feed.values()  # one publisher, one epoch throughout
-                assert seqs == [0, 1, 2]
-                assert client.peer.subscriptions.resubscribes >= 1
-                assert client.peer.subscriptions.delta_duplicates == 0
-                assert client.peer.subscriptions.delta_gaps == 0
-                assert not seller1.peer.subscriptions.armed[sub.sub_id].paused
+            # Rejoining re-subscribes with resume tokens: the publisher
+            # replays exactly the unseen suffix — no gaps, no duplicates.
+            client.rejoin()
+            cluster.run_until_idle()
+            state = client.peer.my_subscriptions[sub.sub_id]
+            assert [d.items[0].child_text("title") for d in state.deltas] == [
+                "CD 0", "CD 1", "CD 2",
+            ]
+            per_feed = audit_exactly_once(state)
+            (seqs,) = per_feed.values()  # one publisher, one epoch throughout
+            assert seqs == [0, 1, 2]
+            assert client.peer.subscriptions.resubscribes >= 1
+            assert client.peer.subscriptions.delta_duplicates == 0
+            assert client.peer.subscriptions.delta_gaps == 0
+            assert not seller1.peer.subscriptions.armed[sub.sub_id].paused
 
     def test_authority_failover_rearms_publishers_fresh_epoch(self, namespace):
-        with overrides(reliable_delivery=True):
-            with subscription_cluster("sim", namespace) as cluster:
-                client = cluster.session("client:9020")
-                seller1 = cluster.session("seller1:9020")
-                index = cluster.session("index-or:9020")
-                sub = (
-                    client.query()
-                    .area(portland_area(namespace))
-                    .where("price < 10")
-                    .subscribe()
-                )
-                cluster.run_until_idle()
-                seller1.update("cds", [make_item("Early CD", 1.0, seller="seller1:9020")])
-                cluster.run_until_idle()
+        with subscription_cluster("sim", namespace, reliable=True) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            index = cluster.session("index-or:9020")
+            sub = (
+                client.query()
+                .area(portland_area(namespace))
+                .where("price < 10")
+                .subscribe()
+            )
+            cluster.run_until_idle()
+            seller1.update("cds", [make_item("Early CD", 1.0, seller="seller1:9020")])
+            cluster.run_until_idle()
 
-                # The authority and the publisher both crash: the armed
-                # matcher state is in-RAM and dies with the publisher; the
-                # authority's subscription registry is its durable store.
-                index.crash()
-                seller1.crash()
-                index.rejoin()
-                seller1.rejoin()
-                cluster.run_until_idle()
+            # The authority and the publisher both crash: the armed
+            # matcher state is in-RAM and dies with the publisher; the
+            # authority's subscription registry is its durable store.
+            index.crash()
+            seller1.crash()
+            index.rejoin()
+            seller1.rejoin()
+            cluster.run_until_idle()
 
-                # Re-registration re-armed the publisher from the registry,
-                # under a fresh epoch (its in-RAM feed state is gone).
-                armed = seller1.peer.subscriptions.armed[sub.sub_id]
-                assert armed.authority == "index-or:9020"
-                assert epoch_counter(armed.epoch) > 1
+            # Re-registration re-armed the publisher from the registry,
+            # under a fresh epoch (its in-RAM feed state is gone).
+            armed = seller1.peer.subscriptions.armed[sub.sub_id]
+            assert armed.authority == "index-or:9020"
+            assert epoch_counter(armed.epoch) > 1
 
-                seller1.update("cds", [make_item("Late CD", 2.0, seller="seller1:9020")])
-                cluster.run_until_idle()
-                state = client.peer.my_subscriptions[sub.sub_id]
-                titles = [d.items[0].child_text("title") for d in state.deltas]
-                assert titles == ["Early CD", "Late CD"]
-                per_feed = audit_exactly_once(state)
-                epochs = sorted(epoch_counter(epoch) for _, epoch in per_feed)
-                assert len(epochs) == 2 and epochs[0] < epochs[1]
-                # The subscriber never churned: the re-arm came from the
-                # authority's registry, not from a client re-subscription.
-                assert client.peer.subscriptions.resubscribes == 0
+            seller1.update("cds", [make_item("Late CD", 2.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            state = client.peer.my_subscriptions[sub.sub_id]
+            titles = [d.items[0].child_text("title") for d in state.deltas]
+            assert titles == ["Early CD", "Late CD"]
+            per_feed = audit_exactly_once(state)
+            epochs = sorted(epoch_counter(epoch) for _, epoch in per_feed)
+            assert len(epochs) == 2 and epochs[0] < epochs[1]
+            # The subscriber never churned: the re-arm came from the
+            # authority's registry, not from a client re-subscription.
+            assert client.peer.subscriptions.resubscribes == 0
 
     def test_conflicting_authorities_surface_not_double_deliver(self, namespace):
         portland = portland_area(namespace)
         oregon = namespace.area(["USA/OR", "*"])
-        with overrides(reliable_delivery=True):
-            with Cluster("sim", namespace=namespace) as cluster:
-                seller1 = cluster.base_server("seller1:9020", portland)
-                seller1.publish(
-                    "cds", [make_item("Abbey Road", 8.0, seller="seller1:9020")]
-                )
-                # Two index servers both claim authority over Oregon — the
-                # MOAS analogue of two ASes originating one prefix.
-                cluster.index_server("index-a:9020", oregon, authoritative=True)
-                cluster.index_server("index-b:9020", oregon, authoritative=True)
-                cluster.meta_index("meta:9020")
-                client = cluster.client("client:9020")
-                cluster.connect()
-                # Make sure the seller is catalogued under *both* claimants.
-                seller1.register("index-a:9020", "index-b:9020")
-                cluster.run_until_idle()
+        with Cluster("sim", namespace=namespace, reliable=True) as cluster:
+            seller1 = cluster.base_server("seller1:9020", portland)
+            seller1.publish(
+                "cds", [make_item("Abbey Road", 8.0, seller="seller1:9020")]
+            )
+            # Two index servers both claim authority over Oregon — the
+            # MOAS analogue of two ASes originating one prefix.
+            cluster.index_server("index-a:9020", oregon, authoritative=True)
+            cluster.index_server("index-b:9020", oregon, authoritative=True)
+            cluster.meta_index("meta:9020")
+            client = cluster.client("client:9020")
+            cluster.connect()
+            # Make sure the seller is catalogued under *both* claimants.
+            seller1.register("index-a:9020", "index-b:9020")
+            cluster.run_until_idle()
 
-                sub = client.query().area(portland).where("price < 10").subscribe()
-                cluster.run_until_idle()
+            sub = client.query().area(portland).where("price < 10").subscribe()
+            cluster.run_until_idle()
 
-                # One authority won the arming; the other's claim was
-                # surfaced to the subscriber instead of arming twice.
-                armed = seller1.peer.subscriptions.armed[sub.sub_id]
-                assert armed.authority in ("index-a:9020", "index-b:9020")
-                assert seller1.peer.subscriptions.authority_conflicts >= 1
-                conflicts = sub.conflicts()
-                assert conflicts, "the authority overlap should reach the subscriber"
-                assert conflicts[0]["publisher"] == "seller1:9020"
-                assert conflicts[0]["authorities"] == ["index-a:9020", "index-b:9020"]
+            # One authority won the arming; the other's claim was
+            # surfaced to the subscriber instead of arming twice.
+            armed = seller1.peer.subscriptions.armed[sub.sub_id]
+            assert armed.authority in ("index-a:9020", "index-b:9020")
+            assert seller1.peer.subscriptions.authority_conflicts >= 1
+            conflicts = sub.conflicts()
+            assert conflicts, "the authority overlap should reach the subscriber"
+            assert conflicts[0]["publisher"] == "seller1:9020"
+            assert conflicts[0]["authorities"] == ["index-a:9020", "index-b:9020"]
 
-                # And crucially: one mutation, one delta — never two.
-                seller1.update("cds", [make_item("New CD", 3.0, seller="seller1:9020")])
-                cluster.run_until_idle()
-                state = client.peer.my_subscriptions[sub.sub_id]
-                assert [d.items[0].child_text("title") for d in state.deltas] == ["New CD"]
-                audit_exactly_once(state)
+            # And crucially: one mutation, one delta — never two.
+            seller1.update("cds", [make_item("New CD", 3.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            state = client.peer.my_subscriptions[sub.sub_id]
+            assert [d.items[0].child_text("title") for d in state.deltas] == ["New CD"]
+            audit_exactly_once(state)
 
     def test_flash_crowd_exactly_once_under_loss(self, namespace):
         portland = portland_area(namespace)
         subscribers = [f"c{i:03d}:9020" for i in range(100)]
-        with overrides(reliable_delivery=True):
-            with Cluster(
-                "sim", namespace=namespace, faults=FaultPlan(seed=11, loss=0.10)
-            ) as cluster:
-                seller = cluster.base_server("seller:9020", portland)
-                seller.publish(
-                    "cds", [make_item("Abbey Road", 8.0, seller="seller:9020")]
-                )
-                cluster.index_server("index-or:9020", namespace.area(["USA/OR", "*"]))
-                cluster.meta_index("meta:9020")
-                for address in subscribers:
-                    cluster.client(address)
-                cluster.connect()
+        with Cluster(
+            "sim", namespace=namespace, faults=FaultPlan(seed=11, loss=0.10), reliable=True
+        ) as cluster:
+            seller = cluster.base_server("seller:9020", portland)
+            seller.publish(
+                "cds", [make_item("Abbey Road", 8.0, seller="seller:9020")]
+            )
+            cluster.index_server("index-or:9020", namespace.area(["USA/OR", "*"]))
+            cluster.meta_index("meta:9020")
+            for address in subscribers:
+                cluster.client(address)
+            cluster.connect()
 
-                subs = {
-                    address: cluster.session(address)
-                    .query()
-                    .area(portland)
-                    .where("price < 100")
-                    .subscribe()
-                    for address in subscribers
-                }
-                cluster.run_until_idle()
-                assert len(seller.peer.subscriptions.armed) == len(subscribers)
+            subs = {
+                address: cluster.session(address)
+                .query()
+                .area(portland)
+                .where("price < 100")
+                .subscribe()
+                for address in subscribers
+            }
+            cluster.run_until_idle()
+            assert len(seller.peer.subscriptions.armed) == len(subscribers)
 
-                # Three mutation rounds on the one hot collection.
-                seller.update("cds", [make_item("Flash CD", 3.0, seller="seller:9020")])
-                cluster.run_until_idle()
-                seller.update("cds", [make_item("Flash CD", 4.0, seller="seller:9020")])
-                cluster.run_until_idle()
-                removed = seller.retract("cds", keys=["seller:9020-Flash CD"])
-                assert len(removed) == 1
-                cluster.run_until_idle()
+            # Three mutation rounds on the one hot collection.
+            seller.update("cds", [make_item("Flash CD", 3.0, seller="seller:9020")])
+            cluster.run_until_idle()
+            seller.update("cds", [make_item("Flash CD", 4.0, seller="seller:9020")])
+            cluster.run_until_idle()
+            removed = seller.retract("cds", keys=["seller:9020-Flash CD"])
+            assert len(removed) == 1
+            cluster.run_until_idle()
 
-                # Every subscriber saw every delta exactly once, in order,
-                # despite 10% seeded frame loss on every link.
-                for address in subscribers:
-                    peer = cluster.session(address).peer
-                    state = peer.my_subscriptions[subs[address].sub_id]
-                    assert [d.kind for d in state.deltas] == [
-                        "insert", "update", "retract",
-                    ], address
-                    per_feed = audit_exactly_once(state)
-                    (seqs,) = per_feed.values()
-                    assert seqs == [0, 1, 2], address
-                    assert peer.subscriptions.delta_gaps == 0, address
+            # Every subscriber saw every delta exactly once, in order,
+            # despite 10% seeded frame loss on every link.
+            for address in subscribers:
+                peer = cluster.session(address).peer
+                state = peer.my_subscriptions[subs[address].sub_id]
+                assert [d.kind for d in state.deltas] == [
+                    "insert", "update", "retract",
+                ], address
+                per_feed = audit_exactly_once(state)
+                (seqs,) = per_feed.values()
+                assert seqs == [0, 1, 2], address
+                assert peer.subscriptions.delta_gaps == 0, address
 
 
 class TestDeltasBeatPolling:
@@ -929,29 +916,28 @@ class TestDeltasBeatPolling:
                             workload="garage-sale", churn="none", queries=4,
                             subscribers=1, reliable=True)
         rounds = 3
-        with overrides(reliable_delivery=True):
-            scenario = build_scaleout_scenario(spec)
-            with scenario.cluster as cluster:
-                session = cluster.session(scenario.subscriber_addresses[0])
-                sub_id = scenario.subscription_ids[0]
-                items = {peer.address: peer.items for peer in scenario.data_peers}
-                publishers = [address for address in scenario.hot_publishers if items[address]]
-                assert publishers, "no data peer overlaps the subscribed area"
-                delta_ms = []
-                for _ in range(rounds):
-                    seen = len(session.peer.subscription_state(sub_id).deltas)
-                    published_at = cluster.now
-                    for address in publishers:
-                        cluster.session(address).update("items", [items[address][0].copy()])
-                    cluster.run_until_idle()
-                    deltas = session.peer.subscription_state(sub_id).deltas
-                    assert len(deltas) > seen, "mutation produced no delta"
-                    delta_ms.append(deltas[-1].received_at - published_at)
-                subscription = Subscription(session, sub_id)
-                snapshot_ms = []
-                for _ in range(rounds):
-                    issued_at = cluster.now
-                    assert subscription.snapshot().count > 0
-                    snapshot_ms.append(cluster.now - issued_at)
+        scenario = build_scaleout_scenario(spec)
+        with scenario.cluster as cluster:
+            session = cluster.session(scenario.subscriber_addresses[0])
+            sub_id = scenario.subscription_ids[0]
+            items = {peer.address: peer.items for peer in scenario.data_peers}
+            publishers = [address for address in scenario.hot_publishers if items[address]]
+            assert publishers, "no data peer overlaps the subscribed area"
+            delta_ms = []
+            for _ in range(rounds):
+                seen = len(session.peer.subscription_state(sub_id).deltas)
+                published_at = cluster.now
+                for address in publishers:
+                    cluster.session(address).update("items", [items[address][0].copy()])
+                cluster.run_until_idle()
+                deltas = session.peer.subscription_state(sub_id).deltas
+                assert len(deltas) > seen, "mutation produced no delta"
+                delta_ms.append(deltas[-1].received_at - published_at)
+            subscription = Subscription(session, sub_id)
+            snapshot_ms = []
+            for _ in range(rounds):
+                issued_at = cluster.now
+                assert subscription.snapshot().count > 0
+                snapshot_ms.append(cluster.now - issued_at)
         poll_ms = spec.query_interval_ms / 2.0 + sum(snapshot_ms) / rounds
         assert poll_ms / (sum(delta_ms) / rounds) >= 5.0

@@ -4,39 +4,34 @@ import pytest
 
 from recording_node import RecordingNode, frame
 from repro.peers.transfers import Transfers
-from repro.perf import overrides
 
 
 @pytest.fixture()
 def node():
-    return RecordingNode()
-
-
-def reliable(node, **kwargs) -> Transfers:
-    return Transfers(node, **kwargs)
+    return RecordingNode(reliable=True)
 
 
 class TestSending:
-    def test_fire_and_forget_keeps_no_state_and_stamps_nothing(self, node):
-        transfers = reliable(node)
+    def test_fire_and_forget_keeps_no_state_and_stamps_nothing(self):
+        node = RecordingNode()
+        transfers = Transfers(node)
         sent = transfers.send("them:9020", "mqp", "<plan/>", 7, "q1")
         assert sent.transfer is None and not transfers.pending and not node.timers
 
     def test_every_attempt_backs_off_and_the_budget_ends_in_one_failure(self, node):
         failures = []
-        transfers = reliable(node, failed=lambda dead, message: failures.append((dead, message)))
+        transfers = Transfers(node, failed=lambda dead, message: failures.append((dead, message)))
         budget = transfers.retry_policy.budget
-        with overrides(reliable_delivery=True):
-            first = transfers.send("them:9020", "result", {"query_id": "q1"}, 40, "q1")
-            assert first.transfer == "me:9020#1" and first.attempt == 0
-            delays = []
-            for attempt in range(1, budget + 1):
-                delays.append(node.timers[0].delay)
-                node.fire()
-                assert node.sent[-1].attempt == attempt
-                assert node.sent[-1].transfer == first.transfer
+        first = transfers.send("them:9020", "result", {"query_id": "q1"}, 40, "q1")
+        assert first.transfer == "me:9020#1" and first.attempt == 0
+        delays = []
+        for attempt in range(1, budget + 1):
             delays.append(node.timers[0].delay)
-            node.fire()  # the budget is spent: no further send
+            node.fire()
+            assert node.sent[-1].attempt == attempt
+            assert node.sent[-1].transfer == first.transfer
+        delays.append(node.timers[0].delay)
+        node.fire()  # the budget is spent: no further send
         assert delays[:-1] == sorted(delays[:-1]) and len(set(delays)) == len(delays)
         assert node.clock == pytest.approx(transfers.retry_policy.horizon_ms)  # last wait clipped
         assert transfers.retries_sent == budget and len(node.sent) == budget + 1
@@ -48,42 +43,38 @@ class TestSending:
         assert record["hop"] == "me:9020" and record["kind"] == "result"
 
     def test_an_ack_stands_the_timer_down_and_a_late_one_is_ignored(self, node):
-        transfers = reliable(node)
-        with overrides(reliable_delivery=True):
-            sent = transfers.send("them:9020", "mqp", "<plan/>", 7, "q1")
+        transfers = Transfers(node)
+        sent = transfers.send("them:9020", "mqp", "<plan/>", 7, "q1")
         transfers.stand_down(sent.transfer)
         assert not transfers.pending and node.timers[0].cancelled
         transfers.stand_down(sent.transfer)  # the duplicate of the ack
         transfers.stand_down(None)  # a bounced message that carried no transfer id
 
     def test_cancel_stops_only_the_named_querys_transfers(self, node):
-        transfers = reliable(node)
-        with overrides(reliable_delivery=True):
-            transfers.send("a:1", "mqp", "<plan/>", 7, "q1")
-            transfers.send("b:1", "delta-chunk", {}, 7, "sub1")
-            transfers.send("c:1", "result", {}, 7, "q1")
+        transfers = Transfers(node)
+        transfers.send("a:1", "mqp", "<plan/>", 7, "q1")
+        transfers.send("b:1", "delta-chunk", {}, 7, "sub1")
+        transfers.send("c:1", "result", {}, 7, "q1")
         transfers.cancel("q1")
         assert [state.key for state in transfers.pending.values()] == ["sub1"]
         assert [timer.cancelled for timer in node.timers] == [True, False, True]
 
     def test_a_retry_is_dropped_once_offline_or_cancelled(self, node):
         cancelled = set()
-        transfers = reliable(node, cancelled=cancelled)
-        with overrides(reliable_delivery=True):
-            transfers.send("a:1", "mqp", "<plan/>", 7, "q1")
-            transfers.send("b:1", "mqp", "<plan/>", 7, "q2")
-            cancelled.add("q1")
-            node.fire()
-            node.online = False
-            node.fire()
+        transfers = Transfers(node, cancelled=cancelled)
+        transfers.send("a:1", "mqp", "<plan/>", 7, "q1")
+        transfers.send("b:1", "mqp", "<plan/>", 7, "q2")
+        cancelled.add("q1")
+        node.fire()
+        node.online = False
+        node.fire()
         assert len(node.sent) == 2 and not transfers.pending
         assert transfers.retries_sent == 0 and transfers.transfers_failed == 0
 
     def test_a_traced_send_is_charged_to_the_query_once(self, node):
-        transfers = reliable(node)
-        with overrides(reliable_delivery=True):
-            transfers.send_traced("them:9020", "mqp", "<plan/>", 70, "q1")
-            node.fire()  # the retransmission is not charged again
+        transfers = Transfers(node)
+        transfers.send_traced("them:9020", "mqp", "<plan/>", 70, "q1")
+        node.fire()  # the retransmission is not charged again
         trace = node.metrics.trace("q1")
         assert (trace.messages, trace.bytes) == (1, 70)
 
@@ -109,20 +100,18 @@ class TestRetransmissionTimer:
         return waited
 
     def test_first_contact_waits_the_policys_timeout(self, node):
-        transfers = reliable(node)
+        transfers = Transfers(node)
         policy = transfers.retry_policy
-        with overrides(reliable_delivery=True):
-            first = self.acked(node, transfers)
-            other = self.acked(node, transfers, recipient="stranger:9020")
+        first = self.acked(node, transfers)
+        other = self.acked(node, transfers, recipient="stranger:9020")
         for waited in (first, other):  # a round trip learned for one peer says nothing of another
             assert policy.timeout_ms <= waited < policy.timeout_ms + policy.jitter_ms
 
     def test_the_timeout_converges_on_the_round_trip_from_above(self, node):
-        transfers = reliable(node)
+        transfers = Transfers(node)
         policy = transfers.retry_policy
         widest = 1.0 + policy.jitter_ms / policy.timeout_ms  # jitter scales with the RTO
-        with overrides(reliable_delivery=True):
-            waits = [self.acked(node, transfers) for _ in range(24)][1:]
+        waits = [self.acked(node, transfers) for _ in range(24)][1:]
         on_link = node.transfer_time(1_000)
         # One sample: SRTT = R, RTTVAR = R/2, so RTO = 3R; a steady link's
         # variance then decays and the RTO settles a margin above R.
@@ -133,35 +122,31 @@ class TestRetransmissionTimer:
         assert max(waits) < policy.timeout_ms + policy.jitter_ms
 
     def test_a_slow_peer_never_waits_longer_than_the_policys_timeout(self, node):
-        transfers = reliable(node)
+        transfers = Transfers(node)
         policy = transfers.retry_policy
-        with overrides(reliable_delivery=True):
-            waits = [self.acked(node, transfers, rtt=10 * policy.timeout_ms) for _ in range(4)]
+        waits = [self.acked(node, transfers, rtt=10 * policy.timeout_ms) for _ in range(4)]
         assert all(waited < policy.timeout_ms + policy.jitter_ms for waited in waits)
 
     def test_the_ack_of_a_retransmitted_transfer_is_no_sample(self, node):
-        transfers = reliable(node)
-        with overrides(reliable_delivery=True):
-            sent = transfers.send("them:9020", "mqp", "<plan/>", 1_000, "q1")
-            node.fire()  # attempt 1 leaves: the ack may answer either copy (Karn)
-            node.clock += 10.0
-            transfers.acknowledged(sent.transfer)
+        transfers = Transfers(node)
+        sent = transfers.send("them:9020", "mqp", "<plan/>", 1_000, "q1")
+        node.fire()  # attempt 1 leaves: the ack may answer either copy (Karn)
+        node.clock += 10.0
+        transfers.acknowledged(sent.transfer)
         assert not transfers.pending and transfers.round_trips == {}
 
     def test_a_bounce_is_no_sample(self, node):
-        transfers = reliable(node)
-        with overrides(reliable_delivery=True):
-            sent = transfers.send("them:9020", "mqp", "<plan/>", 1_000, "q1")
-            node.clock += 5.0  # the network's unreachable notice, not an ack
-            transfers.stand_down(sent.transfer)
+        transfers = Transfers(node)
+        sent = transfers.send("them:9020", "mqp", "<plan/>", 1_000, "q1")
+        node.clock += 5.0  # the network's unreachable notice, not an ack
+        transfers.stand_down(sent.transfer)
         assert not transfers.pending and transfers.round_trips == {}
 
     def test_a_large_frame_is_given_its_own_time_on_the_link(self, node):
-        transfers = reliable(node)
-        with overrides(reliable_delivery=True):
-            small = [self.acked(node, transfers, size=1_000) for _ in range(24)][-1]
-            large = self.acked(node, transfers, size=64_000)
-            after = self.acked(node, transfers, size=1_000)
+        transfers = Transfers(node)
+        small = [self.acked(node, transfers, size=1_000) for _ in range(24)][-1]
+        large = self.acked(node, transfers, size=64_000)
+        after = self.acked(node, transfers, size=1_000)
         # The ack of 64 KB cannot be back before the frame is out (64 ms at
         # the modelled link rate) and the round trip has passed.
         assert large > node.transfer_time(64_000) + self.RTT > small
@@ -169,17 +154,16 @@ class TestRetransmissionTimer:
 
     def test_the_horizon_is_time_not_a_count(self, node):
         failures = []
-        transfers = reliable(node, failed=lambda dead, message: failures.append(dead))
+        transfers = Transfers(node, failed=lambda dead, message: failures.append(dead))
         policy = transfers.retry_policy
-        with overrides(reliable_delivery=True):
-            for _ in range(24):
-                self.acked(node, transfers)
-            started = node.clock
-            transfers.send("them:9020", "result", {"query_id": "q1"}, 1_000, "q1")
-            while transfers.pending:
-                node.fire()
-                if node.clock - started < 4_900.0:  # silent for 4.9 s: still being retried
-                    assert transfers.pending and not failures
+        for _ in range(24):
+            self.acked(node, transfers)
+        started = node.clock
+        transfers.send("them:9020", "result", {"query_id": "q1"}, 1_000, "q1")
+        while transfers.pending:
+            node.fire()
+            if node.clock - started < 4_900.0:  # silent for 4.9 s: still being retried
+                assert transfers.pending and not failures
         # Silent for 5.1 s: failed, once, with nothing left armed.
         silent_for = node.clock - started
         assert silent_for == pytest.approx(policy.horizon_ms) and 4_900.0 < silent_for < 5_100.0
@@ -189,16 +173,15 @@ class TestRetransmissionTimer:
 
     def test_the_round_trip_table_is_capped(self, node, monkeypatch):
         monkeypatch.setattr(Transfers, "RTT_MEMORY", 2)
-        transfers = reliable(node)
-        with overrides(reliable_delivery=True):
-            for recipient in ("a:1", "b:1", "a:1", "c:1"):
-                self.acked(node, transfers, recipient=recipient)
+        transfers = Transfers(node)
+        for recipient in ("a:1", "b:1", "a:1", "c:1"):
+            self.acked(node, transfers, recipient=recipient)
         assert list(transfers.round_trips) == ["a:1", "c:1"]  # b:1, the least recently heard, went
 
 
 class TestReceiving:
     def test_every_attempt_is_acked_and_only_the_first_copy_accepted(self, node):
-        transfers = reliable(node)
+        transfers = Transfers(node)
         assert transfers.accept(frame("mqp", "<plan/>"))  # unstamped: nothing to do
         assert not node.sent
         assert transfers.accept(frame("mqp", "<plan/>", transfer="them:9020#4"))
@@ -210,7 +193,7 @@ class TestReceiving:
 
     def test_the_dedupe_window_forgets_the_oldest_transfer(self, node, monkeypatch):
         monkeypatch.setattr(Transfers, "DEDUPE_MEMORY", 2)
-        transfers = reliable(node)
+        transfers = Transfers(node)
         for name in ("t1", "t2", "t3"):
             assert transfers.accept(frame("mqp", "<plan/>", transfer=name))
         assert list(transfers.seen) == ["t2", "t3"]
@@ -221,7 +204,7 @@ class TestReceiving:
 class TestFailureRecordsAndDeadLetters:
     def test_failure_records_travel_with_the_answer_and_are_bounded(self, node, monkeypatch):
         monkeypatch.setattr(Transfers, "FAILURE_MEMORY", 2)
-        upstream, target = reliable(node), reliable(node)
+        upstream, target = Transfers(node), Transfers(node)
         upstream.record_failure("q1", {"hop": "a", "peer": "b"})
         upstream.record_failure("q1", {"hop": "a", "peer": "b"})  # the same hop again
         envelope = {"query_id": "q1"}
@@ -236,7 +219,7 @@ class TestFailureRecordsAndDeadLetters:
         assert "failures" not in untouched
 
     def test_dead_letters_keep_a_window_and_an_exact_count(self, node):
-        transfers = reliable(node)
+        transfers = Transfers(node)
         transfers.dead_letters.cap = 2
         letters = [frame(kind, None) for kind in ("result", "result", "register-ack")]
         for letter in letters:
