@@ -77,8 +77,12 @@ class QueryPreferences:
     @classmethod
     def from_xml(cls, element: XMLElement) -> "QueryPreferences":
         target = element.get("target-time-ms")
+        try:
+            target_time_ms = float(target) if target is not None else None
+        except ValueError:
+            raise PlanError(f"malformed target-time-ms {target!r}") from None
         return cls(
-            target_time_ms=float(target) if target is not None else None,
+            target_time_ms=target_time_ms,
             prefer=element.get("prefer", "complete") or "complete",
         )
 
@@ -254,13 +258,17 @@ class MutantQueryPlan:
             if provenance_element is not None
             else ProvenanceLog()
         )
+        try:
+            issued_at = float(element.get("issued-at", "0") or 0.0)
+        except ValueError:
+            raise PlanError(f"malformed issued-at {element.get('issued-at')!r}") from None
         mqp = cls(
             plan=plan,
             query_id=element.get("id", f"q{next(_query_counter)}"),
             provenance=provenance,
             original=_DEFERRED_ORIGINAL,  # absent stays absent: nothing is made up here
             preferences=preferences,
-            issued_at=float(element.get("issued-at", "0") or 0.0),
+            issued_at=issued_at,
         )
         mqp._original_xml = original_xml
         mqp.branch = parse_branch(element.get("branch", "") or "")

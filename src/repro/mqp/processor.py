@@ -20,11 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Collection, Sequence
 from zlib import crc32
 
 from ..algebra import QueryPlan
-from ..algebra.operators import Display, LeafNode, PlanNode, Union, URLRef, URNRef, VerbatimData
+from ..algebra.operators import (
+    ConjointOr,
+    Display,
+    LeafNode,
+    PlanNode,
+    Union,
+    URLRef,
+    URNRef,
+    VerbatimData,
+)
 from ..catalog import Binder, Catalog, RoutingCache, ServerRole, canonical_address
 from ..engine import EvaluationMemo, QueryEngine
 from ..engine.statistics import CollectionStatistics
@@ -32,11 +42,12 @@ from ..errors import URNError
 from ..namespace import (
     InterestArea,
     InterestAreaURN,
+    InterestCell,
     MultiHierarchicNamespace,
     NamedURN,
     parse_urn,
 )
-from ..optimizer import Optimizer
+from ..optimizer import STANDARD_REWRITES, Optimizer, RewriteResult
 from ..xmlmodel import XMLElement
 from .plan import MutantQueryPlan
 from .policy import PolicyManager
@@ -262,16 +273,21 @@ class MQPProcessor:
         now: float = 0.0,
         avoid: Collection[str] = (),
     ) -> ProcessingResult:
-        """Run the full Figure-2 pipeline once and decide what happens next.
+        """Run the Figure-2 pipeline once and decide what happens next.
 
         ``avoid`` lists servers the hosting peer currently believes dead
-        (churn); they are excluded from routing.
+        (churn); they are excluded from routing.  A leaf hop
+        (:meth:`_is_leaf_hop`) has nothing to bind, route or defer, and
+        skips straight to the rewrite and the evaluation of its body.
         """
         self.processed_plans += 1
         route_candidates: list[str] = []
 
-        bound = self._bind_urns(mqp, now, route_candidates)
-        evaluated = self._optimize_and_evaluate(mqp, now)
+        if self._is_leaf_hop(mqp):
+            bound, evaluated = 0, self._reduce_leaf_hop(mqp, now)
+        else:
+            bound = self._bind_urns(mqp, now, route_candidates)
+            evaluated = self._optimize_and_evaluate(mqp, now)
 
         ordered: list[str] = []
         if mqp.is_fully_evaluated():
@@ -455,11 +471,7 @@ class MQPProcessor:
         leaves: list[PlanNode] = [
             URLRef(collection.url, collection.path) for collection in entry.collections
         ]
-        if len(leaves) == 1:
-            return leaves[0]
-        from ..algebra.operators import Union as UnionOp
-
-        return UnionOp(leaves)
+        return leaves[0] if len(leaves) == 1 else Union(leaves)
 
     def _bind_area(
         self,
@@ -538,6 +550,44 @@ class MQPProcessor:
     # Stages 2-4: optimize, policy, evaluate, reduce
     # ------------------------------------------------------------------ #
 
+    def _is_leaf_hop(self, mqp: MutantQueryPlan) -> bool:
+        """True when every leaf of the plan's body is here.
+
+        Since the scatter almost every hop is such a piece —
+        ``display(select(url))`` at the one holder of that URL — and for it
+        the full pipeline can only decide one thing.  There is no URN to
+        bind; ``consolidation`` and ``absorption`` fire only next to an
+        unavailable leaf; with no ``ConjointOr`` and every leaf available
+        the one maximal evaluable sub-plan is the body itself; and the
+        policy never defers the body (:meth:`PolicyManager.choose_subplans`).
+        A free rider evaluates nothing, and a bare leaf has nothing to
+        reduce: both take the full pipeline.
+        """
+        if self.free_ride:
+            return False
+        body = mqp.plan.body
+        if isinstance(body, LeafNode):
+            return False
+        for node in body.iter_nodes():
+            if isinstance(node, LeafNode):
+                if not self._leaf_available(node):
+                    return False
+            elif isinstance(node, ConjointOr):
+                return False
+        return True
+
+    def _reduce_leaf_hop(self, mqp: MutantQueryPlan, now: float) -> int:
+        """Stages 2-4 of a leaf hop: the standard rules, then the whole body.
+
+        The rules run on the one engine every server shares
+        (:data:`~repro.optimizer.STANDARD_REWRITES`); no cost is estimated,
+        since nothing is left to choose.  A rewrite may collapse the body
+        to a bare leaf (``union(url)``), which :meth:`_reduce` pins.
+        """
+        self._adopt(mqp, STANDARD_REWRITES.rewrite_plan(mqp.plan), now)
+        body = mqp.plan.body
+        return self._reduce(mqp, [] if isinstance(body, LeafNode) else [body], now)
+
     def _optimize_and_evaluate(self, mqp: MutantQueryPlan, now: float) -> int:
         if self.free_ride:
             # Forward-only peers skip the whole optimize/evaluate stage:
@@ -545,22 +595,28 @@ class MQPProcessor:
             # exactly as it arrived.
             return 0
         outcome = self.optimizer.optimize(mqp.plan, self._leaf_available)
-        if outcome.fired_rules:
+        self._adopt(mqp, outcome.rewrites, now)
+        return self._reduce(mqp, self.policy.choose_subplans(outcome).evaluate, now)
+
+    def _adopt(self, mqp: MutantQueryPlan, rewrites: RewriteResult, now: float) -> None:
+        """Take the rewritten plan, logging the rules that fired."""
+        if rewrites.fired_rules:
             mqp.provenance.add(
                 self.address,
                 ProvenanceAction.REOPTIMIZED,
                 now,
-                detail=",".join(outcome.fired_rules),
+                detail=",".join(rewrites.fired_rules),
             )
-        mqp.plan = outcome.plan
+        mqp.plan = rewrites.plan
 
-        decision = self.policy.choose_subplans(outcome)
+    def _reduce(self, mqp: MutantQueryPlan, subplans: list[PlanNode], now: float) -> int:
+        """Evaluate ``subplans`` and substitute their results into the plan."""
         engine = QueryEngine(
             resolver=self._resolve_local_leaf,
             max_buffered_items=self.max_buffered_items,
         )
         evaluated = 0
-        for subplan in decision.evaluate:
+        for subplan in subplans:
             # The reduction step: the evaluated sub-plan is replaced by its
             # result as verbatim data (paper §2).
             leaf = self._evaluate_subplan(engine, subplan)
@@ -696,6 +752,22 @@ class MQPProcessor:
         # detail is the URN that was bound, as the original plan spelt it.
         for record in mqp.provenance.records:
             if record.action is ProvenanceAction.BOUND and record.server != self.address:
-                parsed = self._parse_urn(record.detail)
-                if isinstance(parsed, InterestAreaURN):
-                    self.cache.remember(parsed.area, record.server)
+                cells = _bound_area_cells(record.detail)
+                if cells is not None:
+                    self.cache.remember(InterestArea(cells), record.server)
+
+
+@lru_cache(maxsize=4096)
+def _bound_area_cells(urn: str) -> tuple[InterestCell, ...] | None:
+    """The cells of the interest area ``urn`` names (``None``: it names none).
+
+    Memoized process-wide, because every piece repeats the ``bound`` records
+    of the plan it was split from.  The cells are frozen; the mutable
+    :class:`InterestArea` around them is built per call, so no two peers
+    share one.
+    """
+    try:
+        parsed = parse_urn(urn)
+    except URNError:
+        return None
+    return parsed.area.cells if isinstance(parsed, InterestAreaURN) else None

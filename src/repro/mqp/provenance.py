@@ -32,9 +32,19 @@ class ProvenanceAction(str, Enum):
     DELIVERED = "delivered"
 
 
+_ACTIONS = {action.value: action for action in ProvenanceAction}
+"""Wire text -> action: a dict lookup, not the enum's call machinery."""
+
+
 @dataclass(frozen=True)
 class ProvenanceRecord:
-    """One entry of the provenance log."""
+    """One entry of the provenance log.
+
+    A record is immutable, and so is its ``<visit>`` element once made: the
+    one it was parsed from, or the one :meth:`to_xml` builds on first use.
+    Every log holding the record (each piece of a scatter copies the list,
+    not the records) writes that one element.
+    """
 
     server: str
     action: ProvenanceAction
@@ -43,33 +53,42 @@ class ProvenanceRecord:
     staleness_minutes: float = 0.0
 
     def to_xml(self) -> XMLElement:
-        """Serialize as one ``<visit>`` element."""
-        attributes = {
-            "server": self.server,
-            "action": self.action.value,
-            "time": f"{self.time:.3f}",
-        }
-        if self.detail:
-            attributes["detail"] = self.detail
-        if self.staleness_minutes:
-            attributes["staleness"] = f"{self.staleness_minutes:g}"
-        return XMLElement("visit", attributes)
+        """The record as one ``<visit>`` element (shared: render, never mutate)."""
+        element = self.__dict__.get("_element")
+        if element is None:
+            attributes = {
+                "server": self.server,
+                "action": self.action.value,
+                "time": f"{self.time:.3f}",
+            }
+            if self.detail:
+                attributes["detail"] = self.detail
+            if self.staleness_minutes:
+                attributes["staleness"] = f"{self.staleness_minutes:g}"
+            element = XMLElement("visit", attributes)
+            object.__setattr__(self, "_element", element)
+        return element
 
     @classmethod
     def from_xml(cls, element: XMLElement) -> "ProvenanceRecord":
-        """Parse one ``<visit>`` element."""
+        """Parse one ``<visit>`` element, which the record then writes back."""
         server = element.get("server")
-        action = element.get("action")
+        action = _ACTIONS.get(element.get("action"))  # type: ignore[arg-type]
         time = element.get("time")
         if server is None or action is None or time is None:
-            raise ProvenanceError("malformed <visit> element in provenance log")
-        return cls(
-            server=server,
-            action=ProvenanceAction(action),
-            time=float(time),
-            detail=element.get("detail", "") or "",
-            staleness_minutes=float(element.get("staleness", "0") or 0.0),
-        )
+            raise ProvenanceError(f"malformed <visit> element: {element.attributes}")
+        try:
+            record = cls(
+                server=server,
+                action=action,
+                time=float(time),
+                detail=element.get("detail", "") or "",
+                staleness_minutes=float(element.get("staleness", "0") or 0.0),
+            )
+        except ValueError:
+            raise ProvenanceError(f"malformed <visit> element: {element.attributes}") from None
+        object.__setattr__(record, "_element", element)
+        return record
 
 
 @dataclass

@@ -7,7 +7,7 @@ from .mqp_rules import (
     deferrable_nodes,
     mqp_rules,
 )
-from .planner import OptimizationOutcome, Optimizer
+from .planner import STANDARD_REWRITES, OptimizationOutcome, Optimizer
 from .rewrite import RewriteEngine, RewriteResult, RewriteRule
 from .rules import (
     collapse_singleton_union,
@@ -35,4 +35,5 @@ __all__ = [
     "mqp_rules",
     "Optimizer",
     "OptimizationOutcome",
+    "STANDARD_REWRITES",
 ]

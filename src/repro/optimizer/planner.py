@@ -17,7 +17,16 @@ from .mqp_rules import AvailabilityCheck, mqp_rules
 from .rewrite import RewriteEngine, RewriteResult
 from .rules import standard_rules
 
-__all__ = ["OptimizationOutcome", "Optimizer"]
+__all__ = ["OptimizationOutcome", "Optimizer", "STANDARD_REWRITES"]
+
+STANDARD_REWRITES = RewriteEngine(standard_rules())
+"""The availability-independent rules as one engine every server shares.
+
+A plan with every leaf at hand can fire no availability-aware rule, so it
+needs only these (``MQPProcessor._reduce_leaf_hop``).  The engine holds the
+rules and its operator dispatch table, nothing per plan or per peer, so one
+process-wide instance keeps that table warm at no cost per peer.
+"""
 
 
 @dataclass

@@ -10,11 +10,12 @@ from repro.catalog import (
     Catalog,
     CollectionRef,
     NamedResourceEntry,
+    RoutingCache,
     ServerEntry,
     ServerRole,
 )
 from repro.engine.cost import CostModel
-from repro.errors import PlanError, XMLParseError
+from repro.errors import PlanError, ProvenanceError, URNError, XMLParseError
 from repro.mqp import (
     PARTIAL_REASONS,
     MQPProcessor,
@@ -26,7 +27,9 @@ from repro.mqp import (
     QueryPreferences,
 )
 from repro.mqp.plan import format_branch, parse_branch
-from repro.namespace import InterestAreaURN
+from repro.mqp.processor import _bound_area_cells
+from repro.mqp.provenance import ProvenanceRecord
+from repro.namespace import InterestAreaURN, InterestCell, parse_urn
 from repro.optimizer import Optimizer
 from repro.xmlmodel import XMLElement, parse_xml, serialize_xml
 from tests.conftest import make_item
@@ -65,6 +68,59 @@ class TestProvenance:
         log.add("S:1", ProvenanceAction.BOUND, 1.0, detail="urn:ForSale:A")
         suspicious = log.suspicious_resources(["urn:ForSale:A", "urn:ForSale:B"])
         assert suspicious == ["urn:ForSale:B"]
+
+    def test_a_record_writes_one_element_back(self):
+        """Parsed or built, a record's ``<visit>`` is made once."""
+        log = ProvenanceLog()
+        record = log.add("a:1", ProvenanceAction.BOUND, 1.5, detail="urn:X:y", staleness_minutes=10)
+        built = record.to_xml()
+        assert record.to_xml() is built
+        parsed = ProvenanceRecord.from_xml(built)
+        assert parsed == record and parsed.to_xml() is built
+        assert serialize_xml(built) == (
+            '<visit action="bound" detail="urn:X:y" server="a:1" staleness="10" time="1.500"/>'
+        )
+
+    def test_scattered_pieces_share_the_elements_they_inherit(self):
+        """A piece copies the record list, not the records, and writes the
+        same bytes after a round trip."""
+        plan = PlanBuilder.url("a:9020", "/cds").display("client:9020")
+        whole = MutantQueryPlan(plan, query_id="q1")
+        whole.provenance.add("index:9020", ProvenanceAction.BOUND, 1.0, detail="urn:X:y")
+        first, second = (
+            whole.piece(plan.copy(), (7, index), Fraction(1, 2)) for index in range(2)
+        )
+        assert first.provenance.to_xml().children[0] is second.provenance.to_xml().children[0]
+        arrived = MutantQueryPlan.deserialize(first.serialize())
+        assert arrived.serialize() == first.serialize()
+
+
+class TestMalformedWireFields:
+    """A field that does not parse is a typed error, not a bare ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "field, damaged, error",
+        [
+            ('issued-at="2.000"', 'issued-at="later"', PlanError),
+            ('target-time-ms="500"', 'target-time-ms="soon"', PlanError),
+            ('action="bound"', 'action="bogus"', ProvenanceError),
+            ('time="1.000"', 'time="soon"', ProvenanceError),
+            ('staleness="10"', 'staleness="x"', ProvenanceError),
+        ],
+        ids=["issued-at", "target-time-ms", "visit-action", "visit-time", "visit-staleness"],
+    )
+    def test_a_malformed_field_is_refused_with_a_typed_error(self, field, damaged, error):
+        mqp = MutantQueryPlan(
+            PlanBuilder.urn("urn:A:b").display("c:1"),
+            preferences=QueryPreferences(target_time_ms=500),
+            issued_at=2.0,
+        )
+        mqp.provenance.add("a:1", ProvenanceAction.BOUND, 1.0, detail="urn:A:b", staleness_minutes=10)
+        document = mqp.serialize()
+        assert document.count(field) == 1
+        MutantQueryPlan.deserialize(document)  # the undamaged document parses
+        with pytest.raises(error):
+            MutantQueryPlan.deserialize(document.replace(field, damaged))
 
 
 class TestPreferencesAndWireFormat:
@@ -716,3 +772,221 @@ class TestPartialReasons:
         tired.provenance.add("peer:1", ProvenanceAction.FORWARDED, 0.0)
         assert processor.process(tired).reason == "hop-budget"
         assert PARTIAL_REASONS.index("time-budget") < PARTIAL_REASONS.index("unreachable")
+
+
+# --------------------------------------------------------------------------- #
+# The leaf hop: a body whose every leaf is here skips bind, cost and policy
+# --------------------------------------------------------------------------- #
+
+HERE = "here:9020"
+
+LEAF_HOPS = {
+    "select(url)": lambda items: PlanBuilder.url(HERE, "/cds").select("price < 10"),
+    # merge-adjacent-selects fires: the hop still logs ``reoptimized``.
+    "select(select(url))": lambda items: (
+        PlanBuilder.url(HERE, "/cds").select("price > 7").select("price < 10")
+    ),
+    # push-select-through-union fires, then the whole union is reduced.
+    "select(union(url, url))": lambda items: (
+        PlanBuilder.url(HERE, "/cds").union(PlanBuilder.url(HERE, "/lps")).select("price < 10")
+    ),
+    "select(data)": lambda items: PlanBuilder.data(items[:3], name="carried").select("price < 10"),
+}
+
+FULL_PIPELINE = {
+    "urn": lambda items: PlanBuilder.urn("urn:ForSale:Portland-CDs").select("price < 10"),
+    "remote-url": lambda items: (
+        PlanBuilder.url(HERE, "/cds").union(PlanBuilder.url("far:9020", "/cds")).select("price < 10")
+    ),
+    "conjoint-or": lambda items: (
+        PlanBuilder.url(HERE, "/cds").conjoint_or(PlanBuilder.url(HERE, "/lps")).select("price < 10")
+    ),
+    "bare-leaf": lambda items: PlanBuilder.url(HERE, "/cds"),
+}
+
+
+class TestLeafHop:
+    def _holder(self, cd_items):
+        return MQPProcessor(HERE, Catalog(HERE), collections={"/cds": cd_items, "/lps": cd_items[:2]})
+
+    def _hops(self, processor, shape, cd_items, monkeypatch, full=False):
+        """The same plan twice (the second a replay), counting optimizer runs."""
+        calls = []
+        optimize = Optimizer.optimize
+
+        def spy(optimizer, *args, **kwargs):
+            calls.append(args)
+            return optimize(optimizer, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Optimizer, "optimize", spy)
+            if full:
+                patch.setattr(MQPProcessor, "_is_leaf_hop", lambda self, mqp: False)
+            results = [
+                processor.process(
+                    MutantQueryPlan(shape(cd_items).display("client:9020"), query_id=f"q{n}"),
+                    now=1.0,
+                )
+                for n in range(2)
+            ]
+        return results, len(calls)
+
+    @staticmethod
+    def _observed(processor, results):
+        return (
+            [result.action for result in results],
+            [result.mqp.serialize() for result in results],
+            [
+                [(r.server, r.action, r.detail) for r in result.mqp.provenance.records]
+                for result in results
+            ],
+            [(result.bound_urns, result.evaluated_subplans) for result in results],
+            (processor.evaluations.hits, processor.evaluations.misses),
+            processor.subplans_evaluated,
+        )
+
+    @pytest.mark.parametrize("shape", list(LEAF_HOPS))
+    def test_a_leaf_hop_runs_no_optimizer_and_answers_as_the_full_pipeline(
+        self, cd_items, shape, monkeypatch
+    ):
+        leaf = self._holder(cd_items)
+        results, optimized = self._hops(leaf, LEAF_HOPS[shape], cd_items, monkeypatch)
+        assert optimized == 0
+        full = self._holder(cd_items)
+        reference, full_optimized = self._hops(
+            full, LEAF_HOPS[shape], cd_items, monkeypatch, full=True
+        )
+        assert full_optimized == 2
+        assert self._observed(leaf, results) == self._observed(full, reference)
+        assert [result.action for result in results] == [ProcessingAction.DELIVER] * 2
+        assert leaf.evaluations.hits == 1  # the second plan is a replay
+        actions = [r.action for r in results[0].mqp.provenance.records]
+        rewritten = shape in ("select(select(url))", "select(union(url, url))")
+        assert (ProvenanceAction.REOPTIMIZED in actions) is rewritten
+        assert actions[-1] is ProvenanceAction.EVALUATED
+
+    @pytest.mark.parametrize("shape", list(FULL_PIPELINE))
+    def test_anything_else_takes_the_full_pipeline(self, cd_items, shape, monkeypatch):
+        processor = self._holder(cd_items)
+        plan = MutantQueryPlan(FULL_PIPELINE[shape](cd_items).display("client:9020"))
+        assert not processor._is_leaf_hop(plan)
+        _, optimized = self._hops(processor, FULL_PIPELINE[shape], cd_items, monkeypatch)
+        assert optimized == 2
+
+    def test_a_free_rider_takes_the_full_pipeline_and_evaluates_nothing(
+        self, cd_items, monkeypatch
+    ):
+        processor = self._holder(cd_items)
+        processor.free_ride = True
+        plan = MutantQueryPlan(LEAF_HOPS["select(url)"](cd_items).display("client:9020"))
+        assert not processor._is_leaf_hop(plan)
+        results, optimized = self._hops(processor, LEAF_HOPS["select(url)"], cd_items, monkeypatch)
+        assert optimized == 0 and processor.subplans_evaluated == 0
+        assert all(not result.mqp.is_fully_evaluated() for result in results)
+
+    def test_a_union_that_collapses_to_a_bare_leaf_is_pinned_as_before(
+        self, cd_items, monkeypatch
+    ):
+        """``union(url)`` passes the leaf-hop test, and the rewrite leaves a bare leaf."""
+
+        def shape(items):
+            return PlanBuilder.url(HERE, "/cds").union()
+
+        leaf, full = self._holder(cd_items), self._holder(cd_items)
+        results, optimized = self._hops(leaf, shape, cd_items, monkeypatch)
+        reference, _ = self._hops(full, shape, cd_items, monkeypatch, full=True)
+        assert optimized == 0
+        assert self._observed(leaf, results) == self._observed(full, reference)
+        assert results[0].mqp.plan.result().children == cd_items
+
+
+# --------------------------------------------------------------------------- #
+# learn_from: one parse per distinct record text, one area per peer
+# --------------------------------------------------------------------------- #
+
+
+def _bound_by(*records):
+    mqp = MutantQueryPlan(PlanBuilder.url("x:9020", "/a").display("client:9020"))
+    for server, detail in records:
+        mqp.provenance.add(server, ProvenanceAction.BOUND, 1.0, detail=detail)
+    return mqp
+
+
+def _learn_by_parsing(processor, mqp):
+    """What ``learn_from`` did before it was memoized: one parse per record."""
+    for record in mqp.provenance.records:
+        if record.action is ProvenanceAction.BOUND and record.server != processor.address:
+            try:
+                parsed = parse_urn(record.detail)
+            except URNError:
+                continue
+            if isinstance(parsed, InterestAreaURN):
+                processor.cache.remember(parsed.area, record.server)
+
+
+class TestLearnFromMemo:
+    def test_two_peers_learning_one_record_hold_distinct_areas(self, namespace):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        mqp = _bound_by(("index-or:9020", str(InterestAreaURN.for_area(area))))
+        peers = [_processor_for(namespace, address) for address in ("a:9020", "b:9020")]
+        for peer in peers:
+            peer.learn_from(mqp)
+        (mine,), (theirs,) = (list(peer.cache._entries.values()) for peer in peers)
+        assert mine.area == theirs.area == area and mine.area is not theirs.area
+        mine.area.add(InterestCell.of("USA/WA", "Music/CDs"))
+        assert theirs.area == area  # one peer's area is not another's
+        late = _processor_for(namespace, "c:9020")
+        late.learn_from(mqp)
+        assert late.cache.best(area).area == area  # nor the memo's
+
+    def test_the_memo_stays_within_its_bound(self, namespace):
+        bound = _bound_area_cells.cache_info().maxsize
+        processor = _processor_for(namespace, "a:9020")
+        processor.learn_from(_bound_by(*(("i:9020", f"urn:ForSale:c{n}") for n in range(bound + 8))))
+        assert 0 < _bound_area_cells.cache_info().currsize <= bound
+
+    def test_a_malformed_urn_detail_is_skipped(self, namespace):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        processor = _processor_for(namespace, "a:9020")
+        processor.learn_from(
+            _bound_by(
+                ("i:9020", "not a urn"),
+                ("i:9020", "urn:InterestArea:((USA"),
+                ("i:9020", "urn:InterestArea:(USA.OR,)"),
+                ("i:9020", ""),
+                ("i:9020", "urn:ForSale:Portland-CDs"),
+                ("j:9020", str(InterestAreaURN.for_area(area))),
+            )
+        )
+        assert list(processor.cache._entries) == [(str(area), "j:9020")]
+
+    def test_the_routing_cache_order_is_that_of_one_parse_per_record(self, namespace):
+        areas = [
+            namespace.area(cell)
+            for cell in (
+                ["USA/OR/Portland", "Music/CDs"],
+                ["USA/OR", "*"],
+                ["USA/WA/Seattle", "Furniture"],
+                ["USA/OR/Portland", "Music/CDs"],  # the first area again, another binder
+                ["USA/WA", "Music"],
+            )
+        ]
+        urns = [str(InterestAreaURN.for_area(area)) for area in areas]
+        hops = [
+            _bound_by(("i1:9020", urns[0]), ("i2:9020", urns[1])),
+            _bound_by(("i3:9020", urns[2]), ("here:9020", urns[4]), ("i1:9020", urns[0])),
+            _bound_by(("i1:9020", "urn:ForSale:x"), ("i2:9020", urns[4]), ("i4:9020", urns[3])),
+            _bound_by(("i2:9020", urns[1]), ("i3:9020", urns[2]), ("i5:9020", urns[4])),
+        ]
+        memoized, parsing = (
+            MQPProcessor("here:9020", Catalog("here:9020"), cache=RoutingCache(capacity=4))
+            for _ in range(2)
+        )
+        for mqp in hops:
+            memoized.learn_from(mqp)
+            _learn_by_parsing(parsing, mqp)
+            assert list(memoized.cache._entries) == list(parsing.cache._entries)
+            assert [entry.area for entry in memoized.cache._entries.values()] == [
+                entry.area for entry in parsing.cache._entries.values()
+            ]
+        assert len(memoized.cache._entries) == 4  # the capacity evicted in LRU order

@@ -372,6 +372,39 @@ class TestScaleoutScenarios:
         assert "processing" not in report  # MQP-only section
 
 
+class TestLeafHopEquivalence:
+    """The leaf hop is a shortcut, not a behaviour: forced off, so that every
+    plan takes the full pipeline, it leaves every report byte-identical."""
+
+    @pytest.mark.parametrize(
+        "name, transport",
+        [
+            ("thousand-peers", "sim"),
+            ("flash-crowd", "sim"),
+            ("sharded-catalog", "sim"),
+            ("free-riders", "sim"),
+            ("lying-catalog", "sim"),
+            ("sharded-catalog", "aio"),
+        ],
+    )
+    def test_the_full_pipeline_writes_the_same_report(self, name, transport, monkeypatch):
+        spec = SCENARIOS[name]
+        if name == "thousand-peers":
+            spec = replace(spec, churn="none", peers=200)
+        taken = []
+        is_leaf_hop = MQPProcessor._is_leaf_hop
+
+        def counting(processor, mqp):
+            taken.append(is_leaf_hop(processor, mqp))
+            return taken[-1]
+
+        monkeypatch.setattr(MQPProcessor, "_is_leaf_hop", counting)
+        default = json.dumps(run_scaleout(spec, transport), sort_keys=True)
+        assert any(taken)  # the comparison below means something
+        monkeypatch.setattr(MQPProcessor, "_is_leaf_hop", lambda processor, mqp: False)
+        assert json.dumps(run_scaleout(spec, transport), sort_keys=True) == default
+
+
 class TestCLI:
     def test_smoke_run_writes_report(self, tmp_path, capsys):
         output = tmp_path / "report.json"
