@@ -9,7 +9,7 @@ created by ``session.subscribe(...)``, ``builder.subscribe()`` or
     sub = client.query().area(area).where("price < 10").subscribe()
     seller.update("cds", changed_items)
     for delta in sub.deltas(timeout=5_000):
-        print(delta.kind, delta.items)
+        print(delta.kind, [item.child_text("title") for item in delta.items])
     sub.unsubscribe()
 
 ``deltas()`` drives the shared clock exactly like ``QueryHandle.result()``

@@ -69,14 +69,15 @@ class _Delivery:
             elements = list(parse_xml(self.content).children)
             if len(elements) != self.count:
                 raise PeerError(
-                    f"a result document announced {self.count} item(s) and holds {len(elements)}"
+                    f"a document announced {self.count} item(s) and holds {len(elements)}"
                 )
             self.content = elements
         return self.content
 
 
 class ResultItems(Sequence[XMLElement]):
-    """A result's items in order; what arrived as a document stays text until read.
+    """A result's (or a delta's) items in order; what arrived as a document
+    stays text until read.
 
     ``len`` never parses, so an answer that is only counted costs its text,
     not a tree several times that size.  Reading an element parses each
@@ -95,7 +96,8 @@ class ResultItems(Sequence[XMLElement]):
     @classmethod
     def of_document(cls, document: str, count: object = None) -> "ResultItems":
         """The children of ``document``'s root — left unparsed when the
-        sender said how many there are (``count``, off a result envelope)."""
+        sender said how many there are (``count``, off a result or a
+        ``delta-chunk`` envelope)."""
         if not isinstance(count, int) or count < 0:
             return cls(parse_xml(document).children)
         items = cls()

@@ -19,6 +19,9 @@ Message kinds handled here:
     cumulatively so the publisher can trim its replay log: the position
     rides the chunk's ``delivery-ack`` (one acknowledgement per delta), and
     only a chunk sent fire-and-forget is answered with a ``delta-ack``.
+    A changed item is written once per mutation (a projected one once per
+    subscriber), and a delta is parsed only when the subscriber reads an
+    item: the chunk's ``count`` says how many.
 ``sub-conflict``
     Conflicting-authority detection (the MOAS analogy): a publisher armed
     for a subscription by one authority that receives the same
@@ -63,7 +66,8 @@ from ..errors import PeerError, PeerOffline
 from ..namespace import InterestArea
 from ..network.message import Message
 from ..network.node import NetworkNode
-from ..xmlmodel import XMLElement, parse_xml, serialize_xml, utf8_len
+from ..xmlmodel import XMLElement, quoteattr, serialize_xml, utf8_len, well_formed
+from .gather import ResultItems
 from .parts import Cancellations, InOrder, insert_capped
 from .transfers import Transfers
 
@@ -133,11 +137,17 @@ class PublisherFeed(InOrder[dict]):
 
 @dataclass
 class DeltaRecord:
-    """One released delta, as recorded at the subscribing peer."""
+    """One released delta, as recorded at the subscribing peer.
+
+    ``items`` is read-only and counted, not parsed: its length is the
+    ``count`` the chunk arrived with, and the delta's document stays text
+    until an item is first read.  A document holding a different number of
+    items than announced raises :class:`~repro.errors.PeerError` then.
+    """
 
     sub_id: str
     kind: str  # "insert" | "update" | "retract"
-    items: list[XMLElement]
+    items: Sequence[XMLElement]
     publisher: str
     epoch: str
     seq: int
@@ -191,11 +201,15 @@ class Subscriptions:
     mine: dict[str, SubscriberState] = field(default_factory=dict)
     deltas_published: int = 0
     deltas_delivered: int = 0
+    deltas_refused: int = 0  # unreadable delta-chunk frames dropped on arrival
     delta_duplicates: int = 0
     delta_gaps: int = 0
     resubscribes: int = 0
     authority_conflicts: int = 0
     _conflicts_told: set[tuple[str, str]] = field(default_factory=set, init=False)
+    # The last delta document found well-formed: the ack of a chunk reads the
+    # chunk its handler just read, and need not scan it twice.
+    _scanned: str | None = field(default=None, init=False)
     _sub_counter: int = field(default=0, init=False)
     _epoch_counter: int = field(default=0, init=False)
 
@@ -288,11 +302,44 @@ class Subscriptions:
             # Self-subscription: this peer's own collections feed the query.
             self._arm(state.sub_id, me, shape, "", resume)
 
+    def _readable(self, envelope: object) -> bool:
+        """Can a ``delta-chunk`` envelope off the network be released?
+
+        Its ``sub`` and ``epoch`` are strings, its ``seq`` an int, its
+        ``count`` a non-negative int, and its document well-formed XML —
+        scanned, not built: the items stay text until they are read, and
+        ``count`` (like a result envelope's ``items``) says how many there
+        are.  Anything else is dropped rather than raised in a handler.
+        """
+        if not isinstance(envelope, dict):
+            return False
+        seq, count, document = envelope.get("seq"), envelope.get("count"), envelope.get("document")
+        if not (
+            isinstance(envelope.get("sub"), str)
+            and isinstance(envelope.get("epoch"), str)
+            and type(seq) is int
+            and type(count) is int
+            and count >= 0
+            and isinstance(document, str)
+        ):
+            return False
+        if document is not self._scanned:
+            if not well_formed(document):
+                return False
+            self._scanned = document
+        return True
+
     def on_delta_chunk(self, message: Message) -> None:
         """Release what the chunk completes.  Its arrival is acknowledged
         once: by :meth:`feed_position` on the chunk's ``delivery-ack``, or —
-        a chunk sent fire-and-forget has none — by a ``delta-ack`` here."""
+        a chunk sent fire-and-forget has none — by a ``delta-ack`` here.
+        An unreadable chunk is dropped — no ``delta-ack``, and a
+        ``delivery-ack`` without a position — and counted in
+        ``deltas_refused``."""
         envelope: dict = message.payload
+        if not self._readable(envelope):
+            self.deltas_refused += 1
+            return
         sub_id = envelope["sub"]
         publisher = str(envelope.get("publisher", message.sender))
         state = self.mine.get(sub_id)
@@ -302,8 +349,8 @@ class Subscriptions:
             if self.cancelled.first_notice(sub_id, publisher):
                 self.port.send(publisher, "unsubscribe", {"sub": sub_id, "hops": 0}, size_bytes=64)
             return
-        epoch = str(envelope["epoch"])
-        seq = int(envelope["seq"])
+        epoch: str = envelope["epoch"]
+        seq: int = envelope["seq"]
         feed = state.feeds.get(publisher)
         if feed is None or feed.epoch != epoch:
             if feed is not None and epoch_counter(epoch) <= epoch_counter(feed.epoch):
@@ -320,7 +367,7 @@ class Subscriptions:
                     DeltaRecord(
                         sub_id=sub_id,
                         kind=str(held.get("kind", "insert")),
-                        items=list(parse_xml(held["document"]).children),
+                        items=ResultItems.of_document(held["document"], held["count"]),
                         publisher=publisher,
                         epoch=epoch,
                         seq=feed.next_seq - 1,
@@ -337,12 +384,15 @@ class Subscriptions:
         """What the ack of a ``delta-chunk`` tells its publisher: ``(sub, last
         sequence released)`` of the feed as it now stands — so the ack of a
         retransmitted copy says it again — and nothing for a dead
-        subscription or an epoch the feed is not in."""
+        subscription, an epoch the feed is not in, or a chunk that cannot be
+        read."""
         envelope: dict = message.payload
+        if not self._readable(envelope):
+            return ()
         state = self.mine.get(envelope["sub"])
         feeds = state.feeds if state is not None and state.active else {}
         feed = feeds.get(str(envelope.get("publisher", message.sender)))
-        if feed is None or feed.epoch != str(envelope["epoch"]):
+        if feed is None or feed.epoch != envelope["epoch"]:
             return ()
         return envelope["sub"], feed.next_seq - 1
 
@@ -519,13 +569,17 @@ class Subscriptions:
         matches), never O(armed plans) — and each candidate classifies the
         mutation through its own predicate: an update whose old state
         matched but whose new state does not is that subscriber's
-        ``retract``, and vice versa.
+        ``retract``, and vice versa.  Each changed item is written once, and
+        every subscriber it passes to whole shares that text.
         """
         if not self.armed or not self.port.connected:
             return
         area = self.collection_areas.get(path)
         if area is None:
             return
+        # id() of one of ``changes``' own items -> its text.  ``changes``
+        # holds them for the whole call, so no id here is reused meanwhile.
+        written: dict[int, str] = {}
         for sub_id, shape in self.matcher.matching(area):
             batches: dict[str, list[XMLElement]] = {"insert": [], "update": [], "retract": []}
             for before, after in changes:
@@ -536,25 +590,41 @@ class Subscriptions:
                     batches["retract"].append(before)
             for kind, batch in batches.items():
                 if batch:
-                    self._publish(self.armed[sub_id], shape, kind, batch)
+                    self._publish(self.armed[sub_id], shape, kind, batch, written)
 
     def _publish(
-        self, armed: ArmedSubscription, shape: SubscriptionShape, kind: str, items: list[XMLElement]
+        self,
+        armed: ArmedSubscription,
+        shape: SubscriptionShape,
+        kind: str,
+        items: list[XMLElement],
+        written: dict[int, str],
     ) -> None:
-        document = serialize_xml(
-            XMLElement(
-                "delta",
-                {"sub": armed.sub_id, "kind": kind, "seq": str(armed.next_seq)},
-                shape.apply(items),
-            )
+        texts: list[str] = []
+        if shape.columns is None:
+            for item in items:
+                text = written.get(id(item))
+                if text is None:
+                    text = written[id(item)] = serialize_xml(item)
+                texts.append(text)
+        else:
+            # Projected for this subscriber alone: temporaries, never keyed
+            # by id (a freed one's id may come back for the next).
+            texts = [serialize_xml(item) for item in shape.apply(items)]
+        # serialize_xml's compact form of <delta> over these (never no)
+        # children, its attributes in sorted order.
+        head = (
+            f"<delta kind={quoteattr(kind)} seq={quoteattr(str(armed.next_seq))}"
+            f" sub={quoteattr(armed.sub_id)}>"
         )
         envelope = {
-            "document": document,
+            "document": f"{head}{''.join(texts)}</delta>",
             "sub": armed.sub_id,
             "publisher": self.port.address,
             "epoch": armed.epoch,
             "seq": armed.next_seq,
             "kind": kind,
+            "count": len(texts),  # not charged: what lets the subscriber leave it unparsed
         }
         armed.log[armed.next_seq] = envelope
         armed.next_seq += 1

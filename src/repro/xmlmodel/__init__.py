@@ -2,7 +2,7 @@
 
 from .element import XMLElement, element, text_element
 from .parser import XMLSpan, children_text, parse_xml, serialize_collection, serialize_xml
-from .parser import quoteattr, serialized_size, utf8_len
+from .parser import quoteattr, serialized_size, utf8_len, well_formed
 from .path import PathExpression, evaluate_path, evaluate_path_values, parse_path
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "serialize_xml",
     "serialized_size",
     "utf8_len",
+    "well_formed",
     "PathExpression",
     "parse_path",
     "evaluate_path",

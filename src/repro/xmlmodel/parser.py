@@ -27,7 +27,7 @@ from ..errors import XMLParseError
 from .element import XMLElement
 
 __all__ = ["XMLSpan", "parse_xml", "serialize_xml", "serialize_collection", "children_text",
-           "quoteattr", "serialized_size", "utf8_len"]
+           "quoteattr", "serialized_size", "utf8_len", "well_formed"]
 
 # Text content and attribute values repeat heavily (tags, prices, organism
 # names, provenance fields), so the escaping work is memoized.  Bounded
@@ -148,6 +148,17 @@ def parse_xml(document: str, opaque: tuple[str, str] | None = None) -> XMLElemen
         # cycle so the document is freed now, not at the next GC pass.
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
     return stack[0].children[0]
+
+
+def well_formed(document: str) -> bool:
+    """Whether ``document`` is well-formed XML: one expat pass with no handler
+    set, so nothing is built — the check a document that is only counted on
+    arrival (and parsed when first read) gets."""
+    try:
+        expat.ParserCreate().Parse(document, True)
+    except expat.ExpatError:
+        return False
+    return True
 
 
 def serialize_xml(root: XMLElement, indent: int | None = None) -> str:

@@ -7,6 +7,9 @@ The suite covers the full standing-query protocol end-to-end:
 * delta feeds on both transports — insert/update/retract classification
   through each subscription's own predicate, projection applied at the
   publisher, in-order release, duplicate suppression;
+* the delta document — written once per changed item, byte for byte the
+  serialized ``<delta>`` tree; counted on arrival and parsed when read;
+  an unreadable chunk refused, not raised;
 * teardown — ``unsubscribe`` clears armed matchers, authority registries
   and pending retransmission timers at every hop;
 * churn — a subscriber crash/rejoin resumes from its last released
@@ -24,12 +27,14 @@ import dataclasses
 
 import pytest
 
+import repro.peers.gather as gather_module
+import repro.peers.subscriptions as subscriptions_module
 from repro.algebra import PlanBuilder
 from repro.algebra.serialization import serialize_plan
 from repro.api import Cluster, Subscription
 from repro.catalog import Catalog, ServerRole
 from repro.catalog.matcher import SubscriptionMatcher, subscribable_shape
-from repro.errors import PlanError
+from repro.errors import PeerError, PlanError
 from repro.harness.cli import SCENARIOS
 from repro.harness.scaleout import ScaleoutSpec, build_scaleout_scenario, schedule_mutations
 from repro.namespace import InterestAreaURN
@@ -45,7 +50,7 @@ from repro.peers.subscriptions import (
     epoch_counter,
 )
 from repro.peers.transfers import Transfers
-from repro.xmlmodel import XMLElement, serialize_xml
+from repro.xmlmodel import XMLElement, element, serialize_xml, text_element, utf8_len
 from recording_node import RecordingNode, frame
 from tests.conftest import make_item
 
@@ -100,6 +105,52 @@ def audit_exactly_once(state: SubscriberState) -> dict:
         expected = list(range(seqs[0], seqs[0] + len(seqs)))
         assert seqs == expected, f"feed {publisher}/{epoch}: released {seqs}"
     return per_feed
+
+
+def feed_plan(namespace, projected: bool = False):
+    builder = PlanBuilder.urn(area_urn(portland_area(namespace))).select("price < 10")
+    if projected:
+        builder = builder.project([("title", "title")])
+    return builder.display("client:9020")
+
+
+def armed_publisher(namespace, plans: dict) -> Subscriptions:
+    """A publisher of ``/cds`` in Portland on a recording node, armed for each
+    ``sub id -> plan`` with ``client:9020`` as the subscriber."""
+    node = RecordingNode("seller1:9020")
+    publisher = Subscriptions(
+        node, Transfers(node), Cancellations(), Catalog(node.address), {ServerRole.BASE},
+        collection_areas={"/cds": portland_area(namespace)},
+    )
+    for sub_id, plan in plans.items():
+        publisher.on_subscribe(frame("subscribe", {
+            "document": serialize_plan(plan), "sub": sub_id, "subscriber": "client:9020",
+            "authority": "index-or:9020", "resume": {}, "hops": 1,
+        }, sender="index-or:9020"))
+    return publisher
+
+
+def subscriber_side(sub_id: str = "client:9020#sub1"):
+    """The subscribing side alone, holding one subscription: no network."""
+    node = RecordingNode("client:9020")
+    client = Subscriptions(node, Transfers(node), Cancellations(), Catalog(node.address))
+    state = SubscriberState(sub_id=sub_id, document="")
+    client.mine[sub_id] = state
+    return client, state
+
+
+def escaped_item(title: str, price: float) -> XMLElement:
+    """An item whose text and attribute need escaping, and are not all ASCII."""
+    return element(
+        "item",
+        {"id": f"seller1:9020-{title}", "note": "a & b < \"c\" > 'd' é"},
+        text_element("title", title),
+        text_element("price", price),
+    )
+
+
+def chunks(publisher: Subscriptions) -> list[dict]:
+    return [m.payload for m in publisher.port.sent if m.kind == "delta-chunk"]
 
 
 # --------------------------------------------------------------------------- #
@@ -326,15 +377,6 @@ class TestDeltaFeed:
 class TestInOrderRelease:
     """Frame-level behaviour of the subscriber's release path."""
 
-    def _subscriber(self, namespace):
-        """The subscriber side alone: a recording node, no network."""
-        node = RecordingNode("client:9020")
-        client = Subscriptions(node, Transfers(node), Cancellations(), Catalog(node.address))
-        plan = PlanBuilder.urn(area_urn(portland_area(namespace))).display("client:9020")
-        state = SubscriberState(sub_id="client:9020#subX", document=serialize_plan(plan))
-        client.mine[state.sub_id] = state
-        return client, state
-
     def _envelope(self, sub_id: str, publisher: str, epoch: str, seq: int, title: str):
         document = serialize_xml(XMLElement(
             "delta",
@@ -348,10 +390,11 @@ class TestInOrderRelease:
             "epoch": epoch,
             "seq": seq,
             "kind": "insert",
+            "count": 1,
         }
 
     def test_out_of_order_frames_release_in_sequence(self, namespace):
-        client, state = self._subscriber(namespace)
+        client, state = subscriber_side()
         epoch = "seller1:9020/e1"
         late = self._envelope(state.sub_id, "seller1:9020", epoch, 1, "Second")
         early = self._envelope(state.sub_id, "seller1:9020", epoch, 0, "First")
@@ -365,7 +408,7 @@ class TestInOrderRelease:
         audit_exactly_once(state)
 
     def test_duplicate_frames_are_suppressed_and_reacked(self, namespace):
-        client, state = self._subscriber(namespace)
+        client, state = subscriber_side()
         once = self._envelope(state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Once")
         client.on_delta_chunk(frame("delta-chunk", once, sender="seller1:9020"))
         client.on_delta_chunk(frame("delta-chunk", dict(once), sender="seller1:9020"))
@@ -375,7 +418,7 @@ class TestInOrderRelease:
         audit_exactly_once(state)
 
     def test_stale_epoch_frames_are_dropped(self, namespace):
-        client, state = self._subscriber(namespace)
+        client, state = subscriber_side()
         state.feeds["seller1:9020"] = PublisherFeed(epoch="seller1:9020/e2")
         stale = self._envelope(state.sub_id, "seller1:9020", "seller1:9020/e1", 0, "Stale")
         client.on_delta_chunk(frame("delta-chunk", stale, sender="seller1:9020"))
@@ -384,7 +427,7 @@ class TestInOrderRelease:
 
     def test_a_newer_epoch_resets_the_feed(self, namespace):
         """A publisher that re-armed starts again at 0 under a fresh epoch."""
-        client, state = self._subscriber(namespace)
+        client, state = subscriber_side()
         for epoch, title in (("seller1:9020/e1", "Before"), ("seller1:9020/e2", "After")):
             envelope = self._envelope(state.sub_id, "seller1:9020", epoch, 0, title)
             client.on_delta_chunk(frame("delta-chunk", envelope, sender="seller1:9020"))
@@ -494,6 +537,21 @@ class TestOneAcknowledgementPerDelta:
         assert client.take_sent("delivery-ack").payload == chunk.transfer
         assert state.deltas == []
 
+    def test_an_unreadable_delta_is_acknowledged_without_a_position(self, namespace):
+        publisher, client, state = self._pair(namespace)
+        publisher.update_collection("cds", [make_item("Torn", 5.0)])
+        chunk = publisher.take_sent("delta-chunk")
+        torn = dataclasses.replace(chunk, payload=dict(chunk.payload, document="<delta><item>"))
+        for attempt in (0, 1):  # the first copy is refused, the retransmit too
+            client.handle_message(dataclasses.replace(torn, attempt=attempt))
+            ack = client.take_sent("delivery-ack")
+            assert ack.payload == chunk.transfer  # a bare ack: no feed position
+        assert state.deltas == [] and state.feeds == {}
+        assert client.subscriptions.deltas_refused == 1  # counted once, on the first copy
+        publisher.handle_message(ack)
+        armed = publisher.subscriptions.armed[state.sub_id]
+        assert publisher.transfers.pending == {} and armed.acked_seq == -1
+
     def test_every_other_kind_is_acknowledged_before_it_is_handled(self, namespace):
         _, client, state = self._pair(namespace)
         client.handle_message(frame(
@@ -507,6 +565,186 @@ class TestOneAcknowledgementPerDelta:
             "register", seller.registration(), sender=seller.address, transfer="t#2",
         ))
         assert index.kinds()[:2] == ["delivery-ack", "register-ack"]
+
+
+# --------------------------------------------------------------------------- #
+# A delta is written once and parsed only when read
+# --------------------------------------------------------------------------- #
+
+
+class TestDeltaDocuments:
+    """The publisher writes a delta's root itself and shares each changed
+    item's text; the document is byte for byte what the tree serialized to."""
+
+    @staticmethod
+    def tree_document(sub_id, kind, seq, shape, items) -> str:
+        """The reference: the delta as a tree, serialized."""
+        attributes = {"sub": sub_id, "kind": kind, "seq": str(seq)}
+        return serialize_xml(XMLElement("delta", attributes, shape.apply(items)))
+
+    @pytest.mark.parametrize("projected", [False, True], ids=["whole", "projected"])
+    @pytest.mark.parametrize("subscribers", [1, 5])
+    def test_a_document_equals_the_serialized_tree(self, namespace, projected, subscribers):
+        plans = {f'c&"{n}"#sub{n}': feed_plan(namespace, projected) for n in range(subscribers)}
+        publisher = armed_publisher(namespace, plans)
+        fresh = escaped_item("Tom & Jerry <live> \"quoted\" 'single' Ünïcødé ✓", 1.0)
+        kept, kept_after = escaped_item("Kept <&>", 2.0), escaped_item("Kept <&>", 3.0)
+        dropped, dropped_after = escaped_item("Gone 'é'", 4.0), escaped_item("Gone 'é'", 40.0)
+        publisher.mutated("/cds", [(None, fresh), (kept, kept_after), (dropped, dropped_after)])
+        publisher.mutated("/cds", [(kept_after, None)])
+        sent = {(m.payload["sub"], m.payload["seq"]): m for m in publisher.port.sent}
+        assert len(sent) == 4 * subscribers
+        for sub_id, plan in plans.items():
+            shape = subscribable_shape(plan)
+            for seq, (kind, items) in enumerate([
+                ("insert", [fresh]), ("update", [kept_after]),
+                ("retract", [dropped]), ("retract", [kept_after]),
+            ]):
+                message = sent[sub_id, seq]
+                document = message.payload["document"]
+                assert document == self.tree_document(sub_id, kind, seq, shape, items)
+                assert message.payload["kind"] == kind and message.payload["count"] == 1
+                assert message.size_bytes == utf8_len(document)  # ``count`` is not charged
+        assert "Ünïcødé" in sent[next(iter(plans)), 0].payload["document"]
+
+    def test_a_delta_of_several_items_keeps_their_order(self, namespace):
+        shapes = {"c#whole": feed_plan(namespace), "c#titles": feed_plan(namespace, True)}
+        publisher = armed_publisher(namespace, shapes)
+        items = [escaped_item(f"cd <{n}>", float(n)) for n in range(4)]
+        publisher.mutated("/cds", [(None, item) for item in items])
+        for payload in chunks(publisher):
+            sub_id = payload["sub"]
+            shape = subscribable_shape(shapes[sub_id])
+            assert payload["document"] == self.tree_document(sub_id, "insert", 0, shape, items)
+            assert payload["count"] == 4
+
+    @pytest.mark.parametrize("subscribers", [1, 5])
+    def test_a_whole_item_is_written_once_per_mutation(self, namespace, monkeypatch, subscribers):
+        plans = {f"c#whole{n}": feed_plan(namespace) for n in range(subscribers)}
+        plans |= {f"c#titles{n}": feed_plan(namespace, True) for n in range(subscribers)}
+        publisher = armed_publisher(namespace, plans)
+        written: list[str] = []
+
+        def counting(root, indent=None):
+            written.append(root.child_text("title"))
+            return serialize_xml(root, indent)
+
+        monkeypatch.setattr(subscriptions_module, "serialize_xml", counting)
+        publisher.mutated("/cds", [(None, make_item("One", 1.0)), (None, make_item("Two", 2.0))])
+        # Once each for every whole subscriber together, once per projection.
+        assert sorted(written) == sorted(["One", "Two"] * (1 + subscribers))
+        assert len(chunks(publisher)) == 2 * subscribers
+        written.clear()
+        publisher.mutated("/cds", [(None, make_item("One", 1.5))])  # a new mutation writes anew
+        assert written == ["One"] * (1 + subscribers)
+
+
+class TestDeltaItemsStayText:
+    """A subscriber counts a delta's items off the envelope and parses the
+    document only when an item is read."""
+
+    def _feed(self, namespace, monkeypatch, sizes):
+        parses: list[str] = []
+        parse = gather_module.parse_xml
+        monkeypatch.setattr(
+            gather_module, "parse_xml", lambda document: parses.append(document) or parse(document)
+        )
+        publisher = armed_publisher(namespace, {"client:9020#sub1": feed_plan(namespace)})
+        for n, size in enumerate(sizes):
+            publisher.mutated(
+                "/cds", [(None, make_item(f"cd {n}.{k}", 1.0)) for k in range(size)]
+            )
+        client, state = subscriber_side()
+        return publisher, client, state, parses
+
+    def test_deltas_are_counted_without_a_parse_and_parsed_once_when_read(
+        self, namespace, monkeypatch
+    ):
+        sizes = [1, 2, 3, 1, 2, 3]
+        publisher, client, state, parses = self._feed(namespace, monkeypatch, sizes)
+        for payload in chunks(publisher):
+            client.on_delta_chunk(frame("delta-chunk", payload, sender="seller1:9020"))
+        assert [len(delta.items) for delta in state.deltas] == sizes
+        assert [delta.count for delta in state.deltas] == sizes
+        assert parses == []
+        third = state.deltas[2]
+        assert [item.child_text("title") for item in third.items] == ["cd 2.0", "cd 2.1", "cd 2.2"]
+        assert third.items[1].child_text("title") == "cd 2.1"
+        assert parses == [chunks(publisher)[2]["document"]]  # once, and only that delta
+
+    def test_a_wrong_count_raises_when_the_items_are_first_read(self, namespace, monkeypatch):
+        publisher, client, state, _ = self._feed(namespace, monkeypatch, [1])
+        (payload,) = chunks(publisher)
+        client.on_delta_chunk(frame("delta-chunk", dict(payload, count=2), sender="seller1:9020"))
+        (delta,) = state.deltas
+        assert len(delta.items) == 2  # counted as announced ...
+        with pytest.raises(PeerError, match="announced 2 item"):
+            list(delta.items)  # ... and found out on the first read
+
+
+_MISSING = object()
+
+# One broken field each, on an otherwise genuine delta-chunk envelope.
+UNREADABLE = {
+    "malformed-xml": ("document", "<delta kind='insert'><item>"),
+    "empty-document": ("document", ""),
+    "seq-as-text": ("seq", "three"),
+    "epoch-none": ("epoch", None),
+    "sub-missing": ("sub", _MISSING),
+    "count-missing": ("count", _MISSING),
+    "count-negative": ("count", -1),
+    "count-as-text": ("count", "1"),
+}
+
+
+@pytest.mark.parametrize("reliable", [False, True], ids=["fire-and-forget", "reliable"])
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestUnreadableDeltas:
+    """A ``delta-chunk`` that cannot be read is dropped and counted, never
+    raised out of the peer; the feed it names carries on untouched."""
+
+    def test_each_unreadable_delta_is_refused_and_the_feed_carries_on(
+        self, transport, reliable, namespace
+    ):
+        with subscription_cluster(transport, namespace, reliable=reliable) as cluster:
+            client = cluster.session("client:9020")
+            seller1 = cluster.session("seller1:9020")
+            sub = client.query().area(portland_area(namespace)).where("price < 10").subscribe()
+            cluster.run_until_idle()
+            armed = seller1.peer.subscriptions.armed[sub.sub_id]
+            forged = make_item("Forged", 1.0, seller="seller1:9020")
+            genuine = {
+                "document": serialize_xml(XMLElement(
+                    "delta", {"sub": sub.sub_id, "kind": "insert", "seq": "0"}, [forged]
+                )),
+                "sub": sub.sub_id, "publisher": "seller1:9020", "epoch": armed.epoch,
+                "seq": 0, "kind": "insert", "count": 1,
+            }
+            for key, value in UNREADABLE.values():
+                broken = dict(genuine)
+                if value is _MISSING:
+                    del broken[key]
+                else:
+                    broken[key] = value
+                seller1.peer.transfers.send("client:9020", "delta-chunk", broken, 64, sub.sub_id)
+            cluster.run_until_idle()
+
+            subscriptions = client.peer.subscriptions
+            state = subscriptions.mine[sub.sub_id]
+            assert subscriptions.deltas_refused == len(UNREADABLE)
+            assert state.deltas == [] and state.feeds == {}
+            kinds = cluster.metrics.messages_by_kind
+            if reliable:  # every copy acknowledged, none with a position
+                assert seller1.peer.transfers.pending == {} and armed.acked_seq == -1
+                assert kinds["delivery-ack"] >= len(UNREADABLE)
+            assert "delta-ack" not in kinds
+
+            seller1.update("cds", [make_item("Real", 2.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            assert [(d.seq, [i.child_text("title") for i in d.items]) for d in state.deltas] == [
+                (0, ["Real"]),
+            ]
+            assert subscriptions.deltas_refused == len(UNREADABLE)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
