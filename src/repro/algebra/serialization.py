@@ -7,20 +7,25 @@ reserved ``<annotations>`` child.  Verbatim data is embedded under a
 reserved ``<collection>`` child so that arbitrary XML payloads never clash
 with the operator vocabulary.
 
-``plan_to_xml``/``plan_from_xml`` convert between :class:`QueryPlan` and
-:class:`XMLElement`; ``serialize_plan``/``parse_plan`` go all the way to
-strings, which is what the network layer ships around.
+A plan is written straight to text by one writer (:func:`write_plan`):
+attributes in name order and no whitespace, byte for byte what
+``serialize_xml`` writes for the element tree of the plan, with no tree
+built.  ``serialize_plan`` / ``parse_plan`` go between plans and strings;
+``plan_to_xml`` / ``plan_from_xml`` between plans and element trees.
 
 A ``<collection>`` whose child the parser kept as an ``XMLSpan`` becomes a
-leaf owning that span, and ``plan_to_xml(plan, opaque=True)`` hands it back
-to be written verbatim (the MQP codec's path); without ``opaque`` the pair
-works on plain trees — the reference the span path is tested against.
+leaf owning that span, and the writer with ``opaque`` writes it back
+verbatim (the MQP codec's and the evaluation cache's path); without
+``opaque`` every collection is written from its tree, so the text is
+canonical whatever formatting a span arrived in.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..errors import PlanSerializationError
-from ..xmlmodel import XMLElement, parse_xml, serialize_xml
+from ..xmlmodel import XMLElement, parse_xml, quoteattr, serialize_xml
 from .expressions import parse_predicate
 from .operators import (
     Aggregate,
@@ -40,9 +45,21 @@ from .operators import (
 )
 from .plan import QueryPlan
 
-__all__ = ["plan_to_xml", "plan_from_xml", "serialize_plan", "parse_plan", "plan_wire_size"]
+__all__ = [
+    "plan_to_xml",
+    "plan_from_xml",
+    "serialize_plan",
+    "parse_plan",
+    "plan_wire_size",
+    "write_plan",
+    "node_text",
+    "DATA_SPANS",
+]
 
 _RESERVED_TAGS = {"annotations", "column", "collection"}
+
+DATA_SPANS = (("data", "collection"),)
+"""The ``parse_xml(opaque=...)`` pair that keeps a plan's verbatim data as text."""
 
 
 # --------------------------------------------------------------------------- #
@@ -50,96 +67,100 @@ _RESERVED_TAGS = {"annotations", "column", "collection"}
 # --------------------------------------------------------------------------- #
 
 
-def _annotations_element(node: PlanNode) -> XMLElement | None:
-    if not node.annotations:
-        return None
-    # Tags, annotations and attributes are strings already: no re-validation.
-    children = [
-        XMLElement._trusted("annotation", {"key": key, "value": value}, [], None)
-        for key, value in sorted(node.annotations.items())
-    ]
-    return XMLElement._trusted("annotations", {}, children, None)
-
-
-def node_to_xml(node: PlanNode, opaque: bool = False) -> XMLElement:
-    """Serialize a bare plan node (also the canonical cache key for nodes)."""
-    attributes: dict[str, str] = {}
-    extra_children: list[XMLElement] = []
-
+def _write_node(write: Callable[[str], object], node: PlanNode, opaque: bool) -> None:
+    """Write ``node``: its attributes in name order, its reserved children
+    (collection or columns, then annotations), then its inputs."""
+    tag = node.operator
+    inner = ""
     if isinstance(node, VerbatimData):
-        if node.name:
-            attributes["name"] = node.name
-        # The wire tree aliases the plan's constant data (tree or span):
-        # every caller renders it to text immediately; it is read-only.
-        collection = node.span if opaque else node.collection
-        extra_children.append(
-            XMLElement._trusted("collection", {}, [collection], None)  # type: ignore[list-item, arg-type]
-        )
+        head = f" name={quoteattr(node.name)}" if node.name else ""
+        body = node.span.source if opaque else serialize_xml(node.collection)
+        inner = f"<collection>{body}</collection>"
     elif isinstance(node, URLRef):
-        attributes["href"] = node.url
+        head = f" href={quoteattr(node.url)}"
         if node.path:
-            attributes["path"] = node.path
+            head += f" path={quoteattr(node.path)}"
     elif isinstance(node, URNRef):
-        attributes["name"] = node.urn
+        head = f" name={quoteattr(node.urn)}"
     elif isinstance(node, Select):
-        attributes["predicate"] = node.predicate.to_text()
+        head = f" predicate={quoteattr(node.predicate.to_text())}"
     elif isinstance(node, Project):
-        attributes["item-tag"] = node.item_tag
-        extra_children.extend(
-            XMLElement._trusted("column", {"path": path, "tag": tag}, [], None)
-            for path, tag in node.columns
+        head = f" item-tag={quoteattr(node.item_tag)}"
+        inner = "".join(
+            f"<column path={quoteattr(path)} tag={quoteattr(column)}/>"
+            for path, column in node.columns
         )
     elif isinstance(node, Join):
-        attributes.update(
-            {
-                "left-path": node.left_path,
-                "right-path": node.right_path,
-                "type": node.join_type,
-                "output-tag": node.output_tag,
-            }
+        head = (
+            f" left-path={quoteattr(node.left_path)} output-tag={quoteattr(node.output_tag)}"
+            f" right-path={quoteattr(node.right_path)} type={quoteattr(node.join_type)}"
         )
     elif isinstance(node, Difference):
-        if node.key_path:
-            attributes["key-path"] = node.key_path
+        head = f" key-path={quoteattr(node.key_path)}" if node.key_path else ""
     elif isinstance(node, Aggregate):
-        attributes["function"] = node.function
-        if node.value_path:
-            attributes["value-path"] = node.value_path
+        head = f" function={quoteattr(node.function)}"
         if node.group_path:
-            attributes["group-path"] = node.group_path
-        attributes["output-tag"] = node.output_tag
+            head += f" group-path={quoteattr(node.group_path)}"
+        head += f" output-tag={quoteattr(node.output_tag)}"
+        if node.value_path:
+            head += f" value-path={quoteattr(node.value_path)}"
     elif isinstance(node, OrderBy):
-        attributes["path"] = node.path
-        attributes["descending"] = str(node.descending).lower()
+        head = f' descending="{str(node.descending).lower()}" path={quoteattr(node.path)}'
     elif isinstance(node, TopN):
-        attributes["limit"] = str(node.limit)
-        attributes["path"] = node.path
-        attributes["descending"] = str(node.descending).lower()
+        head = (
+            f' descending="{str(node.descending).lower()}" limit="{node.limit}"'
+            f" path={quoteattr(node.path)}"
+        )
     elif isinstance(node, Display):
-        attributes["target"] = node.target
+        head = f" target={quoteattr(node.target)}"
     elif isinstance(node, (Union, ConjointOr)):
-        pass
+        head = ""
     else:
         raise PlanSerializationError(f"cannot serialize plan node {type(node).__name__}")
 
-    annotation_element = _annotations_element(node)
-    if annotation_element is not None:
-        extra_children.append(annotation_element)
+    if node.annotations:
+        inner += "<annotations>" + "".join(
+            f"<annotation key={quoteattr(key)} value={quoteattr(value)}/>"
+            for key, value in sorted(node.annotations.items())
+        ) + "</annotations>"
+    if not inner and not node.children:
+        write(f"<{tag}{head}/>")
+        return
+    write(f"<{tag}{head}>{inner}")
+    for child in node.children:
+        _write_node(write, child, opaque)
+    write(f"</{tag}>")
 
-    children = extra_children + [node_to_xml(child, opaque) for child in node.children]
-    return XMLElement._trusted(node.operator, attributes, children, None)
+
+def write_plan(write: Callable[[str], object], plan: QueryPlan, opaque: bool = True) -> None:
+    """Write the compact text of ``plan``, wrapped in ``<mqp>``, piece by piece."""
+    write("<mqp>")
+    _write_node(write, plan.root, opaque)
+    write("</mqp>")
 
 
-def plan_to_xml(plan: QueryPlan, opaque: bool = False) -> XMLElement:
-    """Serialize a plan to its XML element form, wrapped in ``<mqp>``.  With
-    ``opaque``, verbatim leaves contribute their span, not their tree, and
-    the result is only good for ``serialize_xml``."""
-    return XMLElement._trusted("mqp", {}, [node_to_xml(plan.root, opaque)], None)
+def node_text(node: PlanNode) -> str:
+    """The compact text of a bare plan node, data as carried (the
+    evaluation cache's key: structural identity, node ids excluded)."""
+    pieces: list[str] = []
+    _write_node(pieces.append, node, True)
+    return "".join(pieces)
 
 
 def serialize_plan(plan: QueryPlan, indent: int | None = None) -> str:
-    """Serialize a plan to the XML string shipped between peers."""
-    return serialize_xml(plan_to_xml(plan), indent=indent)
+    """Serialize a plan to its canonical XML string (pretty with ``indent``)."""
+    pieces: list[str] = []
+    write_plan(pieces.append, plan, opaque=False)
+    text = "".join(pieces)
+    return text if indent is None else serialize_xml(parse_xml(text), indent=indent)
+
+
+def plan_to_xml(plan: QueryPlan, opaque: bool = False) -> XMLElement:
+    """The plan's ``<mqp>`` element tree, parsed from its text.  With
+    ``opaque``, verbatim data stays the text it is carried as (spans)."""
+    pieces: list[str] = []
+    write_plan(pieces.append, plan, opaque)
+    return parse_xml("".join(pieces), opaque=DATA_SPANS if opaque else ())
 
 
 def plan_wire_size(plan: QueryPlan) -> int:

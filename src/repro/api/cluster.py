@@ -193,8 +193,7 @@ class Cluster:
         """Hand every joined peer the sharded catalog tier's shard map.
 
         Call before :meth:`connect` so registrations fan out to whole
-        replica groups.  Replica members attach their answer caches on
-        join; peers joining later can be joined individually via
+        replica groups.  Peers joining later can be joined individually via
         :meth:`repro.peers.QueryPeer.join_catalog_tier`.
         """
         for peer in self.peers():
@@ -214,10 +213,12 @@ class Cluster:
         if not maps:
             return {"enabled": False}
         shard_map = maps[0]
+        # Every catalog caches its answers; the tier's block counts the
+        # replica servers' only.
         caches = [
             peer.catalog.answer_cache
             for peer in peers
-            if peer.catalog.answer_cache is not None
+            if shard_map.group_of(peer.address) is not None
         ]
         hits = sum(cache.hits for cache in caches)
         misses = sum(cache.misses for cache in caches)

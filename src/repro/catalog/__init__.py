@@ -1,5 +1,6 @@
 """Distributed catalogs: entries, intensional statements, binding, routing caches."""
 
+from .answercache import AnswerCache
 from .binding import Binder, Binding, BindingAlternative, BoundSource
 from .cache import CacheEntry, RoutingCache
 from .catalog import Catalog
@@ -15,6 +16,7 @@ from .intensional import CatalogLevel, IntensionalStatement, Relation, ServerHol
 from .matcher import SubscriptionMatcher, SubscriptionShape, subscribable_shape
 
 __all__ = [
+    "AnswerCache",
     "Catalog",
     "CatalogIndex",
     "CategoryTrie",

@@ -1,14 +1,14 @@
-"""LRU answer cache for index-server catalog lookups.
+"""LRU answer cache for catalog lookups.
 
-The paper's currency tradeoff made operational: an index server answers
-the same hot-area lookups over and over, so the tier memoizes whole
-lookup answers (the sorted entry lists :meth:`Catalog.servers_overlapping`
-and :meth:`Catalog.servers_covering` produce) and invalidates them by
-*statement*: whenever a registration, forget, prune, or intensional
-statement arrives whose area overlaps a cached answer's query area, that
-answer is dropped.  Stale answers are therefore impossible by
-construction — the cache trades recomputation for currency exactly at
-mutation boundaries, never in between.
+The paper's currency tradeoff made operational: a peer binds and routes
+the same hot-area lookups over and over, so every :class:`Catalog`
+memoizes whole lookup answers (the sorted entry lists
+:meth:`Catalog.servers_overlapping` and :meth:`Catalog.servers_covering`
+produce) and invalidates them by *statement*: whenever a registration,
+forget, prune, or intensional statement arrives whose area overlaps a
+cached answer's query area, that answer is dropped.  Stale answers are
+therefore impossible by construction — the cache trades recomputation for
+currency exactly at mutation boundaries, never in between.
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ class AnswerCache:
     Keys are ``(kind, roles, str(area))`` tuples — the full identity of a
     lookup — and values are the immutable answer tuples.  The query area
     object rides along with each entry so invalidation can test overlap
-    against the mutating registration's area.
+    against the mutating registration's area.  Every catalog owns one, most
+    of them never filled, so an instance carries no ``__dict__``.
     """
+
+    __slots__ = ("capacity", "_entries", "hits", "misses", "invalidations", "evictions")
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
@@ -67,6 +70,8 @@ class AnswerCache:
         Called when a registration/forget/statement covering ``area``
         arrives; returns how many answers were dropped.
         """
+        if not self._entries:  # every write of a set-up, before any lookup
+            return 0
         stale = [
             key
             for key, (cached_area, _) in self._entries.items()

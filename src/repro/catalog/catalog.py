@@ -8,17 +8,18 @@ global knowledge — "mutant query plans ... allow query optimization and
 source discovery to work with whatever information is available locally".
 
 Lookups are served by the trie-backed :class:`~repro.catalog.index.CatalogIndex`
-in O(depth + matches); the linear scans the equivalence tests diff the
-index against live in ``tests/oracles/catalog_scan.py``.
+in O(depth + matches), and a repeated one from the catalog's
+:class:`~repro.catalog.answercache.AnswerCache`; the linear scans the
+equivalence tests diff both against live in ``tests/oracles/catalog_scan.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..errors import CatalogError
 from ..namespace import InterestArea
+from .answercache import AnswerCache
 from .entries import (
     CollectionRef,
     NamedResourceEntry,
@@ -28,9 +29,6 @@ from .entries import (
 )
 from .index import CatalogIndex, StatementIndex
 from .intensional import CatalogLevel, IntensionalStatement
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (avoids a cycle)
-    from ..catalogtier.answercache import AnswerCache
 
 __all__ = ["Catalog"]
 
@@ -48,16 +46,12 @@ class Catalog:
         self._index = CatalogIndex()
         self._statement_index = StatementIndex()
         self._statement_keys: set[IntensionalStatement] = set()
-        self.answer_cache: AnswerCache | None = None
+        self.answer_cache = AnswerCache()
         for entry in self.servers.values():
             self._index.add(entry)
         for sequence, statement in enumerate(self.statements):
             self._statement_keys.add(statement)
             self._statement_index.add(sequence, statement)
-
-    def attach_answer_cache(self, cache: "AnswerCache") -> None:
-        """Memoize lookup answers in ``cache`` (the sharded tier's hot path)."""
-        self.answer_cache = cache
 
     # -- registration -------------------------------------------------------- #
 
@@ -177,12 +171,12 @@ class Catalog:
         roles: tuple[ServerRole, ...] | None = None,
     ) -> list[ServerEntry]:
         """Servers whose interest area overlaps ``area`` (optionally by role)."""
-        cached = self._cached_answer("overlap", area, roles)
-        if cached is not None:
-            return cached
-        result = self._index.overlapping(area, roles)
-        self._store_answer("overlap", area, roles, result)
-        return result
+        key = ("overlap", roles, str(area))
+        answer = self.answer_cache.get(key)
+        if answer is None:
+            answer = tuple(self._index.overlapping(area, roles))
+            self.answer_cache.put(key, area, answer)
+        return list(answer)
 
     def servers_covering(
         self,
@@ -190,12 +184,12 @@ class Catalog:
         roles: tuple[ServerRole, ...] | None = None,
     ) -> list[ServerEntry]:
         """Servers whose interest area covers all of ``area``."""
-        cached = self._cached_answer("cover", area, roles)
-        if cached is not None:
-            return cached
-        result = self._index.covering(area, roles)
-        self._store_answer("cover", area, roles, result)
-        return result
+        key = ("cover", roles, str(area))
+        answer = self.answer_cache.get(key)
+        if answer is None:
+            answer = tuple(self._index.covering(area, roles))
+            self.answer_cache.put(key, area, answer)
+        return list(answer)
 
     def servers_with_roles(self, roles: tuple[ServerRole, ...]) -> list[ServerEntry]:
         """Every known server holding one of ``roles``, in address order."""
@@ -222,37 +216,15 @@ class Catalog:
         """Intensional statements applicable to a query over ``area``."""
         return self._statement_index.applicable(level, area)
 
-    # -- answer-cache plumbing ---------------------------------------------------- #
+    # -- answer cache -------------------------------------------------------------- #
     #
-    # Active only with an attached cache: the key captures the lookup's
-    # full identity (kind, roles, area text), and every mutation path above
-    # invalidates by area overlap, so a cached answer is always exactly
-    # what recomputing would return.
-
-    def _cached_answer(
-        self,
-        kind: str,
-        area: InterestArea,
-        roles: tuple[ServerRole, ...] | None,
-    ) -> list[ServerEntry] | None:
-        if self.answer_cache is None:
-            return None
-        cached = self.answer_cache.get((kind, roles, str(area)))
-        return list(cached) if cached is not None else None
-
-    def _store_answer(
-        self,
-        kind: str,
-        area: InterestArea,
-        roles: tuple[ServerRole, ...] | None,
-        result: list[ServerEntry],
-    ) -> None:
-        if self.answer_cache is not None:
-            self.answer_cache.put((kind, roles, str(area)), area, tuple(result))
+    # The key of an overlap/cover answer is the lookup's full identity
+    # (kind, roles, area text), and every mutation path above invalidates
+    # by area overlap, so a cached answer is always exactly what
+    # recomputing would return.
 
     def _invalidate_answers(self, area: InterestArea) -> None:
-        if self.answer_cache is not None:
-            self.answer_cache.invalidate_overlapping(area)
+        self.answer_cache.invalidate_overlapping(area)
 
     # -- introspection ------------------------------------------------------------ #
 

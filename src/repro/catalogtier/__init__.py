@@ -2,14 +2,15 @@
 
 Partitions catalog ownership across replica groups via consistent hashing
 over interest-area cells, fans registrations out to whole groups, orders
-lookups primary-first with deterministic failover, memoizes hot-area
-answers in an LRU cache with statement-driven invalidation, and reconciles
-authoritative sets when a crashed replica rejoins its group.
+lookups primary-first with deterministic failover, and reconciles
+authoritative sets when a crashed replica rejoins its group.  The hot-area
+answer cache (``AnswerCache``, re-exported here) is every catalog's, not
+the tier's.
 
 See ``docs/catalog.md`` for the walkthrough.
 """
 
-from .answercache import AnswerCache
+from ..catalog.answercache import AnswerCache
 from .membership import ReplicaMembership
 from .reads import first_answer, quorum_answer
 from .reconcile import ReconcileResult, reconcile_authoritative

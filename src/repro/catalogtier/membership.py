@@ -19,7 +19,6 @@ from ..catalog import Catalog
 from ..namespace import InterestArea
 from ..network.message import Message
 from ..network.node import NetworkNode
-from .answercache import AnswerCache
 from .reconcile import reconcile_authoritative
 from .shardmap import ShardMap
 
@@ -56,15 +55,12 @@ class ReplicaMembership:
 
         Every peer gets the map — it is what makes registrations and plan
         routing shard-aware — while replicas (members of some group)
-        additionally learn their siblings for rejoin reconciliation and
-        attach the hot-area answer cache to their catalog.
+        additionally learn their siblings for rejoin reconciliation.
         """
         self.shard_map = shard_map
         group = shard_map.group_of(self.port.address)
         if group is not None:
             self.replica_peers = group.siblings_of(self.port.address)
-            if self.catalog.answer_cache is None:
-                self.catalog.attach_answer_cache(AnswerCache())
 
     def note_failure(self, dead: str) -> None:
         """Count a detected replica death: routing falls to a group sibling."""

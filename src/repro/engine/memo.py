@@ -2,8 +2,8 @@
 
 Most plans that reach a peer reduce the *same* sub-plans over the *same*
 local collections — a popular query shape differs between plans only in
-its query id.  :class:`EvaluationMemo` keys a sub-plan by its canonical XML
-serialization — node ids are excluded by the wire format, while annotations
+its query id.  :class:`EvaluationMemo` keys a sub-plan by its XML text, as
+the plan writer writes it — node ids are excluded by the wire format, while annotations
 serialize and so are part of the key (identically-shaped plans carry
 identical annotations, which is exactly when sharing is safe) — and replays
 its *result leaf*: annotated and serialized once, handed to each plan as a
@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import cast
 
 from ..algebra.operators import PlanNode, VerbatimData
-from ..algebra.serialization import node_to_xml
-from ..xmlmodel import serialize_xml
+from ..algebra.serialization import node_text
 
 __all__ = ["EvaluationMemo", "MAX_ENTRIES", "MAX_BYTES"]
 
@@ -44,8 +43,8 @@ class EvaluationMemo:
 
     @staticmethod
     def key_for(node: PlanNode) -> str:
-        """The canonical serialization of a plan node (structural identity)."""
-        return serialize_xml(node_to_xml(node, opaque=True))
+        """The compact text of a plan node (structural identity)."""
+        return node_text(node)
 
     def lookup(self, key: str) -> VerbatimData | None:
         """A copy of the result leaf cached for ``key``, or ``None`` on a miss."""

@@ -15,7 +15,10 @@ A :class:`MutantQueryPlan` packages everything that travels between peers:
   complete versus current answers).
 
 The wire format wraps the plan's XML serialization, so shipping an MQP is
-just shipping one XML document.
+just shipping one XML document.  It is written straight to text
+(:meth:`MutantQueryPlan.serialize`): the plan by the algebra's plan writer,
+each provenance record and the preferences as the text they keep, a
+carried original as the text it arrived as.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..algebra import QueryPlan, plan_from_xml, plan_to_xml
+from ..algebra import DATA_SPANS, QueryPlan, plan_from_xml, write_plan
 from ..errors import PlanError
-from ..xmlmodel import XMLElement, parse_xml, serialize_xml, utf8_len
-from .provenance import ProvenanceLog
+from ..xmlmodel import XMLElement, XMLSpan, parse_xml, quoteattr, serialize_xml, utf8_len
+from .provenance import ProvenanceLog, number_text
 
 __all__ = ["QueryPreferences", "MutantQueryPlan", "format_branch", "parse_branch"]
 
@@ -68,11 +71,14 @@ class QueryPreferences:
         if self.target_time_ms is not None and self.target_time_ms <= 0:
             raise PlanError("target_time_ms must be positive")
 
-    def to_xml(self) -> XMLElement:
-        attributes: dict[str, object] = {"prefer": self.prefer}
-        if self.target_time_ms is not None:
-            attributes["target-time-ms"] = f"{self.target_time_ms:g}"
-        return XMLElement("preferences", attributes)
+    def to_text(self) -> str:
+        """The ``<preferences/>`` element's text, attributes in name order."""
+        target = (
+            f" target-time-ms={quoteattr(number_text(self.target_time_ms))}"
+            if self.target_time_ms is not None
+            else ""
+        )
+        return f"<preferences prefer={quoteattr(self.prefer)}{target}/>"
 
     @classmethod
     def from_xml(cls, element: XMLElement) -> "QueryPreferences":
@@ -88,7 +94,10 @@ class QueryPreferences:
 
 
 _DEFERRED_ORIGINAL = object()
-"""Sentinel: the original plan exists only as its wire XML, parsed on demand."""
+"""Sentinel: the original plan exists only as its wire text, parsed on demand."""
+
+_MQP_SPANS = DATA_SPANS + (("mutant-query", "original"),)
+"""What a received plan keeps as text: its verbatim data and its original."""
 
 
 class MutantQueryPlan:
@@ -97,8 +106,8 @@ class MutantQueryPlan:
     The original plan is immutable once issued (§5.1 keeps it so bindings
     can be audited or undone), so re-encoding it into XML at every forward
     and re-building plan nodes — predicates included — at every receive is
-    pure waste.  The wire form of the original is therefore carried alongside
-    (``_original_xml``) and replayed verbatim on serialization, and the
+    pure waste.  The wire text of the original is therefore carried alongside
+    (``_original_text``) and replayed verbatim on serialization, and the
     plan-node form is materialized lazily, for the few consumers that read it.
     """
 
@@ -120,7 +129,7 @@ class MutantQueryPlan:
         # this plan is, and the share of the query's unit credit it carries.
         self.branch: tuple[int, ...] = ()
         self.credit = Fraction(1)
-        self._original_xml: XMLElement | None = None
+        self._original_text: str | None = None
         if original is _DEFERRED_ORIGINAL:
             self._original: QueryPlan | None = None
         elif original is None:
@@ -130,15 +139,15 @@ class MutantQueryPlan:
 
     @property
     def original(self) -> QueryPlan | None:
-        """The original, unevaluated plan (materialized from XML on demand)."""
-        if self._original is None and self._original_xml is not None:
-            self._original = plan_from_xml(self._original_xml)
+        """The original, unevaluated plan (materialized from its text on demand)."""
+        if self._original is None and self._original_text is not None:
+            self._original = plan_from_xml(parse_xml(self._original_text, opaque=DATA_SPANS))
         return self._original
 
     @original.setter
     def original(self, value: QueryPlan | None) -> None:
         self._original = value
-        self._original_xml = None
+        self._original_text = None
 
     def piece(self, plan: QueryPlan, branch: tuple[int, ...], credit: Fraction) -> "MutantQueryPlan":
         """One independently travelling piece of this query (a scatter).
@@ -160,7 +169,7 @@ class MutantQueryPlan:
             issued_at=self.issued_at,
         )
         if plan.urn_refs():
-            piece._original, piece._original_xml = self._original, self._original_xml
+            piece._original, piece._original_text = self._original, self._original_text
         piece.branch, piece.credit = branch, credit
         return piece
 
@@ -197,35 +206,39 @@ class MutantQueryPlan:
 
     # -- wire format --------------------------------------------------------------- #
 
-    def to_xml(self, opaque: bool = False) -> XMLElement:
-        """Serialize the complete MQP (plan, original, provenance, preferences).
+    def serialize(self, indent: int | None = None) -> str:
+        """The XML string shipped between peers (plan, preferences,
+        provenance, original), attributes in name order.
 
-        The returned tree aliases any verbatim result data; it is meant to
-        be rendered to text immediately, not mutated.  With ``opaque`` (what
-        :meth:`serialize` writes) it also aliases the original's carried
-        wire form and holds verbatim data as spans, not trees.
+        Verbatim data and a carried original are written back as the text
+        they arrived as; pretty-printing (``indent``) parses that text and
+        writes every tree.
         """
-        children = [
-            XMLElement("current", {}, [plan_to_xml(self.plan, opaque)]),
-            self.preferences.to_xml(),
-            self.provenance.to_xml(),
-        ]
-        if opaque and self._original_xml is not None:
-            children.append(XMLElement("original", {}, [self._original_xml]))
-        elif self.original is not None:
-            children.append(XMLElement("original", {}, [plan_to_xml(self.original, opaque)]))
-        attributes = {"id": self.query_id, "issued-at": f"{self.issued_at:.3f}"}
+        head = ""
         if self.branch:
             # Only pieces of a scattered query say so; a whole plan (branch
             # "", credit 1) keeps the wire form it always had.
-            attributes["branch"] = format_branch(self.branch)
-            attributes["credit"] = str(self.credit)
-        return XMLElement("mutant-query", attributes, children)
-
-    def serialize(self, indent: int | None = None) -> str:
-        """The XML string shipped between peers: verbatim data is written
-        back as the text it arrived as (pretty-printing builds the trees)."""
-        return serialize_xml(self.to_xml(opaque=indent is None), indent=indent)
+            head = (
+                f" branch={quoteattr(format_branch(self.branch))}"
+                f" credit={quoteattr(str(self.credit))}"
+            )
+        pieces = [
+            f"<mutant-query{head} id={quoteattr(self.query_id)}"
+            f' issued-at="{self.issued_at:.3f}"><current>'
+        ]
+        write_plan(pieces.append, self.plan)
+        pieces.append("</current>")
+        pieces.append(self.preferences.to_text())
+        pieces.append(self.provenance.to_text())
+        if self._original_text is not None:
+            pieces.append(f"<original>{self._original_text}</original>")
+        elif self._original is not None:
+            pieces.append("<original>")
+            write_plan(pieces.append, self._original)
+            pieces.append("</original>")
+        pieces.append("</mutant-query>")
+        text = "".join(pieces)
+        return text if indent is None else serialize_xml(parse_xml(text), indent=indent)
 
     def wire_size(self) -> int:
         """Size in bytes of the wire encoding (partial results included)."""
@@ -233,7 +246,7 @@ class MutantQueryPlan:
 
     @classmethod
     def from_xml(cls, element: XMLElement) -> "MutantQueryPlan":
-        """Parse the element form produced by :meth:`to_xml`."""
+        """Parse the element tree of what :meth:`serialize` writes."""
         if element.tag != "mutant-query":
             raise PlanError(f"expected <mutant-query>, got <{element.tag}>")
         current = element.find("current")
@@ -241,7 +254,7 @@ class MutantQueryPlan:
             raise PlanError("<mutant-query> has no <current> plan")
         plan = plan_from_xml(current.children[0])
         original_wrapper = element.find("original")
-        original_xml = (
+        original = (
             original_wrapper.children[0]
             if original_wrapper is not None and original_wrapper.children
             else None
@@ -264,13 +277,16 @@ class MutantQueryPlan:
             raise PlanError(f"malformed issued-at {element.get('issued-at')!r}") from None
         mqp = cls(
             plan=plan,
-            query_id=element.get("id", f"q{next(_query_counter)}"),
+            query_id=element.get("id"),  # only a plan without one draws a fresh id
             provenance=provenance,
             original=_DEFERRED_ORIGINAL,  # absent stays absent: nothing is made up here
             preferences=preferences,
             issued_at=issued_at,
         )
-        mqp._original_xml = original_xml
+        if isinstance(original, XMLSpan):
+            mqp._original_text = original.source
+        elif original is not None:
+            mqp._original = plan_from_xml(original)
         mqp.branch = parse_branch(element.get("branch", "") or "")
         try:
             mqp.credit = Fraction(element.get("credit", "1") or "1")
@@ -280,10 +296,11 @@ class MutantQueryPlan:
 
     @classmethod
     def deserialize(cls, document: str) -> "MutantQueryPlan":
-        """Parse the XML string form.  Verbatim data is checked for
-        well-formedness here (``XMLParseError``) but kept as source text:
-        only the server evaluating over a ``<data>`` leaf builds its tree."""
-        return cls.from_xml(parse_xml(document, opaque=("data", "collection")))
+        """Parse the XML string form.  Verbatim data and the original are
+        checked for well-formedness here (``XMLParseError``) but kept as
+        source text: only the server evaluating over a ``<data>`` leaf
+        builds its tree, and only a reader of :attr:`original` its plan."""
+        return cls.from_xml(parse_xml(document, opaque=_MQP_SPANS))
 
     def __repr__(self) -> str:
         return (

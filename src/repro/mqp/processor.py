@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING, Collection, Sequence
 from zlib import crc32
 
@@ -38,14 +37,12 @@ from ..algebra.operators import (
 from ..catalog import Binder, Catalog, RoutingCache, ServerRole, canonical_address
 from ..engine import EvaluationMemo, QueryEngine
 from ..engine.statistics import CollectionStatistics
-from ..errors import URNError
 from ..namespace import (
     InterestArea,
     InterestAreaURN,
-    InterestCell,
     MultiHierarchicNamespace,
     NamedURN,
-    parse_urn,
+    parse_urn_cached,
 )
 from ..optimizer import STANDARD_REWRITES, Optimizer, RewriteResult
 from ..xmlmodel import XMLElement
@@ -279,14 +276,19 @@ class MQPProcessor:
         (churn); they are excluded from routing.  A leaf hop
         (:meth:`_is_leaf_hop`) has nothing to bind, route or defer, and
         skips straight to the rewrite and the evaluation of its body.
+
+        Nothing this call reads to route — the catalog, the routing cache,
+        the shard map — changes during it, so each area's routing servers
+        are looked up once (``routes``) for binding and routing alike.
         """
         self.processed_plans += 1
         route_candidates: list[str] = []
+        routes: dict[str, list[str]] = {}
 
         if self._is_leaf_hop(mqp):
             bound, evaluated = 0, self._reduce_leaf_hop(mqp, now)
         else:
-            bound = self._bind_urns(mqp, now, route_candidates)
+            bound = self._bind_urns(mqp, now, route_candidates, routes)
             evaluated = self._optimize_and_evaluate(mqp, now)
 
         ordered: list[str] = []
@@ -306,7 +308,7 @@ class MQPProcessor:
                 # Candidates gathered while binding lead to whoever can bind
                 # the URNs still left; only a plan that kept some follows them.
                 hints = route_candidates if len(parts) == 1 or part.remaining_urns() else []
-                piece, ordered = self._route(part, hints, now, avoid)
+                piece, ordered = self._route(part, hints, now, avoid, routes)
                 pieces.append(piece)
             stuck = len(pieces) == 1 and pieces[0].next_hop is None
             action = ProcessingAction.STUCK if stuck else ProcessingAction.FORWARD
@@ -325,9 +327,10 @@ class MQPProcessor:
         hints: list[str],
         now: float,
         avoid: Collection[str],
+        routes: dict[str, list[str]],
     ) -> tuple[Piece, list[str]]:
         """Pick the next hop of one unfinished plan (or declare it stuck)."""
-        urn_candidates, data_candidates = self._candidates_for_remaining(mqp)
+        urn_candidates, data_candidates = self._candidates_for_remaining(mqp, routes)
         candidates = hints + urn_candidates + data_candidates
         ordered = self._order_candidates(candidates, avoid)
         revisitable = self._order_candidates(data_candidates, avoid)
@@ -418,31 +421,22 @@ class MQPProcessor:
     # Stage 1: URN binding via the catalog
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _parse_urn(urn: str):
-        """Parse a URN string (``None`` = unparseable)."""
-        try:
-            return parse_urn(urn)
-        except URNError:
-            return None
-
     def _bind_urns(
         self,
         mqp: MutantQueryPlan,
         now: float,
         route_candidates: list[str],
+        routes: dict[str, list[str]],
     ) -> int:
         bound = 0
         for ref in list(mqp.plan.urn_refs()):
-            parsed = self._parse_urn(ref.urn)
-            if parsed is None:
-                continue
+            parsed = parse_urn_cached(ref.urn)
             replacement: PlanNode | None = None
             staleness = 0.0
             if isinstance(parsed, NamedURN):
                 replacement = self._bind_named(parsed, route_candidates)
             elif isinstance(parsed, InterestAreaURN):
-                replacement, staleness = self._bind_area(parsed, mqp, route_candidates)
+                replacement, staleness = self._bind_area(parsed, mqp, route_candidates, routes)
             if replacement is None:
                 continue
             mqp.plan.replace_node(ref, replacement)
@@ -478,6 +472,7 @@ class MQPProcessor:
         urn: InterestAreaURN,
         mqp: MutantQueryPlan,
         route_candidates: list[str],
+        routes: dict[str, list[str]],
     ) -> tuple[PlanNode | None, float]:
         binding = self.binder.bind_area(urn.area)
         if binding is None:
@@ -485,7 +480,7 @@ class MQPProcessor:
                 # The complete answer is empty: say so, instead of routing a
                 # plan nobody can continue until it comes home stuck.
                 return VerbatimData.from_items([], tag="result"), 0.0
-            route_candidates.extend(self._routing_servers_for(urn.area))
+            route_candidates.extend(self._routes_for(urn, routes))
             return None, 0.0
         alternative = self.policy.choose_alternative(binding, mqp.preferences)
         for source in alternative.sources:
@@ -494,7 +489,7 @@ class MQPProcessor:
         if not alternative.is_concrete:
             # Partially routable alternative: keep the URN so a downstream
             # server can finish the binding, but remember where to go.
-            route_candidates.extend(self._routing_servers_for(urn.area))
+            route_candidates.extend(self._routes_for(urn, routes))
             return None, 0.0
         return alternative.to_plan_node(str(urn)), alternative.max_delay_minutes
 
@@ -526,6 +521,14 @@ class MQPProcessor:
             )
             if entry.address != self.address
         ]
+
+    def _routes_for(self, urn: InterestAreaURN, routes: dict[str, list[str]]) -> list[str]:
+        """The routing servers of ``urn``'s area, looked up once per
+        :meth:`process` call (``routes``, keyed by the area's URN text)."""
+        found = routes.get(urn.specific)
+        if found is None:
+            found = routes[urn.specific] = self._routing_servers_for(urn.area)
+        return found
 
     def _routing_servers_for(self, area: InterestArea) -> list[str]:
         candidates: list[str] = []
@@ -702,7 +705,9 @@ class MQPProcessor:
     # Stage 5: routing candidates for whatever is left
     # ------------------------------------------------------------------ #
 
-    def _candidates_for_remaining(self, mqp: MutantQueryPlan) -> tuple[list[str], list[str]]:
+    def _candidates_for_remaining(
+        self, mqp: MutantQueryPlan, routes: dict[str, list[str]]
+    ) -> tuple[list[str], list[str]]:
         """Candidates split into (URN-routing servers, data-holding servers).
 
         Data-holding servers may be revisited: a leaf that was not reducible
@@ -716,11 +721,9 @@ class MQPProcessor:
             if not self._is_local_url(ref):
                 data_candidates.append(canonical_address(ref.url))
         for ref in mqp.plan.urn_refs():
-            parsed = self._parse_urn(ref.urn)
-            if parsed is None:
-                continue
+            parsed = parse_urn_cached(ref.urn)
             if isinstance(parsed, InterestAreaURN):
-                urn_candidates.extend(self._routing_servers_for(parsed.area))
+                urn_candidates.extend(self._routes_for(parsed, routes))
             elif isinstance(parsed, NamedURN):
                 entry = self._lookup_named(parsed)
                 if entry is not None:
@@ -752,22 +755,6 @@ class MQPProcessor:
         # detail is the URN that was bound, as the original plan spelt it.
         for record in mqp.provenance.records:
             if record.action is ProvenanceAction.BOUND and record.server != self.address:
-                cells = _bound_area_cells(record.detail)
-                if cells is not None:
-                    self.cache.remember(InterestArea(cells), record.server)
-
-
-@lru_cache(maxsize=4096)
-def _bound_area_cells(urn: str) -> tuple[InterestCell, ...] | None:
-    """The cells of the interest area ``urn`` names (``None``: it names none).
-
-    Memoized process-wide, because every piece repeats the ``bound`` records
-    of the plan it was split from.  The cells are frozen; the mutable
-    :class:`InterestArea` around them is built per call, so no two peers
-    share one.
-    """
-    try:
-        parsed = parse_urn(urn)
-    except URNError:
-        return None
-    return parsed.area.cells if isinstance(parsed, InterestAreaURN) else None
+                parsed = parse_urn_cached(record.detail)
+                if isinstance(parsed, InterestAreaURN):
+                    self.cache.remember(parsed.area, record.server)

@@ -16,9 +16,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ProvenanceError
-from ..xmlmodel import XMLElement
+from ..xmlmodel import XMLElement, quoteattr
 
-__all__ = ["ProvenanceAction", "ProvenanceRecord", "ProvenanceLog"]
+__all__ = ["ProvenanceAction", "ProvenanceRecord", "ProvenanceLog", "number_text"]
+
+
+def number_text(value: float) -> str:
+    """The wire text of a budget or staleness: the short ``:g`` form when it
+    reads back as the same float, the exact ``repr`` when it would not."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 class ProvenanceAction(str, Enum):
@@ -40,10 +47,11 @@ _ACTIONS = {action.value: action for action in ProvenanceAction}
 class ProvenanceRecord:
     """One entry of the provenance log.
 
-    A record is immutable, and so is its ``<visit>`` element once made: the
-    one it was parsed from, or the one :meth:`to_xml` builds on first use.
-    Every log holding the record (each piece of a scatter copies the list,
-    not the records) writes that one element.
+    A record is immutable, and so is its ``<visit/>`` text once written
+    (:meth:`to_text`): a record that arrived writes back the attributes it
+    was parsed from, a new one is written from its fields.  Every log
+    holding the record (each piece of a scatter copies the list, not the
+    records) shares that one text.
     """
 
     server: str
@@ -52,26 +60,32 @@ class ProvenanceRecord:
     detail: str = ""
     staleness_minutes: float = 0.0
 
-    def to_xml(self) -> XMLElement:
-        """The record as one ``<visit>`` element (shared: render, never mutate)."""
-        element = self.__dict__.get("_element")
-        if element is None:
-            attributes = {
-                "server": self.server,
-                "action": self.action.value,
-                "time": f"{self.time:.3f}",
-            }
-            if self.detail:
-                attributes["detail"] = self.detail
-            if self.staleness_minutes:
-                attributes["staleness"] = f"{self.staleness_minutes:g}"
-            element = XMLElement("visit", attributes)
-            object.__setattr__(self, "_element", element)
-        return element
+    def to_text(self) -> str:
+        """The record as one ``<visit/>`` element's text, attributes in name order."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            arrived = self.__dict__.get("_attributes")
+            if arrived is not None:
+                text = "<visit" + "".join(
+                    f" {name}={quoteattr(value)}" for name, value in sorted(arrived.items())
+                ) + "/>"
+            else:
+                detail = f" detail={quoteattr(self.detail)}" if self.detail else ""
+                staleness = (
+                    f" staleness={quoteattr(number_text(self.staleness_minutes))}"
+                    if self.staleness_minutes
+                    else ""
+                )
+                text = (
+                    f"<visit action={quoteattr(self.action.value)}{detail}"
+                    f' server={quoteattr(self.server)}{staleness} time="{self.time:.3f}"/>'
+                )
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def from_xml(cls, element: XMLElement) -> "ProvenanceRecord":
-        """Parse one ``<visit>`` element, which the record then writes back."""
+        """Parse one ``<visit>`` element, whose attributes the record writes back."""
         server = element.get("server")
         action = _ACTIONS.get(element.get("action"))  # type: ignore[arg-type]
         time = element.get("time")
@@ -87,7 +101,7 @@ class ProvenanceRecord:
             )
         except ValueError:
             raise ProvenanceError(f"malformed <visit> element: {element.attributes}") from None
-        object.__setattr__(record, "_element", element)
+        object.__setattr__(record, "_attributes", element.attributes)
         return record
 
 
@@ -168,9 +182,11 @@ class ProvenanceLog:
 
     # -- serialization -------------------------------------------------------------- #
 
-    def to_xml(self) -> XMLElement:
-        """Serialize the whole log as a ``<provenance>`` element."""
-        return XMLElement("provenance", {}, [record.to_xml() for record in self.records])
+    def to_text(self) -> str:
+        """The whole log as one ``<provenance>`` element's text."""
+        if not self.records:
+            return "<provenance/>"
+        return "<provenance>" + "".join(record.to_text() for record in self.records) + "</provenance>"
 
     @classmethod
     def from_xml(cls, element: XMLElement) -> "ProvenanceLog":

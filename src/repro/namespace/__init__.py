@@ -19,6 +19,7 @@ from .urn import (
     decode_interest_area,
     encode_interest_area,
     parse_urn,
+    parse_urn_cached,
 )
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "NamedURN",
     "InterestAreaURN",
     "parse_urn",
+    "parse_urn_cached",
     "encode_interest_area",
     "decode_interest_area",
     "INTEREST_AREA_NAMESPACE",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import URNError
 from .hierarchy import CategoryPath
@@ -29,6 +30,7 @@ __all__ = [
     "NamedURN",
     "InterestAreaURN",
     "parse_urn",
+    "parse_urn_cached",
     "encode_interest_area",
     "decode_interest_area",
     "INTEREST_AREA_NAMESPACE",
@@ -128,3 +130,31 @@ def parse_urn(text: str) -> URN:
         area = decode_interest_area(nss)
         return InterestAreaURN(nid, encode_interest_area(area), area)
     return NamedURN(nid, nss)
+
+
+@lru_cache(maxsize=4096)
+def _urn_parts(text: str) -> URN | tuple[str, tuple[InterestCell, ...]] | None:
+    """``text`` parsed once per process, as frozen parts: a named URN as is,
+    an interest-area URN as its specific string and cells."""
+    try:
+        parsed = parse_urn(text)
+    except URNError:
+        return None
+    if isinstance(parsed, InterestAreaURN):
+        return parsed.specific, parsed.area.cells
+    return parsed
+
+
+def parse_urn_cached(text: str) -> URN | None:
+    """:func:`parse_urn` for the URNs every hop reads again (``None``: not a URN).
+
+    A plan's URNs and the ``bound`` records of its provenance repeat at
+    every hop and in every piece, so the text is parsed once per process
+    (a bounded memo).  The memo holds frozen parts only; each call builds
+    its own :class:`InterestArea`, so no two callers share a mutable one.
+    """
+    parts = _urn_parts(text)
+    if isinstance(parts, tuple):
+        specific, cells = parts
+        return InterestAreaURN(INTEREST_AREA_NAMESPACE, specific, InterestArea(cells))
+    return parts

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Collection
 
 from ..algebra.operators import VerbatimData
-from ..errors import URNError
 from ..mqp import MQPProcessor, MutantQueryPlan, ProcessingResult, ProvenanceAction
 from ..mqp.plan import format_branch
-from ..namespace import InterestAreaURN, parse_urn
+from ..namespace import InterestAreaURN, parse_urn_cached
 from ..network.message import Message
 from ..network.node import NetworkNode
 from ..xmlmodel import XMLElement, children_text, quoteattr, serialize_xml, utf8_len
@@ -101,10 +100,7 @@ class PlanForwarding:
         entry = self.processor.catalog.servers.get(next_hop)
         if entry is None or not entry.is_authority or self.processor.shard_map is not None:
             return
-        try:
-            asked = [parse_urn(urn) for urn in mqp.remaining_urns()]
-        except URNError:
-            return
+        asked = [parse_urn_cached(urn) for urn in mqp.remaining_urns()]
         if asked and all(
             isinstance(urn, InterestAreaURN) and entry.covers(urn.area) for urn in asked
         ):

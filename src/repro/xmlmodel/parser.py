@@ -4,7 +4,8 @@ Mutant query plans travel between peers "encoded in XML" (paper, §2): a
 server parses an incoming plan and serializes the mutated plan before
 forwarding it.  The parser builds our node type directly from
 ``xml.parsers.expat`` events.  Most of a travelling plan is *cargo* —
-verbatim results only the server evaluating over them looks inside — so
+verbatim results only the server evaluating over them looks inside, and
+the original plan nobody reads in transit — so
 ``parse_xml(document, opaque=...)`` can keep such subtrees as
 :class:`XMLSpan` source text (scanned for well-formedness, no nodes built)
 which :func:`serialize_xml` writes back verbatim.
@@ -69,19 +70,19 @@ def _char_offsets(document: str) -> Callable[[int], int]:
     return offset
 
 
-def parse_xml(document: str, opaque: tuple[str, str] | None = None) -> XMLElement:
+def parse_xml(document: str, opaque: tuple[tuple[str, str], ...] = ()) -> XMLElement:
     """Parse an XML document string into an :class:`XMLElement` tree.
 
-    ``opaque`` names a ``(parent tag, tag)`` pair: the first child element
+    ``opaque`` names ``(parent tag, tag)`` pairs: the first child element
     of every ``<tag>`` directly under ``<parent tag>`` is kept as an
-    :class:`XMLSpan` instead of a subtree (and never looked into, so the
-    pair is not matched inside one).
+    :class:`XMLSpan` instead of a subtree (and never looked into, so no
+    pair is matched inside one).
 
     Raises :class:`XMLParseError` if the document is not well formed (spans
     included) or mixes text and child elements in one node; text after the
     last child is ignored.
     """
-    outer, inner = opaque if opaque is not None else (None, None)
+    outer_of = {tag: parent for parent, tag in opaque}
     parser = expat.ParserCreate()
     parser.buffer_text = True
     build = XMLElement._trusted
@@ -103,7 +104,11 @@ def parse_xml(document: str, opaque: tuple[str, str] | None = None) -> XMLElemen
                     "mixed content is not supported"
                 )
             parent.text = None
-        if parent.tag == inner and not parent.children and stack[-2].tag == outer:
+        if (
+            parent.tag in outer_of
+            and not parent.children
+            and stack[-2].tag == outer_of[parent.tag]
+        ):
             depth = 1
             span_start = offset(parser.CurrentByteIndex)
             parser.CharacterDataHandler = None

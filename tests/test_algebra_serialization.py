@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra import (
+    DATA_SPANS,
     PlanBuilder,
     VerbatimData,
     parse_plan,
@@ -189,7 +190,7 @@ class TestVerbatimSpans:
         plan = build_reference_plan(cd_items)
         reference = serialize_xml(plan_to_xml(plan))
         assert serialize_xml(plan_to_xml(plan, opaque=True)) == reference
-        restored = plan_from_xml(parse_xml(reference, opaque=("data", "collection")))
+        restored = plan_from_xml(parse_xml(reference, opaque=DATA_SPANS))
         (leaf,) = restored.verbatim_leaves()
         assert leaf._tree is None and leaf.name == "favorites"
         assert serialize_xml(plan_to_xml(restored, opaque=True)) == reference
@@ -201,7 +202,7 @@ class TestVerbatimSpans:
     def test_foreign_span_is_forwarded_as_received_and_equal_after_parsing(self, cd_items):
         foreign = serialize_xml(XMLElement("collection", {}, cd_items), indent=4).replace('"', "'")
         document = f"<mqp><data name='cds'><collection>\n{foreign}</collection></data></mqp>"
-        plan = plan_from_xml(parse_xml(document, opaque=("data", "collection")))
+        plan = plan_from_xml(parse_xml(document, opaque=DATA_SPANS))
         assert foreign.strip() in serialize_xml(plan_to_xml(plan, opaque=True))
         assert plan.root == parse_plan(document).root
         assert serialize_plan(plan) == serialize_plan(parse_plan(document))

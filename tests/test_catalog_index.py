@@ -24,6 +24,7 @@ from repro.catalog import (
     ServerRole,
     canonical_address,
 )
+from repro.namespace import encode_interest_area
 
 from oracles.catalog_scan import scan_covering, scan_overlapping, scan_statements, scan_with_roles
 
@@ -223,3 +224,65 @@ class TestIndexMaintenance:
             found = catalog.servers_overlapping(namespace.area(query))
             assert [entry.address for entry in found] == ["s:1"]
             assert found == scan_overlapping(catalog, namespace.area(query))
+
+
+class TestAnswerCacheEquivalence:
+    """Every catalog answers a repeated lookup from its cache.  Interleaved
+    with every kind of write, each answer must still be the linear scan's."""
+
+    ROLE_FILTERS = (None, (ServerRole.BASE,), (ServerRole.INDEX, ServerRole.META_INDEX))
+
+    @pytest.mark.parametrize("seed", [5, 23, 907])
+    def test_interleaved_writes_and_repeated_lookups(self, namespace, seed):
+        rng = random.Random(seed)
+        catalog = Catalog("interleaved")
+        addresses = [f"peer-{index:02d}:9020" for index in range(24)]
+        queries = [_random_area(namespace, rng) for _ in range(6)]  # few, so lookups repeat
+        writes = {"register": 0, "merge": 0, "forget": 0, "prune": 0, "statement": 0}
+        for _ in range(600):
+            action, address = rng.random(), rng.choice(addresses)
+            if action < 0.2:
+                entry = _random_entry(namespace, rng, address)
+                existing = catalog.servers.get(address)
+                merges = existing is not None and not entry.covers(existing.area)
+                writes["merge" if merges else "register"] += 1
+                catalog.register_server(entry)
+            elif action < 0.27:
+                writes["forget"] += 1
+                catalog.forget_server(address)
+            elif action < 0.34:
+                writes["prune"] += 1
+                catalog.prune_server(address)
+            elif action < 0.4:
+                writes["statement"] += 1
+                lhs, rhs = rng.choice(queries), rng.choice(queries)
+                catalog.register_statement(
+                    IntensionalStatement.parse(
+                        f"base[{encode_interest_area(lhs)}]@{address} >= "
+                        f"base[{encode_interest_area(rhs)}]@{rng.choice(addresses)}"
+                    )
+                )
+            else:
+                query = rng.choice(queries)
+                area = query if rng.random() < 0.5 else namespace.area(*_cells(query))
+                roles = rng.choice(self.ROLE_FILTERS)
+                assert catalog.servers_overlapping(area, roles) == scan_overlapping(catalog, area, roles)
+                assert catalog.servers_covering(area, roles) == scan_covering(catalog, area, roles)
+                for level in (CatalogLevel.BASE, CatalogLevel.INDEX):
+                    assert catalog.statements_for(level, area) == scan_statements(catalog, level, area)
+        cache = catalog.answer_cache
+        assert all(writes.values()), writes
+        assert cache.hits > 100 and cache.misses > 100 and cache.invalidations > 0
+
+    def test_an_answer_is_a_fresh_list(self, namespace):
+        catalog = Catalog("fresh")
+        area = namespace.area(["USA/OR", "*"])
+        catalog.register_server(ServerEntry("s:1", ServerRole.BASE, area))
+        first = catalog.servers_overlapping(area)
+        first.clear()  # a caller's list is its own: the cached answer is untouched
+        assert [entry.address for entry in catalog.servers_overlapping(area)] == ["s:1"]
+        assert catalog.answer_cache.hits == 1
+
+
+def _cells(area):
+    return [[str(coordinate) for coordinate in cell.coordinates] for cell in area]

@@ -138,8 +138,7 @@ class TestAnswerCache:
 class TestCatalogAnswerCache:
     def test_lookups_memoized_and_invalidated(self, namespace):
         catalog = Catalog("idx:1")
-        cache = AnswerCache(capacity=8)
-        catalog.attach_answer_cache(cache)
+        cache = catalog.answer_cache  # every catalog owns one from the start
         oregon = namespace.area(["USA/OR", "*"])
         catalog.register_server(
             ServerEntry("s1:1", ServerRole.BASE, namespace.area(["USA/OR/Portland", "Music/CDs"]))
@@ -256,12 +255,16 @@ class TestReplicaMembership:
         member.join(shard_map)
         return member, suspected
 
-    def test_joining_learns_the_siblings_and_attaches_the_answer_cache(self, namespace, shard_map):
+    def test_joining_learns_the_siblings_and_keeps_the_catalogs_own_cache(self, namespace, shard_map):
         member, _ = self._replica(namespace, shard_map)
         assert member.replica_peers == ["i0:1", "i2:1"]
-        assert member.catalog.answer_cache is not None
         outsider, _ = self._replica(namespace, shard_map, address="seller:1")
-        assert outsider.replica_peers == [] and outsider.catalog.answer_cache is None
+        assert outsider.replica_peers == []
+        # The cache is the catalog's, replica or not; joining does not swap it.
+        for joined in (member, outsider):
+            cache = joined.catalog.answer_cache
+            joined.join(shard_map)
+            assert joined.catalog.answer_cache is cache
 
     def test_only_a_replicas_death_is_a_tier_failover(self, namespace, shard_map):
         member, _ = self._replica(namespace, shard_map)
@@ -323,9 +326,8 @@ class TestRegistrationFanout:
             server.join_catalog_tier(shard_map)
         chosen_on = covering_indexers(base, indexers)
         assert [peer.address for peer in chosen_on] == ["i0:1", "i1:1", "i2:1"]
-        # Replica members picked up siblings and an answer cache on join.
+        # Replica members picked up their siblings on join.
         assert group0[0].replicas.replica_peers == ["i1:1", "i2:1"]
-        assert group0[0].catalog.answer_cache is not None
         assert base.replicas.replica_peers == []  # the base server is no replica
 
 

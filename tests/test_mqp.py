@@ -27,11 +27,12 @@ from repro.mqp import (
     QueryPreferences,
 )
 from repro.mqp.plan import format_branch, parse_branch
-from repro.mqp.processor import _bound_area_cells
 from repro.mqp.provenance import ProvenanceRecord
 from repro.namespace import InterestAreaURN, InterestCell, parse_urn
+from repro.namespace.urn import _urn_parts
 from repro.optimizer import Optimizer
 from repro.xmlmodel import XMLElement, parse_xml, serialize_xml
+from oracles.mqp_tree import mqp_text
 from tests.conftest import make_item
 
 
@@ -57,7 +58,7 @@ class TestProvenance:
         log = ProvenanceLog()
         log.add("a:1", ProvenanceAction.BOUND, 1.5, detail="urn:X:y", staleness_minutes=10)
         log.add("b:1", ProvenanceAction.DELIVERED, 2.25, detail="client:1")
-        restored = ProvenanceLog.from_xml(log.to_xml())
+        restored = ProvenanceLog.from_xml(parse_xml(log.to_text()))
         assert len(restored) == 2
         assert restored.records[0].staleness_minutes == 10
         assert restored.records[1].action is ProvenanceAction.DELIVERED
@@ -69,30 +70,44 @@ class TestProvenance:
         suspicious = log.suspicious_resources(["urn:ForSale:A", "urn:ForSale:B"])
         assert suspicious == ["urn:ForSale:B"]
 
-    def test_a_record_writes_one_element_back(self):
-        """Parsed or built, a record's ``<visit>`` is made once."""
+    def test_a_record_writes_one_text_back(self):
+        """Parsed or built, a record's ``<visit/>`` is written once."""
         log = ProvenanceLog()
         record = log.add("a:1", ProvenanceAction.BOUND, 1.5, detail="urn:X:y", staleness_minutes=10)
-        built = record.to_xml()
-        assert record.to_xml() is built
-        parsed = ProvenanceRecord.from_xml(built)
-        assert parsed == record and parsed.to_xml() is built
-        assert serialize_xml(built) == (
+        built = record.to_text()
+        assert record.to_text() is built
+        assert built == (
             '<visit action="bound" detail="urn:X:y" server="a:1" staleness="10" time="1.500"/>'
         )
+        parsed = ProvenanceRecord.from_xml(parse_xml(built))
+        assert parsed == record and parsed.to_text() == built
+        assert parsed.to_text() is parsed.to_text()
 
-    def test_scattered_pieces_share_the_elements_they_inherit(self):
-        """A piece copies the record list, not the records, and writes the
-        same bytes after a round trip."""
+    def test_an_arrived_record_writes_back_its_attributes(self):
+        """Even those its fields would spell otherwise, and those it has no field for."""
+        arrived = '<visit action="bound" extra="&amp;x" server="a:1" staleness="1e+01" time="1.5"/>'
+        record = ProvenanceRecord.from_xml(parse_xml(arrived))
+        assert record.staleness_minutes == 10 and record.time == 1.5
+        assert record.to_text() == arrived
+
+    def test_scattered_pieces_share_the_text_they_inherit(self):
+        """A piece copies the record list, not the records: a record both
+        pieces inherit is written once, and the same bytes come back after
+        a round trip."""
         plan = PlanBuilder.url("a:9020", "/cds").display("client:9020")
         whole = MutantQueryPlan(plan, query_id="q1")
         whole.provenance.add("index:9020", ProvenanceAction.BOUND, 1.0, detail="urn:X:y")
         first, second = (
             whole.piece(plan.copy(), (7, index), Fraction(1, 2)) for index in range(2)
         )
-        assert first.provenance.to_xml().children[0] is second.provenance.to_xml().children[0]
-        arrived = MutantQueryPlan.deserialize(first.serialize())
-        assert arrived.serialize() == first.serialize()
+        (inherited,) = first.provenance.records
+        assert second.provenance.records[0] is inherited
+        first_document = first.serialize()
+        text = inherited.__dict__["_text"]
+        assert text in first_document and text in second.serialize()
+        assert inherited.to_text() is text  # the second piece did not write it again
+        arrived = MutantQueryPlan.deserialize(first_document)
+        assert arrived.serialize() == first_document
 
 
 class TestMalformedWireFields:
@@ -339,18 +354,21 @@ class TestSpanCodec:
     def test_span_decode_equals_reference_decode(self, plan, pretty):
         mqp = MutantQueryPlan(plan, query_id="q-prop")
         mqp.provenance.add("a:1", ProvenanceAction.EVALUATED, 1.0, detail="select->3 items")
-        reference_bytes = serialize_xml(mqp.to_xml())
-        document = serialize_xml(mqp.to_xml(), indent=2) if pretty else reference_bytes
+        reference_bytes = mqp_text(mqp)
+        document = serialize_xml(parse_xml(reference_bytes), indent=2) if pretty else reference_bytes
         decoded = MutantQueryPlan.deserialize(document)
         reference = _reference_decode(document)
         # No tree was built for any leaf, yet the plans are equal ...
         assert all(leaf._tree is None for leaf in decoded.plan.verbatim_leaves())
         assert decoded.plan.root == reference.plan.root
         assert decoded.original.root == reference.original.root
-        # ... and what goes back on the wire is what the reference path writes.
+        # ... and what goes back on the wire is what the reference path writes
+        # (as received: pretty cargo stays pretty, and parses to the same).
+        written = decoded.serialize()
+        assert written == mqp_text(decoded)
         if not pretty:
-            assert MutantQueryPlan.deserialize(document).serialize() == reference_bytes
-        assert serialize_xml(decoded.to_xml()) == reference_bytes
+            assert written == reference_bytes
+        assert serialize_xml(parse_xml(written)) == reference_bytes
 
     def _forwarding_hop(self, namespace, document, address):
         """Receive, run the whole pipeline, forward: one server that cannot evaluate."""
@@ -359,13 +377,13 @@ class TestSpanCodec:
         received = leaf.span
         result = _processor_for(namespace, address).process(mqp)
         assert result.action is ProcessingAction.FORWARD
-        display = result.mqp.to_xml(opaque=True).find("current").children[0].children[0]
-        wrapper = display.find("union").find("data").find("collection")
         # The very same text object goes from the inbound document to the
         # outbound one: nothing re-serialized it, nothing parsed it.
-        assert wrapper.children[0] is received
+        assert result.mqp.plan.verbatim_leaves()[0].span is received
+        outbound = result.mqp.serialize()
+        assert f"<collection>{received.source}</collection>" in outbound
         assert leaf._tree is None
-        return result.mqp.serialize(), received.source
+        return outbound, received.source
 
     def _elements_built_over_three_hops(self, namespace, monkeypatch, cargo_size):
         items = [make_item(f"cd-{index:03d}", 7) for index in range(cargo_size)]
@@ -940,10 +958,10 @@ class TestLearnFromMemo:
         assert late.cache.best(area).area == area  # nor the memo's
 
     def test_the_memo_stays_within_its_bound(self, namespace):
-        bound = _bound_area_cells.cache_info().maxsize
+        bound = _urn_parts.cache_info().maxsize
         processor = _processor_for(namespace, "a:9020")
         processor.learn_from(_bound_by(*(("i:9020", f"urn:ForSale:c{n}") for n in range(bound + 8))))
-        assert 0 < _bound_area_cells.cache_info().currsize <= bound
+        assert 0 < _urn_parts.cache_info().currsize <= bound
 
     def test_a_malformed_urn_detail_is_skipped(self, namespace):
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
@@ -990,3 +1008,85 @@ class TestLearnFromMemo:
                 entry.area for entry in parsing.cache._entries.values()
             ]
         assert len(memoized.cache._entries) == 4  # the capacity evicted in LRU order
+
+
+# --------------------------------------------------------------------------- #
+# Routing: one lookup per area per process call
+# --------------------------------------------------------------------------- #
+
+
+class _LookupPerSite(MQPProcessor):
+    """Routing as it was before the per-call memo: binding and routing each
+    look the area up."""
+
+    def _routes_for(self, urn, routes):
+        return self._routing_servers_for(urn.area)
+
+
+class TestOneRoutingLookupPerArea:
+    def _router(self, cls, namespace):
+        oregon, wash = namespace.area(["USA/OR", "*"]), namespace.area(["USA/WA", "*"])
+        catalog = Catalog("meta:9020")
+        catalog.register_server(ServerEntry("idx-or:9020", ServerRole.INDEX, oregon, authoritative=True))
+        catalog.register_server(ServerEntry("idx-wa:9020", ServerRole.INDEX, wash))
+        catalog.register_server(ServerEntry("meta-2:9020", ServerRole.META_INDEX, namespace.top_area()))
+        cache = RoutingCache(capacity=8)
+        for area, server in (
+            (oregon, "seen-or:9020"),
+            (namespace.area(["France", "*"]), "seen-fr:9020"),
+            (namespace.top_area(), "seen-top:9020"),
+            (wash, "seen-wa:9020"),
+            (namespace.area(["USA/CA", "*"]), "seen-ca:9020"),
+        ):
+            cache.remember(area, server)
+        return cls("meta:9020", catalog, namespace, cache=cache)
+
+    def _plan(self, namespace):
+        portland, seattle = (
+            str(InterestAreaURN.for_area(namespace.area(cell)))
+            for cell in (["USA/OR/Portland", "Music/CDs"], ["USA/WA/Seattle", "Furniture"])
+        )
+        plan = (
+            PlanBuilder.urn(portland)
+            .union(PlanBuilder.urn(seattle), PlanBuilder.url("far:9020", "/x"))
+            .display("client:9020")
+        )
+        return MutantQueryPlan(plan, query_id="q-routes")
+
+    def test_each_area_is_looked_up_once_and_routes_as_before(self, namespace, monkeypatch):
+        looked_up = []
+        lookup = MQPProcessor._routing_servers_for
+
+        def counting(self, area):
+            looked_up.append((type(self), str(area)))
+            return lookup(self, area)
+
+        monkeypatch.setattr(MQPProcessor, "_routing_servers_for", counting)
+        memoized, per_site = (self._router(cls, namespace) for cls in (MQPProcessor, _LookupPerSite))
+        before = list(memoized.cache._entries)
+        once, twice = (
+            processor.process(self._plan(namespace), now=1.0) for processor in (memoized, per_site)
+        )
+        areas = [area for who, area in looked_up if who is MQPProcessor]
+        assert len(areas) == len(set(areas)) == 2  # bound and routed on one lookup each
+        assert sorted(area for who, area in looked_up if who is _LookupPerSite) == sorted(areas * 2)
+        # The second lookup changed nothing but the routing cache's hit counter.
+        assert len(once.pieces) == 2  # the URL branch scattered from the URN branches
+        assert [(piece.next_hop, piece.reason, piece.mqp.serialize()) for piece in once.pieces] == [
+            (piece.next_hop, piece.reason, piece.mqp.serialize()) for piece in twice.pieces
+        ]
+        assert once.route_candidates == twice.route_candidates
+        assert list(memoized.cache._entries) == list(per_site.cache._entries) != before
+        assert memoized.cache.hits == per_site.cache.hits // 2 > 0
+
+    def test_a_bound_area_needs_no_routing_lookup(self, namespace, monkeypatch):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        processor = _processor_for(
+            namespace, "index:9020",
+            catalog=_catalog_with_sellers(namespace, area, {"s1:9020": ["/cds"]}),
+        )
+        monkeypatch.setattr(
+            MQPProcessor, "_routing_servers_for", lambda self, area: pytest.fail("looked up")
+        )
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(area))).display("client:9020")
+        assert processor.process(MutantQueryPlan(plan)).next_hop == "s1:9020"

@@ -6,11 +6,14 @@ from repro.errors import URNError
 from repro.namespace import (
     InterestArea,
     InterestAreaURN,
+    InterestCell,
     NamedURN,
     decode_interest_area,
     encode_interest_area,
     parse_urn,
+    parse_urn_cached,
 )
+from repro.namespace.urn import _urn_parts
 
 
 class TestNamedURNs:
@@ -74,3 +77,40 @@ class TestInterestAreaURNs:
             decode_interest_area("(USA,)Portland")
         with pytest.raises(URNError):
             decode_interest_area("(USA,,Furniture)")
+
+
+class TestParseOncePerProcess:
+    """``parse_urn_cached``: what ``parse_urn`` returns, parsed once per text."""
+
+    AREA = "urn:InterestArea:(USA.OR.Portland,Music.CDs)+(USA.WA,*)"
+
+    def test_two_callers_never_share_an_area(self):
+        first, second = parse_urn_cached(self.AREA), parse_urn_cached(self.AREA)
+        assert first == second == parse_urn(self.AREA)
+        assert first.area is not second.area
+        first.area.add(InterestCell.of("France", "*"))
+        assert second.area == parse_urn(self.AREA).area  # one caller's area is not another's
+        assert parse_urn_cached(self.AREA).area == parse_urn(self.AREA).area  # nor the memo's
+
+    def test_the_text_is_parsed_once(self):
+        text = "urn:InterestArea:(USA.OR.Salem,Furniture)+(Canada.BC,Music)"  # no other test reads it
+        before = _urn_parts.cache_info().misses
+        for _ in range(5):
+            assert isinstance(parse_urn_cached(text), InterestAreaURN)
+        assert _urn_parts.cache_info().misses == before + 1
+
+    def test_a_named_urn_is_what_parse_urn_returns(self):
+        parsed = parse_urn_cached("urn:ForSale:Portland-CDs")
+        assert isinstance(parsed, NamedURN) and parsed == parse_urn("urn:ForSale:Portland-CDs")
+
+    @pytest.mark.parametrize(
+        "text", ["not-a-urn", "urn:only-namespace", "urn:InterestArea:((USA", "urn:InterestArea:(USA.OR,)", ""]
+    )
+    def test_a_malformed_urn_still_yields_none(self, text):
+        with pytest.raises(URNError):
+            parse_urn(text)
+        assert parse_urn_cached(text) is None
+        assert parse_urn_cached(text) is None  # memoized as unparseable, not as an error
+
+    def test_the_memo_is_bounded(self):
+        assert _urn_parts.cache_info().maxsize == 4096

@@ -136,7 +136,7 @@ class TestCanonicalForm:
 
 
 class TestOpaqueSpans:
-    OPAQUE = ("data", "collection")
+    OPAQUE = (("data", "collection"),)
 
     def _span(self, document):
         root = parse_xml(document, opaque=self.OPAQUE)
@@ -203,3 +203,15 @@ class TestOpaqueSpans:
         root = parse_xml(f"<data><collection>{cargo}</collection></data>", opaque=self.OPAQUE)
         assert root.children[0].children[0].source == cargo
         assert len(root.children) == 1 and len(root.children[0].children) == 1
+
+    def test_several_pairs_are_each_kept_where_named(self):
+        original = "<mqp><data><collection><s/></collection></data></mqp>"
+        document = (
+            "<m><c><data><collection><r/></collection></data></c>"
+            f"<original>{original}</original></m>"
+        )
+        root = parse_xml(document, opaque=self.OPAQUE + (("m", "original"),))
+        (kept,) = root.find("original").children
+        assert isinstance(kept, XMLSpan) and kept.source == original  # not looked into
+        assert root.find("c").find("data").find("collection").children[0].source == "<r/>"
+        assert serialize_xml(root) == document
