@@ -20,7 +20,9 @@ consumer of the same surface external callers use.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from ..algebra import PlanBuilder
 from ..api import Cluster
@@ -307,10 +309,10 @@ def _garage_sale_population(spec: ScaleoutSpec) -> tuple[
         for seller in workload.sellers
     ]
     generator = QueryWorkload(namespace, seed=spec.seed + 1, price_ceiling_range=None)
-    queries = [
-        _Query(query_spec.area, workload.ground_truth_count(query_spec.area, None))
-        for query_spec in generator.batch(spec.queries)
-    ]
+    queries = _with_ground_truth(
+        [query_spec.area for query_spec in generator.batch(spec.queries)],
+        lambda area: workload.ground_truth_count(area, None),
+    )
     return namespace, peers, queries
 
 
@@ -335,8 +337,22 @@ def _gene_expression_population(spec: ScaleoutSpec) -> tuple[
         namespace, location_level=3, category_level=1, seed=spec.seed + 1, price_ceiling_range=None
     )
     areas.extend(query_spec.area for query_spec in generator.batch(max(0, spec.queries - 1)))
-    queries = [_Query(area, len(workload.matching_records(area))) for area in areas]
+    queries = _with_ground_truth(areas, lambda area: len(workload.matching_records(area)))
     return namespace, peers, queries
+
+
+def _with_ground_truth(
+    areas: list[InterestArea], count: Callable[[InterestArea], int]
+) -> list[_Query]:
+    """One query per area, asking the workload's oracle once per distinct area
+    (a batch repeats its popular areas)."""
+    expected: dict[InterestArea, int] = {}
+    queries: list[_Query] = []
+    for area in areas:
+        if area not in expected:
+            expected[area] = count(area)
+        queries.append(_Query(area, expected[area]))
+    return queries
 
 
 _POPULATIONS = {
@@ -792,20 +808,41 @@ def run_scenario(
     spec: ScaleoutSpec, transport: "Transport | str | None" = None
 ) -> tuple[ScaleoutScenario, dict[str, object]]:
     """:func:`run_scaleout`, handing back the scenario it ran beside the report
-    (its peers, catalogs and raw network metrics outlive the run)."""
-    scenario = build_scaleout_scenario(spec, transport=transport)
-    with scenario.cluster as cluster:
-        query_ids = schedule_queries(scenario)
-        schedule_mutations(scenario)
-        _schedule_replica_outage(scenario)
-        cluster.run_until_idle()
+    (its peers, catalogs and raw network metrics outlive the run).
 
-        for query_id in query_ids:
-            trace = cluster.metrics.trace(query_id)
-            if trace.completed_at is None:
-                trace.completed_at = cluster.now
+    The build allocates a large heap of long-lived objects and almost no
+    cyclic garbage, so the cyclic collector is paused around it, and the
+    built scenario is frozen (``gc.freeze``) before the collector resumes:
+    no pass walks the population, in set-up or in the run.  The caller's
+    collector is handed back as it was found, and a caller's own freeze is
+    never undone.
+    """
+    freeze = gc.get_freeze_count() == 0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        scenario = build_scaleout_scenario(spec, transport=transport)
+        if freeze:
+            gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
+    try:
+        with scenario.cluster as cluster:
+            query_ids = schedule_queries(scenario)
+            schedule_mutations(scenario)
+            _schedule_replica_outage(scenario)
+            cluster.run_until_idle()
 
-        return scenario, _report(scenario, query_ids)
+            for query_id in query_ids:
+                trace = cluster.metrics.trace(query_id)
+                if trace.completed_at is None:
+                    trace.completed_at = cluster.now
+
+            return scenario, _report(scenario, query_ids)
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 def schedule_queries(scenario: ScaleoutScenario) -> list[str]:

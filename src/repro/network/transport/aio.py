@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import socket
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
@@ -432,7 +433,7 @@ class AsyncioTransport(Transport):
                 future.set_exception(TransportError(
                     f"frame for message #{message.message_id} "
                     f"({message.sender} -> {message.recipient}, {message.kind!r}) "
-                    f"did not arrive within {self.arrival_timeout_s:.0f}s wall clock "
+                    f"did not arrive within {self.arrival_timeout_s:g}s wall clock "
                     f"— a hung or severed socket"
                 ))
         self._watchdog = loop.call_at(due, self._watch, loop)
@@ -456,8 +457,13 @@ class AsyncioTransport(Transport):
             if address in self._servers:
                 continue
             self._inboxes.setdefault(address, _Inbox(self.inbox_limit))
+            # A fan-out can open hundreds of first connects at one listener
+            # before it accepts any; past the accept queue the kernel drops
+            # the SYN and the connect waits out a one-second retransmit.  The
+            # kernel clamps SOMAXCONN to net.core.somaxconn.
             server = await loop.create_server(
-                lambda address=address: _Receiver(self, address), self.host, 0
+                lambda address=address: _Receiver(self, address), self.host, 0,
+                backlog=socket.SOMAXCONN,
             )
             self._servers[address] = server
             self._ports[address] = server.sockets[0].getsockname()[1]

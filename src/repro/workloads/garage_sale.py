@@ -22,6 +22,7 @@ from ..namespace import (
 )
 from ..xmlmodel import XMLElement, text_element
 from .distributions import make_rng, zipf_choice
+from .queries import CellIndex
 
 __all__ = ["GarageSaleConfig", "SellerData", "GarageSaleWorkload"]
 
@@ -88,6 +89,7 @@ class GarageSaleWorkload:
             category for category in merchandise.categories() if 1 <= category.depth <= depth
         ]
         self.sellers: list[SellerData] = []
+        self._index = CellIndex()  # every item in seller order, by item cell
         self._generate()
 
     # -- generation ------------------------------------------------------------------ #
@@ -101,13 +103,13 @@ class GarageSaleWorkload:
             item_count = max(1, int(self._rng.poisson(self.config.mean_items_per_seller)))
             leaf_categories = self.namespace.dimensions[1].descendants(category)
             for item_index in range(item_count):
-                seller.items.append(self._make_item(seller, item_index, leaf_categories))
+                item_category = leaf_categories[int(self._rng.integers(len(leaf_categories)))]
+                item = self._make_item(seller, item_index, item_category)
+                seller.items.append(item)
+                self._index.add(cell, InterestCell((city, item_category)), item)
             self.sellers.append(seller)
 
-    def _make_item(
-        self, seller: SellerData, index: int, leaf_categories: list[CategoryPath]
-    ) -> XMLElement:
-        category = leaf_categories[int(self._rng.integers(len(leaf_categories)))]
+    def _make_item(self, seller: SellerData, index: int, category: CategoryPath) -> XMLElement:
         adjective = _ADJECTIVES[int(self._rng.integers(len(_ADJECTIVES)))]
         condition = _CONDITIONS[int(self._rng.integers(len(_CONDITIONS)))]
         low, high = self.config.price_range
@@ -133,30 +135,22 @@ class GarageSaleWorkload:
 
     def all_items(self) -> list[XMLElement]:
         """Every generated item, across sellers."""
-        return [item for seller in self.sellers for item in seller.items]
+        return list(self._index.items)
 
     def sellers_overlapping(self, area: InterestArea) -> list[SellerData]:
         """Sellers whose interest cell overlaps the query area."""
         return [seller for seller in self.sellers if area.overlaps(seller.area)]
 
     def matching_items(self, area: InterestArea, max_price: float | None = None) -> list[XMLElement]:
-        """Ground-truth answer: items covered by ``area`` (optionally below a price)."""
-        matches: list[XMLElement] = []
-        for seller in self.sellers:
-            if not area.covers_cell(seller.cell) and not self._items_could_match(seller, area):
-                continue
-            for item in seller.items:
-                category = CategoryPath.parse(item.child_text("category") or "*")
-                cell = InterestCell((seller.city, category))
-                if not area.covers_cell(cell):
-                    continue
-                if max_price is not None and float(item.child_text("price") or "inf") >= max_price:
-                    continue
-                matches.append(item)
+        """Ground-truth answer: items covered by ``area`` (optionally below a price),
+        in seller order."""
+        matches = self._index.covered_by(area)
+        if max_price is not None:
+            matches = [
+                item for item in matches
+                if float(item.child_text("price") or "inf") < max_price
+            ]
         return matches
-
-    def _items_could_match(self, seller: SellerData, area: InterestArea) -> bool:
-        return area.overlaps(seller.area)
 
     def ground_truth_count(self, area: InterestArea, max_price: float | None = None) -> int:
         """Number of items a complete answer should contain."""

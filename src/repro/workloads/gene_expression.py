@@ -22,6 +22,7 @@ from ..namespace import (
 )
 from ..xmlmodel import XMLElement, text_element
 from .distributions import make_rng
+from .queries import CellIndex
 
 __all__ = ["GeneExpressionConfig", "Repository", "GeneExpressionWorkload"]
 
@@ -62,6 +63,7 @@ class GeneExpressionWorkload:
         self.namespace = namespace or gene_expression_namespace()
         self._rng = make_rng(self.config.seed)
         self.repositories: list[Repository] = []
+        self._index = CellIndex()  # every record in repository order, by its cell
         self._build_figure1_groups()
         self._build_extra_groups()
 
@@ -105,7 +107,9 @@ class GeneExpressionWorkload:
             leaves = self._covered_leaf_cells(cell)
             for leaf in leaves:
                 for record_index in range(self.config.records_per_cell):
-                    repository.records.append(self._make_record(leaf, record_index))
+                    record = self._make_record(leaf, record_index)
+                    repository.records.append(record)
+                    self._index.add(cell, leaf, record)
         return repository
 
     def _covered_leaf_cells(self, cell: InterestCell) -> list[InterestCell]:
@@ -146,18 +150,6 @@ class GeneExpressionWorkload:
         return [repository for repository in self.repositories if not repository.area.overlaps(area)]
 
     def matching_records(self, area: InterestArea) -> list[XMLElement]:
-        """Ground truth: records whose (organism, cellType) cell is covered by the area."""
-        organisms, cell_types = self.namespace.dimensions
-        covered: dict[tuple[str, str], bool] = {}  # records repeat a few dozen distinct cells
-        matches: list[XMLElement] = []
-        for repository in self.repositories:
-            for record in repository.records:
-                pair = (record.child_text("organism") or "*", record.child_text("cellType") or "*")
-                if pair not in covered:
-                    cell = InterestCell(
-                        (organisms.approximate(pair[0]), cell_types.approximate(pair[1]))
-                    )
-                    covered[pair] = area.covers_cell(cell)
-                if covered[pair]:
-                    matches.append(record)
-        return matches
+        """Ground truth: records whose (organism, cellType) cell is covered by the area,
+        in repository order."""
+        return self._index.covered_by(area)

@@ -28,7 +28,7 @@ from ..namespace import (
 from ..xmlmodel import XMLElement
 from .distributions import make_rng, zipf_choice
 
-__all__ = ["QuerySpec", "QueryWorkload", "item_cell", "query_plan_for"]
+__all__ = ["CellIndex", "QuerySpec", "QueryWorkload", "item_cell", "query_plan_for"]
 
 
 def item_cell(item: XMLElement, fields: tuple[str, str]) -> InterestCell:
@@ -36,6 +36,41 @@ def item_cell(item: XMLElement, fields: tuple[str, str]) -> InterestCell:
     return InterestCell(
         tuple(CategoryPath.parse(item.child_text(name) or "*") for name in fields)
     )
+
+
+class CellIndex:
+    """A generated population's items, grouped by the cell of the peer that
+    holds them, then by their own item-level cell.
+
+    A population repeats a few hundred distinct cells over thousands of
+    items, so a ground-truth query tests each distinct holder cell for
+    overlap and, under the holders it overlaps, each distinct item cell for
+    cover — never an item.  Skipping the holders a query misses also keeps
+    the process-wide cell-comparison memo small: testing every item cell
+    against every query would fill it with pairs the run never asks about.
+    """
+
+    def __init__(self) -> None:
+        self.items: list[XMLElement] = []  # in generation order
+        self._positions: dict[InterestCell, dict[InterestCell, list[int]]] = {}
+
+    def add(self, holder: InterestCell, cell: InterestCell, item: XMLElement) -> None:
+        """Append ``item``, whose cell is ``cell``, served under ``holder``."""
+        self._positions.setdefault(holder, {}).setdefault(cell, []).append(len(self.items))
+        self.items.append(item)
+
+    def covered_by(self, area: InterestArea) -> list[XMLElement]:
+        """The items whose cell ``area`` covers, in generation order."""
+        positions = [
+            position
+            for holder, cells in self._positions.items()
+            if any(mine.overlaps(holder) for mine in area)
+            for cell, held in cells.items()
+            if area.covers_cell(cell)
+            for position in held
+        ]
+        positions.sort()
+        return [self.items[position] for position in positions]
 
 
 def query_plan_for(

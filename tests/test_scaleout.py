@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import fields, replace
 
@@ -15,6 +16,7 @@ from repro.catalog import Catalog, CollectionRef, NamedResourceEntry
 from repro.engine import EvaluationMemo, QueryEngine
 from repro.engine import memo as memo_caps
 from repro.errors import SimulationError
+from repro.harness import scaleout
 from repro.harness.cli import SCENARIOS, build_parser, main
 from repro.harness.scaleout import (
     ScaleoutSpec,
@@ -276,6 +278,76 @@ class TestEvaluationCacheInvalidation:
         assert len(seller.processor.evaluations) == 1
         seller.go_offline()
         assert len(seller.processor.evaluations) == 0
+
+
+_GC_SPEC = ScaleoutSpec(
+    name="gc", topology="small-world", peers=12, workload="garage-sale", churn="none", queries=2,
+)
+
+
+class TestCollectorHandedBack:
+    """``run_scenario`` pauses the cyclic collector around the build and
+    freezes the built scenario for the run; the caller gets the collector
+    back exactly as it was."""
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """What the build and the run saw of the collector."""
+        seen: dict[str, object] = {}
+        build, schedule = scaleout.build_scaleout_scenario, scaleout.schedule_queries
+
+        def spied_build(*args, **kwargs):
+            seen["build_collecting"] = gc.isenabled()
+            return build(*args, **kwargs)
+
+        def spied_schedule(scenario):
+            seen["run_frozen"] = gc.get_freeze_count()
+            return schedule(scenario)
+
+        monkeypatch.setattr(scaleout, "build_scaleout_scenario", spied_build)
+        monkeypatch.setattr(scaleout, "schedule_queries", spied_schedule)
+        return seen
+
+    def test_after_a_normal_run(self, seen):
+        state = gc.isenabled(), gc.get_freeze_count()
+        assert state == (True, 0)
+        scaleout.run_scenario(_GC_SPEC)
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+        assert seen["build_collecting"] is False
+        assert seen["run_frozen"] > 0
+
+    def test_after_the_build_raises(self, monkeypatch):
+        def broken_build(*args, **kwargs):
+            assert not gc.isenabled()
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(scaleout, "build_scaleout_scenario", broken_build)
+        state = gc.isenabled(), gc.get_freeze_count()
+        with pytest.raises(RuntimeError, match="build failed"):
+            scaleout.run_scenario(_GC_SPEC)
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            scaleout.run_scenario(_GC_SPEC)
+            assert not gc.isenabled()
+            assert gc.get_freeze_count() == 0
+        finally:
+            gc.enable()
+
+    def test_a_callers_freeze_is_never_undone(self):
+        sentinel = [object()]
+        gc.freeze()
+        try:
+            scaleout.run_scenario(_GC_SPEC)
+            assert gc.isenabled()
+            assert gc.get_freeze_count() > 0
+            # Frozen objects sit in no generation the collector walks.
+            assert all(tracked is not sentinel for tracked in gc.get_objects())
+        finally:
+            gc.unfreeze()
+        assert any(tracked is sentinel for tracked in gc.get_objects())
 
 
 class TestScaleoutScenarios:

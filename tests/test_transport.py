@@ -249,8 +249,30 @@ class TestAsyncioTransport:
             # event exists but no bytes ever reach bob's socket.
             message = Message("alice:1", "bob:1", "ghost")
             transport.simulator.schedule(1.0, _GatedDelivery(network, message))
-            with pytest.raises(TransportError, match="did not arrive"):
+            with pytest.raises(TransportError, match=r"did not arrive within 0\.2s"):
                 network.run_until_idle()
+
+    @pytest.mark.parametrize("senders", [150, 300])
+    def test_a_burst_of_first_connects_never_waits_out_a_syn_retransmit(self, senders):
+        # Every sender's first frame opens a connection to the one sink in the
+        # same instant.  Were the listen backlog shorter than the burst, the
+        # kernel would drop a SYN and that frame would arrive a one-second
+        # retransmit later: past the watchdog, so the run would fail.
+        transport = AsyncioTransport(arrival_timeout_s=0.5)
+        # Under ``-X dev`` asyncio records a traceback for every callback,
+        # which alone outlasts the watchdog at 300 connects; the socket and
+        # resource-leak checks of dev mode stay on.
+        transport._ensure_loop().set_debug(False)
+        with Network(transport=transport) as network:
+            sink = Recorder("sink:1")
+            network.register(sink)
+            for index in range(senders):
+                network.register(Recorder(f"sender{index}:1"))
+            for index in range(senders):
+                network.node(f"sender{index}:1").send("sink:1", "hello", size_bytes=64)
+            network.run_until_idle()
+            assert len(sink.received) == senders
+            assert transport.stats()["connections_opened"] == senders
 
     def test_inbox_limit_validation(self):
         from repro.errors import SimulationError
