@@ -31,12 +31,11 @@ setup(
     # PEP 561: the package ships inline types (py.typed marker).
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
-    install_requires=[
-        "numpy",
-        "networkx",
-    ],
+    # Standard library only.  numpy and networkx are the oracles of the
+    # differential tests (tests/oracles/), so they are test extras.
+    install_requires=[],
     extras_require={
-        "test": ["pytest", "hypothesis"],
+        "test": ["pytest", "hypothesis", "numpy", "networkx>=3"],
         "bench": ["pytest", "pytest-benchmark"],
         # CI toolchain: pinned so lint/typecheck failures mean code
         # changes, not tool drift.  pytest-timeout guards the real-socket
@@ -46,6 +45,8 @@ setup(
             "pytest-benchmark",
             "pytest-timeout==2.3.1",
             "hypothesis",
+            "numpy",
+            "networkx>=3",
             "ruff==0.8.4",
             "mypy==1.13.0",
         ],

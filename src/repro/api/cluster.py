@@ -260,7 +260,7 @@ class Cluster:
         self.topology = topology
         excluded = set(exclude)
         by_address = {address: session.peer for address, session in self._sessions.items()}
-        for first, second in sorted(topology.graph.edges):
+        for first, second in sorted(topology.edges()):
             if first in excluded or second in excluded:
                 continue
             if first in by_address and second in by_address:

@@ -1,4 +1,8 @@
-"""Simulated peer-to-peer network substrate (discrete-event, deterministic)."""
+"""Simulated peer-to-peer network substrate (discrete-event, deterministic).
+
+``AsyncioTransport`` is resolved on first access, so a simulated run never
+imports asyncio.
+"""
 
 from .failures import (
     CHURN_PROFILES,
@@ -17,7 +21,6 @@ from .node import NetworkNode
 from .simulator import Event, Simulator
 from .transport import (
     TRANSPORT_KINDS,
-    AsyncioTransport,
     SimTransport,
     Transport,
     TransportError,
@@ -68,3 +71,11 @@ __all__ = [
     "ChurnPlan",
     "CHURN_PROFILES",
 ]
+
+
+def __getattr__(name: str):
+    if name == "AsyncioTransport":
+        from .transport.aio import AsyncioTransport
+
+        return AsyncioTransport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

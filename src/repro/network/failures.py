@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import SimulationError
+from ..rng import Generator, default_rng
 from .network import Network
 
 __all__ = [
@@ -66,7 +65,7 @@ class FailureInjector:
 
         ``outage_ms`` of ``None`` means the peers never come back.
         """
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         count = int(round(len(addresses) * failure_fraction))
         chosen = sorted(rng.choice(addresses, size=count, replace=False)) if count else []
         scheduled = []
@@ -115,7 +114,7 @@ class FailureInjector:
                     f"unknown churn profile {profile!r}; "
                     f"expected one of {', '.join(sorted(CHURN_PROFILES))}"
                 ) from None
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         events: list[ChurnEvent] = []
         if profile.correlated and regions:
             events = self._correlated_events(addresses, profile, window_ms, rng, regions)
@@ -142,7 +141,7 @@ class FailureInjector:
         addresses: list[str],
         profile: "ChurnProfile",
         window_ms: tuple[float, float],
-        rng: np.random.Generator,
+        rng: Generator,
         regions: dict[str, str],
     ) -> "list[ChurnEvent]":
         """Regional failure events: whole regions go dark near-simultaneously."""

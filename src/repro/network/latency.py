@@ -10,7 +10,7 @@ see consistent delays and every experiment is reproducible.
 
 from __future__ import annotations
 
-import numpy as np
+from ..rng import default_rng
 
 __all__ = ["LatencyModel"]
 
@@ -45,7 +45,7 @@ class LatencyModel:
         self.jitter_ms = float(jitter_ms)
         self.bandwidth_bytes_per_ms = float(bandwidth_bytes_per_ms)
         self.local_latency_ms = float(local_latency_ms)
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         self._link_latency: dict[tuple[str, str], float] = {}
 
     def propagation_delay(self, sender: str, recipient: str) -> float:

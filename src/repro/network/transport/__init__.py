@@ -1,6 +1,9 @@
-"""Pluggable message transports: deterministic simulator and real sockets."""
+"""Pluggable message transports: deterministic simulator and real sockets.
 
-from .aio import AsyncioTransport
+:class:`AsyncioTransport` is resolved on first access, so a simulated run
+never imports asyncio.
+"""
+
 from .base import TRANSPORT_KINDS, Transport, TransportError, build_transport
 from .sim import SimTransport
 from .wire import decode_frame, encode_frame
@@ -15,3 +18,11 @@ __all__ = [
     "encode_frame",
     "decode_frame",
 ]
+
+
+def __getattr__(name: str):
+    if name == "AsyncioTransport":
+        from .aio import AsyncioTransport
+
+        return AsyncioTransport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

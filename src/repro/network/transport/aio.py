@@ -12,7 +12,7 @@ socket backpressure are all real, while scenario reports stay byte-identical
 with the ``sim`` backend (the property ``tests/test_transport.py`` gates).
 
 A frame's work is done where the frame is.  Receiving: each inbound
-connection is an :class:`asyncio.Protocol` that splits what ``data_received``
+connection is an :class:`asyncio.BufferedProtocol` that splits what each read
 hands it on the length prefix and decodes every whole frame on the spot — no
 task, no await per frame.  Sending: a frame for a connected, idle link is
 written from :meth:`AsyncioTransport.send` itself; only a link that must
@@ -55,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from ..network import Network
 
 __all__ = ["AsyncioTransport"]
+
+_READ_BYTES = 64 * 1024
 
 
 class _GatedDelivery:
@@ -134,7 +136,7 @@ class _Inbox:
             connection.transport.resume_reading()
 
 
-class _Receiver(asyncio.Protocol):
+class _Receiver(asyncio.BufferedProtocol):
     """One inbound connection of one peer: bytes in, decoded frames out."""
 
     __slots__ = ("owner", "address", "inbox", "transport", "buffer", "parsed", "need")
@@ -157,7 +159,14 @@ class _Receiver(asyncio.Protocol):
     def connection_lost(self, exc: Exception | None) -> None:
         self.inbox.connections.discard(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.owner._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.received(self.owner._read_buffer[:nbytes])
+
+    def received(self, data: bytes | memoryview) -> None:
+        """Append what one read delivered; decode once the head frame is whole."""
         self.buffer += data
         if len(self.buffer) - self.parsed >= self.need:  # else: a large frame, still arriving
             self.parse()
@@ -250,6 +259,11 @@ class AsyncioTransport(Transport):
         # One reusable encode buffer per transport: all sends happen on the
         # drive thread, so the encoder's scratch bytearray is never shared.
         self._encoder = FrameEncoder()
+        # Likewise one read buffer: the loop runs one read callback at a time,
+        # and each connection copies what arrived into its own buffer.  A
+        # plain Protocol would get a fresh 256 KiB bytes per read, which is
+        # above glibc's mmap threshold: every read would map and unmap pages.
+        self._read_buffer = memoryview(bytearray(_READ_BYTES))
         self._closed = False
         self._wire_error: TransportError | None = None
         # The one frame the drive loop is waiting for: (future, message, since).

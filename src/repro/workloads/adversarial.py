@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..catalog import ServerEntry
 from ..errors import WorkloadError
+from ..rng import Generator
 from .distributions import zipf_rank_sequence
 
 __all__ = [
@@ -51,7 +50,7 @@ CATALOG_MODES = ("honest", "stale", "lying")
 
 
 def zipf_query_ranks(
-    rng: np.random.Generator, pool_size: int, length: int, skew: float = 1.2
+    rng: Generator, pool_size: int, length: int, skew: float = 1.2
 ) -> list[int]:
     """Which pooled query each issued query replays, Zipf-skewed.
 
@@ -95,7 +94,7 @@ class FlashCrowdSchedule:
 
 
 def flash_crowd_schedule(
-    rng: np.random.Generator,
+    rng: Generator,
     queries: int,
     pool_size: int,
     start_ms: float,
@@ -150,7 +149,7 @@ def flash_crowd_schedule(
 
 
 def select_free_riders(
-    rng: np.random.Generator, addresses: list[str], fraction: float
+    rng: Generator, addresses: list[str], fraction: float
 ) -> list[str]:
     """The seeded subset of peers that will forward but never evaluate.
 
@@ -173,7 +172,7 @@ def select_free_riders(
 
 
 def stale_crash_set(
-    rng: np.random.Generator, addresses: list[str], fraction: float = 0.2
+    rng: Generator, addresses: list[str], fraction: float = 0.2
 ) -> list[str]:
     """Peers that die silently at t≈0, leaving every catalog entry stale.
 
@@ -192,7 +191,7 @@ def stale_crash_set(
 
 
 def lying_area_swaps(
-    rng: np.random.Generator, addresses: list[str], fraction: float = 0.25
+    rng: Generator, addresses: list[str], fraction: float = 0.25
 ) -> list[tuple[str, str]]:
     """Disjoint pairs of base servers whose advertised areas get swapped.
 

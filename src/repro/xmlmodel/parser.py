@@ -22,7 +22,6 @@ import re
 from functools import lru_cache
 from typing import Callable
 from xml.parsers import expat
-from xml.sax.saxutils import escape as _escape, quoteattr as _quoteattr
 
 from ..errors import XMLParseError
 from .element import XMLElement
@@ -32,10 +31,40 @@ __all__ = ["XMLSpan", "parse_xml", "serialize_xml", "serialize_collection", "chi
 
 # Text content and attribute values repeat heavily (tags, prices, organism
 # names, provenance fields), so the escaping work is memoized.  Bounded
-# caches: plan documents can carry arbitrary user data.  A parser turns a
-# literal carriage return into a newline, so it is written as a reference.
-escape = lru_cache(maxsize=16384)(lambda text: _escape(text, {"\r": "&#13;"}))
-quoteattr = lru_cache(maxsize=16384)(_quoteattr)
+# caches: plan documents can carry arbitrary user data.  Both write exactly
+# what ``xml.sax.saxutils`` writes, without importing it (it pulls in
+# urllib, http, email and ssl).
+
+
+@lru_cache(maxsize=16384)
+def escape(text: str) -> str:
+    """Character data with ``&``, ``>`` and ``<`` escaped.
+
+    A parser turns a literal carriage return into a newline, so it is
+    written as a reference.
+    """
+    return (
+        text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace("\r", "&#13;")
+    )
+
+
+@lru_cache(maxsize=16384)
+def quoteattr(text: str) -> str:
+    """An attribute value, escaped and quoted (single quotes when it holds a ``"``)."""
+    value = (
+        text.replace("&", "&amp;")
+        .replace(">", "&gt;")
+        .replace("<", "&lt;")
+        .replace("\n", "&#10;")
+        .replace("\r", "&#13;")
+        .replace("\t", "&#9;")
+    )
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
 
 # From the "<" of a start tag to its closing ">"; attribute values may hold a ">".
 _TAG = re.compile(r"""(?:[^>"']|"[^"]*"|'[^']*')*>""")

@@ -135,7 +135,7 @@ class TestTradeoffPlanner:
 class TestWorkloads:
     def test_zipf_weights_sum_to_one_and_decrease(self):
         weights = zipf_weights(10, skew=1.0)
-        assert weights.sum() == pytest.approx(1.0)
+        assert sum(weights) == pytest.approx(1.0)
         assert all(weights[i] >= weights[i + 1] for i in range(9))
 
     def test_garage_sale_determinism_and_locality(self):

@@ -48,14 +48,14 @@ class TestTopologyGenerators:
         addresses = _addresses(200)
         first = build_topology(kind, addresses, seed=7)
         second = build_topology(kind, addresses, seed=7)
-        assert sorted(first.graph.edges) == sorted(second.graph.edges)
+        assert sorted(first.edges()) == sorted(second.edges())
 
     @pytest.mark.parametrize("kind", ["scale-free", "small-world", "random"])
     def test_seed_changes_graph(self, kind):
         addresses = _addresses(200)
         first = build_topology(kind, addresses, seed=7)
         second = build_topology(kind, addresses, seed=8)
-        assert sorted(first.graph.edges) != sorted(second.graph.edges)
+        assert sorted(first.edges()) != sorted(second.edges())
 
     def test_scale_free_has_hubs(self):
         topology = build_topology("scale-free", _addresses(1000), seed=7)
@@ -72,7 +72,7 @@ class TestTopologyGenerators:
 
     def test_thousand_peer_construction(self):
         topology = build_topology("scale-free", _addresses(1200), seed=3)
-        assert topology.graph.number_of_nodes() == 1200
+        assert topology.number_of_nodes() == 1200
         assert topology.is_connected()
 
     def test_star_topology_center(self):

@@ -322,14 +322,14 @@ class TestInboxBackpressure:
         messages = [Message("a:1", "b:1", f"m{n}") for n in range(5)]
         frames = [encode_frame(message) for message in messages]
         # Two frames in one TCP segment both decode, and fill the inbox.
-        connection.data_received(frames[0] + frames[1])
+        connection.received(frames[0] + frames[1])
         assert inbox.high_water == 2 and sorted(inbox.stored) == [
             messages[0].message_id, messages[1].message_id
         ]
         # Full: the connection stops reading ...
         assert inbox.paused and not connection.transport.reading
         # ... and what the socket had already handed over stays unparsed.
-        connection.data_received(frames[2] + frames[3] + frames[4][:7])
+        connection.received(frames[2] + frames[3] + frames[4][:7])
         assert len(inbox.stored) == 2 and transport.stats()["frames_received"] == 2
         # Consuming reopens the inbox: the backlog is parsed, in order, up to the bound.
         assert inbox.take(messages[0].message_id).kind == "m0"
@@ -340,7 +340,7 @@ class TestInboxBackpressure:
         assert list(inbox.stored) == [messages[3].message_id]
         # Drained below the bound: reading again, the split frame awaits its tail.
         assert not inbox.paused and connection.transport.reading
-        connection.data_received(frames[4][7:])
+        connection.received(frames[4][7:])
         assert inbox.take(messages[4].message_id).kind == "m4"
         assert inbox.take(messages[4].message_id) is None
         assert transport.stats()["frames_received"] == 5 and not connection.buffer
@@ -351,8 +351,8 @@ class TestInboxBackpressure:
             parked = Message("a:1", "b:1", "big-early-frame")
             wanted = Message("c:1", "b:1", "logically-next")
             between = Message("a:1", "b:1", "in-between")
-            connection.data_received(encode_frame(parked))  # inbox now full
-            connection.data_received(encode_frame(between) + encode_frame(wanted))
+            connection.received(encode_frame(parked))  # inbox now full
+            connection.received(encode_frame(between) + encode_frame(wanted))
             assert inbox.paused and list(inbox.stored) == [parked.message_id]
             # Demand reopens the inbox so the connection runs past the limit...
             future = inbox.demand(wanted.message_id, asyncio.get_running_loop())
@@ -362,14 +362,14 @@ class TestInboxBackpressure:
             assert wanted.message_id not in inbox.stored
             # With the demand met the bound holds again: the next frame parks the reader.
             inbox.waiters.clear()
-            connection.data_received(encode_frame(Message("a:1", "b:1", "later")))
+            connection.received(encode_frame(Message("a:1", "b:1", "later")))
             assert inbox.paused and not connection.transport.reading
 
         loop.run_until_complete(scenario())
 
     def test_a_connection_opened_on_a_full_inbox_starts_paused(self):
         _, inbox, first = self._connection(limit=1)
-        first.data_received(encode_frame(Message("a:1", "b:1", "fills-it")))
+        first.received(encode_frame(Message("a:1", "b:1", "fills-it")))
         second = _Receiver(first.owner, "b:1")
         second.connection_made(_Socket())
         assert not second.transport.reading

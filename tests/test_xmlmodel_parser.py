@@ -1,5 +1,7 @@
 """Tests for XML parsing and serialization."""
 
+from xml.sax import saxutils
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from repro.xmlmodel import (
     serialized_size,
     text_element,
 )
+from repro.xmlmodel.parser import escape, quoteattr
 
 
 class TestParse:
@@ -57,6 +60,12 @@ class TestSerialize:
     def test_attribute_quoting(self):
         node = element("item", {"note": 'say "hi"'})
         assert parse_xml(serialize_xml(node)).get("note") == 'say "hi"'
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(list("ab &<>\"'\n\r\té#;")), max_size=24))
+    def test_escaping_writes_what_saxutils_writes(self, text):
+        assert escape(text) == saxutils.escape(text, {"\r": "&#13;"})
+        assert quoteattr(text) == saxutils.quoteattr(text)
 
     def test_empty_element_self_closes(self):
         assert serialize_xml(element("empty", {})) == "<empty/>"
