@@ -29,7 +29,6 @@ from ..namespace import InterestArea, MultiHierarchicNamespace
 from ..network import (
     ChurnPlan,
     ChurnProfile,
-    FailureInjector,
     FaultPlan,
     LatencyModel,
     Network,
@@ -37,6 +36,7 @@ from ..network import (
     Topology,
     Transport,
     build_transport,
+    schedule_churn,
 )
 from ..peers import (
     BaseServer,
@@ -290,9 +290,8 @@ class Cluster:
         """
         if addresses is None:
             addresses = list(self._join_order)
-        injector = FailureInjector(self.network)
-        plan = injector.schedule_churn(
-            list(addresses), profile, window_ms=window_ms, seed=seed, regions=regions
+        plan = schedule_churn(
+            self.network, list(addresses), profile, window_ms=window_ms, seed=seed, regions=regions
         )
         self.churn_plans.append(plan)
         return plan

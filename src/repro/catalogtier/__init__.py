@@ -12,7 +12,6 @@ See ``docs/catalog.md`` for the walkthrough.
 
 from ..catalog.answercache import AnswerCache
 from .membership import ReplicaMembership
-from .reads import first_answer, quorum_answer
 from .reconcile import ReconcileResult, reconcile_authoritative
 from .shardmap import ReplicaGroup, ShardMap, shard_of_cell
 
@@ -21,8 +20,6 @@ __all__ = [
     "ReplicaGroup",
     "ShardMap",
     "shard_of_cell",
-    "first_answer",
-    "quorum_answer",
     "ReconcileResult",
     "reconcile_authoritative",
     "ReplicaMembership",

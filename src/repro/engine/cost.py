@@ -35,6 +35,8 @@ __all__ = ["CostEstimate", "CostModel", "DEFAULT_SELECT_SELECTIVITY", "DEFAULT_J
 
 DEFAULT_SELECT_SELECTIVITY = 0.25
 DEFAULT_JOIN_SELECTIVITY = 0.05
+_PER_ITEM_COST = 1.0
+_PER_BYTE_COST = 0.001
 _DEFAULT_LEAF_CARDINALITY = 100.0
 _DEFAULT_ITEM_BYTES = 200.0
 
@@ -58,17 +60,8 @@ class CostEstimate:
 class CostModel:
     """Estimates cardinalities and costs bottom-up over a plan tree."""
 
-    def __init__(
-        self,
-        select_selectivity: float = DEFAULT_SELECT_SELECTIVITY,
-        join_selectivity: float = DEFAULT_JOIN_SELECTIVITY,
-        per_item_cost: float = 1.0,
-        per_byte_cost: float = 0.001,
-    ) -> None:
-        self.select_selectivity = select_selectivity
+    def __init__(self, join_selectivity: float = DEFAULT_JOIN_SELECTIVITY) -> None:
         self.join_selectivity = join_selectivity
-        self.per_item_cost = per_item_cost
-        self.per_byte_cost = per_byte_cost
 
     # -- leaves ---------------------------------------------------------------- #
 
@@ -101,22 +94,22 @@ class CostModel:
 
         if isinstance(node, Select):
             input_estimate = child_estimates[0]
-            cardinality = input_estimate.cardinality * self.select_selectivity
-            cost = child_cost + input_estimate.cardinality * self.per_item_cost
+            cardinality = input_estimate.cardinality * DEFAULT_SELECT_SELECTIVITY
+            cost = child_cost + input_estimate.cardinality * _PER_ITEM_COST
         elif isinstance(node, Project):
             input_estimate = child_estimates[0]
             cardinality = input_estimate.cardinality
             avg_item_bytes = max(16.0, avg_item_bytes * 0.3)
-            cost = child_cost + input_estimate.cardinality * self.per_item_cost
+            cost = child_cost + input_estimate.cardinality * _PER_ITEM_COST
         elif isinstance(node, Join):
             left, right = child_estimates
             cardinality = left.cardinality * right.cardinality * self.join_selectivity
             if node.join_type == "left_outer":
                 cardinality = max(cardinality, left.cardinality)
-            cost = child_cost + (left.cardinality + right.cardinality) * self.per_item_cost
+            cost = child_cost + (left.cardinality + right.cardinality) * _PER_ITEM_COST
         elif isinstance(node, (Union,)):
             cardinality = sum(estimate.cardinality for estimate in child_estimates)
-            cost = child_cost + cardinality * self.per_item_cost * 0.1
+            cost = child_cost + cardinality * _PER_ITEM_COST * 0.1
         elif isinstance(node, ConjointOr):
             # Either branch suffices; assume the cheapest branch is chosen.
             best = min(child_estimates, key=lambda estimate: estimate.cost)
@@ -126,21 +119,21 @@ class CostModel:
         elif isinstance(node, Difference):
             left, right = child_estimates
             cardinality = max(0.0, left.cardinality - right.cardinality * 0.5)
-            cost = child_cost + (left.cardinality + right.cardinality) * self.per_item_cost
+            cost = child_cost + (left.cardinality + right.cardinality) * _PER_ITEM_COST
         elif isinstance(node, Aggregate):
             input_estimate = child_estimates[0]
             cardinality = 1.0 if node.group_path is None else max(1.0, input_estimate.cardinality * 0.1)
             avg_item_bytes = 64.0
-            cost = child_cost + input_estimate.cardinality * self.per_item_cost
+            cost = child_cost + input_estimate.cardinality * _PER_ITEM_COST
         elif isinstance(node, OrderBy):
             input_estimate = child_estimates[0]
             cardinality = input_estimate.cardinality
             sort_factor = max(1.0, input_estimate.cardinality)
-            cost = child_cost + sort_factor * self.per_item_cost * 2.0
+            cost = child_cost + sort_factor * _PER_ITEM_COST * 2.0
         elif isinstance(node, TopN):
             input_estimate = child_estimates[0]
             cardinality = min(float(node.limit), input_estimate.cardinality)
-            cost = child_cost + input_estimate.cardinality * self.per_item_cost
+            cost = child_cost + input_estimate.cardinality * _PER_ITEM_COST
         elif isinstance(node, Display):
             input_estimate = child_estimates[0]
             cardinality = input_estimate.cardinality
@@ -150,7 +143,7 @@ class CostModel:
             cost = child_cost
 
         output_bytes = cardinality * avg_item_bytes
-        cost += output_bytes * self.per_byte_cost
+        cost += output_bytes * _PER_BYTE_COST
         return CostEstimate(cardinality, output_bytes, cost)
 
     def _average_item_bytes(self, child_estimates: list[CostEstimate]) -> float:
@@ -164,7 +157,7 @@ class CostModel:
 
     def shipping_cost(self, estimate: CostEstimate) -> float:
         """Cost of shipping a result of the estimated size to another peer."""
-        return estimate.bytes * self.per_byte_cost
+        return estimate.bytes * _PER_BYTE_COST
 
     def reduces_plan_size(self, node: PlanNode) -> bool:
         """Heuristic: does evaluating ``node`` shrink what must be shipped?

@@ -6,7 +6,7 @@ from .experiment import (
     run_cd_query_coordinator,
     run_cd_query_mqp,
 )
-from .report import format_series, format_summary, format_table, to_json, write_json_report
+from .report import format_summary, format_table, to_json, write_json_report
 from .scaleout import (
     ROUTING_KINDS,
     ScaleoutScenario,
@@ -32,6 +32,5 @@ __all__ = [
     "run_cd_query_mqp",
     "run_cd_query_coordinator",
     "format_table",
-    "format_series",
     "format_summary",
 ]

@@ -1,8 +1,9 @@
-"""Plain-text tables and series for the benchmark harness.
+"""Reports: a scale-out run's JSON document, plain-text tables, row logs.
 
-Every benchmark prints the rows or series it reproduces (the paper has no
-numeric tables, so these are the measurable versions of its qualitative
-claims); ``EXPERIMENTS.md`` records the same output.  The formatting here is
+:func:`scenario_report` reduces a finished scale-out run to its report.
+Every benchmark prints the rows it reproduces (the paper has no numeric
+tables, so these are the measurable versions of its qualitative claims);
+``docs/experiments.md`` records the same output.  The formatting here is
 deliberately dependency-free: aligned monospace tables that survive being
 pasted into Markdown code blocks.
 """
@@ -12,18 +13,24 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import asdict, fields
+from typing import IO, TYPE_CHECKING, Mapping, Sequence
+
+from ..peers import QueryPeer
+
+if TYPE_CHECKING:
+    from .scaleout import ScaleoutScenario
+    from .spec import ScaleoutSpec
 
 __all__ = [
     "format_table",
-    "format_series",
     "format_summary",
     "to_json",
     "write_json_report",
     "jsonl_line",
-    "write_jsonl",
-    "write_csv",
     "RowLog",
+    "scenario_dict",
+    "scenario_report",
 ]
 
 
@@ -60,23 +67,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    x_label: str,
-    x_values: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-    title: str | None = None,
-    precision: int = 2,
-) -> str:
-    """Render one or more y-series against a shared x-axis (a figure as text)."""
-    rows = []
-    for index, x_value in enumerate(x_values):
-        row: dict[str, object] = {x_label: x_value}
-        for name, values in series.items():
-            row[name] = values[index]
-        rows.append(row)
-    return format_table(rows, [x_label, *series.keys()], title=title, precision=precision)
-
-
 def format_summary(summary: Mapping[str, float], title: str | None = None, precision: int = 2) -> str:
     """Render a flat metric dictionary as a two-column table."""
     rows = [{"metric": key, "value": value} for key, value in summary.items()]
@@ -109,33 +99,6 @@ def write_json_report(path: str | pathlib.Path, payload: Mapping[str, object]) -
 def jsonl_line(row: Mapping[str, object]) -> str:
     """One JSONL line: compact, insertion-ordered, deterministic."""
     return json.dumps(row, sort_keys=False, separators=(", ", ": "), default=str)
-
-
-def write_jsonl(path: str | pathlib.Path, rows: Iterable[Mapping[str, object]]) -> pathlib.Path:
-    """Write rows as JSON Lines, creating parent directories as needed."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(jsonl_line(row) + "\n")
-    return target
-
-
-def write_csv(
-    path: str | pathlib.Path,
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-) -> pathlib.Path:
-    """Write rows as CSV; columns default to the first row's keys."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fieldnames = list(columns) if columns is not None else (list(rows[0].keys()) if rows else [])
-    with target.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(dict(row))
-    return target
 
 
 class RowLog:
@@ -196,3 +159,172 @@ class RowLog:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+# --------------------------------------------------------------------------- #
+# The scale-out report
+# --------------------------------------------------------------------------- #
+
+_ELIDED_AT_DEFAULT = (
+    "query_mix",
+    "free_rider_fraction",
+    "catalog_mode",
+    "reliable",
+    "fault_loss",
+    "fault_duplicate",
+    "fault_delay",
+    "fault_reorder",
+    "fault_partition",
+    "subscribers",
+    "mutation_rounds",
+    "catalog_shards",
+    "catalog_replicas",
+    "catalog_outages",
+)
+"""Spec fields left out of the report's scenario block at their defaults.
+
+The adversary, fault, subscription and catalog-tier knobs: a report that
+sets none of them reads as it did before the knob existed."""
+
+
+def scenario_dict(spec: "ScaleoutSpec") -> dict[str, object]:
+    """The report's ``scenario`` block: every spec field, less the
+    :data:`_ELIDED_AT_DEFAULT` ones still at their defaults."""
+    defaults = {each.name: each.default for each in fields(spec)}
+    return {
+        key: value
+        for key, value in asdict(spec).items()
+        if key not in _ELIDED_AT_DEFAULT or value != defaults[key]
+    }
+
+
+def scenario_report(scenario: "ScaleoutScenario", query_ids: list[str]) -> dict[str, object]:
+    """The JSON-ready report of a scale-out run whose clock has run down.
+
+    Everything in it derives from seeded state, so one spec gives one
+    document on every transport; a feature block appears only when its
+    spec knobs are set.
+    """
+    spec = scenario.spec
+    network = scenario.network
+    summary = {key: round(value, 3) for key, value in network.metrics.summary().items()}
+
+    query_rows = []
+    for position, query_id in enumerate(query_ids):
+        trace = network.metrics.trace(query_id)
+        query_rows.append(
+            {
+                # Positional label, not the raw id: plan ids come from a
+                # process-global counter and would break run-to-run
+                # determinism of the report.
+                "query": f"q{position}",
+                "answers": trace.answers,
+                "expected": trace.expected_answers,
+                "recall": round(trace.recall, 3) if trace.recall is not None else None,
+                "latency_ms": round(trace.latency_ms, 3) if trace.latency_ms is not None else None,
+                "peers_visited": trace.distinct_peers,
+                "messages": trace.messages,
+            }
+        )
+
+    report: dict[str, object] = {
+        "scenario": scenario_dict(spec),
+        "population": {
+            "data_peers": len(scenario.data_peers),
+            "index_servers": len(scenario.index_servers),
+            "meta_index_servers": 1 if scenario.meta_index is not None else 0,
+            "clients": 1,
+            "total_nodes": scenario.total_peers,
+            "registrations": scenario.registrations,
+        },
+        "topology": scenario.topology.summary(),
+        "churn": scenario.churn_plan.summary()
+        if scenario.churn_plan is not None
+        else {"profile": spec.churn, "events": 0, "leaves": 0, "crashes": 0, "rejoins": 0},
+        "traffic": summary,
+        "queries": query_rows,
+    }
+
+    peers = [node for node in network.nodes() if isinstance(node, QueryPeer)]
+
+    if spec.routing == "mqp":
+        forwarding = [peer.forwarding for peer in peers]
+        report["processing"] = {
+            "plans_processed": sum(each.plans_processed for each in forwarding),
+            "plans_forwarded": sum(each.plans_forwarded for each in forwarding),
+            "plans_stuck": sum(each.plans_stuck for each in forwarding),
+            "plans_rerouted": sum(each.plans_rerouted for each in forwarding),
+            "dead_letters": sum(len(peer.transfers.dead_letters) for peer in peers),
+            "eval_memo_hits": sum(peer.processor.evaluations.hits for peer in peers),
+        }
+
+    if spec.reliable or network.faults.active:
+        transfers = [peer.transfers for peer in peers]
+        report["resilience"] = {
+            "reliable": spec.reliable,
+            "faults": network.metrics.fault_summary(),
+            "retries_sent": sum(each.retries_sent for each in transfers),
+            "transfers_failed": sum(each.transfers_failed for each in transfers),
+            "duplicates_dropped": sum(each.duplicates_dropped for each in transfers),
+            "acks_sent": sum(each.acks_sent for each in transfers),
+            "dead_letters_by_kind": dict(
+                sorted(network.metrics.dead_letters_by_kind.items())
+            ),
+        }
+
+    if spec.subscribers > 0:
+        feeds = [peer.subscriptions for peer in peers]
+        delivered = [
+            scenario.cluster.session(address).peer.subscriptions.deltas_delivered
+            for address in scenario.subscriber_addresses
+        ]
+        report["subscriptions"] = {
+            "subscribers": spec.subscribers,
+            "mutation_rounds": spec.mutation_rounds,
+            "hot_publishers": len(scenario.hot_publishers),
+            "armed": sum(len(each.armed) for each in feeds),
+            "deltas_published": sum(each.deltas_published for each in feeds),
+            "deltas_delivered": sum(delivered),
+            "delivery_min": min(delivered) if delivered else 0,
+            "delivery_max": max(delivered) if delivered else 0,
+            "delta_duplicates": sum(each.delta_duplicates for each in feeds),
+            "delta_gaps": sum(each.delta_gaps for each in feeds),
+            "authority_conflicts": sum(each.authority_conflicts for each in feeds),
+            "resubscribes": sum(each.resubscribes for each in feeds),
+        }
+
+    if spec.catalog_shards > 0 and scenario.shard_map is not None:
+        tier = scenario.cluster.catalog_tier_stats()
+        report["catalog_tier"] = {
+            "shards": spec.catalog_shards,
+            "replicas": spec.catalog_replicas,
+            "replica_servers": len(scenario.index_servers),
+            "outages": len(scenario.replica_outages),
+            "answer_cache": tier["answer_cache"],
+            "tier_failovers": tier["tier_failovers"],
+            "reconciliations": tier["reconciliations"],
+            "recon_entries_adopted": tier["recon_entries_adopted"],
+            "recon_conflicts": tier["recon_conflicts"],
+        }
+
+    if (
+        scenario.free_riders
+        or scenario.stale_crashed
+        or scenario.poisoned_entries
+        or scenario.flash_schedule is not None
+        or spec.query_mix != "steady"
+    ):
+        adversary: dict[str, object] = {
+            "query_mix": spec.query_mix,
+            "free_riders": len(scenario.free_riders),
+            "stale_crashes": len(scenario.stale_crashed),
+            "poisoned_entries": scenario.poisoned_entries,
+        }
+        if scenario.flash_schedule is not None:
+            adversary["burst"] = {
+                "size": scenario.flash_schedule.burst_size,
+                "at_ms": round(scenario.flash_schedule.burst_at_ms, 3),
+                "width_ms": scenario.flash_schedule.burst_width_ms,
+            }
+        report["adversary"] = adversary
+    return report

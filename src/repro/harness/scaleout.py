@@ -5,12 +5,13 @@ This module composes the parametric pieces — topology generators
 (:mod:`repro.network.failures`), the MQP pipeline with its evaluation cache
 (:class:`repro.mqp.processor.MQPProcessor`) — into named, seeded scenarios
 of ten to 1,000+ peers, runs them on the deterministic simulator, and
-reduces the outcome to a JSON-ready report.  The paper's strategy
+reduces the outcome to a JSON-ready report
+(:func:`repro.harness.report.scenario_report`).  The paper's strategy
 comparison (:func:`repro.harness.experiment.compare_routing_strategies`) is
 four such specs differing only in ``routing``.
 
-A scenario is fully described by a :class:`ScaleoutSpec`; the CLI
-(:mod:`repro.harness.cli`) is a thin argument parser over this module.
+A scenario is fully described by a :class:`~repro.harness.spec.ScaleoutSpec`;
+the CLI (:mod:`repro.harness.cli`) is a thin argument parser over this module.
 Scenario construction and query issuance go through the public client API
 (:mod:`repro.api`): a :class:`~repro.api.Cluster` owns the network,
 transport, topology wiring and churn schedule, and MQP queries are issued
@@ -21,13 +22,12 @@ consumer of the same surface external callers use.
 from __future__ import annotations
 
 import gc
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..algebra import PlanBuilder
 from ..api import Cluster
 from ..catalogtier import ShardMap, shard_of_cell
-from ..errors import SimulationError
 from ..namespace import (
     CategoryPath,
     InterestArea,
@@ -38,10 +38,8 @@ from ..namespace import (
 from ..network import (
     CHURN_PROFILES,
     ChurnPlan,
-    FaultPlan,
     LatencyModel,
     Network,
-    TOPOLOGY_KINDS,
     Topology,
     Transport,
     build_topology,
@@ -58,8 +56,6 @@ from ..workloads import (
     query_plan_for,
 )
 from ..workloads.adversarial import (
-    CATALOG_MODES,
-    QUERY_MIXES,
     FlashCrowdSchedule,
     flash_crowd_schedule,
     lying_area_swaps,
@@ -70,6 +66,8 @@ from ..workloads.adversarial import (
 )
 from ..workloads.distributions import make_rng
 from ..xmlmodel import XMLElement
+from .report import scenario_report
+from .spec import ROUTING_KINDS, WORKLOAD_KINDS, ScaleoutSpec
 
 __all__ = [
     "ScaleoutSpec",
@@ -85,9 +83,6 @@ __all__ = [
     "ROUTING_INDEX_WANTED",
 ]
 
-WORKLOAD_KINDS = ("garage-sale", "gene-expression")
-ROUTING_KINDS = ("mqp", "gnutella", "napster", "routing-index")
-
 GNUTELLA_HORIZON = 3
 """Hops a Gnutella baseline query floods before its TTL runs out."""
 
@@ -99,139 +94,6 @@ _CELL_FIELDS = {
     "garage-sale": GarageSaleWorkload.CELL_FIELDS,
     "gene-expression": GeneExpressionWorkload.CELL_FIELDS,
 }
-
-
-@dataclass(frozen=True)
-class ScaleoutSpec:
-    """Everything that defines a scale-out run (and seeds its determinism).
-
-    ``peers`` counts the *data-serving* peers; the infrastructure the
-    routing strategy needs on top (index servers, a meta-index, the client,
-    a central Napster index, …) is derived and reported separately.
-    """
-
-    name: str = "custom"
-    topology: str = "scale-free"
-    peers: int = 1000
-    workload: str = "gene-expression"
-    churn: str = "none"
-    routing: str = "mqp"
-    queries: int = 12
-    seed: int = 11
-    churn_window_ms: tuple[float, float] = (200.0, 4_000.0)
-    query_interval_ms: float = 400.0
-    prefer: str = "complete"
-    max_hops: int = 48
-    # Adversarial knobs (repro.workloads.adversarial).  At their defaults
-    # the scenario is the cooperative one and reports stay byte-identical
-    # to pre-adversarial builds (the defaults are elided from the report's
-    # scenario block — see _scenario_dict).
-    query_mix: str = "steady"
-    free_rider_fraction: float = 0.0
-    catalog_mode: str = "honest"
-    # Resilience knobs (repro.network.faults + Cluster(reliable=...)).
-    # Defaults keep the network fault-free and fire-and-forget — and are
-    # elided from the report, preserving pre-resilience byte-identity.
-    reliable: bool = False
-    fault_loss: float = 0.0
-    fault_duplicate: float = 0.0
-    fault_delay: float = 0.0
-    fault_reorder: float = 0.0
-    fault_partition: tuple[float, float] | None = None
-    # Continuous-query knobs.  ``subscribers`` standing-query clients are
-    # armed over the workload's query areas and ``mutation_rounds`` rounds
-    # of publisher mutations drive their delta feeds.  The zero defaults
-    # are elided from the report — runs without subscribers stay
-    # byte-identical to pre-subscription builds.
-    subscribers: int = 0
-    mutation_rounds: int = 0
-    # Catalog-tier knobs (repro.catalogtier).  With
-    # ``catalog_shards > 0`` the authoritative index layer becomes
-    # ``catalog_shards`` replica groups of ``catalog_replicas`` servers
-    # each, and ``catalog_outages`` replicas of group 0 crash mid-schedule
-    # and rejoin (reconciling on the way back).  The zero defaults are
-    # elided from the report — unsharded runs stay byte-identical to
-    # pre-tier builds.
-    catalog_shards: int = 0
-    catalog_replicas: int = 0
-    catalog_outages: int = 0
-
-    def fault_plan(self) -> FaultPlan:
-        """The seeded link-fault plan this spec describes.
-
-        Derived seed ``seed + 8`` continues the adversary convention: fault
-        decisions never perturb churn, latency, or adversary draws, so grid
-        cells stay comparable across knob combinations.
-        """
-        return FaultPlan(
-            seed=self.seed + 8,
-            loss=self.fault_loss,
-            duplicate=self.fault_duplicate,
-            delay=self.fault_delay,
-            reorder=self.fault_reorder,
-            partition=self.fault_partition,
-        )
-
-    def validate(self) -> None:
-        """Fail fast on values the builders cannot honour."""
-        if self.topology not in TOPOLOGY_KINDS:
-            raise SimulationError(f"unknown topology {self.topology!r}: use one of {TOPOLOGY_KINDS}")
-        if self.workload not in WORKLOAD_KINDS:
-            raise SimulationError(f"unknown workload {self.workload!r}: use one of {WORKLOAD_KINDS}")
-        if self.routing not in ROUTING_KINDS:
-            raise SimulationError(f"unknown routing {self.routing!r}: use one of {ROUTING_KINDS}")
-        if self.churn not in CHURN_PROFILES:
-            raise SimulationError(
-                f"unknown churn profile {self.churn!r}: use one of {tuple(sorted(CHURN_PROFILES))}"
-            )
-        if self.peers < 4:
-            raise SimulationError("scale-out scenarios need at least 4 peers")
-        if self.queries < 1:
-            raise SimulationError("at least one query is required")
-        if self.query_mix not in QUERY_MIXES:
-            raise SimulationError(
-                f"unknown query mix {self.query_mix!r}: use one of {QUERY_MIXES}"
-            )
-        if self.catalog_mode not in CATALOG_MODES:
-            raise SimulationError(
-                f"unknown catalog mode {self.catalog_mode!r}: use one of {CATALOG_MODES}"
-            )
-        if not 0.0 <= self.free_rider_fraction <= 1.0:
-            raise SimulationError(
-                f"free_rider_fraction must be in [0, 1], got {self.free_rider_fraction}"
-            )
-        if self.free_rider_fraction > 0.0 and self.routing != "mqp":
-            raise SimulationError("free riders are an MQP-routing adversary")
-        self.fault_plan().validate()
-        if self.reliable and self.routing != "mqp":
-            raise SimulationError(
-                "reliable delivery is the MQP stack's protocol; baselines are fire-and-forget"
-            )
-        if self.subscribers < 0 or self.mutation_rounds < 0:
-            raise SimulationError("subscribers and mutation_rounds must be non-negative")
-        if self.subscribers > 0 and self.routing != "mqp":
-            raise SimulationError(
-                "continuous queries are the MQP stack's protocol; baselines poll"
-            )
-        if self.mutation_rounds > 0 and self.subscribers == 0:
-            raise SimulationError("mutation_rounds without subscribers drives no feed")
-        if min(self.catalog_shards, self.catalog_replicas, self.catalog_outages) < 0:
-            raise SimulationError("catalog tier knobs must be non-negative")
-        if (self.catalog_shards > 0) != (self.catalog_replicas > 0):
-            raise SimulationError(
-                "catalog_shards and catalog_replicas are set together (or both zero)"
-            )
-        if self.catalog_shards > 0 and self.routing != "mqp":
-            raise SimulationError(
-                "the catalog tier shards the MQP stack's catalog; baselines have none"
-            )
-        if self.catalog_outages > 0:
-            if self.catalog_shards == 0:
-                raise SimulationError("catalog_outages requires the catalog tier")
-            if self.catalog_outages >= self.catalog_replicas:
-                raise SimulationError(
-                    "catalog_outages must leave at least one surviving replica per group"
-                )
 
 
 @dataclass
@@ -366,23 +228,25 @@ _POPULATIONS = {
 # --------------------------------------------------------------------------- #
 
 
-def _index_areas(namespace: MultiHierarchicNamespace, data_peers: list[_DataPeer]) -> list[InterestArea]:
-    """One authoritative index area per populated second-level region.
+def _region(cell: InterestCell) -> tuple[str, ...] | None:
+    """The depth-2 prefix of ``cell``'s first dimension (``None`` above it).
 
-    Both built-in namespaces put the meaningful fan-out at depth 2 of their
-    first dimension (states for Location, major clades for Organism), so
-    each populated depth-2 prefix gets an authoritative index server over
-    ``[prefix, *]``, mirroring the per-state indexes of the seed scenarios.
+    Both built-in namespaces put their meaningful fan-out there — states for
+    Location, major clades for Organism — so a region is what one
+    authoritative index server covers and what a correlated failure takes
+    down together.
     """
-    prefixes: set[tuple[str, ...]] = set()
-    for peer in data_peers:
-        for cell in peer.area:
-            segments = cell.coordinate(0).segments
-            if len(segments) >= 2:
-                prefixes.add(tuple(segments[:2]))
+    segments = cell.coordinate(0).segments
+    return tuple(segments[:2]) if len(segments) >= 2 else None
+
+
+def _index_areas(data_peers: list[_DataPeer]) -> list[InterestArea]:
+    """One authoritative index area, ``[region, *]``, per populated :func:`_region`
+    (the per-state indexes of the seed scenarios)."""
+    regions = {region for peer in data_peers for region in map(_region, peer.area) if region}
     return [
-        InterestArea([InterestCell((CategoryPath(list(prefix)), CategoryPath()))])
-        for prefix in sorted(prefixes)
+        InterestArea([InterestCell((CategoryPath(list(region)), CategoryPath()))])
+        for region in sorted(regions)
     ]
 
 
@@ -396,7 +260,7 @@ def _build_mqp_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
     if spec.catalog_shards > 0:
         scenario.shard_map = _build_catalog_tier(spec, scenario)
     else:
-        for position, area in enumerate(_index_areas(scenario.namespace, scenario.data_peers)):
+        for position, area in enumerate(_index_areas(scenario.data_peers)):
             scenario.index_servers.append(
                 cluster.index_server(f"index-{position:02d}:9020", area).peer
             )
@@ -438,7 +302,7 @@ def _place_index_areas(areas: list[InterestArea], shards: int) -> list[InterestA
 def _build_catalog_tier(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> ShardMap:
     """Stand up the sharded index layer: one replica group per shard.
 
-    Each populated second-level index area (see :func:`_index_areas`) is
+    Each populated region's index area (see :func:`_index_areas`) is
     placed on a shard by hashing its single cell; a shard's replicas are
     authoritative over the union of the areas placed on it, and the shard
     map records that union as what the group owns.  A shard nothing was
@@ -449,7 +313,7 @@ def _build_catalog_tier(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> Shard
     """
     cluster = scenario.cluster
     owned_by_shard = _place_index_areas(
-        _index_areas(scenario.namespace, scenario.data_peers), spec.catalog_shards
+        _index_areas(scenario.data_peers), spec.catalog_shards
     )
     members_by_shard: list[list[str]] = []
     for shard, owned in enumerate(owned_by_shard):
@@ -588,22 +452,12 @@ def build_scaleout_scenario(
 
 
 def _regions_of(scenario: ScaleoutScenario) -> dict[str, str]:
-    """Address → region key, for correlated churn.
-
-    Both built-in namespaces concentrate their meaningful fan-out at depth 2
-    of the first dimension (states, major clades) — the same grouping the
-    authoritative index servers use — so that prefix is the natural blast
-    radius of a correlated failure.
-    """
+    """Address → the :func:`_region` of its first cell that has one, for
+    correlated churn (``"?"`` for a peer with none)."""
     regions: dict[str, str] = {}
     for peer in scenario.data_peers:
-        prefix: tuple[str, ...] = ()
-        for cell in peer.area:
-            segments = cell.coordinate(0).segments
-            if len(segments) >= 2:
-                prefix = tuple(segments[:2])
-                break
-        regions[peer.address] = "/".join(prefix) if prefix else "?"
+        region = next(filter(None, map(_region, peer.area)), None)
+        regions[peer.address] = "/".join(region) if region else "?"
     return regions
 
 
@@ -839,7 +693,7 @@ def run_scenario(
                 if trace.completed_at is None:
                     trace.completed_at = cluster.now
 
-            return scenario, _report(scenario, query_ids)
+            return scenario, scenario_report(scenario, query_ids)
     finally:
         if freeze:
             gc.unfreeze()
@@ -873,181 +727,3 @@ def schedule_queries(scenario: ScaleoutScenario) -> list[str]:
 
         network.schedule_at(at, fire)
     return query_ids
-
-
-_ADVERSARY_DEFAULTS = {
-    "query_mix": "steady",
-    "free_rider_fraction": 0.0,
-    "catalog_mode": "honest",
-}
-"""Spec fields elided from the report when at their cooperative defaults.
-
-Flag-off reports thereby stay byte-identical to pre-adversarial builds (the
-same invariant the transport layer keeps across backends)."""
-
-_RESILIENCE_DEFAULTS = {
-    "reliable": False,
-    "fault_loss": 0.0,
-    "fault_duplicate": 0.0,
-    "fault_delay": 0.0,
-    "fault_reorder": 0.0,
-    "fault_partition": None,
-}
-"""Resilience spec fields elided at their fault-free defaults — the same
-byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
-
-_SUBSCRIPTION_DEFAULTS = {
-    "subscribers": 0,
-    "mutation_rounds": 0,
-}
-"""Continuous-query spec fields elided at their zero defaults — the
-same byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
-
-_CATALOG_TIER_DEFAULTS = {
-    "catalog_shards": 0,
-    "catalog_replicas": 0,
-    "catalog_outages": 0,
-}
-"""Catalog-tier spec fields elided at their zero defaults — the same
-byte-identity convention as :data:`_ADVERSARY_DEFAULTS`."""
-
-_ELIDED_DEFAULTS = {
-    **_ADVERSARY_DEFAULTS,
-    **_RESILIENCE_DEFAULTS,
-    **_SUBSCRIPTION_DEFAULTS,
-    **_CATALOG_TIER_DEFAULTS,
-}
-
-
-def _scenario_dict(spec: ScaleoutSpec) -> dict[str, object]:
-    return {
-        key: value
-        for key, value in asdict(spec).items()
-        if key not in _ELIDED_DEFAULTS or value != _ELIDED_DEFAULTS[key]
-    }
-
-
-def _report(scenario: ScaleoutScenario, query_ids: list[str]) -> dict[str, object]:
-    spec = scenario.spec
-    network = scenario.network
-    summary = {key: round(value, 3) for key, value in network.metrics.summary().items()}
-
-    query_rows = []
-    for position, query_id in enumerate(query_ids):
-        trace = network.metrics.trace(query_id)
-        query_rows.append(
-            {
-                # Positional label, not the raw id: plan ids come from a
-                # process-global counter and would break run-to-run
-                # determinism of the report.
-                "query": f"q{position}",
-                "answers": trace.answers,
-                "expected": trace.expected_answers,
-                "recall": round(trace.recall, 3) if trace.recall is not None else None,
-                "latency_ms": round(trace.latency_ms, 3) if trace.latency_ms is not None else None,
-                "peers_visited": trace.distinct_peers,
-                "messages": trace.messages,
-            }
-        )
-
-    report: dict[str, object] = {
-        "scenario": _scenario_dict(spec),
-        "population": {
-            "data_peers": len(scenario.data_peers),
-            "index_servers": len(scenario.index_servers),
-            "meta_index_servers": 1 if scenario.meta_index is not None else 0,
-            "clients": 1,
-            "total_nodes": scenario.total_peers,
-            "registrations": scenario.registrations,
-        },
-        "topology": scenario.topology.summary(),
-        "churn": scenario.churn_plan.summary()
-        if scenario.churn_plan is not None
-        else {"profile": spec.churn, "events": 0, "leaves": 0, "crashes": 0, "rejoins": 0},
-        "traffic": summary,
-        "queries": query_rows,
-    }
-
-    peers = [node for node in network.nodes() if isinstance(node, QueryPeer)]
-
-    if spec.routing == "mqp":
-        forwarding = [peer.forwarding for peer in peers]
-        report["processing"] = {
-            "plans_processed": sum(each.plans_processed for each in forwarding),
-            "plans_forwarded": sum(each.plans_forwarded for each in forwarding),
-            "plans_stuck": sum(each.plans_stuck for each in forwarding),
-            "plans_rerouted": sum(each.plans_rerouted for each in forwarding),
-            "dead_letters": sum(len(peer.transfers.dead_letters) for peer in peers),
-            "eval_memo_hits": sum(peer.processor.evaluations.hits for peer in peers),
-        }
-
-    if spec.reliable or network.faults.active:
-        transfers = [peer.transfers for peer in peers]
-        report["resilience"] = {
-            "reliable": spec.reliable,
-            "faults": network.metrics.fault_summary(),
-            "retries_sent": sum(each.retries_sent for each in transfers),
-            "transfers_failed": sum(each.transfers_failed for each in transfers),
-            "duplicates_dropped": sum(each.duplicates_dropped for each in transfers),
-            "acks_sent": sum(each.acks_sent for each in transfers),
-            "dead_letters_by_kind": dict(
-                sorted(network.metrics.dead_letters_by_kind.items())
-            ),
-        }
-
-    if spec.subscribers > 0:
-        feeds = [peer.subscriptions for peer in peers]
-        delivered = [
-            scenario.cluster.session(address).peer.subscriptions.deltas_delivered
-            for address in scenario.subscriber_addresses
-        ]
-        report["subscriptions"] = {
-            "subscribers": spec.subscribers,
-            "mutation_rounds": spec.mutation_rounds,
-            "hot_publishers": len(scenario.hot_publishers),
-            "armed": sum(len(each.armed) for each in feeds),
-            "deltas_published": sum(each.deltas_published for each in feeds),
-            "deltas_delivered": sum(delivered),
-            "delivery_min": min(delivered) if delivered else 0,
-            "delivery_max": max(delivered) if delivered else 0,
-            "delta_duplicates": sum(each.delta_duplicates for each in feeds),
-            "delta_gaps": sum(each.delta_gaps for each in feeds),
-            "authority_conflicts": sum(each.authority_conflicts for each in feeds),
-            "resubscribes": sum(each.resubscribes for each in feeds),
-        }
-
-    if spec.catalog_shards > 0 and scenario.shard_map is not None:
-        tier = scenario.cluster.catalog_tier_stats()
-        report["catalog_tier"] = {
-            "shards": spec.catalog_shards,
-            "replicas": spec.catalog_replicas,
-            "replica_servers": len(scenario.index_servers),
-            "outages": len(scenario.replica_outages),
-            "answer_cache": tier["answer_cache"],
-            "tier_failovers": tier["tier_failovers"],
-            "reconciliations": tier["reconciliations"],
-            "recon_entries_adopted": tier["recon_entries_adopted"],
-            "recon_conflicts": tier["recon_conflicts"],
-        }
-
-    if (
-        scenario.free_riders
-        or scenario.stale_crashed
-        or scenario.poisoned_entries
-        or scenario.flash_schedule is not None
-        or spec.query_mix != "steady"
-    ):
-        adversary: dict[str, object] = {
-            "query_mix": spec.query_mix,
-            "free_riders": len(scenario.free_riders),
-            "stale_crashes": len(scenario.stale_crashed),
-            "poisoned_entries": scenario.poisoned_entries,
-        }
-        if scenario.flash_schedule is not None:
-            adversary["burst"] = {
-                "size": scenario.flash_schedule.burst_size,
-                "at_ms": round(scenario.flash_schedule.burst_at_ms, 3),
-                "width_ms": scenario.flash_schedule.burst_width_ms,
-            }
-        report["adversary"] = adversary
-    return report

@@ -186,7 +186,6 @@ class MQPProcessor:
         cache: RoutingCache | None = None,
         optimizer: Optimizer | None = None,
         policy: PolicyManager | None = None,
-        annotate_statistics: bool = True,
         max_hops: int = 32,
         max_buffered_items: int | None = None,
     ) -> None:
@@ -201,7 +200,6 @@ class MQPProcessor:
         self.cache = cache if cache is not None else RoutingCache()
         self.optimizer = optimizer or Optimizer()
         self.policy = policy or PolicyManager()
-        self.annotate_statistics = annotate_statistics
         self.max_hops = max_hops
         self.max_buffered_items = max_buffered_items
         self.binder = Binder(catalog)
@@ -694,11 +692,10 @@ class MQPProcessor:
 
     def _result_leaf(self, items: list[XMLElement]) -> VerbatimData:
         leaf = VerbatimData.from_items(items, tag="result", copy_items=False)
-        if self.annotate_statistics:
-            # The size annotated is measured on the text that will be shipped.
-            statistics = CollectionStatistics(len(items), leaf.items_size())
-            for key, value in statistics.to_annotations().items():
-                leaf.annotate(key, value)
+        # The size annotated is measured on the text that will be shipped.
+        statistics = CollectionStatistics(len(items), leaf.items_size())
+        for key, value in statistics.to_annotations().items():
+            leaf.annotate(key, value)
         return leaf
 
     # ------------------------------------------------------------------ #

@@ -8,7 +8,6 @@ from .builtin import (
     merchandise_hierarchy,
     organism_hierarchy,
 )
-from .category_service import CategoryService, Delegation
 from .hierarchy import TOP, CategoryPath, Hierarchy
 from .interest import InterestArea, InterestCell, MultiHierarchicNamespace
 from .urn import (
@@ -37,8 +36,6 @@ __all__ = [
     "encode_interest_area",
     "decode_interest_area",
     "INTEREST_AREA_NAMESPACE",
-    "CategoryService",
-    "Delegation",
     "location_hierarchy",
     "merchandise_hierarchy",
     "garage_sale_namespace",

@@ -9,8 +9,7 @@ from .failures import (
     ChurnEvent,
     ChurnPlan,
     ChurnProfile,
-    FailureEvent,
-    FailureInjector,
+    schedule_churn,
 )
 from .faults import FaultInjector, FaultOutcome, FaultPlan, stable_unit
 from .latency import LatencyModel
@@ -60,8 +59,7 @@ __all__ = [
     "small_world_topology",
     "hierarchical_topology",
     "star_topology",
-    "FailureInjector",
-    "FailureEvent",
+    "schedule_churn",
     "FaultPlan",
     "FaultInjector",
     "FaultOutcome",

@@ -12,7 +12,17 @@ from __future__ import annotations
 
 from ..rng import default_rng
 
-__all__ = ["LatencyModel"]
+__all__ = ["LatencyModel", "BASE_LATENCY_MS", "JITTER_MS", "LOCAL_LATENCY_MS"]
+
+BASE_LATENCY_MS = 20.0
+"""Mean one-way propagation delay between two peers."""
+
+JITTER_MS = 10.0
+"""Half-width of the uniform jitter added per directed link (drawn once,
+then fixed)."""
+
+LOCAL_LATENCY_MS = 0.1
+"""Delay charged when a peer "sends" to itself (loopback work)."""
 
 
 class LatencyModel:
@@ -20,42 +30,25 @@ class LatencyModel:
 
     Parameters
     ----------
-    base_latency_ms:
-        Mean one-way propagation delay between two peers.
-    jitter_ms:
-        Half-width of the uniform jitter added per link (sampled once per
-        directed link, then fixed).
     bandwidth_bytes_per_ms:
         Link throughput used to convert message size into transfer time.
-    local_latency_ms:
-        Delay applied when a peer "sends" to itself (loopback work).
     seed:
         Seed for the per-link jitter.
     """
 
-    def __init__(
-        self,
-        base_latency_ms: float = 20.0,
-        jitter_ms: float = 10.0,
-        bandwidth_bytes_per_ms: float = 1_000.0,
-        local_latency_ms: float = 0.1,
-        seed: int = 7,
-    ) -> None:
-        self.base_latency_ms = float(base_latency_ms)
-        self.jitter_ms = float(jitter_ms)
+    def __init__(self, bandwidth_bytes_per_ms: float = 1_000.0, seed: int = 7) -> None:
         self.bandwidth_bytes_per_ms = float(bandwidth_bytes_per_ms)
-        self.local_latency_ms = float(local_latency_ms)
         self._rng = default_rng(seed)
         self._link_latency: dict[tuple[str, str], float] = {}
 
     def propagation_delay(self, sender: str, recipient: str) -> float:
         """One-way propagation delay for the directed link, stable per pair."""
         if sender == recipient:
-            return self.local_latency_ms
+            return LOCAL_LATENCY_MS
         key = (sender, recipient)
         if key not in self._link_latency:
-            jitter = self._rng.uniform(-self.jitter_ms, self.jitter_ms)
-            self._link_latency[key] = max(0.5, self.base_latency_ms + jitter)
+            jitter = self._rng.uniform(-JITTER_MS, JITTER_MS)
+            self._link_latency[key] = max(0.5, BASE_LATENCY_MS + jitter)
         return self._link_latency[key]
 
     def transfer_time(self, size_bytes: int) -> float:

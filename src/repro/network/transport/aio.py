@@ -58,6 +58,9 @@ __all__ = ["AsyncioTransport"]
 
 _READ_BYTES = 64 * 1024
 
+_MAX_LINKS = 1024
+"""Open sockets per transport before the least-recently-used idle ones close."""
+
 
 class _GatedDelivery:
     """A delivery callback gated on the physical arrival of its frame.
@@ -239,7 +242,6 @@ class AsyncioTransport(Transport):
     def __init__(
         self,
         inbox_limit: int = 64,
-        max_links: int = 1024,
         arrival_timeout_s: float = 30.0,
         host: str = "127.0.0.1",
     ) -> None:
@@ -247,7 +249,6 @@ class AsyncioTransport(Transport):
         if inbox_limit < 1:
             raise SimulationError("inbox_limit must be at least 1")
         self.inbox_limit = inbox_limit
-        self.max_links = max_links
         self.arrival_timeout_s = arrival_timeout_s
         self.host = host
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -595,10 +596,10 @@ class AsyncioTransport(Transport):
     def _evict_idle_links(self) -> None:
         """Connection-pool bound: close the least-recently-used idle links."""
         open_links = [link for link in self._links.values() if link.writer is not None]
-        if len(open_links) <= self.max_links:
+        if len(open_links) <= _MAX_LINKS:
             return
         open_links.sort(key=lambda link: link.last_used)
-        for link in open_links[: len(open_links) - self.max_links]:
+        for link in open_links[: len(open_links) - _MAX_LINKS]:
             # Truly idle only: a link with queued frames — or one whose
             # writer sits between write() and drain() — must not have its
             # connection closed out from under it.

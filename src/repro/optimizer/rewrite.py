@@ -19,6 +19,9 @@ from ..algebra.plan import QueryPlan
 
 __all__ = ["RewriteRule", "RewriteResult", "RewriteEngine"]
 
+_MAX_PASSES = 10
+"""Rule applications per plan before the fixpoint search gives up."""
+
 
 @dataclass
 class RewriteRule:
@@ -59,9 +62,8 @@ class RewriteResult:
 class RewriteEngine:
     """Applies rewrite rules to plans until fixpoint."""
 
-    def __init__(self, rules: Sequence[RewriteRule], max_passes: int = 10) -> None:
+    def __init__(self, rules: Sequence[RewriteRule]) -> None:
         self.rules = list(rules)
-        self.max_passes = max_passes
         self._offered: dict[type[PlanNode], list[RewriteRule]] = {}  # node type -> its rules
 
     def rewrite_plan(self, plan: QueryPlan) -> RewriteResult:
@@ -72,7 +74,7 @@ class RewriteEngine:
         otherwise the plan is copied once and rewritten on the copy.
         """
         result = RewriteResult(plan)
-        for _ in range(self.max_passes):
+        for _ in range(_MAX_PASSES):
             match = self._first_match(result.plan)
             if match is None:
                 break

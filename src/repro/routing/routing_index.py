@@ -29,6 +29,9 @@ __all__ = ["RoutingIndexPeer"]
 
 _query_counter = itertools.count(1)
 
+_CATEGORY_DIMENSION = 1
+"""The namespace dimension whose top-level categories the index counts."""
+
 
 @dataclass
 class _RIQuery:
@@ -48,12 +51,10 @@ class RoutingIndexPeer(NetworkNode):
         address: str,
         namespace: MultiHierarchicNamespace,
         topology: Topology | None = None,
-        category_dimension: int = 1,
     ) -> None:
         super().__init__(address)
         self.namespace = namespace
         self.topology = topology
-        self.category_dimension = category_dimension
         self.items: list[tuple[InterestCell, XMLElement]] = []
         self.local_counts: Counter = Counter()
         # neighbour -> Counter of top-level category -> reachable item count
@@ -71,7 +72,7 @@ class RoutingIndexPeer(NetworkNode):
         self.local_counts[top] += len(items)
 
     def _top_category(self, cell: InterestCell) -> str:
-        coordinate = cell.coordinate(self.category_dimension)
+        coordinate = cell.coordinate(_CATEGORY_DIMENSION)
         return coordinate.segments[0] if coordinate.segments else "*"
 
     def aggregate_counts(self) -> Counter:
@@ -182,9 +183,9 @@ class RoutingIndexPeer(NetworkNode):
     def _query_top_categories(self, area: InterestArea) -> list[str]:
         tops: set[str] = set()
         for cell in area:
-            coordinate = cell.coordinate(self.category_dimension)
+            coordinate = cell.coordinate(_CATEGORY_DIMENSION)
             if coordinate.is_top:
-                hierarchy = self.namespace.dimensions[self.category_dimension]
+                hierarchy = self.namespace.dimensions[_CATEGORY_DIMENSION]
                 tops.update(child.label for child in hierarchy.children(CategoryPath()))
             else:
                 tops.add(coordinate.segments[0])

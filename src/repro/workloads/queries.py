@@ -114,22 +114,24 @@ class QuerySpec:
         return f"price < {self.max_price:g}"
 
 
+_LOCATION_SKEW = 1.1
+_CATEGORY_SKEW = 0.9
+"""Zipf exponents of the location and category draws: a few places and
+categories are asked about far more often than the rest."""
+
+
 class QueryWorkload:
-    """Generates interest-area queries with configurable granularity and skew."""
+    """Generates Zipf-skewed interest-area queries of configurable granularity."""
 
     def __init__(
         self,
         namespace: MultiHierarchicNamespace,
         location_level: int = 3,
         category_level: int = 1,
-        location_skew: float = 1.1,
-        category_skew: float = 0.9,
         price_ceiling_range: tuple[float, float] | None = (10.0, 200.0),
         seed: int = 99,
     ) -> None:
         self.namespace = namespace
-        self.location_skew = location_skew
-        self.category_skew = category_skew
         self.price_ceiling_range = price_ceiling_range
         self._rng = make_rng(seed)
         self._locations = self._categories_at(namespace.dimensions[0], location_level)
@@ -146,8 +148,8 @@ class QueryWorkload:
 
     def next_query(self) -> QuerySpec:
         """Draw one query."""
-        location = zipf_choice(self._rng, self._locations, self.location_skew)
-        category = zipf_choice(self._rng, self._categories, self.category_skew)
+        location = zipf_choice(self._rng, self._locations, _LOCATION_SKEW)
+        category = zipf_choice(self._rng, self._categories, _CATEGORY_SKEW)
         area = InterestArea([InterestCell((location, category))])
         max_price = None
         if self.price_ceiling_range is not None:

@@ -10,16 +10,14 @@ from repro.catalogtier import (
     ReplicaGroup,
     ReplicaMembership,
     ShardMap,
-    first_answer,
-    quorum_answer,
     reconcile_authoritative,
     shard_of_cell,
 )
 from repro.errors import CatalogError
+from repro.harness.report import scenario_dict
 from repro.harness.scaleout import (
     ScaleoutSpec,
     _schedule_replica_outage,
-    _scenario_dict,
     build_scaleout_scenario,
     schedule_queries,
 )
@@ -154,33 +152,6 @@ class TestCatalogAnswerCache:
         refreshed = catalog.servers_overlapping(oregon)
         assert {e.address for e in refreshed} == {"s1:1", "s2:1"}
         assert cache.misses == 2
-
-
-class TestReadPolicies:
-    def _catalog(self, name, namespace, addresses):
-        catalog = Catalog(name)
-        for address in addresses:
-            catalog.register_server(
-                ServerEntry(address, ServerRole.BASE, namespace.area(["USA/OR/Portland", "*"]))
-            )
-        return catalog
-
-    def test_first_answer_walks_failover_order(self, namespace):
-        area = namespace.area(["USA/OR", "*"])
-        empty = Catalog("r0:1")
-        full = self._catalog("r1:1", namespace, ["s1:1"])
-        who, entries = first_answer([("r0:1", empty), ("r1:1", full)], area)
-        assert who == "r1:1" and [e.address for e in entries] == ["s1:1"]
-        assert first_answer([("r0:1", empty)], area) == (None, [])
-
-    def test_quorum_drops_minority_entries(self, namespace):
-        area = namespace.area(["USA/OR", "*"])
-        agreed = self._catalog("r0:1", namespace, ["s1:1"])
-        also = self._catalog("r1:1", namespace, ["s1:1"])
-        stale = self._catalog("r2:1", namespace, ["s1:1", "ghost:1"])
-        entries = quorum_answer([("r0:1", agreed), ("r1:1", also), ("r2:1", stale)], area)
-        assert [e.address for e in entries] == ["s1:1"]
-        assert quorum_answer([], area) == []
 
 
 class TestReconciliation:
@@ -573,9 +544,9 @@ class TestCriticalPathAtBenchmarkScale:
 
 class TestSpecSurface:
     def test_tier_knobs_elided_at_defaults(self):
-        block = _scenario_dict(ScaleoutSpec(name="plain"))
+        block = scenario_dict(ScaleoutSpec(name="plain"))
         assert not any(key.startswith("catalog_") for key in block)
-        block = _scenario_dict(ScaleoutSpec(name="tier", catalog_shards=2, catalog_replicas=2))
+        block = scenario_dict(ScaleoutSpec(name="tier", catalog_shards=2, catalog_replicas=2))
         assert block["catalog_shards"] == 2 and block["catalog_replicas"] == 2
 
     def test_validation_rejects_bad_combinations(self):

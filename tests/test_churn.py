@@ -17,7 +17,7 @@ import pytest
 from repro.algebra import PlanBuilder
 from repro.catalog import ServerRole
 from repro.mqp import QueryPreferences
-from repro.network import CHURN_PROFILES, FailureInjector, Message, Network
+from repro.network import CHURN_PROFILES, Message, Network, schedule_churn
 from repro.peers import (
     BaseServer,
     ClientPeer,
@@ -239,10 +239,7 @@ class TestChurnSchedules:
                 peer = BaseServer(f"p{position}:9020", namespace, namespace.top_area())
                 network.register(peer)
                 peers.append(peer)
-            injector = FailureInjector(network)
-            return injector.schedule_churn(
-                [peer.address for peer in peers], "moderate", seed=seed
-            )
+            return schedule_churn(network, [peer.address for peer in peers], "moderate", seed=seed)
 
         first = plan_for_seed(13)
         second = plan_for_seed(13)
@@ -258,9 +255,8 @@ class TestChurnSchedules:
             peer = BaseServer(f"p{position}:9020", namespace, namespace.top_area())
             network.register(peer)
             peers.append(peer)
-        injector = FailureInjector(network)
-        plan = injector.schedule_churn(
-            [peer.address for peer in peers], CHURN_PROFILES["heavy"], seed=3
+        plan = schedule_churn(
+            network, [peer.address for peer in peers], CHURN_PROFILES["heavy"], seed=3
         )
         assert plan.events, "heavy churn over 30 peers must schedule events"
         network.run_until_idle()
@@ -275,10 +271,8 @@ class TestChurnSchedules:
     def test_unknown_profile_rejected(self, namespace):
         from repro.errors import SimulationError
 
-        network = Network()
-        injector = FailureInjector(network)
         with pytest.raises(SimulationError):
-            injector.schedule_churn(["a:1"], "apocalyptic")
+            schedule_churn(Network(), ["a:1"], "apocalyptic")
 
 
 class TestDeliveryPathNotices:

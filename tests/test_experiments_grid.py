@@ -10,7 +10,7 @@ import pytest
 from repro.experiments import Experiment, ExperimentSpec, ROW_COLUMNS
 from repro.experiments.cli import main as experiment_main
 from repro.harness.cli import SCENARIOS, main as cli_main
-from repro.harness.report import to_json
+from repro.harness.report import scenario_report, to_json
 from repro.harness import scaleout
 from repro.harness.scaleout import ScaleoutSpec, run_scaleout
 
@@ -50,7 +50,7 @@ def _assert_interleaved_reports_as_if_alone(specs: list[ScaleoutSpec]) -> None:
                 trace = cluster.metrics.trace(query_id)
                 if trace.completed_at is None:
                     trace.completed_at = cluster.now
-            assert to_json(scaleout._report(scenario, query_ids)) == alone
+            assert to_json(scenario_report(scenario, query_ids)) == alone
 
 
 class TestGridOnRealScenarios:

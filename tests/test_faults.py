@@ -31,7 +31,7 @@ from repro.api import Cluster, DegradedResult
 from repro.errors import SimulationError
 from repro.experiments import Experiment, ExperimentSpec
 from repro.harness import scaleout
-from repro.harness.report import to_json
+from repro.harness.report import scenario_report, to_json
 from repro.harness.scaleout import ScaleoutSpec, run_scaleout
 from repro.mqp import RetryPolicy
 from repro.namespace import garage_sale_namespace
@@ -257,7 +257,7 @@ def _run_sweep_cell(spec: ScaleoutSpec, transport: str):
             scenario.network.node(victim).go_offline()
             query_ids = scaleout.schedule_queries(scenario)
             cluster.run_until_idle()
-            report = scaleout._report(scenario, query_ids)
+            report = scenario_report(scenario, query_ids)
             _assert_settled(scenario, spec, query_ids, offers)
     finally:
         ResultGather.offer = offer

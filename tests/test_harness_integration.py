@@ -9,7 +9,6 @@ from repro.harness import (
     ScaleoutSpec,
     build_scaleout_scenario,
     compare_routing_strategies,
-    format_series,
     format_summary,
     format_table,
     run_cd_query_coordinator,
@@ -129,10 +128,6 @@ class TestReportFormatting:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="Empty")
-
-    def test_format_series(self):
-        text = format_series("peers", [32, 64], {"messages": [10.0, 20.0]}, title="Scale")
-        assert "peers" in text and "20.00" in text
 
     def test_format_summary(self):
         text = format_summary({"messages": 10.0, "recall": 1.0})

@@ -1,64 +1,46 @@
-"""Tests for category servers (dimension queries and delegation)."""
+"""The category-server questions of the paper (§3.5), asked of the namespace.
+
+A category server answers questions about the dimensions themselves: which
+dimensions there are, the immediate subcategories of a category, a
+category's parent, whether a category is known, and the nearest known
+ancestor of an unknown one.  The namespace's own hierarchies answer all of
+them.
+"""
 
 import pytest
 
 from repro.errors import NamespaceError
-from repro.namespace import (
-    CategoryPath,
-    CategoryService,
-    location_hierarchy,
-    merchandise_hierarchy,
-)
+from repro.namespace import CategoryPath, garage_sale_namespace
 
 
 @pytest.fixture()
 def service():
-    built = CategoryService()
-    built.manage(location_hierarchy())
-    built.manage(merchandise_hierarchy())
-    return built
+    return garage_sale_namespace()
 
 
 class TestCategoryQueries:
     def test_dimensions(self, service):
-        assert service.dimensions() == ["Location", "Merchandise"]
+        assert list(service.dimension_names) == ["Location", "Merchandise"]
 
     def test_subcategories_question_from_paper(self, service):
         # "What are the immediate subcategories of Furniture?"
-        labels = {path.label for path in service.subcategories("Merchandise", "Furniture")}
-        assert {"Tables", "Chairs", "Sofas", "Beds"} == labels
+        labels = [path.label for path in service.dimension("Merchandise").children("Furniture")]
+        assert labels == sorted(labels)
+        assert {"Tables", "Chairs", "Sofas", "Beds"} == set(labels)
 
     def test_parent(self, service):
-        assert service.parent("Location", "USA/OR/Portland") == CategoryPath.parse("USA/OR")
+        portland = service.dimension("Location").validate("USA/OR/Portland")
+        assert portland.parent == CategoryPath.parse("USA/OR")
 
     def test_contains(self, service):
-        assert service.contains("Location", "USA/OR")
-        assert not service.contains("Location", "Narnia")
+        assert "USA/OR" in service.dimension("Location")
+        assert "Narnia" not in service.dimension("Location")
 
     def test_approximate(self, service):
-        assert service.approximate("Location", "USA/OR/Portland/Hawthorne") == CategoryPath.parse(
-            "USA/OR/Portland"
-        )
+        assert service.dimension("Location").approximate(
+            "USA/OR/Portland/Hawthorne"
+        ) == CategoryPath.parse("USA/OR/Portland")
 
     def test_unknown_dimension_raises(self, service):
         with pytest.raises(NamespaceError):
-            service.subcategories("Color", "Red")
-
-
-class TestDelegation:
-    def test_delegate_and_lookup(self, service):
-        service.delegate("Location", "France", "category-fr:9020")
-        service.delegate("Location", "USA/OR", "category-or:9020")
-        hit = service.delegation_for("Location", "USA/OR/Portland")
-        assert hit is not None and hit.delegate == "category-or:9020"
-        assert service.delegation_for("Location", "USA/WA/Seattle") is None
-
-    def test_most_specific_delegation_wins(self, service):
-        service.delegate("Location", "USA", "category-us:9020")
-        service.delegate("Location", "USA/OR", "category-or:9020")
-        hit = service.delegation_for("Location", "USA/OR/Eugene")
-        assert hit.delegate == "category-or:9020"
-
-    def test_delegating_unknown_category_raises(self, service):
-        with pytest.raises(NamespaceError):
-            service.delegate("Location", "Atlantis", "x:1")
+            service.dimension("Color").children("Red")

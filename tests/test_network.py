@@ -4,16 +4,18 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.network import (
-    FailureInjector,
+    ChurnProfile,
     LatencyModel,
     Message,
     Network,
     NetworkNode,
     Simulator,
     random_topology,
+    schedule_churn,
     small_world_topology,
     star_topology,
 )
+from repro.network.latency import LOCAL_LATENCY_MS
 
 
 class Recorder(NetworkNode):
@@ -89,7 +91,7 @@ class TestLatencyModel:
         model = LatencyModel(seed=3)
         first = model.propagation_delay("a", "b")
         assert model.propagation_delay("a", "b") == first
-        assert model.propagation_delay("a", "a") == model.local_latency_ms
+        assert model.propagation_delay("a", "a") == LOCAL_LATENCY_MS
         assert LatencyModel(seed=4).propagation_delay("a", "b") != first  # the seed is the jitter
 
     def test_transfer_time_scales_with_size(self):
@@ -191,8 +193,12 @@ class TestFailureInjection:
         network = Network()
         node = Recorder("a:1")
         network.register(node)
-        injector = FailureInjector(network)
-        injector.schedule("a:1", fail_at=10, recover_at=20)
+        every_peer_crashes_for_10ms = ChurnProfile(
+            "outage", churn_fraction=1.0, graceful_fraction=0.0, rejoin_fraction=1.0,
+            outage_ms=(10.0, 10.0),
+        )
+        plan = schedule_churn(network, ["a:1"], every_peer_crashes_for_10ms, window_ms=(10.0, 10.0))
+        assert [(e.kind, e.fail_at, e.recover_at) for e in plan.events] == [("crash", 10.0, 20.0)]
         network.run(until=15)
         assert not node.online
         network.run(until=25)
@@ -200,16 +206,27 @@ class TestFailureInjection:
 
     def test_recovery_must_follow_failure(self):
         network = Network()
-        network.register(Recorder("a:1"))
-        with pytest.raises(ValueError):
-            FailureInjector(network).schedule("a:1", fail_at=10, recover_at=5)
-
-    def test_random_failures_deterministic(self):
-        network = Network()
-        addresses = [f"p{i}:1" for i in range(10)]
+        addresses = [f"p{i}:1" for i in range(20)]
         for address in addresses:
             network.register(Recorder(address))
-        injector = FailureInjector(network)
-        events = injector.schedule_random(addresses, 0.3, (0, 100), seed=5)
+        plan = schedule_churn(network, addresses, "heavy", seed=7)
+        rejoins = [event for event in plan.events if event.recover_at is not None]
+        assert rejoins
+        assert all(event.recover_at > event.fail_at for event in rejoins)
+
+    def test_random_failures_deterministic(self):
+        def failures(seed):
+            network = Network()
+            addresses = [f"p{i}:1" for i in range(10)]
+            for address in addresses:
+                network.register(Recorder(address))
+            never_back = ChurnProfile("gone", churn_fraction=0.3, rejoin_fraction=0.0)
+            plan = schedule_churn(network, addresses, never_back, (0.0, 100.0), seed=seed)
+            network.run_until_idle()
+            offline = [address for address in addresses if not network.node(address).online]
+            return plan.events, offline
+
+        events, offline = failures(5)
         assert len(events) == 3
-        assert injector.failed_addresses() == sorted(event.address for event in events)
+        assert offline == sorted(event.address for event in events)
+        assert failures(5) == (events, offline)

@@ -361,6 +361,17 @@ class TestScaleoutScenarios:
         with pytest.raises(SimulationError):
             ScaleoutSpec(peers=2).validate()
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"prefer": "bogus"}, {"seed": -1}, {"query_interval_ms": -5.0}, {"max_hops": 0}],
+        ids=["prefer", "seed", "query_interval_ms", "max_hops"],
+    )
+    def test_validation_rejects_what_used_to_fail_late(self, override):
+        """A bad preference used to fail at the first query, a negative seed or
+        interval mid-run, and ``max_hops=0`` ran and answered half the queries."""
+        with pytest.raises(SimulationError):
+            ScaleoutSpec(**override).validate()
+
     def test_the_spec_has_exactly_these_fields(self):
         """Every field is an option the test matrix must cover: a new one
         (or a returning one) is a reviewed decision, not a drive-by."""
@@ -383,6 +394,38 @@ class TestScaleoutScenarios:
         assert len(scenario.data_peers) == 30
         assert scenario.index_servers and scenario.meta_index is not None
         assert scenario.total_peers >= 32
+
+    def test_region_is_the_depth_two_prefix_of_the_first_dimension(self):
+        namespace = garage_sale_namespace()
+        assert scaleout._region(namespace.cell("USA/OR/Portland", "Music")) == ("USA", "OR")
+        assert scaleout._region(namespace.cell("USA/OR", "*")) == ("USA", "OR")
+        assert scaleout._region(namespace.cell("USA", "Music")) is None
+        assert scaleout._region(namespace.top_cell()) is None
+
+    def test_index_areas_and_churn_regions_share_one_region_rule(self):
+        spec = ScaleoutSpec(
+            name="t", topology="small-world", peers=30, workload="garage-sale",
+            churn="none", queries=2,
+        )
+        scenario = build_scaleout_scenario(spec)
+        indexed = {
+            str(next(iter(peer.interest_area)).coordinate(0)) for peer in scenario.index_servers
+        }
+        regions = set(scaleout._regions_of(scenario).values()) - {"?"}
+        assert regions and regions <= indexed
+        assert indexed == {
+            "/".join(region)
+            for peer in scenario.data_peers
+            for region in map(scaleout._region, peer.area)
+            if region
+        }
+
+    def test_scenario_block_elides_knobs_at_their_dataclass_defaults(self):
+        from repro.harness.report import _ELIDED_AT_DEFAULT, scenario_dict
+
+        block = scenario_dict(ScaleoutSpec())
+        assert set(block) == {each.name for each in fields(ScaleoutSpec)} - set(_ELIDED_AT_DEFAULT)
+        assert scenario_dict(ScaleoutSpec(free_rider_fraction=0.25))["free_rider_fraction"] == 0.25
 
     def test_run_is_deterministic(self):
         spec = ScaleoutSpec(
