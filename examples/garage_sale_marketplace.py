@@ -1,4 +1,4 @@
-"""A larger garage-sale marketplace: strategy comparison and QoS tradeoffs.
+"""A larger garage-sale marketplace: strategy comparison and §4.3 preferences.
 
 Run with::
 
@@ -12,8 +12,8 @@ marketplace (sellers with Zipf-skewed city and category specialties) as
 one scenario spec, runs it under catalog-routed mutant query plans,
 Gnutella-style broadcast, a Napster-style central index, and routing
 indices, and prints the comparison table.  Finally it shows the §4.3
-completeness/currency/latency tradeoff for a replicated deployment under
-different time budgets.
+choice between complete, current and fast answers for a replicated
+deployment: the binding alternative each preference makes a server bind.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.catalog import (
     ServerRole,
 )
 from repro.harness import ScaleoutSpec, compare_routing_strategies, format_table
-from repro.qos import TradeoffPlanner
+from repro.mqp import PolicyManager
 from repro.workloads import GarageSaleConfig, GarageSaleWorkload
 
 
@@ -87,7 +87,7 @@ def strategy_comparison() -> None:
     )
 
 
-def qos_tradeoffs() -> None:
+def preference_choice() -> None:
     workload = GarageSaleWorkload(GarageSaleConfig(sellers=4, seed=7))
     namespace = workload.namespace
     portland = namespace.area(["USA/OR/Portland", "*"])
@@ -107,30 +107,26 @@ def qos_tradeoffs() -> None:
         )
     )
     binding = Binder(catalog).bind_area(namespace.area(["USA/OR/Portland", "Music/CDs"]))
-    planner = TradeoffPlanner(per_server_latency_ms=60, base_latency_ms=40)
+    policy = PolicyManager()
 
     rows = []
-    for budget in (120, 250, None):
-        for prefer in ("complete", "current", "fast"):
-            option = planner.choose(binding, QueryPreferences(target_time_ms=budget, prefer=prefer))
-            rows.append(
-                {
-                    "budget_ms": budget if budget is not None else "unbounded",
-                    "prefer": prefer,
-                    "servers": option.alternative.server_count,
-                    "latency_ms": option.predicted_latency_ms,
-                    "staleness_min": option.staleness_minutes,
-                    "completeness": option.completeness,
-                }
-            )
+    for prefer in QueryPreferences.VALID:
+        alternative = policy.choose_alternative(binding, QueryPreferences(prefer=prefer))
+        rows.append(
+            {
+                "prefer": prefer,
+                "servers": alternative.server_count,
+                "staleness_min": alternative.max_delay_minutes,
+            }
+        )
     print()
-    print(format_table(rows, title="Completeness / currency / latency tradeoffs (section 4.3)"))
+    print(format_table(rows, title="Complete / current / fast answers (section 4.3)"))
 
 
 def main() -> None:
     fluent_api_with_partial_answers()
     strategy_comparison()
-    qos_tradeoffs()
+    preference_choice()
 
 
 if __name__ == "__main__":

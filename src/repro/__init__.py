@@ -12,7 +12,8 @@ need:
   (:mod:`repro.namespace`, :mod:`repro.catalog`, :mod:`repro.peers`) —
   interest areas describe served data, drive query routing, and, through
   intensional statements, let peers reason about completeness, currency and
-  latency tradeoffs (:mod:`repro.qos`).
+  latency tradeoffs (:mod:`repro.mqp.policy` picks a binding alternative
+  under a query's §4.3 preference).
 
 Everything runs on a deterministic discrete-event network simulator
 (:mod:`repro.network`); baselines (:mod:`repro.routing`,
@@ -38,7 +39,6 @@ from . import (
     network,
     optimizer,
     peers,
-    qos,
     routing,
     workloads,
     xmlmodel,
@@ -75,7 +75,6 @@ __all__ = [
     "peers",
     "routing",
     "distributed",
-    "qos",
     "workloads",
     "harness",
 ]

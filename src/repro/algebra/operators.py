@@ -388,7 +388,7 @@ class ConjointOr(PlanNode):
     """The "or" (``|``) operator of §4.2: either input holds the needed data.
 
     Semantically governed by the rewrite rules ``A | B → A`` and
-    ``A | B → B``; the policy manager / QoS planner picks which branch to
+    ``A | B → B``; the policy manager picks which branch to
     keep.  Evaluating an unrewritten ConjointOr falls back to its first
     branch.
     """

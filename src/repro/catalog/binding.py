@@ -14,7 +14,7 @@ that:
   replica versus the complete, current union).
 
 Each alternative records the number of servers it contacts and its
-staleness bound so the QoS planner can choose under the query preferences.
+staleness bound so the policy manager can choose under the query preferences.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class Binding:
         """Render the whole binding as a plan fragment.
 
         A single alternative becomes its union; several alternatives become
-        a :class:`ConjointOr` so downstream servers (or the QoS planner)
+        a :class:`ConjointOr` so downstream servers (or the policy manager)
         can still pick a branch.
         """
         nodes = [alternative.to_plan_node(fallback_urn) for alternative in self.alternatives]

@@ -114,9 +114,5 @@ class WorkloadError(ReproError):
     """Raised when a workload generator receives invalid parameters."""
 
 
-class QoSError(ReproError):
-    """Raised when query preferences cannot be satisfied or are invalid."""
-
-
 class ProvenanceError(ReproError):
     """Raised for malformed provenance records or failed verification."""

@@ -34,6 +34,7 @@ import time
 from dataclasses import replace
 
 from ..errors import ReproError
+from ..mqp import QueryPreferences
 from ..network import CHURN_PROFILES, TOPOLOGY_KINDS, TRANSPORT_KINDS
 from .report import format_summary, write_json_report
 from .scaleout import ROUTING_KINDS, WORKLOAD_KINDS, ScaleoutSpec, run_scaleout
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of queries to issue (default: 12)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed for the whole scenario (default: 11)")
-    parser.add_argument("--prefer", choices=("complete", "current", "fast"), default=None,
+    parser.add_argument("--prefer", choices=QueryPreferences.VALID, default=None,
                         help="query preference of paper §4.3 (default: complete)")
     reliability = parser.add_mutually_exclusive_group()
     reliability.add_argument("--reliable", dest="reliable", action="store_true",

@@ -4,7 +4,6 @@ from .mqp_rules import (
     AvailabilityCheck,
     absorption_rule,
     consolidation_rule,
-    deferrable_nodes,
     mqp_rules,
 )
 from .planner import STANDARD_REWRITES, OptimizationOutcome, Optimizer
@@ -31,7 +30,6 @@ __all__ = [
     "AvailabilityCheck",
     "consolidation_rule",
     "absorption_rule",
-    "deferrable_nodes",
     "mqp_rules",
     "Optimizer",
     "OptimizationOutcome",

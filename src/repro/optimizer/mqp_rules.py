@@ -22,8 +22,9 @@ Absorption
 Deferment
     "Avoiding local execution of operators that increase the partial result
     size unjustifiably."  Deferment is a policy decision rather than a
-    rewrite; :func:`deferrable_nodes` identifies the nodes whose evaluation
-    the policy manager should decline.
+    rewrite: :meth:`Optimizer.optimize <repro.optimizer.planner.Optimizer.optimize>`
+    lists the evaluable sub-plans that would grow the plan as
+    ``OptimizationOutcome.deferrable``, and the policy manager declines them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ..algebra.operators import Join, LeafNode, PlanNode, Union, VerbatimData
-from ..algebra.plan import QueryPlan
 from ..engine.cost import CostModel
 from .rewrite import RewriteRule
 
@@ -39,7 +39,6 @@ __all__ = [
     "AvailabilityCheck",
     "consolidation_rule",
     "absorption_rule",
-    "deferrable_nodes",
     "mqp_rules",
 ]
 
@@ -171,25 +170,6 @@ def absorption_rule(available: AvailabilityCheck, cost_model: CostModel | None =
         "(A join X) join B -> (A join B) join X when |A join B| <= |A| and A, B are local",
         Join,
     )
-
-
-def deferrable_nodes(
-    plan: QueryPlan,
-    available: AvailabilityCheck,
-    cost_model: CostModel | None = None,
-) -> list[PlanNode]:
-    """Return evaluable sub-plans whose evaluation would *grow* the plan.
-
-    The policy manager uses this list to implement deferment: it declines to
-    evaluate these sub-plans locally even though it could, leaving them for
-    a server where more of the surrounding plan is available.
-    """
-    model = cost_model or CostModel()
-    deferrable = []
-    for node in plan.evaluable_subplans(available):
-        if not model.reduces_plan_size(node):
-            deferrable.append(node)
-    return deferrable
 
 
 def mqp_rules(available: AvailabilityCheck, cost_model: CostModel | None = None) -> list[RewriteRule]:

@@ -2,8 +2,9 @@
 
 Every server that receives a mutant query plan re-optimizes it with purely
 local knowledge: the standard algebraic rules, then the availability-aware
-MQP rules, and finally cost estimation of the locally-evaluable sub-plans
-so the policy manager can decide what to evaluate and what to defer.
+MQP rules, and finally the deferment test on the locally-evaluable
+sub-plans so the policy manager can decide what to evaluate and what to
+defer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..algebra.operators import PlanNode
 from ..algebra.plan import QueryPlan
-from ..engine.cost import CostEstimate, CostModel
+from ..engine.cost import CostModel
 from .mqp_rules import AvailabilityCheck, mqp_rules
 from .rewrite import RewriteEngine, RewriteResult
 from .rules import standard_rules
@@ -37,12 +38,7 @@ class OptimizationOutcome:
     plan: QueryPlan
     rewrites: RewriteResult
     evaluable: list[PlanNode] = field(default_factory=list)
-    estimates: dict[int, CostEstimate] = field(default_factory=dict)
     deferrable: list[PlanNode] = field(default_factory=list)
-
-    def estimate_for(self, node: PlanNode) -> CostEstimate | None:
-        """Return the cost estimate computed for an evaluable sub-plan."""
-        return self.estimates.get(node.node_id)
 
     @property
     def fired_rules(self) -> list[str]:
@@ -51,20 +47,16 @@ class OptimizationOutcome:
 
 
 class Optimizer:
-    """Rewrites a plan and costs its locally evaluable sub-plans.
+    """Rewrites a plan and picks out its locally evaluable sub-plans.
 
     Parameters
     ----------
     cost_model:
-        Model used for estimates and for the absorption / deferment tests.
-    use_mqp_rules:
-        Disable to get a "classical only" optimizer — used by the ablation
-        benchmark to quantify what the MQP-specific rewrites buy.
+        Model used for the absorption / deferment tests.
     """
 
-    def __init__(self, cost_model: CostModel | None = None, use_mqp_rules: bool = True) -> None:
+    def __init__(self, cost_model: CostModel | None = None) -> None:
         self.cost_model = cost_model or CostModel()
-        self.use_mqp_rules = use_mqp_rules
 
     def optimize(
         self,
@@ -76,26 +68,22 @@ class Optimizer:
         The input plan is not modified, and copied only on write: when no
         rule fires ``outcome.plan`` *is* the input object (mutate one,
         mutate both), otherwise a rewritten copy.  The outcome also carries
-        that plan's evaluable sub-plans, their cost estimates and the
-        subset the deferment heuristic recommends skipping.
+        that plan's evaluable sub-plans and the subset the deferment
+        heuristic recommends skipping.
         """
         availability: AvailabilityCheck = available or (lambda leaf: False)
 
-        rules = standard_rules()
-        if self.use_mqp_rules:
-            rules = rules + mqp_rules(availability, self.cost_model)
-        engine = RewriteEngine(rules)
+        engine = RewriteEngine(standard_rules() + mqp_rules(availability, self.cost_model))
         rewritten = engine.rewrite_plan(plan)
 
         evaluable = rewritten.plan.evaluable_subplans(availability)
-        estimates = {node.node_id: self.cost_model.estimate(node) for node in evaluable}
-        # Deferment (see ``deferrable_nodes``), off the list just computed.
+        # Deferment: an evaluable sub-plan whose result would grow the plan
+        # is left for a server that holds more of what surrounds it.
         deferred = [node for node in evaluable if not self.cost_model.reduces_plan_size(node)]
 
         return OptimizationOutcome(
             plan=rewritten.plan,
             rewrites=rewritten,
             evaluable=evaluable,
-            estimates=estimates,
             deferrable=deferred,
         )

@@ -1,9 +1,8 @@
-"""Tests for the coordinator baseline, semi-joins, QoS planning, and workloads."""
+"""Tests for the coordinator baseline, semi-joins, and workloads."""
 
 import pytest
 
 from repro.algebra import PlanBuilder
-from repro.catalog import Binder, Catalog, CollectionRef, IntensionalStatement, ServerEntry, ServerRole
 from repro.distributed import (
     CoordinatorClient,
     CoordinatorServer,
@@ -11,9 +10,7 @@ from repro.distributed import (
     estimate_full_ship,
     estimate_semijoin,
 )
-from repro.mqp import QueryPreferences
 from repro.network import Network
-from repro.qos import TradeoffPlanner
 from repro.workloads import (
     CDWorkload,
     CDWorkloadConfig,
@@ -83,53 +80,6 @@ class TestSemiJoin:
         estimate = estimate_semijoin(left, right, "//title", "//title")
         assert estimate.matching_items == 50
         assert estimate.total_bytes > estimate_full_ship(right) * 0.9
-
-
-class TestTradeoffPlanner:
-    @pytest.fixture()
-    def binding(self, namespace):
-        portland = namespace.area(["USA/OR/Portland", "*"])
-        catalog = Catalog("M")
-        for address in ("R:9020", "S:9020"):
-            catalog.register_server(
-                ServerEntry(address, ServerRole.BASE, portland, collections=[CollectionRef(address, "/data")])
-            )
-        catalog.register_statement(
-            IntensionalStatement.parse(
-                "base[(USA.OR.Portland,*)]@R:9020 >= base[(USA.OR.Portland,*)]@S:9020{30}"
-            )
-        )
-        return Binder(catalog).bind_area(namespace.area(["USA/OR/Portland", "Music/CDs"]))
-
-    def test_options_cover_the_currency_latency_tradeoff(self, binding):
-        planner = TradeoffPlanner(per_server_latency_ms=60, base_latency_ms=40)
-        options = planner.options(binding)
-        complete_current = [o for o in options if o.is_complete and o.is_current]
-        fast_stale = [o for o in options if o.is_complete and o.staleness_minutes == 30]
-        assert complete_current and fast_stale
-        assert min(o.predicted_latency_ms for o in fast_stale) < min(
-            o.predicted_latency_ms for o in complete_current
-        )
-
-    def test_choose_current_vs_fast(self, binding):
-        planner = TradeoffPlanner(per_server_latency_ms=60, base_latency_ms=40)
-        current = planner.choose(binding, QueryPreferences(prefer="current"))
-        assert current.staleness_minutes == 0 and current.is_complete
-        fast = planner.choose(binding, QueryPreferences(prefer="fast", target_time_ms=500))
-        assert fast.predicted_latency_ms <= current.predicted_latency_ms
-
-    def test_tight_budget_sacrifices_completeness_or_currency(self, binding):
-        planner = TradeoffPlanner(per_server_latency_ms=60, base_latency_ms=40)
-        # Budget only allows visiting one server.
-        option = planner.choose(binding, QueryPreferences(prefer="complete", target_time_ms=110))
-        assert option.alternative.server_count == 1
-
-    def test_impossible_budget_returns_fastest(self, binding):
-        planner = TradeoffPlanner(per_server_latency_ms=60, base_latency_ms=40)
-        option = planner.choose(binding, QueryPreferences(prefer="complete", target_time_ms=1))
-        assert option.predicted_latency_ms == min(
-            candidate.predicted_latency_ms for candidate in planner.options(binding)
-        )
 
 
 class TestWorkloads:

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import PlanBuilder
+from repro.algebra import PlanBuilder, URLRef
 from repro.catalog import (
+    Binder,
     Catalog,
     CollectionRef,
+    IntensionalStatement,
     NamedResourceEntry,
     RoutingCache,
     ServerEntry,
@@ -196,6 +198,54 @@ class TestPolicyManager:
         assert policy.choose_next_hop(["a", "b"], visited=["a", "b"]) is None
         assert policy.choose_next_hop(["a"], visited=["a"], revisitable=["a"]) == "a"
         assert policy.choose_next_hop([], visited=[]) is None
+
+
+class TestPreferenceChoice:
+    """§4.3 through the processor: an index holding a fresh primary R and two
+    mirrors S and T, each at most 30 minutes behind R, binds one alternative
+    per preference and records its staleness bound."""
+
+    @pytest.fixture()
+    def index(self, namespace):
+        portland = namespace.area(["USA/OR/Portland", "*"])
+        catalog = Catalog("index:9020")
+        for address in ("R:9020", "S:9020", "T:9020"):
+            catalog.register_server(
+                ServerEntry(address, ServerRole.BASE, portland, collections=[CollectionRef(address, "/data")])
+            )
+        for mirror in ("S:9020", "T:9020"):
+            catalog.register_statement(
+                IntensionalStatement.parse(
+                    f"base[(USA.OR.Portland,*)]@R:9020 >= base[(USA.OR.Portland,*)]@{mirror}{{30}}"
+                )
+            )
+        return catalog
+
+    @pytest.mark.parametrize(
+        "prefer, servers, staleness",
+        [
+            ("complete", ["R:9020", "S:9020", "T:9020"], 0.0),
+            # Current: no stale replica, so every server is asked.
+            ("current", ["R:9020", "S:9020", "T:9020"], 0.0),
+            # Fast: one server fewer, at the mirror's 30-minute bound.
+            ("fast", ["R:9020", "T:9020"], 30.0),
+        ],
+        ids=["complete", "current", "fast"],
+    )
+    def test_process_binds_the_preferred_alternative(self, namespace, index, prefer, servers, staleness):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        preferences = QueryPreferences(prefer=prefer)
+        chosen = PolicyManager().choose_alternative(Binder(index).bind_area(area), preferences)
+        assert (chosen.servers, chosen.max_delay_minutes) == (servers, staleness)
+
+        processor = _processor_for(namespace, "index:9020", catalog=index)
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(area))).display("client:9020")
+        result = processor.process(MutantQueryPlan(plan, preferences=preferences))
+        assert result.bound_urns == 1
+        named = {node.url for node in result.mqp.plan.iter_nodes() if isinstance(node, URLRef)}
+        assert sorted(named) == servers
+        bound = [r for r in result.mqp.provenance.records if r.action is ProvenanceAction.BOUND]
+        assert [r.staleness_minutes for r in bound] == [staleness]
 
 
 def _processor_for(namespace, address, collections=None, catalog=None):

@@ -14,12 +14,12 @@ from repro.algebra import (
 )
 from repro.engine import CostModel, QueryEngine
 from repro.optimizer import (
+    STANDARD_REWRITES,
     Optimizer,
     RewriteEngine,
     RewriteRule,
     absorption_rule,
     consolidation_rule,
-    deferrable_nodes,
     merge_adjacent_selects,
     mqp_rules,
     standard_rules,
@@ -169,16 +169,16 @@ class TestAbsorption:
 
 
 class TestDefermentAndOptimizer:
-    def test_deferrable_nodes_flags_exploding_join(self, cd_items):
+    def test_deferrable_flags_exploding_join(self, cd_items):
         plan = (
             PlanBuilder.data(cd_items, name="a")
             .join(PlanBuilder.data(cd_items, name="b"), on=("//seller", "//seller"))
             .plan()
         )
-        deferred = deferrable_nodes(plan, lambda leaf: True, CostModel(join_selectivity=1.0))
-        assert len(deferred) == 1
+        outcome = Optimizer(CostModel(join_selectivity=1.0)).optimize(plan, lambda leaf: True)
+        assert len(outcome.deferrable) == 1
 
-    def test_optimizer_outcome_reports_evaluable_and_estimates(self, cd_items):
+    def test_optimizer_outcome_reports_evaluable(self, cd_items):
         plan = (
             PlanBuilder.url("here:9020", "/cds")
             .select("price < 10")
@@ -187,8 +187,7 @@ class TestDefermentAndOptimizer:
         )
         outcome = Optimizer().optimize(plan, local_to("here:9020"))
         assert len(outcome.evaluable) == 1
-        estimate = outcome.estimate_for(outcome.evaluable[0])
-        assert estimate is not None and estimate.cardinality > 0
+        assert outcome.deferrable == []
 
     def test_optimizer_without_mqp_rules(self, cd_items):
         plan = (
@@ -197,8 +196,8 @@ class TestDefermentAndOptimizer:
             .join(PlanBuilder.data(cd_items), on=("//title", "//title"))
             .plan()
         )
-        with_rules = Optimizer(use_mqp_rules=True).optimize(plan, local_to("here:9020"))
-        without_rules = Optimizer(use_mqp_rules=False).optimize(plan, local_to("here:9020"))
+        with_rules = Optimizer().optimize(plan, local_to("here:9020"))
+        without_rules = STANDARD_REWRITES.rewrite_plan(plan)
         assert "consolidation" in with_rules.fired_rules
         assert "consolidation" not in without_rules.fired_rules
 

@@ -24,7 +24,7 @@ from repro.harness.scaleout import (
     run_scaleout,
     schedule_queries,
 )
-from repro.mqp import MQPProcessor, MutantQueryPlan
+from repro.mqp import MQPProcessor, MutantQueryPlan, QueryPreferences
 from repro.namespace import garage_sale_namespace
 from repro.network import TOPOLOGY_KINDS, build_topology
 from repro.peers import QueryPeer
@@ -552,6 +552,15 @@ class TestCLI:
             build_parser().parse_args(["--workers", "2"])
         assert usage.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    def test_prefer_takes_the_one_preference_vocabulary(self, capsys):
+        """``--prefer`` accepts exactly the preferences a query can carry."""
+        for prefer in QueryPreferences.VALID:
+            assert build_parser().parse_args(["--prefer", prefer]).prefer == prefer
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(["--prefer", "bogus"])
+        assert usage.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--batch", "--no-batch"])
     def test_there_is_one_way_through_a_hop(self, flag, capsys):
