@@ -14,24 +14,30 @@ with the ``sim`` backend (the property ``tests/test_transport.py`` gates).
 A frame's work is done where the frame is.  Receiving: each inbound
 connection is an :class:`asyncio.BufferedProtocol` that splits what each read
 hands it on the length prefix and decodes every whole frame on the spot — no
-task, no await per frame.  Sending: a frame for a connected, idle link is
-written from :meth:`AsyncioTransport.send` itself; only a link that must
-connect, is mid-write or is being recycled queues behind its writer task.
-Waiting: the drive loop awaits a frame's future bare, under one watchdog
-timer for the whole run.  A frame the receiver refuses fails the run at once,
-with the decoder's words — never as a socket that went quiet.
+task, no await per frame.  Sending: each pooled link is the
+:class:`asyncio.Protocol` of its own outbound connection, and
+:meth:`AsyncioTransport.send` has one path: a frame goes to
+``transport.write`` when the link is connected, not paused and has nothing
+queued, else onto the link's queue, which ``connection_made`` and
+``resume_writing`` flush in order.  A task exists only while a link
+connects.  Waiting: the drive loop awaits a frame's future bare, under one
+watchdog timer for the whole run.  A frame the receiver refuses, or a
+connection lost that this side did not close, fails the run at once with
+the reason — never as a socket that went quiet.
 
 Backpressure: each peer owns a bounded inbox.  When it fills, the peer's
 connections stop reading (``pause_reading``; what they had already read stays
-unparsed in their buffers), the kernel socket buffers fill, and senders'
-``drain()`` calls block — a real end-to-end backpressure chain.  The bound
+unparsed in their buffers), the kernel socket buffers fill, the sender's
+asyncio write buffer grows past its high-water mark and asyncio calls the
+link's ``pause_writing`` — from then on its frames wait in the link's queue
+until ``resume_writing``: a real end-to-end backpressure chain.  The bound
 is soft in exactly one direction: when the drive loop is *waiting* for a
 specific frame, connections read past the limit until it arrives (otherwise
 a large early frame parked in a full inbox could starve a smaller,
 logically-earlier one — a deadlock, not a model).
 
 Churn mapping: ``go_offline``/``leave`` recycle the departing peer's pooled
-connections (drain, close; later frames reconnect), modelling session loss.
+connections (flush, close; later frames reconnect), modelling session loss.
 Process-state loss stays at the peer layer (``QueryPeer.go_offline`` says
 what it drops), and drop/notice *policy* stays in the network — which is
 what keeps the two backends' reports identical under churn schedules.
@@ -40,7 +46,6 @@ what keeps the two backends' reports identical under churn schedules.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import itertools
 import socket
 from collections import deque
@@ -205,37 +210,90 @@ class _Receiver(asyncio.BufferedProtocol):
         self.parsed = position
 
 
-class _Link:
-    """One pooled, ordered connection from ``sender`` to ``recipient``."""
+class _Link(asyncio.Protocol):
+    """One pooled, ordered connection from ``sender`` to ``recipient``: the
+    protocol of its own socket, reused by each reconnect."""
 
     __slots__ = (
+        "owner",
         "sender",
         "recipient",
         "queue",
-        "wake",
-        "writer",
-        "task",
+        "transport",
+        "connecting",
+        "paused",
         "close_when_idle",
         "ever_connected",
         "last_used",
-        "writing",
     )
 
-    def __init__(self, sender: str, recipient: str) -> None:
+    def __init__(self, owner: "AsyncioTransport", sender: str, recipient: str) -> None:
+        self.owner = owner
         self.sender = sender
         self.recipient = recipient
-        self.queue: deque[bytes] = deque()
-        self.wake: asyncio.Event | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.task: asyncio.Task | None = None
+        self.queue: deque[bytes] = deque()  # frames waiting for a connect or for room
+        self.transport: asyncio.Transport | None = None
+        self.connecting = False
+        self.paused = False
         self.close_when_idle = False
         self.ever_connected = False
         self.last_used = 0
-        self.writing = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.paused = False
+        counters = self.owner._counters
+        if self.ever_connected:
+            counters["reconnects"] += 1
+        self.ever_connected = True
+        counters["connections_opened"] += 1
+        self.owner._evict_idle_links()
+        self.flush()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        transport = self.transport
+        if transport is None or not transport.is_closing():
+            return  # a connection this side closed: recycled, evicted or shut down
+        self.transport = None
+        self.paused = False
+        # Frames written to it may never arrive; the wait fails now, not on the watchdog.
+        self.owner._wire_failed(TransportError(
+            f"link {self.sender} -> {self.recipient} lost its connection "
+            f"({exc or 'closed by the receiving end'})"
+        ))
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.flush()
+
+    def flush(self) -> None:
+        """Write queued frames, in order, until asyncio asks for a pause;
+        a link marked for recycling closes once its queue is empty."""
+        transport = self.transport
+        if transport is None:
+            return  # still connecting: connection_made flushes
+        queue = self.queue
+        while queue and not self.paused:
+            frame = queue.popleft()
+            transport.write(frame)  # may call pause_writing before it returns
+            self.owner._sent(frame)
+        if self.close_when_idle and not queue:
+            self.close()
+
+    def close(self) -> None:
+        transport, self.transport = self.transport, None
+        if transport is not None:
+            self.paused = False
+            transport.close()  # asyncio writes out what it still buffers first
+            self.owner._counters["links_recycled"] += 1
 
 
 class AsyncioTransport(Transport):
-    """Peers as asyncio tasks, speaking length-prefixed frames over TCP."""
+    """Peers as listening sockets, speaking length-prefixed frames over TCP."""
 
     name = "aio"
 
@@ -289,21 +347,13 @@ class AsyncioTransport(Transport):
         assert self._network is not None, "transport is not bound to a network"
         # Logical half: a gated delivery event on the shared clock.
         self.simulator.schedule(delay, _GatedDelivery(self._network, message))
-        # Physical half: the frame enters the link's ordered outbound queue.
+        # Physical half: the frame joins the link's ordered outbound stream.
         link = self._link_for(message.sender, message.recipient)
-        frame = self._encoder.encode(message)
-        writer = link.writer
-        if (
-            writer is None or link.queue or link.writing or link.close_when_idle
-            or writer.is_closing() or writer.transport.get_write_buffer_size()
-        ):
-            link.queue.append(frame)
-            self._kick(link)
+        link.queue.append(self._encoder.encode(message))
+        if link.transport is None:
+            self._connect(link)
         else:
-            # Connected and idle, everything earlier already with the kernel:
-            # the writer task would do exactly this, one wake-up later.
-            writer.write(frame)
-            self._sent(frame)
+            link.flush()
 
     def run(
         self,
@@ -317,10 +367,10 @@ class AsyncioTransport(Transport):
         loop.run_until_complete(self._drive(until, max_events, stop))
 
     def peer_offline(self, address: str, graceful: bool = False) -> None:
-        """Recycle the departing peer's connections once their queues drain.
+        """Recycle the departing peer's connections once their queues flush.
 
         Graceful leavers have already queued their goodbye traffic
-        (unregister messages), so drain-then-close transmits it; a crash
+        (unregister messages), so flush-then-close transmits it; a crash
         closes the same way at the transport level — the *state* a crash
         loses (buffered plans) is modelled at the peer layer, keeping the
         logical outcome identical to the simulator backend.
@@ -329,8 +379,8 @@ class AsyncioTransport(Transport):
         for link in self._links.values():
             if address in (link.sender, link.recipient):
                 link.close_when_idle = True
-                if link.wake is not None:
-                    link.wake.set()
+                if not link.queue:
+                    link.close()
 
     def peer_online(self, address: str) -> None:
         """A rejoined peer's links may carry traffic again (lazy reconnect).
@@ -398,8 +448,8 @@ class AsyncioTransport(Transport):
                     break
                 callback = event.callback
                 if isinstance(callback, _GatedDelivery) and callback.decoded is None:
-                    # Nothing that runs while awaiting (connections, writer
-                    # tasks) schedules logical events, so the peeked event is
+                    # Nothing that runs while awaiting (connections, link
+                    # protocols) schedules logical events, so the peeked event is
                     # still the head of the queue when we step it below.
                     callback.decoded = await self._await_arrival(callback.message, loop)
                 if not simulator.step():
@@ -454,10 +504,12 @@ class AsyncioTransport(Transport):
         self._watchdog = loop.call_at(due, self._watch, loop)
 
     def _wire_failed(self, error: TransportError) -> None:
-        """A frame was refused by its receiver or lost by its writer: its
-        delivery can never happen, so the wait in progress (or the next)
-        fails now, with the reason, instead of timing out without one."""
-        self._wire_error = error
+        """A frame was refused by its receiver, or its link could not connect
+        or lost its connection: a delivery may never happen, so the wait in
+        progress (or the next) fails now, with the first such reason, instead
+        of timing out without one."""
+        if self._wire_error is None:
+            self._wire_error = error
         if self._awaited is not None and not self._awaited[0].done():
             self._awaited[0].set_exception(error)
 
@@ -484,148 +536,77 @@ class AsyncioTransport(Transport):
             self._ports[address] = server.sockets[0].getsockname()[1]
         # Frames queued while the loop was not running (publish traffic
         # ahead of the first run, or sends between two run calls) get
-        # their writer tasks spawned — or parked ones woken — now.
+        # their connections opened now.
         for link in self._links.values():
-            if link.queue:
-                self._kick(link)
+            if link.queue and link.transport is None:
+                self._connect(link)
 
     # ------------------------------------------------------------------ #
-    # Links and writers (pooled, ordered, lazily connected)
+    # Links (pooled, ordered, lazily connected)
     # ------------------------------------------------------------------ #
 
     def _link_for(self, sender: str, recipient: str) -> _Link:
         key = (sender, recipient)
         link = self._links.get(key)
         if link is None:
-            link = _Link(sender, recipient)
+            link = _Link(self, sender, recipient)
             self._links[key] = link
         link.last_used = next(self._use_tick)
         return link
 
-    def _kick(self, link: _Link) -> None:
-        """Ensure a writer task is draining the link (no-op before the loop)."""
+    def _connect(self, link: _Link) -> None:
+        """Open the link's connection in a task that lives as long as the
+        connect (no-op before the loop runs, or while one is under way)."""
+        if link.connecting:
+            return
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
-            return  # queued pre-run; _ensure_started will kick it
-        if link.task is None or link.task.done():
-            if link.wake is None:
-                link.wake = asyncio.Event()
-            link.task = loop.create_task(self._drain_link(link))
-        else:
-            assert link.wake is not None
-            link.wake.set()
+            return  # queued pre-run; _ensure_started connects it
+        link.connecting = True
+        loop.create_task(self._open(link, loop))
 
-    async def _drain_link(self, link: _Link) -> None:
-        assert link.wake is not None
+    async def _open(self, link: _Link, loop: asyncio.AbstractEventLoop) -> None:
         try:
-            while True:
-                if not link.queue:
-                    if link.close_when_idle:
-                        break
-                    link.wake.clear()
-                    if link.queue:  # raced with an enqueue
-                        continue
-                    await link.wake.wait()
-                    continue
-                frame = link.queue.popleft()
-                await self._write_frame(link, frame)
-                self._sent(frame)
-        except asyncio.CancelledError:
-            raise
+            port = self._ports.get(link.recipient)
+            if port is None:
+                raise TransportError(
+                    f"no listening socket for {link.recipient!r}; "
+                    "was the node registered before the run?"
+                )
+            await loop.create_connection(lambda: link, self.host, port)
+        except OSError as error:
+            self._wire_failed(TransportError(
+                f"link {link.sender} -> {link.recipient} could not connect ({error})"
+            ))
+        except TransportError as error:
+            self._wire_failed(error)
         finally:
-            self._close_link_writer(link)
-            link.task = None
+            link.connecting = False
 
     def _sent(self, frame: bytes) -> None:
         self._counters["frames_sent"] += 1
         self._counters["bytes_on_wire"] += len(frame)
 
-    async def _write_frame(self, link: _Link, frame: bytes) -> None:
-        """Push one frame, reconnecting once if the connection was reset.
-
-        The retry makes this path at-least-once; that is safe because the
-        receiving inbox keys arrivals by message id, so a duplicate of an
-        already-consumed frame can never be delivered twice.
-        """
-        for attempt in (0, 1):
-            # ``writing`` also covers the connect: it keeps the pool's
-            # idle-link eviction (run inside _connect) off this link.
-            link.writing = True
-            try:
-                writer = link.writer
-                if writer is None or writer.is_closing():
-                    writer = await self._connect(link)
-                writer.write(frame)
-                await writer.drain()
-                return
-            except (ConnectionError, OSError) as error:
-                self._close_link_writer(link)
-                if attempt:
-                    failure = TransportError(
-                        f"link {link.sender} -> {link.recipient} failed "
-                        f"twice while writing one frame ({error})"
-                    )
-                    self._wire_failed(failure)
-                    raise failure from None
-            finally:
-                link.writing = False
-
-    async def _connect(self, link: _Link) -> asyncio.StreamWriter:
-        port = self._ports.get(link.recipient)
-        if port is None:
-            raise TransportError(
-                f"no listening socket for {link.recipient!r}; "
-                "was the node registered before the run?"
-            )
-        _, writer = await asyncio.open_connection(self.host, port)
-        link.writer = writer
-        if link.ever_connected:
-            self._counters["reconnects"] += 1
-        link.ever_connected = True
-        self._counters["connections_opened"] += 1
-        self._evict_idle_links()
-        return writer
-
-    def _close_link_writer(self, link: _Link) -> None:
-        if link.writer is not None:
-            link.writer.close()
-            link.writer = None
-            self._counters["links_recycled"] += 1
-
     def _evict_idle_links(self) -> None:
         """Connection-pool bound: close the least-recently-used idle links."""
-        open_links = [link for link in self._links.values() if link.writer is not None]
+        open_links = [link for link in self._links.values() if link.transport is not None]
         if len(open_links) <= _MAX_LINKS:
             return
         open_links.sort(key=lambda link: link.last_used)
         for link in open_links[: len(open_links) - _MAX_LINKS]:
-            # Truly idle only: a link with queued frames — or one whose
-            # writer sits between write() and drain() — must not have its
-            # connection closed out from under it.
-            if not link.queue and not link.writing:
-                self._close_link_writer(link)
+            # Idle only: a link with queued frames is waiting for room, and
+            # closing it would strand them.  What asyncio still buffers for
+            # a closed link is written out before the socket closes.
+            if not link.queue:
+                link.close()
 
     # ------------------------------------------------------------------ #
     # Shutdown
     # ------------------------------------------------------------------ #
 
     async def _shutdown(self) -> None:
-        for link in self._links.values():
-            if link.task is not None:
-                link.task.cancel()
-        for link in self._links.values():
-            if link.task is not None:
-                with contextlib.suppress(asyncio.CancelledError):
-                    await link.task
-            self._close_link_writer(link)
-        for server in self._servers.values():
-            server.close()
-        for inbox in self._inboxes.values():
-            for connection in list(inbox.connections):
-                connection.transport.close()
-        for server in self._servers.values():
-            await server.wait_closed()
+        # Connects still under way first, so no link connects after it closed.
         current = asyncio.current_task()
         leftovers = [
             task for task in asyncio.all_tasks() if task is not current and not task.done()
@@ -634,6 +615,15 @@ class AsyncioTransport(Transport):
             task.cancel()
         if leftovers:
             await asyncio.gather(*leftovers, return_exceptions=True)
+        for link in self._links.values():
+            link.close()
+        for server in self._servers.values():
+            server.close()
+        for inbox in self._inboxes.values():
+            for connection in list(inbox.connections):
+                connection.transport.close()
+        for server in self._servers.values():
+            await server.wait_closed()
 
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:

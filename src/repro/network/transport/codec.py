@@ -20,6 +20,13 @@ length, or tag and scalar) in one ``pack`` and joins the pieces once, the
 decoder bounds-checks a head and unpacks it in place — no cursor object per
 field, no slice but the one that becomes the value.
 
+A decoded string of at most ``SHARED_TEXT_CHARS`` characters — a dict key,
+an address, a kind, a subscription id — comes out of one bounded table
+(:func:`shared_text`), so the thousandth frame that says ``"seq"`` hands
+back the object the first one built, as a payload passed by reference on
+the ``sim`` backend would.  Not ``sys.intern``: interned strings are
+immortal on CPython 3.12, and transfer ids are unique.
+
 The decoder is strict: an unknown tag, an unknown extension id, a
 truncated buffer, or trailing bytes raise
 :class:`~repro.network.transport.base.TransportError` — never a crash and
@@ -38,9 +45,12 @@ from .base import TransportError
 
 __all__ = [
     "CodecWriter",
+    "SHARED_TEXT_CHARS",
+    "SHARED_TEXT_MEMORY",
     "encode_value",
     "decode_value",
     "read_value",
+    "shared_text",
 ]
 
 # Value tags.  One byte each; unknown tags are a decode error.
@@ -97,14 +107,6 @@ class CodecWriter:
     def raw(self, data: bytes) -> None:
         offset = self.reserve(len(data))
         self.buf[offset : offset + len(data)] = data
-
-    def u32_at(self, offset: int, value: int) -> None:
-        """Backfill a length slot reserved earlier."""
-        _U32.pack_into(self.buf, offset, value)
-
-    def getvalue(self) -> bytes:
-        """One copy out; the backing buffer stays allocated for reuse."""
-        return bytes(memoryview(self.buf)[: self.pos])
 
 
 class _Ext(NamedTuple):
@@ -300,6 +302,27 @@ def _emit_value(obj: Any, emit: Callable[[bytes], None]) -> None:
         _emit_value(ext.pack(obj), emit)
 
 
+SHARED_TEXT_CHARS = 64
+"""Decoded strings up to this many characters are shared through the table."""
+
+SHARED_TEXT_MEMORY = 4096
+"""Strings the table keeps; dropped whole when full."""
+
+_SHARED_TEXT: dict[str, str] = {}
+
+
+def shared_text(text: str) -> str:
+    """The one copy of a short decoded string; a long one passes through."""
+    if len(text) > SHARED_TEXT_CHARS:
+        return text
+    shared = _SHARED_TEXT.get(text)
+    if shared is None:
+        if len(_SHARED_TEXT) >= SHARED_TEXT_MEMORY:
+            _SHARED_TEXT.clear()
+        shared = _SHARED_TEXT[text] = text
+    return shared
+
+
 def _truncated(wanted: int, pos: int, end: int) -> TransportError:
     return TransportError(
         f"truncated frame: wanted {wanted} bytes at offset {pos}, have {end - pos}"
@@ -322,7 +345,7 @@ def read_value(data: bytes, pos: int, end: int) -> tuple[Any, int]:
             raise _truncated(stop - start, start, end)
         if tag == _STR:
             try:
-                return data[start:stop].decode("utf-8"), stop
+                return shared_text(data[start:stop].decode("utf-8")), stop
             except UnicodeDecodeError as error:
                 raise TransportError(f"malformed UTF-8 in string value: {error}") from None
         if tag == _BYTES:

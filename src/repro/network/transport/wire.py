@@ -40,7 +40,7 @@ import struct
 from ...errors import SimulationError
 from ..message import Message
 from .base import TransportError
-from .codec import CodecWriter, encode_value, read_value
+from .codec import CodecWriter, encode_value, read_value, shared_text
 
 __all__ = [
     "HEADER",
@@ -98,22 +98,6 @@ class FrameEncoder:
 
     def encode(self, message: Message) -> bytes:
         """Render ``message`` as one framed blob."""
-        end = self._encode(message)
-        return bytes(memoryview(self._writer.buf)[:end])
-
-    def encode_view(self, message: Message) -> memoryview:
-        """Render into the reused buffer and return a view — zero copy out.
-
-        The view aliases the encoder's buffer and is only valid until the
-        next ``encode``/``encode_view`` call, so it suits a synchronous
-        sender (``sendall`` under a lock) but never a queued writer.
-        """
-        # Encode strictly before taking the view: a live export blocks the
-        # bytearray from growing mid-encode (BufferError).
-        end = self._encode(message)
-        return memoryview(self._writer.buf)[:end]
-
-    def _encode(self, message: Message) -> int:
         sender = message.sender.encode("utf-8")
         recipient = message.recipient.encode("utf-8")
         kind = message.kind.encode("utf-8")
@@ -156,7 +140,7 @@ class FrameEncoder:
             _NO_TRANSFER if message.transfer is None else lengths[3], transfer, tag,
         )
         writer.raw(body)
-        return end
+        return bytes(memoryview(writer.buf)[:end])
 
 
 _DEFAULT_ENCODER = FrameEncoder()
@@ -172,8 +156,9 @@ def decode_frame(body: "bytes | memoryview") -> Message:
 
     The original ``message_id`` is preserved — it is the delivery key the
     receiving transport matches logical events against — and the global
-    message counter is left untouched.  Every malformation raises
-    :class:`TransportError`.
+    message counter is left untouched.  The envelope's texts, like every
+    short string in the payload, come out of the codec's shared table.
+    Every malformation raises :class:`TransportError`.
     """
     data = body if type(body) is bytes else bytes(body)
     total = len(data)
@@ -195,21 +180,21 @@ def decode_frame(body: "bytes | memoryview") -> Message:
         end = pos + ((data[1] << 8) | data[2])
         if end > total:
             raise TransportError("truncated frame envelope")
-        sender = data[pos:end].decode("utf-8")
+        sender = shared_text(data[pos:end].decode("utf-8"))
         pos = end + 2
         if pos > total:
             raise TransportError("truncated frame envelope")
         end = pos + ((data[end] << 8) | data[end + 1])
         if end > total:
             raise TransportError("truncated frame envelope")
-        recipient = data[pos:end].decode("utf-8")
+        recipient = shared_text(data[pos:end].decode("utf-8"))
         pos = end + 2
         if pos > total:
             raise TransportError("truncated frame envelope")
         end = pos + ((data[end] << 8) | data[end + 1])
         if end > total:
             raise TransportError("truncated frame envelope")
-        kind = data[pos:end].decode("utf-8")
+        kind = shared_text(data[pos:end].decode("utf-8"))
         pos = end
         if pos + _FIXED.size > total:
             raise TransportError("truncated frame envelope")
@@ -225,7 +210,7 @@ def decode_frame(body: "bytes | memoryview") -> Message:
             end = pos + length
             if end > total:
                 raise TransportError("truncated frame envelope")
-            transfer = data[pos:end].decode("utf-8")
+            transfer = shared_text(data[pos:end].decode("utf-8"))
             pos = end
         payload_kind = data[pos]
         pos += 1

@@ -500,8 +500,8 @@ class QueryPeer(NetworkNode):
         "sub-conflict": lambda peer, message: peer.subscriptions.on_conflict(message),
         "recon-request": lambda peer, message: peer.replicas.on_request(message),
         "recon-reply": lambda peer, message: peer.replicas.on_reply(message),
-        # Handled here.  ``register``: a server announcing itself — late-bound,
-        # so a subclass override (MetaIndexServer) is what runs; ``register-ack``:
+        # Handled here.  ``register``: a server announcing itself — adopted
+        # through ``adopt_registration``, which MetaIndexServer overrides; ``register-ack``:
         # the indexer's reply, carrying its own entry; ``referral``: the entry of
         # the authoritative index a hop sent this peer's plan on to (see
         # PlanForwarding._refer); ``unregister``: a graceful departure;

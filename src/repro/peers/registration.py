@@ -119,10 +119,7 @@ def register_offline(peers: Sequence[QueryPeer]) -> int:
     for registering_address, indexer_address in registration_plan(peers):
         registering = by_address[registering_address]
         indexer = indexers[indexer_address]
-        payload = registering.registration()
-        if indexer.roles & {ServerRole.META_INDEX}:
-            payload.entry.collections = []
-        indexer.adopt_registration(payload)
+        indexer.adopt_registration(registering.registration())
         registering.learn_about(indexer.server_entry())
         # Remember where we registered so a rejoin after churn can
         # re-propagate the registration over the network.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..catalog import ServerRole
 from ..namespace import InterestArea, MultiHierarchicNamespace
-from .peer import QueryPeer
+from .peer import QueryPeer, RegistrationPayload
 
 __all__ = ["BaseServer", "IndexServer", "MetaIndexServer", "ClientPeer"]
 
@@ -65,10 +67,11 @@ class MetaIndexServer(QueryPeer):
             authoritative=authoritative,
         )
 
-    def _handle_register(self, message) -> None:  # noqa: D401 - see class docstring
-        payload = message.payload
-        payload.entry.collections = []
-        super()._handle_register(message)
+    def adopt_registration(self, payload: RegistrationPayload) -> None:
+        # A copy: the payload is the sender's own object on ``sim``, and the
+        # one a reliable transfer keeps for retransmission.
+        entry = replace(payload.entry, collections=[])
+        super().adopt_registration(replace(payload, entry=entry))
 
 
 class ClientPeer(QueryPeer):

@@ -540,6 +540,23 @@ class TestQueryHandleOnBothTransports:
                 list(handle.items(timeout=120_000))
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_a_meta_index_leaves_the_registration_it_was_sent_intact(transport):
+    # On sim the payload a receiver gets is the sender's own object (and,
+    # on a reliable cluster, the one kept for retransmission): a receiver
+    # adopts a copy of what it changes.
+    with small_cluster(transport) as cluster:
+        seller = cluster.session("seller1:9020").peer
+        payload = seller.registration()
+        collections = list(payload.entry.collections)
+        assert collections
+        seller.send("meta:9020", "register", payload)
+        cluster.run_until_idle()
+        assert payload.entry.collections == collections
+        meta = cluster.session("meta:9020").peer
+        assert meta.catalog.require_server("seller1:9020").collections == []
+
+
 class TestPeerSubmitPlan:
     def test_submit_plan_answers_like_the_session_builder(self, namespace):
         """``QueryPeer.submit_plan`` and the session builder answer identically."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import time
 
 import pytest
@@ -34,7 +35,8 @@ from repro.network import (
     TransportError,
     build_transport,
 )
-from repro.network.transport.aio import _GatedDelivery, _Inbox, _Receiver
+from repro.network.transport import codec
+from repro.network.transport.aio import _GatedDelivery, _Inbox, _Link, _Receiver
 from repro.network.transport.wire import HEADER, FrameEncoder, decode_frame, encode_frame
 from repro.peers import RegistrationPayload
 
@@ -279,6 +281,107 @@ class TestAsyncioTransport:
 
         with pytest.raises(SimulationError):
             AsyncioTransport(inbox_limit=0)
+
+
+class TestLinks:
+    """A link is the protocol of its own connection: no task while it idles,
+    one send path, asyncio's own write backpressure, a loss that fails fast."""
+
+    def test_an_idle_link_holds_no_task(self):
+        transport = AsyncioTransport()
+        with Network(transport=transport) as network:
+            network.register(Recorder("hub:1", reply_to=True))
+            spokes = [Recorder(f"spoke{n}:1") for n in range(4)]
+            for spoke in spokes:
+                network.register(spoke)
+            for _ in range(3):
+                for spoke in spokes:
+                    spoke.send("hub:1", "ping")
+                network.run_until_idle()
+                assert not asyncio.all_tasks(transport._loop)
+            stats = transport.stats()
+            # Four links in, four back, each connected once and reused.
+            assert stats["links_pooled"] == stats["connections_opened"] == 8
+            assert stats["frames_received"] == 24
+
+    def test_a_burst_that_pauses_writing_arrives_whole_and_in_order(self, monkeypatch):
+        # Small kernel buffers on both ends, so the burst outgrows them and
+        # asyncio's own write buffer whatever the host's TCP autotuning.
+        def small_buffers(protocol, option):
+            made = protocol.connection_made
+
+            def connection_made(self, transport):
+                transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, option, 65_536
+                )
+                made(self, transport)
+
+            monkeypatch.setattr(protocol, "connection_made", connection_made)
+
+        small_buffers(_Link, socket.SO_SNDBUF)
+        small_buffers(_Receiver, socket.SO_RCVBUF)
+        pauses = []
+        pause_writing = _Link.pause_writing
+
+        def counted(link):
+            pauses.append(link.recipient)
+            pause_writing(link)
+
+        monkeypatch.setattr(_Link, "pause_writing", counted)
+        transport = AsyncioTransport(inbox_limit=4)
+        with Network(transport=transport) as network:
+            source, sink = Recorder("source:1"), Recorder("sink:1")
+            network.register(source)
+            network.register(sink)
+            for n in range(400):
+                source.send("sink:1", "blob", f"{n:05d}" + "x" * 2_048, size_bytes=256)
+            network.run_until_idle()
+        assert pauses and set(pauses) == {"sink:1"}
+        assert [message.payload[:5] for message in sink.received] == [
+            f"{n:05d}" for n in range(400)
+        ]
+
+    def test_a_link_lost_mid_run_fails_the_wait_at_once_naming_the_link(self):
+        transport = AsyncioTransport(arrival_timeout_s=2.0)
+        with Network(transport=transport) as network:
+            alice, bob = Recorder("alice:1"), Recorder("bob:1")
+            network.register(alice)
+            network.register(bob)
+            alice.send("bob:1", "ping")
+            network.run_until_idle()
+            for connection in list(transport._inboxes["bob:1"].connections):
+                connection.transport.abort()  # the receiving end goes away
+            alice.send("bob:1", "ping")
+            started = time.perf_counter()
+            with pytest.raises(TransportError, match="link alice:1 -> bob:1 lost its connection"):
+                network.run_until_idle()
+            assert time.perf_counter() - started < 1.0
+
+    def test_decoded_frames_share_their_short_strings(self):
+        def decoded():
+            payload = {"subscription": "sub-7", "document": "<d/>" * 40}
+            message = Message("alice:1", "bob:1", "delta-chunk", payload={"meta": payload})
+            return decode_frame(encode_frame(message)[HEADER.size:])
+
+        codec._SHARED_TEXT.clear()  # room for both frames' strings, whatever ran before
+        first, second = decoded(), decoded()
+        assert first.sender is second.sender and first.kind is second.kind
+        one, other = first.payload["meta"], second.payload["meta"]
+        assert one["subscription"] is other["subscription"]
+        assert next(iter(one)) is next(iter(other))  # dict keys too
+        # A string over the cap is decoded afresh every time.
+        assert one["document"] == other["document"]
+        assert one["document"] is not other["document"]
+
+    def test_the_shared_table_keeps_no_long_string_and_stays_bounded(self):
+        long = "y" * (codec.SHARED_TEXT_CHARS + 1)
+        assert codec.decode_value(codec.encode_value(long)) == long
+        assert long not in codec._SHARED_TEXT
+        at_cap = codec.encode_value("z" * codec.SHARED_TEXT_CHARS)
+        assert codec.decode_value(at_cap) is codec.decode_value(at_cap)
+        for n in range(codec.SHARED_TEXT_MEMORY + 10):
+            codec.decode_value(codec.encode_value(f"transfer-{n}"))
+            assert len(codec._SHARED_TEXT) <= codec.SHARED_TEXT_MEMORY
 
 
 class _Socket(asyncio.Transport):
