@@ -24,11 +24,14 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..algebra import QueryPlan
+from ..algebra.expressions import parse_predicate
 from ..algebra.operators import PlanNode, Select, URLRef
-from ..algebra.serialization import serialize_plan
+from ..algebra.serialization import parse_plan, serialize_plan
 from ..engine import QueryEngine
 from ..network import Message, NetworkNode
-from ..xmlmodel import XMLElement, serialize_xml
+from ..network.transport.codec import register_extension
+from ..routing.baseline import reply_size
+from ..xmlmodel import XMLElement, parse_xml, serialize_xml
 
 __all__ = ["CoordinatorServer", "SubordinateServer", "CoordinatorClient"]
 
@@ -43,6 +46,11 @@ class _SubQuery:
     url: str
     path: str | None
     predicate_text: str | None
+
+
+register_extension(
+    18, _SubQuery, lambda q: (q.query_id, q.url, q.path, q.predicate_text), lambda v: _SubQuery(*v)
+)
 
 
 @dataclass
@@ -75,12 +83,10 @@ class SubordinateServer(NetworkNode):
         subquery: _SubQuery
         leaf_id, subquery = message.payload
         items = self._evaluate(subquery)
-        size = sum(len(serialize_xml(item).encode()) for item in items) + 64
-        trace = self.network.metrics.trace(subquery.query_id)  # type: ignore[union-attr]
+        trace = self.metrics.trace(subquery.query_id)
         trace.visited.append(self.address)
-        sent = self.send(message.sender, "subresult", (subquery.query_id, leaf_id, items), size_bytes=size)
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
+        result = (subquery.query_id, leaf_id, items)
+        trace.charge(self.send(message.sender, "subresult", result, size_bytes=reply_size(items)))
 
     def _evaluate(self, subquery: _SubQuery) -> list[XMLElement]:
         if subquery.path is not None:
@@ -88,8 +94,6 @@ class SubordinateServer(NetworkNode):
         else:
             items = [item for collection in self.collections.values() for item in collection]
         if subquery.predicate_text:
-            from ..algebra.expressions import parse_predicate
-
             predicate = parse_predicate(subquery.predicate_text)
             items = [item for item in items if predicate.matches(item)]
         return [item.copy() for item in items]
@@ -113,14 +117,9 @@ class CoordinatorServer(NetworkNode):
 
     def _handle_query(self, message: Message) -> None:
         query_id, plan_document = message.payload
-        from ..algebra.serialization import parse_plan
-
-        plan = parse_plan(plan_document)
-        pending = _PendingQuery(query_id, message.sender, plan)
+        pending = _PendingQuery(query_id, message.sender, parse_plan(plan_document))
         self.pending[query_id] = pending
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
-        trace.visited.append(self.address)
-
+        self.metrics.trace(query_id).visited.append(self.address)
         dispatched = self._dispatch_leaves(pending)
         if dispatched == 0:
             self._finish(pending)
@@ -137,9 +136,7 @@ class CoordinatorServer(NetworkNode):
             subquery = _SubQuery(pending.query_id, leaf.url, leaf.path, predicate_text)
             server = leaf.url.removeprefix("http://")
             sent = self.send(server, "subquery", (leaf_id, subquery), size_bytes=240)
-            trace = self.network.metrics.trace(pending.query_id)  # type: ignore[union-attr]
-            trace.messages += 1
-            trace.bytes += sent.size_bytes
+            self.metrics.trace(pending.query_id).charge(sent)
             pending.outstanding += 1
             dispatched += 1
         return dispatched
@@ -178,10 +175,9 @@ class CoordinatorServer(NetworkNode):
         document = serialize_xml(
             XMLElement("result", {"query-id": pending.query_id}, [item.copy() for item in items])
         )
-        trace = self.network.metrics.trace(pending.query_id)  # type: ignore[union-attr]
-        sent = self.send(pending.client, "coord-result", (pending.query_id, document), size_bytes=len(document))
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
+        result = (pending.query_id, document)
+        sent = self.send(pending.client, "coord-result", result, size_bytes=len(document))
+        self.metrics.trace(pending.query_id).charge(sent)
         self.queries_completed += 1
         del self.pending[pending.query_id]
 
@@ -198,12 +194,11 @@ class CoordinatorClient(NetworkNode):
         """Ship the whole plan to the coordinator."""
         query_id = query_id or f"cq{next(_query_counter)}"
         document = serialize_plan(plan)
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
+        trace = self.metrics.trace(query_id)
         trace.issued_at = self.now
         trace.visited.append(self.address)
-        sent = self.send(self.coordinator, "coord-query", (query_id, document), size_bytes=len(document))
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
+        query = (query_id, document)
+        trace.charge(self.send(self.coordinator, "coord-query", query, size_bytes=len(document)))
         return query_id
 
     def results_for(self, query_id: str) -> list[XMLElement]:
@@ -214,10 +209,8 @@ class CoordinatorClient(NetworkNode):
         if message.kind != "coord-result":
             return
         query_id, document = message.payload
-        from ..xmlmodel import parse_xml
-
         parsed = parse_xml(document)
         self.results[query_id] = list(parsed.children)
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
+        trace = self.metrics.trace(query_id)
         trace.completed_at = self.now
         trace.answers = len(parsed.children)

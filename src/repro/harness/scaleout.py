@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from ..algebra import PlanBuilder
@@ -45,7 +46,13 @@ from ..network import (
     build_topology,
 )
 from ..peers import QueryPeer
-from ..routing import GnutellaPeer, NapsterIndexServer, NapsterPeer, RoutingIndexPeer
+from ..routing import (
+    BaselinePeer,
+    GnutellaPeer,
+    NapsterIndexServer,
+    NapsterPeer,
+    RoutingIndexPeer,
+)
 from ..workloads import (
     GarageSaleConfig,
     GarageSaleWorkload,
@@ -130,7 +137,7 @@ class ScaleoutScenario:
     queries: list[_Query]
     churn_plan: ChurnPlan | None = None
     # Strategy-specific handles:
-    client: QueryPeer | GnutellaPeer | NapsterPeer | RoutingIndexPeer | None = None
+    client: QueryPeer | BaselinePeer | None = None
     index_servers: list[QueryPeer] = field(default_factory=list)
     meta_index: QueryPeer | None = None
     napster_index: NapsterIndexServer | None = None
@@ -329,52 +336,38 @@ def _build_catalog_tier(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> Shard
     return ShardMap.build(members_by_shard, owned_by_shard)
 
 
-def _build_overlay_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
-    """Gnutella or routing-index: data peers plus a client on the overlay.
+def _build_baseline_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
+    """Gnutella, Napster or routing-index: data peers plus a client.
 
     Baseline peers speak their own protocols, not the paper's catalog/MQP
-    one, so they join the cluster as plain nodes (no sessions).
+    one, so they join the cluster as plain nodes (no sessions).  Their
+    set-up traffic (Napster publications, routing-index adverts) is flushed
+    before any query is measured.
     """
     cluster = scenario.cluster
-    namespace = scenario.namespace
+    make: Callable[[str], BaselinePeer]
+    if spec.routing == "napster":
+        scenario.napster_index = NapsterIndexServer("central-index:9020")
+        cluster.add(scenario.napster_index)
+        make = partial(NapsterPeer, index_address=scenario.napster_index.address)
+    elif spec.routing == "gnutella":
+        make = partial(GnutellaPeer, topology=scenario.topology)
+    else:
+        make = partial(RoutingIndexPeer, namespace=scenario.namespace, topology=scenario.topology)
     fields = _CELL_FIELDS[spec.workload]
     peers = []
     for data_peer in scenario.data_peers:
-        if spec.routing == "gnutella":
-            peer = GnutellaPeer(data_peer.address, scenario.topology)
-        else:
-            peer = RoutingIndexPeer(data_peer.address, namespace, scenario.topology)
+        peer = make(data_peer.address)
         cluster.add(peer)
         for item in data_peer.items:
             peer.add_items(item_cell(item, fields), [item])
         peers.append(peer)
-    if spec.routing == "gnutella":
-        client = GnutellaPeer("client:9020", scenario.topology)
-    else:
-        client = RoutingIndexPeer("client:9020", namespace, scenario.topology)
-    cluster.add(client)
-    scenario.client = client
-    if spec.routing == "routing-index":
-        for peer in [*peers, client]:
+    scenario.client = make("client:9020")
+    cluster.add(scenario.client)
+    for peer in [*peers, scenario.client]:
+        if isinstance(peer, RoutingIndexPeer):
             peer.advertise()
-        cluster.run_until_idle()
-
-
-def _build_napster_network(spec: ScaleoutSpec, scenario: ScaleoutScenario) -> None:
-    cluster = scenario.cluster
-    fields = _CELL_FIELDS[spec.workload]
-    index = NapsterIndexServer("central-index:9020")
-    cluster.add(index)
-    scenario.napster_index = index
-    for data_peer in scenario.data_peers:
-        peer = NapsterPeer(data_peer.address, index.address)
-        cluster.add(peer)
-        for item in data_peer.items:
-            peer.publish(item_cell(item, fields), [item])
-    client = NapsterPeer("client:9020", index.address)
-    cluster.add(client)
-    scenario.client = client
-    cluster.run_until_idle()  # flush publish traffic before measuring queries
+    cluster.run_until_idle()
 
 
 # --------------------------------------------------------------------------- #
@@ -423,10 +416,8 @@ def build_scaleout_scenario(
 
     if spec.routing == "mqp":
         _build_mqp_network(spec, scenario)
-    elif spec.routing in ("gnutella", "routing-index"):
-        _build_overlay_network(spec, scenario)
     else:
-        _build_napster_network(spec, scenario)
+        _build_baseline_network(spec, scenario)
 
     if spec.subscribers > 0:
         _arm_subscribers(spec, scenario)

@@ -35,6 +35,12 @@ class QueryTrace:
     expected_answers: int | None = None
     extra: dict[str, float] = field(default_factory=dict)
 
+    def charge(self, message: Message) -> Message:
+        """Count ``message`` as traffic this query caused; hand it back."""
+        self.messages += 1
+        self.bytes += message.size_bytes
+        return message
+
     @property
     def latency_ms(self) -> float | None:
         """End-to-end simulated latency, when the query completed."""

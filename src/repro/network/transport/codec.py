@@ -3,17 +3,20 @@
 Every control payload that crosses a socket — registration envelopes,
 catalog reconciliation, subscription bookkeeping, the baseline strategies'
 query records — is built from a small closed vocabulary: ``None``, bools,
-ints, floats, strings, bytes, lists, tuples, dicts, and a fixed set of
-domain dataclasses.  This module encodes exactly that vocabulary as
+ints, floats, strings, bytes, lists, tuples, dicts, and a registered set
+of domain dataclasses.  This module encodes exactly that vocabulary as
 length-delimited tagged values (msgpack-shaped, but with a first-class
 tuple tag: several protocols round-trip tuples and would silently change
 type under a codec that folds tuples into lists).
 
 Domain objects travel as *extension* values: a one-byte registered id plus
-the object's field tuple, itself encoded recursively.  The registry is
-built lazily on first use — the domain modules import the network layer, so
-importing them here at module load would be a cycle; by the time a frame is
-encoded the application is fully imported and the lookup is a dict hit.
+the object's field tuple, itself encoded recursively.  The core vocabulary
+is registered lazily on first use — the domain modules import the network
+layer, so importing them here at module load would be a cycle; by the time
+a frame is encoded the application is fully imported and the lookup is a
+dict hit.  A comparison strategy's payloads are its own: its module calls
+:func:`register_extension` when it is imported, and this module names none
+of them.
 
 A value costs one call each way: the encoder packs a value's head (tag and
 length, or tag and scalar) in one ``pack`` and joins the pieces once, the
@@ -50,6 +53,7 @@ __all__ = [
     "encode_value",
     "decode_value",
     "read_value",
+    "register_extension",
     "shared_text",
 ]
 
@@ -122,16 +126,19 @@ _EXT_BY_ID: dict[int, _Ext] = {}
 _REGISTRY_BUILT = False
 
 
-def _register(ext_id: int, kind: type, pack: Callable, unpack: Callable) -> None:
+def register_extension(ext_id: int, kind: type, pack: Callable, unpack: Callable) -> None:
+    """Let ``kind`` cross the wire as extension ``ext_id``: ``pack`` turns an
+    instance into a value of the closed vocabulary, ``unpack`` turns that
+    value back.  An id or a type registered twice is a :class:`TransportError`."""
     ext = _Ext(ext_id, pack, unpack)
-    if ext_id in _EXT_BY_ID or kind in _EXT_BY_TYPE:  # pragma: no cover - registry bug
+    if ext_id in _EXT_BY_ID or kind in _EXT_BY_TYPE:
         raise TransportError(f"duplicate wire extension registration ({ext_id}, {kind})")
     _EXT_BY_TYPE[kind] = ext
     _EXT_BY_ID[ext_id] = ext
 
 
 def _build_registry() -> None:
-    """Register every domain type that may appear in a control payload.
+    """Register the core domain types that may appear in a control payload.
 
     Imports happen here, not at module load: the domain modules import the
     network layer, and the first encode happens long after import time.
@@ -149,28 +156,24 @@ def _build_registry() -> None:
         Relation,
         ServerHolding,
     )
-    from ...distributed.coordinator import _SubQuery
     from ...namespace import CategoryPath, InterestArea, InterestCell
-    from ...routing.gnutella import GnutellaHit, GnutellaQuery
-    from ...routing.napster import _FetchRequest, _IndexRecord
-    from ...routing.routing_index import _RIQuery
     from ...xmlmodel import XMLElement, parse_xml, serialize_xml
 
     # Namespace geometry ships structurally (segment tuples), not as the
     # human text form: the textual encoding normalizes cell order, and the
     # byte-identity gates need the receiving catalog to see exactly the
     # cells the sender held.
-    _register(1, CategoryPath, lambda p: p.segments, lambda v: CategoryPath(v))
-    _register(2, InterestCell, lambda c: c.coordinates, lambda v: InterestCell(v))
-    _register(3, InterestArea, lambda a: a.cells, lambda v: InterestArea(v))
-    _register(4, ServerRole, lambda r: r.value, lambda v: ServerRole(v))
-    _register(
+    register_extension(1, CategoryPath, lambda p: p.segments, lambda v: CategoryPath(v))
+    register_extension(2, InterestCell, lambda c: c.coordinates, lambda v: InterestCell(v))
+    register_extension(3, InterestArea, lambda a: a.cells, lambda v: InterestArea(v))
+    register_extension(4, ServerRole, lambda r: r.value, lambda v: ServerRole(v))
+    register_extension(
         5,
         CollectionRef,
         lambda c: (c.url, c.path, c.name, c.cardinality),
         lambda v: CollectionRef(url=v[0], path=v[1], name=v[2], cardinality=v[3]),
     )
-    _register(
+    register_extension(
         6,
         ServerEntry,
         lambda e: (e.address, e.role, e.area, e.authoritative, e.collections, e.registered_at),
@@ -179,7 +182,7 @@ def _build_registry() -> None:
             collections=v[4], registered_at=v[5],
         ),
     )
-    _register(
+    register_extension(
         7,
         NamedResourceEntry,
         lambda e: (e.name, e.collections, e.resolver_servers, e.area),
@@ -187,13 +190,13 @@ def _build_registry() -> None:
             name=v[0], collections=v[1], resolver_servers=v[2], area=v[3]
         ),
     )
-    _register(
+    register_extension(
         8,
         ServerHolding,
         lambda h: (h.level.value, h.area, h.server, h.delay_minutes),
         lambda v: ServerHolding(CatalogLevel(v[0]), v[1], v[2], v[3]),
     )
-    _register(
+    register_extension(
         9,
         IntensionalStatement,
         lambda s: (s.lhs, s.relation.value, s.rhs),
@@ -201,48 +204,17 @@ def _build_registry() -> None:
     )
 
     # XML subtrees cross in the paper's own wire form.
-    _register(10, XMLElement, serialize_xml, parse_xml)
+    register_extension(10, XMLElement, serialize_xml, parse_xml)
 
-    # Ids are never reused: 11 and 20 are retired and decode as unknown.
-    _register(12, Counter, dict, lambda v: Counter(v))
-
-    # Baseline routing strategies.
-    _register(
-        13,
-        GnutellaQuery,
-        lambda q: (q.query_id, q.origin, q.area, q.ttl),
-        lambda v: GnutellaQuery(*v),
-    )
-    _register(
-        14,
-        GnutellaHit,
-        lambda h: (h.query_id, h.server, h.items),
-        lambda v: GnutellaHit(v[0], v[1], v[2]),
-    )
-    _register(
-        15, _IndexRecord, lambda r: (r.owner, r.cell, r.count), lambda v: _IndexRecord(*v)
-    )
-    _register(
-        16, _FetchRequest, lambda r: (r.query_id, r.area), lambda v: _FetchRequest(*v)
-    )
-    _register(
-        17,
-        _RIQuery,
-        lambda q: (q.query_id, q.origin, q.area, q.wanted, q.found, q.path),
-        lambda v: _RIQuery(v[0], v[1], v[2], v[3], v[4], v[5]),
-    )
-    _register(
-        18,
-        _SubQuery,
-        lambda q: (q.query_id, q.url, q.path, q.predicate_text),
-        lambda v: _SubQuery(*v),
-    )
+    # Ids are never reused: 11 and 20 are retired and decode as unknown;
+    # 13-18 belong to the comparison baselines, which register their own.
+    register_extension(12, Counter, dict, lambda v: Counter(v))
 
     # RegistrationPayload lives in the peer layer (the deepest import of
     # the set); registered last so a partial registry is never observable.
     from ...peers.peer import RegistrationPayload
 
-    _register(
+    register_extension(
         19,
         RegistrationPayload,
         lambda p: (p.entry, p.statements, p.named_resources),

@@ -150,10 +150,7 @@ class Transfers:
     ) -> Message:
         """:meth:`send`, charged to the query's trace (first attempt only)."""
         sent = self.send(recipient, kind, payload, size_bytes, query_id)
-        trace = self.port.metrics.trace(query_id)
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
-        return sent
+        return self.port.metrics.trace(query_id).charge(sent)
 
     def _attempt(
         self, key: str, transfer: str, attempt: int,

@@ -14,17 +14,15 @@ and hurts result quality by limiting the availability of rare content"
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from ..namespace import InterestArea, InterestCell
-from ..network import Message, NetworkNode, Topology
-from ..xmlmodel import XMLElement, serialize_xml
+from ..namespace import InterestArea
+from ..network import Message, Topology
+from ..network.transport.codec import register_extension
+from ..xmlmodel import XMLElement
+from .baseline import BaselinePeer, reply_size
 
 __all__ = ["GnutellaQuery", "GnutellaHit", "GnutellaPeer"]
-
-_query_counter = itertools.count(1)
 
 
 @dataclass
@@ -46,82 +44,46 @@ class GnutellaHit:
     items: list[XMLElement] = field(default_factory=list)
 
 
-class GnutellaPeer(NetworkNode):
+register_extension(
+    13, GnutellaQuery, lambda q: (q.query_id, q.origin, q.area, q.ttl), lambda v: GnutellaQuery(*v)
+)
+register_extension(
+    14, GnutellaHit, lambda h: (h.query_id, h.server, h.items), lambda v: GnutellaHit(*v)
+)
+
+
+class GnutellaPeer(BaselinePeer):
     """A peer of the unstructured broadcast overlay."""
 
     def __init__(self, address: str, topology: Topology | None = None) -> None:
-        super().__init__(address)
-        self.topology = topology
-        self.items: list[tuple[InterestCell, XMLElement]] = []
+        super().__init__(address, topology)
         self.seen_queries: set[str] = set()
-        self.hits: dict[str, list[GnutellaHit]] = {}
-        self.queries_forwarded = 0
-
-    # -- data ------------------------------------------------------------------ #
-
-    def add_items(self, cell: InterestCell, items: Sequence[XMLElement]) -> None:
-        """Store items filed under one interest cell."""
-        for item in items:
-            self.items.append((cell, item))
-
-    def matching_items(self, area: InterestArea) -> list[XMLElement]:
-        """Items whose cell is covered by the query area."""
-        return [item for cell, item in self.items if area.covers_cell(cell)]
-
-    def neighbors(self) -> list[str]:
-        """Overlay neighbours of this peer."""
-        if self.topology is None:
-            return []
-        return self.topology.neighbors(self.address)
-
-    # -- querying ---------------------------------------------------------------- #
 
     def issue_query(self, area: InterestArea, horizon: int, query_id: str | None = None) -> str:
         """Broadcast a query to all neighbours with the given horizon."""
-        query_id = query_id or f"gq{next(_query_counter)}"
+        query_id, _ = self._issue(area, query_id)
         self.seen_queries.add(query_id)
-        self.hits.setdefault(query_id, [])
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
-        trace.issued_at = self.now
-        trace.visited.append(self.address)
-        # The origin answers from its own store as well.
-        local = self.matching_items(area)
-        if local:
-            self.hits[query_id].append(GnutellaHit(query_id, self.address, local))
-            trace.answers += len(local)
-        query = GnutellaQuery(query_id, self.address, area, horizon)
-        self._flood(query, exclude=None)
+        self._flood(GnutellaQuery(query_id, self.address, area, horizon), exclude=None)
         return query_id
-
-    def results_for(self, query_id: str) -> list[XMLElement]:
-        """All items received in hits for a query."""
-        collected: list[XMLElement] = []
-        for hit in self.hits.get(query_id, []):
-            collected.extend(hit.items)
-        return collected
-
-    # -- protocol ------------------------------------------------------------------ #
 
     def handle_message(self, message: Message) -> None:
         if message.kind == "g-query":
             self._handle_query(message)
         elif message.kind == "g-hit":
-            self._handle_hit(message)
+            hit: GnutellaHit = message.payload
+            self._answered(hit.query_id, hit.items).completed_at = self.now
 
     def _handle_query(self, message: Message) -> None:
         query: GnutellaQuery = message.payload
-        trace = self.network.metrics.trace(query.query_id)  # type: ignore[union-attr]
         if query.query_id in self.seen_queries:
             return
         self.seen_queries.add(query.query_id)
+        trace = self.metrics.trace(query.query_id)
         trace.visited.append(self.address)
         matches = self.matching_items(query.area)
         if matches:
             hit = GnutellaHit(query.query_id, self.address, [item.copy() for item in matches])
-            size = sum(len(serialize_xml(item).encode()) for item in matches) + 64
-            sent = self.send(query.origin, "g-hit", hit, size_bytes=size)
-            trace.messages += 1
-            trace.bytes += sent.size_bytes
+            trace.charge(self.send(query.origin, "g-hit", hit, size_bytes=reply_size(matches)))
         if query.ttl > 1:
             self._flood(
                 GnutellaQuery(query.query_id, query.origin, query.area, query.ttl - 1),
@@ -129,18 +91,8 @@ class GnutellaPeer(NetworkNode):
             )
 
     def _flood(self, query: GnutellaQuery, exclude: str | None) -> None:
-        trace = self.network.metrics.trace(query.query_id)  # type: ignore[union-attr]
+        trace = self.metrics.trace(query.query_id)
         for neighbor in self.neighbors():
             if neighbor == exclude:
                 continue
-            sent = self.send(neighbor, "g-query", query, size_bytes=200)
-            self.queries_forwarded += 1
-            trace.messages += 1
-            trace.bytes += sent.size_bytes
-
-    def _handle_hit(self, message: Message) -> None:
-        hit: GnutellaHit = message.payload
-        self.hits.setdefault(hit.query_id, []).append(hit)
-        trace = self.network.metrics.trace(hit.query_id)  # type: ignore[union-attr]
-        trace.answers += len(hit.items)
-        trace.completed_at = self.now
+            trace.charge(self.send(neighbor, "g-query", query, size_bytes=200))

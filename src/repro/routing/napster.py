@@ -12,17 +12,16 @@ perfect as long as the central index is reachable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..namespace import InterestArea, InterestCell
 from ..network import Message, NetworkNode
-from ..xmlmodel import XMLElement, serialize_xml
+from ..network.transport.codec import register_extension
+from ..xmlmodel import XMLElement
+from .baseline import BaselinePeer, reply_size
 
 __all__ = ["NapsterIndexServer", "NapsterPeer"]
-
-_query_counter = itertools.count(1)
 
 
 @dataclass
@@ -38,6 +37,12 @@ class _IndexRecord:
 class _FetchRequest:
     query_id: str
     area: InterestArea
+
+
+register_extension(
+    15, _IndexRecord, lambda r: (r.owner, r.cell, r.count), lambda v: _IndexRecord(*v)
+)
+register_extension(16, _FetchRequest, lambda r: (r.query_id, r.area), lambda v: _FetchRequest(*v))
 
 
 class NapsterIndexServer(NetworkNode):
@@ -58,62 +63,34 @@ class NapsterIndexServer(NetworkNode):
     def _handle_lookup(self, message: Message) -> None:
         query_id, area = message.payload
         self.lookups_served += 1
-        owners = sorted(
-            {record.owner for record in self.records if area.covers_cell(record.cell)}
-        )
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
+        owners = sorted({record.owner for record in self.records if area.covers_cell(record.cell)})
+        trace = self.metrics.trace(query_id)
         trace.visited.append(self.address)
-        sent = self.send(message.sender, "n-matches", (query_id, area, owners), size_bytes=64 + 32 * len(owners))
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
+        size = 64 + 32 * len(owners)
+        matches = (query_id, area, owners)
+        trace.charge(self.send(message.sender, "n-matches", matches, size_bytes=size))
 
 
-class NapsterPeer(NetworkNode):
+class NapsterPeer(BaselinePeer):
     """A peer that publishes to, and queries through, the central index."""
 
     def __init__(self, address: str, index_address: str) -> None:
         super().__init__(address)
         self.index_address = index_address
-        self.items: list[tuple[InterestCell, XMLElement]] = []
-        self.results: dict[str, list[XMLElement]] = {}
         self.pending_fetches: dict[str, int] = {}
 
-    # -- publishing --------------------------------------------------------------- #
-
-    def publish(self, cell: InterestCell, items: Sequence[XMLElement]) -> None:
+    def add_items(self, cell: InterestCell, items: Sequence[XMLElement]) -> None:
         """Store items locally and advertise them to the central index."""
-        for item in items:
-            self.items.append((cell, item))
+        super().add_items(cell, items)
         record = _IndexRecord(self.address, cell, len(items))
         self.send(self.index_address, "n-publish", record, size_bytes=128)
 
-    def matching_items(self, area: InterestArea) -> list[XMLElement]:
-        """Local items covered by the query area."""
-        return [item for cell, item in self.items if area.covers_cell(cell)]
-
-    # -- querying ------------------------------------------------------------------ #
-
     def issue_query(self, area: InterestArea, query_id: str | None = None) -> str:
         """Look up matching peers at the central index, then fetch from them."""
-        query_id = query_id or f"nq{next(_query_counter)}"
-        self.results.setdefault(query_id, [])
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
-        trace.issued_at = self.now
-        trace.visited.append(self.address)
-        local = self.matching_items(area)
-        if local:
-            self.results[query_id].extend(local)
-            trace.answers += len(local)
+        query_id, _ = self._issue(area, query_id)
         sent = self.send(self.index_address, "n-lookup", (query_id, area), size_bytes=200)
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
+        self.metrics.trace(query_id).charge(sent)
         return query_id
-
-    def results_for(self, query_id: str) -> list[XMLElement]:
-        """Items fetched so far for a query."""
-        return self.results.get(query_id, [])
-
-    # -- protocol --------------------------------------------------------------------- #
 
     def handle_message(self, message: Message) -> None:
         if message.kind == "n-matches":
@@ -125,32 +102,26 @@ class NapsterPeer(NetworkNode):
 
     def _handle_matches(self, message: Message) -> None:
         query_id, area, owners = message.payload
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
+        trace = self.metrics.trace(query_id)
         remote_owners = [owner for owner in owners if owner != self.address]
         self.pending_fetches[query_id] = len(remote_owners)
         if not remote_owners:
             trace.completed_at = self.now
             return
         for owner in remote_owners:
-            sent = self.send(owner, "n-fetch", _FetchRequest(query_id, area), size_bytes=160)
-            trace.messages += 1
-            trace.bytes += sent.size_bytes
+            trace.charge(self.send(owner, "n-fetch", _FetchRequest(query_id, area), size_bytes=160))
 
     def _handle_fetch(self, message: Message) -> None:
         request: _FetchRequest = message.payload
         matches = [item.copy() for item in self.matching_items(request.area)]
-        size = sum(len(serialize_xml(item).encode()) for item in matches) + 64
-        trace = self.network.metrics.trace(request.query_id)  # type: ignore[union-attr]
+        trace = self.metrics.trace(request.query_id)
         trace.visited.append(self.address)
-        sent = self.send(message.sender, "n-data", (request.query_id, matches), size_bytes=size)
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
+        data = (request.query_id, matches)
+        trace.charge(self.send(message.sender, "n-data", data, size_bytes=reply_size(matches)))
 
     def _handle_data(self, message: Message) -> None:
         query_id, items = message.payload
-        self.results.setdefault(query_id, []).extend(items)
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
-        trace.answers += len(items)
+        trace = self._answered(query_id, items)
         self.pending_fetches[query_id] = self.pending_fetches.get(query_id, 1) - 1
         if self.pending_fetches[query_id] <= 0:
             trace.completed_at = self.now

@@ -4,30 +4,26 @@ Routing Indices are "distributed indices, maintained at each node, that
 guide each query to the most promising neighbors of the node".  We
 implement the *compound* routing index over the namespace's first
 dimension's top-level categories: every peer knows, per overlay neighbour,
-how many items per top-level category are reachable through that
-neighbour (its whole subtree in the aggregation, here approximated by the
-neighbour's own advertisement plus what the neighbour aggregated).
+how many items per top-level category that neighbour advertised holding.
 
-The query protocol forwards the query to the most promising neighbour
-first (instead of flooding), falling back to the next-best neighbour when
-a branch is exhausted, until a requested number of results is found or no
-promising neighbours remain.
+A query walks the overlay one peer at a time instead of flooding: each
+peer forwards it to its best-ranked neighbour not yet on the query's path,
+until a requested number of results is found or no neighbour is left.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..namespace import CategoryPath, InterestArea, InterestCell, MultiHierarchicNamespace
-from ..network import Message, NetworkNode, Topology
-from ..xmlmodel import XMLElement, serialize_xml
+from ..network import Message, Topology
+from ..network.transport.codec import register_extension
+from ..xmlmodel import XMLElement
+from .baseline import BaselinePeer, reply_size
 
 __all__ = ["RoutingIndexPeer"]
-
-_query_counter = itertools.count(1)
 
 _CATEGORY_DIMENSION = 1
 """The namespace dimension whose top-level categories the index counts."""
@@ -43,7 +39,15 @@ class _RIQuery:
     path: list[str] = field(default_factory=list)
 
 
-class RoutingIndexPeer(NetworkNode):
+register_extension(
+    17,
+    _RIQuery,
+    lambda q: (q.query_id, q.origin, q.area, q.wanted, q.found, q.path),
+    lambda v: _RIQuery(*v),
+)
+
+
+class RoutingIndexPeer(BaselinePeer):
     """A peer maintaining a compound routing index over top-level categories."""
 
     def __init__(
@@ -52,76 +56,39 @@ class RoutingIndexPeer(NetworkNode):
         namespace: MultiHierarchicNamespace,
         topology: Topology | None = None,
     ) -> None:
-        super().__init__(address)
+        super().__init__(address, topology)
         self.namespace = namespace
-        self.topology = topology
-        self.items: list[tuple[InterestCell, XMLElement]] = []
         self.local_counts: Counter = Counter()
         # neighbour -> Counter of top-level category -> reachable item count
         self.routing_index: dict[str, Counter] = {}
         self.seen_queries: set[str] = set()
-        self.hits: dict[str, list[XMLElement]] = {}
 
     # -- data & index construction ------------------------------------------------- #
 
     def add_items(self, cell: InterestCell, items: Sequence[XMLElement]) -> None:
         """Store items and update the local category counts."""
-        top = self._top_category(cell)
-        for item in items:
-            self.items.append((cell, item))
-        self.local_counts[top] += len(items)
-
-    def _top_category(self, cell: InterestCell) -> str:
+        super().add_items(cell, items)
         coordinate = cell.coordinate(_CATEGORY_DIMENSION)
-        return coordinate.segments[0] if coordinate.segments else "*"
-
-    def aggregate_counts(self) -> Counter:
-        """Local counts plus everything advertised as reachable through neighbours."""
-        total = Counter(self.local_counts)
-        for counts in self.routing_index.values():
-            total.update(counts)
-        return total
+        self.local_counts[coordinate.segments[0] if coordinate.segments else "*"] += len(items)
 
     def advertise(self) -> None:
-        """Push this peer's aggregate counts to every neighbour (index build)."""
+        """Push this peer's category counts to every neighbour (index build)."""
         for neighbor in self.neighbors():
             payload = (self.address, Counter(self.local_counts))
             self.send(neighbor, "ri-advert", payload, size_bytes=96)
-
-    def neighbors(self) -> list[str]:
-        """Overlay neighbours of this peer."""
-        if self.topology is None:
-            return []
-        return self.topology.neighbors(self.address)
 
     # -- querying ------------------------------------------------------------------- #
 
     def issue_query(self, area: InterestArea, wanted: int = 10, query_id: str | None = None) -> str:
         """Start a routing-index-guided search for items in ``area``."""
-        query_id = query_id or f"rq{next(_query_counter)}"
-        self.hits.setdefault(query_id, [])
+        query_id, local = self._issue(area, query_id)
         self.seen_queries.add(query_id)
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
-        trace.issued_at = self.now
-        trace.visited.append(self.address)
-        local = self.matching_items(area)
-        if local:
-            self.hits[query_id].extend(local)
-            trace.answers += len(local)
-        query = _RIQuery(query_id, self.address, area, wanted, found=len(local), path=[self.address])
-        if query.found >= wanted:
-            trace.completed_at = self.now
-            return query_id
-        self._forward(query, exclude=None)
+        if len(local) >= wanted:
+            self.metrics.trace(query_id).completed_at = self.now
+        else:
+            query = _RIQuery(query_id, self.address, area, wanted, len(local), [self.address])
+            self._forward(query, exclude=None)
         return query_id
-
-    def matching_items(self, area: InterestArea) -> list[XMLElement]:
-        """Local items covered by the query area."""
-        return [item for cell, item in self.items if area.covers_cell(cell)]
-
-    def results_for(self, query_id: str) -> list[XMLElement]:
-        """Items found so far for a query issued at this peer."""
-        return self.hits.get(query_id, [])
 
     # -- protocol ---------------------------------------------------------------------- #
 
@@ -132,39 +99,32 @@ class RoutingIndexPeer(NetworkNode):
         elif message.kind == "ri-query":
             self._handle_query(message)
         elif message.kind == "ri-hit":
-            self._handle_hit(message)
+            query_id, items = message.payload
+            self._answered(query_id, items).completed_at = self.now
 
     def _handle_query(self, message: Message) -> None:
         query: _RIQuery = message.payload
-        trace = self.network.metrics.trace(query.query_id)  # type: ignore[union-attr]
         if query.query_id in self.seen_queries:
             return
         self.seen_queries.add(query.query_id)
+        trace = self.metrics.trace(query.query_id)
         trace.visited.append(self.address)
         matches = self.matching_items(query.area)
         if matches:
-            size = sum(len(serialize_xml(item).encode()) for item in matches) + 64
-            sent = self.send(query.origin, "ri-hit", (query.query_id, [item.copy() for item in matches]), size_bytes=size)
-            trace.messages += 1
-            trace.bytes += sent.size_bytes
+            hit = (query.query_id, [item.copy() for item in matches])
+            trace.charge(self.send(query.origin, "ri-hit", hit, size_bytes=reply_size(matches)))
             query.found += len(matches)
         if query.found < query.wanted:
             query.path = query.path + [self.address]
             self._forward(query, exclude=message.sender)
 
     def _forward(self, query: _RIQuery, exclude: str | None) -> None:
-        trace = self.network.metrics.trace(query.query_id)  # type: ignore[union-attr]
+        """Send ``query`` to the best-ranked neighbour only, never flood; a
+        query with no neighbour left to try ends here."""
         goodness = self._rank_neighbors(query.area, exclude, query.path)
-        if not goodness:
-            return
-        best, score = goodness[0]
-        if score <= 0 and len(goodness) > 1:
-            # Nothing promising: fall back to the least-bad neighbour anyway,
-            # but only one — routing indices avoid flooding.
-            best = goodness[0][0]
-        sent = self.send(best, "ri-query", query, size_bytes=220)
-        trace.messages += 1
-        trace.bytes += sent.size_bytes
+        if goodness:
+            sent = self.send(goodness[0][0], "ri-query", query, size_bytes=220)
+            self.metrics.trace(query.query_id).charge(sent)
 
     def _rank_neighbors(
         self, area: InterestArea, exclude: str | None, path: list[str]
@@ -190,10 +150,3 @@ class RoutingIndexPeer(NetworkNode):
             else:
                 tops.add(coordinate.segments[0])
         return sorted(tops)
-
-    def _handle_hit(self, message: Message) -> None:
-        query_id, items = message.payload
-        self.hits.setdefault(query_id, []).extend(items)
-        trace = self.network.metrics.trace(query_id)  # type: ignore[union-attr]
-        trace.answers += len(items)
-        trace.completed_at = self.now

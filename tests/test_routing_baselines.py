@@ -1,8 +1,12 @@
 """Tests for the Gnutella, Napster, and routing-index baselines."""
 
+import pytest
 
+from repro.harness import experiment
+from repro.harness.scaleout import ScaleoutSpec, run_scenario
 from repro.network import Network, random_topology
 from repro.routing import GnutellaPeer, NapsterIndexServer, NapsterPeer, RoutingIndexPeer
+from repro.workloads import CDWorkload, CDWorkloadConfig
 from tests.conftest import make_item
 
 
@@ -84,8 +88,8 @@ class TestNapster:
     def test_publish_then_query_fetches_from_owners(self, namespace):
         network, index, peers = self._build(namespace)
         cell = _cell(namespace, "USA/OR/Portland", "Music/CDs")
-        peers[1].publish(cell, [make_item("Abbey Road", 8)])
-        peers[2].publish(cell, [make_item("Blue Train", 6)])
+        peers[1].add_items(cell, [make_item("Abbey Road", 8)])
+        peers[2].add_items(cell, [make_item("Blue Train", 6)])
         network.run_until_idle()
         assert len(index.records) == 2
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
@@ -160,3 +164,43 @@ class TestRoutingIndex:
         network.run_until_idle()
         assert len(peers[0].results_for(query_id)) == 1
         assert network.metrics.messages_by_kind["ri-query"] == 0
+
+
+SET_UP_KINDS = {"n-publish", "ri-advert"}
+"""Traffic a baseline sends before any query: charged to no query."""
+
+
+def _charged_equals_sent(metrics):
+    """Every message a query caused is charged to its trace exactly once."""
+    traces = metrics.traces.values()
+    charged = (sum(t.messages for t in traces), sum(t.bytes for t in traces))
+    sent = (
+        sum(n for kind, n in metrics.messages_by_kind.items() if kind not in SET_UP_KINDS),
+        sum(n for kind, n in metrics.bytes_by_kind.items() if kind not in SET_UP_KINDS),
+    )
+    assert charged == sent
+    assert charged[0] > 0
+
+
+class TestChargedTraffic:
+    @pytest.mark.parametrize("routing", ["gnutella", "napster", "routing-index"])
+    def test_a_scenario_charges_what_it_sends(self, routing):
+        spec = ScaleoutSpec(
+            name="ledger", topology="small-world", peers=60, workload="garage-sale",
+            routing=routing, queries=6, seed=3,
+        )
+        scenario, _ = run_scenario(spec)
+        _charged_equals_sent(scenario.network.metrics)
+
+    def test_the_coordinator_charges_what_it_sends(self, monkeypatch):
+        networks = []
+
+        class Recorded(Network):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                networks.append(self)
+
+        monkeypatch.setattr(experiment, "Network", Recorded)
+        experiment.run_cd_query_coordinator(CDWorkload(CDWorkloadConfig(sellers=3, seed=5)))
+        (network,) = networks
+        _charged_equals_sent(network.metrics)

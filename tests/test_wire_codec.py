@@ -18,6 +18,7 @@ from repro.network.transport.codec import (
     CodecWriter,
     decode_value,
     encode_value,
+    register_extension,
 )
 from repro.network.transport.wire import (
     HEADER,
@@ -26,7 +27,10 @@ from repro.network.transport.wire import (
     decode_frame,
     encode_frame,
 )
+from repro.distributed.coordinator import _SubQuery
 from repro.routing.gnutella import GnutellaHit, GnutellaQuery
+from repro.routing.napster import _FetchRequest, _IndexRecord
+from repro.routing.routing_index import _RIQuery
 from repro.xmlmodel import XMLElement, parse_xml, serialize_xml
 
 # Derandomized so property failures reproduce in CI without a seed database.
@@ -235,9 +239,32 @@ class TestDomainExtensions:
         assert serialize_xml(decoded) == serialize_xml(element)
 
     def test_baseline_routing_payloads(self):
-        area = InterestArea((InterestCell.of("USA/CA", "Books"),))
-        self._assert_roundtrip(GnutellaQuery("q1", "peer0:9020", area, 5))
-        self._assert_roundtrip(GnutellaHit("q1", "peer1:9020", 3))
+        """Each baseline registers its own payloads, under the ids they always had."""
+        cell = InterestCell.of("USA/CA", "Books")
+        area = InterestArea((cell,))
+        payloads = [
+            (13, GnutellaQuery("q1", "peer0:9020", area, 5)),
+            (14, GnutellaHit("q1", "peer1:9020", 3)),
+            (15, _IndexRecord("peer1:9020", cell, 2)),
+            (16, _FetchRequest("q1", area)),
+            (17, _RIQuery("q1", "peer0:9020", area, 10, 2, ["peer0:9020", "peer3:9020"])),
+            (18, _SubQuery("q1", "http://seller:9020", "/cds", "price < 10")),
+            (18, _SubQuery("q2", "http://seller:9020", None, None)),
+        ]
+        for ext_id, payload in payloads:
+            assert encode_value(payload)[:2] == bytes((0x0A, ext_id))
+            self._assert_roundtrip(payload)
+
+    def test_an_id_or_a_type_registers_once(self):
+        class Fresh:
+            pass
+
+        with pytest.raises(TransportError, match="duplicate wire extension"):
+            register_extension(13, Fresh, vars, lambda v: Fresh())
+        with pytest.raises(TransportError, match="duplicate wire extension"):
+            register_extension(250, GnutellaQuery, vars, lambda v: v)
+        with pytest.raises(TransportError, match="unknown wire extension id 250"):
+            decode_value(bytes((0x0A, 250, 0x00)))
 
 
 # --------------------------------------------------------------------------- #
