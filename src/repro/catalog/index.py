@@ -47,14 +47,24 @@ from .intensional import CatalogLevel, IntensionalStatement
 __all__ = ["CategoryTrie", "CatalogIndex", "StatementIndex"]
 
 
+# Most trie nodes use one of their two maps (an inner category with no key
+# of its own, or a leaf category with no children): the other is this one
+# shared empty map, which nothing writes to.
+_UNUSED: dict = {}
+
+
 class _TrieNode:
-    """One category of one dimension; buckets count cells per key."""
+    """One category of one dimension; buckets count cells per key.
+
+    Both maps start as the shared :data:`_UNUSED` and become the node's own
+    on the first insert into them.
+    """
 
     __slots__ = ("children", "bucket")
 
     def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.bucket: dict[Hashable, int] = {}
+        self.children: dict[str, _TrieNode] = _UNUSED
+        self.bucket: dict[Hashable, int] = _UNUSED
 
 
 class CategoryTrie:
@@ -83,8 +93,12 @@ class CategoryTrie:
         for label in segments:
             child = node.children.get(label)
             if child is None:
+                if node.children is _UNUSED:
+                    node.children = {}
                 child = node.children[label] = _TrieNode()
             node = child
+        if node.bucket is _UNUSED:
+            node.bucket = {}
         node.bucket[key] = node.bucket.get(key, 0) + 1
         self._size += 1
 

@@ -110,6 +110,7 @@ class QueryPeer(NetworkNode):
         self.statements: list[IntensionalStatement] = []
         self.registration_targets: list[str] = []
         self.suspected_dead: set[str] = set()
+        self._entry: ServerEntry | None = None  # built by server_entry(), dropped on a write
         # One component per wire protocol; the tables above are shared with
         # them by reference, never rebound.
         self.cancelled_queries = Cancellations()
@@ -166,6 +167,7 @@ class QueryPeer(NetworkNode):
         """After every local write: no cached evaluation outlives it, and the
         catalog entry describes the collections as they now are."""
         self.processor.evaluations.clear()
+        self._entry = None
         self.catalog.register_server(self.server_entry())
 
     def collection_items(self, name: str) -> list[XMLElement]:
@@ -272,19 +274,26 @@ class QueryPeer(NetworkNode):
         self.catalog.register_statement(statement)
 
     def server_entry(self) -> ServerEntry:
-        """The catalog entry describing this peer."""
-        role = self._primary_role()
-        collections = [
-            CollectionRef(self.address, path, path.lstrip("/"), len(items))
-            for path, items in sorted(self.collections.items())
-        ]
-        return ServerEntry(
-            address=self.address,
-            role=role,
-            area=self.interest_area,
-            authoritative=self.authoritative,
-            collections=collections if role is ServerRole.BASE else [],
-        )
+        """The catalog entry describing this peer.
+
+        One object until the next local write: every catalog that learns
+        of this peer holds it by reference, so nobody mutates it.
+        """
+        entry = self._entry
+        if entry is None:
+            role = self._primary_role()
+            collections = [
+                CollectionRef(self.address, path, path.lstrip("/"), len(items))
+                for path, items in sorted(self.collections.items())
+            ]
+            entry = self._entry = ServerEntry(
+                address=self.address,
+                role=role,
+                area=self.interest_area,
+                authoritative=self.authoritative,
+                collections=collections if role is ServerRole.BASE else [],
+            )
+        return entry
 
     def _primary_role(self) -> ServerRole:
         for role in (ServerRole.META_INDEX, ServerRole.INDEX, ServerRole.BASE, ServerRole.CLIENT):

@@ -135,7 +135,7 @@ class PublisherFeed(InOrder[dict]):
         self.epoch = epoch
 
 
-@dataclass
+@dataclass(slots=True)
 class DeltaRecord:
     """One released delta, as recorded at the subscribing peer.
 

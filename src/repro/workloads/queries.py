@@ -16,6 +16,7 @@ selects on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..algebra import PlanBuilder, QueryPlan
 from ..namespace import (
@@ -38,6 +39,15 @@ def item_cell(item: XMLElement, fields: tuple[str, str]) -> InterestCell:
     )
 
 
+def _related(
+    relation: Callable[[CategoryPath, CategoryPath], bool],
+    mine: InterestCell,
+    theirs: InterestCell,
+) -> bool:
+    """Whether ``relation`` holds in every dimension of two cells."""
+    return all(map(relation, mine.coordinates, theirs.coordinates))
+
+
 class CellIndex:
     """A generated population's items, grouped by the cell of the peer that
     holds them, then by their own item-level cell.
@@ -45,9 +55,10 @@ class CellIndex:
     A population repeats a few hundred distinct cells over thousands of
     items, so a ground-truth query tests each distinct holder cell for
     overlap and, under the holders it overlaps, each distinct item cell for
-    cover — never an item.  Skipping the holders a query misses also keeps
-    the process-wide cell-comparison memo small: testing every item cell
-    against every query would fill it with pairs the run never asks about.
+    cover — never an item.  The cells are compared coordinate by
+    coordinate, not through the process-wide cell-comparison memo: the
+    ground truth is the harness's, and its pairs are ones the system under
+    test never asks about.
     """
 
     def __init__(self) -> None:
@@ -64,9 +75,9 @@ class CellIndex:
         positions = [
             position
             for holder, cells in self._positions.items()
-            if any(mine.overlaps(holder) for mine in area)
+            if any(_related(CategoryPath.overlaps, mine, holder) for mine in area)
             for cell, held in cells.items()
-            if area.covers_cell(cell)
+            if any(_related(CategoryPath.covers, mine, cell) for mine in area)
             for position in held
         ]
         positions.sort()

@@ -10,16 +10,47 @@ require, and it keeps equality, hashing and deep-copy semantics obvious.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 
-__all__ = ["XMLElement", "element", "text_element"]
+__all__ = ["NO_ATTRIBUTES", "NO_CHILDREN", "XMLElement", "element", "text_element"]
 
 # Tags repeat massively (a thousand-peer run builds hundreds of thousands of
 # <item>/<price>/<plan> nodes), so tag validation is a set hit after the
 # first sighting instead of a per-character scan every time.
 _VALIDATED_TAGS: set[str] = set()
 _VALIDATED_TAGS_LIMIT = 65536
+
+
+def _refuse(self: object, *args: object, **kwargs: object) -> NoReturn:
+    raise TypeError(
+        "an element's empty children or attributes are shared and read-only;"
+        " grow it with append() or set()"
+    )
+
+
+class _NoChildren(list):
+    """The child list of every leaf: one object, empty for good."""
+
+    __slots__ = ()
+    append = extend = insert = remove = _refuse  # type: ignore[assignment]
+    pop = clear = sort = reverse = _refuse  # type: ignore[assignment]
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse  # type: ignore[assignment]
+
+
+class _NoAttributes(dict):
+    """The attribute map of every element without attributes: one object, empty for good."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse  # type: ignore[assignment]
+    pop = popitem = clear = update = setdefault = _refuse  # type: ignore[assignment]
+
+
+# Most elements of a population are leaves (<price>, <organism>, ...), and
+# most elements carry no attributes: they all hold these two instead of an
+# empty list and dict each.
+NO_CHILDREN: list["XMLElement"] = _NoChildren()
+NO_ATTRIBUTES: dict[str, str] = _NoAttributes()
 
 
 class XMLElement:
@@ -37,6 +68,14 @@ class XMLElement:
     text:
         Text content of the element.  Mixed content (text interleaved with
         children) is not supported; the paper's data model never needs it.
+
+    An element with no children holds :data:`NO_CHILDREN` and one with no
+    attributes :data:`NO_ATTRIBUTES`: one shared, read-only empty ``list``
+    and ``dict`` for every such element (they equal ``[]`` and ``{}``, and
+    their in-place mutators raise ``TypeError``).  So grow an element only
+    through :meth:`append`, :meth:`extend` and :meth:`set`, which give it
+    its own container first; never mutate ``children`` or ``attributes``
+    in place.
     """
 
     __slots__ = ("tag", "attributes", "children", "text")
@@ -55,11 +94,14 @@ class XMLElement:
                 _VALIDATED_TAGS.clear()
             _VALIDATED_TAGS.add(tag)
         self.tag = tag
-        self.attributes: dict[str, str] = {
-            str(key): str(value) for key, value in (attributes or {}).items()
-        }
-        self.children: list[XMLElement] = list(children or [])
-        for child in self.children:
+        self.attributes: dict[str, str] = (
+            {str(key): str(value) for key, value in attributes.items()}
+            if attributes
+            else NO_ATTRIBUTES
+        )
+        listed = list(children or ())
+        self.children: list[XMLElement] = listed if listed else NO_CHILDREN
+        for child in listed:
             if not isinstance(child, XMLElement):
                 raise TypeError(f"child must be XMLElement, got {type(child).__name__}")
         self.text = text
@@ -78,7 +120,8 @@ class XMLElement:
         :meth:`copy` (the source tree was validated when built), the
         parser (expat guarantees string tags/attributes) and the plan wire
         format (operator names and typed string fields).  The arguments are
-        adopted, not copied.
+        adopted, not copied: an empty part must already be
+        :data:`NO_ATTRIBUTES` / :data:`NO_CHILDREN`.
         """
         node = cls.__new__(cls)
         node.tag = tag
@@ -95,7 +138,10 @@ class XMLElement:
         """Append ``child`` and return it (handy for fluent building)."""
         if not isinstance(child, XMLElement):
             raise TypeError(f"child must be XMLElement, got {type(child).__name__}")
-        self.children.append(child)
+        children = self.children
+        if children is NO_CHILDREN:
+            children = self.children = []
+        children.append(child)
         return child
 
     def extend(self, children: Iterable["XMLElement"]) -> None:
@@ -110,10 +156,11 @@ class XMLElement:
         every node of this subtree was validated when it was built, so the
         copy skips re-validation.
         """
+        attributes, children = self.attributes, self.children
         return XMLElement._trusted(
             self.tag,
-            dict(self.attributes),
-            [child.copy() for child in self.children],
+            dict(attributes) if attributes else NO_ATTRIBUTES,
+            [child.copy() for child in children] if children else NO_CHILDREN,
             self.text,
         )
 
@@ -127,6 +174,8 @@ class XMLElement:
 
     def set(self, name: str, value: object) -> None:
         """Set attribute ``name`` to ``str(value)``."""
+        if self.attributes is NO_ATTRIBUTES:
+            self.attributes = {}
         self.attributes[str(name)] = str(value)
 
     def find(self, tag: str) -> "XMLElement | None":

@@ -24,7 +24,7 @@ from typing import Callable
 from xml.parsers import expat
 
 from ..errors import XMLParseError
-from .element import XMLElement
+from .element import NO_ATTRIBUTES, NO_CHILDREN, XMLElement
 
 __all__ = ["XMLSpan", "parse_xml", "serialize_xml", "serialize_collection", "children_text",
            "quoteattr", "serialized_size", "utf8_len", "well_formed"]
@@ -143,8 +143,12 @@ def parse_xml(document: str, opaque: tuple[tuple[str, str], ...] = ()) -> XMLEle
             parser.CharacterDataHandler = None
             return
         # Expat hands over string tags and a fresh dict: nothing to validate.
-        node = build(tag, attributes, [], None)
-        parent.children.append(node)
+        # A node holds the shared empties until its first child arrives.
+        node = build(tag, attributes or NO_ATTRIBUTES, NO_CHILDREN, None)
+        if parent.children is NO_CHILDREN:
+            parent.children = [node]
+        else:
+            parent.children.append(node)
         stack.append(node)
 
     def end(tag: str) -> None:
@@ -158,7 +162,8 @@ def parse_xml(document: str, opaque: tuple[tuple[str, str], ...] = ()) -> XMLEle
                 if document[span_end - 2] != "/":  # not <child/>: find </child>
                     span_end = document.index(">", offset(parser.CurrentByteIndex)) + 1
                 span = XMLSpan(document[span_start:span_end])
-                stack[-1].children.append(span)  # type: ignore[arg-type]
+                # Always the first child: the node still holds NO_CHILDREN.
+                stack[-1].children = [span]  # type: ignore[list-item]
                 parser.CharacterDataHandler = characters
             return
         node = stack.pop()

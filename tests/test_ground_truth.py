@@ -17,6 +17,7 @@ import pytest
 from repro.harness import scaleout
 from repro.harness.cli import SCENARIOS
 from repro.namespace import CategoryPath, InterestArea, InterestCell
+from repro.namespace.interest import _cell_covers, _cell_overlaps
 from repro.workloads import (
     GarageSaleConfig,
     GarageSaleWorkload,
@@ -146,6 +147,28 @@ class TestGeneExpressionGroundTruth:
         assert uncovered is not None
         assert workload.matching_records(uncovered) == []
         assert scan_matching_records(workload, uncovered) == []
+
+
+class TestGroundTruthStaysOutOfTheMemo:
+    """The ground truth is the harness's: its cell pairs never enter the
+    process-wide comparison memo the catalog's lookups share."""
+
+    @pytest.mark.parametrize("build, ask", [
+        (lambda: GarageSaleWorkload(GarageSaleConfig(sellers=60, seed=7)), "matching_items"),
+        (
+            lambda: GeneExpressionWorkload(GeneExpressionConfig(extra_repositories=25, seed=5)),
+            "matching_records",
+        ),
+    ], ids=["garage-sale", "gene-expression"])
+    def test_covered_by_leaves_the_cell_memos_as_they_were(self, build, ask):
+        workload = build()
+        namespace = workload.namespace
+        queries = QueryWorkload(namespace, seed=3, price_ceiling_range=None).batch(30)
+        areas = [query.area for query in queries] + [namespace.top_area()]
+        sizes = _cell_overlaps.cache_info().currsize, _cell_covers.cache_info().currsize
+        answered = [getattr(workload, ask)(area) for area in areas]
+        assert sum(map(len, answered)) > 0
+        assert (_cell_overlaps.cache_info().currsize, _cell_covers.cache_info().currsize) == sizes
 
 
 class _Spy:

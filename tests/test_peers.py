@@ -51,6 +51,28 @@ class TestPublishing:
         assert entry.role is ServerRole.BASE
         assert entry.collections[0].cardinality == 1
 
+    def test_the_entry_is_one_object_until_a_write_rebuilds_it(self, namespace):
+        server = BaseServer("s:1", namespace, namespace.area(["USA/OR/Portland", "Music/CDs"]))
+        server.publish_collection("cds", [make_item("A", 5), make_item("B", 6)])
+        entry = server.server_entry()
+        assert server.server_entry() is entry is server.catalog.servers["s:1"]
+        assert server.registration().entry is entry
+        writes = [
+            (lambda: server.publish_collection("cds", [make_item("A", 5)]), 1),
+            (lambda: server.update_collection("cds", [make_item("B", 6), make_item("C", 7)]), 3),
+            (lambda: server.update_collection("cds", [make_item("C", 8)]), 3),
+            (lambda: server.retract_from_collection("cds", keys=["seller:9020-A"]), 2),
+        ]
+        seen = [entry]
+        for write, cardinality in writes:
+            write()
+            rebuilt = server.server_entry()
+            assert all(rebuilt is not earlier for earlier in seen)
+            assert rebuilt is server.server_entry() is server.catalog.servers["s:1"]
+            assert [ref.cardinality for ref in rebuilt.collections] == [cardinality]
+            seen.append(rebuilt)
+        assert [ref.cardinality for ref in entry.collections] == [2]  # never mutated
+
     def test_publish_named_resource(self, namespace):
         server = BaseServer("s:1", namespace, namespace.top_area())
         server.publish_collection("cds", [make_item("A", 5)])

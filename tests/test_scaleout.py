@@ -582,3 +582,21 @@ class TestCLI:
         report = json.loads(output.read_text())
         assert report["scenario"]["name"] == "smoke"
         assert report["scenario"]["peers"] == 20  # override applied
+
+
+class TestOneEntryPerPeer:
+    def test_every_overlay_neighbour_holds_the_peers_own_entry(self):
+        spec = replace(SCENARIOS["thousand-peers"], peers=60, queries=3, churn="none")
+        scenario = build_scaleout_scenario(spec)
+        scenario.network.close()
+        peers = {peer.address: peer for peer in scenario.cluster.peers()}
+        client = scenario.client.address
+        edges = [
+            (first, second)
+            for first, second in scenario.topology.edges()
+            if client not in (first, second) and first in peers and second in peers
+        ]
+        assert len(edges) >= 60
+        for first, second in edges:
+            assert peers[first].catalog.servers[second] is peers[second].server_entry()
+            assert peers[second].catalog.servers[first] is peers[first].server_entry()

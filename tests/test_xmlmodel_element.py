@@ -1,8 +1,11 @@
 """Tests for the XML element tree model."""
 
+import operator
+
 import pytest
 
-from repro.xmlmodel import XMLElement, element, text_element
+from repro.xmlmodel import XMLElement, element, parse_xml, text_element
+from repro.xmlmodel.element import NO_ATTRIBUTES, NO_CHILDREN
 
 
 class TestConstruction:
@@ -92,3 +95,50 @@ class TestEqualityAndCopy:
         node = XMLElement("a")
         node.set("k", 5)
         assert node.get("k") == "5"
+
+
+class TestSharedEmpties:
+    """Every leaf holds one shared empty child list, every element without
+    attributes one shared empty attribute map."""
+
+    def test_parsed_built_and_copied_leaves_share_the_empties(self):
+        parsed = parse_xml("<item id='1'><price>5</price><title>A</title><tag/></item>")
+        built = [XMLElement("price", text="5"), text_element("title", "A"), element("x", {})]
+        built.append(XMLElement("y", {}, (child for child in ())))
+        leaves = [*parsed.children, *built, *parsed.copy().children, built[0].copy()]
+        assert len(leaves) == 11
+        for leaf in leaves:
+            assert leaf.children is NO_CHILDREN and leaf.attributes is NO_ATTRIBUTES
+        assert parsed.attributes == {"id": "1"} and parsed.copy().attributes is not NO_ATTRIBUTES
+        assert NO_CHILDREN == [] and NO_ATTRIBUTES == {}
+
+    def test_growing_one_leaf_leaves_every_other_leaf_unchanged(self):
+        grown, built, parsed = XMLElement("a"), text_element("b", "1"), parse_xml("<r><c/></r>")
+        grown.append(XMLElement("d"))
+        grown.set("k", "v")
+        assert grown.children == [XMLElement("d")] and grown.attributes == {"k": "v"}
+        leaf = parsed.children[0]
+        leaf.extend([XMLElement("e")])
+        leaf.set("id", 7)
+        assert leaf == XMLElement("c", {"id": "7"}, [XMLElement("e")])
+        for other in (built, XMLElement("f"), parse_xml("<g/>"), grown.children[0]):
+            assert other.children == [] and other.attributes == {}
+        assert NO_CHILDREN == [] and NO_ATTRIBUTES == {}
+
+    @pytest.mark.parametrize("mutate", [
+        lambda children, attributes: children.append(XMLElement("c")),
+        lambda children, attributes: children.extend([XMLElement("c")]),
+        lambda children, attributes: children.insert(0, XMLElement("c")),
+        lambda children, attributes: operator.iadd(children, [XMLElement("c")]),
+        lambda children, attributes: operator.setitem(children, slice(0, 0), [XMLElement("c")]),
+        lambda children, attributes: operator.setitem(attributes, "k", "v"),
+        lambda children, attributes: attributes.update(k="v"),
+        lambda children, attributes: attributes.setdefault("k", "v"),
+        lambda children, attributes: operator.ior(attributes, {"k": "v"}),
+    ], ids=["append", "extend", "insert", "iadd", "slice", "setitem", "update",
+            "setdefault", "ior"])
+    def test_mutating_a_shared_empty_in_place_raises(self, mutate):
+        leaf = parse_xml("<a/>")
+        with pytest.raises(TypeError, match="shared"):
+            mutate(leaf.children, leaf.attributes)
+        assert NO_CHILDREN == [] and NO_ATTRIBUTES == {}
