@@ -7,10 +7,16 @@ those servers announced at registration time.  The catalog never claims
 global knowledge — "mutant query plans ... allow query optimization and
 source discovery to work with whatever information is available locally".
 
-Lookups are served by the trie-backed :class:`~repro.catalog.index.CatalogIndex`
-in O(depth + matches), and a repeated one from the catalog's
-:class:`~repro.catalog.answercache.AnswerCache`; the linear scans the
-equivalence tests diff both against live in ``tests/oracles/catalog_scan.py``.
+The catalog's record is its ``servers``, ``statements`` and
+``named_resources``.  Lookups are served by the trie-backed
+:class:`~repro.catalog.index.CatalogIndex` and
+:class:`~repro.catalog.index.StatementIndex` in O(depth + matches), and a
+repeated one from the catalog's :class:`~repro.catalog.answercache.AnswerCache`;
+the linear scans the equivalence tests diff both against live in
+``tests/oracles/catalog_scan.py``.  Only a peer that binds or routes a plan
+ever looks anything up, so each index is built from the record on the first
+lookup that needs it and maintained incrementally by every write after
+that; a catalog that is only registered into holds no index.
 """
 
 from __future__ import annotations
@@ -43,15 +49,27 @@ class Catalog:
     statements: list[IntensionalStatement] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._index = CatalogIndex()
-        self._statement_index = StatementIndex()
-        self._statement_keys: set[IntensionalStatement] = set()
+        # Built on first use (see _index_of_servers, _index_of_statements
+        # and register_statement), then kept in step by every write.
+        self._index: CatalogIndex | None = None
+        self._statement_index: StatementIndex | None = None
+        self._statement_keys: set[IntensionalStatement] | None = None
         self.answer_cache = AnswerCache()
-        for entry in self.servers.values():
-            self._index.add(entry)
-        for sequence, statement in enumerate(self.statements):
-            self._statement_keys.add(statement)
-            self._statement_index.add(sequence, statement)
+
+    @property
+    def indexed(self) -> bool:
+        """Whether a lookup has built either of this catalog's indexes."""
+        return self._index is not None or self._statement_index is not None
+
+    def _index_of_servers(self) -> CatalogIndex:
+        if self._index is None:
+            self._index = CatalogIndex(self.servers)
+        return self._index
+
+    def _index_of_statements(self) -> StatementIndex:
+        if self._statement_index is None:
+            self._statement_index = StatementIndex(self.statements)
+        return self._statement_index
 
     # -- registration -------------------------------------------------------- #
 
@@ -61,25 +79,23 @@ class Catalog:
         Re-registration replaces the previous entry for the same address and
         role combination only if the new entry covers at least the old area;
         otherwise areas are merged, so repeated registrations never lose
-        knowledge.
+        knowledge.  A merged entry lists the known collections first, then
+        the new ones, each once.
         """
         existing = self.servers.get(entry.address)
-        if existing is None or entry.covers(existing.area):
-            self.servers[entry.address] = entry
-            self._index.add(entry)
-            self._invalidate_answers(entry.area)
-            return
-        merged = ServerEntry(
-            address=entry.address,
-            role=entry.role,
-            area=existing.area.union(entry.area),
-            authoritative=existing.authoritative or entry.authoritative,
-            collections=list({*existing.collections, *entry.collections}),
-            registered_at=entry.registered_at,
-        )
-        self.servers[entry.address] = merged
-        self._index.add(merged)
-        self._invalidate_answers(merged.area)
+        if existing is not None and not entry.covers(existing.area):
+            entry = ServerEntry(
+                address=entry.address,
+                role=entry.role,
+                area=existing.area.union(entry.area),
+                authoritative=existing.authoritative or entry.authoritative,
+                collections=list(dict.fromkeys([*existing.collections, *entry.collections])),
+                registered_at=entry.registered_at,
+            )
+        self.servers[entry.address] = entry
+        if self._index is not None:
+            self._index.add(entry, existing)
+        self._invalidate_answers(entry.area)
 
     def register_named_resource(self, entry: NamedResourceEntry) -> None:
         """Add resolution data for an application-level URN."""
@@ -96,19 +112,20 @@ class Catalog:
         the same statements at every re-propagation, and the seed's
         ``statement not in list`` check made each replay O(statements).
         """
-        if statement in self._statement_keys:
+        keys = self._statement_keys
+        if keys is None:
+            keys = self._statement_keys = set(self.statements)
+        if statement in keys:
             return
-        self._statement_keys.add(statement)
-        self._statement_index.add(len(self.statements), statement)
+        keys.add(statement)
         self.statements.append(statement)
+        if self._statement_index is not None:
+            self._statement_index.add(len(self.statements) - 1)
         self._invalidate_answers(statement.lhs.area)
 
     def forget_server(self, address: str) -> None:
         """Drop a server (e.g. after repeated failures)."""
-        dropped = self.servers.pop(address, None)
-        if dropped is not None:
-            self._index.discard(address)
-            self._invalidate_answers(dropped.area)
+        self._drop_server(address)
 
     def prune_server(self, address: str) -> int:
         """Purge everything that routes through an unreachable server.
@@ -119,12 +136,7 @@ class Catalog:
         removed.  A rejoining peer restores its records through registration
         re-propagation, so pruning is safe under churn.
         """
-        removed = 0
-        pruned = self.servers.pop(address, None)
-        if pruned is not None:
-            self._index.discard(address)
-            self._invalidate_answers(pruned.area)
-            removed += 1
+        removed = 1 if self._drop_server(address) else 0
         target = canonical_address(address)
         replacements: dict[str, NamedResourceEntry | None] = {}
         for name, entry in self.named_resources.items():
@@ -159,6 +171,15 @@ class Catalog:
                 self.named_resources[name] = replacement
         return removed
 
+    def _drop_server(self, address: str) -> bool:
+        dropped = self.servers.pop(address, None)
+        if dropped is None:
+            return False
+        if self._index is not None:
+            self._index.discard(dropped)
+        self._invalidate_answers(dropped.area)
+        return True
+
     # -- lookups --------------------------------------------------------------- #
 
     def lookup_named(self, name: str) -> NamedResourceEntry | None:
@@ -174,7 +195,7 @@ class Catalog:
         key = ("overlap", roles, str(area))
         answer = self.answer_cache.get(key)
         if answer is None:
-            answer = tuple(self._index.overlapping(area, roles))
+            answer = tuple(self._index_of_servers().overlapping(area, roles))
             self.answer_cache.put(key, area, answer)
         return list(answer)
 
@@ -187,13 +208,13 @@ class Catalog:
         key = ("cover", roles, str(area))
         answer = self.answer_cache.get(key)
         if answer is None:
-            answer = tuple(self._index.covering(area, roles))
+            answer = tuple(self._index_of_servers().covering(area, roles))
             self.answer_cache.put(key, area, answer)
         return list(answer)
 
     def servers_with_roles(self, roles: tuple[ServerRole, ...]) -> list[ServerEntry]:
         """Every known server holding one of ``roles``, in address order."""
-        return self._index.with_roles(roles)
+        return self._index_of_servers().with_roles(roles)
 
     def authoritative_servers(self, area: InterestArea) -> list[ServerEntry]:
         """Authoritative index / meta-index servers covering ``area``."""
@@ -214,7 +235,7 @@ class Catalog:
 
     def statements_for(self, level: CatalogLevel, area: InterestArea) -> list[IntensionalStatement]:
         """Intensional statements applicable to a query over ``area``."""
-        return self._statement_index.applicable(level, area)
+        return self._index_of_statements().applicable(level, area)
 
     # -- answer cache -------------------------------------------------------------- #
     #

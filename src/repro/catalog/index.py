@@ -31,7 +31,11 @@ the whole catalog.
 The same machinery indexes intensional statements by (catalog level,
 left-hand area), replacing the full-list filter in ``statements_for``.
 
-Maintenance is incremental: ``add`` / ``discard`` mirror
+Neither index holds a copy of what it indexes: each reads the catalog's
+own record (its ``servers`` map, its ``statements`` list).  The catalog
+builds an index from that record on the first lookup that needs it — most
+peers' catalogs are only ever registered into, and hold no index at all —
+and from then on maintenance is incremental: ``add`` / ``discard`` mirror
 ``register_server`` / ``forget_server`` / ``prune_server`` and cost
 O(cells × depth) per entry, far off the lookup hot path.
 """
@@ -209,20 +213,22 @@ def _cell_candidates_overlapping(
 class CatalogIndex:
     """The trie-backed server index behind :class:`~repro.catalog.Catalog`.
 
-    Holds one :class:`CategoryTrie` per namespace dimension (grown lazily to
-    the dimensionality of the areas it sees) plus per-role buckets, and
-    answers the catalog's lookup vocabulary with verified trie candidates.
+    Reads the catalog's own ``servers`` map (address → entry) and holds
+    only what answers lookups over it: one :class:`CategoryTrie` per
+    namespace dimension (grown lazily to the dimensionality of the areas it
+    sees) plus per-role address buckets.  It is built from that map and
+    then kept in step with it: the catalog writes the map first, then tells
+    the index which entry came and which went.
     """
 
-    __slots__ = ("entries", "_tries", "_by_role")
+    __slots__ = ("_servers", "_tries", "_by_role")
 
-    def __init__(self) -> None:
-        self.entries: dict[str, ServerEntry] = {}
+    def __init__(self, servers: dict[str, ServerEntry]) -> None:
+        self._servers = servers
         self._tries: list[CategoryTrie] = []
-        self._by_role: dict[ServerRole, dict[str, ServerEntry]] = {}
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        self._by_role: dict[ServerRole, set[str]] = {}
+        for entry in servers.values():
+            self.add(entry)
 
     # -- maintenance ---------------------------------------------------- #
 
@@ -231,29 +237,22 @@ class CatalogIndex:
             self._tries.append(CategoryTrie())
         return self._tries[dimension]
 
-    def add(self, entry: ServerEntry) -> None:
-        """Index ``entry``; replaces any previous entry for the address."""
-        previous = self.entries.get(entry.address)
-        if previous is not None:
-            self.discard(entry.address)
-        self.entries[entry.address] = entry
-        self._by_role.setdefault(entry.role, {})[entry.address] = entry
+    def add(self, entry: ServerEntry, replaced: ServerEntry | None = None) -> None:
+        """Index ``entry``, which took the place of ``replaced`` (if any)."""
+        if replaced is not None:
+            self.discard(replaced)
+        self._by_role.setdefault(entry.role, set()).add(entry.address)
         for cell in entry.area:
             for dimension, coordinate in enumerate(cell.coordinates):
                 self._trie(dimension).add(coordinate.segments, entry.address)
 
-    def discard(self, address: str) -> None:
-        """Drop the entry for ``address``, if indexed."""
-        entry = self.entries.pop(address, None)
-        if entry is None:
-            return
-        role_bucket = self._by_role.get(entry.role)
-        if role_bucket is not None:
-            role_bucket.pop(address, None)
+    def discard(self, entry: ServerEntry) -> None:
+        """Unindex ``entry``, which the catalog has dropped or replaced."""
+        self._by_role[entry.role].discard(entry.address)
         for cell in entry.area:
             for dimension, coordinate in enumerate(cell.coordinates):
                 if dimension < len(self._tries):
-                    self._tries[dimension].remove(coordinate.segments, address)
+                    self._tries[dimension].remove(coordinate.segments, entry.address)
 
     # -- lookups -------------------------------------------------------- #
 
@@ -261,12 +260,13 @@ class CatalogIndex:
         self, area: InterestArea, roles: tuple[ServerRole, ...] | None = None
     ) -> list[ServerEntry]:
         """Entries whose area overlaps ``area``, in address order."""
+        servers = self._servers
         matched: set[str] = set()
         for cell in area:
-            for address in _cell_candidates_overlapping(self._tries, cell, self.entries):
+            for address in _cell_candidates_overlapping(self._tries, cell, servers):
                 if address in matched:
                     continue
-                entry = self.entries[address]
+                entry = servers[address]
                 if (roles is None or entry.role in roles) and entry.overlaps(area):
                     matched.add(address)
         return self._assemble(matched)
@@ -275,6 +275,7 @@ class CatalogIndex:
         self, area: InterestArea, roles: tuple[ServerRole, ...] | None = None
     ) -> list[ServerEntry]:
         """Entries whose area covers all of ``area``, in address order."""
+        servers = self._servers
         candidates: set[str] | None = None
         for cell in area:
             cell_candidates = _cell_candidates_covering(self._tries, cell)
@@ -289,12 +290,12 @@ class CatalogIndex:
         if candidates is None:
             # No constraining cell: every entry covers the (empty) area,
             # mirroring the linear scan's all()-over-nothing semantics.
-            candidates = set(self.entries)
+            candidates = set(servers)
         matched = {
             address
             for address in candidates
-            if (roles is None or self.entries[address].role in roles)
-            and self.entries[address].covers(area)
+            if (roles is None or servers[address].role in roles)
+            and servers[address].covers(area)
         }
         return self._assemble(matched)
 
@@ -309,7 +310,7 @@ class CatalogIndex:
         # Ordering cost is bounded by the matches, never the catalog: the
         # seed implementation re-sorted every scan result; here only the
         # matched addresses (unique by construction) are ordered.
-        return [self.entries[address] for address in sorted(matched)]
+        return [self._servers[address] for address in sorted(matched)]
 
 
 class StatementIndex:
@@ -318,24 +319,23 @@ class StatementIndex:
     ``statements_for`` needs the statements whose left-hand side is at the
     query's level *and* whose left-hand area covers the query area — the
     same covers-style path walk as the server index, bucketed per level.
-    Statements are keyed by their position in the catalog's statement list
-    so results replay in registration order, byte-identical to the seed's
-    list filter.
+    Statements are keyed by their position in the catalog's own statement
+    list, which the index reads and never copies, so results replay in
+    registration order, byte-identical to the seed's list filter.
     """
 
     __slots__ = ("_statements", "_by_level", "_tries_by_level")
 
-    def __init__(self) -> None:
-        self._statements: dict[int, IntensionalStatement] = {}
+    def __init__(self, statements: list[IntensionalStatement]) -> None:
+        self._statements = statements
         self._by_level: dict[CatalogLevel, set[int]] = {}
         self._tries_by_level: dict[CatalogLevel, list[CategoryTrie]] = {}
+        for sequence in range(len(statements)):
+            self.add(sequence)
 
-    def __len__(self) -> int:
-        return len(self._statements)
-
-    def add(self, sequence: int, statement: IntensionalStatement) -> None:
-        """Index ``statement`` under its list position."""
-        self._statements[sequence] = statement
+    def add(self, sequence: int) -> None:
+        """Index the statement at ``sequence`` in the catalog's list."""
+        statement = self._statements[sequence]
         level = statement.lhs.level
         self._by_level.setdefault(level, set()).add(sequence)
         tries = self._tries_by_level.setdefault(level, [])

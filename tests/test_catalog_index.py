@@ -5,15 +5,23 @@ The index must be *indistinguishable* from the linear scans of
 byte — including under churn: randomized
 register → forget/prune → rejoin sequences exercise the incremental
 maintenance paths (bucket refcounts, branch pruning, role buckets) that a
-build-once index would never hit.
+build-once index would never hit.  A catalog builds its indexes on the
+first lookup that needs them, so the same answers must come back wherever
+that first lookup falls, and a catalog nobody reads must build none.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.catalog import (
     Catalog,
     CatalogLevel,
@@ -24,6 +32,9 @@ from repro.catalog import (
     ServerRole,
     canonical_address,
 )
+from repro.harness import scaleout
+from repro.harness.cli import SCENARIOS
+from repro.mqp.processor import MQPProcessor
 from repro.namespace import encode_interest_area
 
 from oracles.catalog_scan import scan_covering, scan_overlapping, scan_statements, scan_with_roles
@@ -225,6 +236,32 @@ class TestIndexMaintenance:
             assert [entry.address for entry in found] == ["s:1"]
             assert found == scan_overlapping(catalog, namespace.area(query))
 
+    def test_merged_collections_keep_their_order_under_every_hash_seed(self):
+        """A merged entry lists the known collections, then the new ones.
+
+        Collection order feeds binding (the sources of a bound URN and the
+        first collection of a server), so it must not follow the hash seed.
+        """
+        code = (
+            "from repro.catalog import Catalog, CollectionRef, ServerEntry, ServerRole\n"
+            "from repro.namespace import garage_sale_namespace\n"
+            "namespace = garage_sale_namespace()\n"
+            "catalog = Catalog('merge')\n"
+            "for city, paths in (('USA/OR', ['/a', '/b']), ('USA/WA', ['/c', '/a'])):\n"
+            "    catalog.register_server(ServerEntry(\n"
+            "        's:1', ServerRole.BASE, namespace.area([city, 'Music']),\n"
+            "        collections=[CollectionRef('s:1', path) for path in paths]))\n"
+            "print(' '.join(ref.path for ref in catalog.servers['s:1'].collections))\n"
+        )
+        source = str(Path(repro.__file__).resolve().parents[1])
+        for hash_seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=source)
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            assert done.stdout.split() == ["/a", "/b", "/c"], hash_seed
+
 
 class TestAnswerCacheEquivalence:
     """Every catalog answers a repeated lookup from its cache.  Interleaved
@@ -282,6 +319,164 @@ class TestAnswerCacheEquivalence:
         first.clear()  # a caller's list is its own: the cached answer is untouched
         assert [entry.address for entry in catalog.servers_overlapping(area)] == ["s:1"]
         assert catalog.answer_cache.hits == 1
+
+
+def _lookups(catalog, areas):
+    """Every lookup a catalog answers, over ``areas``."""
+    indexing = (ServerRole.INDEX, ServerRole.META_INDEX)
+    found = []
+    for area in areas:
+        for roles in (None, (ServerRole.BASE,), indexing):
+            found.append(catalog.servers_overlapping(area, roles))
+            found.append(catalog.servers_covering(area, roles))
+        found.append(catalog.authoritative_servers(area))
+        found.append(catalog.collections_overlapping(area))
+        for level in (CatalogLevel.BASE, CatalogLevel.INDEX):
+            found.append(catalog.statements_for(level, area))
+    for roles in ((ServerRole.BASE,), indexing, (ServerRole.CLIENT,)):
+        found.append(catalog.servers_with_roles(roles))
+    return found
+
+
+def _scans(catalog, areas):
+    """What :func:`_lookups` must return, by linear scan."""
+    indexing = (ServerRole.INDEX, ServerRole.META_INDEX)
+    found = []
+    for area in areas:
+        for roles in (None, (ServerRole.BASE,), indexing):
+            found.append(scan_overlapping(catalog, area, roles))
+            found.append(scan_covering(catalog, area, roles))
+        found.append([entry for entry in scan_covering(catalog, area, indexing) if entry.authoritative])
+        found.append(sorted(
+            collection
+            for entry in scan_overlapping(catalog, area, (ServerRole.BASE,))
+            for collection in entry.collections
+        ))
+        for level in (CatalogLevel.BASE, CatalogLevel.INDEX):
+            found.append(scan_statements(catalog, level, area))
+    for roles in ((ServerRole.BASE,), indexing, (ServerRole.CLIENT,)):
+        found.append(scan_with_roles(catalog, roles))
+    return found
+
+
+def _random_writes(namespace, rng, count, areas):
+    """``count`` seeded writes as (method name, argument) pairs; the
+    statements' left-hand sides are drawn from ``areas``, so they apply."""
+    addresses = [f"peer-{index:02d}:9020" for index in range(20)]
+    statements = [
+        IntensionalStatement.parse(
+            f"{level}[{encode_interest_area(rng.choice(areas))}]@{rng.choice(addresses)} "
+            f">= {level}[{encode_interest_area(_random_area(namespace, rng))}]@{rng.choice(addresses)}"
+        )
+        for level in ("base", "index", "base", "index", "base", "base")
+    ]
+    writes = []
+    for _ in range(count):
+        action, address = rng.random(), rng.choice(addresses)
+        if action < 0.5:
+            writes.append(("register_server", _random_entry(namespace, rng, address)))
+        elif action < 0.7:
+            writes.append(("register_statement", rng.choice(statements)))  # repeats, too
+        elif action < 0.85:
+            writes.append(("forget_server", address))
+        else:
+            writes.append(("prune_server", address))
+    return writes
+
+
+class TestFirstReadAnywhere:
+    """A catalog builds its indexes on the first lookup, then maintains them.
+
+    Wherever that first lookup falls in a run of writes — before any, after
+    every k-th, or only at the end with more writes after it — every answer
+    must be the linear scan's and that of a twin catalog read after every
+    write.
+    """
+
+    @pytest.mark.parametrize("seed", [2, 31, 977])
+    @pytest.mark.parametrize("first_read", ["before-any-write", "every-kth-write", "at-the-end"])
+    def test_reads_match_the_scan_and_an_always_read_twin(self, namespace, seed, first_read):
+        rng = random.Random(seed)
+        areas = [_random_area(namespace, rng) for _ in range(4)] + [namespace.top_area()]
+        writes = _random_writes(namespace, rng, 240, areas)
+        ends = (len(writes) // 2, len(writes))  # the first read "at the end" is the first end
+        every = rng.choice([3, 5, 7])
+        reads = {
+            "before-any-write": {0, *ends},
+            "every-kth-write": {*range(every, len(writes) + 1, every), *ends},
+            "at-the-end": set(ends),
+        }[first_read]
+        lazy, twin = Catalog("lazy"), Catalog("twin")
+        merges = 0
+        for step, (method, argument) in enumerate([(None, None), *writes]):
+            if method is not None:
+                if method == "register_server":
+                    existing = lazy.servers.get(argument.address)
+                    merges += existing is not None and not argument.covers(existing.area)
+                getattr(lazy, method)(argument)
+                getattr(twin, method)(argument)
+            expected = _lookups(twin, areas)
+            assert expected == _scans(twin, areas)
+            if step == min(reads):
+                assert not lazy.indexed
+            if step in reads:
+                assert _lookups(lazy, areas) == expected, step
+                assert lazy.indexed
+        assert lazy.servers == twin.servers and lazy.statements == twin.statements
+        assert merges and len(lazy.statements) < sum(m == "register_statement" for m, _ in writes)
+        assert any(twin.statements_for(level, area) for level in CatalogLevel for area in areas)
+
+    def test_a_catalog_built_with_contents_answers(self, namespace):
+        rng = random.Random(8)
+        areas = [_random_area(namespace, rng) for _ in range(6)]
+        filled = Catalog("filled")
+        for method, argument in _random_writes(namespace, rng, 80, areas):
+            getattr(filled, method)(argument)
+        built = Catalog("built", servers=dict(filled.servers), statements=list(filled.statements))
+        assert _lookups(built, areas) == _scans(filled, areas)
+        statement = filled.statements[0]
+        built.register_statement(statement)  # already held: deduplicated
+        assert built.statements == filled.statements
+
+
+class TestUnreadCatalogs:
+    """Only a peer that binds or routes a plan reads its catalog, so only
+    those catalogs hold an index; the rest are only ever registered into."""
+
+    def test_only_catalogs_that_bind_or_route_build_an_index(self, monkeypatch):
+        spec = replace(SCENARIOS["thousand-peers"], peers=60, churn="none")
+        indexed_after_set_up: list[str] = []
+        build = scaleout.build_scaleout_scenario
+
+        def build_and_census(*args, **kwargs):
+            scenario = build(*args, **kwargs)
+            indexed_after_set_up.extend(
+                peer.address for peer in scenario.cluster.peers() if peer.catalog.indexed
+            )
+            return scenario
+
+        readers: set[str] = set()
+
+        def recording(method):
+            def wrapper(self, *args, **kwargs):
+                readers.add(self.address)
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scaleout, "build_scaleout_scenario", build_and_census)
+        monkeypatch.setattr(MQPProcessor, "_bind_urns", recording(MQPProcessor._bind_urns))
+        monkeypatch.setattr(MQPProcessor, "_route", recording(MQPProcessor._route))
+        scenario, _ = scaleout.run_scenario(spec)
+
+        assert indexed_after_set_up == []
+        peers = list(scenario.cluster.peers())
+        assert len(peers) == 64
+        indexed = {peer.address for peer in peers if peer.catalog.indexed}
+        assert indexed == readers == {
+            scenario.client.address,
+            scenario.meta_index.address,
+            *(peer.address for peer in scenario.index_servers),
+        }
 
 
 def _cells(area):

@@ -9,11 +9,14 @@ Standard library only:
 
     python tools/heap_ledger.py --workload gene-1k
     python tools/heap_ledger.py --workload feed-aio --transport aio --quick
+    python tools/heap_ledger.py --workload gene-1k --peers 5000
 
 ``--transport`` defaults to the workload's own; ``--quick`` runs the
-workload's small variant.  Tracing costs time and memory of its own, so
-read sizes and counts here and timings and peak RSS off
-``benchmarks/e2e/run.py``.
+workload's small variant; ``--peers N`` then sets the workload's peer
+count, so the same workload can be weighed at another scale.  The set-up
+ledger's title also divides its total by the peers on the network.
+Tracing costs time and memory of its own, so read sizes and counts here
+and timings and peak RSS off ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import sys
 import sysconfig
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,12 +48,13 @@ def _site(frame: tracemalloc.Frame) -> str:
     return f"{name}:{frame.lineno}"
 
 
-def ledger(title: str, snapshot: tracemalloc.Snapshot) -> None:
-    """Print the snapshot's total and its top allocation sites."""
+def ledger(title: str, snapshot: tracemalloc.Snapshot, peers: int | None = None) -> None:
+    """Print the snapshot's total (and its share a peer) and its top sites."""
     snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
     stats = snapshot.statistics("lineno")
     size, count = sum(stat.size for stat in stats), sum(stat.count for stat in stats)
-    print(f"\n{title}: {size / 1e6:.2f} MB in {count:,} blocks")
+    share = f"; {peers:,} peers, {size / peers / 1e3:.2f} KB a peer" if peers else ""
+    print(f"\n{title}: {size / 1e6:.2f} MB in {count:,} blocks{share}")
     print(f"{'MB':>7} {'blocks':>9}  site")
     for stat in stats[:TOP]:
         print(f"{stat.size / 1e6:7.2f} {stat.count:9,}  {_site(stat.traceback[0])}")
@@ -61,17 +66,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--transport", choices=("sim", "aio"), default=None,
                         help="delivery backend (default: the workload's own)")
     parser.add_argument("--quick", action="store_true", help="the workload's small variant")
+    parser.add_argument("--peers", type=int, default=None,
+                        help="the workload's peer count (after --quick)")
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]
     transport = args.transport or workload.transport
     spec = workload.spec(DATA_SEED, quick=args.quick)
+    if args.peers is not None:
+        spec = replace(spec, peers=args.peers)
 
     snapshots: dict[str, tracemalloc.Snapshot] = {}
+    peers: list[int] = []
     build = scaleout.build_scaleout_scenario
 
     def build_and_watch(*build_args, **build_kwargs):
         scenario = build(*build_args, **build_kwargs)
         snapshots["set-up"] = tracemalloc.take_snapshot()
+        peers.append(scenario.total_peers)
         close = scenario.network.close
 
         def close_after_snapshot() -> None:
@@ -89,10 +100,13 @@ def main(argv: list[str] | None = None) -> int:
         scaleout.build_scaleout_scenario = build
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    print(f"{args.workload} on {transport}{' (quick)' if args.quick else ''}, "
+    variant = " (quick)" if args.quick else ""
+    if args.peers is not None:
+        variant += f" at {args.peers:,} peers"
+    print(f"{args.workload} on {transport}{variant}, "
           f"seed {DATA_SEED}, Python {sys.version.split()[0]}; "
           f"traced peak {peak / 1e6:.2f} MB")
-    ledger("End of set-up", snapshots["set-up"])
+    ledger("End of set-up", snapshots["set-up"], peers[0])
     ledger("End of run", snapshots["run"])
     return 0
 
