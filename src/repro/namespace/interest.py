@@ -23,18 +23,19 @@ __all__ = ["InterestCell", "InterestArea", "MultiHierarchicNamespace"]
 
 # Cell-to-cell comparisons dominate every catalog lookup: each test walks the
 # coordinate tuples and compares label prefixes.  Cells are immutable value
-# objects with precomputed hashes, so the results are memoized process-wide;
-# the cache bound comfortably holds the working set of a thousand-peer
-# scenario (distinct server-cell × query-cell pairs) without growing without
-# limit under adversarial workloads.
-@lru_cache(maxsize=1 << 17)
+# objects with precomputed hashes, so the results are memoized process-wide.
+# The bound is sized from what runs ask (distinct server-cell × query-cell
+# pairs): no preset fills 8,000 of a memo's 16,384 pairs, about 136 B each
+# (2.2 MB a memo), and the bound keeps an adversarial workload from growing
+# it without limit.
+@lru_cache(maxsize=1 << 14)
 def _cell_covers(mine: "InterestCell", theirs: "InterestCell") -> bool:
     return all(
         ours.covers(other) for ours, other in zip(mine.coordinates, theirs.coordinates)
     )
 
 
-@lru_cache(maxsize=1 << 17)
+@lru_cache(maxsize=1 << 14)
 def _cell_overlaps(mine: "InterestCell", theirs: "InterestCell") -> bool:
     return all(
         ours.overlaps(other) for ours, other in zip(mine.coordinates, theirs.coordinates)

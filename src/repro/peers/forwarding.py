@@ -8,7 +8,8 @@ Message kinds handled here:
     that can reduce a group of its branches, each carrying its branch
     path and its share of the query's credit (and the original plan only
     while it holds a URN).  A complete answer leaves as the text it already
-    is, under a new ``<result>`` root (:meth:`PlanForwarding.deliver`).
+    is: the evaluation cache's ``<result>`` document itself
+    (:meth:`PlanForwarding.deliver`).
 ``referral`` (sent here, handled by the peer)
     The entry of the authoritative index a client's plan was sent on to, so
     the client's next query under that area skips this hop
@@ -30,7 +31,7 @@ from ..mqp.plan import format_branch
 from ..namespace import InterestAreaURN, parse_urn_cached
 from ..network.message import Message
 from ..network.node import NetworkNode
-from ..xmlmodel import XMLElement, children_text, quoteattr, serialize_xml, utf8_len
+from ..xmlmodel import XMLElement, children_text, serialize_xml, utf8_len
 from .parts import insert_capped
 from .inbox import ResultInbox
 from .transfers import Transfers
@@ -159,14 +160,17 @@ class PlanForwarding:
                 self.inbox.record(envelope, items)
             return
         if answer is not None and items and not partial:
-            # A complete answer is text already (the evaluation cache's, or
-            # the span it arrived as): its children, wrapped again.
-            inner = children_text(answer.span.source)
-            payload = f"<result query-id={quoteattr(mqp.query_id)}>{inner}</result>"
+            # A complete answer is text already: the evaluation cache's own
+            # <result> document, shipped as that one string (the query id
+            # rides the envelope).  A span rooted elsewhere — a <collection>
+            # that arrived in a plan — is re-rooted.
+            payload = answer.span.source
+            if not payload.startswith("<result>"):
+                payload = f"<result>{children_text(payload)}</result>"
         else:
             # The wrapper shares the items: it exists only to be serialized
             # here, and serialization never mutates.
-            payload = serialize_xml(XMLElement("result", {"query-id": mqp.query_id}, items))
+            payload = serialize_xml(XMLElement("result", {}, items))
         envelope["document"] = payload
         envelope["items"] = len(items)  # lets the target count the answer without parsing it
         self.transfers.attach_failures(envelope)

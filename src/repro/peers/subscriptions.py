@@ -19,9 +19,11 @@ Message kinds handled here:
     cumulatively so the publisher can trim its replay log: the position
     rides the chunk's ``delivery-ack`` (one acknowledgement per delta), and
     only a chunk sent fire-and-forget is answered with a ``delta-ack``.
-    A changed item is written once per mutation (a projected one once per
-    subscriber), and a delta is parsed only when the subscriber reads an
-    item: the chunk's ``count`` says how many.
+    A delta's document is ``<delta>`` around its items, no more: a batch
+    of changed items is written once per mutation and shared by every
+    subscriber that takes it whole (a projected one is written per
+    subscriber), and it is parsed only when the subscriber reads an item:
+    the chunk's ``count`` says how many.
 ``sub-conflict``
     Conflicting-authority detection (the MOAS analogy): a publisher armed
     for a subscription by one authority that receives the same
@@ -66,7 +68,7 @@ from ..errors import PeerError, PeerOffline
 from ..namespace import InterestArea
 from ..network.message import Message
 from ..network.node import NetworkNode
-from ..xmlmodel import XMLElement, quoteattr, serialize_xml, utf8_len, well_formed
+from ..xmlmodel import XMLElement, serialize_xml, utf8_len, well_formed
 from .gather import ResultItems
 from .parts import Cancellations, InOrder, insert_capped
 from .transfers import Transfers
@@ -81,6 +83,13 @@ __all__ = [
 ]
 
 _INDEXING = (ServerRole.INDEX, ServerRole.META_INDEX)
+
+
+def _delta_document(texts: list[str]) -> str:
+    """serialize_xml's compact form of a ``<delta>`` over these item texts
+    (never none).  It carries no attribute: ``kind``, ``seq`` and ``sub`` ride
+    the envelope, so every subscriber of one batch shares the document."""
+    return f"<delta>{''.join(texts)}</delta>"
 
 
 def epoch_counter(epoch: str) -> int:
@@ -139,24 +148,31 @@ class PublisherFeed(InOrder[dict]):
 class DeltaRecord:
     """One released delta, as recorded at the subscribing peer.
 
-    ``items`` is read-only and counted, not parsed: its length is the
-    ``count`` the chunk arrived with, and the delta's document stays text
-    until an item is first read.  A document holding a different number of
-    items than announced raises :class:`~repro.errors.PeerError` then.
+    It keeps the delta's ``document`` (the text the chunk arrived with) and
+    its ``count``, and is one object until an item is read.  ``items`` is
+    read-only and counted, not parsed: the first read of it builds a
+    :class:`~repro.peers.gather.ResultItems` over the document, which the
+    record keeps.  A document holding a different number of items than
+    announced raises :class:`~repro.errors.PeerError` when an item is first
+    read.
     """
 
     sub_id: str
     kind: str  # "insert" | "update" | "retract"
-    items: Sequence[XMLElement]
+    document: str
+    count: int
     publisher: str
     epoch: str
     seq: int
     received_at: float
+    _items: ResultItems | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
-    def count(self) -> int:
-        """Number of items the delta carries."""
-        return len(self.items)
+    def items(self) -> Sequence[XMLElement]:
+        """The delta's items (see the class docstring)."""
+        if self._items is None:
+            self._items = ResultItems.of_document(self.document, self.count)
+        return self._items
 
 
 @dataclass
@@ -367,7 +383,8 @@ class Subscriptions:
                     DeltaRecord(
                         sub_id=sub_id,
                         kind=str(held.get("kind", "insert")),
-                        items=ResultItems.of_document(held["document"], held["count"]),
+                        document=held["document"],
+                        count=held["count"],
                         publisher=publisher,
                         epoch=epoch,
                         seq=feed.next_seq - 1,
@@ -569,17 +586,19 @@ class Subscriptions:
         matches), never O(armed plans) — and each candidate classifies the
         mutation through its own predicate: an update whose old state
         matched but whose new state does not is that subscriber's
-        ``retract``, and vice versa.  Each changed item is written once, and
-        every subscriber it passes to whole shares that text.
+        ``retract``, and vice versa.  Each changed item is written once, each
+        batch of them joined into one ``<delta>`` once, and every subscriber
+        it passes to whole shares that document.
         """
         if not self.armed or not self.port.connected:
             return
         area = self.collection_areas.get(path)
         if area is None:
             return
-        # id() of one of ``changes``' own items -> its text.  ``changes``
-        # holds them for the whole call, so no id here is reused meanwhile.
-        written: dict[int, str] = {}
+        # id() of one of ``changes``' own items -> its text, and the ids of a
+        # batch of them -> its delta document.  ``changes`` holds them for the
+        # whole call, so no id here is reused meanwhile.
+        written: dict[int | tuple[int, ...], str] = {}
         for sub_id, shape in self.matcher.matching(area):
             batches: dict[str, list[XMLElement]] = {"insert": [], "update": [], "retract": []}
             for before, after in changes:
@@ -598,33 +617,31 @@ class Subscriptions:
         shape: SubscriptionShape,
         kind: str,
         items: list[XMLElement],
-        written: dict[int, str],
+        written: dict[int | tuple[int, ...], str],
     ) -> None:
-        texts: list[str] = []
         if shape.columns is None:
-            for item in items:
-                text = written.get(id(item))
-                if text is None:
-                    text = written[id(item)] = serialize_xml(item)
-                texts.append(text)
+            batch = tuple(map(id, items))
+            document = written.get(batch)
+            if document is None:
+                texts = []
+                for item in items:
+                    text = written.get(id(item))
+                    if text is None:
+                        text = written[id(item)] = serialize_xml(item)
+                    texts.append(text)
+                document = written[batch] = _delta_document(texts)
         else:
             # Projected for this subscriber alone: temporaries, never keyed
             # by id (a freed one's id may come back for the next).
-            texts = [serialize_xml(item) for item in shape.apply(items)]
-        # serialize_xml's compact form of <delta> over these (never no)
-        # children, its attributes in sorted order.
-        head = (
-            f"<delta kind={quoteattr(kind)} seq={quoteattr(str(armed.next_seq))}"
-            f" sub={quoteattr(armed.sub_id)}>"
-        )
+            document = _delta_document([serialize_xml(item) for item in shape.apply(items)])
         envelope = {
-            "document": f"{head}{''.join(texts)}</delta>",
+            "document": document,
             "sub": armed.sub_id,
             "publisher": self.port.address,
             "epoch": armed.epoch,
             "seq": armed.next_seq,
             "kind": kind,
-            "count": len(texts),  # not charged: what lets the subscriber leave it unparsed
+            "count": len(items),  # not charged: what lets the subscriber leave it unparsed
         }
         armed.log[armed.next_seq] = envelope
         armed.next_seq += 1

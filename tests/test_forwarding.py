@@ -7,6 +7,8 @@ from repro.algebra import PlanBuilder, QueryPlan
 from repro.algebra.operators import Display, VerbatimData
 from repro.catalog import Catalog, CollectionRef, ServerEntry, ServerRole
 from repro.catalogtier import ShardMap
+from repro.harness.cli import SCENARIOS
+from repro.harness.scaleout import run_scenario
 from repro.mqp import MQPProcessor, MutantQueryPlan
 from repro.namespace import InterestAreaURN
 from repro.peers.forwarding import PlanForwarding
@@ -85,9 +87,10 @@ class TestTextInSameTextOut:
         else:  # over the wire: the leaf arrives as a span, never built into a tree
             hop.on_mqp(frame("mqp", mqp.serialize()))
         [sent] = hop.port.sent
-        expected = serialize_xml(XMLElement("result", {"query-id": query_id}, items))
+        expected = serialize_xml(XMLElement("result", {}, items))
         assert sent.kind == "result" and sent.payload["document"] == expected
         assert sent.payload["items"] == len(items)
+        assert sent.payload["query_id"] == query_id  # the id travels in the envelope alone
         assert sent.size_bytes == len(expected.encode("utf-8"))
 
     def test_a_partial_answer_keeps_the_item_path(self, hop):
@@ -96,9 +99,41 @@ class TestTextInSameTextOut:
         hop.deliver(MutantQueryPlan(plan.display("client:9020"), query_id="q1"), "stuck")
         [sent] = hop.port.sent
         assert sent.kind == "partial-result" and sent.payload["items"] == 1
-        assert sent.payload["document"] == serialize_xml(
-            XMLElement("result", {"query-id": "q1"}, items)
-        )
+        assert sent.payload["document"] == serialize_xml(XMLElement("result", {}, items))
+
+
+class TestOneAnswerOneString:
+    """A complete answer is the evaluation cache's own text: every delivery of
+    one cached result, and every client that records it, share one string."""
+
+    def test_a_cache_hit_sends_the_string_the_cache_holds(self, hop):
+        hop.on_mqp(frame("mqp", plan_document(query_id="q1")))
+        hop.on_mqp(frame("mqp", plan_document(query_id="q2")))
+        assert hop.processor.evaluations.hits == 1
+        [cached] = hop.processor.evaluations._leaves.values()
+        first, second = (sent.payload["document"] for sent in hop.port.sent)
+        assert first is cached.span.source and second is cached.span.source
+        assert [sent.payload["query_id"] for sent in hop.port.sent] == ["q1", "q2"]
+
+    def test_a_flash_crowd_holds_one_document_per_evaluation(self):
+        scenario, report = run_scenario(SCENARIOS["flash-crowd"])
+        assert report["traffic"]["mean_recall"] == 1.0
+        peers = scenario.cluster.peers()
+        cached = {
+            id(leaf.span.source)
+            for peer in peers
+            for leaf in peer.processor.evaluations._leaves.values()
+        }
+        held = [
+            delivery.content
+            for peer in peers
+            for result in peer.results.values()
+            for delivery in result.items._deliveries
+            if isinstance(delivery.content, str) and delivery.content != "<result/>"
+        ]
+        documents = {id(document) for document in held}
+        evaluations = sum(peer.processor.evaluations.misses for peer in peers)
+        assert documents <= cached and len(documents) <= evaluations < len(held)
 
 
 PORTLAND_CDS = ["USA/OR/Portland", "Music/CDs"]

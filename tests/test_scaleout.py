@@ -26,6 +26,7 @@ from repro.harness.scaleout import (
 )
 from repro.mqp import MQPProcessor, MutantQueryPlan, QueryPreferences
 from repro.namespace import garage_sale_namespace
+from repro.namespace.interest import _cell_covers, _cell_overlaps
 from repro.network import TOPOLOGY_KINDS, build_topology
 from repro.peers import QueryPeer
 from repro.xmlmodel import element, serialize_xml, text_element
@@ -348,6 +349,21 @@ class TestCollectorHandedBack:
         finally:
             gc.unfreeze()
         assert any(tracked is sentinel for tracked in gc.get_objects())
+
+
+class TestCellMemosHoldEveryRun:
+    """The process-wide cell-comparison memos are sized from what runs ask:
+    no preset fills one, at any of three seeds."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_no_preset_evicts(self, name):
+        for seed in (1, 2, 3):
+            for memo in (_cell_covers, _cell_overlaps):
+                memo.cache_clear()
+            run_scaleout(replace(SCENARIOS[name], seed=seed))
+            for memo in (_cell_covers, _cell_overlaps):
+                info = memo.cache_info()
+                assert info.misses == info.currsize < info.maxsize, (seed, memo.__name__, info)
 
 
 class TestScaleoutScenarios:

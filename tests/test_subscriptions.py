@@ -579,8 +579,7 @@ class TestDeltaDocuments:
     @staticmethod
     def tree_document(sub_id, kind, seq, shape, items) -> str:
         """The reference: the delta as a tree, serialized."""
-        attributes = {"sub": sub_id, "kind": kind, "seq": str(seq)}
-        return serialize_xml(XMLElement("delta", attributes, shape.apply(items)))
+        return serialize_xml(XMLElement("delta", {}, shape.apply(items)))
 
     @pytest.mark.parametrize("projected", [False, True], ids=["whole", "projected"])
     @pytest.mark.parametrize("subscribers", [1, 5])
@@ -638,6 +637,23 @@ class TestDeltaDocuments:
         publisher.mutated("/cds", [(None, make_item("One", 1.5))])  # a new mutation writes anew
         assert written == ["One"] * (1 + subscribers)
 
+    @pytest.mark.parametrize("subscribers", [1, 4])
+    def test_a_whole_batch_is_one_document_object_for_every_subscriber(
+        self, namespace, subscribers
+    ):
+        plans = {f"c#whole{n}": feed_plan(namespace) for n in range(subscribers)}
+        plans |= {f"c#titles{n}": feed_plan(namespace, True) for n in range(subscribers)}
+        publisher = armed_publisher(namespace, plans)
+        publisher.mutated("/cds", [(None, make_item("One", 1.0)), (None, make_item("Two", 2.0))])
+        sent = {payload["sub"]: payload["document"] for payload in chunks(publisher)}
+        whole = {id(sent[sub]) for sub in plans if "whole" in sub}
+        projected = {id(sent[sub]) for sub in plans if "titles" in sub}
+        assert len(whole) == 1 and len(projected) == subscribers
+        document = sent["c#whole0"]
+        assert document.startswith("<delta><item") and document.endswith("</item></delta>")
+        for sub_id in plans:  # the replay log keeps the very document it sent
+            assert publisher.armed[sub_id].log[0]["document"] is sent[sub_id]
+
 
 class TestDeltaItemsStayText:
     """A subscriber counts a delta's items off the envelope and parses the
@@ -671,6 +687,20 @@ class TestDeltaItemsStayText:
         assert [item.child_text("title") for item in third.items] == ["cd 2.0", "cd 2.1", "cd 2.2"]
         assert third.items[1].child_text("title") == "cd 2.1"
         assert parses == [chunks(publisher)[2]["document"]]  # once, and only that delta
+
+    def test_a_released_delta_is_one_object_holding_the_chunks_document(
+        self, namespace, monkeypatch
+    ):
+        publisher, client, state, parses = self._feed(namespace, monkeypatch, [2])
+        (payload,) = chunks(publisher)
+        client.on_delta_chunk(frame("delta-chunk", payload, sender="seller1:9020"))
+        (delta,) = state.deltas
+        assert not hasattr(delta, "__dict__")
+        assert delta.document is payload["document"] and delta.count == 2 and not parses
+        first, again = list(delta.items), list(delta.items)
+        assert len(parses) == 1  # parsed on the first read, the items then kept
+        assert first == again and all(a is b for a, b in zip(first, again))
+        assert delta.items == first and delta.items[1] is first[1]
 
     def test_a_wrong_count_raises_when_the_items_are_first_read(self, namespace, monkeypatch):
         publisher, client, state, _ = self._feed(namespace, monkeypatch, [1])
