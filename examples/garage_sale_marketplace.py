@@ -55,6 +55,10 @@ def fluent_api_with_partial_answers() -> None:
         # failure and the answer degrades to a *partial* result, loudly
         # flagged on the handle instead of silently shrinking.
         area = namespace.area(["*", "SportingGoods"])
+        # The namespace is also the paper's category service (§3.1): "what
+        # are the immediate subcategories of SportingGoods?"
+        kinds = namespace.dimension("Merchandise").children("SportingGoods")
+        print("Sporting goods cover:", ", ".join(path.label for path in kinds))
         expected = workload.ground_truth_count(area, None)
         handle = (
             buyer.query()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.api import Cluster
 from repro.workloads import GeneExpressionConfig, GeneExpressionWorkload
+from repro.xmlmodel import evaluate_path
 
 
 def main() -> None:
@@ -58,6 +59,10 @@ def main() -> None:
         print(f"Records returned: {result.count} (recall {trace.recall:.2f})")
         genes = sorted({item.child_text("gene") or "?" for item in result.items})
         print("Genes observed in cardiac records:", ", ".join(genes))
+        # An XPath-lite qualifier picks records out of the answer.
+        strong = "/experiment[expression > 10]"
+        count = sum(1 for item in result.items if evaluate_path(item, strong))
+        print(f"Records expressed above 10: {count}")
 
 
 if __name__ == "__main__":

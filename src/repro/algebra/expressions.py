@@ -45,9 +45,6 @@ class Expression:
         """Serialize to the compact textual predicate form."""
         raise NotImplementedError
 
-    def __str__(self) -> str:
-        return self.to_text()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Expression) and self.to_text() == other.to_text()
 
@@ -83,10 +80,6 @@ class PathRef(Expression):
     def evaluate(self, item: XMLElement) -> object:
         values = evaluate_path_values(item, self.path)
         return values[0] if values else None
-
-    def evaluate_all(self, item: XMLElement) -> list[str]:
-        """Return every value the path selects (used by set-valued predicates)."""
-        return evaluate_path_values(item, self.path)
 
     def to_text(self) -> str:
         return self.path

@@ -69,11 +69,6 @@ class PlanNode:
 
     # -- structure ------------------------------------------------------- #
 
-    @property
-    def is_leaf(self) -> bool:
-        """True for data/reference leaves (no child operators)."""
-        return not self.children
-
     def iter_nodes(self) -> Iterator["PlanNode"]:
         """Yield this node and all descendants, pre-order."""
         pending = [self]

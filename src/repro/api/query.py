@@ -17,8 +17,8 @@ an explicit query id for deterministic reports.
         .submit()
     )
 
-A pre-built plan drops in through the escape hatch: ``session.query(plan)``
-or ``builder.plan(query_plan)``.
+A pre-built plan drops in through the escape hatch, ``session.query(plan)``;
+its ``Display`` names where the answer goes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class QueryBuilder:
         self._session = session
         self._builder: PlanBuilder | None = None
         self._raw: QueryPlan | None = plan
-        self._target: str | None = None
         self._prefer: str | None = None
         self._target_time_ms: float | None = None
         self._preferences: QueryPreferences | None = None
@@ -81,23 +80,6 @@ class QueryBuilder:
     ) -> "QueryBuilder":
         """Query verbatim XML data carried inside the plan."""
         return self._start(PlanBuilder.data(items, name))
-
-    def plan(self, plan: QueryPlan) -> "QueryBuilder":
-        """Escape hatch: use a pre-built :class:`QueryPlan` as-is.
-
-        The plan is taken structurally complete (including its ``Display``
-        root); the builder's structural methods are unavailable after this,
-        while the query controls (``prefer``/``within``/``expecting``/
-        ``labelled``) still apply.  ``.to()`` cannot retarget a raw plan —
-        its ``Display`` target is authoritative and a conflicting ``.to()``
-        raises at compile time rather than being silently ignored.
-        """
-        if self._builder is not None:
-            raise APIError("this query already has a fluent body; cannot adopt a raw plan")
-        if self._raw is not None:
-            raise APIError("this query already has a raw plan")
-        self._raw = plan
-        return self
 
     # -- structure (mirrors PlanBuilder one-for-one) ------------------------ #
 
@@ -189,28 +171,18 @@ class QueryBuilder:
         self._query_id = query_id
         return self
 
-    def to(self, target_address: str) -> "QueryBuilder":
-        """Deliver the answer to another peer (default: the issuing session)."""
-        self._target = target_address
-        return self
-
     # -- terminals ------------------------------------------------------------ #
 
     def compile(self) -> QueryPlan:
         """Compile to the :class:`QueryPlan` that would be submitted."""
         if self._raw is not None:
-            if self._target is not None and self._target != self._raw.target:
-                raise APIError(
-                    "cannot retarget a raw plan with .to(); the adopted plan "
-                    f"already delivers to {self._raw.target!r}"
-                )
             return self._raw
         if self._builder is None:
             raise APIError(
                 "the query has no source; start with .urn()/.area()/.url()/"
-                ".data() or adopt a plan with .plan()"
+                ".data() or adopt a plan with session.query(plan)"
             )
-        return self._builder.display(self._target or self._session.address)
+        return self._builder.display(self._session.address)
 
     def build_preferences(self) -> QueryPreferences:
         """The :class:`QueryPreferences` the submission will carry."""

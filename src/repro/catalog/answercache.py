@@ -82,31 +82,4 @@ class AnswerCache:
         self.invalidations += len(stale)
         return len(stale)
 
-    def flush(self) -> int:
-        """Drop everything — the blunt fallback when no area is known."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self.invalidations += dropped
-        return dropped
-
     # -- introspection ---------------------------------------------------- #
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float | int]:
-        """Counter snapshot for reports and the stats API."""
-        return {
-            "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-        }

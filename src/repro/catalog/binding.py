@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..algebra.operators import ConjointOr, PlanNode, Union as UnionOp, URLRef, URNRef
+from ..algebra.operators import PlanNode, Union as UnionOp, URLRef, URNRef
 from ..errors import BindingError
 from ..namespace import InterestArea
 from .catalog import Catalog
@@ -48,11 +48,6 @@ class BoundSource:
     def is_concrete(self) -> bool:
         """True for a directly fetchable collection."""
         return self.collection is not None
-
-    def __str__(self) -> str:
-        where = str(self.collection) if self.collection else "(route)"
-        delay = f" {{{self.delay_minutes:g}}}" if self.delay_minutes else ""
-        return f"{where}@{self.server}{delay}"
 
 
 @dataclass
@@ -135,18 +130,6 @@ class Binding:
     def most_current(self) -> BindingAlternative:
         """The alternative with the smallest staleness bound (ties: fewest servers)."""
         return min(self.alternatives, key=lambda alt: (alt.max_delay_minutes, alt.server_count))
-
-    def to_plan_node(self, fallback_urn: str | None = None) -> PlanNode:
-        """Render the whole binding as a plan fragment.
-
-        A single alternative becomes its union; several alternatives become
-        a :class:`ConjointOr` so downstream servers (or the policy manager)
-        can still pick a branch.
-        """
-        nodes = [alternative.to_plan_node(fallback_urn) for alternative in self.alternatives]
-        if len(nodes) == 1:
-            return nodes[0]
-        return ConjointOr(nodes)
 
 
 class Binder:

@@ -108,18 +108,7 @@ class RoutingCache:
         matches.sort(key=lambda entry: (-entry.specificity(), entry.server))
         return matches
 
-    def best(self, area: InterestArea, require_cover: bool = True) -> CacheEntry | None:
-        """The single most specific cached server for ``area``, if any."""
-        matches = self.lookup(area, require_cover)
-        return matches[0] if matches else None
-
     # -- introspection ------------------------------------------------------------ #
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

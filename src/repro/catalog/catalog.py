@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import CatalogError
 from ..namespace import InterestArea
 from .answercache import AnswerCache
 from .entries import (
@@ -259,10 +258,3 @@ class Catalog:
     def known_addresses(self) -> list[str]:
         """Addresses of all servers known to this catalog."""
         return sorted(self.servers)
-
-    def require_server(self, address: str) -> ServerEntry:
-        """Return the entry for ``address`` or raise."""
-        try:
-            return self.servers[address]
-        except KeyError:
-            raise CatalogError(f"{self.owner}: unknown server {address!r}") from None

@@ -85,10 +85,6 @@ class CategoryTrie:
         self._root = _TrieNode()
         self._size = 0
 
-    def __len__(self) -> int:
-        """Number of (coordinate, key) insertions currently held."""
-        return self._size
-
     # -- maintenance ---------------------------------------------------- #
 
     def add(self, segments: tuple[str, ...], key: Hashable) -> None:

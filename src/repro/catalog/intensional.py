@@ -58,16 +58,9 @@ class ServerHolding:
         if self.delay_minutes < 0:
             raise IntensionalStatementError("delay must be non-negative")
 
-    def restricted_to(self, area: InterestArea) -> "ServerHolding":
-        """Return this holding restricted to the overlap with ``area``."""
-        return ServerHolding(self.level, self.area.intersection(area), self.server, self.delay_minutes)
-
     def to_text(self) -> str:
         delay = f"{{{self.delay_minutes:g}}}" if self.delay_minutes else ""
         return f"{self.level.value}[{encode_interest_area(self.area)}]@{self.server}{delay}"
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 _HOLDING_RE = re.compile(
@@ -141,6 +134,3 @@ class IntensionalStatement:
                 rhs = tuple(_parse_holding(part) for part in right_text.split("|"))
                 return cls(lhs, relation, rhs)
         raise IntensionalStatementError(f"no relation found in statement: {text!r}")
-
-    def __str__(self) -> str:
-        return self.to_text()

@@ -4,7 +4,7 @@ from .cost import CostEstimate, CostModel, DEFAULT_JOIN_SELECTIVITY, DEFAULT_SEL
 from .evaluate import LeafResolver, QueryEngine
 from .memo import EvaluationMemo
 from .operators import BufferBudget
-from .statistics import CollectionStatistics, ColumnStatistics, collect_statistics
+from .statistics import CollectionStatistics
 
 __all__ = [
     "QueryEngine",
@@ -16,6 +16,4 @@ __all__ = [
     "DEFAULT_SELECT_SELECTIVITY",
     "DEFAULT_JOIN_SELECTIVITY",
     "CollectionStatistics",
-    "ColumnStatistics",
-    "collect_statistics",
 ]

@@ -49,13 +49,6 @@ class CostEstimate:
     bytes: float
     cost: float
 
-    def __add__(self, other: "CostEstimate") -> "CostEstimate":
-        return CostEstimate(
-            self.cardinality + other.cardinality,
-            self.bytes + other.bytes,
-            self.cost + other.cost,
-        )
-
 
 class CostModel:
     """Estimates cardinalities and costs bottom-up over a plan tree."""
@@ -154,10 +147,6 @@ class CostModel:
         return total_bytes / total_items
 
     # -- comparisons used by the policy manager ------------------------------------ #
-
-    def shipping_cost(self, estimate: CostEstimate) -> float:
-        """Cost of shipping a result of the estimated size to another peer."""
-        return estimate.bytes * _PER_BYTE_COST
 
     def reduces_plan_size(self, node: PlanNode) -> bool:
         """Heuristic: does evaluating ``node`` shrink what must be shipped?

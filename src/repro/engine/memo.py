@@ -84,12 +84,6 @@ class EvaluationMemo:
     def __len__(self) -> int:
         return len(self._leaves)
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 def _size_of(key: str, leaf: VerbatimData) -> int:
     """What an entry is charged: its key plus its result text (serialized by

@@ -1,116 +1,44 @@
-"""Collection statistics: cardinalities, distinct counts, histograms.
+"""Collection statistics: the cardinality and size a plan leaf carries.
 
 Section 5.1 of the paper proposes annotating plan leaves with "cardinality,
 the unique cardinality of the join column, or even a histogram" so later
-servers can make better routing and evaluation decisions.  This module
-computes those statistics from a collection of XML items and renders them
-to / from the flat string form carried in plan-node annotations.
+servers can make better routing and evaluation decisions.  A holder
+annotates each leaf it evaluates with the item count and byte size of the
+result, and the cost model reads them back; this module renders them to /
+from the flat string form carried in plan-node annotations.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
-from ..xmlmodel import XMLElement, evaluate_path_values, serialized_size
-
-__all__ = ["ColumnStatistics", "CollectionStatistics", "collect_statistics"]
-
-
-@dataclass(frozen=True)
-class ColumnStatistics:
-    """Statistics for the values reached by one path inside a collection."""
-
-    path: str
-    count: int
-    distinct: int
-    histogram: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def selectivity(self) -> float:
-        """Estimated fraction of items matching an equality predicate on this path."""
-        if self.count == 0 or self.distinct == 0:
-            return 0.0
-        return 1.0 / self.distinct
-
-    def frequency(self, value: str) -> int:
-        """Return the histogram frequency for ``value`` (0 when absent)."""
-        for bucket_value, bucket_count in self.histogram:
-            if bucket_value == value:
-                return bucket_count
-        return 0
+__all__ = ["CollectionStatistics"]
 
 
 @dataclass
 class CollectionStatistics:
-    """Statistics of a whole collection, keyed by path."""
+    """Statistics of a whole collection."""
 
     cardinality: int
     bytes: int
-    columns: dict[str, ColumnStatistics] = field(default_factory=dict)
-
-    def column(self, path: str) -> ColumnStatistics | None:
-        """Return statistics for ``path`` if they were collected."""
-        return self.columns.get(path)
 
     def to_annotations(self, prefix: str = "stats") -> dict[str, str]:
         """Flatten to the string key/value form stored in plan annotations."""
-        annotations = {
+        return {
             f"{prefix}.cardinality": str(self.cardinality),
             f"{prefix}.bytes": str(self.bytes),
         }
-        for path, column in sorted(self.columns.items()):
-            key = f"{prefix}.distinct[{path}]"
-            annotations[key] = str(column.distinct)
-        return annotations
 
     @classmethod
     def from_annotations(
         cls, annotations: Mapping[str, str], prefix: str = "stats"
     ) -> "CollectionStatistics | None":
-        """Rebuild (partially) from plan annotations; ``None`` when absent."""
+        """Rebuild from plan annotations; ``None`` when absent."""
         cardinality_key = f"{prefix}.cardinality"
         if cardinality_key not in annotations:
             return None
-        stats = cls(
+        return cls(
             cardinality=int(annotations[cardinality_key]),
             bytes=int(annotations.get(f"{prefix}.bytes", "0")),
         )
-        marker = f"{prefix}.distinct["
-        for key, value in annotations.items():
-            if key.startswith(marker) and key.endswith("]"):
-                path = key[len(marker) : -1]
-                distinct = int(value)
-                stats.columns[path] = ColumnStatistics(path, stats.cardinality, distinct)
-        return stats
-
-
-def collect_statistics(
-    items: Sequence[XMLElement],
-    paths: Sequence[str] = (),
-    histogram_buckets: int = 16,
-) -> CollectionStatistics:
-    """Compute statistics of ``items`` for the given value paths.
-
-    The histogram keeps the ``histogram_buckets`` most frequent values,
-    which is enough for the equality-selectivity estimates the optimizer
-    makes.
-    """
-    total_bytes = sum(serialized_size(item) for item in items)
-    stats = CollectionStatistics(cardinality=len(items), bytes=total_bytes)
-    for path in paths:
-        counter: Counter[str] = Counter()
-        occurrences = 0
-        for item in items:
-            for value in evaluate_path_values(item, path):
-                counter[value] += 1
-                occurrences += 1
-        histogram = tuple(counter.most_common(histogram_buckets))
-        stats.columns[path] = ColumnStatistics(
-            path=path,
-            count=occurrences,
-            distinct=len(counter),
-            histogram=histogram,
-        )
-    return stats

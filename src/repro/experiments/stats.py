@@ -76,11 +76,6 @@ class ConfidenceInterval:
     trials: int
     confidence: float
 
-    @property
-    def width(self) -> float:
-        """Interval width — 1.0 means "we learned nothing"."""
-        return self.high - self.low
-
     def as_dict(self, precision: int = 4) -> dict[str, object]:
         """Flat JSON-ready form used by experiment report cells."""
         return {

@@ -188,13 +188,6 @@ class MutantQueryPlan:
         """URN strings still unresolved in the plan."""
         return [ref.urn for ref in self.plan.urn_refs()]
 
-    def original_resources(self) -> list[str]:
-        """The resource names the original query referenced (for spoof checks)."""
-        assert self.original is not None
-        resources = [ref.urn for ref in self.original.urn_refs()]
-        resources.extend(ref.url for ref in self.original.url_refs())
-        return resources
-
     def elapsed_ms(self, now: float) -> float:
         """Simulated time since the query was issued."""
         return max(0.0, now - self.issued_at)

@@ -229,11 +229,6 @@ class MQPProcessor:
         """True when this peer stores the collection at ``path``."""
         return path in self.collections
 
-    def add_collection(self, path: str, items: Sequence[XMLElement]) -> None:
-        """Store (or replace) a local collection."""
-        self.collections[path] = list(items)
-        self.evaluations.clear()
-
     def _is_local_url(self, leaf: URLRef) -> bool:
         if self.free_ride:
             return False  # a free rider's data never resolves into a plan

@@ -134,14 +134,6 @@ class ProvenanceLog:
                 seen.append(record.server)
         return seen
 
-    def actions_by(self, server: str) -> list[ProvenanceRecord]:
-        """Everything one server did to the plan."""
-        return [record for record in self.records if record.server == server]
-
-    def evaluations(self) -> list[ProvenanceRecord]:
-        """Records of sub-plan evaluations."""
-        return [record for record in self.records if record.action is ProvenanceAction.EVALUATED]
-
     def hop_count(self) -> int:
         """Number of forward hops the plan took."""
         return sum(1 for record in self.records if record.action is ProvenanceAction.FORWARDED)
@@ -151,14 +143,6 @@ class ProvenanceLog:
         if not self.records:
             return 0.0
         return max(record.staleness_minutes for record in self.records)
-
-    def servers_that_bound(self, resource: str) -> list[str]:
-        """Servers that claim to have bound the named resource."""
-        return [
-            record.server
-            for record in self.records
-            if record.action is ProvenanceAction.BOUND and resource in record.detail
-        ]
 
     # -- spoof detection (§5.1) ---------------------------------------------------- #
 

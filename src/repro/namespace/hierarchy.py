@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..errors import NamespaceError
 
@@ -114,12 +114,6 @@ class CategoryPath:
             return self
         return CategoryPath(self.segments[:-1])
 
-    def ancestors(self, include_self: bool = False) -> Iterator["CategoryPath"]:
-        """Yield ancestors from the top category down to the parent (or self)."""
-        limit = len(self.segments) + (1 if include_self else 0)
-        for length in range(0, limit):
-            yield CategoryPath(self.segments[:length])
-
     def covers(self, other: "CategoryPath") -> bool:
         """True when ``other`` is this category or one of its descendants.
 
@@ -144,21 +138,6 @@ class CategoryPath:
         if other.covers(self):
             return self
         return None
-
-    def common_ancestor(self, other: "CategoryPath") -> "CategoryPath":
-        """Return the deepest category covering both paths."""
-        shared: list[str] = []
-        for mine, theirs in zip(self.segments, other.segments):
-            if mine != theirs:
-                break
-            shared.append(mine)
-        return CategoryPath(tuple(shared))
-
-    def relative_depth(self, ancestor: "CategoryPath") -> int:
-        """Return how many levels below ``ancestor`` this category sits."""
-        if not ancestor.covers(self):
-            raise NamespaceError(f"{ancestor} does not cover {self}")
-        return self.depth - ancestor.depth
 
     def __str__(self) -> str:
         # str(path) keys routing caches on the hot path, so the rendered
@@ -215,9 +194,6 @@ class Hierarchy:
         path = CategoryPath.parse(category) if isinstance(category, str) else category
         return path in self._children
 
-    def __len__(self) -> int:
-        return len(self._children)
-
     def categories(self) -> list[CategoryPath]:
         """Return every known category, top first, in breadth-then-name order."""
         return sorted(self._children, key=lambda path: (path.depth, path.segments))
@@ -233,14 +209,6 @@ class Hierarchy:
             (path for path, kids in self._children.items() if not kids),
             key=lambda path: (path.depth, path.segments),
         )
-
-    def depth(self) -> int:
-        """Return the depth of the deepest known category."""
-        return max(path.depth for path in self._children)
-
-    def validate(self, category: CategoryPath | str) -> CategoryPath:
-        """Return the path if it names a known category, else raise."""
-        return self._require(category)
 
     def approximate(self, category: CategoryPath | str) -> CategoryPath:
         """Map an unknown category to its deepest known ancestor.
@@ -270,7 +238,3 @@ class Hierarchy:
 
     def __repr__(self) -> str:
         return f"Hierarchy({self.name!r}, {len(self._children)} categories)"
-
-
-def _as_paths(items: Sequence[CategoryPath | str]) -> list[CategoryPath]:
-    return [CategoryPath.parse(item) if isinstance(item, str) else item for item in items]

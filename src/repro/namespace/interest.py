@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import NamespaceError
 from .hierarchy import TOP, CategoryPath, Hierarchy
@@ -237,9 +237,7 @@ class MultiHierarchicNamespace:
     The namespace is shared application-wide (the paper's garage sale uses
     Location × Merchandise; the gene-expression scenario uses Organism ×
     CellType).  It validates cells against the known hierarchies, builds the
-    all-covering top cell/area, and computes how many known leaf cells a
-    given area covers — the measure used by the routing benchmarks to
-    reason about recall.
+    all-covering top cell/area.
     """
 
     def __init__(self, dimensions: Sequence[Hierarchy]) -> None:
@@ -252,23 +250,11 @@ class MultiHierarchicNamespace:
 
     # -- basic structure ------------------------------------------------ #
 
-    @property
-    def dimension_names(self) -> tuple[str, ...]:
-        """Names of the dimensions, in namespace order."""
-        return tuple(dimension.name for dimension in self.dimensions)
-
     def dimension(self, name: str) -> Hierarchy:
         """Return the dimension named ``name``."""
         for candidate in self.dimensions:
             if candidate.name == name:
                 return candidate
-        raise NamespaceError(f"unknown dimension {name!r}")
-
-    def dimension_index(self, name: str) -> int:
-        """Return the position of dimension ``name``."""
-        for index, candidate in enumerate(self.dimensions):
-            if candidate.name == name:
-                return index
         raise NamespaceError(f"unknown dimension {name!r}")
 
     def top_cell(self) -> InterestCell:
@@ -285,16 +271,6 @@ class MultiHierarchicNamespace:
         """Build and validate a cell with one coordinate per dimension."""
         built = InterestCell.of(*coordinates)
         return self.validate_cell(built)
-
-    def cell_from_mapping(self, coordinates: Mapping[str, CategoryPath | str]) -> InterestCell:
-        """Build a cell from ``{dimension name: category}``; missing dimensions get ``*``."""
-        ordered: list[CategoryPath | str] = []
-        unknown = set(coordinates) - set(self.dimension_names)
-        if unknown:
-            raise NamespaceError(f"unknown dimensions in cell: {sorted(unknown)}")
-        for dimension in self.dimensions:
-            ordered.append(coordinates.get(dimension.name, TOP))
-        return self.cell(*ordered)
 
     def area(self, *cells: InterestCell | Sequence[CategoryPath | str]) -> InterestArea:
         """Build and validate an interest area."""
@@ -317,54 +293,6 @@ class MultiHierarchicNamespace:
                 )
         return cell
 
-    def approximate_cell(self, cell: InterestCell) -> InterestCell:
-        """Replace unknown coordinates with their deepest known ancestors (§3.5)."""
-        if cell.dimensionality != len(self.dimensions):
-            raise NamespaceError(
-                f"cell {cell} has {cell.dimensionality} coordinates, "
-                f"namespace has {len(self.dimensions)} dimensions"
-            )
-        approximated = tuple(
-            dimension.approximate(coordinate)
-            for coordinate, dimension in zip(cell.coordinates, self.dimensions)
-        )
-        return InterestCell(approximated)
-
-    # -- measurement ----------------------------------------------------- #
-
-    def leaf_cells(self) -> list[InterestCell]:
-        """Return the cross product of leaf categories (the finest-grained cells)."""
-        leaf_lists = [dimension.leaves() for dimension in self.dimensions]
-        cells: list[InterestCell] = []
-        self._cross(leaf_lists, 0, [], cells)
-        return cells
-
-    def _cross(
-        self,
-        leaf_lists: list[list[CategoryPath]],
-        index: int,
-        prefix: list[CategoryPath],
-        out: list[InterestCell],
-    ) -> None:
-        if index == len(leaf_lists):
-            out.append(InterestCell(tuple(prefix)))
-            return
-        for leaf in leaf_lists[index]:
-            prefix.append(leaf)
-            self._cross(leaf_lists, index + 1, prefix, out)
-            prefix.pop()
-
-    def coverage_fraction(self, area: InterestArea) -> float:
-        """Return the fraction of leaf cells covered by ``area``.
-
-        Used by the experiment harness as a namespace-level proxy for how
-        broad a server's holdings or a query's scope is.
-        """
-        leaves = self.leaf_cells()
-        if not leaves:
-            return 0.0
-        covered = sum(1 for leaf in leaves if area.covers_cell(leaf))
-        return covered / len(leaves)
-
     def __repr__(self) -> str:
-        return f"MultiHierarchicNamespace({', '.join(self.dimension_names)})"
+        names = ", ".join(dimension.name for dimension in self.dimensions)
+        return f"MultiHierarchicNamespace({names})"

@@ -41,17 +41,6 @@ class Message:
     def __post_init__(self) -> None:
         self.size_bytes = max(1, int(self.size_bytes))
 
-    def reply_to(self, kind: str, payload: Any = None, size_bytes: int = 256) -> "Message":
-        """Build a response message addressed back to the sender."""
-        return Message(
-            sender=self.recipient,
-            recipient=self.sender,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            hop=self.hop + 1,
-        )
-
     def __repr__(self) -> str:
         return (
             f"Message(#{self.message_id} {self.kind!r} "

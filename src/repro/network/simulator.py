@@ -44,11 +44,6 @@ class Event:
             return self.time < other.time
         return self.sequence < other.sequence
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.sequence == other.sequence
-
     def cancel(self) -> None:
         """Prevent the event from running when its time comes.
 
@@ -95,11 +90,6 @@ class Simulator:
     def processed_events(self) -> int:
         """Number of events executed so far."""
         return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
 
     # -- scheduling ---------------------------------------------------------- #
 
@@ -214,4 +204,4 @@ class Simulator:
         self.run(until=None, max_events=max_events)
 
     def __repr__(self) -> str:
-        return f"Simulator(now={self._now:.3f}ms, pending={self.pending_events})"
+        return f"Simulator(now={self._now:.3f}ms, pending={len(self._queue)})"

@@ -144,9 +144,6 @@ class Transport(ABC):
         """Backend counters (frames, bytes, reconnects, ...); empty for sim."""
         return {}
 
-    def describe(self) -> str:
-        return f"{type(self).__name__}(now={self.simulator.now:.1f}ms)"
-
 
 def build_transport(kind: str) -> Transport:
     """Instantiate a transport backend by name (``sim`` or ``aio``)."""

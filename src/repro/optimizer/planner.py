@@ -33,17 +33,12 @@ process-wide instance keeps that table warm at no cost per peer.
 @dataclass
 class OptimizationOutcome:
     """The optimizer's output handed to the policy manager; ``plan`` is the
-    input plan object itself when ``fired_rules`` is empty, else a copy."""
+    input plan object itself when ``rewrites.fired_rules`` is empty, else a copy."""
 
     plan: QueryPlan
     rewrites: RewriteResult
     evaluable: list[PlanNode] = field(default_factory=list)
     deferrable: list[PlanNode] = field(default_factory=list)
-
-    @property
-    def fired_rules(self) -> list[str]:
-        """Names of rewrite rules that fired, in order."""
-        return self.rewrites.fired_rules
 
 
 class Optimizer:

@@ -38,9 +38,6 @@ class RewriteRule:
     description: str = ""
     operator: type[PlanNode] = PlanNode
 
-    def __call__(self, node: PlanNode) -> PlanNode | None:
-        return self.apply(node)
-
 
 @dataclass
 class RewriteResult:

@@ -142,9 +142,6 @@ class Cancellations:
     def __contains__(self, query_id: object) -> bool:
         return query_id in self._queries
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._queries)
-
     def add(self, query_id: str) -> None:
         insert_capped(self._queries, query_id, None, self.memory)
 

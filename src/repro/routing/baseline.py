@@ -48,10 +48,6 @@ class BaselinePeer(NetworkNode):
             return []
         return self.topology.neighbors(self.address)
 
-    def results_for(self, query_id: str) -> list[XMLElement]:
-        """Items collected so far for a query issued at this peer."""
-        return self.results.get(query_id, [])
-
     def _issue(self, area: InterestArea, query_id: str | None) -> tuple[str, list[XMLElement]]:
         """Open a query here: start its trace and answer from the local store.
         Returns the query id and the local matches."""

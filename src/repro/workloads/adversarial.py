@@ -82,16 +82,6 @@ class FlashCrowdSchedule:
         if len(self.times_ms) != len(self.ranks):
             raise WorkloadError("flash-crowd times and ranks must be parallel")
 
-    @property
-    def burst_indexes(self) -> list[int]:
-        """Positions of the burst members within the issue order."""
-        end = self.burst_at_ms + self.burst_width_ms
-        return [
-            index
-            for index, (at, rank) in enumerate(zip(self.times_ms, self.ranks))
-            if rank == 0 and self.burst_at_ms <= at <= end
-        ]
-
 
 def flash_crowd_schedule(
     rng: Generator,

@@ -62,11 +62,6 @@ class SellerData:
         """The seller's location category."""
         return self.cell.coordinate(0)
 
-    @property
-    def category(self) -> CategoryPath:
-        """The seller's merchandise specialty."""
-        return self.cell.coordinate(1)
-
 
 class GarageSaleWorkload:
     """Generates sellers, items and ground-truth answers for the garage sale."""
@@ -136,10 +131,6 @@ class GarageSaleWorkload:
     def all_items(self) -> list[XMLElement]:
         """Every generated item, across sellers."""
         return list(self._index.items)
-
-    def sellers_overlapping(self, area: InterestArea) -> list[SellerData]:
-        """Sellers whose interest cell overlaps the query area."""
-        return [seller for seller in self.sellers if area.overlaps(seller.area)]
 
     def matching_items(self, area: InterestArea, max_price: float | None = None) -> list[XMLElement]:
         """Ground-truth answer: items covered by ``area`` (optionally below a price),

@@ -141,14 +141,6 @@ class GeneExpressionWorkload:
             ["Coelomata/Deuterostomia/Mammalia", "Muscle/Cardiac"]
         )
 
-    def relevant_repositories(self, area: InterestArea) -> list[Repository]:
-        """Repositories whose interest area overlaps the query (may hold data)."""
-        return [repository for repository in self.repositories if repository.area.overlaps(area)]
-
-    def irrelevant_repositories(self, area: InterestArea) -> list[Repository]:
-        """Repositories that can safely be skipped (the paper's group 1)."""
-        return [repository for repository in self.repositories if not repository.area.overlaps(area)]
-
     def matching_records(self, area: InterestArea) -> list[XMLElement]:
         """Ground truth: records whose (organism, cellType) cell is covered by the area,
         in repository order."""

@@ -118,12 +118,6 @@ class QuerySpec:
     area: InterestArea
     max_price: float | None = None
 
-    def predicate_text(self) -> str | None:
-        """The textual selection predicate, if the query has one."""
-        if self.max_price is None:
-            return None
-        return f"price < {self.max_price:g}"
-
 
 _LOCATION_SKEW = 1.1
 _CATEGORY_SKEW = 0.9

@@ -208,19 +208,9 @@ class XMLElement:
             if node.tag == tag:
                 yield node
 
-    def descendant_count(self) -> int:
-        """Return the number of elements in this subtree (including self)."""
-        return sum(1 for _ in self.iter())
-
     # ------------------------------------------------------------------ #
     # Dunder protocol
     # ------------------------------------------------------------------ #
-
-    def __iter__(self) -> Iterator["XMLElement"]:
-        return iter(self.children)
-
-    def __len__(self) -> int:
-        return len(self.children)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, XMLElement):

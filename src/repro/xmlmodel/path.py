@@ -100,9 +100,6 @@ class PathExpression:
     text: bool = False
     source: str = ""
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return self.source
-
 
 def _compare(left: str, op: str, right: str) -> bool:
     comparator = _COMPARATORS[op]

@@ -119,23 +119,12 @@ class TestQueryBuilderCompilation:
         manual = PlanBuilder.data(items, name="stock").count().display("peer:9020")
         assert serialize_plan(fluent) == serialize_plan(manual)
 
-    def test_to_overrides_delivery_target(self, session):
-        plan = session.query().urn("urn:X:y").to("elsewhere:9020").compile()
-        assert plan.target == "elsewhere:9020"
-
     def test_raw_plan_escape_hatch(self, session):
         manual = PlanBuilder.urn("urn:X:y").select("price < 5").display("peer:9020")
         adopted = session.query(manual).compile()
         assert adopted is manual
-        adopted_via_method = session.query().plan(manual).compile()
-        assert adopted_via_method is manual
-
-    def test_raw_plan_cannot_be_silently_retargeted(self, session):
-        manual = PlanBuilder.urn("urn:X:y").display("peer:9020")
-        with pytest.raises(APIError, match="retarget"):
-            session.query(manual).to("elsewhere:9020").compile()
-        # A .to() matching the plan's own target is not a conflict.
-        assert session.query(manual).to("peer:9020").compile() is manual
+        elsewhere = PlanBuilder.urn("urn:X:y").display("elsewhere:9020")
+        assert session.query(elsewhere).compile().target == "elsewhere:9020"
 
     def test_builder_grammar_errors(self, session):
         with pytest.raises(APIError):
@@ -147,8 +136,6 @@ class TestQueryBuilderCompilation:
         manual = PlanBuilder.urn("urn:X:y").display("peer:9020")
         with pytest.raises(APIError):
             session.query(manual).where("price < 1")  # raw plan is structural-final
-        with pytest.raises(APIError):
-            session.query().urn("urn:X:y").plan(manual)  # fluent body already started
 
     def test_preferences_compilation(self, session):
         builder = session.query().urn("urn:X:y").prefer("current").within(250.0)
@@ -554,7 +541,8 @@ def test_a_meta_index_leaves_the_registration_it_was_sent_intact(transport):
         cluster.run_until_idle()
         assert payload.entry.collections == collections
         meta = cluster.session("meta:9020").peer
-        assert meta.catalog.require_server("seller1:9020").collections == []
+        assert "seller1:9020" in meta.catalog.known_addresses()
+        assert meta.catalog.servers["seller1:9020"].collections == []
 
 
 class TestPeerSubmitPlan:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.algebra import ConjointOr, Union, URLRef
 from repro.catalog import (
     Binder,
     Catalog,
@@ -156,18 +155,6 @@ class TestBinderExample3:
         assert fast.max_delay_minutes == 30
         assert current.max_delay_minutes == 0
         assert current.server_count == 2
-
-    def test_binding_plan_node_rendering(self, namespace):
-        portland = namespace.area(["USA/OR/Portland", "*"])
-        statement = IntensionalStatement.parse(
-            "base[(USA.OR.Portland,*)]@R:9020 = base[(USA.OR.Portland,*)]@S:9020"
-        )
-        catalog = _catalog_with(namespace, [("R:9020", portland), ("S:9020", portland)], [statement])
-        binding = Binder(catalog).bind_area(namespace.area(["USA/OR/Portland", "Music/CDs"]))
-        node = binding.to_plan_node("urn:InterestArea:(USA.OR.Portland,Music.CDs)")
-        assert isinstance(node, ConjointOr)
-        default_branch = node.children[0]
-        assert isinstance(default_branch, (Union, URLRef))
 
     def test_unknown_area_returns_none(self, namespace):
         catalog = _catalog_with(namespace, [])

@@ -96,7 +96,7 @@ class TestWorkloads:
         for seller in first.sellers:
             for item in seller.items:
                 assert item.child_text("city") == str(seller.city)
-                assert item.child_text("category").startswith(str(seller.category))
+                assert item.child_text("category").startswith(str(seller.cell.coordinate(1)))
 
     def test_garage_sale_ground_truth(self, namespace):
         workload = GarageSaleWorkload(GarageSaleConfig(sellers=10, seed=3))
@@ -109,8 +109,9 @@ class TestWorkloads:
         workload = GeneExpressionWorkload(GeneExpressionConfig(records_per_cell=2))
         assert len(workload.repositories) == 3
         query = workload.mammalian_cardiac_query_area()
-        relevant = {repo.name for repo in workload.relevant_repositories(query)}
-        irrelevant = {repo.name for repo in workload.irrelevant_repositories(query)}
+        overlaps = {repo.name: repo.area.overlaps(query) for repo in workload.repositories}
+        relevant = {name for name, overlap in overlaps.items() if overlap}
+        irrelevant = {name for name, overlap in overlaps.items() if not overlap}
         assert relevant == {"Rodent connective/muscle lab", "Human atlas project"}
         assert irrelevant == {"Fly neural lab"}
         assert len(workload.matching_records(query)) > 0

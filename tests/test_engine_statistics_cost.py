@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra import PlanBuilder, URNRef
-from repro.engine import CollectionStatistics, CostModel, collect_statistics
+from repro.engine import CollectionStatistics, CostModel
 from tests.conftest import make_item
 
 
@@ -13,39 +13,14 @@ def items():
 
 
 class TestStatistics:
-    def test_cardinality_and_bytes(self, items):
-        stats = collect_statistics(items)
-        assert stats.cardinality == 10
-        assert stats.bytes > 0
-
-    def test_column_statistics(self, items):
-        stats = collect_statistics(items, paths=["title", "seller"])
-        assert stats.column("title").distinct == 10
-        assert stats.column("seller").distinct == 2
-        assert stats.column("seller").selectivity == pytest.approx(0.5)
-        assert stats.column("missing") is None
-
-    def test_histogram_frequencies(self, items):
-        stats = collect_statistics(items, paths=["seller"])
-        column = stats.column("seller")
-        assert column.frequency("s0") == 5
-        assert column.frequency("unknown") == 0
-
-    def test_annotation_roundtrip(self, items):
-        stats = collect_statistics(items, paths=["seller"])
+    def test_annotation_roundtrip(self):
+        stats = CollectionStatistics(cardinality=10, bytes=1234)
         annotations = stats.to_annotations()
-        restored = CollectionStatistics.from_annotations(annotations)
-        assert restored.cardinality == stats.cardinality
-        assert restored.bytes == stats.bytes
-        assert restored.column("seller").distinct == 2
+        assert annotations == {"stats.cardinality": "10", "stats.bytes": "1234"}
+        assert CollectionStatistics.from_annotations(annotations) == stats
 
     def test_from_annotations_absent(self):
         assert CollectionStatistics.from_annotations({}) is None
-
-    def test_empty_collection(self):
-        stats = collect_statistics([], paths=["title"])
-        assert stats.cardinality == 0
-        assert stats.column("title").selectivity == 0.0
 
 
 class TestCostModel:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import Experiment, ExperimentSpec, ROW_COLUMNS
-from repro.experiments.cli import main as experiment_main
+from repro.experiments.cli import EXPERIMENT_PRESETS, main as experiment_main
 from repro.harness.cli import SCENARIOS, main as cli_main
 from repro.harness.report import scenario_report, to_json
 from repro.harness import scaleout
@@ -150,6 +150,37 @@ class TestExperimentCLI:
         with pytest.raises(SystemExit):
             experiment_main(["--scenarios", "no-such-preset",
                              "--output-dir", str(tmp_path)])
+
+    def test_the_recovery_curve_preset_sweeps_link_loss(self):
+        cells = EXPERIMENT_PRESETS["recovery-curve"]()
+        assert [cell.name for cell in cells] == [
+            "loss-00", "loss-05", "loss-10", "loss-20", "loss-30",
+        ]
+        assert [cell.fault_loss for cell in cells] == [0.0, 0.05, 0.10, 0.20, 0.30]
+        base = SCENARIOS["lossy-links"]
+        for cell in cells:
+            cell.validate()
+            assert replace(cell, name=base.name, fault_loss=base.fault_loss) == base
+
+    def test_the_replica_outage_preset_crashes_zero_to_two_replicas(self, tmp_path, capsys):
+        cells = EXPERIMENT_PRESETS["replica-outage"]()
+        assert [(cell.name, cell.catalog_outages) for cell in cells] == [
+            ("outage-0", 0), ("outage-1", 1), ("outage-2", 2),
+        ]
+        base = SCENARIOS["sharded-catalog"]
+        for cell in cells:
+            cell.validate()
+            assert replace(cell, name=base.name, catalog_outages=base.catalog_outages) == base
+        out = tmp_path / "exp"
+        code = experiment_main([
+            "--preset", "replica-outage", "--seeds", "11", "--repeats", "1",
+            "--peers", "20", "--queries", "3", "--output-dir", str(out),
+        ])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [cell["scenario"] for cell in summary["cells"]] == [
+            "outage-0", "outage-1", "outage-2",
+        ]
 
     def test_adversarial_presets_are_registered(self):
         for name in ("zipf-hotspot", "flash-crowd", "free-riders",

@@ -20,7 +20,9 @@ def service():
 
 class TestCategoryQueries:
     def test_dimensions(self, service):
-        assert list(service.dimension_names) == ["Location", "Merchandise"]
+        assert [dimension.name for dimension in service.dimensions] == [
+            "Location", "Merchandise",
+        ]
 
     def test_subcategories_question_from_paper(self, service):
         # "What are the immediate subcategories of Furniture?"
@@ -29,7 +31,8 @@ class TestCategoryQueries:
         assert {"Tables", "Chairs", "Sofas", "Beds"} == set(labels)
 
     def test_parent(self, service):
-        portland = service.dimension("Location").validate("USA/OR/Portland")
+        portland = CategoryPath.parse("USA/OR/Portland")
+        assert portland in service.dimension("Location")
         assert portland.parent == CategoryPath.parse("USA/OR")
 
     def test_contains(self, service):

@@ -25,11 +25,9 @@ class TestCategoryPath:
         with pytest.raises(NamespaceError):
             CategoryPath(("",))
 
-    def test_parent_and_ancestors(self):
+    def test_parent(self):
         path = CategoryPath.parse("USA/OR/Portland")
         assert str(path.parent) == "USA/OR"
-        assert [str(a) for a in path.ancestors()] == ["*", "USA", "USA/OR"]
-        assert [str(a) for a in path.ancestors(include_self=True)][-1] == "USA/OR/Portland"
 
     def test_covers_is_reflexive_and_ancestral(self):
         oregon = CategoryPath.parse("USA/OR")
@@ -47,19 +45,6 @@ class TestCategoryPath:
         assert not portland.overlaps(seattle)
         assert oregon.meet(portland) == portland
         assert portland.meet(seattle) is None
-
-    def test_common_ancestor(self):
-        portland = CategoryPath.parse("USA/OR/Portland")
-        eugene = CategoryPath.parse("USA/OR/Eugene")
-        paris = CategoryPath.parse("France/IleDeFrance/Paris")
-        assert str(portland.common_ancestor(eugene)) == "USA/OR"
-        assert portland.common_ancestor(paris) == TOP
-
-    def test_relative_depth(self):
-        portland = CategoryPath.parse("USA/OR/Portland")
-        assert portland.relative_depth(CategoryPath.parse("USA")) == 2
-        with pytest.raises(NamespaceError):
-            portland.relative_depth(CategoryPath.parse("France"))
 
     def test_child(self):
         assert str(CategoryPath.parse("USA").child("OR")) == "USA/OR"
@@ -83,17 +68,10 @@ class TestHierarchy:
         with pytest.raises(NamespaceError):
             Hierarchy("X").children("Nope")
 
-    def test_leaves_and_depth(self):
+    def test_leaves(self):
         hierarchy = location_hierarchy()
         leaves = hierarchy.leaves()
         assert all(not hierarchy.children(leaf) for leaf in leaves)
-        assert hierarchy.depth() == 3
-
-    def test_validate(self):
-        hierarchy = location_hierarchy()
-        assert hierarchy.validate("USA/OR") == CategoryPath.parse("USA/OR")
-        with pytest.raises(NamespaceError):
-            hierarchy.validate("Atlantis")
 
     def test_approximate_unknown_to_known_ancestor(self):
         hierarchy = location_hierarchy()

@@ -108,9 +108,10 @@ class TestInterestArea:
 class TestMultiHierarchicNamespace:
     def test_dimension_lookup(self):
         namespace = garage_sale_namespace()
-        assert namespace.dimension_names == ("Location", "Merchandise")
+        assert [dimension.name for dimension in namespace.dimensions] == [
+            "Location", "Merchandise",
+        ]
         assert namespace.dimension("Location").name == "Location"
-        assert namespace.dimension_index("Merchandise") == 1
         with pytest.raises(NamespaceError):
             namespace.dimension("Color")
 
@@ -123,28 +124,9 @@ class TestMultiHierarchicNamespace:
         with pytest.raises(NamespaceError):
             namespace.validate_cell(InterestCell.of("USA"))
 
-    def test_cell_from_mapping_defaults_to_top(self):
-        namespace = garage_sale_namespace()
-        cell = namespace.cell_from_mapping({"Location": "USA/OR"})
-        assert cell.coordinate(1).is_top
-        with pytest.raises(NamespaceError):
-            namespace.cell_from_mapping({"Bogus": "x"})
-
-    def test_approximate_cell(self):
-        namespace = garage_sale_namespace()
-        unknown = InterestCell.of("USA/OR/Portland/Hawthorne", "Furniture/Chairs/Rocking")
-        approx = namespace.approximate_cell(unknown)
-        assert approx == namespace.cell("USA/OR/Portland", "Furniture/Chairs")
-
     def test_top_area_covers_everything(self):
         namespace = garage_sale_namespace()
         assert namespace.top_area().covers(namespace.area(["USA/OR", "Music"]))
-        assert namespace.coverage_fraction(namespace.top_area()) == pytest.approx(1.0)
-
-    def test_coverage_fraction_partial(self):
-        namespace = garage_sale_namespace()
-        fraction = namespace.coverage_fraction(namespace.area(["USA/OR/Portland", "*"]))
-        assert 0.0 < fraction < 1.0
 
     def test_duplicate_dimension_names_rejected(self):
         with pytest.raises(NamespaceError):

@@ -198,7 +198,7 @@ class TestDefermentAndOptimizer:
         )
         with_rules = Optimizer().optimize(plan, local_to("here:9020"))
         without_rules = STANDARD_REWRITES.rewrite_plan(plan)
-        assert "consolidation" in with_rules.fired_rules
+        assert "consolidation" in with_rules.rewrites.fired_rules
         assert "consolidation" not in without_rules.fired_rules
 
     def test_optimizer_does_not_mutate_input(self, cd_items):
@@ -224,7 +224,7 @@ class TestCopyOnWriteRewriting:
         assert result.plan is plan
         assert self._snapshot(plan) == before
         outcome = Optimizer().optimize(plan, local_to("here:9020"))
-        assert outcome.fired_rules == [] and outcome.plan is plan
+        assert outcome.rewrites.fired_rules == [] and outcome.plan is plan
 
     def test_a_firing_rule_rewrites_a_copy_and_leaves_the_input_alone(self, cd_items):
         plan = (

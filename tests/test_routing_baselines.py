@@ -34,7 +34,7 @@ class TestGnutella:
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
         query_id = peers[0].issue_query(area, horizon=4)
         network.run_until_idle()
-        assert len(peers[0].results_for(query_id)) == 2
+        assert len(peers[0].results.get(query_id, [])) == 2
 
     def test_small_horizon_misses_rare_content(self, namespace):
         """The paper's claim: broadcasting 'hurts result quality by limiting
@@ -49,8 +49,8 @@ class TestGnutella:
         network.run_until_idle()
         long = peers[0].issue_query(area, horizon=8)
         network.run_until_idle()
-        assert len(peers[0].results_for(short)) <= len(peers[0].results_for(long))
-        assert len(peers[0].results_for(long)) == 1
+        assert len(peers[0].results.get(short, [])) <= len(peers[0].results.get(long, []))
+        assert len(peers[0].results.get(long, [])) == 1
 
     def test_broadcast_message_volume_grows_with_horizon(self, namespace):
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
@@ -95,7 +95,7 @@ class TestNapster:
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
         query_id = peers[0].issue_query(area)
         network.run_until_idle()
-        assert len(peers[0].results_for(query_id)) == 2
+        assert len(peers[0].results.get(query_id, [])) == 2
         assert index.lookups_served == 1
 
     def test_all_queries_go_through_the_central_index(self, namespace):
@@ -111,7 +111,7 @@ class TestNapster:
         area = namespace.area(["France", "*"])
         query_id = peers[0].issue_query(area)
         network.run_until_idle()
-        assert peers[0].results_for(query_id) == []
+        assert peers[0].results.get(query_id, []) == []
         assert network.metrics.trace(query_id).completed_at is not None
 
 
@@ -162,7 +162,7 @@ class TestRoutingIndex:
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
         query_id = peers[0].issue_query(area, wanted=1)
         network.run_until_idle()
-        assert len(peers[0].results_for(query_id)) == 1
+        assert len(peers[0].results.get(query_id, [])) == 1
         assert network.metrics.messages_by_kind["ri-query"] == 0
 
 

@@ -193,7 +193,6 @@ class TestEvaluationMemo:
         assert [item.get("id") for item in replayed.items] == [f"cd{p}" for p in range(5)]
         assert replayed.span is result.span  # serialized once, shared by every copy
         assert memo.hits == 1 and memo.misses == 1
-        assert memo.hit_rate == 0.5
 
     def test_memo_key_is_structural(self):
         first = PlanBuilder.urn("urn:X").select("price < 9").build()
@@ -254,8 +253,6 @@ class TestEvaluationCacheInvalidation:
         assert self._ask(seller) == ["cd0", "cd1", "cd2"]
         seller.publish_collection("items", [_make_item("cd7", 2.0)])
         assert self._ask(seller) == ["cd7"]
-        seller.processor.add_collection("/items", [_make_item("cd8", 2.0)])
-        assert self._ask(seller) == ["cd8"]
 
     def test_without_a_write_the_second_is_a_replay(self, seller):
         assert self._ask(seller) == self._ask(seller) == ["cd0", "cd1", "cd2"]

@@ -12,6 +12,9 @@ The suite covers the full standing-query protocol end-to-end:
   an unreadable chunk refused, not raised;
 * teardown — ``unsubscribe`` clears armed matchers, authority registries
   and pending retransmission timers at every hop;
+* the subscriber's handle — ``delivered``/``lag``/``deltas(limit=)``,
+  ``snapshot``, use as a context manager, and a subscriber that leaves and
+  is replayed what it missed on rejoin;
 * churn — a subscriber crash/rejoin resumes from its last released
   sequence, a failed-over authority re-arms publishers from its durable
   registry, conflicting authorities surface (MOAS-style) instead of
@@ -34,7 +37,7 @@ from repro.algebra.serialization import serialize_plan
 from repro.api import Cluster, Subscription
 from repro.catalog import Catalog, ServerRole
 from repro.catalog.matcher import SubscriptionMatcher, subscribable_shape
-from repro.errors import PeerError, PlanError
+from repro.errors import APIError, PeerError, PeerOffline, PlanError
 from repro.harness.cli import SCENARIOS
 from repro.harness.scaleout import ScaleoutSpec, build_scaleout_scenario, schedule_mutations
 from repro.namespace import InterestAreaURN
@@ -994,6 +997,133 @@ class TestTeardownTimers:
             cluster.run_until_idle()
             assert not sub.active
             assert client.peer.my_subscriptions == {}
+
+
+# --------------------------------------------------------------------------- #
+# The subscriber's handle: reading, snapshots, scope, churn at the subscriber
+# --------------------------------------------------------------------------- #
+
+
+def titles_of(delta) -> list[str]:
+    return [item.child_text("title") for item in delta.items]
+
+
+class TestSubscriptionHandle:
+    def subscribe_cheap_cds(self, cluster, namespace):
+        client = cluster.session("client:9020")
+        sub = client.query().area(portland_area(namespace)).where("price < 10").subscribe()
+        cluster.run_until_idle()
+        return sub
+
+    def test_delivered_reads_the_feed_without_consuming_it(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            sub = self.subscribe_cheap_cds(cluster, namespace)
+            seller1 = cluster.session("seller1:9020")
+            seller1.update("cds", [make_item("New CD", 3.0, seller="seller1:9020")])
+            seller1.update("cds", [make_item("New CD", 4.0, seller="seller1:9020")])
+            cluster.run_until_idle()
+            assert [d.kind for d in sub.delivered()] == ["insert", "update"]
+            assert sub.lag() == 2  # reading delivered() leaves the feed unread
+            assert [d.kind for d in sub.deltas()] == ["insert", "update"]
+            assert [d.kind for d in sub.delivered()] == ["insert", "update"]
+            assert sub.lag() == 0
+
+    def test_a_limit_stops_the_stream_and_the_rest_waits_for_the_next_read(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            sub = self.subscribe_cheap_cds(cluster, namespace)
+            seller1 = cluster.session("seller1:9020")
+            for title, price in (("One", 1.0), ("Two", 2.0), ("Three", 3.0)):
+                seller1.update("cds", [make_item(title, price, seller="seller1:9020")])
+            cluster.run_until_idle()
+            assert [titles_of(d) for d in sub.deltas(limit=2)] == [["One"], ["Two"]]
+            assert sub.lag() == 1
+            assert [titles_of(d) for d in sub.deltas()] == [["Three"]]
+            assert sub.lag() == 0
+
+    def test_a_snapshot_agrees_with_the_feed(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            sub = self.subscribe_cheap_cds(cluster, namespace)
+            seller1 = cluster.session("seller1:9020")
+            seller1.update("cds", [make_item("New CD", 3.0, seller="seller1:9020")])
+            cluster.session("seller2:9020").retract("cds", predicate="price < 10")
+            cluster.run_until_idle()
+            assert [(d.kind, titles_of(d)) for d in sub.deltas()] == [
+                ("insert", ["New CD"]), ("retract", ["Blue Train"]),
+            ]
+            snapshot = sub.snapshot(timeout=60_000)
+            assert sorted(item.child_text("title") for item in snapshot.items) == [
+                "Abbey Road", "New CD",
+            ]
+
+    def test_as_a_context_manager_it_unsubscribes_on_exit(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            seller1 = cluster.session("seller1:9020")
+            with self.subscribe_cheap_cds(cluster, namespace) as sub:
+                assert sub.sub_id in seller1.peer.subscriptions.armed
+                seller1.update("cds", [make_item("New CD", 3.0, seller="seller1:9020")])
+                assert [d.kind for d in sub.deltas(timeout=5_000)] == ["insert"]
+            cluster.run_until_idle()
+            assert not sub.active
+            assert sub.sub_id not in seller1.peer.subscriptions.armed
+
+    def test_a_torn_down_subscription_reads_empty_and_refuses_a_snapshot(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            sub = self.subscribe_cheap_cds(cluster, namespace)
+            cluster.session("seller1:9020").update(
+                "cds", [make_item("New CD", 3.0, seller="seller1:9020")]
+            )
+            cluster.run_until_idle()
+            sub.unsubscribe()
+            cluster.run_until_idle()
+            assert sub.lag() == 0
+            assert sub.delivered() == []
+            assert sub.conflicts() == []
+            assert list(sub.deltas()) == []
+            with pytest.raises(APIError, match="no longer registered"):
+                sub.snapshot(timeout=60_000)
+
+    def test_a_promoted_one_shot_handle_feeds_until_its_scope_ends(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            client = cluster.session("client:9020")
+            handle = client.query().area(portland_area(namespace)).where("price < 10").submit()
+            assert sorted(i.child_text("title") for i in handle.result(timeout=60_000).items) == [
+                "Abbey Road", "Blue Train",
+            ]
+            with handle.subscribe() as scoped:
+                cluster.run_until_idle()
+                cluster.session("seller2:9020").update(
+                    "cds", [make_item("Moanin'", 7.0, seller="seller2:9020")]
+                )
+                assert [(d.kind, titles_of(d)) for d in scoped.deltas(timeout=5_000)] == [
+                    ("insert", ["Moanin'"]),
+                ]
+            cluster.run_until_idle()
+            assert not scoped.active
+
+    def test_a_subscriber_that_leaves_is_replayed_the_missed_delta_on_rejoin(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            sub = self.subscribe_cheap_cds(cluster, namespace)
+            client = cluster.session("client:9020")
+            client.leave()
+            cluster.run_until_idle()
+            cluster.session("seller1:9020").update(
+                "cds", [make_item("Kind of Blue", 9.0, seller="seller1:9020")]
+            )
+            cluster.run_until_idle()
+            assert sub.lag() == 0  # nothing reaches a peer that left
+            client.rejoin()
+            cluster.run_until_idle()
+            assert [(d.kind, titles_of(d)) for d in sub.deltas()] == [
+                ("insert", ["Kind of Blue"]),
+            ]
+            audit_exactly_once(client.peer.my_subscriptions[sub.sub_id])
+
+    def test_streaming_with_the_subscriber_offline_raises(self, namespace):
+        with subscription_cluster("sim", namespace) as cluster:
+            sub = self.subscribe_cheap_cds(cluster, namespace)
+            cluster.session("client:9020").leave()
+            with pytest.raises(PeerOffline, match="went offline"):
+                list(sub.deltas(timeout=5_000))
 
 
 # --------------------------------------------------------------------------- #

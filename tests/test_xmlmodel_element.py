@@ -13,7 +13,7 @@ class TestConstruction:
         node = XMLElement("item", {"id": "1"})
         assert node.tag == "item"
         assert node.get("id") == "1"
-        assert len(node) == 0
+        assert node.children == []
 
     def test_attribute_values_are_strings(self):
         node = XMLElement("item", {"price": 10.5, "count": 3})
@@ -65,10 +65,6 @@ class TestAccessors:
     def test_iter_tag_filters(self):
         tree = element("a", {}, element("b", {}, text_element("b", "1")))
         assert len(list(tree.iter_tag("b"))) == 2
-
-    def test_descendant_count(self):
-        tree = element("a", {}, element("b", {}), element("c", {}))
-        assert tree.descendant_count() == 3
 
 
 class TestEqualityAndCopy:
