@@ -1,8 +1,7 @@
-"""Distributed catalogs: entries, intensional statements, binding, routing caches."""
+"""Distributed catalogs: entries, intensional statements, binding, the area index."""
 
 from .answercache import AnswerCache
 from .binding import Binder, Binding, BindingAlternative, BoundSource
-from .cache import CacheEntry, RoutingCache
 from .catalog import Catalog
 from .entries import (
     CollectionRef,
@@ -11,16 +10,14 @@ from .entries import (
     ServerRole,
     canonical_address,
 )
-from .index import CatalogIndex, CategoryTrie, StatementIndex
+from .index import AreaIndex
 from .intensional import CatalogLevel, IntensionalStatement, Relation, ServerHolding
 from .matcher import SubscriptionMatcher, SubscriptionShape, subscribable_shape
 
 __all__ = [
     "AnswerCache",
     "Catalog",
-    "CatalogIndex",
-    "CategoryTrie",
-    "StatementIndex",
+    "AreaIndex",
     "SubscriptionMatcher",
     "SubscriptionShape",
     "subscribable_shape",
@@ -37,6 +34,4 @@ __all__ = [
     "Binding",
     "BindingAlternative",
     "BoundSource",
-    "RoutingCache",
-    "CacheEntry",
 ]

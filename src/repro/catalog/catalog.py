@@ -8,20 +8,22 @@ global knowledge — "mutant query plans ... allow query optimization and
 source discovery to work with whatever information is available locally".
 
 The catalog's record is its ``servers``, ``statements`` and
-``named_resources``.  Lookups are served by the trie-backed
-:class:`~repro.catalog.index.CatalogIndex` and
-:class:`~repro.catalog.index.StatementIndex` in O(depth + matches), and a
-repeated one from the catalog's :class:`~repro.catalog.answercache.AnswerCache`;
-the linear scans the equivalence tests diff both against live in
-``tests/oracles/catalog_scan.py``.  Only a peer that binds or routes a plan
-ever looks anything up, so each index is built from the record on the first
-lookup that needs it and maintained incrementally by every write after
-that; a catalog that is only registered into holds no index.
+``named_resources``.  Lookups are served by trie-backed
+:class:`~repro.catalog.index.AreaIndex` es — one per server role over the
+``servers`` map, one per catalog level over the ``statements`` list — in
+O(depth + matches), and a repeated one from the catalog's
+:class:`~repro.catalog.answercache.AnswerCache`; the linear scans the
+equivalence tests diff them against live in ``tests/oracles/catalog_scan.py``.
+Only a peer that binds or routes a plan ever looks anything up, so the
+indexes are built from the record on the first lookup that needs them and
+maintained incrementally by every write after that; a catalog that is only
+registered into holds no index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..namespace import InterestArea
 from .answercache import AnswerCache
@@ -32,7 +34,7 @@ from .entries import (
     ServerRole,
     canonical_address,
 )
-from .index import CatalogIndex, StatementIndex
+from .index import AreaIndex
 from .intensional import CatalogLevel, IntensionalStatement
 
 __all__ = ["Catalog"]
@@ -48,27 +50,48 @@ class Catalog:
     statements: list[IntensionalStatement] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # Built on first use (see _index_of_servers, _index_of_statements
+        # Built on first use (see _servers_by_role, _statements_by_level
         # and register_statement), then kept in step by every write.
-        self._index: CatalogIndex | None = None
-        self._statement_index: StatementIndex | None = None
+        self._server_index: dict[ServerRole, AreaIndex[str]] | None = None
+        self._statement_index: dict[CatalogLevel, AreaIndex[int]] | None = None
         self._statement_keys: set[IntensionalStatement] | None = None
         self.answer_cache = AnswerCache()
 
     @property
     def indexed(self) -> bool:
         """Whether a lookup has built either of this catalog's indexes."""
-        return self._index is not None or self._statement_index is not None
+        return self._server_index is not None or self._statement_index is not None
 
-    def _index_of_servers(self) -> CatalogIndex:
-        if self._index is None:
-            self._index = CatalogIndex(self.servers)
-        return self._index
+    def _servers_by_role(self) -> dict[ServerRole, AreaIndex[str]]:
+        if self._server_index is None:
+            self._server_index = {}
+            for entry in self.servers.values():
+                self._index_server(self._server_index, entry)
+        return self._server_index
 
-    def _index_of_statements(self) -> StatementIndex:
+    def _index_server(self, indexes: dict[ServerRole, AreaIndex[str]], entry: ServerEntry) -> None:
+        index = indexes.get(entry.role)
+        if index is None:
+            servers = self.servers
+            index = AreaIndex(lambda address: servers[address].area)
+            indexes[entry.role] = index
+        index.add(entry.address, entry.area)
+
+    def _statements_by_level(self) -> dict[CatalogLevel, AreaIndex[int]]:
         if self._statement_index is None:
-            self._statement_index = StatementIndex(self.statements)
+            self._statement_index = {}
+            for sequence in range(len(self.statements)):
+                self._index_statement(self._statement_index, sequence)
         return self._statement_index
+
+    def _index_statement(self, indexes: dict[CatalogLevel, AreaIndex[int]], sequence: int) -> None:
+        lhs = self.statements[sequence].lhs
+        index = indexes.get(lhs.level)
+        if index is None:
+            statements = self.statements
+            index = AreaIndex(lambda at: statements[at].lhs.area)
+            indexes[lhs.level] = index
+        index.add(sequence, lhs.area)
 
     # -- registration -------------------------------------------------------- #
 
@@ -92,8 +115,10 @@ class Catalog:
                 registered_at=entry.registered_at,
             )
         self.servers[entry.address] = entry
-        if self._index is not None:
-            self._index.add(entry, existing)
+        if self._server_index is not None:
+            if existing is not None:
+                self._server_index[existing.role].discard(existing.address, existing.area)
+            self._index_server(self._server_index, entry)
         self._invalidate_answers(entry.area)
 
     def register_named_resource(self, entry: NamedResourceEntry) -> None:
@@ -119,7 +144,7 @@ class Catalog:
         keys.add(statement)
         self.statements.append(statement)
         if self._statement_index is not None:
-            self._statement_index.add(len(self.statements) - 1)
+            self._index_statement(self._statement_index, len(self.statements) - 1)
         self._invalidate_answers(statement.lhs.area)
 
     def forget_server(self, address: str) -> None:
@@ -174,8 +199,8 @@ class Catalog:
         dropped = self.servers.pop(address, None)
         if dropped is None:
             return False
-        if self._index is not None:
-            self._index.discard(dropped)
+        if self._server_index is not None:
+            self._server_index[dropped.role].discard(dropped.address, dropped.area)
         self._invalidate_answers(dropped.area)
         return True
 
@@ -194,7 +219,7 @@ class Catalog:
         key = ("overlap", roles, str(area))
         answer = self.answer_cache.get(key)
         if answer is None:
-            answer = tuple(self._index_of_servers().overlapping(area, roles))
+            answer = self._servers_where(AreaIndex.overlapping, area, roles)
             self.answer_cache.put(key, area, answer)
         return list(answer)
 
@@ -207,13 +232,37 @@ class Catalog:
         key = ("cover", roles, str(area))
         answer = self.answer_cache.get(key)
         if answer is None:
-            answer = tuple(self._index_of_servers().covering(area, roles))
+            answer = self._servers_where(AreaIndex.covering, area, roles)
             self.answer_cache.put(key, area, answer)
         return list(answer)
 
     def servers_with_roles(self, roles: tuple[ServerRole, ...]) -> list[ServerEntry]:
         """Every known server holding one of ``roles``, in address order."""
-        return self._index_of_servers().with_roles(roles)
+        indexes = self._servers_by_role()
+        addresses = [
+            address
+            for role in dict.fromkeys(roles)
+            if role in indexes
+            for address in indexes[role]
+        ]
+        return [self.servers[address] for address in sorted(addresses)]
+
+    def _servers_where(
+        self,
+        lookup: Callable[[AreaIndex[str], InterestArea], list[str]],
+        area: InterestArea,
+        roles: tuple[ServerRole, ...] | None,
+    ) -> tuple[ServerEntry, ...]:
+        """``lookup`` in the index of each of ``roles`` (all when ``None``),
+        the entries in address order."""
+        indexes = self._servers_by_role()
+        addresses = [
+            address
+            for role in (indexes if roles is None else dict.fromkeys(roles))
+            if role in indexes
+            for address in lookup(indexes[role], area)
+        ]
+        return tuple(self.servers[address] for address in sorted(addresses))
 
     def authoritative_servers(self, area: InterestArea) -> list[ServerEntry]:
         """Authoritative index / meta-index servers covering ``area``."""
@@ -233,8 +282,17 @@ class Catalog:
         return sorted(collections)
 
     def statements_for(self, level: CatalogLevel, area: InterestArea) -> list[IntensionalStatement]:
-        """Intensional statements applicable to a query over ``area``."""
-        return self._index_of_statements().applicable(level, area)
+        """Intensional statements applicable to a query over ``area`` at ``level``.
+
+        A statement applies when its left-hand side is at ``level`` and its
+        left-hand area covers ``area``: then, within ``area``, the left
+        server's holdings are equal to (or a superset of) the union of the
+        right servers' holdings.  Registration order.
+        """
+        index = self._statements_by_level().get(level)
+        if index is None:
+            return []
+        return [self.statements[sequence] for sequence in index.covering(area)]
 
     # -- answer cache -------------------------------------------------------------- #
     #

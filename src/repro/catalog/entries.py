@@ -107,10 +107,6 @@ class ServerEntry:
         if not isinstance(self.area, InterestArea):
             raise CatalogError("ServerEntry area must be an InterestArea")
 
-    def overlaps(self, area: InterestArea) -> bool:
-        """True when this server's interest area overlaps ``area``."""
-        return self.area.overlaps(area)
-
     def covers(self, area: InterestArea) -> bool:
         """True when this server's interest area covers all of ``area``."""
         return self.area.covers(area)

@@ -95,19 +95,6 @@ class IntensionalStatement:
         if not self.rhs:
             raise IntensionalStatementError("a statement needs at least one right-hand holding")
 
-    # -- applicability ------------------------------------------------------ #
-
-    def applies_to(self, level: CatalogLevel, area: InterestArea) -> bool:
-        """True when the statement constrains holdings relevant to a query.
-
-        The statement is usable for a query over ``area`` at ``level`` when
-        its left-hand side is at that level and its left-hand area covers
-        the query area: then, within the query area, the left server's
-        holdings are equal to (or a superset of) the union of the right
-        servers' holdings.
-        """
-        return self.lhs.level == level and self.lhs.area.covers(area)
-
     def rhs_servers(self) -> list[str]:
         """Addresses on the right-hand side, in statement order."""
         return [holding.server for holding in self.rhs]

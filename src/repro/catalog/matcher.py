@@ -2,14 +2,11 @@
 
 A standing query must react to every mutation a peer applies to its
 collections, but re-running the full plan per mutation would cost
-O(queries x data) at every publish.  The armed-plan index here reuses the
-catalog's trie machinery (:class:`~repro.catalog.index.CategoryTrie`, the
-structure behind :class:`~repro.catalog.index.StatementIndex`): each armed
-subscription is inserted once per cell of its interest area, and a
-mutation against a collection registered under area ``A`` finds the
-candidate subscriptions with the same O(depth + matches) overlap walk the
-server index uses — root→path buckets plus the subtree below — then
-verifies candidates with the exact :meth:`InterestArea.overlaps` test.
+O(queries x data) at every publish.  The armed subscriptions live in the
+catalog's :class:`~repro.catalog.index.AreaIndex`: a mutation against a
+collection registered under area ``A`` finds the subscriptions whose area
+overlaps ``A`` with the same O(depth + matches) walk the catalog's server
+lookups use.
 
 The *shape* of a subscribable plan is deliberately narrow in this
 iteration: an optional :class:`~repro.algebra.operators.Project` over any
@@ -34,7 +31,7 @@ from ..errors import PlanError
 from ..namespace import InterestArea
 from ..namespace.urn import InterestAreaURN, parse_urn
 from ..xmlmodel import XMLElement
-from .index import CategoryTrie, _cell_candidates_overlapping
+from .index import AreaIndex
 
 __all__ = ["SubscriptionShape", "SubscriptionMatcher", "subscribable_shape"]
 
@@ -104,19 +101,14 @@ def subscribable_shape(plan: QueryPlan | PlanNode) -> SubscriptionShape:
 
 
 class SubscriptionMatcher:
-    """Trie index from interest areas to armed subscription ids.
+    """The armed subscriptions of one peer, indexed by interest area."""
 
-    Mirrors :class:`~repro.catalog.index.CatalogIndex` maintenance: one
-    :class:`CategoryTrie` per namespace dimension, grown lazily; a
-    subscription is counted once per cell coordinate so partial overlap
-    between its own cells survives removal.
-    """
-
-    __slots__ = ("subscriptions", "_tries")
+    __slots__ = ("subscriptions", "_areas")
 
     def __init__(self) -> None:
-        self.subscriptions: dict[str, SubscriptionShape] = {}
-        self._tries: list[CategoryTrie] = []
+        subscriptions: dict[str, SubscriptionShape] = {}
+        self.subscriptions = subscriptions
+        self._areas: AreaIndex[str] = AreaIndex(lambda sub_id: subscriptions[sub_id].area)
 
     def __len__(self) -> int:
         return len(self.subscriptions)
@@ -126,44 +118,22 @@ class SubscriptionMatcher:
 
     # -- maintenance ---------------------------------------------------- #
 
-    def _trie(self, dimension: int) -> CategoryTrie:
-        while len(self._tries) <= dimension:
-            self._tries.append(CategoryTrie())
-        return self._tries[dimension]
-
     def arm(self, sub_id: str, shape: SubscriptionShape) -> None:
         """Index ``shape``; re-arming replaces any previous registration."""
-        if sub_id in self.subscriptions:
-            self.disarm(sub_id)
+        self.disarm(sub_id)
         self.subscriptions[sub_id] = shape
-        for cell in shape.area:
-            for dimension, coordinate in enumerate(cell.coordinates):
-                self._trie(dimension).add(coordinate.segments, sub_id)
+        self._areas.add(sub_id, shape.area)
 
     def disarm(self, sub_id: str) -> bool:
         """Drop ``sub_id``; returns whether it was armed."""
         shape = self.subscriptions.pop(sub_id, None)
         if shape is None:
             return False
-        for cell in shape.area:
-            for dimension, coordinate in enumerate(cell.coordinates):
-                if dimension < len(self._tries):
-                    self._tries[dimension].remove(coordinate.segments, sub_id)
+        self._areas.discard(sub_id, shape.area)
         return True
 
     # -- the publish-time lookup ---------------------------------------- #
 
     def matching(self, area: InterestArea) -> list[tuple[str, SubscriptionShape]]:
-        """Armed subscriptions whose area overlaps ``area``, id-ordered.
-
-        O(depth + matches) per mutation: trie candidates from the mutated
-        collection's cells, verified with the exact overlap test.
-        """
-        matched: set[str] = set()
-        for cell in area:
-            for sub_id in _cell_candidates_overlapping(self._tries, cell, self.subscriptions):
-                if sub_id in matched:
-                    continue
-                if self.subscriptions[sub_id].area.overlaps(area):
-                    matched.add(sub_id)
-        return [(sub_id, self.subscriptions[sub_id]) for sub_id in sorted(matched)]
+        """Armed subscriptions whose area overlaps ``area``, id-ordered."""
+        return [(sub_id, self.subscriptions[sub_id]) for sub_id in self._areas.overlapping(area)]

@@ -34,7 +34,7 @@ from ..algebra.operators import (
     URNRef,
     VerbatimData,
 )
-from ..catalog import Binder, Catalog, RoutingCache, ServerRole, canonical_address
+from ..catalog import Binder, Catalog, ServerRole, canonical_address
 from ..engine import EvaluationMemo, QueryEngine
 from ..engine.statistics import CollectionStatistics
 from ..namespace import (
@@ -183,7 +183,6 @@ class MQPProcessor:
         catalog: Catalog,
         namespace: MultiHierarchicNamespace | None = None,
         collections: dict[str, list[XMLElement]] | None = None,
-        cache: RoutingCache | None = None,
         optimizer: Optimizer | None = None,
         policy: PolicyManager | None = None,
         max_hops: int = 32,
@@ -194,10 +193,6 @@ class MQPProcessor:
         self.catalog = catalog
         self.namespace = namespace
         self.collections = collections if collections is not None else {}
-        # ``is not None``: an empty cache is falsy, and the peer's own cache
-        # — the one registration fills and failure detection purges — must
-        # be the one routing reads.
-        self.cache = cache if cache is not None else RoutingCache()
         self.optimizer = optimizer or Optimizer()
         self.policy = policy or PolicyManager()
         self.max_hops = max_hops
@@ -524,6 +519,14 @@ class MQPProcessor:
         return found
 
     def _routing_servers_for(self, area: InterestArea) -> list[str]:
+        """Where a plan over ``area`` can go, best first, from one table.
+
+        The shard map's owners lead (on the sharded tier); then the
+        catalog's authorities covering ``area``, the most specific area
+        first — every source under it has registered there (§3.3), and the
+        narrowest one spares the high-level servers (§3.4); then every
+        index and meta-index server overlapping ``area``.
+        """
         candidates: list[str] = []
         if self.shard_map is not None:
             # The owning replica group leads the candidate list: the
@@ -532,9 +535,9 @@ class MQPProcessor:
             # ``avoid`` set filters suspected members in _order_candidates,
             # leaving the next group member as the first viable hop.
             candidates.extend(self.shard_map.owners(area))
-        for entry in self.cache.lookup(area, require_cover=True):
-            candidates.append(entry.server)
-        for entry in self.catalog.authoritative_servers(area):
+        # A stable sort: authorities of equal specificity keep address order.
+        authorities = self.catalog.authoritative_servers(area)
+        for entry in sorted(authorities, key=lambda entry: -entry.area.specificity()):
             candidates.append(entry.address)
         for entry in self.catalog.servers_overlapping(
             area, roles=(ServerRole.INDEX, ServerRole.META_INDEX)
@@ -736,17 +739,3 @@ class MQPProcessor:
                 seen.add(address)
                 ordered.append(address)
         return ordered
-
-    # ------------------------------------------------------------------ #
-    # Learning from plans that pass through (§5.1 meta-index updating)
-    # ------------------------------------------------------------------ #
-
-    def learn_from(self, mqp: MutantQueryPlan) -> None:
-        """Cache which servers successfully handled which interest areas."""
-        # Read off the ``bound`` records, which every piece carries: their
-        # detail is the URN that was bound, as the original plan spelt it.
-        for record in mqp.provenance.records:
-            if record.action is ProvenanceAction.BOUND and record.server != self.address:
-                parsed = parse_urn_cached(record.detail)
-                if isinstance(parsed, InterestAreaURN):
-                    self.cache.remember(parsed.area, record.server)

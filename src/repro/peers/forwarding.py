@@ -82,7 +82,6 @@ class PlanForwarding:
             self.plans_processed += 1
         self.port.metrics.trace(mqp.query_id).visited.append(self.port.address)
         result = self.processor.process(mqp, now=self.port.now, avoid=self.suspected_dead)
-        self.processor.learn_from(mqp)
         self._act_on(result)
         return result
 
@@ -92,8 +91,9 @@ class PlanForwarding:
         ``mqp`` reached this hop straight from its ``target`` and leaves, whole,
         for ``next_hop``.  Where this catalog lists that server as an
         authoritative index covering every area the plan still asks for, the
-        target is sent its entry and takes the next such query there itself
-        (the paper's routing cache, §3.2).  Nobody keeps a "told" table: a
+        target is sent its entry, files it in its catalog and takes the next
+        such query there itself (the paper's cache of servers used before,
+        §3.2, is that catalog).  Nobody keeps a "told" table: a
         client that has learned no longer arrives here first.  Not on the
         sharded tier — the shard map already names the owner, and a plan
         passes between two replicas only on failover or an empty-answer walk.

@@ -32,7 +32,6 @@ from ..catalog import (
     CollectionRef,
     IntensionalStatement,
     NamedResourceEntry,
-    RoutingCache,
     ServerEntry,
     ServerRole,
 )
@@ -95,7 +94,6 @@ class QueryPeer(NetworkNode):
         self.interest_area = interest_area or namespace.top_area()
         self.authoritative = authoritative
         self.catalog = Catalog(owner=address)
-        self.cache = RoutingCache()
         self.collections: dict[str, list[XMLElement]] = {}
         self.collection_areas: dict[str, InterestArea] = {}
         self.processor = MQPProcessor(
@@ -103,7 +101,6 @@ class QueryPeer(NetworkNode):
             self.catalog,
             namespace,
             collections=self.collections,
-            cache=self.cache,
         )
         if authoritative:
             self.processor.authority = self.interest_area
@@ -333,10 +330,9 @@ class QueryPeer(NetworkNode):
             self.catalog.register_named_resource(named)
 
     def learn_about(self, entry: ServerEntry) -> None:
-        """Record another server in the local catalog (out-of-band discovery)."""
+        """Record another server in the local catalog (out-of-band discovery):
+        an authority learnt here is where routing takes a covered query first."""
         self.catalog.register_server(entry)
-        if entry.role in (ServerRole.INDEX, ServerRole.META_INDEX):
-            self.cache.remember(entry.area, entry.address, entry.role.value)
 
     # ------------------------------------------------------------------ #
     # Sharded catalog tier
@@ -563,7 +559,6 @@ class QueryPeer(NetworkNode):
         """A peer announced a graceful departure: drop its routing state."""
         departing: str = message.payload
         self.catalog.prune_server(departing)
-        self.cache.forget_server(departing)
 
     # -- failure detection (churn) ------------------------------------------------ #
 
@@ -590,7 +585,6 @@ class QueryPeer(NetworkNode):
         failure accounting never undercounts.
         """
         self.suspected_dead.add(dead)
-        self.cache.forget_server(dead)
         self.catalog.prune_server(dead)
         self.replicas.note_failure(dead)
         kind, payload = undelivered.kind, undelivered.payload

@@ -15,7 +15,6 @@ bisected to the right.  The CDF is built once per ``(count, skew)``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from functools import lru_cache
 from typing import Sequence, TypeVar
 
@@ -27,31 +26,13 @@ __all__ = [
     "zipf_choice",
     "zipf_rank_sequence",
     "make_rng",
-    "recent_seeds",
-    "clear_recent_seeds",
 ]
 
 T = TypeVar("T")
 
-# The seeds most recently handed to make_rng, so a failing test can name the
-# exact RNGs that shaped its scenario (the suite's conftest prints them).
-_RECENT_SEEDS: deque[int] = deque(maxlen=16)
-
-
 def make_rng(seed: int) -> Generator:
     """A seeded generator (one per workload object, never shared globally)."""
-    _RECENT_SEEDS.append(int(seed))
     return default_rng(seed)
-
-
-def recent_seeds() -> list[int]:
-    """The seeds of the generators created most recently (oldest first)."""
-    return list(_RECENT_SEEDS)
-
-
-def clear_recent_seeds() -> None:
-    """Reset the seed registry (test isolation)."""
-    _RECENT_SEEDS.clear()
 
 
 def zipf_weights(count: int, skew: float = 1.0) -> list[float]:

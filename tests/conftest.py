@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import os
 import random
+from collections import deque
 
 import pytest
 
 from repro.namespace import garage_sale_namespace, gene_expression_namespace
-from repro.workloads.distributions import clear_recent_seeds, recent_seeds
+from repro.rng import Generator
 from repro.xmlmodel import XMLElement, element, text_element
 
 
@@ -36,23 +37,38 @@ def pytest_collection_modifyitems(config, items):
         )
 
 
+_SEEDS = pytest.StashKey[deque]()
+
+
 @pytest.fixture(autouse=True)
-def _fresh_seed_registry():
-    """Scope the harness seed registry to one test."""
-    clear_recent_seeds()
-    yield
+def _record_seeds(request, monkeypatch):
+    """Record the seed of every RNG the test builds (the last 16).
+
+    The patch is on the generator itself, so it sees every one however
+    it was made — ``make_rng``, ``default_rng`` or the class.
+    """
+    seeds: deque[int] = deque(maxlen=16)
+    request.node.stash[_SEEDS] = seeds
+    build = Generator.__init__
+
+    def recording(self, seed=None):
+        if seed is not None:
+            seeds.append(int(seed))
+        build(self, seed)
+
+    monkeypatch.setattr(Generator, "__init__", recording)
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
-    """Attach the harness RNG seeds to every failed-test report."""
+    """Attach the RNG seeds to every failed-test report."""
     outcome = yield
     report = outcome.get_result()
     if report.when == "call" and report.failed:
-        seeds = recent_seeds()
+        seeds = list(item.stash.get(_SEEDS, ()))
         if seeds:
             report.sections.append(
-                ("repro seeds", f"make_rng seeds consumed (oldest first): {seeds}")
+                ("repro seeds", f"RNG seeds consumed (oldest first): {seeds}")
             )
 
 

@@ -1,4 +1,4 @@
-"""Linear catalog scans: the oracle for the trie-backed ``CatalogIndex``.
+"""Linear catalog scans: the oracle for the catalog's trie-backed ``AreaIndex`` lookups.
 
 Each function answers one ``Catalog`` lookup by walking every entry and
 sorting the matches by address — what the catalog did before it was
@@ -20,7 +20,7 @@ def _by_address(entries) -> list[ServerEntry]:
 def scan_overlapping(catalog: Catalog, area: InterestArea, roles: Roles = None) -> list[ServerEntry]:
     return _by_address(
         entry for entry in catalog.servers.values()
-        if entry.overlaps(area) and (roles is None or entry.role in roles)
+        if entry.area.overlaps(area) and (roles is None or entry.role in roles)
     )
 
 
@@ -38,4 +38,7 @@ def scan_with_roles(catalog: Catalog, roles: tuple[ServerRole, ...]) -> list[Ser
 def scan_statements(
     catalog: Catalog, level: CatalogLevel, area: InterestArea
 ) -> list[IntensionalStatement]:
-    return [statement for statement in catalog.statements if statement.applies_to(level, area)]
+    return [
+        statement for statement in catalog.statements
+        if statement.lhs.level == level and statement.lhs.area.covers(area)
+    ]

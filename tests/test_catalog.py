@@ -8,7 +8,6 @@ from repro.catalog import (
     CollectionRef,
     IntensionalStatement,
     NamedResourceEntry,
-    RoutingCache,
     ServerEntry,
     ServerRole,
 )
@@ -51,7 +50,7 @@ class TestEntries:
 
     def test_server_entry_overlap_and_cover(self, namespace):
         entry = ServerEntry("s:1", ServerRole.BASE, namespace.area(["USA/OR", "Furniture"]))
-        assert entry.overlaps(namespace.area(["USA/OR/Portland", "*"]))
+        assert entry.area.overlaps(namespace.area(["USA/OR/Portland", "*"]))
         assert entry.covers(namespace.area(["USA/OR/Portland", "Furniture/Chairs"]))
         assert not entry.covers(namespace.area(["USA/WA", "Furniture"]))
 
@@ -97,8 +96,8 @@ class TestCatalog:
             ServerEntry("seller-a:9020", ServerRole.BASE, namespace.area(["USA/OR/Eugene", "Music/CDs"]))
         )
         merged = catalog.servers["seller-a:9020"]
-        assert merged.overlaps(namespace.area(["USA/OR/Eugene", "*"]))
-        assert merged.overlaps(namespace.area(["USA/OR/Portland", "*"]))
+        assert merged.area.overlaps(namespace.area(["USA/OR/Eugene", "*"]))
+        assert merged.area.overlaps(namespace.area(["USA/OR/Portland", "*"]))
 
     def test_named_resources(self, catalog):
         catalog.register_named_resource(
@@ -128,85 +127,3 @@ class TestCatalog:
         size_before = catalog.size()
         catalog.register_named_resource(NamedResourceEntry("urn:A:b", [CollectionRef("x:1")]))
         assert catalog.size() == size_before + 1
-
-
-class TestRoutingCache:
-    def test_remember_and_lookup_cover(self, namespace):
-        cache = RoutingCache(capacity=4)
-        cache.remember(namespace.area(["USA/OR", "*"]), "index-or:9020")
-        hits = cache.lookup(namespace.area(["USA/OR/Portland", "Music/CDs"]))
-        assert [hit.server for hit in hits] == ["index-or:9020"]
-        assert cache.hits == 1
-
-    def test_most_specific_entry_first(self, namespace):
-        cache = RoutingCache()
-        cache.remember(namespace.top_area(), "meta:9020")
-        cache.remember(namespace.area(["USA/OR", "*"]), "index-or:9020")
-        best, *_ = cache.lookup(namespace.area(["USA/OR/Portland", "*"]))
-        assert best.server == "index-or:9020"
-
-    def test_lru_eviction(self, namespace):
-        cache = RoutingCache(capacity=2)
-        cache.remember(namespace.area(["USA/OR", "*"]), "a:1")
-        cache.remember(namespace.area(["USA/WA", "*"]), "b:1")
-        cache.remember(namespace.area(["USA/CA", "*"]), "c:1")
-        assert len(cache) == 2
-        assert cache.lookup(namespace.area(["USA/OR/Portland", "*"])) == []
-
-    def test_forget_server(self, namespace):
-        cache = RoutingCache()
-        cache.remember(namespace.area(["USA/OR", "*"]), "index-or:9020")
-        cache.forget_server("index-or:9020")
-        assert len(cache) == 0
-
-    def test_hits_and_misses(self, namespace):
-        cache = RoutingCache()
-        cache.lookup(namespace.top_area())
-        cache.remember(namespace.top_area(), "meta:9020")
-        cache.lookup(namespace.top_area())
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            RoutingCache(capacity=0)
-
-    def test_forget_server_canonicalizes_addresses(self, namespace):
-        # Regression: an entry cached under a non-canonical address used to
-        # survive forget_server (and keep routing at a pruned server).
-        cache = RoutingCache()
-        cache.remember(namespace.area(["USA/OR", "*"]), "http://index-or:9020/")
-        cache.forget_server("index-or:9020")
-        assert len(cache) == 0
-        cache.remember(namespace.area(["USA/OR", "*"]), "index-or:9020")
-        cache.forget_server("https://index-or:9020")
-        assert len(cache) == 0
-
-    def test_eviction_order_respects_lookup_recency(self, namespace):
-        cache = RoutingCache(capacity=2)
-        cache.remember(namespace.area(["USA/OR", "*"]), "a:1")
-        cache.remember(namespace.area(["USA/WA", "*"]), "b:1")
-        # A hit refreshes a:1, so the next insert evicts b:1 instead.
-        assert cache.lookup(namespace.area(["USA/OR/Portland", "*"]))
-        cache.remember(namespace.area(["USA/CA", "*"]), "c:1")
-        assert cache.lookup(namespace.area(["USA/WA/Seattle", "*"])) == []
-        hits = cache.lookup(namespace.area(["USA/OR/Portland", "*"]))
-        assert [hit.server for hit in hits] == ["a:1"]
-
-    def test_specificity_tie_break_is_address_order(self, namespace):
-        cache = RoutingCache()
-        area = namespace.area(["USA/OR", "*"])
-        cache.remember(area, "b:1")
-        cache.remember(area, "a:1")
-        hits = cache.lookup(namespace.area(["USA/OR/Portland", "*"]))
-        assert [hit.server for hit in hits] == ["a:1", "b:1"]
-
-    def test_forget_frees_capacity_before_eviction(self, namespace):
-        cache = RoutingCache(capacity=2)
-        cache.remember(namespace.area(["USA/OR", "*"]), "a:1")
-        cache.remember(namespace.area(["USA/WA", "*"]), "b:1")
-        cache.forget_server("a:1")
-        cache.remember(namespace.area(["USA/CA", "*"]), "c:1")
-        # forget freed the slot, so the oldest survivor was not evicted.
-        hits = cache.lookup(namespace.area(["USA/WA/Seattle", "*"]))
-        assert [hit.server for hit in hits] == ["b:1"]
-        assert cache.lookup(namespace.area(["USA/OR/Portland", "*"])) == []

@@ -44,13 +44,16 @@ class TestIntensionalStatements:
         assert statement.lhs.level is CatalogLevel.INDEX
         assert statement.rhs_servers() == ["S", "T", "U"]
 
-    def test_applies_to_requires_level_and_cover(self, namespace):
+    def test_a_statement_applies_at_its_level_under_its_cover(self, namespace):
         statement = IntensionalStatement.parse(
             "base[(USA.OR,*)]@R = base[(USA.OR,*)]@S"
         )
-        assert statement.applies_to(CatalogLevel.BASE, namespace.area(["USA/OR/Portland", "Music"]))
-        assert not statement.applies_to(CatalogLevel.INDEX, namespace.area(["USA/OR", "*"]))
-        assert not statement.applies_to(CatalogLevel.BASE, namespace.area(["USA/WA", "*"]))
+        catalog = Catalog("c:1")
+        catalog.register_statement(statement)
+        portland = namespace.area(["USA/OR/Portland", "Music"])
+        assert catalog.statements_for(CatalogLevel.BASE, portland) == [statement]
+        assert catalog.statements_for(CatalogLevel.INDEX, namespace.area(["USA/OR", "*"])) == []
+        assert catalog.statements_for(CatalogLevel.BASE, namespace.area(["USA/WA", "*"])) == []
 
     def test_malformed_statements_rejected(self):
         with pytest.raises(IntensionalStatementError):

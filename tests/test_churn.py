@@ -16,7 +16,7 @@ import pytest
 
 from repro.algebra import PlanBuilder
 from repro.catalog import ServerRole
-from repro.mqp import QueryPreferences
+from repro.mqp import MutantQueryPlan, QueryPreferences
 from repro.network import CHURN_PROFILES, Message, Network, schedule_churn
 from repro.peers import (
     BaseServer,
@@ -167,28 +167,31 @@ class TestRejoinRepropagation:
         assert index.address in base.registration_targets
 
 
-class TestRoutingCacheInvalidation:
-    def test_unreachable_peer_evicted_from_cache_and_catalog(self, churn_network, namespace):
+def _first_hop(client, namespace):
+    """Where the client would send a Portland query now."""
+    plan = MutantQueryPlan(_portland_query(client, namespace))
+    return client.processor.process(plan, avoid=client.suspected_dead).next_hop
+
+
+class TestRoutingInvalidation:
+    def test_unreachable_peer_leaves_the_catalog_and_the_route(self, churn_network, namespace):
         network, base, index, meta, client = churn_network
-        area = namespace.area(["USA/OR/Portland", "Music"])
-        assert any(entry.server == index.address for entry in client.cache.lookup(area))
+        assert _first_hop(client, namespace) == index.address
         index.go_offline()
         client.submit_plan(_portland_query(client, namespace), QueryPreferences())
         network.run_until_idle()
-        assert not any(entry.server == index.address for entry in client.cache.lookup(area))
         assert index.address not in client.catalog.servers
+        assert _first_hop(client, namespace) == meta.address
 
-    def test_the_cache_that_forgets_is_the_cache_that_routes(self, churn_network, namespace):
-        """One object: an empty ``RoutingCache`` is falsy, and ``cache or
-        RoutingCache()`` once gave the processor a private one nothing purged."""
+    def test_the_catalog_that_forgets_is_the_catalog_that_routes(self, churn_network, namespace):
+        """One table: what failure detection prunes is what routing reads."""
         network, base, index, meta, client = churn_network
-        assert all(peer.processor.cache is peer.cache for peer in (base, index, meta, client))
-        area = namespace.area(["USA/OR/Portland", "Music"])
-        assert index.address in [entry.server for entry in client.processor.cache.lookup(area)]
+        assert all(peer.processor.catalog is peer.catalog for peer in (base, index, meta, client))
+        assert _first_hop(client, namespace) == index.address
         client._peer_failed(index.address, Message(client.address, index.address, "register"))
-        assert index.address not in [
-            entry.server for entry in client.processor.cache.lookup(area)
-        ]
+        client.suspected_dead.clear()  # the catalog alone must steer around it
+        assert index.address not in client.catalog.servers
+        assert _first_hop(client, namespace) == meta.address
 
     def test_graceful_leave_unregisters_immediately(self, churn_network, namespace):
         network, base, index, meta, client = churn_network

@@ -12,12 +12,11 @@ from repro.catalog import (
     CollectionRef,
     IntensionalStatement,
     NamedResourceEntry,
-    RoutingCache,
     ServerEntry,
     ServerRole,
 )
 from repro.engine.cost import CostModel
-from repro.errors import PlanError, ProvenanceError, URNError, XMLParseError
+from repro.errors import PlanError, ProvenanceError, XMLParseError
 from repro.mqp import (
     PARTIAL_REASONS,
     MQPProcessor,
@@ -30,8 +29,7 @@ from repro.mqp import (
 )
 from repro.mqp.plan import format_branch, parse_branch
 from repro.mqp.provenance import ProvenanceRecord
-from repro.namespace import InterestAreaURN, InterestCell, parse_urn
-from repro.namespace.urn import _urn_parts
+from repro.namespace import InterestAreaURN
 from repro.optimizer import Optimizer
 from repro.xmlmodel import XMLElement, parse_xml, serialize_xml
 from oracles.mqp_tree import mqp_text
@@ -323,15 +321,6 @@ class TestProcessor:
         leaves = result.mqp.plan.verbatim_leaves()
         assert leaves and any("stats.cardinality" in leaf.annotations for leaf in leaves)
 
-    def test_learn_from_populates_cache(self, namespace):
-        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
-        urn = str(InterestAreaURN.for_area(area))
-        plan = PlanBuilder.urn(urn).display("client:9020")
-        mqp = MutantQueryPlan(plan)
-        mqp.provenance.add("index-or:9020", ProvenanceAction.BOUND, 1.0, detail=urn)
-        processor = _processor_for(namespace, "client:9020")
-        processor.learn_from(mqp)
-        assert processor.cache.lookup(area)[0].server == "index-or:9020"
 
 
 # --------------------------------------------------------------------------- #
@@ -590,7 +579,7 @@ class TestScatter:
         assert [ref.urn for ref in carried.urn_refs()] == [urn, unbound]
         assert carried.root == result.mqp.original.root
 
-    def test_a_holder_learns_the_same_routes_from_a_slim_piece_as_from_a_fat_one(self, namespace):
+    def test_a_holder_reads_the_same_history_from_a_slim_piece_as_from_a_fat_one(self, namespace):
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
         sellers = {"s1:9020": ["/cds"], "s2:9020": ["/cds"]}
         index = _processor_for(
@@ -602,14 +591,17 @@ class TestScatter:
         fat = MutantQueryPlan.deserialize(slim.serialize())
         fat.original = whole.original
         assert "<original>" in fat.serialize() and "<original>" not in slim.serialize()
-        learned = []
+        bound = []
         for document in (slim.serialize(), fat.serialize()):
             holder = _processor_for(namespace, "s1:9020", {"/cds": [make_item("A", 5)]})
             arrived = MutantQueryPlan.deserialize(document)
             assert holder.process(arrived, now=2.0).action is ProcessingAction.DELIVER
-            holder.learn_from(arrived)
-            learned.append(list(holder.cache._entries))
-        assert learned[0] == learned[1] == [(str(area), "index:9020")]
+            bound.append([
+                (record.server, record.detail)
+                for record in arrived.provenance.records
+                if record.action is ProvenanceAction.BOUND
+            ])
+        assert bound[0] == bound[1] == [("index:9020", urn)]
 
     def test_a_nested_split_divides_the_credit_again(self, namespace, cd_items):
         plan = (
@@ -957,98 +949,6 @@ class TestLeafHop:
 
 
 # --------------------------------------------------------------------------- #
-# learn_from: one parse per distinct record text, one area per peer
-# --------------------------------------------------------------------------- #
-
-
-def _bound_by(*records):
-    mqp = MutantQueryPlan(PlanBuilder.url("x:9020", "/a").display("client:9020"))
-    for server, detail in records:
-        mqp.provenance.add(server, ProvenanceAction.BOUND, 1.0, detail=detail)
-    return mqp
-
-
-def _learn_by_parsing(processor, mqp):
-    """What ``learn_from`` did before it was memoized: one parse per record."""
-    for record in mqp.provenance.records:
-        if record.action is ProvenanceAction.BOUND and record.server != processor.address:
-            try:
-                parsed = parse_urn(record.detail)
-            except URNError:
-                continue
-            if isinstance(parsed, InterestAreaURN):
-                processor.cache.remember(parsed.area, record.server)
-
-
-class TestLearnFromMemo:
-    def test_two_peers_learning_one_record_hold_distinct_areas(self, namespace):
-        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
-        mqp = _bound_by(("index-or:9020", str(InterestAreaURN.for_area(area))))
-        peers = [_processor_for(namespace, address) for address in ("a:9020", "b:9020")]
-        for peer in peers:
-            peer.learn_from(mqp)
-        (mine,), (theirs,) = (list(peer.cache._entries.values()) for peer in peers)
-        assert mine.area == theirs.area == area and mine.area is not theirs.area
-        mine.area.add(InterestCell.of("USA/WA", "Music/CDs"))
-        assert theirs.area == area  # one peer's area is not another's
-        late = _processor_for(namespace, "c:9020")
-        late.learn_from(mqp)
-        assert late.cache.lookup(area)[0].area == area  # nor the memo's
-
-    def test_the_memo_stays_within_its_bound(self, namespace):
-        bound = _urn_parts.cache_info().maxsize
-        processor = _processor_for(namespace, "a:9020")
-        processor.learn_from(_bound_by(*(("i:9020", f"urn:ForSale:c{n}") for n in range(bound + 8))))
-        assert 0 < _urn_parts.cache_info().currsize <= bound
-
-    def test_a_malformed_urn_detail_is_skipped(self, namespace):
-        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
-        processor = _processor_for(namespace, "a:9020")
-        processor.learn_from(
-            _bound_by(
-                ("i:9020", "not a urn"),
-                ("i:9020", "urn:InterestArea:((USA"),
-                ("i:9020", "urn:InterestArea:(USA.OR,)"),
-                ("i:9020", ""),
-                ("i:9020", "urn:ForSale:Portland-CDs"),
-                ("j:9020", str(InterestAreaURN.for_area(area))),
-            )
-        )
-        assert list(processor.cache._entries) == [(str(area), "j:9020")]
-
-    def test_the_routing_cache_order_is_that_of_one_parse_per_record(self, namespace):
-        areas = [
-            namespace.area(cell)
-            for cell in (
-                ["USA/OR/Portland", "Music/CDs"],
-                ["USA/OR", "*"],
-                ["USA/WA/Seattle", "Furniture"],
-                ["USA/OR/Portland", "Music/CDs"],  # the first area again, another binder
-                ["USA/WA", "Music"],
-            )
-        ]
-        urns = [str(InterestAreaURN.for_area(area)) for area in areas]
-        hops = [
-            _bound_by(("i1:9020", urns[0]), ("i2:9020", urns[1])),
-            _bound_by(("i3:9020", urns[2]), ("here:9020", urns[4]), ("i1:9020", urns[0])),
-            _bound_by(("i1:9020", "urn:ForSale:x"), ("i2:9020", urns[4]), ("i4:9020", urns[3])),
-            _bound_by(("i2:9020", urns[1]), ("i3:9020", urns[2]), ("i5:9020", urns[4])),
-        ]
-        memoized, parsing = (
-            MQPProcessor("here:9020", Catalog("here:9020"), cache=RoutingCache(capacity=4))
-            for _ in range(2)
-        )
-        for mqp in hops:
-            memoized.learn_from(mqp)
-            _learn_by_parsing(parsing, mqp)
-            assert list(memoized.cache._entries) == list(parsing.cache._entries)
-            assert [entry.area for entry in memoized.cache._entries.values()] == [
-                entry.area for entry in parsing.cache._entries.values()
-            ]
-        assert len(memoized.cache._entries) == 4  # the capacity evicted in LRU order
-
-
-# --------------------------------------------------------------------------- #
 # Routing: one lookup per area per process call
 # --------------------------------------------------------------------------- #
 
@@ -1068,7 +968,6 @@ class TestOneRoutingLookupPerArea:
         catalog.register_server(ServerEntry("idx-or:9020", ServerRole.INDEX, oregon, authoritative=True))
         catalog.register_server(ServerEntry("idx-wa:9020", ServerRole.INDEX, wash))
         catalog.register_server(ServerEntry("meta-2:9020", ServerRole.META_INDEX, namespace.top_area()))
-        cache = RoutingCache(capacity=8)
         for area, server in (
             (oregon, "seen-or:9020"),
             (namespace.area(["France", "*"]), "seen-fr:9020"),
@@ -1076,8 +975,8 @@ class TestOneRoutingLookupPerArea:
             (wash, "seen-wa:9020"),
             (namespace.area(["USA/CA", "*"]), "seen-ca:9020"),
         ):
-            cache.remember(area, server)
-        return cls("meta:9020", catalog, namespace, cache=cache)
+            catalog.register_server(ServerEntry(server, ServerRole.INDEX, area, authoritative=True))
+        return cls("meta:9020", catalog, namespace)
 
     def _plan(self, namespace):
         portland, seattle = (
@@ -1101,21 +1000,22 @@ class TestOneRoutingLookupPerArea:
 
         monkeypatch.setattr(MQPProcessor, "_routing_servers_for", counting)
         memoized, per_site = (self._router(cls, namespace) for cls in (MQPProcessor, _LookupPerSite))
-        before = list(memoized.cache._entries)
+        before = dict(memoized.catalog.servers)
         once, twice = (
             processor.process(self._plan(namespace), now=1.0) for processor in (memoized, per_site)
         )
         areas = [area for who, area in looked_up if who is MQPProcessor]
         assert len(areas) == len(set(areas)) == 2  # bound and routed on one lookup each
         assert sorted(area for who, area in looked_up if who is _LookupPerSite) == sorted(areas * 2)
-        # The second lookup changed nothing but the routing cache's hit counter.
+        # The second lookup changed nothing: routing only reads the catalog.
         assert len(once.pieces) == 2  # the URL branch scattered from the URN branches
         assert [(piece.next_hop, piece.reason, piece.mqp.serialize()) for piece in once.pieces] == [
             (piece.next_hop, piece.reason, piece.mqp.serialize()) for piece in twice.pieces
         ]
         assert once.route_candidates == twice.route_candidates
-        assert list(memoized.cache._entries) == list(per_site.cache._entries) != before
-        assert memoized.cache.hits == per_site.cache.hits // 2 > 0
+        assert memoized.catalog.servers == per_site.catalog.servers == before
+        # Portland's covering authorities lead its routes, equal areas by address.
+        assert once.route_candidates[:2] == ["idx-or:9020", "seen-or:9020"]
 
     def test_a_bound_area_needs_no_routing_lookup(self, namespace, monkeypatch):
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])

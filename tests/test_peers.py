@@ -3,9 +3,9 @@
 import pytest
 
 from repro.algebra import PlanBuilder
-from repro.catalog import IntensionalStatement, ServerRole
+from repro.catalog import IntensionalStatement, ServerEntry, ServerRole
 from repro.errors import PeerOffline
-from repro.mqp import QueryPreferences
+from repro.mqp import MutantQueryPlan, QueryPreferences
 from repro.namespace import InterestAreaURN
 from repro.network import Message, Network
 from repro.peers import (
@@ -131,19 +131,48 @@ class TestRegistration:
         assert statement in index_or.catalog.statements
 
 
+def _first_hop(client, area):
+    """Where ``client`` would send a query over ``area`` now."""
+    plan = PlanBuilder.urn(str(InterestAreaURN.for_area(area))).display(client.address)
+    return client.processor.process(MutantQueryPlan(plan)).next_hop
+
+
 class TestReferralHandling:
     """What a client takes from a ``referral`` frame (``PlanForwarding._refer`` sends it)."""
 
-    def _cached(self, client, area) -> list[str]:
-        return [entry.server for entry in client.processor.cache.lookup(area)]
-
-    def test_an_authoritative_index_is_learned_by_the_cache_that_routes(self, small_network):
+    def test_an_authoritative_index_is_learned_by_the_catalog_that_routes(self, small_network):
         _, namespace, _, _, index, _, client = small_network
         area = namespace.area(["USA/OR/Portland", "Music/CDs"])
-        assert client.processor.cache is client.cache and not self._cached(client, area)
+        assert client.processor.catalog is client.catalog and _first_hop(client, area) is None
         client.receive(Message(index.address, client.address, "referral", index.server_entry()))
-        assert self._cached(client, area) == [index.address]
-        assert index.address in client.catalog.servers
+        assert client.catalog.servers[index.address] == index.server_entry()
+        assert _first_hop(client, area) == index.address
+
+    def test_a_referral_moves_the_next_query_to_the_index_whatever_the_addresses(self, namespace):
+        """The meta-index's address sorts before the index's: the narrower
+        area, not the name, puts the index first once it is learned."""
+        network = Network()
+        portland_cds = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        seller = BaseServer("seller:9020", namespace, portland_cds)
+        index = IndexServer("index-or:9020", namespace, namespace.area(["USA/OR", "*"]))
+        meta = MetaIndexServer("a-meta:9020", namespace)
+        client = ClientPeer("client:9020", namespace)
+        for peer in (seller, index, meta, client):
+            network.register(peer)
+        seller.publish_collection("cds", [make_item("Abbey Road", 8), make_item("Blue Train", 6)])
+        register_offline([seller, index, meta, client])
+        seed_with_meta_index([client], [meta])
+        plan = PlanBuilder.urn(str(InterestAreaURN.for_area(portland_cds))).display(client.address)
+        visited, answers = [], []
+        for _ in range(2):
+            mqp = client.submit_plan(plan, QueryPreferences(), expected_answers=2)
+            network.run_until_idle()
+            visited.append(network.metrics.trace(mqp.query_id).visited)
+            answers.append(sorted(item.child_text("title") for item in client.results[mqp.query_id].items))
+        assert meta.address in visited[0] and meta.address not in visited[1]
+        assert index.address in visited[1]
+        assert network.metrics.messages_by_kind["referral"] == 1
+        assert answers[0] == answers[1] == ["Abbey Road", "Blue Train"]
 
     @pytest.mark.parametrize("payload", [
         None, "index-or:9020", {"address": "index-or:9020"},
@@ -157,9 +186,53 @@ class TestReferralHandling:
             payload = IndexServer(
                 "index-x:9020", namespace, namespace.area(["USA/OR", "*"]), authoritative=False
             ).server_entry()
-        before = (len(client.cache), set(client.catalog.servers))
+        before = dict(client.catalog.servers)
         client.receive(Message("meta:9020", client.address, "referral", payload))
-        assert (len(client.cache), set(client.catalog.servers)) == before
+        assert client.catalog.servers == before and _first_hop(client, namespace.top_area()) is None
+
+
+class TestRoutingFromTheCatalog:
+    """A client routes from the one table it has: its catalog."""
+
+    @pytest.fixture()
+    def client(self, namespace):
+        """A client that knows two covering authorities, only through its catalog:
+        the meta-index's address sorts first, the Oregon index's area is narrower."""
+        client = ClientPeer("client:9020", namespace)
+        client.catalog.register_server(ServerEntry(
+            "a-meta:9020", ServerRole.META_INDEX, namespace.top_area(), authoritative=True
+        ))
+        client.catalog.register_server(ServerEntry(
+            "z-index-or:9020", ServerRole.INDEX, namespace.area(["USA/OR", "*"]),
+            authoritative=True,
+        ))
+        return client
+
+    def test_the_most_specific_covering_authority_goes_first(self, client, namespace):
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        assert _first_hop(client, area) == "z-index-or:9020"
+
+    def test_equally_specific_authorities_go_in_address_order(self, client, namespace):
+        client.catalog.register_server(ServerEntry(
+            "m-index-or:9020", ServerRole.INDEX, namespace.area(["USA/OR", "*"]),
+            authoritative=True,
+        ))
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        assert _first_hop(client, area) == "m-index-or:9020"
+
+    def test_a_narrower_index_without_authority_waits_behind_the_authorities(
+        self, client, namespace
+    ):
+        client.catalog.register_server(ServerEntry(
+            "b-index-portland:9020", ServerRole.INDEX, namespace.area(["USA/OR/Portland", "*"]),
+        ))
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        assert _first_hop(client, area) == "z-index-or:9020"
+
+    def test_a_pruned_authority_gives_way_to_the_next(self, client, namespace):
+        client.catalog.prune_server("z-index-or:9020")
+        area = namespace.area(["USA/OR/Portland", "Music/CDs"])
+        assert _first_hop(client, area) == "a-meta:9020"
 
 
 class TestEndToEndQuery:

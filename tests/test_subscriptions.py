@@ -27,6 +27,7 @@ The suite covers the full standing-query protocol end-to-end:
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -54,6 +55,7 @@ from repro.peers.subscriptions import (
 )
 from repro.peers.transfers import Transfers
 from repro.xmlmodel import XMLElement, element, serialize_xml, text_element, utf8_len
+from oracles.matcher_scan import scan_matching
 from recording_node import RecordingNode, frame
 from tests.conftest import make_item
 
@@ -263,6 +265,46 @@ class TestMatcher:
         assert len(matcher) == 1
         assert matcher.matching(portland) == []
         assert [sub for sub, _ in matcher.matching(furniture)] == ["sub"]
+
+
+def _random_area(namespace, rng):
+    """One or two cells; a coordinate is often the top or one below it, so
+    areas nest and overlap as well as miss."""
+
+    def coordinate(dimension):
+        categories = dimension.categories()
+        if rng.random() < 0.4:
+            categories = [category for category in categories if category.depth <= 1]
+        return rng.choice(categories)
+
+    return namespace.area(*(
+        [coordinate(dimension) for dimension in namespace.dimensions]
+        for _ in range(rng.choice([1, 1, 2]))
+    ))
+
+
+class TestMatcherEquivalence:
+    """The matcher's area index vs. the linear scan of ``tests/oracles/matcher_scan.py``."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_arm_disarm_and_rearm_match_the_scan(self, namespace, seed):
+        rng = random.Random(seed)
+        matcher = SubscriptionMatcher()
+        armed = {}
+        for _ in range(150):
+            sub_id = f"sub-{rng.randrange(12)}"
+            move = rng.random()
+            if move < 0.5:  # arm, or re-arm over a different area
+                shape = subscribable_shape(
+                    PlanBuilder.urn(area_urn(_random_area(namespace, rng))).display("c:1")
+                )
+                matcher.arm(sub_id, shape)
+                armed[sub_id] = shape
+            elif move < 0.75:
+                assert matcher.disarm(sub_id) is (armed.pop(sub_id, None) is not None)
+            area = _random_area(namespace, rng)
+            assert matcher.matching(area) == scan_matching(armed, area)
+        assert len(matcher) == len(armed)
 
 
 # --------------------------------------------------------------------------- #
